@@ -25,7 +25,6 @@ from .core import (
     Side,
     Vec3,
     add_perturbation,
-    evaluate_state,
     hermite_trajectory,
     load_trajectory,
     polygonal_from_vertices,
@@ -37,6 +36,7 @@ from .core import (
 )
 from .errors import (
     CollisionError,
+    ConeSolveError,
     ConfigError,
     ContractError,
     ConvergenceError,
@@ -65,6 +65,7 @@ from .farfield import (
 from .lightcone import Branch, ConeSolution, cone_time, far_cone_time, influence_interval
 from .momentum import (
     BreakResidual,
+    break_residual,
     break_residuals,
     energy_current,
     momentum_current,

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, replace_window
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import Branch, ConeSolution, cone_time
+from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, cone_time
 
 __all__ = [
     "ActionWindow",
@@ -37,7 +36,6 @@ __all__ = [
     "pullback_mesh",
 ]
 
-_COLLISION_R = 1e-9
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
@@ -73,14 +71,6 @@ def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     return -traj1.particle.charge * traj2.particle.charge
 
 
-def _checked_cones(partner: PiecewiseTrajectory, t: float, x, side: Side):
-    adv = cone_time(partner, (t, x), Branch.ADVANCED, side=side)
-    ret = cone_time(partner, (t, x), Branch.RETARDED, side=side)
-    if adv.r < _COLLISION_R or ret.r < _COLLISION_R:
-        raise CollisionError(f"cone distance below {_COLLISION_R} at t={t}")
-    return adv, ret
-
-
 def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
                         m1: float = 1.0, kappa: float = 1.0) -> float:
     """Integrand of the delayed action at one point of trajectory 1."""
@@ -91,7 +81,7 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
         raise DomainError(f"superluminal velocity |v1|^2 = {v1sq}")
     total = -m1 * math.sqrt(1.0 - v1sq)
     for sol in (cone_adv, cone_ret):
-        if sol.r < _COLLISION_R:
+        if sol.r < COLLISION_R:
             raise CollisionError(f"cone distance {sol.r} below collision cutoff")
         rho = 1.0 / sol.dilation  # 1 + n.v (advanced) or 1 - n.v (retarded)
         total += kappa * (1.0 - float(v1 @ sol.v)) / (2.0 * sol.r * rho)
@@ -127,7 +117,7 @@ def _branch_partials(v1, sol: ConeSolution):
 
 def _density_and_partials(traj1, partner, t, side, kappa):
     x1, v1, _ = traj1.state(t, side)
-    adv, ret = _checked_cones(partner, t, x1, side)
+    adv, ret = cone_pair(partner, t, x1, side)
     v1sq = float(v1 @ v1)
     gamma = 1.0 / math.sqrt(1.0 - v1sq)
     density = -traj1.particle.mass / gamma
@@ -170,29 +160,6 @@ def _merge_history(traj: PiecewiseTrajectory,
         f"history [{history.t_start}, {history.t_end}] neither contains nor "
         f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
     )
-
-
-def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                   a: float, b: float) -> list:
-    """Times in (a, b) where a cone image of trajectory 1 crosses a partner
-    junction, as (t1, tau, branch) triples.  Both cone maps are strictly
-    increasing in t1, so each crossing is a simple bracketed root."""
-    out = []
-    partner_junctions = partner.junction_times()
-    if not partner_junctions or b <= a:
-        return out
-    for branch in (Branch.RETARDED, Branch.ADVANCED):
-
-        def image(t1, _br=branch):
-            return cone_time(partner, (t1, traj1.position(t1)), _br).t_k
-
-        lo2, hi2 = image(a), image(b)
-        for tau in partner_junctions:
-            if lo2 < tau < hi2:
-                root = brentq(lambda t1: image(t1) - tau, a, b,
-                              xtol=1e-13, rtol=8.9e-16)
-                out.append((float(root), tau, branch))
-    return out
 
 
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -262,7 +229,7 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
     def density(t):
         x1, v1, _ = traj1.state(t)
-        adv, ret = _checked_cones(partner, t, x1, Side.RIGHT)
+        adv, ret = cone_pair(partner, t, x1, Side.RIGHT)
         return interaction_density((x1, v1), adv, ret, m1=m1, kappa=k)
 
     mesh = pullback_mesh(traj1, partner, window.t_start, window.t_end)
@@ -299,7 +266,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         x1, v1, _ = traj1.state(t1)
         dens = {}
         for edge in (Side.LEFT, Side.RIGHT):
-            adv, ret = _checked_cones(partner, t1, x1, edge)
+            adv, ret = cone_pair(partner, t1, x1, edge)
             dens[edge] = interaction_density((x1, v1), adv, ret, m1=m1, kappa=k)
         s = -branch.sign  # +1 advanced, -1 retarded
         n_hat = cone_time(partner, (t1, x1), branch).n_hat

@@ -30,7 +30,6 @@ __all__ = [
     "ValidationReport",
     "BoundaryData",
     "Perturbation",
-    "evaluate_state",
     "polygonal_from_vertices",
     "hermite_trajectory",
     "validate",
@@ -356,11 +355,6 @@ class PiecewiseTrajectory:
 
     def max_speed(self) -> float:
         return max(s.max_speed() for s in self.segments)
-
-
-def evaluate_state(traj: PiecewiseTrajectory, t: float, side: Side = Side.RIGHT):
-    """One-sided (x, v, a) at time t.  Position is side-independent."""
-    return traj.state(t, side)
 
 
 def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTrajectory:

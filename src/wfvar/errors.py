@@ -28,6 +28,20 @@ class ConvergenceError(WfvarError):
     """An iterative solve (root find, Gauss-Newton, quadrature) failed to converge."""
 
 
+class ConeSolveError(ConvergenceError):
+    """A cone root search spent its step budget.
+
+    ``event`` and ``branch`` name the solve: ``event`` is the (t, x) pair of
+    a cone solve, (t, n, R) of a far-cone solve, or the partner junction
+    event (tau, x2(tau)) of a cone crossing.
+    """
+
+    def __init__(self, message: str, event=None, branch=None):
+        super().__init__(message)
+        self.event = event
+        self.branch = branch
+
+
 class CollisionError(WfvarError):
     """Interparticle distance fell below the collision cutoff."""
 

@@ -14,15 +14,14 @@ measure-zero set that surface integrals may skip.
 
 from __future__ import annotations
 
+import bisect
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PiecewiseTrajectory, Vec3, vec3
-from .errors import ConfigError, CoverageError, DomainError
+from .errors import CoverageError, DomainError
 from .lightcone import Branch, far_cone_time
 
 GUARD_BAND = 1e-9
@@ -36,7 +35,11 @@ def _unit(n) -> Vec3:
 
 
 def _near_break(traj: PiecewiseTrajectory, t_k: float, guard: float) -> bool:
-    return any(abs(t_k - l) < guard for l in traj.junction_times())
+    """Whether a junction lies within `guard` of t_k; only the two junctions
+    around t_k can be the nearest."""
+    junctions = traj.junction_times()
+    i = bisect.bisect_left(junctions, t_k)
+    return any(abs(t_k - l) < guard for l in junctions[max(0, i - 1): i + 1])
 
 
 def _far_kinematics(traj, t, n, R, branch):
@@ -44,12 +47,12 @@ def _far_kinematics(traj, t, n, R, branch):
     return t_k, traj.velocity(t_k), traj.acceleration(t_k)
 
 
-def _lw_fields(q, n, R, v, a, branch):
-    """One charge's far fields; the advanced branch is the time reflection."""
+def _lw_field(q, n, R, v, a, branch):
+    """One charge's far electric field; the advanced branch is the time
+    reflection."""
     s = float(branch.sign)  # +1 retarded, -1 advanced
     g = 1.0 - s * float(n @ v)
-    e = (q / R) * np.cross(n, np.cross(n - s * v, a)) / g**3
-    return e, s * np.cross(n, e)
+    return (q / R) * np.cross(n, np.cross(n - s * v, a)) / g**3
 
 
 def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -59,7 +62,8 @@ def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
     if R <= 0.0:
         raise DomainError("sphere radius must be positive")
     _, v, a = _far_kinematics(traj, t, n, R, branch)
-    return _lw_fields(traj.particle.charge, n, R, v, a, branch)
+    e = _lw_field(traj.particle.charge, n, R, v, a, branch)
+    return e, float(branch.sign) * np.cross(n, e)
 
 
 def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -114,7 +118,7 @@ def _branch_totals(trajs, t, n, R, guard, branches=(Branch.RETARDED, Branch.ADVA
             t_k, v, a = _far_kinematics(traj, t, n, R, branch)
             if _near_break(traj, t_k, guard):
                 defined = False
-            e, _ = _lw_fields(traj.particle.charge, n, R, v, a, branch)
+            e = _lw_field(traj.particle.charge, n, R, v, a, branch)
             if branch is Branch.RETARDED:
                 e_ret += e
             else:
@@ -206,38 +210,12 @@ def latlong_mesh(n_theta: int = 17, n_phi: int = 35) -> SphereMesh:
     return SphereMesh(np.array(dirs), np.array(weights))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WFVAR_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"WFVAR_THREADS must be an integer, got {raw!r}") from exc
-    if k < 0:
-        raise ConfigError("WFVAR_THREADS must be 0 (auto) or positive")
-    if k == 0:
-        return os.cpu_count() or 1
-    return k
-
-
-def _map_samples(fn, count):
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
               R: float, mesh: SphereMesh | None = None,
               guard: float = GUARD_BAND) -> list:
     """Far-field samples over a whole direction mesh at one time."""
     mesh = latlong_mesh() if mesh is None else mesh
-    return _map_samples(
-        lambda i: wf_far(traj1, traj2, t, mesh.directions[i], R, guard=guard),
-        len(mesh),
-    )
+    return [wf_far(traj1, traj2, t, n, R, guard=guard) for n in mesh.directions]
 
 
 def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
@@ -259,22 +237,15 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
 
     branches = (Branch.RETARDED,) if retarded_only else (Branch.RETARDED, Branch.ADVANCED)
 
-    def one(i):
-        e_ret, e_adv, defined = _branch_totals(
-            trajs, t, mesh.directions[i], R, guard, branches=branches
-        )
-        if retarded_only:
-            return -float(e_ret @ e_ret), defined
-        return poynting_flux(e_adv, e_ret), defined
-
-    results = _map_samples(one, len(mesh))
     covered = 0.0
     total = 0.0
     skipped = 0
-    for (value, defined), w in zip(results, mesh.weights):
+    for n, w in zip(mesh.directions, mesh.weights):
+        e_ret, e_adv, defined = _branch_totals(trajs, t, n, R, guard, branches=branches)
         if not defined:
             skipped += 1
             continue
+        value = -float(e_ret @ e_ret) if retarded_only else poynting_flux(e_adv, e_ret)
         covered += w
         total += w * value
     if skipped > 0.10 * len(mesh):

@@ -21,20 +21,28 @@ import numpy as np
 from .core import PiecewiseTrajectory, Side, Vec3, vec3
 from .errors import (
     CollisionError,
+    ConeSolveError,
     ConvergenceError,
     DomainError,
     InsufficientHistoryError,
 )
 
-__all__ = ["Branch", "ConeSolution", "cone_time", "far_cone_time", "influence_interval"]
+__all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
+           "far_cone_time", "influence_interval"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
 
+#: cone distances below this are a collision of the two charges
+COLLISION_R = 1e-9
 
-def _cone_tol(t: float, t_k: float, r: float) -> float:
+
+def _cone_tol(t: float, t_k: float, r: float, tight: bool) -> float:
     """Accepted residual: 1e-12 absolute (scaled by the event time) plus the
-    floating-point noise floor of forming (t - t_k) - r at large separations."""
+    floating-point noise floor of forming (t - t_k) - r at large separations.
+    `tight` gives the stricter target at which refinement stops."""
+    if tight:
+        return 1e-13 * max(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + abs(r))
     return 1e-12 * max(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
 
 
@@ -67,8 +75,92 @@ class ConeSolution:
         return 1.0 / self.dilation
 
 
+def _monotone_root(residual, slope, tol, lo, hi, c, gc, step, event, branch) -> tuple:
+    """Root of a strictly decreasing residual on [lo, hi], and the last
+    residual evaluated there.
+
+    `residual(s)` returns (g, aux), `slope(s, aux)` is dg/ds (NaN where it
+    is undefined) and `tol(s, aux, tight)` the accepted residual (`tight`:
+    the target at which refinement stops).  A bracket grows from c, whose
+    residual is gc, by steps that start at `step` and double, clamped to
+    [lo, hi].  Newton steps from the bracket's secant point then fall back
+    to bisection whenever they leave the bracket (Numerical Recipes'
+    rtsafe).  A bracket end whose residual is exactly zero is the root.  A
+    domain end whose residual is within tolerance but of the wrong sign
+    (the root lies just past it) is returned; a root farther out raises
+    InsufficientHistoryError.  Each loop runs at most _MAX_ITER times and
+    raises ConeSolveError, carrying `event` and `branch`, when that is
+    spent.  The search needs far fewer steps on finite input: a cone
+    residual's slope lies in [-2, -(1 - |v|)], so the root lies within
+    |gc| / (1 - |v|) of c, and every caller's first step is at least about
+    |gc|.
+    """
+    if gc == 0.0:
+        return c, gc
+    up = gc > 0.0
+    s, gs = c, gc
+    for _ in range(_MAX_ITER):
+        end = hi if up else lo
+        if s == end:
+            gs, aux = residual(end)
+            if abs(gs) > tol(end, aux, False):
+                raise InsufficientHistoryError(
+                    f"{branch.value} cone of event t={event[0]} exits the domain "
+                    f"[{lo}, {hi}] on the {'late' if up else 'early'} side"
+                )
+            return end, gs
+        nxt = min(s + step, hi) if up else max(s - step, lo)
+        gn, _ = residual(nxt)
+        if gn == 0.0:
+            return nxt, gn
+        if (gn < 0.0) is up:
+            break
+        s, gs = nxt, gn
+        step *= 2.0
+    else:
+        raise ConeSolveError(
+            f"no bracket for the {branch.value} cone root of event t={event[0]} "
+            f"after {_MAX_ITER} steps", event, branch)
+    a, ga, b, gb = (s, gs, nxt, gn) if up else (nxt, gn, s, gs)
+
+    # A Newton step may land on a closed end of the bracket the search
+    # found, once per end: the search never tested those ends against the
+    # acceptance threshold.
+    untested = {a, b}
+    # clipped: rounding may carry the secant point past an end
+    t_k = min(max(a + ga * (b - a) / (ga - gb), a), b)
+    for _ in range(_MAX_ITER):
+        g, aux = residual(t_k)
+        if abs(g) <= tol(t_k, aux, True):
+            # One polishing step: the accepted residual divided by a small
+            # slope (fast receding motion) can still move the root by more
+            # than 1e-12, while a final Newton update leaves only evaluation
+            # noise.  Keep the bracket as a safety net.
+            polished = t_k - g / slope(t_k, aux)
+            return (polished if a < polished < b else t_k), g
+        if g > 0.0:
+            untested.discard(a)
+            a = t_k
+        else:
+            untested.discard(b)
+            b = t_k
+        t_next = t_k - g / slope(t_k, aux)
+        if not (a < t_next < b or t_next in untested):
+            t_next = 0.5 * (a + b)
+        if t_next == t_k:
+            return t_k, g
+        t_k = t_next
+    g, aux = residual(t_k)
+    if abs(g) <= tol(t_k, aux, False):
+        return t_k, g
+    raise ConeSolveError(
+        f"{branch.value} cone root of event t={event[0]} did not converge: "
+        f"residual {g:.3g} after {_MAX_ITER} iterations", event, branch)
+
+
 def _scalar_cone(traj: PiecewiseTrajectory, t: float, x: Vec3, sign: int) -> tuple:
-    """The cone residual of event (t, x) and its slope, on plain floats.
+    """Residual, slope and tolerance of the cone condition of event (t, x),
+    on plain floats.
 
     Times must lie in the trajectory domain.  The segment is found by
     `bisect` on the junctions (right-sided) and evaluated by Horner on its
@@ -79,18 +171,25 @@ def _scalar_cone(traj: PiecewiseTrajectory, t: float, x: Vec3, sign: int) -> tup
     x0, x1, x2 = (float(c) for c in x)
 
     def residual(t_k: float) -> tuple:
-        """g(t_k) = (t - t_k) - sign*r, the distance vector and r."""
+        """g(t_k) = (t - t_k) - sign*r, with (distance vector, r)."""
         px, py, pz = segs[bisect.bisect_right(junctions, t_k)].at(t_k)
         d = (x0 - px, x1 - py, x2 - pz)
         r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        return (t - t_k) - sign * r, d, r
+        return (t - t_k) - sign * r, (d, r)
 
-    def slope(t_k: float, d: tuple, r: float) -> float:
-        """dg/dt_k = -1 + sign * n.v with the right-sided velocity, in (-2, 0)."""
+    def slope(t_k: float, aux: tuple) -> float:
+        """dg/dt_k = -1 + sign * n.v with the right-sided velocity, in
+        (-2, 0); NaN at r = 0, where n is undefined."""
+        d, r = aux
+        if r == 0.0:
+            return math.nan
         vx, vy, vz = segs[bisect.bisect_right(junctions, t_k)].at(t_k, 1)
         return -1.0 + sign * (d[0] * vx + d[1] * vy + d[2] * vz) / r
 
-    return residual, slope
+    def tol(t_k: float, aux: tuple, tight: bool) -> float:
+        return _cone_tol(t, t_k, aux[1], tight)
+
+    return residual, slope, tol
 
 
 def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
@@ -107,109 +206,13 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
     a one-sided limit is wanted).
     """
     t, x = float(event[0]), vec3(event[1])
-    sign = branch.sign
-    residual, slope = _scalar_cone(traj, t, x, sign)
-    lo_dom, hi_dom = traj.t_start, traj.t_end
-
-    # g is strictly decreasing in t_k on both branches.  Grow a bracket
-    # [a, b] with g(a) >= 0 >= g(b), clamped to the trajectory domain.
-    c = min(max(t, lo_dom), hi_dom)
-    gc, _, rc = residual(c)
-    step = max(rc, 1e-3, 1e-3 * abs(t))
-    if gc >= 0.0:
-        a, ga = c, gc
-        b = c
-        while True:
-            if b >= hi_dom:
-                gb, _, rb = residual(hi_dom)
-                if gb > _cone_tol(t, hi_dom, rb):
-                    raise InsufficientHistoryError(
-                        f"{branch.value} cone of event t={t} exits the domain "
-                        f"[{lo_dom}, {hi_dom}] on the late side"
-                    )
-                b = hi_dom
-                break
-            b = min(b + step, hi_dom)
-            gb, _, _ = residual(b)
-            if gb <= 0.0:
-                break
-            a, ga = b, gb
-            step *= 2.0
-    else:
-        b, gb = c, gc
-        a = c
-        while True:
-            if a <= lo_dom:
-                ga, _, ra = residual(lo_dom)
-                if ga < -_cone_tol(t, lo_dom, ra):
-                    raise InsufficientHistoryError(
-                        f"{branch.value} cone of event t={t} exits the domain "
-                        f"[{lo_dom}, {hi_dom}] on the early side"
-                    )
-                a = lo_dom
-                break
-            a = max(a - step, lo_dom)
-            ga, _, _ = residual(a)
-            if ga >= 0.0:
-                break
-            b, gb = a, ga
-            step *= 2.0
-
-    if ga == 0.0:
-        t_k = a
-    elif gb == 0.0:
-        t_k = b
-    else:
-        t_k = _refine_root(residual, slope, t, a, ga, b, gb)
+    residual, slope, tol = _scalar_cone(traj, t, x, branch.sign)
+    lo, hi = traj.t_start, traj.t_end
+    c = min(max(t, lo), hi)
+    gc, (_, rc) = residual(c)
+    t_k, _ = _monotone_root(residual, slope, tol, lo, hi, c, gc,
+                            max(rc, 1e-3, 1e-3 * abs(t)), (t, x), branch)
     return _solution_at(traj, residual, t, branch, t_k, side)
-
-
-def _refine_root(residual, slope, t, a, ga, b, gb) -> float:
-    """Bracketed Newton with bisection fallback on the monotone residual.
-
-    Starts from the secant point of a sign-change bracket.  The search also
-    accepts a domain end whose residual is within tolerance but of the wrong
-    sign (the root lies just past that end); then a == b and the start is
-    that end.  A Newton step may land on a closed end of the bracket the
-    search found, once per end: the search never tested those ends against
-    the acceptance threshold.
-    """
-    untested = {a, b}
-    if ga > 0.0 > gb:
-        # clipped: rounding may carry the secant point past an end
-        t_k = min(max(a + ga * (b - a) / (ga - gb), a), b)
-    else:
-        t_k = 0.5 * (a + b)
-    for _ in range(_MAX_ITER):
-        g, d, r = residual(t_k)
-        if abs(g) <= 1e-13 * max(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + r):
-            # One polishing step: the accepted residual divided by a small
-            # slope (fast receding motion) can still move the root by more
-            # than 1e-12, while a final Newton update leaves only evaluation
-            # noise.  Keep the bracket as a safety net.
-            if r > 0.0:
-                polished = t_k - g / slope(t_k, d, r)
-                if a < polished < b:
-                    return polished
-            return t_k
-        if g > 0.0:
-            untested.discard(a)
-            a = t_k
-        else:
-            untested.discard(b)
-            b = t_k
-        t_next = t_k - g / slope(t_k, d, r) if r > 0.0 else math.nan
-        if not (a < t_next < b or t_next in untested):
-            t_next = 0.5 * (a + b)
-        if t_next == t_k:
-            return t_k
-        t_k = t_next
-    g, _, r = residual(t_k)
-    if abs(g) <= _cone_tol(t, t_k, r):
-        return t_k
-    raise ConvergenceError(
-        f"cone root did not converge: residual {g:.3g} after {_MAX_ITER} iterations"
-    )
 
 
 def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> ConeSolution:
@@ -222,17 +225,18 @@ def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> C
         i = bisect.bisect_left(junctions, t_k)
         for j in junctions[max(0, i - 1): i + 1]:
             if j != t_k and abs(j - t_k) < 1e-9 * max(1.0, abs(t_k)):
-                gj, _, rj = residual(j)
-                if abs(gj) <= _cone_tol(t, j, rj):
+                gj, (_, rj) = residual(j)
+                if abs(gj) <= _cone_tol(t, j, rj, False):
                     t_k = j
                 break
-    g, d, r = residual(t_k)
-    if abs(g) > _cone_tol(t, t_k, r):
+    g, (d, r) = residual(t_k)
+    if abs(g) > _cone_tol(t, t_k, r, False):
         raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
     if r == 0.0:
         raise CollisionError(f"event at t={t} touches the trajectory (r = 0)")
     n_hat = np.array(d) / r
-    _, v, a_vec = traj.state(t_k, side)
+    seg = traj.segment_at(t_k, side)
+    v, a_vec = np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
     doppler = 1.0 - sign * float(n_hat @ v)  # retarded: 1 - n.v, advanced: 1 + n.v
     return ConeSolution(
         t_k=t_k,
@@ -246,34 +250,58 @@ def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> C
     )
 
 
-def _bisect_increasing(g_fn, seed, scale):
-    """Root of a strictly increasing residual, bracketing outward from seed."""
-    lo = hi = seed
-    step = max(1.0, 0.125 * scale)
-    glo, _ = g_fn(lo)
-    while glo > 0.0:
-        lo -= step
-        step *= 2.0
-        if step > 1e18:
-            raise ConvergenceError("no lower bracket for the far cone residual")
-        glo, _ = g_fn(lo)
-    step = max(1.0, 0.125 * scale)
-    ghi, _ = g_fn(hi)
-    while ghi < 0.0:
-        hi += step
-        step *= 2.0
-        if step > 1e18:
-            raise ConvergenceError("no upper bracket for the far cone residual")
-        ghi, _ = g_fn(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g_fn(mid)[0] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def cone_pair(traj: PiecewiseTrajectory, t: float, x, side: Side = Side.RIGHT) -> tuple:
+    """Advanced and retarded cone solutions of event (t, x) onto `traj`.
+
+    Raises CollisionError when a cone distance falls below COLLISION_R.
+    """
+    pair = []
+    for branch in (Branch.ADVANCED, Branch.RETARDED):
+        sol = cone_time(traj, (t, x), branch, side=side)
+        if sol.r < COLLISION_R:
+            raise CollisionError(f"cone distance {sol.r} below {COLLISION_R} at t={t}")
+        pair.append(sol)
+    return tuple(pair)
+
+
+def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                   a: float, b: float) -> list:
+    """Times in (a, b) where a cone image of trajectory 1 crosses a partner
+    junction, as (t1, tau, branch) triples.
+
+    Both cone maps are strictly increasing in t1, so each crossing is the
+    root of tau - t_k(t1) on [a, b], whose slope follows from differentiating
+    the cone condition: dt_k/dt1 = (1 - s n.v1) / (1 - s n.V).
+    """
+    out = []
+    partner_junctions = partner.junction_times()
+    if not partner_junctions or b <= a:
+        return out
+    for branch in (Branch.RETARDED, Branch.ADVANCED):
+        sign = branch.sign
+
+        def image(t1):
+            return cone_time(partner, (t1, traj1.position(t1)), branch)
+
+        lo2, hi2 = image(a).t_k, image(b).t_k
+        for tau in partner_junctions:
+            if not lo2 < tau < hi2:
+                continue
+
+            def residual(t1):
+                sol = image(t1)
+                return tau - sol.t_k, sol
+
+            def slope(t1, sol):
+                return -(1.0 - sign * float(sol.n_hat @ traj1.velocity(t1))) * sol.dilation
+
+            def tol(t1, sol, tight):
+                return _cone_tol(tau, sol.t_k, sol.r, tight)
+
+            t1, _ = _monotone_root(residual, slope, tol, a, b, a, tau - lo2, math.inf,
+                                   (tau, partner.position(tau)), branch)
+            out.append((float(t1), tau, branch))
+    return out
 
 
 def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -282,48 +310,51 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
 
     The advanced analog flips both signs, t_k = t + R - n.x(t_k).  R = 0 is
     allowed and turns `t` into the R-subtracted sphere time used for
-    direction scans.  Newton iteration on a residual whose slope is bounded
-    away from zero by subluminality; evaluation is clamped to the domain
-    during iteration and the converged root must land inside it.
+    direction scans.  The residual (t - t_k) - s (R - n.x(t_k)) is the cone
+    residual with R - n.x in place of r, solved by the same bracketed Newton.
+    Outside the domain x is held at its end value, which keeps the residual
+    monotone; a root at most 1e-9 max(1, |t_k|) outside the domain returns
+    that domain end, and one farther out raises InsufficientHistoryError.
     """
     n = vec3(n)
     if abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
         raise DomainError(f"direction must be a unit vector, |n| = {np.linalg.norm(n)}")
     if R < 0.0:
         raise DomainError("R must be nonnegative")
+    t, R = float(t), float(R)
     sign = branch.sign
-    lo_dom, hi_dom = traj.t_start, traj.t_end
+    lo, hi = traj.t_start, traj.t_end
+    segs = traj.segments
+    junctions = traj.junction_times()
+    n0, n1, n2 = (float(c) for c in n)
+    scale = max(1.0, abs(t) + R)
 
-    def g_and_slope(t_k):
-        # constant extension outside the domain keeps g monotone; a root that
-        # needed the extension is rejected after convergence
-        tc = min(max(t_k, lo_dom), hi_dom)
-        g = t_k - t + sign * (R - float(n @ traj.position(tc)))
-        slope = 1.0
-        if lo_dom <= t_k <= hi_dom:
-            slope -= sign * float(n @ traj.velocity(tc))
-        return g, slope
+    def residual(t_k):
+        tc = min(max(t_k, lo), hi)
+        px, py, pz = segs[bisect.bisect_right(junctions, tc)].at(tc)
+        return (t - t_k) - sign * (R - (n0 * px + n1 * py + n2 * pz)), None
 
-    t_k = t - sign * R
-    for _ in range(_MAX_ITER):
-        g, slope = g_and_slope(t_k)
-        if abs(g) <= 1e-13 * max(1.0, abs(t) + R):
-            break
-        t_k = t_k - g / slope
-    g, _ = g_and_slope(t_k)
-    if abs(g) > 1e-12 * max(1.0, abs(t) + R):
-        # Newton can cycle across segment junctions; the residual is strictly
-        # increasing, so a sign-change bracket plus bisection always lands.
-        t_k = _bisect_increasing(g_and_slope, t - sign * R, max(1.0, abs(t) + R))
-        g, _ = g_and_slope(t_k)
-        if abs(g) > 1e-12 * max(1.0, abs(t) + R):
-            raise ConvergenceError(f"far cone residual {g:.3g} at t_k={t_k}")
+    def slope(t_k, _):
+        if not lo <= t_k <= hi:
+            return -1.0
+        vx, vy, vz = segs[bisect.bisect_right(junctions, t_k)].at(t_k, 1)
+        return -1.0 + sign * (n0 * vx + n1 * vy + n2 * vz)
+
+    def tol(t_k, _, tight):
+        return (1e-13 if tight else 1e-12) * scale
+
+    c = t - sign * R
+    gc, _ = residual(c)
+    t_k, g = _monotone_root(residual, slope, tol, -math.inf, math.inf, c, gc,
+                            max(abs(gc), 1e-3 * max(1.0, abs(c))), (t, n, R), branch)
+    if abs(g) > 1e-12 * scale:
+        raise ConvergenceError(f"far cone residual {g:.3g} at t_k={t_k}")
     slack = 1e-9 * max(1.0, abs(t_k))
-    if t_k < lo_dom - slack or t_k > hi_dom + slack:
+    if t_k < lo - slack or t_k > hi + slack:
         raise InsufficientHistoryError(
-            f"far cone time {t_k} outside trajectory domain [{lo_dom}, {hi_dom}]"
+            f"far cone time {t_k} outside trajectory domain [{lo}, {hi}]"
         )
-    return float(min(max(t_k, lo_dom), hi_dom))
+    return float(min(max(t_k, lo), hi))
 
 
 def influence_interval(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

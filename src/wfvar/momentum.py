@@ -18,20 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParticleParams, PiecewiseTrajectory, Side, Vec3, vec3
-from .errors import CollisionError, InfeasibleJumpError, SuperluminalError
-from .lightcone import Branch, cone_time
+from .action import coupling
+from .core import PiecewiseTrajectory, Side, Vec3, vec3
+from .errors import InfeasibleJumpError, SuperluminalError
+from .lightcone import cone_pair
 
 __all__ = [
     "BreakResidual",
     "momentum_current",
     "energy_current",
+    "break_residual",
     "break_residuals",
     "post_jump_velocity",
 ]
-
-_COLLISION_R = 1e-9
-
 
 @dataclass(frozen=True)
 class BreakResidual:
@@ -42,20 +41,11 @@ class BreakResidual:
     de: float
 
 
-def _coupling(traj1, traj2, kappa):
-    if kappa is not None:
-        return float(kappa)
-    return -traj1.particle.charge * traj2.particle.charge
-
-
 def _partner_sums(traj2, t, x1, side):
     """(W, w): the partner's vector and scalar interaction sums over branches."""
     W = np.zeros(3)
     w = 0.0
-    for branch in (Branch.ADVANCED, Branch.RETARDED):
-        sol = cone_time(traj2, (t, x1), branch, side=side)
-        if sol.r < _COLLISION_R:
-            raise CollisionError(f"cone distance {sol.r} below cutoff at t={t}")
+    for sol in cone_pair(traj2, t, x1, side):
         rho = 1.0 / sol.dilation
         W += sol.v / (2.0 * sol.r * rho)
         w += 1.0 / (2.0 * sol.r * rho)
@@ -75,7 +65,7 @@ def momentum_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                      t: float, side: Side = Side.RIGHT,
                      kappa: float | None = None) -> Vec3:
     """Space part of the one-sided current at time t."""
-    k = _coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2, kappa)
     return _currents(traj1, traj2, t, side, k)[0]
 
 
@@ -83,20 +73,24 @@ def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                    t: float, side: Side = Side.RIGHT,
                    kappa: float | None = None) -> float:
     """Time part of the one-sided current at time t."""
-    k = _coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2, kappa)
     return _currents(traj1, traj2, t, side, k)[1]
+
+
+def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
+                   t: float, kappa: float | None = None) -> BreakResidual:
+    """Current jumps (Right minus Left) at time t of trajectory 1."""
+    k = coupling(traj1, traj2, kappa)
+    p_r, e_r = _currents(traj1, traj2, t, Side.RIGHT, k)
+    p_l, e_l = _currents(traj1, traj2, t, Side.LEFT, k)
+    return BreakResidual(t=t, dp=p_r - p_l, de=float(e_r - e_l))
 
 
 def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                     kappa: float | None = None) -> list:
     """Current jumps (Right minus Left) at every junction of trajectory 1."""
-    k = _coupling(traj1, traj2, kappa)
-    out = []
-    for l_sigma in traj1.junction_times():
-        p_r, e_r = _currents(traj1, traj2, l_sigma, Side.RIGHT, k)
-        p_l, e_l = _currents(traj1, traj2, l_sigma, Side.LEFT, k)
-        out.append(BreakResidual(t=l_sigma, dp=p_r - p_l, de=e_r - e_l))
-    return out
+    return [break_residual(traj1, traj2, l_sigma, kappa)
+            for l_sigma in traj1.junction_times()]
 
 
 def _mass_shell_residual(m, v, p_star, e_star):
@@ -119,7 +113,7 @@ def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     pre_sq = float(v_pre @ v_pre)
     if pre_sq >= 1.0:
         raise SuperluminalError(f"|v_pre| = {math.sqrt(pre_sq):.6g} >= 1")
-    k = _coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2, kappa)
     m = traj1.particle.mass
     x1 = traj1.position(t_break)
     W_plus, w_plus = _partner_sums(traj2, t_break, x1, Side.RIGHT)

@@ -35,7 +35,7 @@ from .core import (
 )
 from .core import _fd_node_velocities
 from .errors import ConfigError, DomainError, SuperluminalError
-from .momentum import BreakResidual, energy_current, momentum_current
+from .momentum import break_residual
 
 _VELOCITY_JUMP_TOL = 1e-12
 
@@ -329,11 +329,7 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         for tau in _true_breaks(traj):
             if not a < tau < b:
                 continue
-            dp = (momentum_current(traj, partner, tau, Side.RIGHT, kappa=kappa)
-                  - momentum_current(traj, partner, tau, Side.LEFT, kappa=kappa))
-            de = (energy_current(traj, partner, tau, Side.RIGHT, kappa=kappa)
-                  - energy_current(traj, partner, tau, Side.LEFT, kappa=kappa))
-            breaks.append(BreakResidual(t=tau, dp=dp, de=float(de)))
+            breaks.append(break_residual(traj, partner, tau, kappa))
     win1, bd1 = _primary_view(boundary, 1)
     win2, bd2 = _primary_view(boundary, 2)
     total = (action(traj1, traj2, win1, bd1, kappa=kappa)

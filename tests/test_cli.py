@@ -9,7 +9,6 @@ import pytest
 from wfvar.cli import ReportTable, emit_report, load_scenario, main, run
 from wfvar.core import ParticleParams, load_trajectory, polygonal_from_vertices, save_trajectory
 from wfvar.errors import ConfigError
-from wfvar.farfield import _worker_count
 from wfvar.shortrange import SeparationFamilyParams, save_family
 
 
@@ -254,8 +253,7 @@ class TestActionVerify:
 
 
 class TestFlux:
-    def test_static_charge_has_no_flux(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WFVAR_THREADS", "2")
+    def test_static_charge_has_no_flux(self, tmp_path):
         data = base_scenario(
             trajectory1=static_record(0.0, 0.0, 0.0),
             options={"times": [0.0], "radius": 5.0},
@@ -372,20 +370,6 @@ class TestMinimize:
                                    atol=1e-8)
         np.testing.assert_allclose(refined.velocity(0.5), [0.3, 0.1, 0.0],
                                    atol=1e-8)
-
-
-class TestEnvThreads:
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("WFVAR_THREADS", raising=False)
-        assert _worker_count() == 1
-        monkeypatch.setenv("WFVAR_THREADS", "3")
-        assert _worker_count() == 3
-        monkeypatch.setenv("WFVAR_THREADS", "0")
-        assert _worker_count() >= 1
-        for bad in ("x", "-1"):
-            monkeypatch.setenv("WFVAR_THREADS", bad)
-            with pytest.raises(ConfigError):
-                _worker_count()
 
 
 class TestMain:

@@ -15,7 +15,6 @@ from wfvar.core import (
     Segment,
     Side,
     add_perturbation,
-    evaluate_state,
     hermite_trajectory,
     load_trajectory,
     polygonal_from_vertices,
@@ -42,7 +41,7 @@ def cubic_x3():
 class TestSegment:
     def test_cubic_state(self):
         traj = cubic_x3()
-        x, v, a = evaluate_state(traj, 0.5, Side.LEFT)
+        x, v, a = traj.state(0.5, Side.LEFT)
         assert_allclose(x, [0.125, 0.0, 0.0])
         assert_allclose(v, [0.75, 0.0, 0.0])
         assert_allclose(a, [3.0, 0.0, 0.0])

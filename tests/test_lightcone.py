@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,22 @@ from numpy.testing import assert_allclose
 from helpers_geometry import DEFAULT as P
 from helpers_geometry import segment_from_global, static_traj, uniform_cone_roots, uniform_traj
 
-from wfvar.core import ParticleParams, PiecewiseTrajectory, Segment, Side, polygonal_from_vertices, vec3
-from wfvar.errors import ConvergenceError, DomainError, InsufficientHistoryError
-from wfvar.lightcone import Branch, cone_time, far_cone_time, influence_interval
+from wfvar.core import (
+    PiecewiseTrajectory,
+    Segment,
+    Side,
+    hermite_trajectory,
+    polygonal_from_vertices,
+    vec3,
+)
+from wfvar.errors import ConeSolveError, DomainError, InsufficientHistoryError
+from wfvar.lightcone import (
+    Branch,
+    cone_crossings,
+    cone_time,
+    far_cone_time,
+    influence_interval,
+)
 
 
 def check_residual(sol, event_t, event_x, traj):
@@ -195,6 +210,36 @@ class TestFarConeTime:
             far_cone_time(static_traj([0, 0, 0], t0=-50.0, t1=50.0), 0.0,
                           [1, 0, 0], 100.0)
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_root_just_past_the_domain_end(self, branch):
+        # t_k = t - s R for a static charge at the origin; slack is 1e-9 here
+        traj = static_traj([0, 0, 0], t0=-1.0, t1=1.0)
+        s = branch.sign
+        for end in (-1.0, 1.0):
+            past = 1.0 if end > 0 else -1.0
+            t = end + s * 100.0 + past * 5e-10
+            assert far_cone_time(traj, t, [1, 0, 0], 100.0, branch) == end
+            with pytest.raises(InsufficientHistoryError):
+                far_cone_time(traj, end + s * 100.0 + past * 1e-6, [1, 0, 0], 100.0, branch)
+
+    def test_newton_cycle_across_junctions(self, monkeypatch):
+        # along n the slope 1 - n.v of the far residual is 1.8 on |t_k| < 1
+        # and 0.2 outside, so plain Newton from t = 8 cycles between +8 and
+        # -8 (a bracket-free Newton loop needed a bisection fallback here)
+        traj = polygonal_from_vertices([(-20.0, [-22.4, 0, 0]), (-1.0, [-7.2, 0, 0]),
+                                        (1.0, [-8.8, 0, 0]), (20.0, [6.4, 0, 0])], P)
+        evals = []
+        at = Segment.at
+
+        def counted_at(seg, t, order=0):
+            evals.append(order)
+            return at(seg, t, order)
+
+        monkeypatch.setattr(Segment, "at", counted_at)
+        t_k = far_cone_time(traj, 8.0, [1, 0, 0], 0.0)
+        assert abs(t_k) < 1e-12
+        assert len(evals) <= 20
+
 
 class TestInfluenceInterval:
     def test_static_pair_d2(self):
@@ -218,3 +263,108 @@ class TestInfluenceInterval:
         ret = cone_time(t1, (0.0, t2.position(0.0)), Branch.RETARDED)
         adv = cone_time(t1, (0.0, t2.position(0.0)), Branch.ADVANCED)
         assert abs(lo - ret.t_k) < 1e-14 and abs(hi - adv.t_k) < 1e-14
+
+
+def test_nan_event_time_spends_the_budget():
+    traj = static_traj([0, 0, 0])
+    with pytest.raises(ConeSolveError) as err:
+        cone_time(traj, (math.nan, [1, 0, 0]), Branch.ADVANCED)
+    assert err.value.branch is Branch.ADVANCED
+    assert math.isnan(err.value.event[0])
+    with pytest.raises(ConeSolveError):
+        far_cone_time(traj, math.nan, [1, 0, 0], 10.0)
+
+
+# -- property tests of the shared root finder ----------------------------------
+
+component = st.floats(-0.5, 0.5)
+triple = st.tuples(component, component, component)
+
+
+@st.composite
+def trajectories(draw, min_segments=1):
+    """Polygonal or cubic-Hermite trajectories with speeds below 0.87."""
+    n = draw(st.integers(min_segments, 4))
+    times = np.cumsum([draw(st.floats(-5.0, 5.0))]
+                      + [draw(st.floats(0.25, 3.0)) for _ in range(n)])
+    chords = [np.array(draw(triple)) for _ in range(n)]
+    points = np.cumsum([np.array(draw(triple))]
+                       + [h * w for h, w in zip(np.diff(times), chords)], axis=0)
+    if draw(st.booleans()):
+        return polygonal_from_vertices(list(zip(times, points)), P)
+    # Hermite speed is at most 1.5 |chord| + |v0| + |v1|: scale both down
+    velocities = [0.3 * np.array(draw(triple)) for _ in range(n + 1)]
+    return hermite_trajectory(times, 0.3 * points, velocities, P)
+
+
+def unit(draw):
+    z, phi = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 2.0 * math.pi))
+    rho = math.sqrt(1.0 - z * z)
+    return vec3(rho * math.cos(phi), rho * math.sin(phi), z)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_cone_roots_on_junctions_and_domain_ends(data):
+    traj = data.draw(trajectories())
+    tau = data.draw(st.sampled_from([traj.t_start, traj.t_end] + traj.junction_times()))
+    branch = data.draw(st.sampled_from(list(Branch)))
+    r = data.draw(st.floats(0.1, 5.0))
+    x = traj.position(tau) + r * unit(data.draw)
+    t = tau + branch.sign * r
+    for side in Side:
+        sol = cone_time(traj, (t, x), branch, side=side)
+        check_residual(sol, t, x, traj)
+        assert abs(sol.t_k - tau) <= 1e-12 * max(1.0, abs(tau))
+        if tau in traj.junction_times():
+            assert sol.t_k == tau  # snapped, so the one-sided data is exact
+            assert np.array_equal(sol.v, traj.velocity(tau, side))
+            assert np.array_equal(sol.a, traj.acceleration(tau, side))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_far_cone_roots_on_junctions_and_domain_ends(data):
+    traj = data.draw(trajectories())
+    tau = data.draw(st.sampled_from([traj.t_start, traj.t_end] + traj.junction_times()))
+    branch = data.draw(st.sampled_from(list(Branch)))
+    n = unit(data.draw)
+    R = data.draw(st.sampled_from([0.0, 1.0, 1e3]))
+    t = tau + branch.sign * (R - float(n @ traj.position(tau)))
+    t_k = far_cone_time(traj, t, n, R, branch)
+    assert traj.t_start <= t_k <= traj.t_end
+    g = (t - t_k) - branch.sign * (R - float(n @ traj.position(t_k)))
+    assert abs(g) <= 1e-12 * max(1.0, abs(t) + R)
+    assert abs(t_k - tau) <= 1e-12 * max(1.0, abs(t) + R)
+
+
+def slow_polygon(draw, times, offset):
+    """Polygonal trajectory through `times` with speeds below 0.26."""
+    slow = st.floats(-0.15, 0.15)
+    points = [vec3(offset)]
+    for h in np.diff(times):
+        points.append(points[-1] + h * vec3([draw(slow) for _ in range(3)]))
+    return polygonal_from_vertices(list(zip(times, points)), P)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cone_crossing_roots_hit_the_partner_junction(data):
+    # partner within 5.8 of the origin and trajectory 1 within 2.1 of
+    # (0, 8, 0) over every time a cone reaches: no collision, and the
+    # partner junctions in [-6, 6] fall inside the window's images
+    junctions = sorted(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4, unique=True)))
+    partner = slow_polygon(data.draw, [-40.0] + junctions + [40.0], [0, 0, 0])
+    t1s = sorted(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=5, unique=True)))
+    traj1 = slow_polygon(data.draw, t1s, [0, 8, 0])
+    a, b = traj1.t_start, traj1.t_end
+    crossings = cone_crossings(traj1, partner, a, b)
+    for branch in Branch:
+        lo = cone_time(partner, (a, traj1.position(a)), branch).t_k
+        hi = cone_time(partner, (b, traj1.position(b)), branch).t_k
+        found = [(t1, tau) for t1, tau, br in crossings if br is branch]
+        assert [tau for _, tau in found] == [tau for tau in junctions if lo < tau < hi]
+        for t1, tau in found:
+            assert a < t1 < b
+            image = cone_time(partner, (t1, traj1.position(t1)), branch).t_k
+            assert abs(image - tau) <= 1e-12
