@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, replace_window
+from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history
 from .errors import CollisionError, ConvergenceError, DomainError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, cone_time
 
@@ -145,23 +145,6 @@ def lagrangian_velocity_partial(traj1, partner, t: float, side: Side = Side.RIGH
     return _density_and_partials(traj1, partner, t, side, k)[2]
 
 
-def _merge_history(traj: PiecewiseTrajectory,
-                   history: PiecewiseTrajectory | None) -> PiecewiseTrajectory:
-    """Extend a window trajectory with its frozen continuation, if any."""
-    if history is None:
-        return traj
-    if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
-        return replace_window(history, traj, (traj.t_start, traj.t_end))
-    if history.t_end == traj.t_start:
-        return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
-    if traj.t_end == history.t_start:
-        return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
-    raise DomainError(
-        f"history [{history.t_start}, {history.t_end}] neither contains nor "
-        f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
-    )
-
-
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
                   a: float, b: float, extra=(), crossings=None) -> list:
     """Smoothness mesh on [a, b]: trajectory-1 junctions plus the pullbacks
@@ -223,7 +206,7 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     """Boundary constant plus the delayed interaction integral over the window."""
     if window.length == 0.0:
         return boundary.k2
-    partner = _merge_history(traj2, boundary.history2)
+    partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
     m1 = traj1.particle.mass
 
@@ -245,12 +228,13 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     hi = min(window.t_end, b.t_end)
     if hi <= lo:
         return 0.0  # support does not meet the window
-    partner = _merge_history(traj2, boundary.history2)
+    partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
 
     def integrand(t):
         _, d_dx, d_dv = _density_and_partials(traj1, partner, t, Side.RIGHT, k)
-        return float(d_dx @ b.value(t) + d_dv @ b.derivative(t))
+        seg = b.segment_at(t)
+        return float(d_dx @ seg.position(t) + d_dv @ seg.velocity(t))
 
     crossings = cone_crossings(traj1, partner, lo, hi)
     mesh = pullback_mesh(traj1, partner, lo, hi, extra=b.junction_times(),

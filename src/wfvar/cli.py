@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import action
 from .core import (
     BoundaryData,
     ParticleParams,
@@ -37,11 +36,11 @@ from .core import (
 )
 from .errors import ConfigError, WfvarError
 from .farfield import GUARD_BAND, gah_residual, latlong_mesh, sphere_flux
-from .optimizer import MinimizerReport, _primary_view, discretize, minimize, verify
+from .optimizer import MinimizerReport, discretize, minimize, one_sided_actions, verify
 from .shortrange import (
     SeparationFamilyParams,
-    _fibonacci_sphere,
     construct_partner,
+    fibonacci_sphere,
     load_family,
     params_from_dict,
     sewing_chain,
@@ -194,6 +193,8 @@ def load_scenario(path) -> Scenario:
     boundary = None
     raw_b = data.get("boundary")
     if raw_b is not None:
+        if not isinstance(raw_b, dict):
+            raise ConfigError("boundary must be a JSON object")
         try:
             window2 = raw_b.get("window2")
             if window2 is not None:
@@ -235,31 +236,46 @@ def _require(scen: Scenario, *, traj1=False, traj2=False, boundary=False,
         raise ConfigError(f"scenario is missing {', '.join(missing)}")
 
 
+def _option(options: dict, key: str, convert, default=None):
+    """options[key], or `default` when the key is absent, through `convert`;
+    a value `convert` rejects is a ConfigError that names the key."""
+    value = options.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"option {key} has a malformed value {value!r}") from exc
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
 def _scan_times(options: dict) -> list:
     if "times" in options and "time_range" in options:
         raise ConfigError("give either times or time_range, not both")
     if "times" in options:
-        return [float(t) for t in options["times"]]
+        return _option(options, "times", _floats)
     if "time_range" in options:
         try:
             a, b, count = options["time_range"]
+            a, b, count = float(a), float(b), int(count)
         except (TypeError, ValueError) as exc:
             raise ConfigError("time_range must be [start, stop, count]") from exc
-        count = int(count)
         if count < 0:
             raise ConfigError("time_range count must be >= 0")
-        return [float(t) for t in np.linspace(float(a), float(b), count)]
+        return [float(t) for t in np.linspace(a, b, count)]
     raise ConfigError("scan options need times or time_range")
 
 
-def _directions(value, default_count: int) -> np.ndarray:
+def _directions(options: dict, default_count: int) -> np.ndarray:
+    value = options.get("directions")
     if value is None:
-        return _fibonacci_sphere(default_count)
+        return fibonacci_sphere(default_count)
     if isinstance(value, int):
         if value < 1:
             raise ConfigError("directions count must be positive")
-        return _fibonacci_sphere(value)
-    arr = np.asarray(value, dtype=float)
+        return fibonacci_sphere(value)
+    arr = _option(options, "directions", lambda v: np.asarray(v, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
     norms = np.linalg.norm(arr, axis=1)
@@ -277,10 +293,7 @@ def _say(quiet: bool, message: str) -> None:
 
 def _cmd_action(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    w1, b1 = _primary_view(scen.boundary, 1)
-    w2, b2 = _primary_view(scen.boundary, 2)
-    s1 = action(scen.traj1, scen.traj2, w1, b1, kappa=scen.kappa)
-    s2 = action(scen.traj2, scen.traj1, w2, b2, kappa=scen.kappa)
+    s1, s2 = one_sided_actions(scen.traj1, scen.traj2, scen.boundary, scen.kappa)
     path = out / "action.csv"
     emit_report(
         ReportTable(
@@ -294,14 +307,14 @@ def _cmd_action(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    el_tol = float(tol) if tol is not None else float(scen.options.get("el_tol", 1e-6))
+    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", float, 1e-6)
     report = verify(
         scen.traj1,
         scen.traj2,
         scen.boundary,
-        n_points=int(scen.options.get("n_points", 9)),
+        n_points=_option(scen.options, "n_points", int, 9),
         el_tol=el_tol,
-        break_tol=float(scen.options.get("break_tol", 1e-8)),
+        break_tol=_option(scen.options, "break_tol", float, 1e-8),
         kappa=scen.kappa,
     )
     path = out / "verify.csv"
@@ -314,10 +327,8 @@ def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
-    dirs = _directions(scen.options.get("directions"), 32)
-    guard = float(tol) if tol is not None else float(
-        scen.options.get("guard", GUARD_BAND)
-    )
+    dirs = _directions(scen.options, 32)
+    guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
     rows = []
     for t in times:
         for n in dirs:
@@ -338,10 +349,9 @@ def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True)
     times = _scan_times(scen.options)
-    try:
-        radius = float(scen.options["radius"])
-    except KeyError as exc:
-        raise ConfigError("flux options need a radius") from exc
+    if "radius" not in scen.options:
+        raise ConfigError("flux options need a radius")
+    radius = _option(scen.options, "radius", float)
     if radius <= 0.0:
         raise ConfigError("flux radius must be positive")
     mesh_opt = scen.options.get("mesh")
@@ -353,9 +363,7 @@ def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
             raise ConfigError("mesh must be [n_theta, n_phi]") from exc
         mesh = latlong_mesh(n_theta, n_phi)
     retarded_only = bool(scen.options.get("retarded_only", False))
-    guard = float(tol) if tol is not None else float(
-        scen.options.get("guard", GUARD_BAND)
-    )
+    guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
     rows = []
     for t in times:
         value = sphere_flux(scen.traj1, scen.traj2, t, radius, mesh=mesh,
@@ -394,19 +402,18 @@ def _cmd_build_polygonal(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_construct_partner(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj2=True, family=True)
-    dirs = _directions(scen.options.get("directions"), 32)
+    dirs = _directions(scen.options, 32)
     grid_opt = scen.options.get("t1_grid")
     if grid_opt is None:
         raise ConfigError("construct-partner options need a t1_grid")
+    grid = _option(scen.options, "t1_grid", _floats)
     if (isinstance(grid_opt, list) and len(grid_opt) == 3
             and isinstance(grid_opt[2], int)):
-        t1_grid = np.linspace(float(grid_opt[0]), float(grid_opt[1]),
-                              grid_opt[2])
+        t1_grid = np.linspace(grid[0], grid[1], grid_opt[2])
     else:
-        t1_grid = np.asarray([float(t) for t in grid_opt])
-    spread_tol = float(tol) if tol is not None else float(
-        scen.options.get("spread_tol", 1e-6)
-    )
+        t1_grid = np.asarray(grid)
+    spread_tol = float(tol) if tol is not None else _option(
+        scen.options, "spread_tol", float, 1e-6)
     traj1, report = construct_partner(
         scen.traj2,
         scen.family,
@@ -439,7 +446,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         scen.traj2,
         seed,
         scen.options.get("direction", "forward"),
-        int(scen.options.get("count", 8)),
+        _option(scen.options, "count", int, 8),
     )
     rows = tuple(
         (i, particle, t) for i, (particle, t) in enumerate(chain.entries)
@@ -452,11 +459,10 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    opts = {
-        k: scen.options[k]
-        for k in ("gtol", "max_iter", "free_break_times", "el_tol", "break_tol")
-        if k in scen.options
-    }
+    kinds = {"gtol": float, "max_iter": int, "free_break_times": bool,
+             "el_tol": float, "break_tol": float}
+    opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
+            if k in scen.options}
     if tol is not None:
         opts["gtol"] = float(tol)
     break_times = scen.options.get("break_times")
@@ -471,7 +477,7 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     init = discretize(
         scen.boundary,
         (scen.traj1, scen.traj2),
-        int(scen.options.get("nodes_per_segment", 6)),
+        _option(scen.options, "nodes_per_segment", int, 6),
         break_times=break_times,
         free_break_times=bool(opts.get("free_break_times", False)),
     )

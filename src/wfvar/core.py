@@ -8,12 +8,11 @@ at a junction is one-sided and defaults to the right limit.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -26,6 +25,7 @@ __all__ = [
     "Side",
     "ParticleParams",
     "Segment",
+    "SegmentChain",
     "PiecewiseTrajectory",
     "ValidationReport",
     "BoundaryData",
@@ -33,8 +33,10 @@ __all__ = [
     "polygonal_from_vertices",
     "hermite_trajectory",
     "validate",
+    "fd_node_velocities",
     "add_perturbation",
     "replace_window",
+    "merge_history",
     "trajectory_to_dict",
     "trajectory_from_dict",
     "save_trajectory",
@@ -158,7 +160,7 @@ class Segment:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         # position, velocity and acceleration rows as float tuples, ascending
-        # powers; every evaluation, scalar or vectorized, reads these
+        # powers; every evaluation reads these
         rows = tuple(tuple(row) for row in c.tolist())
         object.__setattr__(self, "_rows", tuple(
             tuple(_polyder_row(row, m) for row in rows) for m in range(3)))
@@ -190,7 +192,7 @@ class Segment:
 
     def at(self, t: float, order: int = 0) -> list:
         """Position (order 0), velocity (1) or acceleration (2) at a float
-        time, as a list of three floats, bit-identical to the vectorized path."""
+        time, as a list of three floats."""
         return self._local(t - self.t_start, order)
 
     def _local(self, u: float, order: int) -> list:
@@ -203,20 +205,14 @@ class Segment:
             out.append(acc)
         return out
 
-    def _eval(self, t, order: int) -> np.ndarray:
-        u = np.asarray(t, dtype=float)
-        if u.ndim == 0:
-            return np.array(self.at(float(u), order))
-        return npoly.polyval(u - self.t_start, np.array(self._rows[order]).T)
+    def position(self, t: float) -> Vec3:
+        return np.array(self.at(float(t)))
 
-    def position(self, t) -> np.ndarray:
-        return self._eval(t, 0)
+    def velocity(self, t: float) -> Vec3:
+        return np.array(self.at(float(t), 1))
 
-    def velocity(self, t) -> np.ndarray:
-        return self._eval(t, 1)
-
-    def acceleration(self, t) -> np.ndarray:
-        return self._eval(t, 2)
+    def acceleration(self, t: float) -> Vec3:
+        return np.array(self.at(float(t), 2))
 
     @property
     def degree(self) -> int:
@@ -254,65 +250,77 @@ class Segment:
         return Segment(a, b, _poly_shift(self.coeffs, a - self.t_start), check_speed=cs)
 
 
-def _locate(junctions: Sequence[float], t_start: float, t_end: float, t: float,
-            side: Side, nseg: int) -> int:
-    """Index of the segment governing time t with the requested side."""
-    slack = _EDGE_SLACK * max(1.0, abs(t))
-    if t < t_start - slack or t > t_end + slack:
-        raise DomainError(f"time {t} outside trajectory domain [{t_start}, {t_end}]")
-    t = min(max(t, t_start), t_end)
-    if side is Side.RIGHT:
-        i = bisect.bisect_right(junctions, t)
-    else:
-        i = bisect.bisect_left(junctions, t)
-    return min(max(i, 0), nseg - 1)
+def _junction_gaps(segs) -> list:
+    """(junction time, |position gap|) at each junction of a segment chain."""
+    return [(a.t_end, float(np.linalg.norm(a.position(a.t_end) - b.position(b.t_start))))
+            for a, b in zip(segs, segs[1:])]
 
 
 @dataclass(frozen=True)
-class PiecewiseTrajectory:
-    """An ordered, abutting chain of segments plus the particle it describes."""
+class SegmentChain:
+    """An ordered chain of exactly abutting segments on [t_start, t_end].
+
+    The one place that answers which segment governs a time, and from which
+    side at a junction.
+    """
 
     segments: tuple
-    particle: ParticleParams
-    strict: bool = True
 
     def __post_init__(self):
         segs = tuple(self.segments)
         if not segs:
-            raise DomainError("trajectory needs at least one segment")
-        object.__setattr__(self, "segments", segs)
+            raise DomainError(f"{type(self).__name__} needs at least one segment")
         for a, b in zip(segs, segs[1:]):
             if b.t_start != a.t_end:
                 raise DomainError(
                     f"segments must abut exactly: {a.t_end} != {b.t_start}"
                 )
-        if self.strict:
-            scale = max(1.0, max(float(np.abs(s.coeffs[:, 0]).max()) for s in segs))
-            for a, b in zip(segs, segs[1:]):
-                gap = float(np.linalg.norm(a.position(a.t_end) - b.position(b.t_start)))
-                if gap > 1e-9 * scale:
-                    raise DomainError(
-                        f"position gap {gap:.3g} at junction t={a.t_end}"
-                    )
+        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "t_start", segs[0].t_start)
+        object.__setattr__(self, "t_end", segs[-1].t_end)
         object.__setattr__(self, "_junctions", [s.t_start for s in segs[1:]])
-
-    # -- basic geometry ---------------------------------------------------------
-
-    @property
-    def t_start(self) -> float:
-        return self.segments[0].t_start
-
-    @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_end
 
     def junction_times(self) -> list:
         """Interior junction times (candidate breaking points)."""
         return list(self._junctions)
 
+    def adjacent_junctions(self, t: float) -> list:
+        """The last junction before t and the first one at or after it, where
+        they exist: the only junctions that can be nearest to t."""
+        i = bisect_left(self._junctions, t)
+        return self._junctions[max(0, i - 1): i + 1]
+
     def segment_at(self, t: float, side: Side = Side.RIGHT) -> Segment:
-        i = _locate(self._junctions, self.t_start, self.t_end, t, side, len(self.segments))
-        return self.segments[i]
+        """The segment governing time t: at a junction, the one starting
+        there (RIGHT) or the one ending there (LEFT).
+
+        A time within _EDGE_SLACK * max(1, |t|) outside the domain gets the
+        end segment; one farther out raises DomainError.
+        """
+        if not self.t_start <= t <= self.t_end:
+            slack = _EDGE_SLACK * max(1.0, abs(t))
+            if t < self.t_start - slack or t > self.t_end + slack:
+                raise DomainError(
+                    f"time {t} outside domain [{self.t_start}, {self.t_end}]")
+        find = bisect_right if side is Side.RIGHT else bisect_left
+        return self.segments[find(self._junctions, t)]
+
+
+@dataclass(frozen=True)
+class PiecewiseTrajectory(SegmentChain):
+    """A continuous chain of segments plus the particle it describes."""
+
+    particle: ParticleParams
+    strict: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.strict:
+            segs = self.segments
+            scale = max(1.0, max(float(np.abs(s.coeffs[:, 0]).max()) for s in segs))
+            for t, gap in _junction_gaps(segs):
+                if gap > 1e-9 * scale:
+                    raise DomainError(f"position gap {gap:.3g} at junction t={t}")
 
     def position(self, t: float, side: Side = Side.RIGHT) -> Vec3:
         return self.segment_at(t, side).position(t)
@@ -326,32 +334,6 @@ class PiecewiseTrajectory:
     def state(self, t: float, side: Side = Side.RIGHT):
         seg = self.segment_at(t, side)
         return seg.position(t), seg.velocity(t), seg.acceleration(t)
-
-    # -- vectorized evaluation (interior points; right-sided at junctions) ------
-
-    def _group_by_segment(self, ts: np.ndarray):
-        idx = np.searchsorted(self._junctions, ts, side="right")
-        idx = np.clip(idx, 0, len(self.segments) - 1)
-        return idx
-
-    def position_many(self, ts: np.ndarray) -> np.ndarray:
-        """Positions at an array of times, shape (3, N)."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((3, ts.size))
-        idx = self._group_by_segment(ts.ravel())
-        for i in np.unique(idx):
-            m = idx == i
-            out[:, m] = self.segments[i].position(ts.ravel()[m])
-        return out
-
-    def velocity_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((3, ts.size))
-        idx = self._group_by_segment(ts.ravel())
-        for i in np.unique(idx):
-            m = idx == i
-            out[:, m] = self.segments[i].velocity(ts.ravel()[m])
-        return out
 
     def max_speed(self) -> float:
         return max(s.max_speed() for s in self.segments)
@@ -414,13 +396,9 @@ def validate(traj: PiecewiseTrajectory) -> ValidationReport:
     monotonic = all(s.t_start < s.t_end for s in segs) and all(
         b.t_start >= a.t_end for a, b in zip(segs, segs[1:])
     )
-    defects = []
-    for a, b in zip(segs, segs[1:]):
-        gap = float(np.linalg.norm(a.position(a.t_end) - b.position(b.t_start)))
-        defects.append((a.t_end, gap))
     return ValidationReport(
         max_speed=traj.max_speed(),
-        continuity_defects=tuple(defects),
+        continuity_defects=tuple(_junction_gaps(segs)),
         times_monotonic=monotonic,
     )
 
@@ -469,7 +447,7 @@ class BoundaryData:
 
 
 @dataclass(frozen=True)
-class Perturbation:
+class Perturbation(SegmentChain):
     """Piecewise-polynomial displacement field b(t) on a window.
 
     Admissible variations vanish at both window endpoints; that contract is
@@ -477,38 +455,11 @@ class Perturbation:
     construction, so general displacement fields remain expressible.
     """
 
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise DomainError("perturbation needs at least one segment")
-        for a, b in zip(segs, segs[1:]):
-            if b.t_start != a.t_end:
-                raise DomainError("perturbation segments must abut exactly")
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_junctions", [s.t_start for s in segs[1:]])
-
-    @property
-    def t_start(self) -> float:
-        return self.segments[0].t_start
-
-    @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_end
-
-    def junction_times(self) -> list:
-        return list(self._junctions)
-
-    def _segment_at(self, t: float, side: Side) -> Segment:
-        i = _locate(self._junctions, self.t_start, self.t_end, t, side, len(self.segments))
-        return self.segments[i]
-
     def value(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self._segment_at(t, side).position(t)
+        return self.segment_at(t, side).position(t)
 
     def derivative(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self._segment_at(t, side).velocity(t)
+        return self.segment_at(t, side).velocity(t)
 
     def check_admissible(self, t0: float, t1: float, tol: float = 1e-12) -> None:
         """Raise unless the zero-extension of b is continuous on [t0, t1] and
@@ -544,7 +495,7 @@ class Perturbation:
         times = [float(t) for t in times]
         vals = [vec3(v) for v in values]
         if velocities is None:
-            velocities = _fd_node_velocities(times, vals)
+            velocities = fd_node_velocities(times, vals)
         segs = []
         for i in range(len(times) - 1):
             segs.append(
@@ -554,7 +505,7 @@ class Perturbation:
         return cls(tuple(segs))
 
 
-def _fd_node_velocities(times, values):
+def fd_node_velocities(times, values):
     """Node derivative estimates exact for quadratic data (3-point stencils)."""
     n = len(times)
     if n == 2:
@@ -597,7 +548,7 @@ def add_perturbation(traj: PiecewiseTrajectory, pert: Perturbation,
         base = traj.segment_at(0.5 * (a + b)).rebased(a, b, check_speed=False)
         c = base.coeffs
         if pert.t_start <= a and b <= pert.t_end:
-            ps = pert._segment_at(0.5 * (a + b), Side.RIGHT)
+            ps = pert.segment_at(0.5 * (a + b))
             pc = _poly_shift(ps.coeffs, a - ps.t_start)
             k = max(c.shape[1], pc.shape[1])
             cc = np.zeros((3, k))
@@ -634,6 +585,23 @@ def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
     return PiecewiseTrajectory(tuple(segs), full.particle)
 
 
+def merge_history(traj: PiecewiseTrajectory,
+                  history: PiecewiseTrajectory | None) -> PiecewiseTrajectory:
+    """Extend a window trajectory with its frozen continuation, if any."""
+    if history is None:
+        return traj
+    if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
+        return replace_window(history, traj, (traj.t_start, traj.t_end))
+    if history.t_end == traj.t_start:
+        return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
+    if traj.t_end == history.t_start:
+        return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
+    raise DomainError(
+        f"history [{history.t_start}, {history.t_end}] neither contains nor "
+        f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
+    )
+
+
 # -- JSON exchange format -----------------------------------------------------
 
 def trajectory_to_dict(traj: PiecewiseTrajectory) -> dict:
@@ -658,6 +626,8 @@ def trajectory_from_dict(d: dict) -> PiecewiseTrajectory:
                                   float(d["particle"]["charge"]))
         segs = []
         for sd in d["segments"]:
+            if not isinstance(sd, dict):
+                raise ConfigError(f"segment record must be a JSON object, got {sd!r}")
             if sd.get("kind", "polynomial") != "polynomial":
                 raise ConfigError(f"unsupported segment kind {sd.get('kind')!r}")
             segs.append(Segment(float(sd["t0"]), float(sd["t1"]),

@@ -14,7 +14,6 @@ measure-zero set that surface integrals may skip.
 
 from __future__ import annotations
 
-import bisect
 import csv
 from dataclasses import dataclass
 
@@ -37,14 +36,14 @@ def _unit(n) -> Vec3:
 def _near_break(traj: PiecewiseTrajectory, t_k: float, guard: float) -> bool:
     """Whether a junction lies within `guard` of t_k; only the two junctions
     around t_k can be the nearest."""
-    junctions = traj.junction_times()
-    i = bisect.bisect_left(junctions, t_k)
-    return any(abs(t_k - l) < guard for l in junctions[max(0, i - 1): i + 1])
+    return any(abs(t_k - l) < guard for l in traj.adjacent_junctions(t_k))
 
 
 def _far_kinematics(traj, t, n, R, branch):
+    """Far cone time with the right-sided velocity and acceleration there."""
     t_k = far_cone_time(traj, t, n, R, branch)
-    return t_k, traj.velocity(t_k), traj.acceleration(t_k)
+    seg = traj.segment_at(t_k)
+    return t_k, np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
 
 
 def _lw_field(q, n, R, v, a, branch):
@@ -155,11 +154,9 @@ def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     n = _unit(n)
     total = np.zeros(3)
     for traj in (traj1, traj2):
-        t_k = far_cone_time(traj, t, n, 0.0, Branch.RETARDED)
+        t_k, v, a = _far_kinematics(traj, t, n, 0.0, Branch.RETARDED)
         if _near_break(traj, t_k, guard):
             return None
-        v = traj.velocity(t_k)
-        a = traj.acceleration(t_k)
         g = 1.0 - float(n @ v)
         d2 = a / g**2 + float(n @ a) * v / g**3
         total += traj.particle.charge * d2

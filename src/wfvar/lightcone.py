@@ -11,7 +11,6 @@ amplitude treats distances as the sphere radius R.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -162,28 +161,28 @@ def _scalar_cone(traj: PiecewiseTrajectory, t: float, x: Vec3, sign: int) -> tup
     """Residual, slope and tolerance of the cone condition of event (t, x),
     on plain floats.
 
-    Times must lie in the trajectory domain.  The segment is found by
-    `bisect` on the junctions (right-sided) and evaluated by Horner on its
-    cached rows, so no evaluation goes through numpy.
+    Times must lie in the trajectory domain.  The residual looks up the
+    right-sided segment once per time and hands it to the slope with the
+    distance; both evaluate it by Horner on its cached rows
+    (`Segment.at`), so no evaluation goes through numpy.
     """
-    segs = traj.segments
-    junctions = traj.junction_times()
     x0, x1, x2 = (float(c) for c in x)
 
     def residual(t_k: float) -> tuple:
-        """g(t_k) = (t - t_k) - sign*r, with (distance vector, r)."""
-        px, py, pz = segs[bisect.bisect_right(junctions, t_k)].at(t_k)
+        """g(t_k) = (t - t_k) - sign*r, with (distance vector, r, segment)."""
+        seg = traj.segment_at(t_k)
+        px, py, pz = seg.at(t_k)
         d = (x0 - px, x1 - py, x2 - pz)
         r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        return (t - t_k) - sign * r, (d, r)
+        return (t - t_k) - sign * r, (d, r, seg)
 
     def slope(t_k: float, aux: tuple) -> float:
         """dg/dt_k = -1 + sign * n.v with the right-sided velocity, in
         (-2, 0); NaN at r = 0, where n is undefined."""
-        d, r = aux
+        d, r, seg = aux
         if r == 0.0:
             return math.nan
-        vx, vy, vz = segs[bisect.bisect_right(junctions, t_k)].at(t_k, 1)
+        vx, vy, vz = seg.at(t_k, 1)
         return -1.0 + sign * (d[0] * vx + d[1] * vy + d[2] * vz) / r
 
     def tol(t_k: float, aux: tuple, tight: bool) -> float:
@@ -209,7 +208,7 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
     residual, slope, tol = _scalar_cone(traj, t, x, branch.sign)
     lo, hi = traj.t_start, traj.t_end
     c = min(max(t, lo), hi)
-    gc, (_, rc) = residual(c)
+    gc, (_, rc, _) = residual(c)
     t_k, _ = _monotone_root(residual, slope, tol, lo, hi, c, gc,
                             max(rc, 1e-3, 1e-3 * abs(t)), (t, x), branch)
     return _solution_at(traj, residual, t, branch, t_k, side)
@@ -220,16 +219,13 @@ def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> C
     # snap to an exact junction when the root lands on one (up to root noise),
     # so that one-sided evaluation through `side` is meaningful; keep the
     # converged root if the junction itself violates the residual contract
-    junctions = traj.junction_times()
-    if junctions:
-        i = bisect.bisect_left(junctions, t_k)
-        for j in junctions[max(0, i - 1): i + 1]:
-            if j != t_k and abs(j - t_k) < 1e-9 * max(1.0, abs(t_k)):
-                gj, (_, rj) = residual(j)
-                if abs(gj) <= _cone_tol(t, j, rj, False):
-                    t_k = j
-                break
-    g, (d, r) = residual(t_k)
+    for j in traj.adjacent_junctions(t_k):
+        if j != t_k and abs(j - t_k) < 1e-9 * max(1.0, abs(t_k)):
+            gj, (_, rj, _) = residual(j)
+            if abs(gj) <= _cone_tol(t, j, rj, False):
+                t_k = j
+            break
+    g, (d, r, _) = residual(t_k)
     if abs(g) > _cone_tol(t, t_k, r, False):
         raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
     if r == 0.0:
@@ -281,21 +277,26 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
         sign = branch.sign
 
         def image(t1):
-            return cone_time(partner, (t1, traj1.position(t1)), branch)
+            """Cone solution of the event x1(t1), with trajectory 1's segment."""
+            seg = traj1.segment_at(t1)
+            return cone_time(partner, (t1, np.array(seg.at(t1))), branch), seg
 
-        lo2, hi2 = image(a).t_k, image(b).t_k
+        lo2, hi2 = image(a)[0].t_k, image(b)[0].t_k
         for tau in partner_junctions:
             if not lo2 < tau < hi2:
                 continue
 
             def residual(t1):
-                sol = image(t1)
-                return tau - sol.t_k, sol
+                sol, seg = image(t1)
+                return tau - sol.t_k, (sol, seg)
 
-            def slope(t1, sol):
-                return -(1.0 - sign * float(sol.n_hat @ traj1.velocity(t1))) * sol.dilation
+            def slope(t1, aux):
+                sol, seg = aux
+                v1 = np.array(seg.at(t1, 1))
+                return -(1.0 - sign * float(sol.n_hat @ v1)) * sol.dilation
 
-            def tol(t1, sol, tight):
+            def tol(t1, aux, tight):
+                sol = aux[0]
                 return _cone_tol(tau, sol.t_k, sol.r, tight)
 
             t1, _ = _monotone_root(residual, slope, tol, a, b, a, tau - lo2, math.inf,
@@ -324,20 +325,20 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
     t, R = float(t), float(R)
     sign = branch.sign
     lo, hi = traj.t_start, traj.t_end
-    segs = traj.segments
-    junctions = traj.junction_times()
     n0, n1, n2 = (float(c) for c in n)
     scale = max(1.0, abs(t) + R)
 
     def residual(t_k):
+        """The residual, with the segment it read x from."""
         tc = min(max(t_k, lo), hi)
-        px, py, pz = segs[bisect.bisect_right(junctions, tc)].at(tc)
-        return (t - t_k) - sign * (R - (n0 * px + n1 * py + n2 * pz)), None
+        seg = traj.segment_at(tc)
+        px, py, pz = seg.at(tc)
+        return (t - t_k) - sign * (R - (n0 * px + n1 * py + n2 * pz)), seg
 
-    def slope(t_k, _):
+    def slope(t_k, seg):
         if not lo <= t_k <= hi:
             return -1.0
-        vx, vy, vz = segs[bisect.bisect_right(junctions, t_k)].at(t_k, 1)
+        vx, vy, vz = seg.at(t_k, 1)
         return -1.0 + sign * (n0 * vx + n1 * vy + n2 * vz)
 
     def tol(t_k, _, tight):

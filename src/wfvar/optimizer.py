@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import ActionWindow, _merge_history, action, el_residual, frechet_directional
+from .action import ActionWindow, action, el_residual, frechet_directional
 from .core import (
     BoundaryData,
     ParticleParams,
@@ -31,9 +31,10 @@ from .core import (
     PiecewiseTrajectory,
     Segment,
     Side,
+    fd_node_velocities,
+    merge_history,
     vec3,
 )
-from .core import _fd_node_velocities
 from .errors import ConfigError, DomainError, SuperluminalError
 from .momentum import break_residual
 
@@ -128,7 +129,7 @@ def _node_velocities(layout: ParticleLayout, times, positions, break_vels):
     vel_r = np.empty((n, 3))
     bounds = [0, *layout.break_indices.tolist(), n - 1]
     for a, b in zip(bounds, bounds[1:]):
-        fd = _fd_node_velocities(list(times[a: b + 1]), list(positions[a: b + 1]))
+        fd = fd_node_velocities(list(times[a: b + 1]), list(positions[a: b + 1]))
         vel_l[a: b + 1] = fd
         vel_r[a: b + 1] = fd
     for j, idx in enumerate(layout.break_indices):
@@ -228,6 +229,16 @@ def _primary_view(boundary: BoundaryData, k: int):
     return ActionWindow(a, b), swapped
 
 
+def one_sided_actions(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
+                      boundary: BoundaryData, kappa: float | None) -> tuple:
+    """(action of particle 1, action of particle 2), each with its partner
+    frozen; their sum is the total action of the pair."""
+    win1, bd1 = _primary_view(boundary, 1)
+    win2, bd2 = _primary_view(boundary, 2)
+    return (action(traj1, traj2, win1, bd1, kappa=kappa),
+            action(traj2, traj1, win2, bd2, kappa=kappa))
+
+
 def _basis_perturbations(layout: ParticleLayout, block: np.ndarray,
                          free_break_times: bool):
     """Displacement field of each position/velocity coordinate.
@@ -310,8 +321,8 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     evaluated at every genuine velocity jump.  `converged` reports whether
     both maxima beat their tolerances.
     """
-    partners = (_merge_history(traj2, boundary.history2),
-                _merge_history(traj1, boundary.history1))
+    partners = (merge_history(traj2, boundary.history2),
+                merge_history(traj1, boundary.history1))
     el_max = ([], [])
     breaks = []
     for k, traj in ((1, traj1), (2, traj2)):
@@ -330,12 +341,9 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
             if not a < tau < b:
                 continue
             breaks.append(break_residual(traj, partner, tau, kappa))
-    win1, bd1 = _primary_view(boundary, 1)
-    win2, bd2 = _primary_view(boundary, 2)
-    total = (action(traj1, traj2, win1, bd1, kappa=kappa)
-             + action(traj2, traj1, win2, bd2, kappa=kappa))
+    s1, s2 = one_sided_actions(traj1, traj2, boundary, kappa)
     report = MinimizerReport(
-        action=total,
+        action=s1 + s2,
         el_max1=tuple(el_max[0]),
         el_max2=tuple(el_max[1]),
         break_residuals=tuple(breaks),

@@ -24,7 +24,7 @@ from .core import (
     ParticleParams,
     PiecewiseTrajectory,
     Vec3,
-    _fd_node_velocities,
+    fd_node_velocities,
     hermite_trajectory,
     polygonal_from_vertices,
     vec3,
@@ -82,7 +82,8 @@ def _real_sph_basis(n: Vec3, lmax: int) -> np.ndarray:
     return vals
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """`count` roughly evenly spread unit directions (a golden-angle spiral)."""
     i = np.arange(count)
     z = 1.0 - 2.0 * (i + 0.5) / count
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
@@ -222,7 +223,7 @@ class SeparationFamilyParams:
 
     def validate(self, samples: int = 32, tol: float = 1e-12) -> None:
         """Check transversality and boundedness on a direction sample."""
-        for n in _fibonacci_sphere(samples):
+        for n in fibonacci_sphere(samples):
             for sigma in range(self.n_intervals):
                 for name, val in (("D", self.d_sigma(sigma, n)),
                                   ("L", self.l_sigma(sigma, n))):
@@ -431,11 +432,13 @@ class ConsistencyReport:
 
 
 def _candidate(traj2, params, n, t1, x1):
-    """One direction's reconstruction of x1(t1) given a trial position."""
+    """One direction's reconstruction of x1(t1) given a trial position, with
+    the sphere time, the partner's cone time and its segment there."""
     t = t1 - float(n @ x1)
     t2 = far_cone_time(traj2, t, n, 0.0, Branch.RETARDED)
-    x2 = traj2.position(t2)
-    return x2 + separation_family(params, t, n, t1 - t2), t, t2
+    seg = traj2.segment_at(t2)
+    x2 = np.array(seg.at(t2))
+    return x2 + separation_family(params, t, n, t1 - t2), t, t2, seg
 
 
 def _solve_position(traj2, params, n_grid, t1, x0):
@@ -446,8 +449,8 @@ def _solve_position(traj2, params, n_grid, t1, x0):
     jac = np.empty((3 * m, 3))
     for _ in range(60):
         for i, n in enumerate(n_grid):
-            cand, t, t2 = _candidate(traj2, params, n, t1, x)
-            v2 = traj2.velocity(t2)
+            cand, t, t2, seg = _candidate(traj2, params, n, t1, x)
+            v2 = np.array(seg.at(t2, 1))
             sigma = params.interval_index(t)
             l_vec = params.l_sigma(sigma, n)
             drhs_dt = (v2 - n) / (1.0 - float(n @ v2)) - np.cross(n, l_vec)
@@ -511,6 +514,6 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     if use_polygonal:
         traj1 = polygonal_from_vertices(list(zip(t1s, positions)), particle)
     else:
-        vels = _fd_node_velocities(t1s, positions)
+        vels = fd_node_velocities(t1s, positions)
         traj1 = hermite_trajectory(t1s, positions, vels, particle)
     return traj1, report

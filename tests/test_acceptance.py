@@ -30,7 +30,7 @@ from wfvar.farfield import b_via_second_derivative, gah_residual, lw_far, sphere
 from wfvar.lightcone import Branch, cone_time
 from wfvar.momentum import break_residuals, post_jump_velocity
 from wfvar.optimizer import discretize, minimize
-from wfvar.shortrange import SeparationFamilyParams, _fibonacci_sphere, construct_partner, rigidity_check
+from wfvar.shortrange import SeparationFamilyParams, fibonacci_sphere, construct_partner, rigidity_check
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -74,7 +74,7 @@ def test_random_polygonal_pair_is_radiation_free_off_kink_cones():
     rng = np.random.default_rng(2024)
     traj1 = random_polygonal(rng, POS)
     traj2 = random_polygonal(rng, NEG)
-    directions = _fibonacci_sphere(32)
+    directions = fibonacci_sphere(32)
     times = np.linspace(-5.0, 5.0, 200)
     defined = 0
     worst = 0.0
@@ -252,7 +252,7 @@ def test_partner_round_trip_is_consistent_and_non_radiating():
         [(q1, w, vec3(0, 0, 0), u_minus), (q1, w, vec3(0, 0, 0), u_plus)],
     )
     recovered, report = construct_partner(
-        traj2, family, _fibonacci_sphere(8), np.linspace(-8.0, 8.0, 33)
+        traj2, family, fibonacci_sphere(8), np.linspace(-8.0, 8.0, 33)
     )
     assert report.max_spread < 1e-6
     for t in (-6.0, -1.3, 0.4, 5.0):
@@ -263,7 +263,7 @@ def test_partner_round_trip_is_consistent_and_non_radiating():
     # offset the grid so no sample sits exactly on the kink cone set, which
     # the guard band rightly excludes (the bound only holds almost everywhere)
     for t in np.linspace(-3.0, 3.0, 9) + 0.123:
-        for n in _fibonacci_sphere(16):
+        for n in fibonacci_sphere(16):
             total += 1
             g = gah_residual(recovered, traj2, float(t), n)
             if g is None:

@@ -140,6 +140,23 @@ class TestAction:
         assert any(abs(p - 3.0) < 1e-9 for p in mesh)
         assert any(abs(p + 1.0) < 1e-9 for p in mesh)
 
+    @pytest.mark.parametrize("d", [1e-3, 1e-6])
+    def test_near_collision_flyby_closed_form(self, d):
+        # x1 = (0.3 t, 0, 0) passes a static partner at distance d: both
+        # cones see the partner at r = sqrt(0.09 t^2 + d^2), so the density
+        # is -sqrt(1 - 0.09) + 1/r with kappa = 1
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        t2 = static_traj([0.0, d, 0.0])
+        val = action(t1, t2, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0), kappa=1.0)
+        exact = -2.0 * np.sqrt(1.0 - 0.09) + (2.0 / 0.3) * np.arcsinh(0.3 / d)
+        assert abs(val - exact) <= 1e-10 * abs(exact)
+
+    def test_collision_flyby_raises(self):
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        t2 = static_traj([0.0, 1e-10, 0.0])
+        with pytest.raises(CollisionError):
+            action(t1, t2, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0), kappa=1.0)
+
     def test_reversed_window_rejected(self):
         with pytest.raises(DomainError):
             ActionWindow(2.0, 1.0)

@@ -148,6 +148,25 @@ class TestExitCodes:
         assert run("gah-scan", path, out_dir=tmp_path / "out") == 1
         assert "trajectory2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields", [
+        ("action", {"trajectory1": {"segments": [[0, 1]]}}),
+        ("action", {**static_pair(), "boundary": [0, 1]}),
+        ("gah-scan", {**static_pair(), "options": {"times": 5}}),
+        ("gah-scan", {**static_pair(), "options": {"times": ["a"]}}),
+        ("gah-scan", {**static_pair(), "options": {"time_range": ["a", 1, 3]}}),
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0], "directions": "abc"}}),
+        ("flux", {**static_pair(), "options": {"times": [0.0], "radius": "abc"}}),
+        ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": {"n_points": "many"}}),
+        ("sewing-chain", {**static_pair(), "options": {"seed": [1, 0.0], "count": None}}),
+    ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
+            "directions-text", "radius-text", "n-points-text", "count-null"])
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
+        path = write_scenario(tmp_path, base_scenario(**fields))
+        assert run(command, path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+
 
 class TestGahScan:
     def test_three_rows_make_four_lines(self, tmp_path):

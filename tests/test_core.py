@@ -85,8 +85,6 @@ class TestSegment:
                         want = npoly.polyval(np.asarray(t) - t0, rows)
                         assert ev(t).tobytes() == want.tobytes()
                         assert ev(t).tobytes() == np.array(seg.at(t, order)).tobytes()
-                    want = npoly.polyval(np.array(ts) - t0, rows)
-                    assert ev(np.array(ts)).tobytes() == want.tobytes()
 
     def test_rebased_is_same_polynomial(self):
         seg = Segment(0.0, 2.0, np.array([[1.0, 0.2, -0.05], [0, 0.1, 0.0],
@@ -144,6 +142,54 @@ class TestPolygonal:
         assert report.ok
 
 
+@st.composite
+def segment_chains(draw):
+    """A random polygonal trajectory or a random piecewise-linear perturbation."""
+    n = draw(st.integers(1, 5))
+    times = [draw(st.floats(-200.0, 200.0))]
+    for gap in draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)):
+        times.append(times[-1] + gap)
+    points = [np.zeros(3)]
+    for t0, t1 in zip(times, times[1:]):
+        v = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+        points.append(points[-1] + (t1 - t0) * np.array(v))
+    if draw(st.booleans()):
+        return polygonal_from_vertices(list(zip(times, points)), ELECTRON)
+    return Perturbation(tuple(
+        Segment.linear(t0, t1, x0, x1, check_speed=False)
+        for t0, t1, x0, x1 in zip(times, times[1:], points, points[1:])))
+
+
+def scanned_segment(chain, t, side):
+    """segment_at's contract by a linear scan; None where it must raise."""
+    segs = chain.segments
+    slack = 1e-9 * max(1.0, abs(t))
+    if t < segs[0].t_start - slack or t > segs[-1].t_end + slack:
+        return None
+    if t <= segs[0].t_start:
+        return segs[0]
+    if t >= segs[-1].t_end:
+        return segs[-1]
+    for s in segs:
+        if (s.t_start <= t < s.t_end) if side is Side.RIGHT else (s.t_start < t <= s.t_end):
+            return s
+
+
+@given(segment_chains())
+@settings(max_examples=80, deadline=None)
+def test_segment_lookup_matches_a_linear_scan(chain):
+    for tau in [chain.t_start, *chain.junction_times(), chain.t_end]:
+        for k in (0.0, 0.5, -0.5, 2.0, -2.0):
+            t = tau + k * 1e-9 * max(1.0, abs(tau))
+            for side in Side:
+                want = scanned_segment(chain, t, side)
+                if want is None:
+                    with pytest.raises(DomainError):
+                        chain.segment_at(t, side)
+                else:
+                    assert chain.segment_at(t, side) is want
+
+
 class TestValidation:
     def test_gap_rejected_by_strict_constructor(self):
         a = Segment.linear(0.0, 1.0, [0, 0, 0], [0.1, 0, 0])
@@ -169,7 +215,11 @@ class TestValidation:
             ELECTRON,
         )
         ts = np.linspace(0.0, 2.0, 200001)
-        dense = np.sqrt((traj.velocity_many(ts) ** 2).sum(axis=0)).max()
+        dense = 0.0
+        for seg in traj.segments:
+            u = ts[(ts >= seg.t_start) & (ts <= seg.t_end)] - seg.t_start
+            vel = npoly.polyval(u, npoly.polyder(seg.coeffs.T))
+            dense = max(dense, float(np.sqrt((vel ** 2).sum(axis=0)).max()))
         assert abs(validate(traj).max_speed - dense) < 1e-9
 
 
