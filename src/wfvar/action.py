@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, cone_time
+from .lightcone import COLLISION_R, Branch, ConeSolution, cone_crossings, cone_pair
 
 __all__ = [
     "ActionWindow",
@@ -89,7 +89,8 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
 
 
 def _branch_partials(v1, sol: ConeSolution):
-    """One branch's contribution F and its gradients in (x1, v1) at fixed t1.
+    """Gradients in (x1, v1) at fixed t1 of one branch's contribution
+    F = (1 - v1.V) / (2 r rho).
 
     The x1 dependence runs through the cone time t2(x1) as well as r and n;
     all three are eliminated with the implicit-function rule on the cone
@@ -99,7 +100,6 @@ def _branch_partials(v1, sol: ConeSolution):
     n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
     rho = 1.0 / sol.dilation  # = 1 + s n.V, positive
     N = 1.0 - float(v1 @ V)
-    F = N / (2.0 * r * rho)
     grad_t2 = (s / rho) * n
     grad_r = n / rho
     grad_rho = (
@@ -112,37 +112,35 @@ def _branch_partials(v1, sol: ConeSolution):
         2.0 * r * r * rho * rho
     )
     dF_dv = -V / (2.0 * r * rho)
-    return F, dF_dx, dF_dv
+    return dF_dx, dF_dv
 
 
-def _density_and_partials(traj1, partner, t, side, kappa):
+def _partials(traj1, partner, t, side, kappa):
+    """(dL/dx1, dL/dv1) at time t of trajectory 1, one-sided by `side`."""
     x1, v1, _ = traj1.state(t, side)
     adv, ret = cone_pair(partner, t, x1, side)
-    v1sq = float(v1 @ v1)
-    gamma = 1.0 / math.sqrt(1.0 - v1sq)
-    density = -traj1.particle.mass / gamma
+    gamma = 1.0 / math.sqrt(1.0 - float(v1 @ v1))
     d_dx = np.zeros(3)
     d_dv = traj1.particle.mass * gamma * v1
     for sol in (adv, ret):
-        F, dF_dx, dF_dv = _branch_partials(v1, sol)
-        density += kappa * F
+        dF_dx, dF_dv = _branch_partials(v1, sol)
         d_dx += kappa * dF_dx
         d_dv += kappa * dF_dv
-    return density, d_dx, d_dv
+    return d_dx, d_dv
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dx1 with the implicit cone-time dependence included."""
     k = coupling(traj1, partner, kappa)
-    return _density_and_partials(traj1, partner, t, side, k)[1]
+    return _partials(traj1, partner, t, side, k)[0]
 
 
 def lagrangian_velocity_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dv1; the cone condition involves positions only, so this is exact."""
     k = coupling(traj1, partner, kappa)
-    return _density_and_partials(traj1, partner, t, side, k)[2]
+    return _partials(traj1, partner, t, side, k)[1]
 
 
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -232,7 +230,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     k = coupling(traj1, traj2, kappa)
 
     def integrand(t):
-        _, d_dx, d_dv = _density_and_partials(traj1, partner, t, Side.RIGHT, k)
+        d_dx, d_dv = _partials(traj1, partner, t, Side.RIGHT, k)
         seg = b.segment_at(t)
         return float(d_dx @ seg.position(t) + d_dv @ seg.velocity(t))
 
@@ -253,38 +251,12 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
             adv, ret = cone_pair(partner, t1, x1, edge)
             dens[edge] = interaction_density((x1, v1), adv, ret, m1=m1, kappa=k)
         s = -branch.sign  # +1 advanced, -1 retarded
-        n_hat = cone_time(partner, (t1, x1), branch).n_hat
+        # the RIGHT pair, solved last above, holds this branch's cone
+        n_hat = (adv if branch is Branch.ADVANCED else ret).n_hat
         rho1 = 1.0 + s * float(n_hat @ v1)
         dcross = -s * float(n_hat @ b.value(t1)) / rho1
         total += (dens[Side.LEFT] - dens[Side.RIGHT]) * dcross
     return total
-
-
-def _smooth_cell_around(traj1, partner, t, side):
-    """An interval around t on which the momentum is smooth.
-
-    Only a small neighborhood is scanned for pullback crossings: the finite
-    difference stencil that consumes the cell reaches a few multiples of
-    1e-4 segment lengths, and staying local keeps the cone solves near t
-    instead of at far-away segment edges the partner may not cover.
-    """
-    seg = traj1.segment_at(t, side)
-    reach = 64.0e-4 * (seg.t_end - seg.t_start)
-    lo = max(seg.t_start, t - reach)
-    hi = min(seg.t_end, t + reach)
-    if hi <= lo:
-        lo, hi = seg.t_start, seg.t_end
-    mesh = pullback_mesh(traj1, partner, lo, hi)
-    for a, c in zip(mesh, mesh[1:]):
-        if (a < t < c) or (t == a and side is Side.RIGHT) or (t == c and side is Side.LEFT):
-            return a, c, seg
-    # t coincides with an interior mesh point; pick the side's cell
-    i = int(np.searchsorted(mesh, t))
-    if side is Side.RIGHT:
-        i = min(i, len(mesh) - 2)
-        return mesh[i], mesh[i + 1], seg
-    i = max(i - 1, 0)
-    return mesh[i], mesh[i + 1], seg
 
 
 def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -292,34 +264,34 @@ def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                 kappa: float | None = None):
     """d/dt (dL/dv1) - dL/dx1, one-sided, zero on exact piecewise solutions.
 
-    The time derivative uses 4th-order finite differences of the analytic
-    momentum with a step tied to the segment length; stencils stay inside
-    the smooth cell around t, switching to one-sided weights near its edges.
+    The time derivative is exact algebra in trajectory 1's acceleration and
+    each branch's delayed velocity V and acceleration A.  Differentiating
+    the cone condition t2 = t + s r (s = +1 advanced, -1 retarded) gives
+
+        dt2/dt = (1 + s n.v1) / rho,     dr/dt = n.v1 - (n.V) dt2/dt,
+        dn/dt = (v1 - V dt2/dt - n dr/dt) / r,
+        drho/dt = s (dn/dt.V + (n.A) dt2/dt),
+
+    with rho = 1 + s n.V, so every term is read from one trajectory state
+    and one cone pair taken on `side`; at breaking points and cone
+    crossings the result is the limit from that side.
     """
     k = coupling(traj1, traj2, kappa)
-    a, c, seg = _smooth_cell_around(traj1, traj2, t, side)
-
-    h = 1e-4 * (seg.t_end - seg.t_start)
-    h = min(h, (c - a) / 8.0)
-    if t - 2 * h >= a and t + 2 * h <= c:
-        stencil = [(-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12)]
-    elif t + 4 * h <= c:
-        # forward one-sided 4th order on nodes t, t+h, ..., t+4h
-        stencil = [(0, -25.0 / 12), (1, 4.0), (2, -3.0), (3, 4.0 / 3), (4, -0.25)]
-    else:
-        stencil = [(0, 25.0 / 12), (-1, -4.0), (-2, 3.0), (-3, -4.0 / 3), (-4, 0.25)]
-
-    def eval_side(tt):
-        if tt == t:
-            return side
-        if tt >= c:
-            return Side.LEFT
-        return Side.RIGHT
-
-    dmom = np.zeros(3)
-    for off, w in stencil:
-        tt = t + off * h
-        dmom += w * _density_and_partials(traj1, traj2, tt, eval_side(tt), k)[2]
-    dmom /= h
-    d_dx = _density_and_partials(traj1, traj2, t, side, k)[1]
-    return dmom - d_dx
+    x1, v1, a1 = traj1.state(t, side)
+    g2 = 1.0 / (1.0 - float(v1 @ v1))
+    res = traj1.particle.mass * math.sqrt(g2) * (a1 + g2 * float(v1 @ a1) * v1)
+    for sol in cone_pair(traj2, t, x1, side):
+        dF_dx, _ = _branch_partials(v1, sol)
+        s = -sol.branch.sign
+        n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
+        rho = 1.0 / sol.dilation
+        dt2 = (1.0 + s * float(n @ v1)) / rho
+        dr = float(n @ v1) - float(n @ V) * dt2
+        dn = (v1 - V * dt2 - n * dr) / r
+        drho = s * (float(dn @ V) + float(n @ A) * dt2)
+        # d/dt of V / (2 r rho), which enters dL/dv1 with the factor -kappa
+        d_field = A * dt2 / (2.0 * r * rho) - V * (rho * dr + r * drho) / (
+            2.0 * r * r * rho * rho
+        )
+        res -= k * (d_field + dF_dx)
+    return res

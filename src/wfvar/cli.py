@@ -246,6 +246,13 @@ def _option(options: dict, key: str, convert, default=None):
         raise ConfigError(f"option {key} has a malformed value {value!r}") from exc
 
 
+def _flag(value) -> bool:
+    """A JSON boolean; anything else (the string "false", 1) is rejected."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _floats(values) -> list:
     return [float(v) for v in values]
 
@@ -362,7 +369,7 @@ def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("mesh must be [n_theta, n_phi]") from exc
         mesh = latlong_mesh(n_theta, n_phi)
-    retarded_only = bool(scen.options.get("retarded_only", False))
+    retarded_only = _option(scen.options, "retarded_only", _flag, False)
     guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
     rows = []
     for t in times:
@@ -459,7 +466,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": float, "max_iter": int, "free_break_times": bool,
+    kinds = {"gtol": float, "max_iter": int, "free_break_times": _flag,
              "el_tol": float, "break_tol": float}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
@@ -479,7 +486,7 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         (scen.traj1, scen.traj2),
         _option(scen.options, "nodes_per_segment", int, 6),
         break_times=break_times,
-        free_break_times=bool(opts.get("free_break_times", False)),
+        free_break_times=opts.get("free_break_times", False),
     )
     traj1, traj2, report = minimize(scen.boundary, init, opts, kappa=scen.kappa)
     save_trajectory(traj1, out / "minimized1.json")

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import lpmv
+from numpy.polynomial.legendre import legder, legval
 
 from .core import (
     ParticleParams,
@@ -56,6 +57,19 @@ def _project_transverse(vec: Vec3, n: Vec3) -> Vec3:
     return vec - float(n @ vec) * n
 
 
+@lru_cache(maxsize=None)
+def _legendre_derivative(l: int, m: int) -> np.ndarray:
+    """Legendre series of the m-th derivative of P_l."""
+    return legder(np.eye(l + 1)[l], m)
+
+
+def _assoc_legendre(l: int, m: int, x: float) -> float:
+    """P_l^m(x) = (-1)^m (1 - x^2)^(m/2) d^m/dx^m P_l(x), with the
+    Condon-Shortley phase of scipy.special.lpmv, so stored harmonic tables
+    keep their meaning."""
+    return (-math.sqrt(1.0 - x * x)) ** m * float(legval(x, _legendre_derivative(l, m)))
+
+
 def _real_sph_basis(n: Vec3, lmax: int) -> np.ndarray:
     """Real spherical harmonics up to degree lmax, evaluated at unit n."""
     ct = float(np.clip(n[2], -1.0, 1.0))
@@ -71,7 +85,7 @@ def _real_sph_basis(n: Vec3, lmax: int) -> np.ndarray:
                 * math.factorial(l - am)
                 / math.factorial(l + am)
             )
-            p = float(lpmv(am, l, ct))
+            p = _assoc_legendre(l, am, ct)
             if m == 0:
                 vals[i] = norm * p
             elif m > 0:

@@ -8,6 +8,7 @@ from wfvar.action import (
     el_residual,
     frechet_directional,
     interaction_density,
+    lagrangian_position_partial,
     lagrangian_velocity_partial,
     pullback_mesh,
 )
@@ -19,11 +20,12 @@ from wfvar.core import (
     Segment,
     Side,
     add_perturbation,
+    hermite_trajectory,
     polygonal_from_vertices,
     vec3,
 )
 from wfvar.errors import CollisionError, ContractError, DomainError
-from wfvar.lightcone import Branch, cone_time
+from wfvar.lightcone import Branch, cone_crossings, cone_time
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -258,3 +260,71 @@ class TestElResidual:
         v = 0.3
         gamma = 1.0 / np.sqrt(1.0 - v * v)
         assert_allclose(p, [0, 0, gamma * v], atol=1e-9)
+
+
+def circle_orbit(radius, omega, phase, particle, span=30.0, dt=0.4):
+    times = np.arange(-span, span + 0.5 * dt, dt)
+    xs = [radius * vec3(np.cos(omega * t + phase), np.sin(omega * t + phase), 0) for t in times]
+    vs = [radius * omega * vec3(-np.sin(omega * t + phase), np.cos(omega * t + phase), 0)
+          for t in times]
+    return hermite_trajectory(times, xs, vs, particle)
+
+
+def accelerating_pairs():
+    heavy = ParticleParams(mass=2.3, charge=1.0)
+    light = ParticleParams(mass=0.6, charge=-1.0)
+    circles = (circle_orbit(0.4, 0.5, 0.0, POS), circle_orbit(0.4, 0.5, np.pi, NEG), None)
+    ts = np.linspace(-30.0, 30.0, 31)
+    offsets = np.random.default_rng(5).uniform(-0.3, 0.3, size=(len(ts), 3))
+    partner = polygonal_from_vertices(
+        [(t, vec3(3.0, 0.1 * t, 0.0) + o) for t, o in zip(ts, offsets)], light)
+    fast = circle_orbit(1.2, 0.65, 0.3, heavy)  # speed 0.78
+    return [circles, (fast, partner, None), (fast, partner, 0.37)]
+
+
+class TestClosedFormElResidual:
+    @pytest.mark.parametrize("pair", range(3))
+    def test_matches_central_difference_of_the_momentum(self, pair):
+        t1, t2, kappa = accelerating_pairs()[pair]
+        h = 1e-3
+        for t in (-2.3, -0.52, 0.61, 1.77, 2.95):
+            # the stencil stays on one smooth piece of the momentum
+            assert cone_crossings(t1, t2, t - 2 * h, t + 2 * h) == []
+            assert not any(abs(j - t) <= 2 * h for j in t1.junction_times())
+            mom = {k: lagrangian_velocity_partial(t1, t2, t + k * h, kappa=kappa)
+                   for k in (-2, -1, 1, 2)}
+            dmom = (mom[-2] - 8 * mom[-1] + 8 * mom[1] - mom[2]) / (12 * h)
+            ref = dmom - lagrangian_position_partial(t1, t2, t, kappa=kappa)
+            assert_allclose(el_residual(t1, t2, t, kappa=kappa), ref, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("pair, min_jump", [(0, 1e-5), (1, 1e-3)])
+    def test_one_sided_limits_at_cone_crossings(self, pair, min_jump):
+        # the partner's acceleration (circle) or velocity (polygon) jumps
+        # where a cone image crosses its junction, and so does the residual
+        t1, t2, _ = accelerating_pairs()[pair]
+        crossings = cone_crossings(t1, t2, -3.0, 3.0)
+        assert crossings
+        for tc, _, _ in crossings:
+            left = el_residual(t1, t2, tc, Side.LEFT)
+            right = el_residual(t1, t2, tc, Side.RIGHT)
+            assert_allclose(left, el_residual(t1, t2, tc - 1e-7), rtol=0.0, atol=1e-5)
+            assert_allclose(right, el_residual(t1, t2, tc + 1e-7), rtol=0.0, atol=1e-5)
+            assert np.linalg.norm(left - right) > min_jump
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6])
+    def test_near_collision_flyby_closed_form(self, d):
+        # uniform x1 = (0.3 t, 0, 0) past a static partner: the momentum is
+        # constant, so the residual is -dL/dx1 = kappa (x1 - x2) / r^3
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        t2 = static_traj([0.0, d, 0.0])
+        for t in (0.0, 1e-4, -0.37):
+            sep = vec3(0.3 * t, -d, 0.0)
+            exact = sep / np.linalg.norm(sep) ** 3
+            res = el_residual(t1, t2, t, kappa=1.0)
+            assert np.linalg.norm(res - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_collision_flyby_raises(self):
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        t2 = static_traj([0.0, 1e-10, 0.0])
+        with pytest.raises(CollisionError):
+            el_residual(t1, t2, 0.0, kappa=1.0)

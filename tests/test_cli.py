@@ -167,6 +167,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config"), err
 
+    @pytest.mark.parametrize("value", ["false", "yes", 1], ids=["false-text", "yes-text", "one"])
+    @pytest.mark.parametrize("command, key, fields", [
+        ("flux", "retarded_only", {"options": {"times": [0.0], "radius": 5.0}}),
+        ("minimize", "free_break_times", {
+            **static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+            "options": {"nodes_per_segment": 3}}),
+    ], ids=["flux", "minimize"])
+    def test_boolean_options_take_only_json_booleans(self, tmp_path, capsys, command, key,
+                                                     fields, value):
+        data = base_scenario(**{"trajectory1": static_record(0.0, 0.0, 0.0), **fields})
+        data["options"] = {**data["options"], key: value}
+        path = write_scenario(tmp_path, data)
+        assert run(command, path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config") and key in err[0], err
+
 
 class TestGahScan:
     def test_three_rows_make_four_lines(self, tmp_path):

@@ -1,6 +1,8 @@
 """Module boundaries of the wfvar package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wfvar"
@@ -32,3 +34,31 @@ def test_no_module_imports_a_private_name_from_another():
     assert len(modules) >= 8
     hits = [hit for path in modules for hit in private_imports(path)]
     assert hits == []
+
+
+def outside_imports(path: Path) -> list:
+    """Absolute imports of one module that are neither the standard library
+    nor numpy."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        hits += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                 if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    return hits
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in outside_imports(path)]
+    assert hits == []
+
+
+def test_import_loads_no_scipy():
+    probe = "import sys, wfvar; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=PACKAGE.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from wfvar.errors import (
     InsufficientSamplingError,
     SuperluminalError,
 )
-from wfvar.farfield import gah_residual
+from wfvar.farfield import gah_residual, latlong_mesh
 from wfvar.lightcone import Branch, far_cone_time
 from wfvar.shortrange import (
+    _real_sph_basis,
     SeparationFamilyParams,
     construct_partner,
     enforce_continuity,
@@ -176,6 +178,36 @@ class TestSeparationFamily:
             )
             right = separation_family(adjusted, edge, n, dt12)
             assert_allclose(left, right, atol=1e-12)
+
+
+class TestRealHarmonics:
+    def test_orthonormal_on_latlong_mesh(self):
+        # the default mesh integrates degree 8 products exactly
+        mesh = latlong_mesh()
+        basis = np.array([_real_sph_basis(n, 4) for n in mesh.directions])
+        gram = 4.0 * np.pi * (basis.T * mesh.weights) @ basis
+        assert_allclose(gram, np.eye(25), rtol=0.0, atol=1e-13)
+
+    def test_matches_scipy_lpmv(self):
+        special = pytest.importorskip("scipy.special")
+        lmax = 8
+        rng = np.random.default_rng(11)
+        dirs = [unit(d) for d in rng.normal(size=(40, 3))] + [vec3(0, 0, 1), vec3(0, 0, -1)]
+        for n in dirs:
+            ct, phi = n[2], np.arctan2(n[1], n[0])
+            ref = []
+            for l in range(lmax + 1):
+                for m in range(-l, l + 1):
+                    am = abs(m)
+                    norm = np.sqrt((2 * l + 1) / (4 * np.pi) * math.factorial(l - am)
+                                   / math.factorial(l + am))
+                    p = norm * special.lpmv(am, l, ct)
+                    if m > 0:
+                        p *= np.sqrt(2.0) * np.cos(m * phi)
+                    elif m < 0:
+                        p *= np.sqrt(2.0) * np.sin(am * phi)
+                    ref.append(p)
+            assert_allclose(_real_sph_basis(n, lmax), ref, rtol=0.0, atol=1e-13)
 
 
 class TestFamilySerialization:
