@@ -32,6 +32,8 @@ __all__ = [
     "el_residual",
     "lagrangian_velocity_partial",
     "lagrangian_position_partial",
+    "branch_sums",
+    "canonical_current",
     "coupling",
     "pullback_mesh",
 ]
@@ -83,13 +85,26 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
     for sol in (cone_adv, cone_ret):
         if sol.r < COLLISION_R:
             raise CollisionError(f"cone distance {sol.r} below collision cutoff")
-        rho = 1.0 / sol.dilation  # 1 + n.v (advanced) or 1 - n.v (retarded)
+        rho = sol.doppler  # 1 + n.v (advanced) or 1 - n.v (retarded)
         total += kappa * (1.0 - float(v1 @ sol.v)) / (2.0 * sol.r * rho)
     return total
 
 
+def branch_sums(pair) -> tuple:
+    """(W, w): the sums of V / (2 r rho) and 1 / (2 r rho) over the branches
+    of a `cone_pair`.  Neither depends on v1, so dL/dv1 = m g v1 - kappa W
+    and v1.dL/dv1 - L = m g - kappa w."""
+    W = np.zeros(3)
+    w = 0.0
+    for sol in pair:
+        denom = 2.0 * sol.r * sol.doppler
+        W += sol.v / denom
+        w += 1.0 / denom
+    return W, w
+
+
 def _branch_partials(v1, sol: ConeSolution):
-    """Gradients in (x1, v1) at fixed t1 of one branch's contribution
+    """Gradient in x1 at fixed t1 and v1 of one branch's contribution
     F = (1 - v1.V) / (2 r rho).
 
     The x1 dependence runs through the cone time t2(x1) as well as r and n;
@@ -98,7 +113,7 @@ def _branch_partials(v1, sol: ConeSolution):
     """
     s = -sol.branch.sign  # +1 advanced, -1 retarded
     n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
-    rho = 1.0 / sol.dilation  # = 1 + s n.V, positive
+    rho = sol.doppler  # = 1 + s n.V, positive
     N = 1.0 - float(v1 @ V)
     grad_t2 = (s / rho) * n
     grad_r = n / rho
@@ -108,39 +123,37 @@ def _branch_partials(v1, sol: ConeSolution):
         + float(n @ A) * n / rho
     )
     grad_N = -float(v1 @ A) * grad_t2
-    dF_dx = grad_N / (2.0 * r * rho) - N * (rho * grad_r + r * grad_rho) / (
+    return grad_N / (2.0 * r * rho) - N * (rho * grad_r + r * grad_rho) / (
         2.0 * r * r * rho * rho
     )
-    dF_dv = -V / (2.0 * r * rho)
-    return dF_dx, dF_dv
 
 
-def _partials(traj1, partner, t, side, kappa):
-    """(dL/dx1, dL/dv1) at time t of trajectory 1, one-sided by `side`."""
+def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                      t: float, side: Side, kappa: float) -> tuple:
+    """(dL/dx1, p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided
+    by `side`, from one state and one cone pair; `kappa` is the resolved
+    coupling.  p and e are the momentum and energy currents."""
     x1, v1, _ = traj1.state(t, side)
-    adv, ret = cone_pair(partner, t, x1, side)
+    pair = cone_pair(partner, t, x1, side)
+    W, w = branch_sums(pair)
     gamma = 1.0 / math.sqrt(1.0 - float(v1 @ v1))
-    d_dx = np.zeros(3)
-    d_dv = traj1.particle.mass * gamma * v1
-    for sol in (adv, ret):
-        dF_dx, dF_dv = _branch_partials(v1, sol)
-        d_dx += kappa * dF_dx
-        d_dv += kappa * dF_dv
-    return d_dx, d_dv
+    m_gamma = traj1.particle.mass * gamma
+    d_dx = sum(kappa * _branch_partials(v1, sol) for sol in pair)
+    return d_dx, m_gamma * v1 - kappa * W, m_gamma - kappa * w
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dx1 with the implicit cone-time dependence included."""
     k = coupling(traj1, partner, kappa)
-    return _partials(traj1, partner, t, side, k)[0]
+    return canonical_current(traj1, partner, t, side, k)[0]
 
 
 def lagrangian_velocity_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dv1; the cone condition involves positions only, so this is exact."""
     k = coupling(traj1, partner, kappa)
-    return _partials(traj1, partner, t, side, k)[1]
+    return canonical_current(traj1, partner, t, side, k)[1]
 
 
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -230,9 +243,9 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     k = coupling(traj1, traj2, kappa)
 
     def integrand(t):
-        d_dx, d_dv = _partials(traj1, partner, t, Side.RIGHT, k)
+        d_dx, p, _ = canonical_current(traj1, partner, t, Side.RIGHT, k)
         seg = b.segment_at(t)
-        return float(d_dx @ seg.position(t) + d_dv @ seg.velocity(t))
+        return float(d_dx @ seg.position(t) + p @ seg.velocity(t))
 
     crossings = cone_crossings(traj1, partner, lo, hi)
     mesh = pullback_mesh(traj1, partner, lo, hi, extra=b.junction_times(),
@@ -281,10 +294,10 @@ def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     g2 = 1.0 / (1.0 - float(v1 @ v1))
     res = traj1.particle.mass * math.sqrt(g2) * (a1 + g2 * float(v1 @ a1) * v1)
     for sol in cone_pair(traj2, t, x1, side):
-        dF_dx, _ = _branch_partials(v1, sol)
+        dF_dx = _branch_partials(v1, sol)
         s = -sol.branch.sign
         n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
-        rho = 1.0 / sol.dilation
+        rho = sol.doppler
         dt2 = (1.0 + s * float(n @ v1)) / rho
         dr = float(n @ v1) - float(n @ V) * dt2
         dn = (v1 - V * dt2 - n * dr) / r

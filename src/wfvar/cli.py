@@ -253,8 +253,23 @@ def _flag(value) -> bool:
     return value
 
 
+def _count(minimum: int = 0):
+    """Converter to a JSON integer >= `minimum`; floats and booleans are rejected."""
+    def convert(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return value
+    return convert
+
+
 def _floats(values) -> list:
     return [float(v) for v in values]
+
+
+def _time_range(value) -> tuple:
+    """[start, stop, count] of a time scan."""
+    a, b, count = value
+    return float(a), float(b), _count()(count)
 
 
 def _scan_times(options: dict) -> list:
@@ -263,13 +278,7 @@ def _scan_times(options: dict) -> list:
     if "times" in options:
         return _option(options, "times", _floats)
     if "time_range" in options:
-        try:
-            a, b, count = options["time_range"]
-            a, b, count = float(a), float(b), int(count)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("time_range must be [start, stop, count]") from exc
-        if count < 0:
-            raise ConfigError("time_range count must be >= 0")
+        a, b, count = _option(options, "time_range", _time_range)
         return [float(t) for t in np.linspace(a, b, count)]
     raise ConfigError("scan options need times or time_range")
 
@@ -278,10 +287,8 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
     value = options.get("directions")
     if value is None:
         return fibonacci_sphere(default_count)
-    if isinstance(value, int):
-        if value < 1:
-            raise ConfigError("directions count must be positive")
-        return fibonacci_sphere(value)
+    if isinstance(value, int):  # bool too, which `_count` rejects
+        return fibonacci_sphere(_option(options, "directions", _count(1)))
     arr = _option(options, "directions", lambda v: np.asarray(v, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
@@ -289,6 +296,21 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ConfigError("direction vectors must be nonzero")
     return arr / norms[:, None]
+
+
+def _t1_grid(value) -> np.ndarray:
+    """[start, stop, count] with an integer count, else a list of times."""
+    if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
+        return np.linspace(float(value[0]), float(value[1]), _count()(value[2]))
+    return np.asarray(_floats(value))
+
+
+def _mesh(value):
+    """latlong_mesh of [n_theta, n_phi] counts, or None for the default mesh."""
+    if value is None:
+        return None
+    n_theta, n_phi = value
+    return latlong_mesh(_count(1)(n_theta), _count(1)(n_phi))
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -319,7 +341,7 @@ def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         scen.traj1,
         scen.traj2,
         scen.boundary,
-        n_points=_option(scen.options, "n_points", int, 9),
+        n_points=_option(scen.options, "n_points", _count(1), 9),
         el_tol=el_tol,
         break_tol=_option(scen.options, "break_tol", float, 1e-8),
         kappa=scen.kappa,
@@ -361,14 +383,7 @@ def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     radius = _option(scen.options, "radius", float)
     if radius <= 0.0:
         raise ConfigError("flux radius must be positive")
-    mesh_opt = scen.options.get("mesh")
-    mesh = None
-    if mesh_opt is not None:
-        try:
-            n_theta, n_phi = (int(mesh_opt[0]), int(mesh_opt[1]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError("mesh must be [n_theta, n_phi]") from exc
-        mesh = latlong_mesh(n_theta, n_phi)
+    mesh = _option(scen.options, "mesh", _mesh)
     retarded_only = _option(scen.options, "retarded_only", _flag, False)
     guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
     rows = []
@@ -410,15 +425,9 @@ def _cmd_build_polygonal(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 def _cmd_construct_partner(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj2=True, family=True)
     dirs = _directions(scen.options, 32)
-    grid_opt = scen.options.get("t1_grid")
-    if grid_opt is None:
+    if scen.options.get("t1_grid") is None:
         raise ConfigError("construct-partner options need a t1_grid")
-    grid = _option(scen.options, "t1_grid", _floats)
-    if (isinstance(grid_opt, list) and len(grid_opt) == 3
-            and isinstance(grid_opt[2], int)):
-        t1_grid = np.linspace(grid[0], grid[1], grid_opt[2])
-    else:
-        t1_grid = np.asarray(grid)
+    t1_grid = _option(scen.options, "t1_grid", _t1_grid)
     spread_tol = float(tol) if tol is not None else _option(
         scen.options, "spread_tol", float, 1e-6)
     traj1, report = construct_partner(
@@ -453,7 +462,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         scen.traj2,
         seed,
         scen.options.get("direction", "forward"),
-        _option(scen.options, "count", int, 8),
+        _option(scen.options, "count", _count(), 8),
     )
     rows = tuple(
         (i, particle, t) for i, (particle, t) in enumerate(chain.entries)
@@ -466,8 +475,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": float, "max_iter": int, "free_break_times": _flag,
-             "el_tol": float, "break_tol": float}
+    kinds = {"gtol": float, "max_iter": _count(), "el_tol": float, "break_tol": float}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
     if tol is not None:
@@ -484,9 +492,9 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     init = discretize(
         scen.boundary,
         (scen.traj1, scen.traj2),
-        _option(scen.options, "nodes_per_segment", int, 6),
+        _option(scen.options, "nodes_per_segment", _count(), 6),
         break_times=break_times,
-        free_break_times=opts.get("free_break_times", False),
+        free_break_times=_option(scen.options, "free_break_times", _flag, False),
     )
     traj1, traj2, report = minimize(scen.boundary, init, opts, kappa=scen.kappa)
     save_trajectory(traj1, out / "minimized1.json")

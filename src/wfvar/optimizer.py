@@ -359,8 +359,6 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 class MinimizeOptions:
     gtol: float = 1e-8
     max_iter: int = 40
-    free_break_times: bool = False
-    nodes_per_segment: int = 6
     el_tol: float = 1e-6
     break_tol: float = 1e-8
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from wfvar.action import (
     ActionWindow,
     action,
+    coupling,
     el_residual,
     frechet_directional,
     interaction_density,
@@ -25,7 +26,8 @@ from wfvar.core import (
     vec3,
 )
 from wfvar.errors import CollisionError, ContractError, DomainError
-from wfvar.lightcone import Branch, cone_crossings, cone_time
+from wfvar.lightcone import Branch, cone_crossings, cone_pair, cone_time
+from wfvar.momentum import energy_current, momentum_current
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -328,3 +330,21 @@ class TestClosedFormElResidual:
         t2 = static_traj([0.0, 1e-10, 0.0])
         with pytest.raises(CollisionError):
             el_residual(t1, t2, 0.0, kappa=1.0)
+
+
+class TestLegendreTransform:
+    @pytest.mark.parametrize("pair", [1, 2], ids=["default-kappa", "kappa-0.37"])
+    def test_energy_current_is_v_dot_p_minus_l(self, pair):
+        t1, t2, kappa = accelerating_pairs()[pair]
+        k = coupling(t1, t2, kappa)
+        hits = [tc for tc, _, _ in cone_crossings(t1, t2, -3.0, 3.0)]
+        assert hits
+        for t in (-2.3, -0.52, 0.61, 1.77, 2.95, *hits):
+            for side in (Side.LEFT, Side.RIGHT):
+                x1, v1, _ = t1.state(t, side)
+                lag = interaction_density((x1, v1), *cone_pair(t2, t, x1, side),
+                                          m1=t1.particle.mass, kappa=k)
+                p = momentum_current(t1, t2, t, side, kappa)
+                assert np.array_equal(p, lagrangian_velocity_partial(t1, t2, t, side, kappa))
+                e = energy_current(t1, t2, t, side, kappa)
+                assert abs(e - (float(v1 @ p) - lag)) <= 1e-14

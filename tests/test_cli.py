@@ -159,8 +159,31 @@ class TestExitCodes:
         ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
                     "options": {"n_points": "many"}}),
         ("sewing-chain", {**static_pair(), "options": {"seed": [1, 0.0], "count": None}}),
+        ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": {"n_points": 2.7}}),
+        ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": {"n_points": 0}}),
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0], "directions": True}}),
+        ("gah-scan", {**static_pair(), "options": {"time_range": [0, 1, 2.9]}}),
+        ("sewing-chain", {**static_pair(), "options": {"seed": [1, 0.0], "count": True}}),
+        ("flux", {**static_pair(), "options": {"times": [0.0], "radius": 5.0, "mesh": [0, 3]}}),
+        ("flux", {**static_pair(), "options": {"times": [0.0], "radius": 5.0,
+                                               "mesh": [3, 2.5]}}),
+        ("minimize", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                      "options": {"nodes_per_segment": 2.5}}),
+        ("minimize", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                      "options": {"nodes_per_segment": 3, "max_iter": True}}),
+        ("construct-partner", {
+            "trajectory2": static_record(0.0, 0.0, 0.0),
+            "family": {"kind": "harmonic", "t_start": -50.0, "lmax": 0, "intervals": [
+                {"t_edge": 50.0, "D_coeffs": [[0.0], [5.3], [0.0]],
+                 "L_coeffs": [[0.0], [0.0], [0.0]]}]},
+            "options": {"directions": 8, "t1_grid": [-3.0, 3.0, True]}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
-            "directions-text", "radius-text", "n-points-text", "count-null"])
+            "directions-text", "radius-text", "n-points-text", "count-null",
+            "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
+            "count-true", "mesh-zero", "mesh-fraction", "nodes-fraction", "max-iter-true",
+            "t1-grid-count-true"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from helpers_geometry import static_traj, uniform_cone_roots, uniform_traj
 
+from wfvar.action import branch_sums
 from wfvar.core import ParticleParams, Side, polygonal_from_vertices, vec3
 from wfvar.errors import InfeasibleJumpError, SuperluminalError
-from wfvar.lightcone import Branch, cone_time
+from wfvar.lightcone import Branch, cone_pair, cone_time
 from wfvar.momentum import break_residuals, energy_current, momentum_current, post_jump_velocity
 
 POS = ParticleParams(mass=1.0, charge=1.0)
@@ -184,3 +185,39 @@ class TestPostJumpVelocity:
         traj1 = static_traj([0, 0, 0], particle=POS)
         with pytest.raises(SuperluminalError):
             post_jump_velocity(traj1, far_partner(), 0.0, [1.0, 0, 0])
+
+
+class TestJumpFeasibility:
+    """The closed form p*/e* is accepted only on the mass shell."""
+
+    @staticmethod
+    def off_shell(rel):
+        _traj1, traj2, v_pre, v_post, mass = engineered_jump_instance()
+        traj1 = polygonal_from_vertices(
+            [(-40.0, -40.0 * v_pre), (0.0, [0, 0, 0]), (40.0, 40.0 * v_post)],
+            ParticleParams(mass=mass * (1.0 + rel), charge=1.0),
+        )
+        return traj1, traj2, v_pre, v_post
+
+    def test_tiny_mass_defect_is_accepted(self):
+        traj1, traj2, v_pre, v_post = self.off_shell(1e-9)
+        solved = post_jump_velocity(traj1, traj2, 0.0, v_pre)
+        assert_allclose(solved, v_post, rtol=0, atol=1e-9)
+
+    def test_one_percent_mass_defect_is_infeasible(self):
+        traj1, traj2, v_pre, _v_post = self.off_shell(1e-2)
+        with pytest.raises(InfeasibleJumpError):
+            post_jump_velocity(traj1, traj2, 0.0, v_pre)
+
+    def test_spacelike_currents_are_infeasible(self):
+        traj1, traj2, v_pre, _v_post, mass = engineered_jump_instance()
+        kappa = 3.0
+        x1 = traj1.position(0.0)
+        (W_p, w_p), (W_m, w_m) = (branch_sums(cone_pair(traj2, 0.0, x1, side))
+                                  for side in (Side.RIGHT, Side.LEFT))
+        gamma_pre = 1.0 / math.sqrt(1.0 - v_pre @ v_pre)
+        p_star = mass * gamma_pre * v_pre + kappa * (W_p - W_m)
+        e_star = mass * gamma_pre + kappa * (w_p - w_m)
+        assert 0.0 < e_star and e_star**2 <= p_star @ p_star  # no real mass
+        with pytest.raises(InfeasibleJumpError):
+            post_jump_velocity(traj1, traj2, 0.0, v_pre, kappa=kappa)

@@ -230,7 +230,6 @@ class TestMinimize:
         assert init.theta[sl][-1] == 0.0
         d1, _ = decode(init)
         assert_allclose(d1.velocity(0.0, Side.LEFT), v_pre, atol=1e-12)
-        _, _, report = minimize(boundary, init, {"max_iter": 2, "gtol": 1e-10,
-                                                 "free_break_times": True})
+        _, _, report = minimize(boundary, init, {"max_iter": 2, "gtol": 1e-10})
         for k, before, after in report.descent_log:
             assert after <= before + 1e-12
