@@ -55,6 +55,7 @@ from .farfield import (
     b_via_second_derivative,
     field_map,
     gah_residual,
+    gah_residuals,
     latlong_mesh,
     lw_far,
     poynting_flux,
@@ -62,7 +63,14 @@ from .farfield import (
     wf_far,
     write_field_csv,
 )
-from .lightcone import Branch, ConeSolution, cone_time, far_cone_time, influence_interval
+from .lightcone import (
+    Branch,
+    ConeSolution,
+    cone_time,
+    far_cone_time,
+    far_cone_times,
+    influence_interval,
+)
 from .momentum import (
     BreakResidual,
     break_residual,

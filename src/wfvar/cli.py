@@ -35,7 +35,7 @@ from .core import (
     vec3,
 )
 from .errors import ConfigError, WfvarError
-from .farfield import GUARD_BAND, gah_residual, latlong_mesh, sphere_flux
+from .farfield import GUARD_BAND, gah_residuals, latlong_mesh, sphere_flux
 from .optimizer import MinimizerReport, discretize, minimize, one_sided_actions, verify
 from .shortrange import (
     SeparationFamilyParams,
@@ -176,11 +176,11 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("scenario needs a list of exactly two particles")
     try:
         particles = tuple(
-            ParticleParams(float(p["mass"]), float(p["charge"]))
+            ParticleParams(_real(p["mass"]), _real(p["charge"]))
             for p in raw_particles
         )
         kappa = data.get("kappa")
-        kappa = None if kappa is None else float(kappa)
+        kappa = None if kappa is None else _real(kappa)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed particle or kappa entry: {exc}") from exc
     options = data.get("options", {})
@@ -198,13 +198,13 @@ def load_scenario(path) -> Scenario:
         try:
             window2 = raw_b.get("window2")
             if window2 is not None:
-                window2 = (float(window2[0]), float(window2[1]))
+                window2 = (_real(window2[0]), _real(window2[1]))
             boundary = BoundaryData(
-                float(raw_b["start_time"]),
-                float(raw_b["end_time"]),
+                _real(raw_b["start_time"]),
+                _real(raw_b["end_time"]),
                 history1=traj1,
                 history2=traj2,
-                k2=float(raw_b.get("k2", 0.0)),
+                k2=_real(raw_b.get("k2", 0.0)),
                 window2=window2,
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -262,14 +262,22 @@ def _count(minimum: int = 0):
     return convert
 
 
+def _real(value) -> float:
+    """A JSON number as a float; booleans, which `float` would take as 0 or
+    1, are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(values) -> list:
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 def _time_range(value) -> tuple:
     """[start, stop, count] of a time scan."""
     a, b, count = value
-    return float(a), float(b), _count()(count)
+    return _real(a), _real(b), _count()(count)
 
 
 def _scan_times(options: dict) -> list:
@@ -301,7 +309,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
 def _t1_grid(value) -> np.ndarray:
     """[start, stop, count] with an integer count, else a list of times."""
     if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
-        return np.linspace(float(value[0]), float(value[1]), _count()(value[2]))
+        return np.linspace(_real(value[0]), _real(value[1]), _count()(value[2]))
     return np.asarray(_floats(value))
 
 
@@ -336,14 +344,14 @@ def _cmd_action(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", float, 1e-6)
+    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", _real, 1e-6)
     report = verify(
         scen.traj1,
         scen.traj2,
         scen.boundary,
         n_points=_option(scen.options, "n_points", _count(1), 9),
         el_tol=el_tol,
-        break_tol=_option(scen.options, "break_tol", float, 1e-8),
+        break_tol=_option(scen.options, "break_tol", _real, 1e-8),
         kappa=scen.kappa,
     )
     path = out / "verify.csv"
@@ -357,15 +365,17 @@ def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
     dirs = _directions(scen.options, 32)
-    guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
+    guard = float(tol) if tol is not None else _option(scen.options, "guard", _real, GUARD_BAND)
+    # lanes run time-major: every direction at the first time, then the next
+    lane_t = np.repeat(times, len(dirs))
+    lane_n = np.tile(dirs, (len(times), 1))
+    res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n, guard=guard)
     rows = []
-    for t in times:
-        for n in dirs:
-            g = gah_residual(scen.traj1, scen.traj2, t, n, guard=guard)
-            if g is None:
-                rows.append((t, n[0], n[1], n[2], 0.0, 0.0, 0.0, 0))
-            else:
-                rows.append((t, n[0], n[1], n[2], g[0], g[1], g[2], 1))
+    for t, n, g, ok in zip(lane_t, lane_n, res, defined):
+        if ok:
+            rows.append((t, n[0], n[1], n[2], g[0], g[1], g[2], 1))
+        else:
+            rows.append((t, n[0], n[1], n[2], 0.0, 0.0, 0.0, 0))
     path = out / "gah_scan.csv"
     emit_report(
         ReportTable(("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined"),
@@ -380,12 +390,12 @@ def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     times = _scan_times(scen.options)
     if "radius" not in scen.options:
         raise ConfigError("flux options need a radius")
-    radius = _option(scen.options, "radius", float)
+    radius = _option(scen.options, "radius", _real)
     if radius <= 0.0:
         raise ConfigError("flux radius must be positive")
     mesh = _option(scen.options, "mesh", _mesh)
     retarded_only = _option(scen.options, "retarded_only", _flag, False)
-    guard = float(tol) if tol is not None else _option(scen.options, "guard", float, GUARD_BAND)
+    guard = float(tol) if tol is not None else _option(scen.options, "guard", _real, GUARD_BAND)
     rows = []
     for t in times:
         value = sphere_flux(scen.traj1, scen.traj2, t, radius, mesh=mesh,
@@ -429,7 +439,7 @@ def _cmd_construct_partner(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         raise ConfigError("construct-partner options need a t1_grid")
     t1_grid = _option(scen.options, "t1_grid", _t1_grid)
     spread_tol = float(tol) if tol is not None else _option(
-        scen.options, "spread_tol", float, 1e-6)
+        scen.options, "spread_tol", _real, 1e-6)
     traj1, report = construct_partner(
         scen.traj2,
         scen.family,
@@ -454,7 +464,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
-        seed = (int(seed_opt[0]), float(seed_opt[1]))
+        seed = (int(seed_opt[0]), _real(seed_opt[1]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError("seed must be [particle, time]") from exc
     chain = sewing_chain(
@@ -475,7 +485,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": float, "max_iter": _count(), "el_tol": float, "break_tol": float}
+    kinds = {"gtol": _real, "max_iter": _count(), "el_tol": _real, "break_tol": _real}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
     if tol is not None:
@@ -483,8 +493,7 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     break_times = scen.options.get("break_times")
     if break_times is not None:
         try:
-            break_times = ([float(t) for t in break_times[0]],
-                           [float(t) for t in break_times[1]])
+            break_times = (_floats(break_times[0]), _floats(break_times[1]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(
                 "break_times must be two lists, one per particle"

@@ -22,10 +22,12 @@ from .errors import ConfigError, ContractError, DomainError, SuperluminalError
 __all__ = [
     "Vec3",
     "vec3",
+    "cross",
     "Side",
     "ParticleParams",
     "Segment",
     "SegmentChain",
+    "PackedChain",
     "PiecewiseTrajectory",
     "ValidationReport",
     "BoundaryData",
@@ -60,6 +62,19 @@ def vec3(x, y=None, z=None) -> Vec3:
     if not np.all(np.isfinite(v)):
         raise DomainError(f"non-finite vector components: {v}")
     return v
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of (..., 3) float arrays, broadcast against each other.
+
+    Written out by components in ``np.cross``'s operation order, so it is
+    bit-identical to it (signed zeros included) without its axis handling.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 class Side(Enum):
@@ -257,6 +272,47 @@ def _junction_gaps(segs) -> list:
 
 
 @dataclass(frozen=True)
+class PackedChain:
+    """A segment chain as arrays, for evaluating many times at once.
+
+    ``rows[m]`` holds the order-m (position, velocity, acceleration) rows of
+    every segment as an (nseg, 3, K_m) array, ascending powers, padded with
+    zeros at the high end; the padding leaves Horner's result bit for bit
+    unchanged.
+    """
+
+    knots: np.ndarray  # (nseg + 1,): every segment start, then the chain's end
+    rows: tuple  # three (nseg, 3, K_m) arrays
+    knot_positions: np.ndarray  # (nseg + 1, 3): right-sided position at each knot
+
+    @classmethod
+    def of(cls, segments) -> "PackedChain":
+        knots = np.array([s.t_start for s in segments] + [segments[-1].t_end])
+        rows = []
+        for m in range(3):
+            k = max(len(s._rows[m][0]) for s in segments)
+            packed = np.zeros((len(segments), 3, k))
+            for i, s in enumerate(segments):
+                packed[i, :, : len(s._rows[m][0])] = s._rows[m]
+            rows.append(packed)
+        chain = cls(knots, tuple(rows), None)
+        index = np.minimum(np.arange(knots.size), len(segments) - 1)
+        object.__setattr__(chain, "knot_positions", chain.at(index, knots))
+        return chain
+
+    def at(self, index, ts, order: int = 0) -> np.ndarray:
+        """(M, 3) values of segments ``index`` at times ``ts`` (both (M,)),
+        by Horner in ``Segment.at``'s operation order: each lane is
+        bit-identical to ``Segment.at``."""
+        c = self.rows[order][index]
+        u = (np.asarray(ts, dtype=float) - self.knots[index])[:, None]
+        acc = c[:, :, -1] + u * 0
+        for k in range(c.shape[2] - 2, -1, -1):
+            acc = c[:, :, k] + acc * u
+        return acc
+
+
+@dataclass(frozen=True)
 class SegmentChain:
     """An ordered chain of exactly abutting segments on [t_start, t_end].
 
@@ -304,6 +360,36 @@ class SegmentChain:
                     f"time {t} outside domain [{self.t_start}, {self.t_end}]")
         find = bisect_right if side is Side.RIGHT else bisect_left
         return self.segments[find(self._junctions, t)]
+
+    @property
+    def packed(self) -> PackedChain:
+        """The chain's array layout, built on first use."""
+        packed = self.__dict__.get("_packed")
+        if packed is None:
+            packed = PackedChain.of(self.segments)
+            object.__setattr__(self, "_packed", packed)
+        return packed
+
+    def segment_indices(self, ts, side: Side = Side.RIGHT) -> np.ndarray:
+        """Indices of the segments governing each of the times ``ts``, by
+        `segment_at`'s rule, edge slack and DomainError included."""
+        ts = np.asarray(ts, dtype=float)
+        outside = (ts < self.t_start) | (ts > self.t_end)
+        if outside.any():
+            slack = _EDGE_SLACK * np.maximum(1.0, np.abs(ts))
+            far = (ts < self.t_start - slack) | (ts > self.t_end + slack)
+            if far.any():
+                raise DomainError(f"time {ts[far][0]} outside domain "
+                                  f"[{self.t_start}, {self.t_end}]")
+        junctions = self.packed.knots[1:-1]
+        return np.searchsorted(junctions, ts, side=side.value)
+
+    def evaluate(self, ts, order: int = 0, side: Side = Side.RIGHT) -> np.ndarray:
+        """Position (order 0), velocity (1) or acceleration (2) at each of the
+        times ``ts`` ((M,)), as an (M, 3) array; lane i is bit-identical to
+        ``segment_at(ts[i], side).at(ts[i], order)``."""
+        ts = np.asarray(ts, dtype=float)
+        return self.packed.at(self.segment_indices(ts, side), ts, order)
 
 
 @dataclass(frozen=True)

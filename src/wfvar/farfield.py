@@ -19,24 +19,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, Vec3, vec3
+from .core import PiecewiseTrajectory, Vec3, cross, vec3
 from .errors import CoverageError, DomainError
-from .lightcone import Branch, far_cone_time
+from .lightcone import Branch, far_cone_time, far_cone_times
 
 GUARD_BAND = 1e-9
+_BOTH_BRANCHES = (Branch.RETARDED, Branch.ADVANCED)
+
+
+def _units(dirs) -> np.ndarray:
+    """Directions as an (M, 3) array of finite rows with |n|^2 within 1e-9 of 1."""
+    d = np.asarray(dirs, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise DomainError(f"directions must have shape (M, 3), got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise DomainError("non-finite direction components")
+    sq = (d * d).sum(axis=1)
+    off = np.abs(sq - 1.0) > 1e-9
+    if off.any():
+        raise DomainError(f"direction must be a unit vector, got |n|^2 = {sq[off][0]}")
+    return d
 
 
 def _unit(n) -> Vec3:
-    n = vec3(n)
-    if abs(float(n @ n) - 1.0) > 1e-9:
-        raise DomainError(f"direction must be a unit vector, got |n|^2 = {n @ n}")
-    return n
+    return _units(vec3(n)[None])[0]
 
 
-def _near_break(traj: PiecewiseTrajectory, t_k: float, guard: float) -> bool:
-    """Whether a junction lies within `guard` of t_k; only the two junctions
-    around t_k can be the nearest."""
-    return any(abs(t_k - l) < guard for l in traj.adjacent_junctions(t_k))
+def _dot(a, b):
+    """Row-wise dot product of (..., 3) arrays."""
+    return (a * b).sum(axis=-1)
+
+
+def _near_break(traj: PiecewiseTrajectory, t_k: np.ndarray, guard: float) -> np.ndarray:
+    """Whether a junction lies within `guard` of each time t_k; only the two
+    junctions around a time can be the nearest."""
+    junctions = traj.packed.knots[1:-1]
+    if not junctions.size:
+        return np.zeros(t_k.shape, dtype=bool)
+    i = np.searchsorted(junctions, t_k)
+    below = junctions[np.maximum(i - 1, 0)]
+    above = junctions[np.minimum(i, junctions.size - 1)]
+    return (np.abs(t_k - below) < guard) | (np.abs(t_k - above) < guard)
 
 
 def _far_kinematics(traj, t, n, R, branch):
@@ -47,11 +70,18 @@ def _far_kinematics(traj, t, n, R, branch):
 
 
 def _lw_field(q, n, R, v, a, branch):
-    """One charge's far electric field; the advanced branch is the time
-    reflection."""
+    """One charge's far electric field, per (..., 3) row; the advanced branch
+    is the time reflection."""
     s = float(branch.sign)  # +1 retarded, -1 advanced
-    g = 1.0 - s * float(n @ v)
-    return (q / R) * np.cross(n, np.cross(n - s * v, a)) / g**3
+    g = np.asarray(1.0 - s * _dot(n, v))[..., None]
+    return (q / R) * cross(n, cross(n - s * v, a)) / g**3
+
+
+def _second_derivative(n, v, a, branch):
+    """d^2/dt^2 x(t_k(t)) per (..., 3) row (see `b_via_second_derivative`)."""
+    s = float(branch.sign)
+    g = np.asarray(1.0 - s * _dot(n, v))[..., None]
+    return a / g**2 + s * _dot(n, a)[..., None] * v / g**3
 
 
 def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -62,7 +92,7 @@ def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
         raise DomainError("sphere radius must be positive")
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     e = _lw_field(traj.particle.charge, n, R, v, a, branch)
-    return e, float(branch.sign) * np.cross(n, e)
+    return e, float(branch.sign) * cross(n, e)
 
 
 def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -82,9 +112,7 @@ def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
         raise DomainError("sphere radius must be positive")
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     s = float(branch.sign)
-    g = 1.0 - s * float(n @ v)
-    d2 = a / g**2 + s * float(n @ a) * v / g**3
-    return -s * (traj.particle.charge / R) * np.cross(n, d2)
+    return -s * (traj.particle.charge / R) * cross(n, _second_derivative(n, v, a, branch))
 
 
 @dataclass(frozen=True)
@@ -107,39 +135,63 @@ class FarFieldSample:
     defined: bool
 
 
-def _branch_totals(trajs, t, n, R, guard, branches=(Branch.RETARDED, Branch.ADVANCED)):
-    """Summed E per branch over the given charges, plus the guard flag."""
-    e_ret = np.zeros(3)
-    e_adv = np.zeros(3)
-    defined = True
+def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=_lw_field):
+    """Per-lane sums of `field` over the given charges, one (M, 3) array per
+    branch, and the lanes' guard flags.
+
+    Lane i is the event time t (or t[i]) in direction dirs[i]; every charge
+    and branch solves all lanes in one `far_cone_times` pass.
+    """
+    totals = {branch: np.zeros(dirs.shape) for branch in branches}
+    defined = np.ones(dirs.shape[0], dtype=bool)
     for traj in trajs:
         for branch in branches:
-            t_k, v, a = _far_kinematics(traj, t, n, R, branch)
-            if _near_break(traj, t_k, guard):
-                defined = False
-            e = _lw_field(traj.particle.charge, n, R, v, a, branch)
-            if branch is Branch.RETARDED:
-                e_ret += e
-            else:
-                e_adv += e
-    return e_ret, e_adv, defined
+            t_k = far_cone_times(traj, t, dirs, R, branch)
+            defined &= ~_near_break(traj, t_k, guard)
+            v, a = traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
+            totals[branch] += field(traj.particle.charge, dirs, R, v, a, branch)
+    return totals, defined
+
+
+def _gah_field(q, n, R, v, a, branch):
+    """One charge's share of the gah residual: q d^2/dt^2 x(t_k)."""
+    return q * _second_derivative(n, v, a, branch)
+
+
+def _samples(t, dirs, R, totals, defined) -> list:
+    e_ret, e_adv = totals[Branch.RETARDED], totals[Branch.ADVANCED]
+    b_ret, b_adv = cross(dirs, e_ret), cross(dirs, e_adv)
+    e_tot = 0.5 * (e_adv + e_ret)
+    b_tot = 0.5 * b_adv - 0.5 * b_ret
+    return [FarFieldSample(t=t, n=dirs[i], R=R, E_ret=e_ret[i], B_ret=b_ret[i],
+                           E_adv=e_adv[i], B_adv=-b_adv[i], E=e_tot[i], B=b_tot[i],
+                           defined=bool(defined[i]))
+            for i in range(dirs.shape[0])]
 
 
 def wf_far(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
            n, R: float, guard: float = GUARD_BAND) -> FarFieldSample:
     """Half-advanced plus half-retarded fields of both charges at (t, R n)."""
-    n = _unit(n)
+    dirs = _unit(n)[None]
     if R <= 0.0:
         raise DomainError("sphere radius must be positive")
-    e_ret, e_adv, defined = _branch_totals((traj1, traj2), t, n, R, guard)
-    return FarFieldSample(
-        t=t, n=n, R=R,
-        E_ret=e_ret, B_ret=np.cross(n, e_ret),
-        E_adv=e_adv, B_adv=-np.cross(n, e_adv),
-        E=0.5 * (e_adv + e_ret),
-        B=0.5 * np.cross(n, e_adv) - 0.5 * np.cross(n, e_ret),
-        defined=defined,
-    )
+    totals, defined = _branch_totals((traj1, traj2), t, dirs, R, guard)
+    return _samples(t, dirs, R, totals, defined)[0]
+
+
+def gah_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
+                  t, dirs, guard: float = GUARD_BAND) -> tuple:
+    """`gah_residual` for many lanes at once: sphere times `t` (a float or
+    (M,)) with unit directions `dirs` ((M, 3)).
+
+    Returns the (M, 3) residuals and the (M,) flags of the lanes where both
+    retarded cone times stay out of every guard band; the residual of an
+    undefined lane is a one-sided value and carries no meaning.
+    """
+    dirs = _units(dirs)
+    totals, defined = _branch_totals((traj1, traj2), t, dirs, 0.0, guard,
+                                     (Branch.RETARDED,), field=_gah_field)
+    return -cross(dirs, totals[Branch.RETARDED]), defined
 
 
 def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -151,28 +203,24 @@ def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     band of a breaking time; vanishing almost everywhere characterizes
     non-radiating pairs.
     """
-    n = _unit(n)
-    total = np.zeros(3)
-    for traj in (traj1, traj2):
-        t_k, v, a = _far_kinematics(traj, t, n, 0.0, Branch.RETARDED)
-        if _near_break(traj, t_k, guard):
-            return None
-        g = 1.0 - float(n @ v)
-        d2 = a / g**2 + float(n @ a) * v / g**3
-        total += traj.particle.charge * d2
-    return -np.cross(n, total)
+    residuals, defined = gah_residuals(traj1, traj2, t, _unit(n)[None], guard)
+    return residuals[0] if defined[0] else None
 
 
-def poynting_flux(E_adv, E_ret) -> float:
-    """Radial component of the generalized Poynting vector."""
-    E_adv = vec3(E_adv)
-    E_ret = vec3(E_ret)
-    return 0.25 * (float(E_adv @ E_adv) - float(E_ret @ E_ret))
+def poynting_flux(E_adv, E_ret):
+    """Radial component of the generalized Poynting vector, per (..., 3) row."""
+    E_adv = np.asarray(E_adv, dtype=float)
+    E_ret = np.asarray(E_ret, dtype=float)
+    return 0.25 * (_dot(E_adv, E_adv) - _dot(E_ret, E_ret))
 
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """Direction set with mean-one quadrature weights (sum(w) = 1)."""
+    """Direction set with mean-one quadrature weights (sum(w) = 1).
+
+    Raises DomainError unless there is at least one direction, every
+    direction is a unit vector and every weight is finite and positive.
+    """
 
     directions: np.ndarray  # (M, 3) unit rows
     weights: np.ndarray  # (M,), positive, summing to 1
@@ -182,7 +230,11 @@ class SphereMesh:
         w = np.asarray(self.weights, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3 or w.shape != (d.shape[0],):
             raise DomainError("mesh needs (M, 3) directions and (M,) weights")
-        object.__setattr__(self, "directions", d)
+        if not d.shape[0]:
+            raise DomainError("mesh needs at least one direction")
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise DomainError("mesh weights must be finite and positive")
+        object.__setattr__(self, "directions", _units(d))
         object.__setattr__(self, "weights", w)
 
     def __len__(self):
@@ -212,7 +264,10 @@ def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
               guard: float = GUARD_BAND) -> list:
     """Far-field samples over a whole direction mesh at one time."""
     mesh = latlong_mesh() if mesh is None else mesh
-    return [wf_far(traj1, traj2, t, n, R, guard=guard) for n in mesh.directions]
+    if R <= 0.0:
+        raise DomainError("sphere radius must be positive")
+    totals, defined = _branch_totals((traj1, traj2), t, mesh.directions, R, guard)
+    return _samples(t, mesh.directions, R, totals, defined)
 
 
 def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
@@ -231,25 +286,20 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     if R <= 0.0:
         raise DomainError("sphere radius must be positive")
     trajs = (traj1,) if traj2 is None else (traj1, traj2)
-
-    branches = (Branch.RETARDED,) if retarded_only else (Branch.RETARDED, Branch.ADVANCED)
-
-    covered = 0.0
-    total = 0.0
-    skipped = 0
-    for n, w in zip(mesh.directions, mesh.weights):
-        e_ret, e_adv, defined = _branch_totals(trajs, t, n, R, guard, branches=branches)
-        if not defined:
-            skipped += 1
-            continue
-        value = -float(e_ret @ e_ret) if retarded_only else poynting_flux(e_adv, e_ret)
-        covered += w
-        total += w * value
+    branches = (Branch.RETARDED,) if retarded_only else _BOTH_BRANCHES
+    totals, defined = _branch_totals(trajs, t, mesh.directions, R, guard, branches)
+    e_ret = totals[Branch.RETARDED]
+    if retarded_only:
+        values = -_dot(e_ret, e_ret)
+    else:
+        values = poynting_flux(totals[Branch.ADVANCED], e_ret)
+    skipped = len(mesh) - int(defined.sum())
     if skipped > 0.10 * len(mesh):
         raise CoverageError(
             f"{skipped} of {len(mesh)} sphere samples fall in guard bands"
         )
-    return R * R * total / covered
+    w = mesh.weights[defined]
+    return R * R * float(w @ values[defined]) / float(w.sum())
 
 
 def write_field_csv(samples, path) -> None:

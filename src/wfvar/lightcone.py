@@ -27,7 +27,7 @@ from .errors import (
 )
 
 __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
-           "far_cone_time", "influence_interval"]
+           "far_cone_time", "far_cone_times", "influence_interval"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
@@ -356,6 +356,113 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
             f"far cone time {t_k} outside trajectory domain [{lo}, {hi}]"
         )
     return float(min(max(t_k, lo), hi))
+
+
+def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
+                   branch: Branch = Branch.RETARDED) -> np.ndarray:
+    """`far_cone_time` for many lanes at once: event times `t` (a float or
+    (M,)) with unit directions `dirs` ((M, 3)), all at radius R.
+
+    The residual is monotone, so its values at the chain's knots bracket
+    each lane's root between two adjacent knots; a vectorized binary search
+    finds them in O(M log nseg).  A root outside the domain, where x is held
+    at its end value, has slope -1 and is solved in closed form, with
+    `far_cone_time`'s 1e-9 slack.  Inside a segment, Newton steps fall back
+    to bisection, with `far_cone_time`'s tolerances and _MAX_ITER budget.
+    Errors match `far_cone_time`'s, for the first failing lane.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise DomainError(f"directions must have shape (M, 3), got {dirs.shape}")
+    if not np.all(np.isfinite(dirs)):
+        raise DomainError("non-finite direction components")
+    off_unit = np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9
+    if off_unit.any():
+        raise DomainError(f"direction must be a unit vector, |n| = "
+                          f"{np.linalg.norm(dirs[off_unit][0])}")
+    if R < 0.0:
+        raise DomainError("R must be nonnegative")
+    R = float(R)
+    t = np.broadcast_to(np.asarray(t, dtype=float), dirs.shape[:1])
+    sign = branch.sign
+    n0, n1, n2 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        lane = bad[0]
+        raise ConeSolveError(f"{branch.value} far cone of event t={t[lane]} has no "
+                             f"finite residual", (float(t[lane]), dirs[lane], R), branch)
+    scale = np.maximum(1.0, np.abs(t) + R)
+    packed = traj.packed
+    knots, xk = packed.knots, packed.knot_positions
+    last = knots.size - 1
+    every = slice(None)
+
+    def residual(lanes, t_k, x):
+        """far_cone_time's residual of `lanes` at times t_k, positions x."""
+        nx = n0[lanes] * x[:, 0] + n1[lanes] * x[:, 1] + n2[lanes] * x[:, 2]
+        return (t[lanes] - t_k) - sign * (R - nx)
+
+    # k: the first knot whose residual is <= 0 (last + 1 if none is)
+    k = np.zeros(t.shape, dtype=np.intp)
+    hi = np.full(t.shape, last + 1)
+    while (k < hi).any():
+        mid = np.minimum((k + hi) // 2, last)
+        above = residual(every, knots[mid], xk[mid]) > 0.0
+        k, hi = np.where((k < hi) & above, mid + 1, k), np.where((k < hi) & ~above, mid, hi)
+    gk = residual(every, knots[np.minimum(k, last)], xk[np.minimum(k, last)])
+    on_knot = (k <= last) & (gk == 0.0)
+    t_k = knots[np.minimum(k, last)]
+
+    # outside the domain x is held at its end value, so the slope is -1 and
+    # the residual at t_k = 0 is the root
+    for lanes, j in (np.flatnonzero((k == 0) & ~on_knot), 0), (np.flatnonzero(k > last), last):
+        root = residual(lanes, 0.0, xk[j:j + 1])
+        slack = 1e-9 * np.maximum(1.0, np.abs(root))
+        exits = (root < knots[0] - slack) | (root > knots[-1] + slack)
+        if exits.any():
+            raise InsufficientHistoryError(
+                f"far cone time {root[exits][0]} outside trajectory domain "
+                f"[{knots[0]}, {knots[-1]}]")
+        t_k[lanes] = knots[j]
+
+    # inside segment k - 1: Newton from the secant point, bisection whenever
+    # a step leaves the bracket; lanes drop out as they finish
+    lanes = np.flatnonzero((k >= 1) & (k <= last) & ~on_knot)
+    seg = k[lanes] - 1
+    a, b = knots[seg], knots[seg + 1]
+    ga, gb = residual(lanes, a, xk[seg]), gk[lanes]
+    s = np.minimum(np.maximum(a + ga * (b - a) / (ga - gb), a), b)
+    for _ in range(_MAX_ITER):
+        if not lanes.size:
+            break
+        g = residual(lanes, s, packed.at(seg, s))
+        v = packed.at(seg, s, 1)
+        step = s - g / (-1.0 + sign * (n0[lanes] * v[:, 0] + n1[lanes] * v[:, 1]
+                                       + n2[lanes] * v[:, 2]))
+        done = np.abs(g) <= 1e-13 * scale[lanes]
+        # one polishing step, kept inside the bracket (see _monotone_root)
+        t_k[lanes[done]] = np.where((a < step) & (step < b), step, s)[done]
+        a, b = np.where(g > 0.0, s, a), np.where(g > 0.0, b, s)
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        stalled = ~done & (step == s)
+        off = stalled & (np.abs(g) > 1e-12 * scale[lanes])
+        if off.any():
+            raise ConvergenceError(f"far cone residual {g[off][0]:.3g} at t_k={s[off][0]}")
+        t_k[lanes[stalled]] = s[stalled]
+        keep = ~(done | stalled)
+        lanes, seg, a, b, s = lanes[keep], seg[keep], a[keep], b[keep], step[keep]
+    if lanes.size:
+        g = residual(lanes, s, packed.at(seg, s))
+        off = np.abs(g) > 1e-12 * scale[lanes]
+        if off.any():
+            lane = lanes[off][0]
+            raise ConeSolveError(
+                f"{branch.value} far cone root of event t={t[lane]} did not converge: "
+                f"residual {g[off][0]:.3g} after {_MAX_ITER} iterations",
+                (float(t[lane]), dirs[lane], R), branch)
+        t_k[lanes] = s
+    return t_k
 
 
 def influence_interval(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

@@ -25,6 +25,7 @@ from .core import (
     ParticleParams,
     PiecewiseTrajectory,
     Vec3,
+    cross,
     fd_node_velocities,
     hermite_trajectory,
     polygonal_from_vertices,
@@ -40,7 +41,7 @@ from .errors import (
     InsufficientSamplingError,
     SuperluminalError,
 )
-from .lightcone import Branch, cone_time, far_cone_time
+from .lightcone import Branch, cone_time, far_cone_times
 
 DEFAULT_LMAX = 4
 
@@ -194,7 +195,7 @@ class SeparationFamilyParams:
         def l_func(n, piece):
             _, v1, _, v2 = piece
             lhs = v1 / (1.0 - float(n @ v1)) - v2 / (1.0 - float(n @ v2))
-            return np.cross(n, lhs)
+            return cross(n, lhs)
 
         d_funcs = tuple(
             (lambda n, e=t_edges[i], pc=pc: d_func(n, e, pc))
@@ -259,7 +260,7 @@ def separation_family(params: SeparationFamilyParams, t: float, n,
     sigma = params.interval_index(t)
     d = params.d_sigma(sigma, n)
     l_vec = params.l_sigma(sigma, n)
-    return d + dt12 * n - (t - params.t_edges[sigma]) * np.cross(n, l_vec)
+    return d + dt12 * n - (t - params.t_edges[sigma]) * cross(n, l_vec)
 
 
 def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams:
@@ -278,7 +279,7 @@ def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams
             n = vec3(n)
             total = params.d_sigma(0, n)
             for j in range(sigma):
-                total = total - widths[j] * np.cross(n, params.l_sigma(j, n))
+                total = total - widths[j] * cross(n, params.l_sigma(j, n))
             return total
 
         return func
@@ -445,31 +446,29 @@ class ConsistencyReport:
     max_spread: float
 
 
-def _candidate(traj2, params, n, t1, x1):
-    """One direction's reconstruction of x1(t1) given a trial position, with
-    the sphere time, the partner's cone time and its segment there."""
-    t = t1 - float(n @ x1)
-    t2 = far_cone_time(traj2, t, n, 0.0, Branch.RETARDED)
-    seg = traj2.segment_at(t2)
-    x2 = np.array(seg.at(t2))
-    return x2 + separation_family(params, t, n, t1 - t2), t, t2, seg
+def _candidates(traj2, params, n_grid, t1, x1):
+    """Every direction's reconstruction of x1(t1) given a trial position, with
+    the sphere times and the partner's cone times, all directions solved in
+    one far-cone pass."""
+    t = t1 - (n_grid * x1).sum(axis=1)
+    t2 = far_cone_times(traj2, t, n_grid, 0.0, Branch.RETARDED)
+    seps = np.stack([separation_family(params, ti, n, t1 - t2i)
+                     for ti, n, t2i in zip(t, n_grid, t2)])
+    return traj2.evaluate(t2) + seps, t, t2
 
 
 def _solve_position(traj2, params, n_grid, t1, x0):
     """Least-squares position from the stacked per-direction relations."""
     x = vec3(x0).copy()
-    m = n_grid.shape[0]
-    res = np.empty(3 * m)
-    jac = np.empty((3 * m, 3))
     for _ in range(60):
-        for i, n in enumerate(n_grid):
-            cand, t, t2, seg = _candidate(traj2, params, n, t1, x)
-            v2 = np.array(seg.at(t2, 1))
-            sigma = params.interval_index(t)
-            l_vec = params.l_sigma(sigma, n)
-            drhs_dt = (v2 - n) / (1.0 - float(n @ v2)) - np.cross(n, l_vec)
-            res[3 * i:3 * i + 3] = x - cand
-            jac[3 * i:3 * i + 3, :] = np.eye(3) + np.outer(drhs_dt, n)
+        cands, t, t2 = _candidates(traj2, params, n_grid, t1, x)
+        v2 = traj2.evaluate(t2, 1)
+        l_vecs = np.stack([params.l_sigma(params.interval_index(ti), n)
+                           for ti, n in zip(t, n_grid)])
+        doppler = 1.0 - (n_grid * v2).sum(axis=1)
+        drhs_dt = (v2 - n_grid) / doppler[:, None] - cross(n_grid, l_vecs)
+        res = (x - cands).reshape(-1)
+        jac = (np.eye(3) + drhs_dt[:, :, None] * n_grid[:, None, :]).reshape(-1, 3)
         delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         x = x + delta
         scale = max(1.0, float(np.linalg.norm(x)))
@@ -503,9 +502,7 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     x_guess = traj2.position(t1s[0])
     for i, t1 in enumerate(t1s):
         x = _solve_position(traj2, params, n_grid, t1, x_guess)
-        cands = np.stack(
-            [_candidate(traj2, params, n, t1, x)[0] for n in n_grid]
-        )
+        cands = _candidates(traj2, params, n_grid, t1, x)[0]
         mean = cands.mean(axis=0)
         positions[i] = mean
         spreads[i] = float(np.linalg.norm(cands - mean, axis=1).max())

@@ -190,6 +190,50 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config"), err
 
+    def test_boolean_times_and_guard_are_config_errors(self, tmp_path, capsys):
+        # float() would read true as t = 1 and false as a zero guard band
+        data = base_scenario(**static_pair(), options={"times": [True], "guard": False})
+        out = tmp_path / "out"
+        assert run("gah-scan", write_scenario(tmp_path, data), out_dir=out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+        assert not (out / "gah_scan.csv").exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0], "guard": True}}),
+        ("gah-scan", {**static_pair(), "options": {"time_range": [False, 1.0, 3]}}),
+        ("flux", {**static_pair(), "options": {"times": [0.0], "radius": True}}),
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": True}}),
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0,
+                                                  "k2": True}}),
+        ("action", {**static_pair(), "kappa": True,
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": {"el_tol": True}}),
+        ("minimize", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                      "options": {"gtol": False}}),
+        ("construct-partner", {
+            "trajectory2": static_record(0.0, 0.0, 0.0),
+            "family": {"kind": "harmonic", "t_start": -50.0, "lmax": 0, "intervals": [
+                {"t_edge": 50.0, "D_coeffs": [[0.0], [5.3], [0.0]],
+                 "L_coeffs": [[0.0], [0.0], [0.0]]}]},
+            "options": {"directions": 8, "t1_grid": [True, 3.0, 5]}}),
+    ], ids=["guard", "time-range-start", "radius", "end-time", "k2", "kappa", "el-tol",
+            "gtol", "t1-grid-start"])
+    def test_boolean_numbers_are_config_errors(self, tmp_path, capsys, command, fields):
+        path = write_scenario(tmp_path, base_scenario(**fields))
+        assert run(command, path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+
+    @pytest.mark.parametrize("key", ["mass", "charge"])
+    def test_boolean_particle_numbers_are_config_errors(self, tmp_path, capsys, key):
+        data = base_scenario(**static_pair(), boundary={"start_time": -1.0, "end_time": 1.0})
+        data["particles"][0][key] = True
+        assert run("action", write_scenario(tmp_path, data), out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+
     @pytest.mark.parametrize("value", ["false", "yes", 1], ids=["false-text", "yes-text", "one"])
     @pytest.mark.parametrize("command, key, fields", [
         ("flux", "retarded_only", {"options": {"times": [0.0], "radius": 5.0}}),

@@ -15,6 +15,7 @@ from wfvar.core import (
     Segment,
     Side,
     add_perturbation,
+    cross,
     hermite_trajectory,
     load_trajectory,
     polygonal_from_vertices,
@@ -186,8 +187,23 @@ def test_segment_lookup_matches_a_linear_scan(chain):
                 if want is None:
                     with pytest.raises(DomainError):
                         chain.segment_at(t, side)
+                    with pytest.raises(DomainError):
+                        chain.segment_indices([chain.t_start, t], side)
                 else:
                     assert chain.segment_at(t, side) is want
+                    index = chain.segment_indices([t], side)[0]
+                    assert chain.segments[index] is want
+
+
+def test_cross_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(100_000, 3)), rng.normal(size=(100_000, 3))
+    a[::7] = 0.0  # signed zeros take the same path
+    b[::5] *= -0.0
+    for x, y in ((a, b), (a[0], b), (a, b[0]), (a[3], b[3])):
+        got, want = cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ from wfvar.farfield import (
     b_via_second_derivative,
     field_map,
     gah_residual,
+    gah_residuals,
     latlong_mesh,
     lw_far,
     poynting_flux,
@@ -21,7 +22,7 @@ from wfvar.farfield import (
     wf_far,
     write_field_csv,
 )
-from wfvar.lightcone import Branch
+from wfvar.lightcone import Branch, far_cone_time
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -233,6 +234,32 @@ class TestSphereMesh:
         with pytest.raises(DomainError):
             SphereMesh(np.zeros((4, 2)), np.full(4, 0.25))
 
+    def test_empty_mesh_rejected(self):
+        with pytest.raises(DomainError):
+            SphereMesh(np.zeros((0, 3)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.25])
+    def test_weights_must_be_finite_and_positive(self, bad):
+        mesh = latlong_mesh(3, 4)
+        weights = mesh.weights.copy()
+        weights[5] = bad
+        with pytest.raises(DomainError):
+            SphereMesh(mesh.directions, weights)
+        with pytest.raises(DomainError):
+            SphereMesh(mesh.directions, -mesh.weights)
+
+    def test_directions_must_be_unit_vectors(self):
+        mesh = latlong_mesh(3, 4)
+        for scale in (1.0 + 1e-6, 0.5):
+            dirs = mesh.directions.copy()
+            dirs[2] *= scale
+            with pytest.raises(DomainError):
+                SphereMesh(dirs, mesh.weights)
+        dirs = mesh.directions.copy()
+        dirs[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            SphereMesh(dirs, mesh.weights)
+
 
 class TestSphereFlux:
     def test_static_pair_is_zero(self):
@@ -266,6 +293,63 @@ class TestSphereFlux:
         traj2 = static_traj([0, 2, 0], particle=NEG)
         with pytest.raises(CoverageError):
             sphere_flux(traj1, traj2, 50.0, 49.0, guard=1e6)
+
+
+class TestBatchedAgainstPerDirectionLoops:
+    """The array kernel against the per-direction scalar routes it replaced."""
+
+    def test_field_map_sums_lw_far_per_charge(self):
+        traj1, traj2 = circle_pair()
+        mesh = latlong_mesh(5, 7)
+        samples = field_map(traj1, traj2, 0.3, 6.0, mesh=mesh)
+        scale = max(np.abs(s.E_ret).max() for s in samples)
+        for sample, n in zip(samples, mesh.directions):
+            assert sample.defined
+            for branch, got in ((Branch.RETARDED, sample.E_ret), (Branch.ADVANCED, sample.E_adv)):
+                want = sum(lw_far(traj, 0.3, n, 6.0, branch)[0] for traj in (traj1, traj2))
+                assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+    def test_sphere_flux_matches_a_per_direction_loop(self):
+        traj1, traj2 = cubic_charge(POS), quadratic_charge(0.3, span=1.0, particle=NEG)
+        mesh = latlong_mesh(6, 9)
+        R, t = 0.3, 0.05
+        total = 0.0
+        for n, w in zip(mesh.directions, mesh.weights):
+            e = {b: sum(lw_far(tr, t, n, R, b)[0] for tr in (traj1, traj2)) for b in Branch}
+            total += w * poynting_flux(e[Branch.ADVANCED], e[Branch.RETARDED])
+        want = R * R * total / mesh.weights.sum()
+        got = sphere_flux(traj1, traj2, t, R, mesh=mesh)
+        assert abs(want) > 1e-3
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_gah_residuals_match_the_second_derivative_route(self):
+        # gah(t, n) = R (B1 + B2) at observation time t + R, where both
+        # retarded cone times equal the R-subtracted ones
+        traj1, traj2 = circle_pair()
+        rng = np.random.default_rng(3)
+        dirs = np.array([random_unit(rng) for _ in range(24)])
+        times = rng.uniform(-2.0, 2.0, 24)
+        res, defined = gah_residuals(traj1, traj2, times, dirs)
+        for t, n, g, ok in zip(times, dirs, res, defined):
+            near = any(abs(t_k - j) < 1e-9
+                       for traj in (traj1, traj2)
+                       for t_k in [far_cone_time(traj, t, n, 0.0)]
+                       for j in traj.adjacent_junctions(t_k))
+            assert ok == (not near)
+            want = sum(b_via_second_derivative(traj, t + 1.0, n, 1.0) for traj in (traj1, traj2))
+            assert_allclose(g, want, rtol=0, atol=1e-12)
+            single = gah_residual(traj1, traj2, t, n)
+            assert np.array_equal(single, g)
+
+    def test_gah_residuals_flag_the_vertex_cone_lane(self):
+        traj1 = polygonal_from_vertices(
+            [(-20.0, [-4, 0, 0]), (2.0, [0.4, 0, 0]), (20.0, [0.4, 3.6, 0])], POS
+        )
+        traj2 = static_traj([0, 1, 0], particle=NEG)
+        dirs = np.array([[0.0, 0.0, 1.0]] * 3)
+        res, defined = gah_residuals(traj1, traj2, [2.5, 2.0, 3.0], dirs)
+        assert defined.tolist() == [True, False, True]
+        assert np.abs(res[defined]).max() < 1e-10
 
 
 class TestCsvExport:

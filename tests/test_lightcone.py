@@ -23,6 +23,7 @@ from wfvar.lightcone import (
     cone_crossings,
     cone_time,
     far_cone_time,
+    far_cone_times,
     influence_interval,
 )
 
@@ -336,6 +337,82 @@ def test_far_cone_roots_on_junctions_and_domain_ends(data):
     g = (t - t_k) - branch.sign * (R - float(n @ traj.position(t_k)))
     assert abs(g) <= 1e-12 * max(1.0, abs(t) + R)
     assert abs(t_k - tau) <= 1e-12 * max(1.0, abs(t) + R)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_far_cone_lanes_match_the_scalar_solve(data):
+    # every lane's root sits on a junction or a domain end, where the
+    # batched solve switches between its knot bracket and its closed form
+    traj = data.draw(trajectories())
+    knots = [traj.t_start, traj.t_end] + traj.junction_times()
+    branch = data.draw(st.sampled_from(list(Branch)))
+    R = data.draw(st.sampled_from([0.0, 1.0, 1e3]))
+    lanes = data.draw(st.integers(1, 6))
+    dirs = np.array([unit(data.draw) for _ in range(lanes)])
+    taus = [data.draw(st.sampled_from(knots)) for _ in range(lanes)]
+    t = np.array([tau + branch.sign * (R - float(n @ traj.position(tau)))
+                  for tau, n in zip(taus, dirs)])
+    batched = far_cone_times(traj, t, dirs, R, branch)
+    for i in range(lanes):
+        scale = max(1.0, abs(t[i]) + R)
+        assert traj.t_start <= batched[i] <= traj.t_end
+        assert abs(batched[i] - far_cone_time(traj, t[i], dirs[i], R, branch)) <= 1e-12 * scale
+        assert abs(batched[i] - taus[i]) <= 1e-12 * scale
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_evaluation_is_bit_identical_to_segment_at(data):
+    traj = data.draw(trajectories())
+    interior = [data.draw(st.floats(traj.t_start, traj.t_end)) for _ in range(4)]
+    times = np.array([traj.t_start, traj.t_end] + traj.junction_times() + interior)
+    for side in Side:
+        for order in range(3):
+            packed = traj.evaluate(times, order, side)
+            scalar = [traj.segment_at(t, side).at(t, order) for t in times]
+            assert np.array_equal(bits(packed), bits(scalar))
+
+
+class TestBatchedFarConeErrors:
+    def test_nan_lane_spends_the_budget_with_its_branch(self):
+        traj = static_traj([0, 0, 0])
+        dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        for branch in Branch:
+            with pytest.raises(ConeSolveError) as err:
+                far_cone_times(traj, np.array([0.0, math.nan, 1.0]), dirs, 10.0, branch)
+            assert err.value.branch is branch
+            assert math.isnan(err.value.event[0])
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_root_past_the_slack_raises(self, branch):
+        traj = static_traj([0, 0, 0], t0=-1.0, t1=1.0)
+        s = branch.sign
+        dirs = np.array([[1.0, 0, 0], [1.0, 0, 0]])
+        for end in (-1.0, 1.0):
+            past = 1.0 if end > 0 else -1.0
+            inside = end + s * 100.0
+            t_k = far_cone_times(traj, [inside, inside + past * 5e-10], dirs, 100.0, branch)
+            assert list(t_k) == [end, end]
+            with pytest.raises(InsufficientHistoryError):
+                far_cone_times(traj, [inside, inside + past * 1e-6], dirs, 100.0, branch)
+
+    def test_non_unit_lane_raises(self):
+        dirs = np.array([[1.0, 0, 0], [1.0, 1.0, 0]])
+        with pytest.raises(DomainError):
+            far_cone_times(static_traj([0, 0, 0]), 0.0, dirs, 100.0)
+
+    def test_newton_cycle_across_junctions(self):
+        # the lane of TestFarConeTime.test_newton_cycle_across_junctions
+        traj = polygonal_from_vertices([(-20.0, [-22.4, 0, 0]), (-1.0, [-7.2, 0, 0]),
+                                        (1.0, [-8.8, 0, 0]), (20.0, [6.4, 0, 0])], P)
+        t_k = far_cone_times(traj, [8.0, 5.0], np.array([[1.0, 0, 0], [1.0, 0, 0]]), 0.0)
+        assert abs(t_k[0]) < 1e-12
+        assert abs(t_k[1] - far_cone_time(traj, 5.0, [1, 0, 0], 0.0)) < 1e-12
 
 
 def slow_polygon(draw, times, offset):

@@ -57,6 +57,22 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert hits == []
 
 
+def numpy_cross_calls(path: Path) -> list:
+    """Calls of `np.cross` (or `numpy.cross`) in one module."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "cross" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+def test_package_calls_core_cross_not_numpy_cross():
+    # np.cross spends most of its time on axis handling; core.cross gives
+    # the same bits
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in numpy_cross_calls(path)]
+    assert hits == []
+
+
 def test_import_loads_no_scipy():
     probe = "import sys, wfvar; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", probe], cwd=PACKAGE.parent,
