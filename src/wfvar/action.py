@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import COLLISION_R, Branch, ConeSolution, cone_crossings, cone_pair
+from .lightcone import COLLISION_R, Branch, ConeSolution, cone_crossings, cone_pair, cone_times
 
 __all__ = [
     "ActionWindow",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+#: cells one integral may evaluate below its mesh cells, by halving
+_MAX_CELLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,20 @@ def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
 
 def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
-                        m1: float = 1.0, kappa: float = 1.0) -> float:
-    """Integrand of the delayed action at one point of trajectory 1."""
-    x1, v1 = state1[0], state1[1]
-    v1 = np.asarray(v1, dtype=float)
-    v1sq = float(v1 @ v1)
-    if v1sq >= 1.0:
-        raise DomainError(f"superluminal velocity |v1|^2 = {v1sq}")
-    total = -m1 * math.sqrt(1.0 - v1sq)
+                        m1: float = 1.0, kappa: float = 1.0):
+    """Integrand of the delayed action at one point of trajectory 1, or at M
+    points from (M, 3) state rows and the array-valued solutions of
+    `cone_times`."""
+    v1 = np.asarray(state1[1], dtype=float)
+    v1sq = np.sum(v1 * v1, axis=-1)
+    if np.any(v1sq >= 1.0):
+        raise DomainError(f"superluminal velocity |v1|^2 = {np.max(v1sq)}")
+    total = -m1 * np.sqrt(1.0 - v1sq)
     for sol in (cone_adv, cone_ret):
-        if sol.r < COLLISION_R:
-            raise CollisionError(f"cone distance {sol.r} below collision cutoff")
+        if np.any(sol.r < COLLISION_R):
+            raise CollisionError(f"cone distance {np.min(sol.r)} below collision cutoff")
         rho = sol.doppler  # 1 + n.v (advanced) or 1 - n.v (retarded)
-        total += kappa * (1.0 - float(v1 @ sol.v)) / (2.0 * sol.r * rho)
+        total = total + kappa * (1.0 - np.sum(v1 * sol.v, axis=-1)) / (2.0 * sol.r * rho)
     return total
 
 
@@ -176,39 +179,57 @@ def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     return out
 
 
-def _adaptive_cell(f, a, b, tol, depth=0):
-    """Gauss-Legendre 15 with interval halving until the halves agree."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    coarse = half * float(np.dot(_GL_WEIGHTS, [f(mid + half * u) for u in _GL_NODES]))
-    qh = 0.25 * (b - a)
-    left = qh * float(np.dot(_GL_WEIGHTS, [f(a + qh + qh * u) for u in _GL_NODES]))
-    right = qh * float(np.dot(_GL_WEIGHTS, [f(mid + qh + qh * u) for u in _GL_NODES]))
-    fine = left + right
-    if abs(fine - coarse) <= tol or depth >= 30:
-        if depth >= 30 and abs(fine - coarse) > 1000 * tol:
+def _integrate(f, mesh, rel_target=1e-11) -> float:
+    """Integral over the cells of `mesh` of a vector integrand `f` ((N,)
+    times to (N,) values).
+
+    One rough pass at the cell midpoints sets the absolute scale.  Then,
+    level by level, one call of f evaluates the Gauss-Legendre 15 nodes of
+    every open cell and of its two halves.  A cell whose halves agree with
+    it within its tolerance is done; otherwise its halves open on the next
+    level, each with half its tolerance.  A level-30 cell is accepted unless
+    its gap exceeds 1000 times its tolerance.  Each cell's value is the sum
+    of its halves' values, so the tree sums as a recursive halving would.
+    Stalling at level 30, or halving past _MAX_CELLS cells, raises
+    ConvergenceError.
+    """
+    a, b = np.array(mesh[:-1], dtype=float), np.array(mesh[1:], dtype=float)
+    rough = sum(((b - a) * np.abs(f(0.5 * (a + b)))).tolist())
+    tol = rel_target * max(rough, 1.0) * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)
+    levels, cells, budget = [], 0, a.size + _MAX_CELLS
+    for depth in range(31):
+        if cells + a.size > budget:  # a holds the halves of the open cells
+            worst = np.argmax(gap[open_])
             raise ConvergenceError(
-                f"quadrature stalled on [{a}, {b}]: gap {abs(fine - coarse):.3g}"
-            )
-        return fine
-    return (
-        _adaptive_cell(f, a, mid, 0.5 * tol, depth + 1)
-        + _adaptive_cell(f, mid, b, 0.5 * tol, depth + 1)
-    )
-
-
-def _integrate(f, mesh, rel_target=1e-11):
-    rough = 0.0
-    for a, b in zip(mesh, mesh[1:]):
-        mid = 0.5 * (a + b)
-        rough += (b - a) * abs(f(mid))
-    scale = max(rough, 1.0)
-    width = mesh[-1] - mesh[0]
-    total = 0.0
-    for a, b in zip(mesh, mesh[1:]):
-        tol = rel_target * scale * max((b - a) / width, 1e-3)
-        total += _adaptive_cell(f, a, b, tol)
-    return total
+                f"quadrature spent its {_MAX_CELLS}-cell budget: [{a[2 * worst]}, "
+                f"{b[2 * worst + 1]}] still has gap {gap[open_][worst]:.3g}")
+        cells += a.size
+        half, mid, qh = 0.5 * (b - a), 0.5 * (a + b), 0.25 * (b - a)
+        nodes = np.concatenate([mid[:, None] + half[:, None] * _GL_NODES,
+                                (a + qh)[:, None] + qh[:, None] * _GL_NODES,
+                                (mid + qh)[:, None] + qh[:, None] * _GL_NODES], axis=1)
+        sums = f(nodes.ravel()).reshape(-1, 3, _GL_NODES.size) @ _GL_WEIGHTS
+        fine = qh * sums[:, 1] + qh * sums[:, 2]
+        gap = np.abs(fine - half * sums[:, 0])
+        open_ = ~(gap <= tol)
+        if depth == 30:
+            stalled = np.flatnonzero(gap > 1000 * tol)
+            if stalled.size:
+                i = stalled[0]
+                raise ConvergenceError(f"quadrature stalled on [{a[i]}, {b[i]}]: gap {gap[i]:.3g}")
+            open_[:] = False
+        levels.append((fine, open_))
+        if not open_.any():
+            break
+        a, mid, b = a[open_], mid[open_], b[open_]
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
+        tol = np.repeat(0.5 * tol[open_], 2)
+    value = None
+    for fine, open_ in reversed(levels):
+        if value is not None:
+            fine[open_] = value[0::2] + value[1::2]
+        value = fine
+    return sum(value.tolist())
 
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -221,10 +242,11 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     k = coupling(traj1, traj2, kappa)
     m1 = traj1.particle.mass
 
-    def density(t):
-        x1, v1, _ = traj1.state(t)
-        adv, ret = cone_pair(partner, t, x1, Side.RIGHT)
-        return interaction_density((x1, v1), adv, ret, m1=m1, kappa=k)
+    def density(ts):
+        state = traj1.evaluate(ts), traj1.evaluate(ts, 1)
+        adv, ret = (cone_times(partner, ts, state[0], branch)
+                    for branch in (Branch.ADVANCED, Branch.RETARDED))
+        return interaction_density(state, adv, ret, m1=m1, kappa=k)
 
     mesh = pullback_mesh(traj1, partner, window.t_start, window.t_end)
     return boundary.k2 + _integrate(density, mesh)
@@ -250,7 +272,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     crossings = cone_crossings(traj1, partner, lo, hi)
     mesh = pullback_mesh(traj1, partner, lo, hi, extra=b.junction_times(),
                          crossings=crossings)
-    total = _integrate(integrand, mesh)
+    total = _integrate(lambda ts: np.array([integrand(t) for t in ts.tolist()]), mesh)
 
     # Where a cone image crosses a partner breaking point, the delayed
     # velocity jumps and the integrand is discontinuous; perturbing the

@@ -144,6 +144,41 @@ def _polyder_row(row: tuple, m: int) -> tuple:
     return row
 
 
+def _cubic_roots(q) -> list:
+    """Candidate real roots of the polynomial with ascending coefficients q
+    (degree at most 3), in closed form: the real roots and the real part of
+    a complex pair.  A cubic term at most 1e-8 of the largest coefficient is
+    dropped; that moves the roots in [0, 1] by about 1e-8, which moves a
+    stationary value of a polynomial only at second order.
+    """
+    d, c, b, a = (list(q) + [0.0] * 4)[:4]
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if big == 0.0:
+        return []
+    d, c, b, a = d / big, c / big, b / big, a / big
+    if abs(a) > 1e-8:
+        # depressed cubic t^3 + p t + r in t = s + B / 3
+        B, C, D = b / a, c / a, d / a
+        p, r, shift = C - B * B / 3.0, 2.0 * B**3 / 27.0 - B * C / 3.0 + D, -B / 3.0
+        disc = 0.25 * r * r + p**3 / 27.0
+        if disc >= 0.0:  # one real root (Cardano) and a complex pair
+            u = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
+            v = -p / (3.0 * u) if u else 0.0
+            roots = [u + v + shift, -0.5 * (u + v) + shift]
+        else:  # three real roots (trigonometric form)
+            m = 2.0 * math.sqrt(-p / 3.0)
+            phi = math.acos(max(-1.0, min(1.0, 3.0 * r / (p * m)))) / 3.0
+            roots = [m * math.cos(phi - 2.0 * math.pi * i / 3.0) + shift for i in range(3)]
+    elif b != 0.0:  # quadratic: its vertex and its roots, in the stable form
+        roots, disc = [-0.5 * c / b], c * c - 4.0 * b * d
+        if disc >= 0.0:
+            w = -0.5 * (c + math.copysign(math.sqrt(disc), c))
+            roots += [w / b, d / w] if w else [0.0]
+    else:
+        roots = [-d / c] if c else []
+    return roots
+
+
 @dataclass(frozen=True)
 class Segment:
     """One smooth polynomial piece of a trajectory.
@@ -238,21 +273,29 @@ class Segment:
 
         |v|^2 is a polynomial, so its maximum on [0, h] sits at an endpoint or
         at a real stationary point; the candidates are clipped into [0, h].
+        Up to cubic position rows the stationary points are the roots of a
+        cubic, found in closed form; higher degrees go through an eigenvalue
+        solve.  Extra candidates never lower the maximum.
         """
         vel = self._rows[1]
         h = self.t_end - self.t_start
         us = [0.0, h]
         if len(vel[0]) > 1:
-            s2 = [0.0] * (2 * len(vel[0]) - 1)
-            for row in vel:
-                for i, a in enumerate(row):
-                    for j, b in enumerate(row):
-                        s2[i + j] += a * b
-            for r in npoly.polyroots(_polyder_row(tuple(s2), 1)):
-                if abs(r.imag) <= 1e-6 * max(1.0, abs(r)):
-                    us.append(min(max(r.real, 0.0), h))
+            cols = list(zip(*vel))  # the velocity's coefficient vectors
+            s2 = [0.0] * (2 * len(cols) - 1)
+            for i, a in enumerate(cols):
+                for j, b in enumerate(cols):
+                    s2[i + j] += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            ds2 = _polyder_row(tuple(s2), 1)
+            if len(ds2) <= 4:
+                # in s = u / h, whose candidates belong to [0, 1]
+                roots = _cubic_roots([c * h**k for k, c in enumerate(ds2)])
+                us += [min(max(r, 0.0), 1.0) * h for r in roots]
+            else:
+                us += [min(max(r.real, 0.0), h) for r in npoly.polyroots(ds2)
+                       if abs(r.imag) <= 1e-6 * max(1.0, abs(r))]
         speeds = []
-        for u in us:
+        for u in set(us):
             vx, vy, vz = self._local(u, 1)
             speeds.append(math.sqrt(vx * vx + vy * vy + vz * vz))
         return max(speeds)

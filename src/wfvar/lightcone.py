@@ -27,7 +27,7 @@ from .errors import (
 )
 
 __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
-           "far_cone_time", "far_cone_times", "influence_interval"]
+           "cone_times", "far_cone_time", "far_cone_times", "influence_interval"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
@@ -36,13 +36,14 @@ _EPS = np.finfo(float).eps
 COLLISION_R = 1e-9
 
 
-def _cone_tol(t: float, t_k: float, r: float, tight: bool) -> float:
+def _cone_tol(t, t_k, r, tight: bool, maximum=max):
     """Accepted residual: 1e-12 absolute (scaled by the event time) plus the
     floating-point noise floor of forming (t - t_k) - r at large separations.
-    `tight` gives the stricter target at which refinement stops."""
+    `tight` gives the stricter target at which refinement stops.  Floats by
+    default; arrays with `maximum=np.maximum`."""
     if tight:
-        return 1e-13 * max(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + abs(r))
-    return 1e-12 * max(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
+        return 1e-13 * maximum(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + abs(r))
+    return 1e-12 * maximum(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
 
 
 class Branch(Enum):
@@ -57,7 +58,9 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class ConeSolution:
-    """Delayed (or advanced) partner data on one branch of the light cone."""
+    """Delayed (or advanced) partner data on one branch of the light cone;
+    `cone_times` fills every field but side and branch with one row per
+    event."""
 
     t_k: float
     r: float
@@ -74,148 +77,116 @@ class ConeSolution:
         return 1.0 / self.dilation
 
 
-def _monotone_root(residual, slope, tol, lo, hi, c, gc, step, event, branch) -> tuple:
-    """Root of a strictly decreasing residual on [lo, hi], and the last
-    residual evaluated there.
+def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
+              side: Side = Side.RIGHT) -> ConeSolution:
+    """Solve the light-cone condition of `event` onto `traj`.
 
-    `residual(s)` returns (g, aux), `slope(s, aux)` is dg/ds (NaN where it
-    is undefined) and `tol(s, aux, tight)` the accepted residual (`tight`:
-    the target at which refinement stops).  A bracket grows from c, whose
-    residual is gc, by steps that start at `step` and double, clamped to
-    [lo, hi].  Newton steps from the bracket's secant point then fall back
-    to bisection whenever they leave the bracket (Numerical Recipes'
-    rtsafe).  A bracket end whose residual is exactly zero is the root.  A
-    domain end whose residual is within tolerance but of the wrong sign
-    (the root lies just past it) is returned; a root farther out raises
-    InsufficientHistoryError.  Each loop runs at most _MAX_ITER times and
-    raises ConeSolveError, carrying `event` and `branch`, when that is
-    spent.  The search needs far fewer steps on finite input: a cone
-    residual's slope lies in [-2, -(1 - |v|)], so the root lies within
-    |gc| / (1 - |v|) of c, and every caller's first step is at least about
-    |gc|.
-    """
-    if gc == 0.0:
-        return c, gc
-    up = gc > 0.0
-    s, gs = c, gc
-    for _ in range(_MAX_ITER):
-        end = hi if up else lo
-        if s == end:
-            gs, aux = residual(end)
-            if abs(gs) > tol(end, aux, False):
-                raise InsufficientHistoryError(
-                    f"{branch.value} cone of event t={event[0]} exits the domain "
-                    f"[{lo}, {hi}] on the {'late' if up else 'early'} side"
-                )
-            return end, gs
-        nxt = min(s + step, hi) if up else max(s - step, lo)
-        gn, _ = residual(nxt)
-        if gn == 0.0:
-            return nxt, gn
-        if (gn < 0.0) is up:
-            break
-        s, gs = nxt, gn
-        step *= 2.0
-    else:
-        raise ConeSolveError(
-            f"no bracket for the {branch.value} cone root of event t={event[0]} "
-            f"after {_MAX_ITER} steps", event, branch)
-    a, ga, b, gb = (s, gs, nxt, gn) if up else (nxt, gn, s, gs)
-
-    # A Newton step may land on a closed end of the bracket the search
-    # found, once per end: the search never tested those ends against the
-    # acceptance threshold.
-    untested = {a, b}
-    # clipped: rounding may carry the secant point past an end
-    t_k = min(max(a + ga * (b - a) / (ga - gb), a), b)
-    for _ in range(_MAX_ITER):
-        g, aux = residual(t_k)
-        if abs(g) <= tol(t_k, aux, True):
-            # One polishing step: the accepted residual divided by a small
-            # slope (fast receding motion) can still move the root by more
-            # than 1e-12, while a final Newton update leaves only evaluation
-            # noise.  Keep the bracket as a safety net.
-            polished = t_k - g / slope(t_k, aux)
-            return (polished if a < polished < b else t_k), g
-        if g > 0.0:
-            untested.discard(a)
-            a = t_k
-        else:
-            untested.discard(b)
-            b = t_k
-        t_next = t_k - g / slope(t_k, aux)
-        if not (a < t_next < b or t_next in untested):
-            t_next = 0.5 * (a + b)
-        if t_next == t_k:
-            return t_k, g
-        t_k = t_next
-    g, aux = residual(t_k)
-    if abs(g) <= tol(t_k, aux, False):
-        return t_k, g
-    raise ConeSolveError(
-        f"{branch.value} cone root of event t={event[0]} did not converge: "
-        f"residual {g:.3g} after {_MAX_ITER} iterations", event, branch)
-
-
-def _scalar_cone(traj: PiecewiseTrajectory, t: float, x: Vec3, sign: int) -> tuple:
-    """Residual, slope and tolerance of the cone condition of event (t, x),
+    `event` is a (time, position) pair.  The residual g(t_k) = (t - t_k) -
+    s r, s the branch sign, is strictly decreasing for subluminal motion,
+    its slope in [-2, -(1 - |v|)].  A bracket grows from the event time, clamped to the
+    domain, by steps that start at max(r, 1e-3, 1e-3 |t|) and double; the
+    root lies within |g| / (1 - |v|) of the start, so few steps suffice.
+    Newton steps from the bracket's secant point then fall back to
+    bisection whenever they leave the bracket (Numerical Recipes' rtsafe).
+    A bracket end whose residual is exactly zero is the root (a static
+    partner's first step lands there).  A domain end whose residual is
+    within tolerance but of the wrong sign (the root lies just past it) is
+    returned; a root farther out raises InsufficientHistoryError.  Each
+    loop runs at most _MAX_ITER times and raises ConeSolveError, carrying
+    the event and branch, when that is spent.  `side` picks the one-sided
+    partner data when t_k lands exactly on a junction (Right unless a
+    one-sided limit is wanted).  The residual looks up the right-sided
+    segment once per time and hands it to the Newton step with the
+    distance; both evaluate it by Horner on its cached rows (`Segment.at`),
     on plain floats.
-
-    Times must lie in the trajectory domain.  The residual looks up the
-    right-sided segment once per time and hands it to the slope with the
-    distance; both evaluate it by Horner on its cached rows
-    (`Segment.at`), so no evaluation goes through numpy.
     """
+    t, x = float(event[0]), vec3(event[1])
     x0, x1, x2 = (float(c) for c in x)
+    sign = branch.sign
+    lo, hi = traj.t_start, traj.t_end
 
     def residual(t_k: float) -> tuple:
-        """g(t_k) = (t - t_k) - sign*r, with (distance vector, r, segment)."""
+        """g(t_k), with (distance vector, r, segment)."""
         seg = traj.segment_at(t_k)
         px, py, pz = seg.at(t_k)
         d = (x0 - px, x1 - py, x2 - pz)
         r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         return (t - t_k) - sign * r, (d, r, seg)
 
-    def slope(t_k: float, aux: tuple) -> float:
-        """dg/dt_k = -1 + sign * n.v with the right-sided velocity, in
-        (-2, 0); NaN at r = 0, where n is undefined."""
+    def newton(t_k: float, g: float, aux: tuple) -> float:
+        """Newton update with dg/dt_k = -1 + sign * n.v from the right-sided
+        velocity; NaN at r = 0, where n is undefined."""
         d, r, seg = aux
         if r == 0.0:
             return math.nan
         vx, vy, vz = seg.at(t_k, 1)
-        return -1.0 + sign * (d[0] * vx + d[1] * vy + d[2] * vz) / r
+        return t_k - g / (-1.0 + sign * (d[0] * vx + d[1] * vy + d[2] * vz) / r)
 
-    def tol(t_k: float, aux: tuple, tight: bool) -> float:
-        return _cone_tol(t, t_k, aux[1], tight)
+    def root() -> float:
+        s = min(max(t, lo), hi)
+        gs, (_, step, _) = residual(s)
+        if gs == 0.0:
+            return s
+        step = max(step, 1e-3, 1e-3 * abs(t))
+        up = gs > 0.0
+        for _ in range(_MAX_ITER):
+            end = hi if up else lo
+            if s == end:
+                g, (_, r, _) = residual(end)
+                if abs(g) > _cone_tol(t, end, r, False):
+                    raise InsufficientHistoryError(
+                        f"{branch.value} cone of event t={t} exits the domain "
+                        f"[{lo}, {hi}] on the {'late' if up else 'early'} side"
+                    )
+                return end
+            nxt = min(s + step, hi) if up else max(s - step, lo)
+            gn, _ = residual(nxt)
+            if gn == 0.0:
+                return nxt
+            if (gn < 0.0) is up:
+                break
+            s, gs = nxt, gn
+            step *= 2.0
+        else:
+            raise ConeSolveError(
+                f"no bracket for the {branch.value} cone root of event t={t} "
+                f"after {_MAX_ITER} steps", (t, x), branch)
+        a, ga, b, gb = (s, gs, nxt, gn) if up else (nxt, gn, s, gs)
 
-    return residual, slope, tol
+        # A Newton step may land on a closed end of the bracket the search
+        # found, once per end: the search never tested those ends against
+        # the acceptance threshold.
+        untested = {a, b}
+        # clipped: rounding may carry the secant point past an end
+        t_k = min(max(a + ga * (b - a) / (ga - gb), a), b)
+        for _ in range(_MAX_ITER):
+            g, aux = residual(t_k)
+            t_next = newton(t_k, g, aux)
+            if abs(g) <= _cone_tol(t, t_k, aux[1], True):
+                # One polishing step: the accepted residual divided by a
+                # small slope (fast receding motion) can still move the root
+                # by more than 1e-12, while a final Newton update leaves only
+                # evaluation noise.  Keep the bracket as a safety net.
+                return t_next if a < t_next < b else t_k
+            if g > 0.0:
+                untested.discard(a)
+                a = t_k
+            else:
+                untested.discard(b)
+                b = t_k
+            if not (a < t_next < b or t_next in untested):
+                t_next = 0.5 * (a + b)
+            if t_next == t_k:
+                return t_k
+            t_k = t_next
+        g, (_, r, _) = residual(t_k)
+        if abs(g) <= _cone_tol(t, t_k, r, False):
+            return t_k
+        raise ConeSolveError(
+            f"{branch.value} cone root of event t={t} did not converge: "
+            f"residual {g:.3g} after {_MAX_ITER} iterations", (t, x), branch)
 
-
-def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
-              side: Side = Side.RIGHT) -> ConeSolution:
-    """Solve the light-cone condition of `event` onto `traj`.
-
-    `event` is a (time, position) pair.  The root is bracketed by geometric
-    expansion from the event time and then polished by Newton steps that fall
-    back to bisection whenever they leave the bracket; g is strictly monotone
-    for subluminal motion, so the bracket is guaranteed once the domain
-    contains the root.  A bracket end whose residual is exactly zero is the
-    root (a static partner's first step lands there).  `side` picks the
-    one-sided partner data when t_k lands exactly on a junction (Right unless
-    a one-sided limit is wanted).
-    """
-    t, x = float(event[0]), vec3(event[1])
-    residual, slope, tol = _scalar_cone(traj, t, x, branch.sign)
-    lo, hi = traj.t_start, traj.t_end
-    c = min(max(t, lo), hi)
-    gc, (_, rc, _) = residual(c)
-    t_k, _ = _monotone_root(residual, slope, tol, lo, hi, c, gc,
-                            max(rc, 1e-3, 1e-3 * abs(t)), (t, x), branch)
-    return _solution_at(traj, residual, t, branch, t_k, side)
-
-
-def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> ConeSolution:
-    sign = branch.sign
+    t_k = root()
     # snap to an exact junction when the root lands on one (up to root noise),
     # so that one-sided evaluation through `side` is meaningful; keep the
     # converged root if the junction itself violates the residual contract
@@ -234,16 +205,8 @@ def _solution_at(traj, residual, t, branch: Branch, t_k: float, side: Side) -> C
     seg = traj.segment_at(t_k, side)
     v, a_vec = np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
     doppler = 1.0 - sign * float(n_hat @ v)  # retarded: 1 - n.v, advanced: 1 + n.v
-    return ConeSolution(
-        t_k=t_k,
-        r=r,
-        n_hat=n_hat,
-        v=v,
-        a=a_vec,
-        dilation=1.0 / doppler,
-        side=side,
-        branch=branch,
-    )
+    return ConeSolution(t_k=t_k, r=r, n_hat=n_hat, v=v, a=a_vec, dilation=1.0 / doppler,
+                        side=side, branch=branch)
 
 
 def cone_pair(traj: PiecewiseTrajectory, t: float, x, side: Side = Side.RIGHT) -> tuple:
@@ -265,43 +228,22 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     """Times in (a, b) where a cone image of trajectory 1 crosses a partner
     junction, as (t1, tau, branch) triples.
 
-    Both cone maps are strictly increasing in t1, so each crossing is the
-    root of tau - t_k(t1) on [a, b], whose slope follows from differentiating
-    the cone condition: dt_k/dt1 = (1 - s n.v1) / (1 - s n.V).
+    Both cone maps are strictly increasing in t1, so a junction tau is
+    crossed when it lies between the images of a and b.  The crossing time
+    solves t1 = tau + s r, the other branch's cone condition of the partner
+    event (tau, x2(tau)) onto trajectory 1, so one batched solve per branch
+    finds them all.
     """
     out = []
-    partner_junctions = partner.junction_times()
-    if not partner_junctions or b <= a:
+    junctions = partner.junction_times()
+    if not junctions or b <= a:
         return out
-    for branch in (Branch.RETARDED, Branch.ADVANCED):
-        sign = branch.sign
-
-        def image(t1):
-            """Cone solution of the event x1(t1), with trajectory 1's segment."""
-            seg = traj1.segment_at(t1)
-            return cone_time(partner, (t1, np.array(seg.at(t1))), branch), seg
-
-        lo2, hi2 = image(a)[0].t_k, image(b)[0].t_k
-        for tau in partner_junctions:
-            if not lo2 < tau < hi2:
-                continue
-
-            def residual(t1):
-                sol, seg = image(t1)
-                return tau - sol.t_k, (sol, seg)
-
-            def slope(t1, aux):
-                sol, seg = aux
-                v1 = np.array(seg.at(t1, 1))
-                return -(1.0 - sign * float(sol.n_hat @ v1)) * sol.dilation
-
-            def tol(t1, aux, tight):
-                sol = aux[0]
-                return _cone_tol(tau, sol.t_k, sol.r, tight)
-
-            t1, _ = _monotone_root(residual, slope, tol, a, b, a, tau - lo2, math.inf,
-                                   (tau, partner.position(tau)), branch)
-            out.append((float(t1), tau, branch))
+    for branch, other in ((Branch.RETARDED, Branch.ADVANCED), (Branch.ADVANCED, Branch.RETARDED)):
+        lo2, hi2 = (cone_time(partner, (t, traj1.position(t)), branch).t_k for t in (a, b))
+        taus = np.array([tau for tau in junctions if lo2 < tau < hi2])
+        if taus.size:
+            t1 = cone_times(traj1, taus, partner.evaluate(taus), other).t_k
+            out += [(t, tau, branch) for t, tau in zip(t1.tolist(), taus.tolist())]
     return out
 
 
@@ -312,50 +254,163 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
     The advanced analog flips both signs, t_k = t + R - n.x(t_k).  R = 0 is
     allowed and turns `t` into the R-subtracted sphere time used for
     direction scans.  The residual (t - t_k) - s (R - n.x(t_k)) is the cone
-    residual with R - n.x in place of r, solved by the same bracketed Newton.
-    Outside the domain x is held at its end value, which keeps the residual
-    monotone; a root at most 1e-9 max(1, |t_k|) outside the domain returns
-    that domain end, and one farther out raises InsufficientHistoryError.
+    residual with R - n.x in place of r.  Outside the domain x is held at
+    its end value, which keeps the residual monotone; a root at most 1e-9
+    max(1, |t_k|) outside the domain returns that domain end, and one
+    farther out raises InsufficientHistoryError.  One lane of
+    `far_cone_times`.
     """
-    n = vec3(n)
-    if abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
-        raise DomainError(f"direction must be a unit vector, |n| = {np.linalg.norm(n)}")
-    if R < 0.0:
-        raise DomainError("R must be nonnegative")
-    t, R = float(t), float(R)
+    return float(far_cone_times(traj, float(t), vec3(n)[None, :], R, branch)[0])
+
+
+def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
+                event) -> tuple:
+    """Roots of strictly decreasing residuals on a packed chain, one lane
+    per event time in `t`, as (t_k, k, g_k).
+
+    `residual(lanes, t_k, x)` returns the residuals of `lanes` at times t_k
+    and chain positions x, with data `aux` read by `slope(lanes, aux, v)`
+    (dg/dt_k at velocities v, NaN where undefined) and `tol(lanes, t_k,
+    aux, tight)`.  A vectorized binary search on the knot residuals finds
+    k, the first knot whose residual is <= 0 (knots.size if none is).  A
+    lane with 1 <= k <= last and a nonzero residual g_k at knot k is solved
+    inside segment k - 1 as in `cone_time`: Newton from the secant
+    point, bisection whenever a step leaves the bracket, one polishing step
+    and the _MAX_ITER budget.  Every other lane keeps knot min(k, last): its
+    root, or the domain end its root lies past.  A non-finite event time
+    raises ConeSolveError with `event(lane)` before any search.
+    """
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ConeSolveError(f"{branch.value} {what} of event t={t[bad[0]]} has no "
+                             f"finite residual", event(bad[0]), branch)
+    knots, xk = packed.knots, packed.knot_positions
+    last = knots.size - 1
+    every = slice(None)
+    k = np.zeros(t.shape, dtype=np.intp)
+    hi = np.full(t.shape, last + 1)
+    while (k < hi).any():
+        mid = np.minimum((k + hi) // 2, last)
+        above = residual(every, knots[mid], xk[mid])[0] > 0.0
+        k, hi = np.where((k < hi) & above, mid + 1, k), np.where((k < hi) & ~above, mid, hi)
+    at_knot = np.minimum(k, last)
+    gk = residual(every, knots[at_knot], xk[at_knot])[0]
+    t_k = knots[at_knot]
+
+    # inside segment k - 1; lanes drop out as they finish
+    lanes = np.flatnonzero((k >= 1) & (k <= last) & (gk != 0.0))
+    seg = k[lanes] - 1
+    a, b = knots[seg], knots[seg + 1]
+    ga, gb = residual(lanes, a, xk[seg])[0], gk[lanes]
+    s = np.minimum(np.maximum(a + ga * (b - a) / (ga - gb), a), b)
+    for _ in range(_MAX_ITER):
+        if not lanes.size:
+            break
+        g, aux = residual(lanes, s, packed.at(seg, s))
+        step = s - g / slope(lanes, aux, packed.at(seg, s, 1))
+        done = np.abs(g) <= tol(lanes, s, aux, True)
+        # one polishing step, kept inside the bracket
+        t_k[lanes[done]] = np.where((a < step) & (step < b), step, s)[done]
+        a, b = np.where(g > 0.0, s, a), np.where(g > 0.0, b, s)
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        stalled = ~done & (step == s)
+        off = stalled & (np.abs(g) > tol(lanes, s, aux, False))
+        if off.any():
+            raise ConvergenceError(f"{what} residual {g[off][0]:.3g} at t_k={s[off][0]}")
+        t_k[lanes[stalled]] = s[stalled]
+        keep = ~(done | stalled)
+        lanes, seg, a, b, s = lanes[keep], seg[keep], a[keep], b[keep], step[keep]
+    if lanes.size:
+        g, aux = residual(lanes, s, packed.at(seg, s))
+        off = np.abs(g) > tol(lanes, s, aux, False)
+        if off.any():
+            lane = lanes[off][0]
+            raise ConeSolveError(
+                f"{branch.value} {what} root of event t={event(lane)[0]} did not converge: "
+                f"residual {g[off][0]:.3g} after {_MAX_ITER} iterations", event(lane), branch)
+        t_k[lanes] = s
+    return t_k, k, gk
+
+
+def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch) -> ConeSolution:
+    """`cone_time` for M events at once: times `ts` ((M,)) and positions `xs`
+    ((M, 3)), right-sided, as one ConeSolution whose fields are arrays
+    (t_k, r and dilation (M,); n_hat, v and a (M, 3)).
+
+    Each lane is bracketed between two knots of the chain and solved by
+    Newton with bisection (`_lane_roots`), under `cone_time`'s tolerances
+    and budget.  A root past a domain end returns that end when the end's
+    residual is within tolerance and raises InsufficientHistoryError
+    otherwise; a root within 1e-9 max(1, |t_k|) of a junction snaps to it
+    under `cone_time`'s rule; a cone distance below COLLISION_R raises
+    CollisionError, as in `cone_pair`.  Errors are those of the scalar
+    path, for the first failing lane.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    xs = np.asarray(xs, dtype=float).reshape(ts.size, 3)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("non-finite event positions")
     sign = branch.sign
-    lo, hi = traj.t_start, traj.t_end
-    n0, n1, n2 = (float(c) for c in n)
-    scale = max(1.0, abs(t) + R)
 
-    def residual(t_k):
-        """The residual, with the segment it read x from."""
-        tc = min(max(t_k, lo), hi)
-        seg = traj.segment_at(tc)
-        px, py, pz = seg.at(tc)
-        return (t - t_k) - sign * (R - (n0 * px + n1 * py + n2 * pz)), seg
+    def event(lane):
+        return float(ts[lane]), xs[lane]
 
-    def slope(t_k, seg):
-        if not lo <= t_k <= hi:
-            return -1.0
-        vx, vy, vz = seg.at(t_k, 1)
-        return -1.0 + sign * (n0 * vx + n1 * vy + n2 * vz)
+    def residual(lanes, t_k, x):
+        """(t - t_k) - sign*r, with (distance vectors, r)."""
+        d = xs[lanes] - x
+        r = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        return (ts[lanes] - t_k) - sign * r, (d, r)
 
-    def tol(t_k, _, tight):
-        return (1e-13 if tight else 1e-12) * scale
+    def slope(lanes, aux, v):
+        d, r = aux
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nv = (d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2]) / r
+        return np.where(r > 0.0, -1.0 + sign * nv, math.nan)
 
-    c = t - sign * R
-    gc, _ = residual(c)
-    t_k, g = _monotone_root(residual, slope, tol, -math.inf, math.inf, c, gc,
-                            max(abs(gc), 1e-3 * max(1.0, abs(c))), (t, n, R), branch)
-    if abs(g) > 1e-12 * scale:
-        raise ConvergenceError(f"far cone residual {g:.3g} at t_k={t_k}")
-    slack = 1e-9 * max(1.0, abs(t_k))
-    if t_k < lo - slack or t_k > hi + slack:
-        raise InsufficientHistoryError(
-            f"far cone time {t_k} outside trajectory domain [{lo}, {hi}]"
-        )
-    return float(min(max(t_k, lo), hi))
+    def tol(lanes, t_k, aux, tight):
+        return _cone_tol(ts[lanes], t_k, aux[1], tight, np.maximum)
+
+    packed = traj.packed
+    t_k, k, gk = _lane_roots(packed, ts, residual, slope, tol, "cone", branch, event)
+    # past a domain end, t_k already holds that end
+    exits = ((k == 0) & (gk != 0.0)) | (k >= packed.knots.size)
+
+    # `cone_time`'s snap: to the junction before t_k if it is within 1e-9,
+    # else to the one at or after it, if that is
+    junctions = packed.knots[1:-1]
+    if junctions.size:
+        i = np.searchsorted(junctions, t_k)
+        before = junctions[np.maximum(i - 1, 0)]
+        after = junctions[np.minimum(i, junctions.size - 1)]
+        near = 1e-9 * np.maximum(1.0, np.abs(t_k))
+        j = np.where((i > 0) & (t_k - before < near), before, after)
+        lanes = np.flatnonzero((j != t_k) & (np.abs(j - t_k) < near))
+        j = j[lanes]
+        gj, aux = residual(lanes, j, traj.evaluate(j))
+        snap = np.abs(gj) <= tol(lanes, j, aux, False)
+        t_k[lanes[snap]] = j[snap]
+
+    index = traj.segment_indices(t_k)
+    g, (d, r) = residual(slice(None), t_k, packed.at(index, t_k))
+    off = np.flatnonzero(np.abs(g) > tol(slice(None), t_k, (d, r), False))
+    if off.size:
+        lane = off[0]
+        if exits[lane]:
+            raise InsufficientHistoryError(
+                f"{branch.value} cone of event t={ts[lane]} exits the domain "
+                f"[{packed.knots[0]}, {packed.knots[-1]}]")
+        raise ConvergenceError(f"cone residual {g[lane]:.3g} exceeds tolerance "
+                               f"at t_k={t_k[lane]}")
+    close = np.flatnonzero(r < COLLISION_R)
+    if close.size:
+        lane = close[0]
+        raise CollisionError(f"cone distance {r[lane]} below {COLLISION_R} at t={ts[lane]}")
+    n_hat = d / r[:, None]
+    v = packed.at(index, t_k, 1)
+    doppler = 1.0 - sign * (n_hat[:, 0] * v[:, 0] + n_hat[:, 1] * v[:, 1]
+                            + n_hat[:, 2] * v[:, 2])
+    return ConeSolution(t_k=t_k, r=r, n_hat=n_hat, v=v, a=packed.at(index, t_k, 2),
+                        dilation=1.0 / doppler, side=Side.RIGHT, branch=branch)
 
 
 def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
@@ -363,13 +418,11 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     """`far_cone_time` for many lanes at once: event times `t` (a float or
     (M,)) with unit directions `dirs` ((M, 3)), all at radius R.
 
-    The residual is monotone, so its values at the chain's knots bracket
-    each lane's root between two adjacent knots; a vectorized binary search
-    finds them in O(M log nseg).  A root outside the domain, where x is held
-    at its end value, has slope -1 and is solved in closed form, with
-    `far_cone_time`'s 1e-9 slack.  Inside a segment, Newton steps fall back
-    to bisection, with `far_cone_time`'s tolerances and _MAX_ITER budget.
-    Errors match `far_cone_time`'s, for the first failing lane.
+    Each lane is bracketed between two knots and solved inside a segment
+    by `_lane_roots`, with `far_cone_time`'s tolerances and _MAX_ITER
+    budget.  A root outside the domain, where x is held at its end value,
+    has slope -1 and is solved in closed form, with `far_cone_time`'s 1e-9
+    slack.  Errors match `far_cone_time`'s, for the first failing lane.
     """
     dirs = np.asarray(dirs, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
@@ -387,81 +440,35 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     sign = branch.sign
     n0, n1, n2 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
 
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        lane = bad[0]
-        raise ConeSolveError(f"{branch.value} far cone of event t={t[lane]} has no "
-                             f"finite residual", (float(t[lane]), dirs[lane], R), branch)
+    def event(lane):
+        return float(t[lane]), dirs[lane], R
+
     scale = np.maximum(1.0, np.abs(t) + R)
-    packed = traj.packed
-    knots, xk = packed.knots, packed.knot_positions
-    last = knots.size - 1
-    every = slice(None)
 
     def residual(lanes, t_k, x):
         """far_cone_time's residual of `lanes` at times t_k, positions x."""
         nx = n0[lanes] * x[:, 0] + n1[lanes] * x[:, 1] + n2[lanes] * x[:, 2]
-        return (t[lanes] - t_k) - sign * (R - nx)
+        return (t[lanes] - t_k) - sign * (R - nx), None
 
-    # k: the first knot whose residual is <= 0 (last + 1 if none is)
-    k = np.zeros(t.shape, dtype=np.intp)
-    hi = np.full(t.shape, last + 1)
-    while (k < hi).any():
-        mid = np.minimum((k + hi) // 2, last)
-        above = residual(every, knots[mid], xk[mid]) > 0.0
-        k, hi = np.where((k < hi) & above, mid + 1, k), np.where((k < hi) & ~above, mid, hi)
-    gk = residual(every, knots[np.minimum(k, last)], xk[np.minimum(k, last)])
-    on_knot = (k <= last) & (gk == 0.0)
-    t_k = knots[np.minimum(k, last)]
+    def slope(lanes, _, v):
+        return -1.0 + sign * (n0[lanes] * v[:, 0] + n1[lanes] * v[:, 1] + n2[lanes] * v[:, 2])
 
+    def tol(lanes, _t_k, _, tight):
+        return (1e-13 if tight else 1e-12) * scale[lanes]
+
+    packed = traj.packed
+    knots, last = packed.knots, packed.knots.size - 1
+    t_k, k, gk = _lane_roots(packed, t, residual, slope, tol, "far cone", branch, event)
     # outside the domain x is held at its end value, so the slope is -1 and
     # the residual at t_k = 0 is the root
-    for lanes, j in (np.flatnonzero((k == 0) & ~on_knot), 0), (np.flatnonzero(k > last), last):
-        root = residual(lanes, 0.0, xk[j:j + 1])
+    for lanes, j in (np.flatnonzero((k == 0) & (gk != 0.0)), 0), (np.flatnonzero(k > last), last):
+        root = residual(lanes, 0.0, packed.knot_positions[j:j + 1])[0]
         slack = 1e-9 * np.maximum(1.0, np.abs(root))
         exits = (root < knots[0] - slack) | (root > knots[-1] + slack)
         if exits.any():
             raise InsufficientHistoryError(
                 f"far cone time {root[exits][0]} outside trajectory domain "
                 f"[{knots[0]}, {knots[-1]}]")
-        t_k[lanes] = knots[j]
-
-    # inside segment k - 1: Newton from the secant point, bisection whenever
-    # a step leaves the bracket; lanes drop out as they finish
-    lanes = np.flatnonzero((k >= 1) & (k <= last) & ~on_knot)
-    seg = k[lanes] - 1
-    a, b = knots[seg], knots[seg + 1]
-    ga, gb = residual(lanes, a, xk[seg]), gk[lanes]
-    s = np.minimum(np.maximum(a + ga * (b - a) / (ga - gb), a), b)
-    for _ in range(_MAX_ITER):
-        if not lanes.size:
-            break
-        g = residual(lanes, s, packed.at(seg, s))
-        v = packed.at(seg, s, 1)
-        step = s - g / (-1.0 + sign * (n0[lanes] * v[:, 0] + n1[lanes] * v[:, 1]
-                                       + n2[lanes] * v[:, 2]))
-        done = np.abs(g) <= 1e-13 * scale[lanes]
-        # one polishing step, kept inside the bracket (see _monotone_root)
-        t_k[lanes[done]] = np.where((a < step) & (step < b), step, s)[done]
-        a, b = np.where(g > 0.0, s, a), np.where(g > 0.0, b, s)
-        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
-        stalled = ~done & (step == s)
-        off = stalled & (np.abs(g) > 1e-12 * scale[lanes])
-        if off.any():
-            raise ConvergenceError(f"far cone residual {g[off][0]:.3g} at t_k={s[off][0]}")
-        t_k[lanes[stalled]] = s[stalled]
-        keep = ~(done | stalled)
-        lanes, seg, a, b, s = lanes[keep], seg[keep], a[keep], b[keep], step[keep]
-    if lanes.size:
-        g = residual(lanes, s, packed.at(seg, s))
-        off = np.abs(g) > 1e-12 * scale[lanes]
-        if off.any():
-            lane = lanes[off][0]
-            raise ConeSolveError(
-                f"{branch.value} far cone root of event t={t[lane]} did not converge: "
-                f"residual {g[off][0]:.3g} after {_MAX_ITER} iterations",
-                (float(t[lane]), dirs[lane], R), branch)
-        t_k[lanes] = s
     return t_k
 
 

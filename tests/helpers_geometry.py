@@ -3,6 +3,8 @@
 import numpy as np
 
 from wfvar.core import ParticleParams, PiecewiseTrajectory, Segment, _shift_row, vec3
+from wfvar.errors import InsufficientHistoryError
+from wfvar.lightcone import Branch
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
 
@@ -41,3 +43,48 @@ def uniform_cone_roots(x0, v, event_t, event_x):
     disc = np.sqrt(b * b - 4 * a * c)
     roots = sorted([(-b - disc) / (2 * a), (-b + disc) / (2 * a)])
     return roots[0], roots[1]
+
+
+def scalar_far_cone_time(traj, t, n, R, branch=Branch.RETARDED):
+    """Reference far cone time: one scalar root of (t - t_k) - s (R - n.x(t_k))
+    per call, by a doubling bracket and Newton with bisection fallback and
+    one polishing step, each step reading one segment through `Segment.at`.
+
+    Outside the domain x is held at its end value.  A root at most 1e-9
+    max(1, |t_k|) past a domain end returns that end; one farther out raises
+    InsufficientHistoryError.
+    """
+    n, t, R, s = vec3(n), float(t), float(R), branch.sign
+    lo, hi = traj.t_start, traj.t_end
+    scale = max(1.0, abs(t) + R)
+
+    def residual(t_k):
+        tc = min(max(t_k, lo), hi)
+        return (t - t_k) - s * (R - float(n @ traj.segment_at(tc).at(tc)))
+
+    def slope(t_k):
+        if not lo <= t_k <= hi:
+            return -1.0
+        return -1.0 + s * float(n @ traj.segment_at(t_k).at(t_k, 1))
+
+    t_k = t - s * R
+    g = residual(t_k)
+    step = max(abs(g), 1e-3 * max(1.0, abs(t_k)))
+    a = b = t_k
+    while g != 0.0 and (residual(a) > 0.0) == (residual(b) > 0.0):
+        a, b = (a, b + step) if g > 0.0 else (a - step, b)
+        step *= 2.0
+    for _ in range(200):
+        g = residual(t_k)
+        step = t_k - g / slope(t_k)
+        if abs(g) <= 1e-13 * scale:
+            # one polishing Newton step, kept inside the bracket
+            t_k = step if a < step < b else t_k
+            break
+        a, b = (t_k, b) if g > 0.0 else (a, t_k)
+        t_k = step if a < step < b else 0.5 * (a + b)
+    assert abs(residual(t_k)) <= 1e-12 * scale
+    slack = 1e-9 * max(1.0, abs(t_k))
+    if t_k < lo - slack or t_k > hi + slack:
+        raise InsufficientHistoryError(f"far cone time {t_k} outside [{lo}, {hi}]")
+    return min(max(t_k, lo), hi)

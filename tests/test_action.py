@@ -1,9 +1,14 @@
+import importlib
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from wfvar.action import (
+    _MAX_CELLS,
     ActionWindow,
+    _integrate,
     action,
     coupling,
     el_residual,
@@ -25,8 +30,8 @@ from wfvar.core import (
     polygonal_from_vertices,
     vec3,
 )
-from wfvar.errors import CollisionError, ContractError, DomainError
-from wfvar.lightcone import Branch, cone_crossings, cone_pair, cone_time
+from wfvar.errors import CollisionError, ContractError, ConvergenceError, DomainError
+from wfvar.lightcone import Branch, cone_crossings, cone_pair, cone_time, cone_times
 from wfvar.momentum import energy_current, momentum_current
 
 POS = ParticleParams(mass=1.0, charge=1.0)
@@ -348,3 +353,169 @@ class TestLegendreTransform:
                 assert np.array_equal(p, lagrangian_velocity_partial(t1, t2, t, side, kappa))
                 e = energy_current(t1, t2, t, side, kappa)
                 assert abs(e - (float(v1 @ p) - lag)) <= 1e-14
+
+
+# -- the batched action against a scalar reference -----------------------------
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def recursive_quadrature(f, mesh, rel_target=1e-11):
+    """Gauss-Legendre 15 with recursive interval halving on a scalar
+    integrand, one node at a time: (total, cells, deepest level)."""
+    tree = {"cells": 0, "depth": 0}
+
+    def gl(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        return half * float(np.dot(GL_WEIGHTS, [f(mid + half * u) for u in GL_NODES]))
+
+    def cell(a, b, tol, depth):
+        tree["cells"] += 1
+        tree["depth"] = max(tree["depth"], depth)
+        mid = 0.5 * (a + b)
+        coarse, fine = gl(a, b), gl(a, mid) + gl(mid, b)
+        if abs(fine - coarse) <= tol or depth >= 30:
+            return fine
+        return cell(a, mid, 0.5 * tol, depth + 1) + cell(mid, b, 0.5 * tol, depth + 1)
+
+    rough = sum((b - a) * abs(f(0.5 * (a + b))) for a, b in zip(mesh, mesh[1:]))
+    scale, width = max(rough, 1.0), mesh[-1] - mesh[0]
+    total = sum(cell(a, b, rel_target * scale * max((b - a) / width, 1e-3), 0)
+                for a, b in zip(mesh, mesh[1:]))
+    return total, tree["cells"], tree["depth"]
+
+
+def scalar_density(traj1, partner, kappa):
+    """The action integrand one time at a time: a state, a cone pair and
+    `interaction_density`."""
+    def f(t):
+        x1, v1, _ = traj1.state(t)
+        return interaction_density((x1, v1), *cone_pair(partner, t, x1),
+                                   m1=traj1.particle.mass, kappa=kappa)
+    return f
+
+
+def batched_density(traj1, partner, kappa):
+    def f(ts):
+        state = traj1.evaluate(ts), traj1.evaluate(ts, 1)
+        adv, ret = (cone_times(partner, ts, state[0], b) for b in (Branch.ADVANCED, Branch.RETARDED))
+        return interaction_density(state, adv, ret, m1=traj1.particle.mass, kappa=kappa)
+    return f
+
+
+def cell_tree(f):
+    """`f` with a record of its call sizes, and a reader of the cell tree
+    `_integrate` evaluated through it: after the rough pass, each call is
+    one level, with 45 nodes per cell.  The reader gives (cells, deepest
+    level)."""
+    sizes = []
+
+    def counted(ts):
+        sizes.append(ts.size)
+        return f(ts)
+
+    return counted, lambda: (sum(sizes[1:]) // (3 * GL_NODES.size), len(sizes) - 2)
+
+
+def bench_polygon_pair(rng):
+    """Polygonal pair with breaks near -6, -2, 2 and 6, within 0.5 of
+    (-1.5, 0, 0) and (1.5, 0, 0)."""
+    base = np.array([-40.0, -20.0, -6.0, -2.0, 2.0, 6.0, 20.0, 40.0])
+    out = []
+    for center, particle in (((-1.5, 0.0, 0.0), POS), ((1.5, 0.0, 0.0), NEG)):
+        times = base.copy()
+        times[1:-1] += rng.uniform(-0.5, 0.5, base.size - 2)
+        dirs = rng.normal(size=(base.size, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        xs = np.asarray(center) + dirs * 0.5 * rng.uniform(0.0, 1.0, (base.size, 1)) ** (1 / 3)
+        out.append(polygonal_from_vertices(list(zip(times, xs)), particle))
+    return out
+
+
+def regression_pairs():
+    """(trajectory 1, trajectory 2, window, boundary) of the circle,
+    polygon and smoke pairs and of the static-pair acceptance case."""
+    circles = (circle_orbit(0.4, 0.5, 0.3, POS, span=50.0, dt=0.5),
+               circle_orbit(-0.4, 0.5, 0.3, NEG, span=50.0, dt=0.5))
+    smoke = static_pair(2.0)
+    return {
+        "circle": (*circles, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0)),
+        "polygon": (*bench_polygon_pair(np.random.default_rng(3)), ActionWindow(-4.0, 4.0),
+                    BoundaryData(-4.0, 4.0)),
+        "smoke": (*smoke, ActionWindow(-2.0, 2.0), BoundaryData(-2.0, 2.0)),
+        "static": (*smoke, ActionWindow(-2.0, 2.0),
+                   BoundaryData(-2.0, 2.0, history2=smoke[1], k2=0.25)),
+    }
+
+
+class TestBatchedAction:
+    @pytest.mark.parametrize("name", ["circle", "polygon", "smoke", "static"])
+    def test_matches_the_scalar_reference_on_the_same_cell_tree(self, name):
+        traj1, traj2, window, boundary = regression_pairs()[name]
+        views = [(traj1, traj2, boundary)]
+        if boundary.history2 is None:
+            views.append((traj2, traj1, boundary))
+        for mover, partner, bd in views:
+            value = action(mover, partner, window, bd)
+            kappa = coupling(mover, partner)
+            full = partner if bd.history2 is None else bd.history2
+            mesh = pullback_mesh(mover, full, window.t_start, window.t_end)
+            ref, cells, depth = recursive_quadrature(scalar_density(mover, full, kappa), mesh)
+            assert abs(value - (bd.k2 + ref)) <= 1e-13 * abs(value)
+            f, tree = cell_tree(batched_density(mover, full, kappa))
+            assert bd.k2 + _integrate(f, mesh) == value
+            assert tree() == (cells, depth)
+
+    def test_deep_cell_tree_matches_the_recursion(self):
+        # the near-collision flyby halves its cells 18 levels deep
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        t2 = static_traj([0.0, 1e-6, 0.0])
+        mesh = pullback_mesh(t1, t2, -1.0, 1.0)
+        ref, cells, depth = recursive_quadrature(scalar_density(t1, t2, 1.0), mesh)
+        f, tree = cell_tree(batched_density(t1, t2, 1.0))
+        total = _integrate(f, mesh)
+        assert tree() == (cells, depth)
+        assert depth > 10
+        assert abs(total - ref) <= 1e-13 * abs(ref)
+
+
+class TestQuadratureBudget:
+    def test_oscillatory_integrand_spends_the_budget_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="budget") as err:
+            _integrate(lambda t: np.sin(1e6 * t), [0.0, 1.0])
+        assert "gap" in str(err.value)
+        assert time.perf_counter() - start < 5.0
+
+    def test_a_budget_stop_names_its_interval(self):
+        # only [0.5, 0.75] keeps halving; the integrand oscillates too fast there
+        with pytest.raises(ConvergenceError, match="budget") as err:
+            _integrate(lambda t: np.where((t > 0.5) & (t < 0.75), np.sin(1e9 * t), 0.0),
+                       [0.0, 0.5, 0.75, 1.0])
+        a, b = (float(x) for x in str(err.value).split("[")[1].split("]")[0].split(","))
+        assert 0.5 <= a < b <= 0.75
+
+    def test_action_and_first_variation_stay_far_inside_the_budget(self, monkeypatch):
+        module = importlib.import_module("wfvar.action")
+        halved = []
+
+        def counted(f, mesh, rel_target=1e-11):
+            f, tree = cell_tree(f)
+            out = _integrate(f, mesh, rel_target)
+            halved.append(tree()[0] - (len(mesh) - 1))
+            return out
+
+        monkeypatch.setattr(module, "_integrate", counted)
+        # the deepest cell trees of this file: near-collision flybys and a
+        # first variation across partner breaks
+        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
+        for d in (1e-3, 1e-6):
+            action(t1, static_traj([0.0, d, 0.0]), ActionWindow(-1.0, 1.0),
+                   BoundaryData(-1.0, 1.0), kappa=1.0)
+        t1 = polygonal_from_vertices(
+            [(-40.0, [0, -8, 0]), (0.5, [0, 0.1, 0]), (40.0, [0, 7, 0])], POS)
+        t2 = polygonal_from_vertices(
+            [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (40.0, [2.5, -4, 0])], NEG)
+        b = Perturbation.tent(-2.0, 1.0, 4.0, [0.05, -0.02, 0.01])
+        frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0), b)
+        assert len(halved) == 3 and max(halved) <= _MAX_CELLS // 100

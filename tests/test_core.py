@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
+from helpers_geometry import segment_from_global
 from wfvar.core import (
     BoundaryData,
     ParticleParams,
@@ -37,6 +38,64 @@ def cubic_x3():
     coeffs = np.zeros((3, 4))
     coeffs[0, 3] = 1.0
     return PiecewiseTrajectory((Segment(0.0, 0.5, coeffs),), ELECTRON)
+
+
+def polyroots_max_speed(seg) -> float:
+    """Max speed over the eigenvalue roots of d|v|^2/du: the endpoints and
+    the real parts of the numerically real roots, clipped into [0, h]."""
+    h = seg.t_end - seg.t_start
+    vel = npoly.polyder(seg.coeffs, axis=1)
+    s2 = [0.0]
+    for row in vel:
+        s2 = npoly.polyadd(s2, npoly.polymul(row, row))
+    ds2 = npoly.polyder(s2)
+    us = [0.0, h] + [min(max(r.real, 0.0), h) for r in npoly.polyroots(ds2)
+                     if abs(r.imag) <= 1e-6 * max(1.0, abs(r))]
+    return max(float(np.linalg.norm(npoly.polyval(u, vel.T))) for u in us)
+
+
+def dense_max_speed(seg, n=20001) -> float:
+    u = np.linspace(0.0, seg.t_end - seg.t_start, n)
+    vel = npoly.polyval(u, npoly.polyder(seg.coeffs, axis=1).T)
+    return float(np.sqrt((vel ** 2).sum(axis=0)).max())
+
+
+class TestClosedFormMaxSpeed:
+    def test_random_cubics_match_the_eigenvalue_roots(self):
+        rng = np.random.default_rng(31)
+        for trial in range(3000):
+            h = float(rng.choice([1e-3, 0.1, 1.0, 7.0]))
+            coeffs = rng.normal(size=(3, 4))
+            # exact, tiny and small cubic terms
+            coeffs[:, 3] *= (1.0, 0.0, 1e-9, 1e-17, 1e-5)[trial % 5]
+            seg = Segment(0.0, h, coeffs, check_speed=False)
+            ref = polyroots_max_speed(seg)
+            assert abs(seg.max_speed() - ref) <= 1e-12 * ref
+            if trial < 200:
+                assert seg.max_speed() >= dense_max_speed(seg) * (1.0 - 1e-15)
+
+    def test_degenerate_segments(self):
+        linear = Segment(0.0, 2.0, np.array([[0.0, 0.3], [1.0, -0.4], [0.0, 0.0]]))
+        assert linear.max_speed() == 0.5
+        # quadratic position in a cubic row: c3 = 0, interior minimum only
+        quadratic = Segment(0.0, 2.0, np.array([[0.0, -0.3, 0.2, 0.0], [0.0, 0.1, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0, 0.0]]))
+        # triple root: v = (0.6 (t - 0.4)^2, 0.1, 0), |v|^2 has an inflection
+        triple = segment_from_global(-0.5, 1.5, [[0.0, 0.096, -0.24, 0.2], [0.0, 0.1], [0.0]])
+        # double root at t = 0: with gamma and eps as below, d|v|^2/dt is
+        # 2 alpha t^2 (2 alpha t + 3 beta)
+        alpha, beta, delta = 0.5, 0.2, 0.3
+        gamma = -(beta**2 + delta**2) / (2 * alpha)
+        eps = -beta * gamma / delta
+        double = segment_from_global(-0.3, 0.7, [[0.0, gamma, beta / 2, alpha / 3],
+                                                 [0.0, eps, delta / 2], [0.0]])
+        for seg in (linear, quadratic, triple, double):
+            ref = polyroots_max_speed(seg)
+            assert abs(seg.max_speed() - ref) <= 1e-12 * ref
+            assert seg.max_speed() >= dense_max_speed(seg) * (1.0 - 1e-15)
+        # the interior peak of a symmetric bump, at the double root's partner
+        bump = Segment.hermite(0.0, 1.0, [0, 0, 0], [0, 0, 0], [0.6, 0, 0], [0, 0, 0])
+        assert abs(bump.max_speed() - 0.9) < 1e-15
 
 
 class TestSegment:

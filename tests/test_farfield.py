@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers_geometry import segment_from_global, static_traj
+from helpers_geometry import scalar_far_cone_time, segment_from_global, static_traj
 
+from wfvar import farfield
 from wfvar.core import ParticleParams, PiecewiseTrajectory, hermite_trajectory, polygonal_from_vertices, vec3
 from wfvar.errors import CoverageError, DomainError
 from wfvar.farfield import (
@@ -22,7 +23,7 @@ from wfvar.farfield import (
     wf_far,
     write_field_csv,
 )
-from wfvar.lightcone import Branch, far_cone_time
+from wfvar.lightcone import Branch
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -296,7 +297,12 @@ class TestSphereFlux:
 
 
 class TestBatchedAgainstPerDirectionLoops:
-    """The array kernel against the per-direction scalar routes it replaced."""
+    """The array kernel against the per-direction scalar routes it replaced,
+    with their far cone times from the scalar reference solve."""
+
+    @pytest.fixture(autouse=True)
+    def scalar_far_cones(self, monkeypatch):
+        monkeypatch.setattr(farfield, "far_cone_time", scalar_far_cone_time)
 
     def test_field_map_sums_lw_far_per_charge(self):
         traj1, traj2 = circle_pair()
@@ -333,7 +339,7 @@ class TestBatchedAgainstPerDirectionLoops:
         for t, n, g, ok in zip(times, dirs, res, defined):
             near = any(abs(t_k - j) < 1e-9
                        for traj in (traj1, traj2)
-                       for t_k in [far_cone_time(traj, t, n, 0.0)]
+                       for t_k in [scalar_far_cone_time(traj, t, n, 0.0)]
                        for j in traj.adjacent_junctions(t_k))
             assert ok == (not near)
             want = sum(b_via_second_derivative(traj, t + 1.0, n, 1.0) for traj in (traj1, traj2))

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers_geometry import DEFAULT as P
-from helpers_geometry import segment_from_global, static_traj, uniform_cone_roots, uniform_traj
+from helpers_geometry import (
+    scalar_far_cone_time,
+    segment_from_global,
+    static_traj,
+    uniform_cone_roots,
+    uniform_traj,
+)
 
 from wfvar.core import (
+    PackedChain,
     PiecewiseTrajectory,
     Segment,
     Side,
@@ -17,11 +24,12 @@ from wfvar.core import (
     polygonal_from_vertices,
     vec3,
 )
-from wfvar.errors import ConeSolveError, DomainError, InsufficientHistoryError
+from wfvar.errors import CollisionError, ConeSolveError, DomainError, InsufficientHistoryError
 from wfvar.lightcone import (
     Branch,
     cone_crossings,
     cone_time,
+    cone_times,
     far_cone_time,
     far_cone_times,
     influence_interval,
@@ -226,20 +234,22 @@ class TestFarConeTime:
     def test_newton_cycle_across_junctions(self, monkeypatch):
         # along n the slope 1 - n.v of the far residual is 1.8 on |t_k| < 1
         # and 0.2 outside, so plain Newton from t = 8 cycles between +8 and
-        # -8 (a bracket-free Newton loop needed a bisection fallback here)
+        # -8; the knot bracket [-1, 1] holds the root, so Newton inside it
+        # needs a step or two, each one position and one velocity lookup
         traj = polygonal_from_vertices([(-20.0, [-22.4, 0, 0]), (-1.0, [-7.2, 0, 0]),
                                         (1.0, [-8.8, 0, 0]), (20.0, [6.4, 0, 0])], P)
         evals = []
-        at = Segment.at
+        at = PackedChain.at
 
-        def counted_at(seg, t, order=0):
+        def counted_at(chain, index, ts, order=0):
             evals.append(order)
-            return at(seg, t, order)
+            return at(chain, index, ts, order)
 
-        monkeypatch.setattr(Segment, "at", counted_at)
+        monkeypatch.setattr(PackedChain, "at", counted_at)
         t_k = far_cone_time(traj, 8.0, [1, 0, 0], 0.0)
         assert abs(t_k) < 1e-12
-        assert len(evals) <= 20
+        assert 1 <= len(evals) <= 5
+        assert abs(scalar_far_cone_time(traj, 8.0, [1, 0, 0], 0.0)) < 1e-12
 
 
 class TestInfluenceInterval:
@@ -357,7 +367,7 @@ def test_batched_far_cone_lanes_match_the_scalar_solve(data):
     for i in range(lanes):
         scale = max(1.0, abs(t[i]) + R)
         assert traj.t_start <= batched[i] <= traj.t_end
-        assert abs(batched[i] - far_cone_time(traj, t[i], dirs[i], R, branch)) <= 1e-12 * scale
+        assert abs(batched[i] - scalar_far_cone_time(traj, t[i], dirs[i], R, branch)) <= 1e-12 * scale
         assert abs(batched[i] - taus[i]) <= 1e-12 * scale
 
 
@@ -412,7 +422,7 @@ class TestBatchedFarConeErrors:
                                         (1.0, [-8.8, 0, 0]), (20.0, [6.4, 0, 0])], P)
         t_k = far_cone_times(traj, [8.0, 5.0], np.array([[1.0, 0, 0], [1.0, 0, 0]]), 0.0)
         assert abs(t_k[0]) < 1e-12
-        assert abs(t_k[1] - far_cone_time(traj, 5.0, [1, 0, 0], 0.0)) < 1e-12
+        assert abs(t_k[1] - scalar_far_cone_time(traj, 5.0, [1, 0, 0], 0.0)) < 1e-12
 
 
 def slow_polygon(draw, times, offset):
@@ -445,3 +455,120 @@ def test_cone_crossing_roots_hit_the_partner_junction(data):
             assert a < t1 < b
             image = cone_time(partner, (t1, traj1.position(t1)), branch).t_k
             assert abs(image - tau) <= 1e-12
+
+
+# -- batched near-cone lanes against the scalar solve --------------------------
+
+def assert_lanes_match_cone_time(traj, ts, xs, branch):
+    """Every lane of `cone_times` against the scalar `cone_time` of its event:
+    t_k within 1e-12 max(1, |t_k|), r, n_hat, V, A and the Doppler factor
+    within 1e-12."""
+    batched = cone_times(traj, ts, xs, branch)
+    assert batched.side is Side.RIGHT and batched.branch is branch
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        sol = cone_time(traj, (t, x), branch)
+        assert abs(batched.t_k[i] - sol.t_k) <= 1e-12 * max(1.0, abs(sol.t_k))
+        assert abs(batched.r[i] - sol.r) <= 1e-12 * max(1.0, sol.r)
+        for name in ("n_hat", "v", "a"):
+            assert np.abs(getattr(batched, name)[i] - getattr(sol, name)).max() <= 1e-12
+        assert abs(batched.doppler[i] - sol.doppler) <= 1e-12
+    return batched
+
+
+def circle(radius, omega, phase, span=30.0, dt=0.4):
+    times = np.arange(-span, span + 0.5 * dt, dt)
+    angles = omega * times + phase
+    xs = radius * np.stack([np.cos(angles), np.sin(angles), 0.0 * angles], axis=1)
+    vs = radius * omega * np.stack([-np.sin(angles), np.cos(angles), 0.0 * angles], axis=1)
+    return hermite_trajectory(times, xs, vs, P)
+
+
+class TestBatchedConeTimes:
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_circle_pair_lanes(self, branch):
+        partner = circle(0.4, 0.5, math.pi)
+        mover = circle(0.4, 0.5, 0.0)
+        ts = np.linspace(-3.0, 3.0, 241)
+        assert_lanes_match_cone_time(partner, ts, mover.evaluate(ts), branch)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_polygonal_pair_lanes(self, data):
+        junctions = sorted(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5,
+                                              unique=True)))
+        partner = slow_polygon(data.draw, [-40.0] + junctions + [40.0], [0, 0, 0])
+        mover = slow_polygon(data.draw, [-10.0, 0.0, 10.0], [0, 3, 0])
+        ts = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=12)))
+        for branch in Branch:
+            assert_lanes_match_cone_time(partner, ts, mover.evaluate(ts), branch)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_roots_on_junctions_and_domain_ends(self, data):
+        # the snap rule: a root on a junction is that junction exactly, with
+        # the right-sided partner data
+        traj = data.draw(trajectories())
+        knots = [traj.t_start, traj.t_end] + traj.junction_times()
+        branch = data.draw(st.sampled_from(list(Branch)))
+        lanes = data.draw(st.integers(1, 6))
+        taus = [data.draw(st.sampled_from(knots)) for _ in range(lanes)]
+        rs = [data.draw(st.floats(0.1, 5.0)) for _ in range(lanes)]
+        xs = np.array([traj.position(tau) + r * unit(data.draw) for tau, r in zip(taus, rs)])
+        ts = np.array([tau + branch.sign * r for tau, r in zip(taus, rs)])
+        batched = assert_lanes_match_cone_time(traj, ts, xs, branch)
+        for i, tau in enumerate(taus):
+            assert abs(batched.t_k[i] - tau) <= 1e-12 * max(1.0, abs(tau))
+            if tau in traj.junction_times():
+                assert batched.t_k[i] == tau
+                assert np.array_equal(batched.v[i], traj.velocity(tau))
+                assert np.array_equal(batched.a[i], traj.acceleration(tau))
+
+    def test_static_partner_lanes_land_on_the_root(self):
+        # r = 5 exactly, so the scalar search's first bracket end is the root
+        traj = static_traj([1.0, -2.0, 0.5])
+        ts = np.array([10.0, -7.25, 0.0])
+        xs = np.tile([4.0, 2.0, 0.5], (3, 1))
+        for branch in Branch:
+            batched = assert_lanes_match_cone_time(traj, ts, xs, branch)
+            assert_allclose(batched.t_k, ts - branch.sign * 5.0, rtol=0.0, atol=1e-14)
+            assert np.all(batched.r == 5.0)
+
+    def test_partner_a_million_away(self):
+        partner = uniform_traj([1e6, 0.0, 0.0], [0.0, 0.3, 0.0], -3e6, 3e6)
+        mover = uniform_traj([0.0, 0.0, 0.0], [0.2, 0.1, 0.0])
+        ts = np.linspace(-4.0, 4.0, 17)
+        for branch in Branch:
+            batched = assert_lanes_match_cone_time(partner, ts, mover.evaluate(ts), branch)
+            assert np.all(np.abs(batched.r - 1.05e6) < 0.1e6)
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_domain_end_roots_within_tolerance_and_past_it(self, branch):
+        # static charge at the origin on [0, 5], events at distance 5: the
+        # root is t - 5 s, and 1e-13 past an end is inside the 1e-12 tolerance
+        traj = static_traj([0, 0, 0], t0=0.0, t1=5.0)
+        xs = np.tile([5.0, 0.0, 0.0], (2, 1))
+        for end in (0.0, 5.0):
+            past = 1.0 if end > 0.0 else -1.0
+            t = end + branch.sign * 5.0
+            batched = assert_lanes_match_cone_time(
+                traj, np.array([t, t + past * 1e-13]), xs, branch)
+            assert list(batched.t_k) == [end, end]
+            with pytest.raises(InsufficientHistoryError):
+                cone_times(traj, np.array([t, t + past * 1e-6]), xs, branch)
+
+    def test_nan_event_time_raises_cone_solve_error(self):
+        traj = static_traj([0, 0, 0])
+        xs = np.tile([1.0, 0.0, 0.0], (3, 1))
+        for branch in Branch:
+            with pytest.raises(ConeSolveError) as err:
+                cone_times(traj, np.array([0.0, math.nan, 1.0]), xs, branch)
+            assert err.value.branch is branch
+            assert math.isnan(err.value.event[0])
+
+    def test_collision_lane_raises(self):
+        traj = uniform_traj([0, 0, 0], [0.3, 0, 0])
+        ts = np.array([0.0, 1.0, 2.0])
+        xs = np.array([[0.0, 2.0, 0.0], traj.position(1.0) + [0.0, 1e-10, 0.0], [0.0, 2.0, 0.0]])
+        for branch in Branch:
+            with pytest.raises(CollisionError):
+                cone_times(traj, ts, xs, branch)

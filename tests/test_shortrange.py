@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers_geometry import static_traj, uniform_traj
+from helpers_geometry import scalar_far_cone_time, static_traj, uniform_traj
 
 from wfvar.core import ParticleParams, polygonal_from_vertices, vec3
 from wfvar.errors import (
@@ -19,7 +19,7 @@ from wfvar.errors import (
     SuperluminalError,
 )
 from wfvar.farfield import gah_residual, latlong_mesh
-from wfvar.lightcone import Branch, far_cone_time
+from wfvar.lightcone import Branch
 from wfvar.shortrange import (
     _real_sph_basis,
     SeparationFamilyParams,
@@ -146,8 +146,8 @@ class TestSeparationFamily:
         traj1 = uniform_traj(p1, v1)
         traj2 = uniform_traj(p2, v2)
         for n in cone_directions([0.3, 1.0, -0.4], count=5):
-            t1 = far_cone_time(traj1, edge, n, 0.0, Branch.RETARDED)
-            t2 = far_cone_time(traj2, edge, n, 0.0, Branch.RETARDED)
+            t1 = scalar_far_cone_time(traj1, edge, n, 0.0, Branch.RETARDED)
+            t2 = scalar_far_cone_time(traj2, edge, n, 0.0, Branch.RETARDED)
             sep = traj1.position(t1) - traj2.position(t2)
             expect = sep - (t1 - t2) * n
             assert_allclose(params.d_sigma(0, n), expect, atol=1e-12)
