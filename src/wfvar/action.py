@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import COLLISION_R, Branch, ConeSolution, cone_crossings, cone_pair, cone_times
+from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
 
 __all__ = [
     "ActionWindow",
@@ -79,7 +79,7 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
                         m1: float = 1.0, kappa: float = 1.0):
     """Integrand of the delayed action at one point of trajectory 1, or at M
     points from (M, 3) state rows and the array-valued solutions of
-    `cone_times`."""
+    `cone_pair`."""
     v1 = np.asarray(state1[1], dtype=float)
     v1sq = np.sum(v1 * v1, axis=-1)
     if np.any(v1sq >= 1.0):
@@ -93,56 +93,55 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
     return total
 
 
+def _dot(a, b):
+    """Row-wise dot products of (..., 3) arrays, as (..., 1) columns."""
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
 def branch_sums(pair) -> tuple:
     """(W, w): the sums of V / (2 r rho) and 1 / (2 r rho) over the branches
-    of a `cone_pair`.  Neither depends on v1, so dL/dv1 = m g v1 - kappa W
-    and v1.dL/dv1 - L = m g - kappa w."""
-    W = np.zeros(3)
-    w = 0.0
+    of a `cone_pair`, as (..., 3) rows and (...) values.  Neither depends on
+    v1, so dL/dv1 = m g v1 - kappa W and v1.dL/dv1 - L = m g - kappa w."""
+    W = w = 0.0
     for sol in pair:
         denom = 2.0 * sol.r * sol.doppler
-        W += sol.v / denom
-        w += 1.0 / denom
+        W = W + sol.v / denom[..., None]
+        w = w + 1.0 / denom
     return W, w
 
 
 def _branch_partials(v1, sol: ConeSolution):
     """Gradient in x1 at fixed t1 and v1 of one branch's contribution
-    F = (1 - v1.V) / (2 r rho).
+    F = (1 - v1.V) / (2 r rho), as (..., 3) rows.
 
     The x1 dependence runs through the cone time t2(x1) as well as r and n;
     all three are eliminated with the implicit-function rule on the cone
     condition, which leaves polynomial expressions in the delayed data.
     """
-    s = -sol.branch.sign  # +1 advanced, -1 retarded
-    n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
-    rho = sol.doppler  # = 1 + s n.V, positive
-    N = 1.0 - float(v1 @ V)
+    s, n, V, A = -sol.branch.sign, sol.n_hat, sol.v, sol.a  # s = +1 advanced, -1 retarded
+    r, rho = sol.r[..., None], sol.doppler[..., None]  # columns; rho = 1 + s n.V
+    N = 1.0 - _dot(v1, V)
     grad_t2 = (s / rho) * n
     grad_r = n / rho
-    grad_rho = (
-        s * V / r
-        - (float(V @ V) + s * float(n @ V)) * n / (rho * r)
-        + float(n @ A) * n / rho
-    )
-    grad_N = -float(v1 @ A) * grad_t2
-    return grad_N / (2.0 * r * rho) - N * (rho * grad_r + r * grad_rho) / (
-        2.0 * r * r * rho * rho
-    )
+    grad_rho = (s * V / r - (_dot(V, V) + s * _dot(n, V)) * n / (rho * r)
+                + _dot(n, A) * n / rho)
+    grad_N = -_dot(v1, A) * grad_t2
+    return (grad_N / (2.0 * r * rho)
+            - N * (rho * grad_r + r * grad_rho) / (2.0 * r * r * rho * rho))
 
 
 def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                      t: float, side: Side, kappa: float) -> tuple:
+                      t, side: Side, kappa: float) -> tuple:
     """(dL/dx1, p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided
     by `side`, from one state and one cone pair; `kappa` is the resolved
-    coupling.  p and e are the momentum and energy currents."""
-    x1, v1, _ = traj1.state(t, side)
+    coupling.  p and e are the momentum and energy currents: (3,) rows and a
+    scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
+    x1, v1 = traj1.evaluate(t, 0, side), traj1.evaluate(t, 1, side)
     pair = cone_pair(partner, t, x1, side)
     W, w = branch_sums(pair)
-    gamma = 1.0 / math.sqrt(1.0 - float(v1 @ v1))
-    m_gamma = traj1.particle.mass * gamma
+    m_gamma = traj1.particle.mass * (1.0 / np.sqrt(1.0 - np.sum(v1 * v1, axis=-1)))
     d_dx = sum(kappa * _branch_partials(v1, sol) for sol in pair)
-    return d_dx, m_gamma * v1 - kappa * W, m_gamma - kappa * w
+    return d_dx, m_gamma[..., None] * v1 - kappa * W, m_gamma - kappa * w
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
@@ -244,9 +243,7 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
     def density(ts):
         state = traj1.evaluate(ts), traj1.evaluate(ts, 1)
-        adv, ret = (cone_times(partner, ts, state[0], branch)
-                    for branch in (Branch.ADVANCED, Branch.RETARDED))
-        return interaction_density(state, adv, ret, m1=m1, kappa=k)
+        return interaction_density(state, *cone_pair(partner, ts, state[0]), m1=m1, kappa=k)
 
     mesh = pullback_mesh(traj1, partner, window.t_start, window.t_end)
     return boundary.k2 + _integrate(density, mesh)
@@ -264,39 +261,37 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
 
-    def integrand(t):
-        d_dx, p, _ = canonical_current(traj1, partner, t, Side.RIGHT, k)
-        seg = b.segment_at(t)
-        return float(d_dx @ seg.position(t) + p @ seg.velocity(t))
+    def integrand(ts):
+        d_dx, p, _ = canonical_current(traj1, partner, ts, Side.RIGHT, k)
+        return (_dot(d_dx, b.evaluate(ts)) + _dot(p, b.evaluate(ts, 1)))[:, 0]
 
     crossings = cone_crossings(traj1, partner, lo, hi)
     mesh = pullback_mesh(traj1, partner, lo, hi, extra=b.junction_times(),
                          crossings=crossings)
-    total = _integrate(lambda ts: np.array([integrand(t) for t in ts.tolist()]), mesh)
+    total = _integrate(integrand, mesh)
+    if not crossings:
+        return total
 
     # Where a cone image crosses a partner breaking point, the delayed
     # velocity jumps and the integrand is discontinuous; perturbing the
     # trajectory moves that crossing, so the derivative picks up the jump
     # of the integrand times the crossing's rate of travel.
-    m1 = traj1.particle.mass
-    for t1, _tau, branch in crossings:
-        x1, v1, _ = traj1.state(t1)
-        dens = {}
-        for edge in (Side.LEFT, Side.RIGHT):
-            adv, ret = cone_pair(partner, t1, x1, edge)
-            dens[edge] = interaction_density((x1, v1), adv, ret, m1=m1, kappa=k)
-        s = -branch.sign  # +1 advanced, -1 retarded
-        # the RIGHT pair, solved last above, holds this branch's cone
-        n_hat = (adv if branch is Branch.ADVANCED else ret).n_hat
-        rho1 = 1.0 + s * float(n_hat @ v1)
-        dcross = -s * float(n_hat @ b.value(t1)) / rho1
-        total += (dens[Side.LEFT] - dens[Side.RIGHT]) * dcross
-    return total
+    t1 = np.array([t for t, _tau, _branch in crossings])
+    x1, v1 = traj1.evaluate(t1), traj1.evaluate(t1, 1)
+    pairs = {edge: cone_pair(partner, t1, x1, edge) for edge in Side}
+    dens = {edge: interaction_density((x1, v1), *pair, m1=traj1.particle.mass, kappa=k)
+            for edge, pair in pairs.items()}
+    # s = +1 on an advanced crossing, -1 on a retarded one; the cone
+    # direction does not depend on the side
+    s = np.array([[-branch.sign] for _t, _tau, branch in crossings])
+    adv, ret = pairs[Side.RIGHT]
+    n_hat = np.where(s > 0, adv.n_hat, ret.n_hat)
+    dcross = (-s * _dot(n_hat, b.evaluate(t1)) / (1.0 + s * _dot(n_hat, v1)))[:, 0]
+    return sum(((dens[Side.LEFT] - dens[Side.RIGHT]) * dcross).tolist(), total)
 
 
 def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                t: float, side: Side = Side.RIGHT,
-                kappa: float | None = None):
+                t, side: Side = Side.RIGHT, kappa: float | None = None):
     """d/dt (dL/dv1) - dL/dx1, one-sided, zero on exact piecewise solutions.
 
     The time derivative is exact algebra in trajectory 1's acceleration and
@@ -309,24 +304,22 @@ def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
     with rho = 1 + s n.V, so every term is read from one trajectory state
     and one cone pair taken on `side`; at breaking points and cone
-    crossings the result is the limit from that side.
+    crossings the result is the limit from that side.  A float time gives
+    a (3,) row, (M,) times give (M, 3) rows.
     """
     k = coupling(traj1, traj2, kappa)
-    x1, v1, a1 = traj1.state(t, side)
-    g2 = 1.0 / (1.0 - float(v1 @ v1))
-    res = traj1.particle.mass * math.sqrt(g2) * (a1 + g2 * float(v1 @ a1) * v1)
+    x1, v1, a1 = (traj1.evaluate(t, order, side) for order in range(3))
+    g2 = 1.0 / (1.0 - _dot(v1, v1))
+    res = traj1.particle.mass * np.sqrt(g2) * (a1 + g2 * _dot(v1, a1) * v1)
     for sol in cone_pair(traj2, t, x1, side):
-        dF_dx = _branch_partials(v1, sol)
-        s = -sol.branch.sign
-        n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
-        rho = sol.doppler
-        dt2 = (1.0 + s * float(n @ v1)) / rho
-        dr = float(n @ v1) - float(n @ V) * dt2
+        s, n, V, A = -sol.branch.sign, sol.n_hat, sol.v, sol.a
+        r, rho = sol.r[..., None], sol.doppler[..., None]
+        dt2 = (1.0 + s * _dot(n, v1)) / rho
+        dr = _dot(n, v1) - _dot(n, V) * dt2
         dn = (v1 - V * dt2 - n * dr) / r
-        drho = s * (float(dn @ V) + float(n @ A) * dt2)
+        drho = s * (_dot(dn, V) + _dot(n, A) * dt2)
         # d/dt of V / (2 r rho), which enters dL/dv1 with the factor -kappa
-        d_field = A * dt2 / (2.0 * r * rho) - V * (rho * dr + r * drho) / (
-            2.0 * r * r * rho * rho
-        )
-        res -= k * (d_field + dF_dx)
+        d_field = (A * dt2 / (2.0 * r * rho)
+                   - V * (rho * dr + r * drho) / (2.0 * r * r * rho * rho))
+        res -= k * (d_field + _branch_partials(v1, sol))
     return res

@@ -116,12 +116,10 @@ def _traj_from_record(record, particle: ParticleParams) -> PiecewiseTrajectory:
             return PiecewiseTrajectory(raw.segments, particle)
         kind = record.get("kind")
         if kind == "polygonal":
-            verts = [(float(v[0]), vec3(v[1:4])) for v in record["vertices"]]
-            return polygonal_from_vertices(verts, particle)
+            return polygonal_from_vertices(_vertices(record["vertices"]), particle)
         if kind == "hermite":
-            return hermite_trajectory(
-                record["times"], record["positions"], record["velocities"], particle
-            )
+            nodes = ([_floats(row) for row in record[key]] for key in ("positions", "velocities"))
+            return hermite_trajectory(_floats(record["times"]), *nodes, particle)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
     raise ConfigError(f"unknown trajectory kind {record.get('kind')!r}")
@@ -264,14 +262,19 @@ def _count(minimum: int = 0):
 
 def _real(value) -> float:
     """A JSON number as a float; booleans, which `float` would take as 0 or
-    1, are rejected."""
-    if isinstance(value, bool):
+    1, and strings, which it would parse, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
 
 def _floats(values) -> list:
     return [_real(v) for v in values]
+
+
+def _vertices(rows) -> list:
+    """(time, position) pairs of [t, x, y, z] rows."""
+    return [(_real(v[0]), vec3(_floats(v[1:4]))) for v in rows]
 
 
 def _time_range(value) -> tuple:
@@ -414,8 +417,8 @@ def _cmd_build_polygonal(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         if verts is None:
             continue
         try:
-            pairs = [(float(v[0]), vec3(v[1:4])) for v in verts]
-        except (TypeError, ValueError, IndexError) as exc:
+            pairs = _vertices(verts)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(
                 f"vertices{idx} must be rows of [t, x, y, z]"
             ) from exc
@@ -464,7 +467,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
-        seed = (int(seed_opt[0]), _real(seed_opt[1]))
+        seed = (_count(1)(seed_opt[0]), _real(seed_opt[1]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError("seed must be [particle, time]") from exc
     chain = sewing_chain(

@@ -310,8 +310,7 @@ class Segment:
 
 def _junction_gaps(segs) -> list:
     """(junction time, |position gap|) at each junction of a segment chain."""
-    return [(a.t_end, float(np.linalg.norm(a.position(a.t_end) - b.position(b.t_start))))
-            for a, b in zip(segs, segs[1:])]
+    return [(a.t_end, math.dist(a.at(a.t_end), b.at(b.t_start))) for a, b in zip(segs, segs[1:])]
 
 
 @dataclass(frozen=True)
@@ -344,14 +343,14 @@ class PackedChain:
         return chain
 
     def at(self, index, ts, order: int = 0) -> np.ndarray:
-        """(M, 3) values of segments ``index`` at times ``ts`` (both (M,)),
-        by Horner in ``Segment.at``'s operation order: each lane is
-        bit-identical to ``Segment.at``."""
+        """(..., 3) values of segments ``index`` at times ``ts`` (both of one
+        shape, (M,) or scalar), by Horner in ``Segment.at``'s operation
+        order: each lane is bit-identical to ``Segment.at``."""
         c = self.rows[order][index]
-        u = (np.asarray(ts, dtype=float) - self.knots[index])[:, None]
-        acc = c[:, :, -1] + u * 0
-        for k in range(c.shape[2] - 2, -1, -1):
-            acc = c[:, :, k] + acc * u
+        u = (np.asarray(ts, dtype=float) - self.knots[index])[..., None]
+        acc = c[..., -1] + u * 0
+        for k in range(c.shape[-1] - 2, -1, -1):
+            acc = c[..., k] + acc * u
         return acc
 
 
@@ -429,8 +428,9 @@ class SegmentChain:
 
     def evaluate(self, ts, order: int = 0, side: Side = Side.RIGHT) -> np.ndarray:
         """Position (order 0), velocity (1) or acceleration (2) at each of the
-        times ``ts`` ((M,)), as an (M, 3) array; lane i is bit-identical to
-        ``segment_at(ts[i], side).at(ts[i], order)``."""
+        times ``ts`` ((M,)), as an (M, 3) array, or at one time as a (3,)
+        row; lane i is bit-identical to ``segment_at(ts[i], side).at(ts[i],
+        order)``."""
         ts = np.asarray(ts, dtype=float)
         return self.packed.at(self.segment_indices(ts, side), ts, order)
 
@@ -446,7 +446,7 @@ class PiecewiseTrajectory(SegmentChain):
         super().__post_init__()
         if self.strict:
             segs = self.segments
-            scale = max(1.0, max(float(np.abs(s.coeffs[:, 0]).max()) for s in segs))
+            scale = max(1.0, *(abs(row[0]) for s in segs for row in s._rows[0]))
             for t, gap in _junction_gaps(segs):
                 if gap > 1e-9 * scale:
                     raise DomainError(f"position gap {gap:.3g} at junction t={t}")

@@ -60,7 +60,7 @@ class Branch(Enum):
 class ConeSolution:
     """Delayed (or advanced) partner data on one branch of the light cone;
     `cone_times` fills every field but side and branch with one row per
-    event."""
+    event, or with scalars and (3,) rows for one event at a float time."""
 
     t_k: float
     r: float
@@ -209,18 +209,15 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
                         side=side, branch=branch)
 
 
-def cone_pair(traj: PiecewiseTrajectory, t: float, x, side: Side = Side.RIGHT) -> tuple:
-    """Advanced and retarded cone solutions of event (t, x) onto `traj`.
+def cone_pair(traj: PiecewiseTrajectory, t, x, side: Side = Side.RIGHT) -> tuple:
+    """Advanced and retarded cone solutions of the events (t, x) onto `traj`:
+    `cone_times` on both branches, for one float time and a (3,) position
+    or for (M,) times and (M, 3) positions.
 
     Raises CollisionError when a cone distance falls below COLLISION_R.
     """
-    pair = []
-    for branch in (Branch.ADVANCED, Branch.RETARDED):
-        sol = cone_time(traj, (t, x), branch, side=side)
-        if sol.r < COLLISION_R:
-            raise CollisionError(f"cone distance {sol.r} below {COLLISION_R} at t={t}")
-        pair.append(sol)
-    return tuple(pair)
+    return tuple(cone_times(traj, t, x, branch, side)
+                 for branch in (Branch.ADVANCED, Branch.RETARDED))
 
 
 def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -332,10 +329,13 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
     return t_k, k, gk
 
 
-def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch) -> ConeSolution:
+def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
+               side: Side = Side.RIGHT) -> ConeSolution:
     """`cone_time` for M events at once: times `ts` ((M,)) and positions `xs`
-    ((M, 3)), right-sided, as one ConeSolution whose fields are arrays
-    (t_k, r and dilation (M,); n_hat, v and a (M, 3)).
+    ((M, 3)), as one ConeSolution whose fields are arrays (t_k, r and
+    dilation (M,); n_hat, v and a (M, 3)).  A float time and a (3,)
+    position give scalar fields and (3,) rows.  `side` picks the one-sided
+    V and A where a root lands on a junction, as in `cone_time`.
 
     Each lane is bracketed between two knots of the chain and solved by
     Newton with bisection (`_lane_roots`), under `cone_time`'s tolerances
@@ -343,9 +343,10 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch) -> ConeSolutio
     residual is within tolerance and raises InsufficientHistoryError
     otherwise; a root within 1e-9 max(1, |t_k|) of a junction snaps to it
     under `cone_time`'s rule; a cone distance below COLLISION_R raises
-    CollisionError, as in `cone_pair`.  Errors are those of the scalar
-    path, for the first failing lane.
+    CollisionError.  Errors are those of the scalar path, for the first
+    failing lane.
     """
+    shape = np.shape(ts)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(ts.size, 3)
     if not np.all(np.isfinite(xs)):
@@ -406,11 +407,17 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch) -> ConeSolutio
         lane = close[0]
         raise CollisionError(f"cone distance {r[lane]} below {COLLISION_R} at t={ts[lane]}")
     n_hat = d / r[:, None]
+    index = traj.segment_indices(t_k, side)
     v = packed.at(index, t_k, 1)
     doppler = 1.0 - sign * (n_hat[:, 0] * v[:, 0] + n_hat[:, 1] * v[:, 1]
                             + n_hat[:, 2] * v[:, 2])
-    return ConeSolution(t_k=t_k, r=r, n_hat=n_hat, v=v, a=packed.at(index, t_k, 2),
-                        dilation=1.0 / doppler, side=Side.RIGHT, branch=branch)
+
+    def rows(field):  # back to the shape of `ts`
+        return field.reshape(shape + field.shape[1:])[()]
+
+    return ConeSolution(t_k=rows(t_k), r=rows(r), n_hat=rows(n_hat), v=rows(v),
+                        a=rows(packed.at(index, t_k, 2)), dilation=rows(1.0 / doppler),
+                        side=side, branch=branch)
 
 
 def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .action import branch_sums, canonical_current, coupling
 from .core import PiecewiseTrajectory, Side, Vec3, vec3
 from .errors import InfeasibleJumpError, SuperluminalError
@@ -61,17 +63,21 @@ def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                    t: float, kappa: float | None = None) -> BreakResidual:
     """Current jumps (Right minus Left) at time t of trajectory 1."""
-    k = coupling(traj1, traj2, kappa)
-    _, p_r, e_r = canonical_current(traj1, traj2, t, Side.RIGHT, k)
-    _, p_l, e_l = canonical_current(traj1, traj2, t, Side.LEFT, k)
-    return BreakResidual(t=t, dp=p_r - p_l, de=float(e_r - e_l))
+    return break_residuals(traj1, traj2, kappa, times=[t])[0]
 
 
 def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                    kappa: float | None = None) -> list:
-    """Current jumps (Right minus Left) at every junction of trajectory 1."""
-    return [break_residual(traj1, traj2, l_sigma, kappa)
-            for l_sigma in traj1.junction_times()]
+                    kappa: float | None = None, times=None) -> list:
+    """Current jumps (Right minus Left) at each of `times` of trajectory 1,
+    by default at every junction, from one batched current per side."""
+    ts = np.array(traj1.junction_times() if times is None else times, dtype=float)
+    if not ts.size:
+        return []
+    k = coupling(traj1, traj2, kappa)
+    _, p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, k)
+    _, p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, k)
+    return [BreakResidual(t=t, dp=dp, de=de)
+            for t, dp, de in zip(ts.tolist(), p_r - p_l, (e_r - e_l).tolist())]
 
 
 def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

@@ -36,7 +36,7 @@ from .core import (
     vec3,
 )
 from .errors import ConfigError, DomainError, SuperluminalError
-from .momentum import break_residual
+from .momentum import break_residuals
 
 _VELOCITY_JUMP_TOL = 1e-12
 
@@ -166,12 +166,9 @@ def decode(dv: DecisionVector):
 
 def _true_breaks(traj: PiecewiseTrajectory, tol: float = _VELOCITY_JUMP_TOL):
     """Junctions with an actual velocity jump, not mere segment seams."""
-    out = []
-    for tau in traj.junction_times():
-        dv = traj.velocity(tau, Side.RIGHT) - traj.velocity(tau, Side.LEFT)
-        if float(np.linalg.norm(dv)) > tol:
-            out.append(tau)
-    return out
+    taus = np.array(traj.junction_times())
+    jumps = traj.evaluate(taus, 1, Side.RIGHT) - traj.evaluate(taus, 1, Side.LEFT)
+    return taus[np.linalg.norm(jumps, axis=1) > tol].tolist()
 
 
 def discretize(boundary: BoundaryData, trajs, n_nodes: int,
@@ -206,15 +203,11 @@ def discretize(boundary: BoundaryData, trajs, n_nodes: int,
         mask = np.isin(times, breaks)
         layout = ParticleLayout(times, mask, traj.position(a), traj.position(b),
                                 traj.particle)
-        pos = np.array([traj.position(t) for t in times[1:-1]])
-        vels = np.array(
-            [[traj.velocity(t, Side.LEFT), traj.velocity(t, Side.RIGHT)]
-             for t in times[mask]]
-        ).reshape(-1, 2, 3)
-        chunks = [pos.ravel(), vels.ravel()]
+        vels = [traj.evaluate(times[mask], 1, side) for side in (Side.LEFT, Side.RIGHT)]
+        chunks = [traj.evaluate(times[1:-1]).ravel(), np.stack(vels, axis=1).ravel()]
         if free_break_times:
             chunks.append(times[mask])
-        blocks.append(np.concatenate(chunks) if chunks else np.empty(0))
+        blocks.append(np.concatenate(chunks))
         layouts.append(layout)
     return DecisionVector(tuple(layouts), np.concatenate(blocks), free_break_times)
 
@@ -323,29 +316,23 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     """
     partners = (merge_history(traj2, boundary.history2),
                 merge_history(traj1, boundary.history1))
-    el_max = ([], [])
+    el_max = []
     breaks = []
     for k, traj in ((1, traj1), (2, traj2)):
         partner = partners[k - 1]
         a, b = boundary.window(k)
-        for seg in traj.segments:
-            lo, hi = max(seg.t_start, a), min(seg.t_end, b)
-            if hi - lo <= 1e-12 * max(1.0, abs(a), abs(b)):
-                continue
-            worst = max(
-                float(np.linalg.norm(el_residual(traj, partner, float(t), kappa=kappa)))
-                for t in _chebyshev_points(lo, hi, n_points)
-            )
-            el_max[k - 1].append(worst)
-        for tau in _true_breaks(traj):
-            if not a < tau < b:
-                continue
-            breaks.append(break_residual(traj, partner, tau, kappa))
+        cells = [(max(seg.t_start, a), min(seg.t_end, b)) for seg in traj.segments]
+        ts = np.array([_chebyshev_points(lo, hi, n_points) for lo, hi in cells
+                       if hi - lo > 1e-12 * max(1.0, abs(a), abs(b))]).reshape(-1)
+        res = np.linalg.norm(el_residual(traj, partner, ts, kappa=kappa), axis=1)
+        el_max.append(tuple(res.reshape(-1, n_points).max(axis=1).tolist()))
+        breaks += break_residuals(traj, partner, kappa,
+                                  times=[tau for tau in _true_breaks(traj) if a < tau < b])
     s1, s2 = one_sided_actions(traj1, traj2, boundary, kappa)
     report = MinimizerReport(
         action=s1 + s2,
-        el_max1=tuple(el_max[0]),
-        el_max2=tuple(el_max[1]),
+        el_max1=el_max[0],
+        el_max2=el_max[1],
         break_residuals=tuple(breaks),
         iterations=0,
         converged=False,

@@ -1,10 +1,14 @@
-"""Shared fixtures: simple trajectories and closed-form cone-time oracles."""
+"""Shared fixtures: simple trajectories, closed-form cone-time oracles and
+scalar references for the batched paths."""
+
+import math
 
 import numpy as np
 
-from wfvar.core import ParticleParams, PiecewiseTrajectory, Segment, _shift_row, vec3
-from wfvar.errors import InsufficientHistoryError
-from wfvar.lightcone import Branch
+from wfvar.action import coupling
+from wfvar.core import ParticleParams, PiecewiseTrajectory, Segment, Side, _shift_row, vec3
+from wfvar.errors import CollisionError, InsufficientHistoryError
+from wfvar.lightcone import COLLISION_R, Branch, cone_time
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
 
@@ -88,3 +92,71 @@ def scalar_far_cone_time(traj, t, n, R, branch=Branch.RETARDED):
     if t_k < lo - slack or t_k > hi + slack:
         raise InsufficientHistoryError(f"far cone time {t_k} outside [{lo}, {hi}]")
     return min(max(t_k, lo), hi)
+
+
+# -- scalar references for the per-point partials -------------------------------
+
+def scalar_cone_pair(traj, t, x, side=Side.RIGHT):
+    """Advanced and retarded solutions of the event (t, x), one scalar
+    `cone_time` per branch, with the collision cutoff."""
+    pair = tuple(cone_time(traj, (t, x), branch, side=side)
+                 for branch in (Branch.ADVANCED, Branch.RETARDED))
+    for sol in pair:
+        if sol.r < COLLISION_R:
+            raise CollisionError(f"cone distance {sol.r} below {COLLISION_R} at t={t}")
+    return pair
+
+
+def scalar_branch_sums(pair):
+    """(W, w): V / (2 r rho) and 1 / (2 r rho) summed over a scalar pair."""
+    W, w = np.zeros(3), 0.0
+    for sol in pair:
+        denom = 2.0 * sol.r * sol.doppler
+        W += sol.v / denom
+        w += 1.0 / denom
+    return W, w
+
+
+def scalar_branch_partials(v1, sol):
+    """dF/dx1 of one branch's F = (1 - v1.V) / (2 r rho), through the cone
+    time, r and n, at one point."""
+    s = -sol.branch.sign
+    n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
+    rho = sol.doppler
+    N = 1.0 - float(v1 @ V)
+    grad_t2 = (s / rho) * n
+    grad_r = n / rho
+    grad_rho = (s * V / r - (float(V @ V) + s * float(n @ V)) * n / (rho * r)
+                + float(n @ A) * n / rho)
+    grad_N = -float(v1 @ A) * grad_t2
+    return grad_N / (2.0 * r * rho) - N * (rho * grad_r + r * grad_rho) / (2.0 * r * r * rho * rho)
+
+
+def scalar_canonical_current(traj1, partner, t, side, kappa):
+    """(dL/dx1, dL/dv1, v1.p - L) at one time from a state and a scalar pair."""
+    x1, v1, _ = traj1.state(t, side)
+    pair = scalar_cone_pair(partner, t, x1, side)
+    W, w = scalar_branch_sums(pair)
+    m_gamma = traj1.particle.mass / math.sqrt(1.0 - float(v1 @ v1))
+    d_dx = sum(kappa * scalar_branch_partials(v1, sol) for sol in pair)
+    return d_dx, m_gamma * v1 - kappa * W, m_gamma - kappa * w
+
+
+def scalar_el_residual(traj1, traj2, t, side=Side.RIGHT, kappa=None):
+    """d/dt (dL/dv1) - dL/dx1 at one time, by exact algebra in the state and
+    a scalar pair (see `wfvar.action.el_residual`)."""
+    k = coupling(traj1, traj2, kappa)
+    x1, v1, a1 = traj1.state(t, side)
+    g2 = 1.0 / (1.0 - float(v1 @ v1))
+    res = traj1.particle.mass * math.sqrt(g2) * (a1 + g2 * float(v1 @ a1) * v1)
+    for sol in scalar_cone_pair(traj2, t, x1, side):
+        s = -sol.branch.sign
+        n, V, A, r = sol.n_hat, sol.v, sol.a, sol.r
+        rho = sol.doppler
+        dt2 = (1.0 + s * float(n @ v1)) / rho
+        dr = float(n @ v1) - float(n @ V) * dt2
+        dn = (v1 - V * dt2 - n * dr) / r
+        drho = s * (float(dn @ V) + float(n @ A) * dt2)
+        d_field = A * dt2 / (2.0 * r * rho) - V * (rho * dr + r * drho) / (2.0 * r * r * rho * rho)
+        res = res - k * (d_field + scalar_branch_partials(v1, sol))
+    return res

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers_geometry import scalar_canonical_current, scalar_cone_pair, scalar_el_residual
+
 from wfvar.action import (
     _MAX_CELLS,
     ActionWindow,
     _integrate,
     action,
+    canonical_current,
     coupling,
     el_residual,
     frechet_directional,
@@ -31,7 +34,7 @@ from wfvar.core import (
     vec3,
 )
 from wfvar.errors import CollisionError, ContractError, ConvergenceError, DomainError
-from wfvar.lightcone import Branch, cone_crossings, cone_pair, cone_time, cone_times
+from wfvar.lightcone import Branch, cone_crossings, cone_time, cone_times
 from wfvar.momentum import energy_current, momentum_current
 
 POS = ParticleParams(mass=1.0, charge=1.0)
@@ -347,7 +350,7 @@ class TestLegendreTransform:
         for t in (-2.3, -0.52, 0.61, 1.77, 2.95, *hits):
             for side in (Side.LEFT, Side.RIGHT):
                 x1, v1, _ = t1.state(t, side)
-                lag = interaction_density((x1, v1), *cone_pair(t2, t, x1, side),
+                lag = interaction_density((x1, v1), *scalar_cone_pair(t2, t, x1, side),
                                           m1=t1.particle.mass, kappa=k)
                 p = momentum_current(t1, t2, t, side, kappa)
                 assert np.array_equal(p, lagrangian_velocity_partial(t1, t2, t, side, kappa))
@@ -386,11 +389,11 @@ def recursive_quadrature(f, mesh, rel_target=1e-11):
 
 
 def scalar_density(traj1, partner, kappa):
-    """The action integrand one time at a time: a state, a cone pair and
-    `interaction_density`."""
+    """The action integrand one time at a time: a state, a scalar cone pair
+    and `interaction_density`."""
     def f(t):
         x1, v1, _ = traj1.state(t)
-        return interaction_density((x1, v1), *cone_pair(partner, t, x1),
+        return interaction_density((x1, v1), *scalar_cone_pair(partner, t, x1),
                                    m1=traj1.particle.mass, kappa=kappa)
     return f
 
@@ -477,6 +480,104 @@ class TestBatchedAction:
         assert tree() == (cells, depth)
         assert depth > 10
         assert abs(total - ref) <= 1e-13 * abs(ref)
+
+
+# -- batched per-point partials against the scalar references -----------------
+
+def partial_pairs():
+    """(trajectory 1, partner, kappa) of the circle pair, the polygon pair,
+    the speed-0.78 Hermite circle against a polygon, a static partner and a
+    partner 1e6 away."""
+    circles, _fast, fast_vs_polygon = accelerating_pairs()
+    mover = polygonal_from_vertices(
+        [(-5.0, [-1.5, 0.2, 0.0]), (0.0, [0.0, 0.0, 0.1]), (5.0, [1.5, 0.0, 0.0])], POS)
+    return {
+        "circle": circles,
+        "polygon": (*bench_polygon_pair(np.random.default_rng(3)), None),
+        "hermite-vs-polygon": fast_vs_polygon,
+        "static": (mover, static_traj([0.5, 2.0, 0.0]), None),
+        "far": (mover, static_traj([1e6, 0.0, 0.0], NEG, -3e6, 3e6), None),
+    }
+
+
+def partial_times(traj1, partner):
+    """A grid on [-3, 3], trajectory 1's junctions there, and the times whose
+    cone images land on a partner junction."""
+    crossings = [t for t, _, _ in cone_crossings(traj1, partner, -3.0, 3.0)]
+    junctions = [t for t in traj1.junction_times() if -3.0 < t < 3.0]
+    return np.array(sorted({*np.linspace(-3.0, 3.0, 13).tolist(), *junctions, *crossings}))
+
+
+def assert_close(batched, ref):
+    """Within 1e-12 of the reference's largest component."""
+    ref = np.asarray(ref)
+    assert np.abs(batched - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestBatchedPartials:
+    @pytest.mark.parametrize("name", ["circle", "polygon", "hermite-vs-polygon", "static", "far"])
+    def test_lanes_match_the_scalar_references(self, name):
+        traj1, partner, kappa = partial_pairs()[name]
+        ts = partial_times(traj1, partner)
+        if name in ("circle", "polygon", "hermite-vs-polygon"):
+            assert len(cone_crossings(traj1, partner, -3.0, 3.0)) > 0
+        k = coupling(traj1, partner, kappa)
+        for side in Side:
+            d_dx, p, e = canonical_current(traj1, partner, ts, side, k)
+            res = el_residual(traj1, partner, ts, side, kappa)
+            assert d_dx.shape == p.shape == res.shape == (ts.size, 3) and e.shape == ts.shape
+            for i, t in enumerate(ts.tolist()):
+                ref = scalar_canonical_current(traj1, partner, t, side, k)
+                for lane, want in zip((d_dx[i], p[i], e[i]), ref):
+                    assert_close(lane, want)
+                assert_close(res[i], scalar_el_residual(traj1, partner, t, side, kappa))
+
+    def test_a_float_time_gives_one_row(self):
+        traj1, partner, kappa = partial_pairs()["polygon"]
+        k = coupling(traj1, partner, kappa)
+        ts = partial_times(traj1, partner)
+        rows = canonical_current(traj1, partner, ts, Side.LEFT, k)
+        for i in (0, ts.size // 2):
+            one = canonical_current(traj1, partner, float(ts[i]), Side.LEFT, k)
+            assert one[0].shape == one[1].shape == (3,) and np.ndim(one[2]) == 0
+            for lane, row in zip(one, rows):
+                assert np.array_equal(lane, row[i])
+            assert np.array_equal(el_residual(traj1, partner, float(ts[i]), Side.LEFT),
+                                  el_residual(traj1, partner, ts, Side.LEFT)[i])
+
+    def test_first_variation_matches_the_scalar_reference(self):
+        # partner breaks inside the window, so crossing-jump terms of both
+        # branches enter
+        t1 = polygonal_from_vertices(
+            [(-40.0, [0, -8, 0]), (0.5, [0, 0.1, 0]), (40.0, [0, 7, 0])], POS)
+        t2 = polygonal_from_vertices(
+            [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (5.5, [2.5, -0.9, 0.2]),
+             (40.0, [2.5, -4, 0])], NEG)
+        b = Perturbation.from_nodes(
+            [-2.0, -0.5, 1.0, 2.5, 4.0],
+            [vec3(0, 0, 0), vec3(0.05, -0.02, 0.01), vec3(-0.03, 0.04, 0.0),
+             vec3(0.02, 0.01, -0.03), vec3(0, 0, 0)])
+        window, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
+        k = coupling(t1, t2)
+
+        def integrand(t):
+            d_dx, p, _ = scalar_canonical_current(t1, t2, t, Side.RIGHT, k)
+            return float(d_dx @ b.value(t) + p @ b.derivative(t))
+
+        crossings = cone_crossings(t1, t2, -2.0, 4.0)
+        assert {branch for _, _, branch in crossings} == set(Branch)
+        mesh = pullback_mesh(t1, t2, -2.0, 4.0, extra=b.junction_times(), crossings=crossings)
+        ref = recursive_quadrature(integrand, mesh)[0]
+        for tc, _, branch in crossings:
+            x1, v1, _ = t1.state(tc)
+            dens = {side: interaction_density((x1, v1), *scalar_cone_pair(t2, tc, x1, side),
+                                              m1=t1.particle.mass, kappa=k) for side in Side}
+            s = -branch.sign
+            n = cone_time(t2, (tc, x1), branch).n_hat
+            ref += (dens[Side.LEFT] - dens[Side.RIGHT]) * (
+                -s * float(n @ b.value(tc)) / (1.0 + s * float(n @ v1)))
+        value = frechet_directional(t1, t2, window, bd, b)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 class TestQuadratureBudget:

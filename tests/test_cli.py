@@ -179,11 +179,24 @@ class TestExitCodes:
                 {"t_edge": 50.0, "D_coeffs": [[0.0], [5.3], [0.0]],
                  "L_coeffs": [[0.0], [0.0], [0.0]]}]},
             "options": {"directions": 8, "t1_grid": [-3.0, 3.0, True]}}),
+        ("sewing-chain", {**static_pair(), "options": {"seed": [1.7, 0.0]}}),
+        ("sewing-chain", {**static_pair(), "options": {"seed": ["2", 0.0]}}),
+        ("build-polygonal", {"options": {"vertices1": [["2.5", "1", 0, 0], [5.0, 1, 0, 0]]}}),
+        ("action", {"trajectory1": {"kind": "polygonal",
+                                    "vertices": [[-50.0, 0, 0, 0], [50.0, "0.5", 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, "50"],
+                                    "positions": [[0, 0, 0], [0, 0, 0]],
+                                    "velocities": [[0, 0, 0], [0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
             "count-true", "mesh-zero", "mesh-fraction", "nodes-fraction", "max-iter-true",
-            "t1-grid-count-true"])
+            "t1-grid-count-true", "seed-fraction", "seed-text", "vertex-text",
+            "polygonal-text", "hermite-text"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1
@@ -218,8 +231,20 @@ class TestExitCodes:
                 {"t_edge": 50.0, "D_coeffs": [[0.0], [5.3], [0.0]],
                  "L_coeffs": [[0.0], [0.0], [0.0]]}]},
             "options": {"directions": 8, "t1_grid": [True, 3.0, 5]}}),
+        ("sewing-chain", {**static_pair(), "options": {"seed": [True, 0.0]}}),
+        ("build-polygonal", {"options": {"vertices1": [[False, 0, 0, 0], [5.0, 1, 0, 0]]}}),
+        ("action", {"trajectory1": {"kind": "polygonal",
+                                    "vertices": [[-50.0, 0, 0, 0], [50.0, 0, True, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, 50.0],
+                                    "positions": [[0, 0, 0], [0, 0, 0]],
+                                    "velocities": [[0, 0, 0], [0, False, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
     ], ids=["guard", "time-range-start", "radius", "end-time", "k2", "kappa", "el-tol",
-            "gtol", "t1-grid-start"])
+            "gtol", "t1-grid-start", "seed-particle", "vertex-time", "polygonal-vertex",
+            "hermite-velocity"])
     def test_boolean_numbers_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1

@@ -28,6 +28,7 @@ from wfvar.errors import CollisionError, ConeSolveError, DomainError, Insufficie
 from wfvar.lightcone import (
     Branch,
     cone_crossings,
+    cone_pair,
     cone_time,
     cone_times,
     far_cone_time,
@@ -459,14 +460,14 @@ def test_cone_crossing_roots_hit_the_partner_junction(data):
 
 # -- batched near-cone lanes against the scalar solve --------------------------
 
-def assert_lanes_match_cone_time(traj, ts, xs, branch):
-    """Every lane of `cone_times` against the scalar `cone_time` of its event:
-    t_k within 1e-12 max(1, |t_k|), r, n_hat, V, A and the Doppler factor
-    within 1e-12."""
-    batched = cone_times(traj, ts, xs, branch)
-    assert batched.side is Side.RIGHT and batched.branch is branch
+def assert_lanes_match_cone_time(traj, ts, xs, branch, side=Side.RIGHT):
+    """Every lane of `cone_times` against the scalar `cone_time` of its event,
+    both taken on `side`: t_k within 1e-12 max(1, |t_k|), r, n_hat, V, A and
+    the Doppler factor within 1e-12."""
+    batched = cone_times(traj, ts, xs, branch, side)
+    assert batched.side is side and batched.branch is branch
     for i, (t, x) in enumerate(zip(ts, xs)):
-        sol = cone_time(traj, (t, x), branch)
+        sol = cone_time(traj, (t, x), branch, side=side)
         assert abs(batched.t_k[i] - sol.t_k) <= 1e-12 * max(1.0, abs(sol.t_k))
         assert abs(batched.r[i] - sol.r) <= 1e-12 * max(1.0, sol.r)
         for name in ("n_hat", "v", "a"):
@@ -506,22 +507,36 @@ class TestBatchedConeTimes:
     @settings(max_examples=150, deadline=None)
     def test_roots_on_junctions_and_domain_ends(self, data):
         # the snap rule: a root on a junction is that junction exactly, with
-        # the right-sided partner data
+        # the partner data of the requested side
         traj = data.draw(trajectories())
         knots = [traj.t_start, traj.t_end] + traj.junction_times()
         branch = data.draw(st.sampled_from(list(Branch)))
+        side = data.draw(st.sampled_from(list(Side)))
         lanes = data.draw(st.integers(1, 6))
         taus = [data.draw(st.sampled_from(knots)) for _ in range(lanes)]
         rs = [data.draw(st.floats(0.1, 5.0)) for _ in range(lanes)]
         xs = np.array([traj.position(tau) + r * unit(data.draw) for tau, r in zip(taus, rs)])
         ts = np.array([tau + branch.sign * r for tau, r in zip(taus, rs)])
-        batched = assert_lanes_match_cone_time(traj, ts, xs, branch)
+        batched = assert_lanes_match_cone_time(traj, ts, xs, branch, side)
         for i, tau in enumerate(taus):
             assert abs(batched.t_k[i] - tau) <= 1e-12 * max(1.0, abs(tau))
             if tau in traj.junction_times():
                 assert batched.t_k[i] == tau
-                assert np.array_equal(batched.v[i], traj.velocity(tau))
-                assert np.array_equal(batched.a[i], traj.acceleration(tau))
+                assert np.array_equal(batched.v[i], traj.velocity(tau, side))
+                assert np.array_equal(batched.a[i], traj.acceleration(tau, side))
+
+    def test_a_float_event_gives_scalar_fields(self):
+        traj = circle(0.4, 0.5, math.pi)
+        t, x = 0.3, np.array([0.1, 2.0, -0.2])
+        for side in Side:
+            pair = cone_pair(traj, t, x, side)
+            for branch, sol in zip((Branch.ADVANCED, Branch.RETARDED), pair):
+                lanes = cone_times(traj, np.array([t]), x[None, :], branch, side)
+                assert sol.branch is branch and sol.side is side
+                for name in ("t_k", "r", "dilation", "n_hat", "v", "a"):
+                    one = getattr(sol, name)
+                    assert np.shape(one) == np.shape(getattr(lanes, name))[1:]
+                    assert np.array_equal(one, getattr(lanes, name)[0])
 
     def test_static_partner_lanes_land_on_the_root(self):
         # r = 5 exactly, so the scalar search's first bracket end is the root

@@ -36,6 +36,26 @@ def test_no_module_imports_a_private_name_from_another():
     assert hits == []
 
 
+def referenced_names(path: Path) -> set:
+    """Names one module imports, reads, or reads as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_partials_make_no_scalar_cone_solve():
+    # the action integrand, the first variation, the EL residual and the
+    # currents all solve their cones in lanes through `cone_pair`
+    for name in ("action", "momentum", "optimizer"):
+        assert "cone_time" not in referenced_names(PACKAGE / f"{name}.py"), name
+
+
 def outside_imports(path: Path) -> list:
     """Absolute imports of one module that are neither the standard library
     nor numpy."""

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers_geometry import static_traj, uniform_cone_roots, uniform_traj
+from helpers_geometry import (
+    scalar_branch_sums,
+    scalar_cone_pair,
+    static_traj,
+    uniform_cone_roots,
+    uniform_traj,
+)
 
-from wfvar.action import branch_sums
 from wfvar.core import ParticleParams, Side, polygonal_from_vertices, vec3
 from wfvar.errors import InfeasibleJumpError, SuperluminalError
-from wfvar.lightcone import Branch, cone_pair, cone_time
+from wfvar.lightcone import Branch, cone_time
 from wfvar.momentum import break_residuals, energy_current, momentum_current, post_jump_velocity
 
 POS = ParticleParams(mass=1.0, charge=1.0)
@@ -213,7 +218,7 @@ class TestJumpFeasibility:
         traj1, traj2, v_pre, _v_post, mass = engineered_jump_instance()
         kappa = 3.0
         x1 = traj1.position(0.0)
-        (W_p, w_p), (W_m, w_m) = (branch_sums(cone_pair(traj2, 0.0, x1, side))
+        (W_p, w_p), (W_m, w_m) = (scalar_branch_sums(scalar_cone_pair(traj2, 0.0, x1, side))
                                   for side in (Side.RIGHT, Side.LEFT))
         gamma_pre = 1.0 / math.sqrt(1.0 - v_pre @ v_pre)
         p_star = mass * gamma_pre * v_pre + kappa * (W_p - W_m)
