@@ -28,6 +28,7 @@ from .core import (
     ParticleParams,
     PiecewiseTrajectory,
     hermite_trajectory,
+    json_number,
     load_trajectory,
     polygonal_from_vertices,
     save_trajectory,
@@ -174,11 +175,11 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("scenario needs a list of exactly two particles")
     try:
         particles = tuple(
-            ParticleParams(_real(p["mass"]), _real(p["charge"]))
+            ParticleParams(json_number(p["mass"]), json_number(p["charge"]))
             for p in raw_particles
         )
         kappa = data.get("kappa")
-        kappa = None if kappa is None else _real(kappa)
+        kappa = None if kappa is None else json_number(kappa)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed particle or kappa entry: {exc}") from exc
     options = data.get("options", {})
@@ -196,13 +197,13 @@ def load_scenario(path) -> Scenario:
         try:
             window2 = raw_b.get("window2")
             if window2 is not None:
-                window2 = (_real(window2[0]), _real(window2[1]))
+                window2 = (json_number(window2[0]), json_number(window2[1]))
             boundary = BoundaryData(
-                _real(raw_b["start_time"]),
-                _real(raw_b["end_time"]),
+                json_number(raw_b["start_time"]),
+                json_number(raw_b["end_time"]),
                 history1=traj1,
                 history2=traj2,
-                k2=_real(raw_b.get("k2", 0.0)),
+                k2=json_number(raw_b.get("k2", 0.0)),
                 window2=window2,
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -260,27 +261,19 @@ def _count(minimum: int = 0):
     return convert
 
 
-def _real(value) -> float:
-    """A JSON number as a float; booleans, which `float` would take as 0 or
-    1, and strings, which it would parse, are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _floats(values) -> list:
-    return [_real(v) for v in values]
+    return [json_number(v) for v in values]
 
 
 def _vertices(rows) -> list:
     """(time, position) pairs of [t, x, y, z] rows."""
-    return [(_real(v[0]), vec3(_floats(v[1:4]))) for v in rows]
+    return [(json_number(v[0]), vec3(_floats(v[1:4]))) for v in rows]
 
 
 def _time_range(value) -> tuple:
     """[start, stop, count] of a time scan."""
     a, b, count = value
-    return _real(a), _real(b), _count()(count)
+    return json_number(a), json_number(b), _count()(count)
 
 
 def _scan_times(options: dict) -> list:
@@ -300,7 +293,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
         return fibonacci_sphere(default_count)
     if isinstance(value, int):  # bool too, which `_count` rejects
         return fibonacci_sphere(_option(options, "directions", _count(1)))
-    arr = _option(options, "directions", lambda v: np.asarray(v, dtype=float))
+    arr = _option(options, "directions", lambda v: np.array([_floats(row) for row in v]))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
     norms = np.linalg.norm(arr, axis=1)
@@ -312,7 +305,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
 def _t1_grid(value) -> np.ndarray:
     """[start, stop, count] with an integer count, else a list of times."""
     if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
-        return np.linspace(_real(value[0]), _real(value[1]), _count()(value[2]))
+        return np.linspace(json_number(value[0]), json_number(value[1]), _count()(value[2]))
     return np.asarray(_floats(value))
 
 
@@ -347,14 +340,14 @@ def _cmd_action(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", _real, 1e-6)
+    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", json_number, 1e-6)
     report = verify(
         scen.traj1,
         scen.traj2,
         scen.boundary,
         n_points=_option(scen.options, "n_points", _count(1), 9),
         el_tol=el_tol,
-        break_tol=_option(scen.options, "break_tol", _real, 1e-8),
+        break_tol=_option(scen.options, "break_tol", json_number, 1e-8),
         kappa=scen.kappa,
     )
     path = out / "verify.csv"
@@ -368,7 +361,8 @@ def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
     dirs = _directions(scen.options, 32)
-    guard = float(tol) if tol is not None else _option(scen.options, "guard", _real, GUARD_BAND)
+    guard = float(tol) if tol is not None else _option(
+        scen.options, "guard", json_number, GUARD_BAND)
     # lanes run time-major: every direction at the first time, then the next
     lane_t = np.repeat(times, len(dirs))
     lane_n = np.tile(dirs, (len(times), 1))
@@ -393,12 +387,13 @@ def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     times = _scan_times(scen.options)
     if "radius" not in scen.options:
         raise ConfigError("flux options need a radius")
-    radius = _option(scen.options, "radius", _real)
+    radius = _option(scen.options, "radius", json_number)
     if radius <= 0.0:
         raise ConfigError("flux radius must be positive")
     mesh = _option(scen.options, "mesh", _mesh)
     retarded_only = _option(scen.options, "retarded_only", _flag, False)
-    guard = float(tol) if tol is not None else _option(scen.options, "guard", _real, GUARD_BAND)
+    guard = float(tol) if tol is not None else _option(
+        scen.options, "guard", json_number, GUARD_BAND)
     rows = []
     for t in times:
         value = sphere_flux(scen.traj1, scen.traj2, t, radius, mesh=mesh,
@@ -442,7 +437,7 @@ def _cmd_construct_partner(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         raise ConfigError("construct-partner options need a t1_grid")
     t1_grid = _option(scen.options, "t1_grid", _t1_grid)
     spread_tol = float(tol) if tol is not None else _option(
-        scen.options, "spread_tol", _real, 1e-6)
+        scen.options, "spread_tol", json_number, 1e-6)
     traj1, report = construct_partner(
         scen.traj2,
         scen.family,
@@ -467,7 +462,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
-        seed = (_count(1)(seed_opt[0]), _real(seed_opt[1]))
+        seed = (_count(1)(seed_opt[0]), json_number(seed_opt[1]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError("seed must be [particle, time]") from exc
     chain = sewing_chain(
@@ -488,7 +483,8 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": _real, "max_iter": _count(), "el_tol": _real, "break_tol": _real}
+    kinds = {"gtol": json_number, "max_iter": _count(), "el_tol": json_number,
+             "break_tol": json_number}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
     if tol is not None:

@@ -39,6 +39,7 @@ __all__ = [
     "add_perturbation",
     "replace_window",
     "merge_history",
+    "json_number",
     "trajectory_to_dict",
     "trajectory_from_dict",
     "save_trajectory",
@@ -382,12 +383,6 @@ class SegmentChain:
         """Interior junction times (candidate breaking points)."""
         return list(self._junctions)
 
-    def adjacent_junctions(self, t: float) -> list:
-        """The last junction before t and the first one at or after it, where
-        they exist: the only junctions that can be nearest to t."""
-        i = bisect_left(self._junctions, t)
-        return self._junctions[max(0, i - 1): i + 1]
-
     def segment_at(self, t: float, side: Side = Side.RIGHT) -> Segment:
         """The segment governing time t: at a junction, the one starting
         there (RIGHT) or the one ending there (LEFT).
@@ -571,9 +566,6 @@ class BoundaryData:
             return (self.start_time, self.end_time)
         return self.window2
 
-    def history(self, k: int) -> PiecewiseTrajectory | None:
-        return self.history1 if k == 1 else self.history2
-
 
 @dataclass(frozen=True)
 class Perturbation(SegmentChain):
@@ -716,8 +708,9 @@ def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
 
 def merge_history(traj: PiecewiseTrajectory,
                   history: PiecewiseTrajectory | None) -> PiecewiseTrajectory:
-    """Extend a window trajectory with its frozen continuation, if any."""
-    if history is None:
+    """Extend a window trajectory with its frozen continuation, if any; a
+    trajectory that is its own history is returned as it is."""
+    if history is None or history is traj:
         return traj
     if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
         return replace_window(history, traj, (traj.t_start, traj.t_end))
@@ -732,6 +725,18 @@ def merge_history(traj: PiecewiseTrajectory,
 
 
 # -- JSON exchange format -----------------------------------------------------
+
+def json_number(value) -> float:
+    """A JSON number as a float.  Booleans, which ``float`` would take as 0
+    or 1, strings, which it would parse, and integers too large for a float
+    raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+
 
 def trajectory_to_dict(traj: PiecewiseTrajectory) -> dict:
     """Exchange form: coefficients ascending in the segment-local time t - t0."""
@@ -751,16 +756,16 @@ def trajectory_to_dict(traj: PiecewiseTrajectory) -> dict:
 
 def trajectory_from_dict(d: dict) -> PiecewiseTrajectory:
     try:
-        particle = ParticleParams(float(d["particle"]["mass"]),
-                                  float(d["particle"]["charge"]))
+        particle = ParticleParams(json_number(d["particle"]["mass"]),
+                                  json_number(d["particle"]["charge"]))
         segs = []
         for sd in d["segments"]:
             if not isinstance(sd, dict):
                 raise ConfigError(f"segment record must be a JSON object, got {sd!r}")
             if sd.get("kind", "polynomial") != "polynomial":
                 raise ConfigError(f"unsupported segment kind {sd.get('kind')!r}")
-            segs.append(Segment(float(sd["t0"]), float(sd["t1"]),
-                                np.asarray(sd["coeffs"], dtype=float)))
+            coeffs = [[json_number(c) for c in row] for row in sd["coeffs"]]
+            segs.append(Segment(json_number(sd["t0"]), json_number(sd["t1"]), coeffs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
     return PiecewiseTrajectory(tuple(segs), particle)

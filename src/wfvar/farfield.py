@@ -21,28 +21,14 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, Vec3, cross, vec3
 from .errors import CoverageError, DomainError
-from .lightcone import Branch, far_cone_time, far_cone_times
+from .lightcone import Branch, far_cone_time, far_cone_times, unit_directions
 
 GUARD_BAND = 1e-9
 _BOTH_BRANCHES = (Branch.RETARDED, Branch.ADVANCED)
 
 
-def _units(dirs) -> np.ndarray:
-    """Directions as an (M, 3) array of finite rows with |n|^2 within 1e-9 of 1."""
-    d = np.asarray(dirs, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 3:
-        raise DomainError(f"directions must have shape (M, 3), got {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise DomainError("non-finite direction components")
-    sq = (d * d).sum(axis=1)
-    off = np.abs(sq - 1.0) > 1e-9
-    if off.any():
-        raise DomainError(f"direction must be a unit vector, got |n|^2 = {sq[off][0]}")
-    return d
-
-
 def _unit(n) -> Vec3:
-    return _units(vec3(n)[None])[0]
+    return unit_directions(vec3(n)[None])[0]
 
 
 def _dot(a, b):
@@ -188,7 +174,7 @@ def gah_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     retarded cone times stay out of every guard band; the residual of an
     undefined lane is a one-sided value and carries no meaning.
     """
-    dirs = _units(dirs)
+    dirs = unit_directions(dirs)
     totals, defined = _branch_totals((traj1, traj2), t, dirs, 0.0, guard,
                                      (Branch.RETARDED,), field=_gah_field)
     return -cross(dirs, totals[Branch.RETARDED]), defined
@@ -234,7 +220,7 @@ class SphereMesh:
             raise DomainError("mesh needs at least one direction")
         if not np.all(np.isfinite(w) & (w > 0.0)):
             raise DomainError("mesh weights must be finite and positive")
-        object.__setattr__(self, "directions", _units(d))
+        object.__setattr__(self, "directions", unit_directions(d))
         object.__setattr__(self, "weights", w)
 
     def __len__(self):

@@ -12,6 +12,7 @@ amplitude treats distances as the sphere radius R.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +28,8 @@ from .errors import (
 )
 
 __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
-           "cone_times", "far_cone_time", "far_cone_times", "influence_interval"]
+           "cone_times", "far_cone_time", "far_cone_times", "influence_interval",
+           "unit_directions"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
@@ -79,133 +81,107 @@ class ConeSolution:
 
 def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
               side: Side = Side.RIGHT) -> ConeSolution:
-    """Solve the light-cone condition of `event` onto `traj`.
+    """Solve the light-cone condition of `event` onto `traj`: one lane of
+    `cone_times` on plain floats, with the same fields bit for bit.
 
     `event` is a (time, position) pair.  The residual g(t_k) = (t - t_k) -
-    s r, s the branch sign, is strictly decreasing for subluminal motion,
-    its slope in [-2, -(1 - |v|)].  A bracket grows from the event time, clamped to the
-    domain, by steps that start at max(r, 1e-3, 1e-3 |t|) and double; the
-    root lies within |g| / (1 - |v|) of the start, so few steps suffice.
-    Newton steps from the bracket's secant point then fall back to
-    bisection whenever they leave the bracket (Numerical Recipes' rtsafe).
-    A bracket end whose residual is exactly zero is the root (a static
-    partner's first step lands there).  A domain end whose residual is
-    within tolerance but of the wrong sign (the root lies just past it) is
-    returned; a root farther out raises InsufficientHistoryError.  Each
-    loop runs at most _MAX_ITER times and raises ConeSolveError, carrying
-    the event and branch, when that is spent.  `side` picks the one-sided
-    partner data when t_k lands exactly on a junction (Right unless a
-    one-sided limit is wanted).  The residual looks up the right-sided
-    segment once per time and hands it to the Newton step with the
-    distance; both evaluate it by Horner on its cached rows (`Segment.at`),
-    on plain floats.
+    s r, s the branch sign, is strictly decreasing for subluminal motion.
+    A binary search on the knot residuals, each computed once, finds the
+    first knot k whose residual is <= 0; inside segment k - 1 the root is
+    refined as in `_lane_roots`, and the junction snap, domain-end rule,
+    COLLISION_R cutoff and Doppler sum follow `cone_times` in its operation
+    order, and so do the exception types.  `side` picks the one-sided V and
+    A where t_k lands on a junction.  Every position and velocity is one
+    `Segment.at` call; a one-lane `cone_times` gives the same result at
+    many times the cost.
     """
     t, x = float(event[0]), vec3(event[1])
-    x0, x1, x2 = (float(c) for c in x)
+    if not math.isfinite(t):
+        raise ConeSolveError(f"{branch.value} cone of event t={t} has no finite residual",
+                             (t, x), branch)
+    x0, x1, x2 = x.tolist()
     sign = branch.sign
-    lo, hi = traj.t_start, traj.t_end
+    segs = traj.segments
+    last = len(segs)
 
-    def residual(t_k: float) -> tuple:
-        """g(t_k), with (distance vector, r, segment)."""
-        seg = traj.segment_at(t_k)
+    def residual(t_k: float, seg) -> tuple:
+        """(t - t_k) - sign*r at the position of `seg`, with (distance vector, r)."""
         px, py, pz = seg.at(t_k)
         d = (x0 - px, x1 - py, x2 - pz)
         r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        return (t - t_k) - sign * r, (d, r, seg)
+        return (t - t_k) - sign * r, d, r
 
-    def newton(t_k: float, g: float, aux: tuple) -> float:
-        """Newton update with dg/dt_k = -1 + sign * n.v from the right-sided
-        velocity; NaN at r = 0, where n is undefined."""
-        d, r, seg = aux
-        if r == 0.0:
-            return math.nan
-        vx, vy, vz = seg.at(t_k, 1)
-        return t_k - g / (-1.0 + sign * (d[0] * vx + d[1] * vy + d[2] * vz) / r)
-
-    def root() -> float:
-        s = min(max(t, lo), hi)
-        gs, (_, step, _) = residual(s)
-        if gs == 0.0:
-            return s
-        step = max(step, 1e-3, 1e-3 * abs(t))
-        up = gs > 0.0
-        for _ in range(_MAX_ITER):
-            end = hi if up else lo
-            if s == end:
-                g, (_, r, _) = residual(end)
-                if abs(g) > _cone_tol(t, end, r, False):
-                    raise InsufficientHistoryError(
-                        f"{branch.value} cone of event t={t} exits the domain "
-                        f"[{lo}, {hi}] on the {'late' if up else 'early'} side"
-                    )
-                return end
-            nxt = min(s + step, hi) if up else max(s - step, lo)
-            gn, _ = residual(nxt)
-            if gn == 0.0:
-                return nxt
-            if (gn < 0.0) is up:
-                break
-            s, gs = nxt, gn
-            step *= 2.0
+    # first knot whose residual is <= 0 (last + 1 if none is); ga and gb
+    # keep the residuals of knots k - 1 and k
+    k, hi, ga, gb = 0, last + 1, None, None
+    while k < hi:
+        mid = (k + hi) // 2
+        seg = segs[min(mid, last - 1)]
+        g = residual(seg.t_start if mid < last else seg.t_end, seg)[0]
+        if g > 0.0:
+            k, ga = mid + 1, g
         else:
-            raise ConeSolveError(
-                f"no bracket for the {branch.value} cone root of event t={t} "
-                f"after {_MAX_ITER} steps", (t, x), branch)
-        a, ga, b, gb = (s, gs, nxt, gn) if up else (nxt, gn, s, gs)
+            hi, gb = mid, g
+    gk = gb if k <= last else ga
+    t_k = segs[k].t_start if k < last else traj.t_end
 
-        # A Newton step may land on a closed end of the bracket the search
-        # found, once per end: the search never tested those ends against
-        # the acceptance threshold.
-        untested = {a, b}
-        # clipped: rounding may carry the secant point past an end
-        t_k = min(max(a + ga * (b - a) / (ga - gb), a), b)
+    if 1 <= k <= last and gk != 0.0:
+        seg = segs[k - 1]
+        a, b = seg.t_start, seg.t_end
+        s = min(max(a + ga * (b - a) / (ga - gb), a), b)
         for _ in range(_MAX_ITER):
-            g, aux = residual(t_k)
-            t_next = newton(t_k, g, aux)
-            if abs(g) <= _cone_tol(t, t_k, aux[1], True):
-                # One polishing step: the accepted residual divided by a
-                # small slope (fast receding motion) can still move the root
-                # by more than 1e-12, while a final Newton update leaves only
-                # evaluation noise.  Keep the bracket as a safety net.
-                return t_next if a < t_next < b else t_k
-            if g > 0.0:
-                untested.discard(a)
-                a = t_k
-            else:
-                untested.discard(b)
-                b = t_k
-            if not (a < t_next < b or t_next in untested):
-                t_next = 0.5 * (a + b)
-            if t_next == t_k:
-                return t_k
-            t_k = t_next
-        g, (_, r, _) = residual(t_k)
-        if abs(g) <= _cone_tol(t, t_k, r, False):
-            return t_k
-        raise ConeSolveError(
-            f"{branch.value} cone root of event t={t} did not converge: "
-            f"residual {g:.3g} after {_MAX_ITER} iterations", (t, x), branch)
+            g, d, r = residual(s, seg)
+            vx, vy, vz = seg.at(s, 1)
+            nv = (d[0] * vx + d[1] * vy + d[2] * vz) / r if r > 0.0 else math.nan
+            slope = -1.0 + sign * nv
+            step = s - g / slope
+            if abs(g) <= _cone_tol(t, s, r, True):
+                t_k = step if a < step < b else s  # one polishing step
+                break
+            a, b = (s, b) if g > 0.0 else (a, s)
+            if not a < step < b:
+                step = 0.5 * (a + b)
+            if step == s:
+                if abs(g) > _cone_tol(t, s, r, False):
+                    raise ConvergenceError(f"cone residual {g:.3g} at t_k={s}")
+                t_k = s
+                break
+            s = step
+        else:
+            g, _, r = residual(s, seg)
+            if abs(g) > _cone_tol(t, s, r, False):
+                raise ConeSolveError(
+                    f"{branch.value} cone root of event t={t} did not converge: "
+                    f"residual {g:.3g} after {_MAX_ITER} iterations", (t, x), branch)
+            t_k = s
 
-    t_k = root()
-    # snap to an exact junction when the root lands on one (up to root noise),
-    # so that one-sided evaluation through `side` is meaningful; keep the
-    # converged root if the junction itself violates the residual contract
-    for j in traj.adjacent_junctions(t_k):
-        if j != t_k and abs(j - t_k) < 1e-9 * max(1.0, abs(t_k)):
-            gj, (_, rj, _) = residual(j)
+    # the junction snap of `cone_times`
+    junctions = traj.junction_times()
+    if junctions:
+        i = bisect_left(junctions, t_k)
+        before, after = junctions[max(i - 1, 0)], junctions[min(i, len(junctions) - 1)]
+        near = 1e-9 * max(1.0, abs(t_k))
+        j = before if i > 0 and t_k - before < near else after
+        if j != t_k and abs(j - t_k) < near:
+            gj, _, rj = residual(j, traj.segment_at(j))
             if abs(gj) <= _cone_tol(t, j, rj, False):
                 t_k = j
-            break
-    g, (d, r, _) = residual(t_k)
+
+    g, d, r = residual(t_k, traj.segment_at(t_k))
     if abs(g) > _cone_tol(t, t_k, r, False):
+        if (k == 0 and gk != 0.0) or k > last:
+            raise InsufficientHistoryError(
+                f"{branch.value} cone of event t={t} exits the domain "
+                f"[{traj.t_start}, {traj.t_end}]")
         raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
-    if r == 0.0:
-        raise CollisionError(f"event at t={t} touches the trajectory (r = 0)")
-    n_hat = np.array(d) / r
+    if r < COLLISION_R:
+        raise CollisionError(f"cone distance {r} below {COLLISION_R} at t={t}")
+    n0, n1, n2 = d[0] / r, d[1] / r, d[2] / r
     seg = traj.segment_at(t_k, side)
-    v, a_vec = np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
-    doppler = 1.0 - sign * float(n_hat @ v)  # retarded: 1 - n.v, advanced: 1 + n.v
-    return ConeSolution(t_k=t_k, r=r, n_hat=n_hat, v=v, a=a_vec, dilation=1.0 / doppler,
+    v = seg.at(t_k, 1)
+    doppler = 1.0 - sign * (n0 * v[0] + n1 * v[1] + n2 * v[2])
+    return ConeSolution(t_k=t_k, r=r, n_hat=np.array([n0, n1, n2]), v=np.array(v),
+                        a=np.array(seg.at(t_k, 2)), dilation=1.0 / doppler,
                         side=side, branch=branch)
 
 
@@ -271,11 +247,12 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
     aux, tight)`.  A vectorized binary search on the knot residuals finds
     k, the first knot whose residual is <= 0 (knots.size if none is).  A
     lane with 1 <= k <= last and a nonzero residual g_k at knot k is solved
-    inside segment k - 1 as in `cone_time`: Newton from the secant
-    point, bisection whenever a step leaves the bracket, one polishing step
-    and the _MAX_ITER budget.  Every other lane keeps knot min(k, last): its
-    root, or the domain end its root lies past.  A non-finite event time
-    raises ConeSolveError with `event(lane)` before any search.
+    inside segment k - 1: Newton from the secant point, bisection whenever
+    a step leaves the bracket, one polishing step and the _MAX_ITER budget.
+    Every other lane keeps knot min(k, last): its root, or the domain end
+    its root lies past.  A non-finite event time raises ConeSolveError with
+    `event(lane)` before any search.  `cone_time` is the same loop on
+    floats, step for step.
     """
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
@@ -331,20 +308,21 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
 
 def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
                side: Side = Side.RIGHT) -> ConeSolution:
-    """`cone_time` for M events at once: times `ts` ((M,)) and positions `xs`
-    ((M, 3)), as one ConeSolution whose fields are arrays (t_k, r and
+    """Cone solutions of M events at once: times `ts` ((M,)) and positions
+    `xs` ((M, 3)), as one ConeSolution whose fields are arrays (t_k, r and
     dilation (M,); n_hat, v and a (M, 3)).  A float time and a (3,)
     position give scalar fields and (3,) rows.  `side` picks the one-sided
-    V and A where a root lands on a junction, as in `cone_time`.
+    V and A where a root lands on a junction.
 
     Each lane is bracketed between two knots of the chain and solved by
-    Newton with bisection (`_lane_roots`), under `cone_time`'s tolerances
-    and budget.  A root past a domain end returns that end when the end's
-    residual is within tolerance and raises InsufficientHistoryError
-    otherwise; a root within 1e-9 max(1, |t_k|) of a junction snaps to it
-    under `cone_time`'s rule; a cone distance below COLLISION_R raises
-    CollisionError.  Errors are those of the scalar path, for the first
-    failing lane.
+    Newton with bisection (`_lane_roots`) under the `_cone_tol` tolerances
+    and the _MAX_ITER budget.  A root past a domain end returns that end
+    when the end's residual is within tolerance and raises
+    InsufficientHistoryError otherwise; a root within 1e-9 max(1, |t_k|) of
+    a junction snaps to it when the junction's residual is within
+    tolerance; a cone distance below COLLISION_R raises CollisionError.
+    Errors are raised for the first failing lane.  Each lane equals
+    `cone_time` of its event bit for bit.
     """
     shape = np.shape(ts)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -376,8 +354,8 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
     # past a domain end, t_k already holds that end
     exits = ((k == 0) & (gk != 0.0)) | (k >= packed.knots.size)
 
-    # `cone_time`'s snap: to the junction before t_k if it is within 1e-9,
-    # else to the one at or after it, if that is
+    # snap to the junction before t_k if it is within 1e-9, else to the one
+    # at or after it, if that is
     junctions = packed.knots[1:-1]
     if junctions.size:
         i = np.searchsorted(junctions, t_k)
@@ -420,6 +398,21 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
                         side=side, branch=branch)
 
 
+def unit_directions(dirs) -> np.ndarray:
+    """Directions as an (M, 3) float array of finite rows with |n| within
+    1e-9 of 1, the far-cone solve's rule; DomainError otherwise."""
+    dirs = np.asarray(dirs, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise DomainError(f"directions must have shape (M, 3), got {dirs.shape}")
+    if not np.all(np.isfinite(dirs)):
+        raise DomainError("non-finite direction components")
+    norms = np.linalg.norm(dirs, axis=1)
+    off_unit = np.abs(norms - 1.0) > 1e-9
+    if off_unit.any():
+        raise DomainError(f"direction must be a unit vector, |n| = {norms[off_unit][0]}")
+    return dirs
+
+
 def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
                    branch: Branch = Branch.RETARDED) -> np.ndarray:
     """`far_cone_time` for many lanes at once: event times `t` (a float or
@@ -431,15 +424,7 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     has slope -1 and is solved in closed form, with `far_cone_time`'s 1e-9
     slack.  Errors match `far_cone_time`'s, for the first failing lane.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise DomainError(f"directions must have shape (M, 3), got {dirs.shape}")
-    if not np.all(np.isfinite(dirs)):
-        raise DomainError("non-finite direction components")
-    off_unit = np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9
-    if off_unit.any():
-        raise DomainError(f"direction must be a unit vector, |n| = "
-                          f"{np.linalg.norm(dirs[off_unit][0])}")
+    dirs = unit_directions(dirs)
     if R < 0.0:
         raise DomainError("R must be nonnegative")
     R = float(R)

@@ -28,6 +28,7 @@ from .core import (
     cross,
     fd_node_velocities,
     hermite_trajectory,
+    json_number,
     polygonal_from_vertices,
     vec3,
 )
@@ -318,22 +319,25 @@ def params_to_dict(params: SeparationFamilyParams) -> dict:
 def params_from_dict(data: dict) -> SeparationFamilyParams:
     try:
         kind = data["kind"]
-        t_start = float(data["t_start"])
         intervals = data["intervals"]
         if not isinstance(intervals, list) or not intervals:
             raise ConfigError("intervals must be a non-empty list")
-        edges = [t_start] + [float(iv["t_edge"]) for iv in intervals]
+        edges = [json_number(data["t_start"])] + [json_number(iv["t_edge"]) for iv in intervals]
+
+        def numbers(rows):
+            return [[json_number(c) for c in row] for row in rows]
+
         if kind == "harmonic":
-            lmax = int(data.get("lmax", DEFAULT_LMAX))
-            d_tables = [np.asarray(iv["D_coeffs"], dtype=float) for iv in intervals]
-            l_tables = [np.asarray(iv["L_coeffs"], dtype=float) for iv in intervals]
+            lmax = data.get("lmax", DEFAULT_LMAX)
+            if isinstance(lmax, bool) or not isinstance(lmax, int) or lmax < 0:
+                raise ConfigError(f"lmax must be a JSON integer >= 0, got {lmax!r}")
+            d_tables = [numbers(iv["D_coeffs"]) for iv in intervals]
+            l_tables = [numbers(iv["L_coeffs"]) for iv in intervals]
             return SeparationFamilyParams.from_harmonic_tables(
                 edges, d_tables, l_tables, lmax=lmax
             )
         if kind == "linear":
-            pieces = [
-                (iv["p1"], iv["v1"], iv["p2"], iv["v2"]) for iv in intervals
-            ]
+            pieces = [numbers(iv[key] for key in ("p1", "v1", "p2", "v2")) for iv in intervals]
             return SeparationFamilyParams.from_linear_pieces(edges, pieces)
         raise ConfigError(f"unknown family kind {kind!r}")
     except ConfigError:

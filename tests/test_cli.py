@@ -42,6 +42,34 @@ def static_pair(d=2.0, t0=-50.0, t1=50.0):
     }
 
 
+def harmonic_family(lmax=0, width=1, **changes):
+    """A one-interval harmonic family record whose tables have `width` columns."""
+    zeros = [0.0] * width
+    family = {"kind": "harmonic", "t_start": -50.0, "lmax": lmax, "intervals": [
+        {"t_edge": 50.0, "D_coeffs": [zeros, [5.3] + zeros[1:], zeros],
+         "L_coeffs": [zeros, zeros, zeros]}]}
+    return {**family, **changes}
+
+
+def linear_family(**changes):
+    """A one-interval linear family record; `changes` edit its interval."""
+    interval = {"t_edge": 50.0, "p1": [0.0, 5.3, 0.0], "v1": [0.0, 0.0, 0.0],
+                "p2": [0.0, 0.0, 0.0], "v2": [0.0, 0.0, 0.0]}
+    return {"kind": "linear", "t_start": -50.0, "intervals": [{**interval, **changes}]}
+
+
+def partner_scenario(family):
+    return {"trajectory2": static_record(0.0, 0.0, 0.0), "family": family,
+            "options": {"directions": 8, "t1_grid": [-3.0, 3.0, 5]}}
+
+
+def segments_scenario(t0, t1, x=0.0):
+    """Action on a static inline `segments` record against a partner 2 away."""
+    record = {"segments": [{"t0": t0, "t1": t1, "coeffs": [[x], [0.0], [0.0]]}]}
+    return {"trajectory1": record, "trajectory2": static_record(2.0, 0.0, 0.0),
+            "boundary": {"start_time": -1.0, "end_time": 1.0}}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -191,17 +219,44 @@ class TestExitCodes:
                                     "velocities": [[0, 0, 0], [0, 0, 0]]},
                     "trajectory2": static_record(2.0, 0.0, 0.0),
                     "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 10**400}}),
+        ("action", segments_scenario("-50", "50")),
+        ("action", segments_scenario(-50.0, 50.0, "0")),
+        ("construct-partner", partner_scenario(harmonic_family(t_start="-40"))),
+        ("construct-partner", partner_scenario(harmonic_family("4", 25))),
+        ("construct-partner", partner_scenario(harmonic_family(4.7, 25))),
+        ("construct-partner", partner_scenario(harmonic_family(True, 4))),
+        ("construct-partner", partner_scenario(
+            harmonic_family(intervals=[{"t_edge": 50.0, "D_coeffs": [[0.0], ["5.3"], [0.0]],
+                                        "L_coeffs": [[0.0], [0.0], [0.0]]}]))),
+        ("construct-partner", partner_scenario(linear_family(p1=[0.0, "5.3", 0.0]))),
+        ("construct-partner", partner_scenario(linear_family(t_edge="50"))),
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0],
+                                                   "directions": [["1", 0, 0], [0, 1, 0]]}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
             "count-true", "mesh-zero", "mesh-fraction", "nodes-fraction", "max-iter-true",
             "t1-grid-count-true", "seed-fraction", "seed-text", "vertex-text",
-            "polygonal-text", "hermite-text"])
+            "polygonal-text", "hermite-text", "end-time-huge", "segment-time-text",
+            "segment-coeff-text", "family-start-text", "lmax-text", "lmax-fraction",
+            "lmax-true", "table-text", "piece-text", "edge-text", "direction-vector-text"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config"), err
+
+    @pytest.mark.parametrize("command, fields", [
+        ("action", segments_scenario(-50.0, 50.0)),
+        ("construct-partner", partner_scenario(harmonic_family())),
+        ("construct-partner", partner_scenario(harmonic_family(4, 25))),
+        ("construct-partner", partner_scenario(linear_family())),
+    ], ids=["segments", "harmonic", "harmonic-lmax-4", "linear"])
+    def test_well_formed_records_run(self, tmp_path, command, fields):
+        # the records that the malformed cases above break
+        path = write_scenario(tmp_path, base_scenario(**fields))
+        assert run(command, path, out_dir=tmp_path / "out", quiet=True) == 0
 
     def test_boolean_times_and_guard_are_config_errors(self, tmp_path, capsys):
         # float() would read true as t = 1 and false as a zero guard band

@@ -23,7 +23,7 @@ from wfvar.farfield import (
     wf_far,
     write_field_csv,
 )
-from wfvar.lightcone import Branch
+from wfvar.lightcone import Branch, far_cone_time
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -261,6 +261,22 @@ class TestSphereMesh:
         with pytest.raises(DomainError):
             SphereMesh(dirs, mesh.weights)
 
+    @pytest.mark.parametrize("excess, accepted", [(7.5e-10, True), (2e-9, False)])
+    def test_one_unit_rule_for_solver_fields_and_mesh(self, excess, accepted):
+        # |n| - 1 = 7.5e-10 is within the solver's 1e-9, though |n|^2 - 1 is not
+        n = np.array([1.0 + excess, 0.0, 0.0])
+        traj = quadratic_charge(half_accel=0.05, span=5.0)
+        verdicts = []
+        for use in (lambda: far_cone_time(traj, 0.0, n, 1.0),
+                    lambda: lw_far(traj, 0.0, n, 1.0),
+                    lambda: SphereMesh(n[None], np.ones(1))):
+            try:
+                use()
+                verdicts.append(True)
+            except DomainError:
+                verdicts.append(False)
+        assert verdicts == [accepted] * 3
+
 
 class TestSphereFlux:
     def test_static_pair_is_zero(self):
@@ -340,7 +356,7 @@ class TestBatchedAgainstPerDirectionLoops:
             near = any(abs(t_k - j) < 1e-9
                        for traj in (traj1, traj2)
                        for t_k in [scalar_far_cone_time(traj, t, n, 0.0)]
-                       for j in traj.adjacent_junctions(t_k))
+                       for j in traj.junction_times())
             assert ok == (not near)
             want = sum(b_via_second_derivative(traj, t + 1.0, n, 1.0) for traj in (traj1, traj2))
             assert_allclose(g, want, rtol=0, atol=1e-12)

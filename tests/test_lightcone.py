@@ -277,6 +277,30 @@ class TestInfluenceInterval:
         assert abs(lo - ret.t_k) < 1e-14 and abs(hi - adv.t_k) < 1e-14
 
 
+def test_cone_time_evaluations_on_a_long_chain(monkeypatch):
+    # a binary search on 201 knot residuals, a few Newton steps inside the
+    # bracketing segment and one final residual
+    partner = circle(0.4, 0.5, math.pi, span=40.0)
+    mover = circle(0.4, 0.5, 0.0, span=40.0)
+    assert len(partner.segments) == 200
+    evals = []
+    at = Segment.at
+
+    def counted_at(seg, t, order=0):
+        evals.append(order)
+        return at(seg, t, order)
+
+    monkeypatch.setattr(Segment, "at", counted_at)
+    counts = []
+    for t in np.linspace(-30.0, 30.0, 61):
+        x = mover.position(t)
+        for branch in Branch:
+            evals.clear()
+            cone_time(partner, (t, x), branch)
+            counts.append(evals.count(0))
+    assert max(counts) <= 12  # measured: at most 12, mean 11.7
+
+
 def test_nan_event_time_spends_the_budget():
     traj = static_traj([0, 0, 0])
     with pytest.raises(ConeSolveError) as err:
@@ -460,20 +484,61 @@ def test_cone_crossing_roots_hit_the_partner_junction(data):
 
 # -- batched near-cone lanes against the scalar solve --------------------------
 
+FIELDS = ("t_k", "r", "n_hat", "v", "a", "dilation")
+
+
+def assert_same_fields(one, other):
+    """Two cone solutions with bit-identical fields, signed zeros included."""
+    for name in FIELDS:
+        assert np.array_equal(bits(getattr(one, name)), bits(getattr(other, name))), name
+    assert one.side is other.side and one.branch is other.branch
+
+
 def assert_lanes_match_cone_time(traj, ts, xs, branch, side=Side.RIGHT):
-    """Every lane of `cone_times` against the scalar `cone_time` of its event,
-    both taken on `side`: t_k within 1e-12 max(1, |t_k|), r, n_hat, V, A and
-    the Doppler factor within 1e-12."""
+    """Every lane of `cone_times` against the float `cone_time` of its event,
+    both taken on `side`: t_k, r, n_hat, V, A and the dilation bit for bit."""
     batched = cone_times(traj, ts, xs, branch, side)
     assert batched.side is side and batched.branch is branch
     for i, (t, x) in enumerate(zip(ts, xs)):
         sol = cone_time(traj, (t, x), branch, side=side)
-        assert abs(batched.t_k[i] - sol.t_k) <= 1e-12 * max(1.0, abs(sol.t_k))
-        assert abs(batched.r[i] - sol.r) <= 1e-12 * max(1.0, sol.r)
-        for name in ("n_hat", "v", "a"):
-            assert np.abs(getattr(batched, name)[i] - getattr(sol, name)).max() <= 1e-12
-        assert abs(batched.doppler[i] - sol.doppler) <= 1e-12
+        for name in FIELDS:
+            assert np.array_equal(bits(getattr(batched, name)[i]), bits(getattr(sol, name))), name
     return batched
+
+
+def outcome(solve):
+    """The solution, or the type of the exception the solve raised."""
+    try:
+        return solve()
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_float_and_lane_forms_agree_bit_for_bit(data):
+    # roots on knots, just off them, anywhere in or past the domain and
+    # close to the trajectory; both forms give the same fields or raise the
+    # same exception type
+    traj = data.draw(trajectories())
+    knots = [traj.t_start, traj.t_end] + traj.junction_times()
+    branch = data.draw(st.sampled_from(list(Branch)))
+    side = data.draw(st.sampled_from(list(Side)))
+    tau = data.draw(st.one_of(
+        st.sampled_from(knots),
+        st.builds(lambda k, e: k + e, st.sampled_from(knots),
+                  st.sampled_from([-1e-9, -1e-12, -1e-15, 1e-15, 1e-12, 1e-9])),
+        st.floats(traj.t_start - 3.0, traj.t_end + 3.0)))
+    r = data.draw(st.one_of(st.floats(0.0, 5.0), st.sampled_from([1e-10, 2e-9])))
+    at = min(max(tau, traj.t_start), traj.t_end)
+    x = traj.position(at) + r * unit(data.draw)
+    t = tau + branch.sign * r
+    one = outcome(lambda: cone_time(traj, (t, x), branch, side))
+    lane = outcome(lambda: cone_times(traj, t, x, branch, side))
+    if isinstance(one, type) or isinstance(lane, type):
+        assert one is lane
+    else:
+        assert_same_fields(one, lane)
 
 
 def circle(radius, omega, phase, span=30.0, dt=0.4):
@@ -587,3 +652,5 @@ class TestBatchedConeTimes:
         for branch in Branch:
             with pytest.raises(CollisionError):
                 cone_times(traj, ts, xs, branch)
+            with pytest.raises(CollisionError):  # 1e-10 away, below COLLISION_R
+                cone_time(traj, (ts[1], xs[1]), branch)
