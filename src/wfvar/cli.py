@@ -29,7 +29,6 @@ from .core import (
     PiecewiseTrajectory,
     hermite_trajectory,
     json_number,
-    load_trajectory,
     polygonal_from_vertices,
     save_trajectory,
     trajectory_from_dict,
@@ -111,10 +110,9 @@ def _traj_from_record(record, particle: ParticleParams) -> PiecewiseTrajectory:
         raise ConfigError("inline trajectory must be a JSON object")
     try:
         if "segments" in record:
-            d = dict(record)
-            d.setdefault("particle", {"mass": particle.mass, "charge": particle.charge})
-            raw = trajectory_from_dict(d)
-            return PiecewiseTrajectory(raw.segments, particle)
+            # the scenario's particle, whatever the record names
+            return trajectory_from_dict(
+                {**record, "particle": {"mass": particle.mass, "charge": particle.charge}})
         kind = record.get("kind")
         if kind == "polygonal":
             return polygonal_from_vertices(_vertices(record["vertices"]), particle)
@@ -135,8 +133,11 @@ def _load_traj(data: dict, idx: int, particle: ParticleParams,
             f"trajectory{idx} given both inline and as a file reference"
         )
     if ref is not None:
-        raw = load_trajectory(base / ref)
-        return PiecewiseTrajectory(raw.segments, particle)
+        with open(base / ref) as fh:
+            try:
+                inline = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{ref} is not valid JSON: {exc}") from exc
     if inline is None:
         return None
     return _traj_from_record(inline, particle)

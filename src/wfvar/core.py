@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -136,13 +137,45 @@ def _poly_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def _polyder_row(row: tuple, m: int) -> tuple:
-    """m-th derivative of ascending coefficients, as ``npoly.polyder`` forms it."""
-    if m >= len(row):
-        return (row[0] * 0,)
-    for _ in range(m):
-        row = tuple(j * row[j] for j in range(1, len(row)))
-    return row
+def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
+    """Check the cells with knots ``ts`` (n+1 times) and coefficients
+    (n, 3, K) once per chain, give each of the n ``segments`` its read-only
+    coefficients and its rows, and judge their speeds; returns the rows.
+
+    The one validation rule of every segment.  The speed rule: |v(u)| <=
+    sum_k |v_k| u^k on [0, h], so a segment whose bound stays 1e-9 below 1
+    passes, and the exact `Segment.max_speed` judges the rest alone.
+    """
+    if not all(map(math.isfinite, ts)):
+        raise DomainError("segment times must be finite")
+    for a, b in zip(ts, ts[1:]):
+        if not a < b:
+            raise DomainError(f"segment needs t_start < t_end, got [{a}, {b}]")
+    if not np.isfinite(coeffs).all():
+        raise DomainError("segment coefficients must be finite")
+    coeffs.setflags(write=False)
+    rows = [coeffs]  # then the derivatives, as npoly.polyder forms them
+    for m in (1, 2):
+        rows.append(rows[-1][..., 1:] * np.arange(1, rows[-1].shape[-1])
+                    if m < coeffs.shape[-1] else coeffs[..., :1] * 0)
+    tuples = ([tuple(map(tuple, block)) for block in r.tolist()] for r in rows)
+    for seg, c, seg_rows in zip(segments, coeffs, zip(*tuples)):
+        seg.__dict__.update(coeffs=c, _rows=seg_rows)
+    if segments[0].check_speed:
+        norms = np.sqrt((rows[1] * rows[1]).sum(axis=-2))
+        bound = norms[:, -1]
+        if norms.shape[-1] > 1:  # sum_k |v_k| h^k by Horner
+            h = np.subtract(ts[1:], ts[:-1])
+            for k in range(norms.shape[-1] - 2, -1, -1):
+                bound = norms[:, k] + bound * h
+        passed = bound < 1.0 - 1e-9
+        if not passed.all():
+            for seg in (segments[i] for i in np.flatnonzero(~passed).tolist()):
+                speed = seg.max_speed()
+                if speed >= 1.0:
+                    raise SuperluminalError(
+                        f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1")
+    return tuple(rows)
 
 
 def _cubic_roots(q) -> list:
@@ -196,30 +229,12 @@ class Segment:
     check_speed: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise DomainError("segment times must be finite")
-        if not self.t_start < self.t_end:
-            raise DomainError(
-                f"segment needs t_start < t_end, got [{self.t_start}, {self.t_end}]"
-            )
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if c.shape[0] != 3 or c.shape[1] < 1:
             raise DomainError(f"segment coeffs must have shape (3, K>=1), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("segment coefficients must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        # position, velocity and acceleration rows as float tuples, ascending
-        # powers; every evaluation reads these
-        rows = tuple(tuple(row) for row in c.tolist())
-        object.__setattr__(self, "_rows", tuple(
-            tuple(_polyder_row(row, m) for row in rows) for m in range(3)))
-        if self.check_speed and self.max_speed() >= 1.0:
-            raise SuperluminalError(
-                f"segment [{self.t_start}, {self.t_end}] reaches speed "
-                f"{self.max_speed():.6g} >= 1"
-            )
+        # sets coeffs and the position, velocity and acceleration rows as
+        # float tuples, ascending powers; every evaluation reads these
+        _fill_segments([self], [self.t_start, self.t_end], c[None].copy())
 
     # -- construction helpers -------------------------------------------------
 
@@ -233,11 +248,8 @@ class Segment:
     @classmethod
     def hermite(cls, t0: float, t1: float, x0, v0, x1, v1, check_speed: bool = True) -> "Segment":
         """Cubic interpolating endpoint positions and one-sided velocities."""
-        x0, v0, x1, v1 = vec3(x0), vec3(v0), vec3(x1), vec3(v1)
-        h = t1 - t0
-        c2 = 3.0 * (x1 - x0) / h**2 - (2.0 * v0 + v1) / h
-        c3 = 2.0 * (x0 - x1) / h**3 + (v0 + v1) / h**2
-        return cls(t0, t1, np.column_stack([x0, v0, c2, c3]), check_speed=check_speed)
+        _, c = _hermite_cells([t0, t1], [vec3(x0), vec3(x1)], [vec3(v0), vec3(v1)])
+        return cls(t0, t1, c[0], check_speed=check_speed)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -287,7 +299,7 @@ class Segment:
             for i, a in enumerate(cols):
                 for j, b in enumerate(cols):
                     s2[i + j] += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-            ds2 = _polyder_row(tuple(s2), 1)
+            ds2 = [j * s2[j] for j in range(1, len(s2))]
             if len(ds2) <= 4:
                 # in s = u / h, whose candidates belong to [0, 1]
                 roots = _cubic_roots([c * h**k for k, c in enumerate(ds2)])
@@ -309,11 +321,6 @@ class Segment:
         return Segment(a, b, _poly_shift(self.coeffs, a - self.t_start), check_speed=cs)
 
 
-def _junction_gaps(segs) -> list:
-    """(junction time, |position gap|) at each junction of a segment chain."""
-    return [(a.t_end, math.dist(a.at(a.t_end), b.at(b.t_start))) for a, b in zip(segs, segs[1:])]
-
-
 @dataclass(frozen=True)
 class PackedChain:
     """A segment chain as arrays, for evaluating many times at once.
@@ -326,7 +333,18 @@ class PackedChain:
 
     knots: np.ndarray  # (nseg + 1,): every segment start, then the chain's end
     rows: tuple  # three (nseg, 3, K_m) arrays
-    knot_positions: np.ndarray  # (nseg + 1, 3): right-sided position at each knot
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """(2, nseg, 3): every segment's position at its start and at its end."""
+        n = self.knots.size - 1
+        index = np.arange(2 * n) % n
+        return self.at(index, np.concatenate([self.knots[:-1], self.knots[1:]])).reshape(2, n, 3)
+
+    @cached_property
+    def knot_positions(self) -> np.ndarray:
+        """(nseg + 1, 3): the right-sided position at each knot."""
+        return np.concatenate([self.ends[0], self.ends[1, -1:]])
 
     @classmethod
     def of(cls, segments) -> "PackedChain":
@@ -338,10 +356,13 @@ class PackedChain:
             for i, s in enumerate(segments):
                 packed[i, :, : len(s._rows[m][0])] = s._rows[m]
             rows.append(packed)
-        chain = cls(knots, tuple(rows), None)
-        index = np.minimum(np.arange(knots.size), len(segments) - 1)
-        object.__setattr__(chain, "knot_positions", chain.at(index, knots))
-        return chain
+        return cls(knots, tuple(rows))
+
+    def junction_gaps(self) -> np.ndarray:
+        """|position gap| at each interior knot: the left limit against the
+        right one."""
+        gap = self.ends[1, :-1] - self.ends[0, 1:]
+        return np.sqrt((gap * gap).sum(axis=-1))
 
     def at(self, index, ts, order: int = 0) -> np.ndarray:
         """(..., 3) values of segments ``index`` at times ``ts`` (both of one
@@ -400,7 +421,8 @@ class SegmentChain:
 
     @property
     def packed(self) -> PackedChain:
-        """The chain's array layout, built on first use."""
+        """The chain's array layout: seeded by the array builder, else built
+        on first use."""
         packed = self.__dict__.get("_packed")
         if packed is None:
             packed = PackedChain.of(self.segments)
@@ -440,11 +462,14 @@ class PiecewiseTrajectory(SegmentChain):
     def __post_init__(self):
         super().__post_init__()
         if self.strict:
-            segs = self.segments
-            scale = max(1.0, *(abs(row[0]) for s in segs for row in s._rows[0]))
-            for t, gap in _junction_gaps(segs):
-                if gap > 1e-9 * scale:
-                    raise DomainError(f"position gap {gap:.3g} at junction t={t}")
+            packed = self.packed
+            gaps = packed.junction_gaps()
+            scale = max(1.0, float(np.abs(packed.rows[0][..., 0]).max()))
+            torn = gaps > 1e-9 * scale
+            if torn.any():
+                i = int(torn.argmax())
+                raise DomainError(
+                    f"position gap {gaps[i]:.3g} at junction t={packed.knots[i + 1]}")
 
     def position(self, t: float, side: Side = Side.RIGHT) -> Vec3:
         return self.segment_at(t, side).position(t)
@@ -463,37 +488,86 @@ class PiecewiseTrajectory(SegmentChain):
         return max(s.max_speed() for s in self.segments)
 
 
+def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
+    """The chain ``cls(segments, *fields)`` of the segments with knots (n+1,)
+    and coefficients (n, 3, K), ascending powers of t - knots[i].
+
+    Makes the segments by `_fill_segments`, without running
+    `Segment.__post_init__`, and seeds the chain's `PackedChain` from the
+    same arrays before the chain's own ``__post_init__`` runs, so neither
+    that nor the first evaluation packs it.
+    """
+    knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        raise DomainError(f"{cls.__name__} needs at least one segment")
+    ts = knots.tolist()
+    segs = [object.__new__(Segment) for _ in ts[1:]]
+    for seg, t0, t1 in zip(segs, ts, ts[1:]):
+        seg.__dict__.update(t_start=t0, t_end=t1, check_speed=check_speed)
+    rows = _fill_segments(segs, ts, np.ascontiguousarray(coeffs, dtype=float))
+    chain = object.__new__(cls)
+    object.__setattr__(chain, "_packed", PackedChain(knots, rows))
+    chain.__init__(tuple(segs), *fields)
+    return chain
+
+
+def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
+    """Knots and (n, 3, 4) coefficients of the cubic-Hermite cells through
+    one (3,) position and velocity row per time; cell i ends with
+    ``left_velocities[i + 1]``, which defaults to ``velocities``."""
+    knots = np.asarray(times, dtype=float)
+    if left_velocities is None:
+        left_velocities = velocities
+    nodes = [np.asarray(a, dtype=float) for a in (positions, velocities, left_velocities)]
+    for name, a in zip(("positions", "velocities", "left velocities"), nodes):
+        if knots.ndim != 1 or a.shape != (knots.size, 3):
+            raise DomainError(f"{name} need one (3,) row per time: got shape "
+                              f"{a.shape} for {knots.size} times")
+    x0, x1, v0, v1 = nodes[0][:-1], nodes[0][1:], nodes[1][:-1], nodes[2][1:]
+    # powers of h on floats: numpy's array power differs in the last bit on some lanes
+    powers = [(u, u**2, u**3) for u in (knots[1:] - knots[:-1]).tolist()]
+    h1, h2, h3 = np.array(powers, dtype=float).reshape(-1, 3, 1).transpose(1, 0, 2)
+    c2 = 3.0 * (x1 - x0) / h2 - (2.0 * v0 + v1) / h1
+    c3 = 2.0 * (x0 - x1) / h3 + (v0 + v1) / h2
+    return knots, np.array([x0, v0, c2, c3]).transpose(1, 2, 0)
+
+
 def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTrajectory:
     """Piecewise-constant-velocity trajectory through (time, position) vertices.
 
     Raises SuperluminalError if any chord speed reaches 1 and DomainError for
-    non-increasing times.
+    non-increasing times, for the first vertex pair that breaks either rule.
     """
     verts = [(float(t), vec3(x)) for t, x in vertices]
     if len(verts) < 2:
         raise DomainError("need at least two vertices")
-    segs = []
-    for (t0, x0), (t1, x1) in zip(verts, verts[1:]):
-        if not t1 > t0:
-            raise DomainError(f"vertex times must increase strictly: {t0} -> {t1}")
-        speed = float(np.linalg.norm(x1 - x0)) / (t1 - t0)
-        if speed >= 1.0:
-            raise SuperluminalError(f"chord speed {speed:.6g} >= 1 on [{t0}, {t1}]")
-        segs.append(Segment.linear(t0, t1, x0, x1))
-    return PiecewiseTrajectory(tuple(segs), particle)
+    ts = [t for t, _ in verts]
+    knots, xs = np.array(ts), np.array([x for _, x in verts])
+    h = knots[1:] - knots[:-1]
+    chords = xs[1:] - xs[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speeds = np.linalg.norm(chords, axis=1) / h
+    broken = ~(h > 0) | (speeds >= 1.0)
+    if broken.any():
+        i = int(broken.argmax())
+        if not h[i] > 0:
+            raise DomainError(f"vertex times must increase strictly: {ts[i]} -> {ts[i + 1]}")
+        raise SuperluminalError(f"chord speed {speeds[i]:.6g} >= 1 on [{ts[i]}, {ts[i + 1]}]")
+    coeffs = np.array([xs[:-1], chords / h[:, None]]).transpose(1, 2, 0)
+    return _chain(PiecewiseTrajectory, knots, coeffs, particle)
 
 
 def hermite_trajectory(times, positions, velocities, particle: ParticleParams,
-                       strict: bool = True) -> PiecewiseTrajectory:
-    """C^1 cubic-Hermite trajectory through nodes with prescribed velocities."""
-    times = [float(t) for t in times]
-    segs = []
-    for i in range(len(times) - 1):
-        segs.append(
-            Segment.hermite(times[i], times[i + 1], positions[i], velocities[i],
-                            positions[i + 1], velocities[i + 1])
-        )
-    return PiecewiseTrajectory(tuple(segs), particle, strict=strict)
+                       strict: bool = True, left_velocities=None) -> PiecewiseTrajectory:
+    """C^1 cubic-Hermite trajectory through nodes with prescribed velocities.
+
+    ``positions`` and ``velocities`` hold one (3,) row per time, else
+    DomainError.  With ``left_velocities`` (the same shape) each cell ends
+    with those, so the velocity jumps at a node where they differ from
+    ``velocities``, which each cell starts with.
+    """
+    knots, coeffs = _hermite_cells(times, positions, velocities, left_velocities)
+    return _chain(PiecewiseTrajectory, knots, coeffs, particle, strict)
 
 
 @dataclass(frozen=True)
@@ -516,14 +590,12 @@ class ValidationReport:
 
 def validate(traj: PiecewiseTrajectory) -> ValidationReport:
     """Report max speed, per-junction continuity defects, and time ordering."""
-    segs = traj.segments
-    monotonic = all(s.t_start < s.t_end for s in segs) and all(
-        b.t_start >= a.t_end for a, b in zip(segs, segs[1:])
-    )
+    packed = traj.packed
     return ValidationReport(
         max_speed=traj.max_speed(),
-        continuity_defects=tuple(_junction_gaps(segs)),
-        times_monotonic=monotonic,
+        continuity_defects=tuple(zip(packed.knots[1:-1].tolist(),
+                                     packed.junction_gaps().tolist())),
+        times_monotonic=bool(np.all(packed.knots[1:] > packed.knots[:-1])),
     )
 
 
@@ -610,46 +682,32 @@ class Perturbation(SegmentChain):
         ))
 
     @classmethod
-    def from_nodes(cls, times, values, velocities=None) -> "Perturbation":
+    def from_nodes(cls, times, values, velocities=None,
+                   left_velocities=None) -> "Perturbation":
         """Cubic-Hermite displacement through nodes (velocities default to
-        parabolic finite differences)."""
-        times = [float(t) for t in times]
-        vals = [vec3(v) for v in values]
+        parabolic finite differences; ``left_velocities`` as in
+        `hermite_trajectory`)."""
+        vals = np.asarray(values, dtype=float)
         if velocities is None:
             velocities = fd_node_velocities(times, vals)
-        segs = []
-        for i in range(len(times) - 1):
-            segs.append(
-                Segment.hermite(times[i], times[i + 1], vals[i], velocities[i],
-                                vals[i + 1], velocities[i + 1], check_speed=False)
-            )
-        return cls(tuple(segs))
+        knots, coeffs = _hermite_cells(times, vals, velocities, left_velocities)
+        return _chain(cls, knots, coeffs, check_speed=False)
 
 
-def fd_node_velocities(times, values):
-    """Node derivative estimates exact for quadratic data (3-point stencils)."""
-    n = len(times)
-    if n == 2:
-        v = (values[1] - values[0]) / (times[1] - times[0])
-        return [v, v]
-    out = []
-    for i in range(n):
-        if i == 0:
-            j = 0
-        elif i == n - 1:
-            j = n - 3
-        else:
-            j = i - 1
-        t0, t1, t2 = times[j], times[j + 1], times[j + 2]
-        y0, y1, y2 = values[j], values[j + 1], values[j + 2]
-        t = times[i]
-        # derivative of the parabola through the three nodes
-        out.append(
-            y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-            + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-            + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-        )
-    return out
+def fd_node_velocities(times, values) -> np.ndarray:
+    """(n, 3) node derivative estimates of (n, 3) node values, exact for
+    quadratic data: the derivative at each node of the parabola through its
+    3-point stencil (the chord slope for two nodes)."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.size == 2:
+        return np.array([(y[1] - y[0]) / (t[1] - t[0])] * 2)
+    j = np.clip(np.arange(t.size) - 1, 0, t.size - 3)
+    t0, t1, t2 = t[j, None], t[j + 1, None], t[j + 2, None]
+    t = t[:, None]
+    return (y[j] * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+            + y[j + 1] * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+            + y[j + 2] * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
 
 def _merged_breakpoints(traj: PiecewiseTrajectory, pert: Perturbation):

@@ -29,9 +29,9 @@ from .core import (
     ParticleParams,
     Perturbation,
     PiecewiseTrajectory,
-    Segment,
     Side,
     fd_node_velocities,
+    hermite_trajectory,
     merge_history,
     vec3,
 )
@@ -129,7 +129,7 @@ def _node_velocities(layout: ParticleLayout, times, positions, break_vels):
     vel_r = np.empty((n, 3))
     bounds = [0, *layout.break_indices.tolist(), n - 1]
     for a, b in zip(bounds, bounds[1:]):
-        fd = fd_node_velocities(list(times[a: b + 1]), list(positions[a: b + 1]))
+        fd = fd_node_velocities(times[a: b + 1], positions[a: b + 1])
         vel_l[a: b + 1] = fd
         vel_r[a: b + 1] = fd
     for j, idx in enumerate(layout.break_indices):
@@ -147,12 +147,8 @@ def _decode_particle(layout: ParticleLayout, block: np.ndarray,
         raise SuperluminalError(
             f"encoded node velocity reaches speed {speeds.max():.6g} >= 1"
         )
-    segs = tuple(
-        Segment.hermite(times[i], times[i + 1], positions[i], vel_r[i],
-                        positions[i + 1], vel_l[i + 1])
-        for i in range(times.size - 1)
-    )
-    return PiecewiseTrajectory(segs, layout.particle)
+    return hermite_trajectory(times, positions, vel_r, layout.particle,
+                              left_velocities=vel_l)
 
 
 def decode(dv: DecisionVector):
@@ -258,13 +254,9 @@ def _basis_perturbations(layout: ParticleLayout, block: np.ndarray,
             i for i in range(times.size - 1)
             if np.any(dpos[i]) or np.any(dvr[i]) or np.any(dpos[i + 1]) or np.any(dvl[i + 1])
         ]
-        lo, hi = moved[0], moved[-1]
-        segs = tuple(
-            Segment.hermite(times[i], times[i + 1], dpos[i], dvr[i],
-                            dpos[i + 1], dvl[i + 1], check_speed=False)
-            for i in range(lo, hi + 1)
-        )
-        out.append(Perturbation(segs))
+        nodes = slice(moved[0], moved[-1] + 2)
+        out.append(Perturbation.from_nodes(times[nodes], dpos[nodes], dvr[nodes],
+                                           left_velocities=dvl[nodes]))
     return out
 
 

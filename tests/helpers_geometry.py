@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from wfvar.action import coupling
-from wfvar.core import ParticleParams, PiecewiseTrajectory, Segment, Side, _shift_row, vec3
+from wfvar.core import (PackedChain, ParticleParams, PiecewiseTrajectory, Segment, Side,
+                        _shift_row, vec3)
 from wfvar.errors import CollisionError, InsufficientHistoryError
 from wfvar.lightcone import COLLISION_R, Branch, cone_time
 
@@ -160,3 +161,80 @@ def scalar_el_residual(traj1, traj2, t, side=Side.RIGHT, kappa=None):
         d_field = A * dt2 / (2.0 * r * rho) - V * (rho * dr + r * drho) / (2.0 * r * r * rho * rho)
         res = res - k * (d_field + scalar_branch_partials(v1, sol))
     return res
+
+
+# -- per-segment references for the array trajectory builder ---------------------
+
+def reference_hermite_coeffs(t0, t1, x0, v0, x1, v1):
+    """(3, 4) cubic-Hermite coefficients of one cell, one segment at a time,
+    with the powers of h taken on floats."""
+    x0, v0, x1, v1 = (np.asarray(a, dtype=float).reshape(3) for a in (x0, v0, x1, v1))
+    h = t1 - t0
+    c2 = 3.0 * (x1 - x0) / h**2 - (2.0 * v0 + v1) / h
+    c3 = 2.0 * (x0 - x1) / h**3 + (v0 + v1) / h**2
+    return np.column_stack([x0, v0, c2, c3])
+
+
+def reference_linear_coeffs(t0, t1, x0, x1):
+    """(3, 2) coefficients of the straight piece from x0 at t0 to x1 at t1."""
+    x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+    return np.column_stack([x0, (x1 - x0) / (t1 - t0)])
+
+
+def reference_rows(coeffs):
+    """Position, velocity and acceleration rows of (3, K) coefficients as
+    float tuples, one row at a time, as ``npoly.polyder`` forms them: the
+    derivative of a constant row is its constant times 0."""
+    def derivative(row, m):
+        if m >= len(row):
+            return (row[0] * 0,)
+        for _ in range(m):
+            row = tuple(j * row[j] for j in range(1, len(row)))
+        return row
+
+    rows = [tuple(row) for row in np.asarray(coeffs, dtype=float).tolist()]
+    return tuple(tuple(derivative(row, m) for row in rows) for m in range(3))
+
+
+def bits(values) -> bytes:
+    """The bytes of float data, which tell -0.0 from 0.0."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_segments_match(chain, knots, coeffs):
+    """The chain's segments carry `knots` and the (3, K) blocks `coeffs` bit
+    for bit, their rows are `reference_rows` of those blocks, and the
+    chain's packed rows are the segments' own rows."""
+    segs = chain.segments
+    assert len(segs) == len(coeffs) == len(knots) - 1
+    for seg, t0, t1, c in zip(segs, knots, knots[1:], coeffs):
+        assert (seg.t_start, seg.t_end) == (t0, t1)
+        assert bits(seg.coeffs) == bits(c)
+        want = reference_rows(c)
+        assert seg._rows == want
+        for got_m, want_m in zip(seg._rows, want):
+            assert all(isinstance(row, tuple) for row in got_m)
+            assert bits(got_m) == bits(want_m)
+    packed, fresh = chain.packed, PackedChain.of(segs)
+    assert bits(packed.knots) == bits(fresh.knots) == bits(knots)
+    assert bits(packed.knot_positions) == bits(fresh.knot_positions)
+    for m in range(3):
+        assert bits(packed.rows[m]) == bits(fresh.rows[m])
+
+
+def reference_fd_velocities(times, values):
+    """Node derivatives of the parabola through each node's 3-point stencil,
+    one node at a time (the chord slope for two nodes)."""
+    n = len(times)
+    if n == 2:
+        v = (values[1] - values[0]) / (times[1] - times[0])
+        return [v, v]
+    out = []
+    for i in range(n):
+        j = min(max(i - 1, 0), n - 3)
+        t0, t1, t2, t = times[j], times[j + 1], times[j + 2], times[i]
+        y0, y1, y2 = values[j], values[j + 1], values[j + 2]
+        out.append(y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+                   + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+                   + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
+    return out

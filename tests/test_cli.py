@@ -169,6 +169,32 @@ class TestExitCodes:
         assert "insufficient history" in err
         assert "\n" not in err
 
+    @pytest.mark.parametrize("positions, velocities", [(5, 4), (3, 4), (2, 3)])
+    def test_hermite_node_rows_must_match_the_times(self, tmp_path, capsys, positions,
+                                                    velocities):
+        # extra node rows are an error, not silently dropped
+        record = {"kind": "hermite", "times": [-50.0, 0.0, 50.0],
+                  "positions": [[0.0, 0.0, 0.0]] * positions,
+                  "velocities": [[0.0, 0.0, 0.0]] * velocities}
+        data = base_scenario(trajectory1=record, trajectory2=static_record(2.0, 0.0, 0.0),
+                             boundary={"start_time": -1.0, "end_time": 1.0})
+        path = write_scenario(tmp_path, data)
+        assert run("action", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "row per time" in err[0]
+        assert not (tmp_path / "out" / "action.csv").exists()
+
+    def test_trajectory_file_that_is_not_json(self, tmp_path, capsys):
+        (tmp_path / "t1.json").write_text("{not json")
+        data = base_scenario(trajectory1_file="t1.json",
+                             trajectory2=static_record(2.0, 0.0, 0.0),
+                             boundary={"start_time": -1.0, "end_time": 1.0})
+        path = write_scenario(tmp_path, data)
+        assert run("action", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: t1.json"), err
+
     def test_missing_trajectory_is_config_error(self, tmp_path, capsys):
         data = base_scenario(trajectory1=static_record(0.0, 0.0, 0.0),
                              options={"times": [0.0]})

@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from helpers_geometry import segment_from_global
+from helpers_geometry import (
+    assert_segments_match,
+    bits,
+    reference_hermite_coeffs,
+    reference_fd_velocities,
+    reference_linear_coeffs,
+    segment_from_global,
+)
+from wfvar import core
 from wfvar.core import (
     BoundaryData,
+    PackedChain,
     ParticleParams,
     Perturbation,
     PiecewiseTrajectory,
@@ -60,6 +69,24 @@ def dense_max_speed(seg, n=20001) -> float:
     return float(np.sqrt((vel ** 2).sum(axis=0)).max())
 
 
+def builder_verdict(seg) -> str | None:
+    """The array builder's speed verdict on one segment: its error message,
+    or None when it passes."""
+    try:
+        core._chain(Perturbation, [seg.t_start, seg.t_end], seg.coeffs[None])
+    except SuperluminalError as exc:
+        return str(exc)
+    return None
+
+
+def exact_verdict(seg) -> str | None:
+    """The verdict of `Segment.max_speed` alone, in the same words."""
+    speed = seg.max_speed()
+    if speed < 1.0:
+        return None
+    return f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1"
+
+
 class TestClosedFormMaxSpeed:
     def test_random_cubics_match_the_eigenvalue_roots(self):
         rng = np.random.default_rng(31)
@@ -73,6 +100,13 @@ class TestClosedFormMaxSpeed:
             assert abs(seg.max_speed() - ref) <= 1e-12 * ref
             if trial < 200:
                 assert seg.max_speed() >= dense_max_speed(seg) * (1.0 - 1e-15)
+            # the builder's verdict, here and rescaled to a peak speed near 1
+            assert builder_verdict(seg) == exact_verdict(seg)
+            factor = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-12, 1.5)[trial // 5 % 5]
+            rescaled = coeffs.copy()
+            rescaled[:, 1:] *= factor / seg.max_speed()
+            rescaled = Segment(0.0, h, rescaled, check_speed=False)
+            assert builder_verdict(rescaled) == exact_verdict(rescaled)
 
     def test_degenerate_segments(self):
         linear = Segment(0.0, 2.0, np.array([[0.0, 0.3], [1.0, -0.4], [0.0, 0.0]]))
@@ -93,9 +127,193 @@ class TestClosedFormMaxSpeed:
             ref = polyroots_max_speed(seg)
             assert abs(seg.max_speed() - ref) <= 1e-12 * ref
             assert seg.max_speed() >= dense_max_speed(seg) * (1.0 - 1e-15)
+            # the builder's verdicts at peak speeds around 1
+            for factor in (0.999999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.000001):
+                c = seg.coeffs.copy()
+                c[:, 1:] *= factor / seg.max_speed()
+                scaled = Segment(seg.t_start, seg.t_end, c, check_speed=False)
+                assert builder_verdict(scaled) == exact_verdict(scaled)
         # the interior peak of a symmetric bump, at the double root's partner
         bump = Segment.hermite(0.0, 1.0, [0, 0, 0], [0, 0, 0], [0.6, 0, 0], [0, 0, 0])
         assert abs(bump.max_speed() - 0.9) < 1e-15
+
+    def test_hermite_bump_with_resting_ends(self):
+        # v(s) = 6 x s (1 - s): 0 at both nodes and 1.5 x in the middle
+        rest = np.zeros((2, 3))
+        for x in (0.6, 0.66, 0.67, 0.7):
+            nodes = [[0.0, 0.0, 0.0], [x, 0.0, 0.0]]
+            seg = Segment.hermite(0.0, 1.0, nodes[0], rest[0], nodes[1], rest[1],
+                                  check_speed=False)
+            want = exact_verdict(seg)
+            assert (want is None) == (x < 2.0 / 3.0)
+            try:
+                got = None
+                hermite_trajectory([0.0, 1.0], nodes, rest, ELECTRON)
+            except SuperluminalError as exc:
+                got = str(exc)
+            assert got == want
+
+
+def circle_nodes(n=200, omega=0.5, rho=0.4, t0=-10.0):
+    times = t0 + 0.1 * np.arange(n + 1)
+    ang = omega * times
+    xs = rho * np.stack([np.cos(ang), np.sin(ang), 0.0 * ang], axis=1)
+    vs = rho * omega * np.stack([-np.sin(ang), np.cos(ang), 0.0 * ang], axis=1)
+    return times.tolist(), xs.tolist(), vs.tolist()
+
+
+def random_nodes(rng, n):
+    """Non-uniform times and subluminal node data with negative coordinates."""
+    times = np.cumsum(np.concatenate([[rng.uniform(-50.0, 50.0)],
+                                      10.0 ** rng.uniform(-3.0, 1.0, n)]))
+    xs = np.cumsum(rng.uniform(-0.2, 0.2, (n + 1, 3)) * np.r_[1.0, np.diff(times)][:, None],
+                   axis=0) - rng.uniform(0.0, 5.0, 3)
+    vs = rng.uniform(-0.2, 0.2, (n + 1, 3))
+    return times, xs, vs
+
+
+class TestArrayBuilder:
+    """Every bulk constructor gives the segments that one `Segment` per cell
+    gives, bit for bit."""
+
+    def test_hermite_trajectory_matches_per_segment_cells(self):
+        rng = np.random.default_rng(17)
+        pow_lanes = 0
+        for _ in range(60):
+            times, xs, vs = random_nodes(rng, int(rng.integers(1, 12)))
+            h = np.diff(times)
+            pow_lanes += int(np.sum(h**3 != np.array([u**3 for u in h.tolist()])))
+            traj = hermite_trajectory(times, xs, vs, ELECTRON)
+            want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
+                                             vs[i + 1]) for i in range(h.size)]
+            assert_segments_match(traj, times.tolist(), want)
+        assert pow_lanes > 0  # numpy's array power differs on these steps
+
+    def test_circle_matches_per_segment_cells(self):
+        times, xs, vs = circle_nodes()
+        traj = hermite_trajectory(times, xs, vs, ELECTRON)
+        want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
+                                         vs[i + 1]) for i in range(200)]
+        assert_segments_match(traj, times, want)
+
+    def test_polygonal_matches_per_segment_pieces(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            times, xs, _ = random_nodes(rng, int(rng.integers(1, 8)))
+            xs[:, 2] = -0.0  # a -0.0 position row: its derivative rows are -0.0 too
+            traj = polygonal_from_vertices(list(zip(times, xs)), ELECTRON)
+            want = [reference_linear_coeffs(times[i], times[i + 1], xs[i], xs[i + 1])
+                    for i in range(len(times) - 1)]
+            assert_segments_match(traj, times.tolist(), want)
+            assert np.signbit(traj.packed.rows[2][..., 0]).any()
+
+    def test_from_nodes_matches_per_segment_cells(self):
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            times, xs, vs = random_nodes(rng, int(rng.integers(1, 9)))
+            left = vs + rng.uniform(-0.1, 0.1, vs.shape)
+            if trial % 3 == 0:
+                b = Perturbation.from_nodes(times, xs)
+                vs = left = reference_fd_velocities(times.tolist(), list(xs))
+                assert bits(core.fd_node_velocities(times, xs)) == bits(vs)
+            elif trial % 3 == 1:
+                b = Perturbation.from_nodes(times, xs, vs)
+                left = vs
+            else:
+                b = Perturbation.from_nodes(times, xs, vs, left_velocities=left)
+            want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
+                                             left[i + 1]) for i in range(len(times) - 1)]
+            assert_segments_match(b, times.tolist(), want)
+            assert all(not s.check_speed for s in b.segments)
+
+    def test_node_rows_must_match_the_times(self):
+        times = [0.0, 1.0, 2.0]
+        with pytest.raises(DomainError, match="positions"):
+            hermite_trajectory(times, np.zeros((5, 3)), np.zeros((4, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="velocities"):
+            hermite_trajectory(times, np.zeros((3, 3)), np.zeros((4, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="positions"):
+            hermite_trajectory(times, np.zeros((3, 2)), np.zeros((3, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="left velocities"):
+            hermite_trajectory(times, np.zeros((3, 3)), np.zeros((3, 3)), ELECTRON,
+                               left_velocities=np.zeros((2, 3)))
+        with pytest.raises(DomainError, match="positions"):
+            Perturbation.from_nodes(times, np.zeros((2, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_times_and_coefficients_are_checked_once_per_chain(self):
+        with pytest.raises(DomainError, match=r"t_start < t_end, got \[1.0, 1.0\]"):
+            hermite_trajectory([0.0, 1.0, 1.0], np.zeros((3, 3)), np.zeros((3, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="finite"):
+            hermite_trajectory([0.0, np.inf], np.zeros((2, 3)), np.zeros((2, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="finite"):
+            hermite_trajectory([0.0, 1.0], [[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]],
+                               np.zeros((2, 3)), ELECTRON)
+        with pytest.raises(DomainError, match="at least one segment"):
+            hermite_trajectory([0.0], np.zeros((1, 3)), np.zeros((1, 3)), ELECTRON)
+
+    def test_strict_gap_rule_reads_the_packed_knots(self):
+        times, xs, vs = circle_nodes(20)
+        coeffs = core._hermite_cells(times, xs, vs)[1].copy()
+        coeffs[7, 1, 0] += 1e-6  # tear the chain at its 8th knot
+        with pytest.raises(DomainError, match=f"position gap 1e-06 at junction t={times[7]}"):
+            core._chain(PiecewiseTrajectory, times, coeffs, ELECTRON)
+        torn = core._chain(PiecewiseTrajectory, times, coeffs, ELECTRON, False)
+        (t1, g1), (t2, g2) = [d for d in validate(torn).continuity_defects if d[1] > 1e-9]
+        assert (t1, t2) == (times[7], times[8])
+        assert abs(g1 - 1e-6) < 1e-15 and abs(g2 - 1e-6) < 1e-15
+
+
+class CallCounts:
+    """Counts the calls of class attributes that the builder must not make."""
+
+    NAMES = ((Segment, "__post_init__"), (Segment, "max_speed"), (Segment, "hermite"),
+             (Segment, "linear"), (PackedChain, "of"))
+
+    def __init__(self, monkeypatch):
+        self.counts = {}
+        for owner, name in self.NAMES:
+            key = f"{owner.__name__}.{name}"
+            self.counts[key] = 0
+            original = owner.__dict__[name]
+            func = original.__func__ if isinstance(original, classmethod) else original
+
+            def counted(*args, _func=func, _key=key, **kwargs):
+                self.counts[_key] += 1
+                return _func(*args, **kwargs)
+
+            wrapped = classmethod(counted) if isinstance(original, classmethod) else counted
+            monkeypatch.setattr(owner, name, wrapped)
+
+    def assert_none(self):
+        assert self.counts == dict.fromkeys(self.counts, 0)
+
+
+class TestBulkConstructionCounts:
+    def test_circle_build_and_first_evaluate(self, monkeypatch):
+        times, xs, vs = circle_nodes()
+        calls = CallCounts(monkeypatch)
+        traj = hermite_trajectory(times, xs, vs, ELECTRON)
+        traj.evaluate(np.linspace(-10.0, 10.0, 7))
+        traj.evaluate(np.linspace(-10.0, 10.0, 7), 1, Side.LEFT)
+        assert len(traj.segments) == 200
+        calls.assert_none()
+
+    def test_every_bulk_constructor(self, monkeypatch):
+        from wfvar.optimizer import _basis_perturbations, decode, discretize
+
+        traj = hermite_trajectory(*circle_nodes(), ELECTRON)
+        partner = polygonal_from_vertices([(-10.0, [2.0, 0.0, 0.0]), (0.0, [2.1, 0.0, 0.0]),
+                                           (10.0, [2.0, 0.1, 0.0])], PROTON)
+        dv = discretize(BoundaryData(-1.0, 1.0), (traj, partner), 4, break_times=([0.0], []))
+        calls = CallCounts(monkeypatch)
+        polygonal_from_vertices([(0.0, [0, 0, 0]), (1.0, [0.5, 0, 0]), (2.0, [0, 0, 0])],
+                                ELECTRON)
+        Perturbation.from_nodes([0.0, 0.5, 1.25, 2.0], np.ones((4, 3)))
+        decoded = decode(dv)
+        fields = _basis_perturbations(dv.layouts[0], dv.theta[dv.block_slice(1)], False)
+        assert len(decoded) == 2 and len(fields) == dv.block_slice(1).stop
+        calls.assert_none()
 
 
 class TestSegment:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers_geometry import static_traj, uniform_traj
+from helpers_geometry import (
+    assert_segments_match,
+    reference_hermite_coeffs,
+    static_traj,
+    uniform_traj,
+)
 
 from wfvar.core import (
     BoundaryData,
@@ -17,6 +22,9 @@ from wfvar.momentum import break_residuals
 from wfvar.optimizer import (
     DecisionVector,
     MinimizerReport,
+    _basis_perturbations,
+    _node_velocities,
+    _unpack_block,
     decode,
     discretize,
     minimize,
@@ -47,6 +55,45 @@ def circle_pair(omega=0.5, rho=0.4, span=10.0, dt=0.1):
     )
     return (hermite_trajectory(times, xs, vs, POS),
             hermite_trajectory(times, -xs, -vs, NEG))
+
+
+def reference_cells(times, positions, vel_r, vel_l, lo, hi):
+    """Hermite cells lo..hi of the node data, one segment at a time."""
+    return [reference_hermite_coeffs(times[i], times[i + 1], positions[i], vel_r[i],
+                                     positions[i + 1], vel_l[i + 1]) for i in range(lo, hi + 1)]
+
+
+class TestArrayDecode:
+    """decode and the basis fields give the cells that one `Segment` per
+    cell gives, bit for bit, on non-uniform node grids with breaks."""
+
+    def test_decode_and_basis_fields_match_per_segment_cells(self):
+        rng = np.random.default_rng(12)
+        boundary, traj1, traj2 = far_boundary()
+        base = discretize(boundary, (traj1, traj2), 4, break_times=([0.25], [-0.3]),
+                          free_break_times=True)
+        for _ in range(3):
+            theta = base.theta + 0.02 * rng.uniform(-1.0, 1.0, base.theta.size)
+            dv = base.with_theta(theta)
+            for k, traj in zip((1, 2), decode(dv)):
+                layout, block = dv.layouts[k - 1], dv.theta[dv.block_slice(k)]
+                times, positions, break_vels = _unpack_block(layout, block, True)
+                vel_l, vel_r = _node_velocities(layout, times, positions, break_vels)
+                n = times.size - 1
+                assert_segments_match(traj, times.tolist(),
+                                      reference_cells(times, positions, vel_r, vel_l, 0, n - 1))
+                fields = _basis_perturbations(layout, block, True)
+                for j, field in enumerate(fields):
+                    bumped = block.copy()
+                    bumped[j] += 1.0
+                    _, pos_b, vels_b = _unpack_block(layout, bumped, True)
+                    vl_b, vr_b = _node_velocities(layout, times, pos_b, vels_b)
+                    dpos, dvl, dvr = pos_b - positions, vl_b - vel_l, vr_b - vel_r
+                    moved = [i for i in range(n) if np.any(dpos[i]) or np.any(dvr[i])
+                             or np.any(dpos[i + 1]) or np.any(dvl[i + 1])]
+                    lo, hi = moved[0], moved[-1]
+                    assert_segments_match(field, times[lo:hi + 2].tolist(),
+                                          reference_cells(times, dpos, dvr, dvl, lo, hi))
 
 
 class TestDiscretize:
