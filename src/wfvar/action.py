@@ -178,57 +178,63 @@ def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     return out
 
 
-def _integrate(f, mesh, rel_target=1e-11) -> float:
-    """Integral over the cells of `mesh` of a vector integrand `f` ((N,)
-    times to (N,) values).
+def _integrate(f, mesh, rel_target=1e-11):
+    """Integral over the cells of `mesh` of a vector integrand `f`: (N,)
+    times to (N,) values give a float, to (N, C) rows the (C,) column sums.
 
-    One rough pass at the cell midpoints sets the absolute scale.  Then,
-    level by level, one call of f evaluates the Gauss-Legendre 15 nodes of
-    every open cell and of its two halves.  A cell whose halves agree with
-    it within its tolerance is done; otherwise its halves open on the next
-    level, each with half its tolerance.  A level-30 cell is accepted unless
-    its gap exceeds 1000 times its tolerance.  Each cell's value is the sum
-    of its halves' values, so the tree sums as a recursive halving would.
+    One rough pass at the cell midpoints sets each column's absolute scale.
+    Then, level by level, one call of f evaluates the Gauss-Legendre 15
+    nodes of every open cell and of its two halves.  A cell is done when its
+    halves agree with it within every column's tolerance; otherwise its
+    halves open on the next level, each with half its tolerances.  A
+    level-30 cell is accepted unless a gap exceeds 1000 times its tolerance.
+    Each cell's value is the sum of its halves' values, so the tree sums as
+    a recursive halving would, and each column as its scalar integral would.
     Stalling at level 30, or halving past _MAX_CELLS cells, raises
     ConvergenceError.
     """
     a, b = np.array(mesh[:-1], dtype=float), np.array(mesh[1:], dtype=float)
-    rough = sum(((b - a) * np.abs(f(0.5 * (a + b)))).tolist())
-    tol = rel_target * max(rough, 1.0) * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)
+    mids = f(0.5 * (a + b))
+    rough = [sum(col) for col in ((b - a)[:, None] * np.abs(mids.reshape(a.size, -1))).T.tolist()]
+    tol = (rel_target * np.maximum(rough, 1.0)
+           * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)[:, None])
     levels, cells, budget = [], 0, a.size + _MAX_CELLS
     for depth in range(31):
         if cells + a.size > budget:  # a holds the halves of the open cells
-            worst = np.argmax(gap[open_])
+            worst = np.argmax(gap[open_].max(axis=1))
             raise ConvergenceError(
                 f"quadrature spent its {_MAX_CELLS}-cell budget: [{a[2 * worst]}, "
-                f"{b[2 * worst + 1]}] still has gap {gap[open_][worst]:.3g}")
+                f"{b[2 * worst + 1]}] still has gap {gap[open_][worst].max():.3g}")
         cells += a.size
         half, mid, qh = 0.5 * (b - a), 0.5 * (a + b), 0.25 * (b - a)
         nodes = np.concatenate([mid[:, None] + half[:, None] * _GL_NODES,
                                 (a + qh)[:, None] + qh[:, None] * _GL_NODES,
                                 (mid + qh)[:, None] + qh[:, None] * _GL_NODES], axis=1)
-        sums = f(nodes.ravel()).reshape(-1, 3, _GL_NODES.size) @ _GL_WEIGHTS
-        fine = qh * sums[:, 1] + qh * sums[:, 2]
-        gap = np.abs(fine - half * sums[:, 0])
-        open_ = ~(gap <= tol)
+        rows = f(nodes.ravel()).reshape(a.size, 3, _GL_NODES.size, -1)
+        sums = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)) @ _GL_WEIGHTS  # (cells, C, 3)
+        fine = qh[:, None] * sums[..., 1] + qh[:, None] * sums[..., 2]
+        gap = np.abs(fine - half[:, None] * sums[..., 0])
+        open_ = ~(gap <= tol).all(axis=1)
         if depth == 30:
-            stalled = np.flatnonzero(gap > 1000 * tol)
+            stalled = np.flatnonzero((gap > 1000 * tol).any(axis=1))
             if stalled.size:
                 i = stalled[0]
-                raise ConvergenceError(f"quadrature stalled on [{a[i]}, {b[i]}]: gap {gap[i]:.3g}")
+                raise ConvergenceError(
+                    f"quadrature stalled on [{a[i]}, {b[i]}]: gap {gap[i].max():.3g}")
             open_[:] = False
         levels.append((fine, open_))
         if not open_.any():
             break
         a, mid, b = a[open_], mid[open_], b[open_]
         a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
-        tol = np.repeat(0.5 * tol[open_], 2)
+        tol = np.repeat(0.5 * tol[open_], 2, axis=0)
     value = None
     for fine, open_ in reversed(levels):
         if value is not None:
             fine[open_] = value[0::2] + value[1::2]
         value = fine
-    return sum(value.tolist())
+    totals = [sum(col) for col in value.T.tolist()]
+    return totals[0] if mids.ndim == 1 else np.array(totals)
 
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -251,43 +257,53 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
 def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                         window: ActionWindow, boundary: BoundaryData,
-                        b: Perturbation, kappa: float | None = None) -> float:
-    """Directional derivative of the action along an admissible displacement."""
-    b.check_admissible(window.t_start, window.t_end)
-    lo = max(window.t_start, b.t_start)
-    hi = min(window.t_end, b.t_end)
-    if hi <= lo:
-        return 0.0  # support does not meet the window
+                        b, kappa: float | None = None):
+    """Directional derivative of the action along an admissible displacement
+    `b` (a float), or along each of a sequence of C displacements on one
+    domain ((C,) values from one mesh, one `cone_crossings`, one
+    `canonical_current` per quadrature level and one (ncross, C) jump matrix)."""
+    fields = [b] if isinstance(b, Perturbation) else list(b)
+    if len({(f.t_start, f.t_end) for f in fields}) > 1:
+        raise DomainError("the displacements of one first variation must share one domain")
+    for f in fields:
+        f.check_admissible(window.t_start, window.t_end)
+    lo = max([window.t_start] + [f.t_start for f in fields])
+    hi = min([window.t_end] + [f.t_end for f in fields])
+    if hi <= lo or not fields:  # no field, or its support misses the window
+        return 0.0 if isinstance(b, Perturbation) else np.zeros(len(fields))
     partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
 
+    def rows(ts, order=0):  # (N, C, 3) field rows
+        return np.stack([f.evaluate(ts, order) for f in fields], axis=1)
+
     def integrand(ts):
         d_dx, p, _ = canonical_current(traj1, partner, ts, Side.RIGHT, k)
-        return (_dot(d_dx, b.evaluate(ts)) + _dot(p, b.evaluate(ts, 1)))[:, 0]
+        return (_dot(d_dx[:, None], rows(ts)) + _dot(p[:, None], rows(ts, 1)))[..., 0]
 
     crossings = cone_crossings(traj1, partner, lo, hi)
-    mesh = pullback_mesh(traj1, partner, lo, hi, extra=b.junction_times(),
-                         crossings=crossings)
-    total = _integrate(integrand, mesh)
-    if not crossings:
-        return total
-
-    # Where a cone image crosses a partner breaking point, the delayed
-    # velocity jumps and the integrand is discontinuous; perturbing the
-    # trajectory moves that crossing, so the derivative picks up the jump
-    # of the integrand times the crossing's rate of travel.
-    t1 = np.array([t for t, _tau, _branch in crossings])
-    x1, v1 = traj1.evaluate(t1), traj1.evaluate(t1, 1)
-    pairs = {edge: cone_pair(partner, t1, x1, edge) for edge in Side}
-    dens = {edge: interaction_density((x1, v1), *pair, m1=traj1.particle.mass, kappa=k)
-            for edge, pair in pairs.items()}
-    # s = +1 on an advanced crossing, -1 on a retarded one; the cone
-    # direction does not depend on the side
-    s = np.array([[-branch.sign] for _t, _tau, branch in crossings])
-    adv, ret = pairs[Side.RIGHT]
-    n_hat = np.where(s > 0, adv.n_hat, ret.n_hat)
-    dcross = (-s * _dot(n_hat, b.evaluate(t1)) / (1.0 + s * _dot(n_hat, v1)))[:, 0]
-    return sum(((dens[Side.LEFT] - dens[Side.RIGHT]) * dcross).tolist(), total)
+    mesh = pullback_mesh(traj1, partner, lo, hi, crossings=crossings,
+                         extra=[t for f in fields for t in f.junction_times()])
+    totals = _integrate(integrand, mesh).tolist()
+    if crossings:
+        # Where a cone image crosses a partner breaking point, the delayed
+        # velocity jumps and the integrand is discontinuous; perturbing the
+        # trajectory moves that crossing, so the derivative picks up the jump
+        # of the integrand times the crossing's rate of travel.
+        t1 = np.array([t for t, _tau, _branch in crossings])
+        x1, v1 = traj1.evaluate(t1), traj1.evaluate(t1, 1)
+        pairs = {edge: cone_pair(partner, t1, x1, edge) for edge in Side}
+        dens = {edge: interaction_density((x1, v1), *pair, m1=traj1.particle.mass, kappa=k)
+                for edge, pair in pairs.items()}
+        # s = +1 on an advanced crossing, -1 on a retarded one; the cone
+        # direction does not depend on the side
+        s = np.array([[-branch.sign] for _t, _tau, branch in crossings])
+        adv, ret = pairs[Side.RIGHT]
+        n_hat = np.where(s > 0, adv.n_hat, ret.n_hat)
+        dcross = -s * _dot(n_hat[:, None], rows(t1))[..., 0] / (1.0 + s * _dot(n_hat, v1))
+        jumps = (dens[Side.LEFT] - dens[Side.RIGHT])[:, None] * dcross
+        totals = [sum(col, total) for col, total in zip(jumps.T.tolist(), totals)]
+    return totals[0] if isinstance(b, Perturbation) else np.array(totals)
 
 
 def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

@@ -167,6 +167,13 @@ def _true_breaks(traj: PiecewiseTrajectory, tol: float = _VELOCITY_JUMP_TOL):
     return taus[np.linalg.norm(jumps, axis=1) > tol].tolist()
 
 
+def _count(value, minimum: int, what: str) -> int:
+    """`value` as a count; as in the CLI, floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def discretize(boundary: BoundaryData, trajs, n_nodes: int,
                break_times=None, free_break_times: bool = False) -> DecisionVector:
     """Encode a trajectory pair on per-segment uniform node grids.
@@ -177,9 +184,7 @@ def discretize(boundary: BoundaryData, trajs, n_nodes: int,
     open window.  The encoding is exact at nodes: decode reproduces node
     positions and one-sided break velocities bit-for-bit.
     """
-    if int(n_nodes) < 2:
-        raise ConfigError(f"need at least 2 nodes per segment, got {n_nodes}")
-    n_nodes = int(n_nodes)
+    n_nodes = _count(n_nodes, 2, "nodes per segment")
     layouts = []
     blocks = []
     for k in (1, 2):
@@ -233,30 +238,20 @@ def _basis_perturbations(layout: ParticleLayout, block: np.ndarray,
     """Displacement field of each position/velocity coordinate.
 
     The decode map is affine in the block, so differencing the node data at
-    unit coordinate offsets yields exact basis fields; each is trimmed to
-    the cells it actually moves.  Freed time coordinates are not included
-    (their derivatives are formed by differencing the objective).
+    unit coordinate offsets yields exact basis fields, each on the whole
+    node grid.  Freed time coordinates are not included (their derivatives
+    are formed by differencing the objective).
     """
     times, positions, break_vels = _unpack_block(layout, block, free_break_times)
     vel_l, vel_r = _node_velocities(layout, times, positions, break_vels)
-    nb = int(layout.break_mask.sum())
-    n_affine = 3 * layout.n_interior + 6 * nb
     out = []
-    for j in range(n_affine):
+    for j in range(layout.size(free_break_times=False)):
         bumped = block.copy()
         bumped[j] += 1.0
         _, pos_b, vels_b = _unpack_block(layout, bumped, free_break_times)
         vl_b, vr_b = _node_velocities(layout, times, pos_b, vels_b)
-        dpos = pos_b - positions
-        dvl = vl_b - vel_l
-        dvr = vr_b - vel_r
-        moved = [
-            i for i in range(times.size - 1)
-            if np.any(dpos[i]) or np.any(dvr[i]) or np.any(dpos[i + 1]) or np.any(dvl[i + 1])
-        ]
-        nodes = slice(moved[0], moved[-1] + 2)
-        out.append(Perturbation.from_nodes(times[nodes], dpos[nodes], dvr[nodes],
-                                           left_velocities=dvl[nodes]))
+        out.append(Perturbation.from_nodes(times, pos_b - positions, vr_b - vel_r,
+                                           left_velocities=vl_b - vel_l))
     return out
 
 
@@ -306,6 +301,7 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     evaluated at every genuine velocity jump.  `converged` reports whether
     both maxima beat their tolerances.
     """
+    n_points = _count(n_points, 1, "n_points")
     partners = (merge_history(traj2, boundary.history2),
                 merge_history(traj1, boundary.history1))
     el_max = []
@@ -390,9 +386,8 @@ def _block_gradient(dv: DecisionVector, k: int, boundary: BoundaryData,
     win, bd = _primary_view(boundary, k)
     basis = _basis_perturbations(layout, block, dv.free_break_times)
     g = np.empty(len(block))
-    for j, b in enumerate(basis):
-        g[j] = frechet_directional(trajs[k - 1], trajs[2 - k], win, bd, b,
-                                   kappa=kappa)
+    g[:len(basis)] = frechet_directional(trajs[k - 1], trajs[2 - k], win, bd, basis,
+                                         kappa=kappa)
     for j in range(len(basis), len(block)):  # freed breaking times
         h = 1e-6 * max(1.0, abs(block[j]))
         g[j] = 0.0

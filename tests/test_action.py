@@ -233,6 +233,58 @@ class TestFrechet:
         assert abs(frechet_directional(t1, t2, w, bd, b)) < 1e-8
 
 
+def crossing_pair():
+    """Polygonal pair whose partner breaks inside the window [-2, 4], so
+    crossing-jump terms of both branches enter the first variation."""
+    t1 = polygonal_from_vertices(
+        [(-40.0, [0, -8, 0]), (0.5, [0, 0.1, 0]), (40.0, [0, 7, 0])], POS)
+    t2 = polygonal_from_vertices(
+        [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (5.5, [2.5, -0.9, 0.2]),
+         (40.0, [2.5, -4, 0])], NEG)
+    return t1, t2
+
+
+class TestFrechetSequence:
+    """The sequence form of `frechet_directional` against one call per field."""
+
+    @staticmethod
+    def fields(rng, count=6):
+        nodes = [-2.0, -0.5, 1.0, 2.5, 4.0]
+        out = [Perturbation.tent(-2.0, 1.7, 4.0, [0.02, 0.03, -0.01])]
+        for _ in range(count - 1):
+            values = 0.05 * rng.uniform(-1.0, 1.0, (len(nodes), 3))
+            values[[0, -1]] = 0.0
+            out.append(Perturbation.from_nodes(nodes, values))
+        return out
+
+    @pytest.mark.parametrize("partner", ["static", "breaking"])
+    def test_matches_the_per_field_calls(self, partner):
+        t1, t2 = crossing_pair()
+        if partner == "static":
+            t2 = static_traj([2.5, 0.3, 0.0], NEG)
+        w, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
+        assert (len(cone_crossings(t1, t2, -2.0, 4.0)) > 0) == (partner == "breaking")
+        fields = self.fields(np.random.default_rng(4))
+        values = frechet_directional(t1, t2, w, bd, fields)
+        each = np.array([frechet_directional(t1, t2, w, bd, b) for b in fields])
+        assert values.shape == (len(fields),)
+        assert np.abs(values - each).max() <= 1e-12 * np.abs(each).max()
+
+    def test_an_empty_sequence_gives_no_values(self):
+        t1, t2 = crossing_pair()
+        values = frechet_directional(t1, t2, ActionWindow(-2.0, 4.0),
+                                     BoundaryData(-2.0, 4.0), [])
+        assert values.shape == (0,)
+
+    def test_fields_on_different_domains_raise(self):
+        t1, t2 = crossing_pair()
+        fields = [Perturbation.tent(-2.0, 1.0, 4.0, [0.1, 0, 0]),
+                  Perturbation.tent(-1.0, 0.0, 3.0, [0.1, 0, 0])]
+        with pytest.raises(DomainError):
+            frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0),
+                                fields)
+
+
 class TestElResidual:
     def test_static_pair_d2(self):
         t1, t2 = static_pair(2.0)
@@ -595,6 +647,52 @@ class TestQuadratureBudget:
                        [0.0, 0.5, 0.75, 1.0])
         a, b = (float(x) for x in str(err.value).split("[")[1].split("]")[0].split(","))
         assert 0.5 <= a < b <= 0.75
+
+    def test_one_column_spends_the_budget(self):
+        # the smooth column closes at once; the other keeps [0.5, 0.75] halving
+        def f(t):
+            fast = np.where((t > 0.5) & (t < 0.75), np.sin(1e9 * t), 0.0)
+            return np.stack([np.cos(t), fast], axis=1)
+
+        with pytest.raises(ConvergenceError, match="budget") as err:
+            _integrate(f, [0.0, 0.5, 0.75, 1.0])
+        a, b = (float(x) for x in str(err.value).split("[")[1].split("]")[0].split(","))
+        assert 0.5 <= a < b <= 0.75
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_a_jump_stalls_at_level_30(self, columns):
+        def f(t):
+            step = np.where(t > 1.0 / 3.0, 1.0, 0.0)
+            return step if columns == 1 else np.stack([np.cos(t), step], axis=1)
+
+        f, tree = cell_tree(f)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            _integrate(f, [0.0, 1.0])
+        a, b = (float(x) for x in str(err.value).split("[")[1].split("]")[0].split(","))
+        assert a < 1.0 / 3.0 < b and b - a == 2.0 ** -30
+        assert tree()[0] < 100  # only the cell around the jump keeps halving
+
+    @pytest.mark.parametrize("columns", ["kinked", "smooth"])
+    def test_each_column_is_its_scalar_integral_on_the_same_cell_tree(self, columns):
+        rng = np.random.default_rng(9)
+        if columns == "kinked":
+            # power-of-two multiples of one kinked function share its cell tree
+            cols = [lambda t, c=c: c * (np.abs(t - 0.3141) ** 1.5 + np.sin(7.0 * t))
+                    for c in (1.0, -2.0, 4.0, 0.5, 8.0)]
+        else:
+            # slow waves that every mesh cell integrates at level 0
+            cols = [lambda t, w=w, p=p, c=c: c * np.sin(w * t + p) for w, p, c in
+                    zip(rng.uniform(0.1, 2.0, 12), rng.uniform(0, 6, 12),
+                        10.0 ** rng.uniform(-3, 3, 12))]
+        mesh = [-1.0, -0.6, 0.0, 0.7, 1.0]
+        f, tree = cell_tree(lambda t: np.stack([col(t) for col in cols], axis=1))
+        values = _integrate(f, mesh)
+        assert values.shape == (len(cols),)
+        assert (tree()[1] > 0) == (columns == "kinked")
+        for col, value in zip(cols, values.tolist()):
+            g, col_tree = cell_tree(col)
+            assert _integrate(g, mesh) == value
+            assert col_tree() == tree()
 
     def test_action_and_first_variation_stay_far_inside_the_budget(self, monkeypatch):
         module = importlib.import_module("wfvar.action")

@@ -56,6 +56,23 @@ def test_partials_make_no_scalar_cone_solve():
         assert "cone_time" not in referenced_names(PACKAGE / f"{name}.py"), name
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def test_optimizer_takes_one_first_variation_per_gradient():
+    # `frechet_directional` takes every basis field of a block in one call,
+    # so the optimizer calls it once and never per coordinate
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "frechet_directional" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))]
+    looped = {id(node) for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+              for node in ast.walk(loop)}
+    assert len(calls) == 1
+    assert id(calls[0]) not in looped
+
+
 def outside_imports(path: Path) -> list:
     """Absolute imports of one module that are neither the standard library
     nor numpy."""

@@ -44,6 +44,16 @@ def far_boundary(w=(0.3, 0.1, 0.0), t0=-1.0, t1=1.0):
     return boundary, traj1, traj2
 
 
+def coupled_boundary():
+    """The interacting pair: opposite unit charges, particle 1 through the
+    origin at v = (0, 0.3, 0), particle 2 starting 4 away at -v, straight
+    histories on [-60, 60], window [-1, 1]."""
+    v, start = vec3(0.0, 0.3, 0.0), vec3(4.0, 0.0, 0.0)
+    traj1 = polygonal_from_vertices([(-60.0, -60.0 * v), (60.0, 60.0 * v)], POS)
+    traj2 = polygonal_from_vertices([(-60.0, start + 60.0 * v), (60.0, start - 60.0 * v)], NEG)
+    return BoundaryData(-1.0, 1.0, history1=traj1, history2=traj2), traj1, traj2
+
+
 def circle_pair(omega=0.5, rho=0.4, span=10.0, dt=0.1):
     times = np.arange(-span, span + 0.5 * dt, dt)
     xs = np.stack(
@@ -65,7 +75,9 @@ def reference_cells(times, positions, vel_r, vel_l, lo, hi):
 
 class TestArrayDecode:
     """decode and the basis fields give the cells that one `Segment` per
-    cell gives, bit for bit, on non-uniform node grids with breaks."""
+    cell gives, bit for bit, on non-uniform node grids with breaks; every
+    basis field spans the whole node grid, with zero cells where it does not
+    move the trajectory."""
 
     def test_decode_and_basis_fields_match_per_segment_cells(self):
         rng = np.random.default_rng(12)
@@ -89,11 +101,8 @@ class TestArrayDecode:
                     _, pos_b, vels_b = _unpack_block(layout, bumped, True)
                     vl_b, vr_b = _node_velocities(layout, times, pos_b, vels_b)
                     dpos, dvl, dvr = pos_b - positions, vl_b - vel_l, vr_b - vel_r
-                    moved = [i for i in range(n) if np.any(dpos[i]) or np.any(dvr[i])
-                             or np.any(dpos[i + 1]) or np.any(dvl[i + 1])]
-                    lo, hi = moved[0], moved[-1]
-                    assert_segments_match(field, times[lo:hi + 2].tolist(),
-                                          reference_cells(times, dpos, dvr, dvl, lo, hi))
+                    assert_segments_match(field, times.tolist(),
+                                          reference_cells(times, dpos, dvr, dvl, 0, n - 1))
 
 
 class TestDiscretize:
@@ -151,6 +160,8 @@ class TestDiscretize:
         boundary, traj1, traj2 = far_boundary()
         with pytest.raises(ConfigError):
             discretize(boundary, (traj1, traj2), 1)
+        with pytest.raises(ConfigError):
+            discretize(boundary, (traj1, traj2), 2.7)
         with pytest.raises(DomainError):
             discretize(boundary, (traj1, traj2), 3, break_times=([2.5], []))
 
@@ -191,6 +202,12 @@ class TestVerify:
         assert abs(report.break_residuals[0].de - ref.de) < 1e-14
         assert report.max_break > 1e-3
 
+    def test_bad_point_count(self):
+        boundary, traj1, traj2 = far_boundary()
+        for n_points in (0, 2.0, True):
+            with pytest.raises(ConfigError):
+                verify(traj1, traj2, boundary, n_points=n_points)
+
 
 class TestMinimize:
     def test_exact_solution_is_fixed_point(self):
@@ -220,12 +237,21 @@ class TestMinimize:
             assert_allclose(d1.position(t), traj1.position(t), atol=1e-6)
         assert report.max_el < 1e-6
 
-    def test_gradient_matches_difference_quotient(self):
+    @pytest.mark.parametrize("setup", ["far", "coupled"])
+    def test_gradient_matches_difference_quotient(self, setup):
         from wfvar.action import ActionWindow, action
         from wfvar.optimizer import _block_gradient, _primary_view
 
-        boundary, traj1, traj2 = far_boundary()
-        init = discretize(boundary, (traj1, traj2), 3)
+        if setup == "far":
+            boundary, traj1, traj2 = far_boundary()
+            init = discretize(boundary, (traj1, traj2), 3)
+            coordinates = range(3)
+        else:
+            # every position and both one-sided velocities at the break
+            boundary, traj1, traj2 = coupled_boundary()
+            init = discretize(boundary, (traj1, traj2), 3, break_times=([0.0], [0.0]))
+            coordinates = range(init.block_slice(1).stop)
+            assert len(coordinates) == 15
         theta = init.theta.copy()
         sl = init.block_slice(1)
         theta[sl.start: sl.start + 3] += [0.08, -0.05, 0.03]
@@ -238,7 +264,7 @@ class TestMinimize:
 
         g = _block_gradient(dv, 1, boundary, decode(dv), objective)
         h = 1e-4
-        for j in range(3):
+        for j in coordinates:
             tp, tm = dv.theta.copy(), dv.theta.copy()
             tp[sl.start + j] += h
             tm[sl.start + j] -= h
@@ -280,3 +306,35 @@ class TestMinimize:
         _, _, report = minimize(boundary, init, {"max_iter": 2, "gtol": 1e-10})
         for k, before, after in report.descent_log:
             assert after <= before + 1e-12
+
+
+class TestOnePassGradient:
+    @pytest.mark.parametrize("n_nodes", [3, 5, 9])
+    def test_block_gradient_solves_at_most_twice_the_lanes_of_one_action(
+            self, n_nodes, monkeypatch):
+        from wfvar import lightcone
+        from wfvar.action import action
+        from wfvar.optimizer import _block_gradient, _primary_view
+
+        lanes = []
+        cone_times, cone_time = lightcone.cone_times, lightcone.cone_time
+
+        def counted_cone_times(traj, ts, *args, **kwargs):
+            lanes.append(np.size(ts))
+            return cone_times(traj, ts, *args, **kwargs)
+
+        def counted_cone_time(*args, **kwargs):
+            lanes.append(1)
+            return cone_time(*args, **kwargs)
+
+        monkeypatch.setattr(lightcone, "cone_times", counted_cone_times)
+        monkeypatch.setattr(lightcone, "cone_time", counted_cone_time)
+        boundary, traj1, traj2 = coupled_boundary()
+        dv = discretize(boundary, (traj1, traj2), n_nodes)
+        trajs = decode(dv)
+        action(*trajs, *_primary_view(boundary, 1))
+        one_action = sum(lanes)
+        lanes.clear()
+        g = _block_gradient(dv, 1, boundary, trajs, objective=None)
+        assert g.shape == (3 * (n_nodes - 2),)
+        assert 0 < sum(lanes) <= 2 * one_action
