@@ -27,6 +27,7 @@ from .core import (
     BoundaryData,
     ParticleParams,
     PiecewiseTrajectory,
+    as_count,
     hermite_trajectory,
     json_number,
     polygonal_from_vertices,
@@ -242,7 +243,7 @@ def _option(options: dict, key: str, convert, default=None):
     value = options.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"option {key} has a malformed value {value!r}") from exc
 
 
@@ -251,15 +252,6 @@ def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-def _count(minimum: int = 0):
-    """Converter to a JSON integer >= `minimum`; floats and booleans are rejected."""
-    def convert(value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
-        return value
-    return convert
 
 
 def _floats(values) -> list:
@@ -274,7 +266,7 @@ def _vertices(rows) -> list:
 def _time_range(value) -> tuple:
     """[start, stop, count] of a time scan."""
     a, b, count = value
-    return json_number(a), json_number(b), _count()(count)
+    return json_number(a), json_number(b), as_count(count)
 
 
 def _scan_times(options: dict) -> list:
@@ -292,8 +284,8 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
     value = options.get("directions")
     if value is None:
         return fibonacci_sphere(default_count)
-    if isinstance(value, int):  # bool too, which `_count` rejects
-        return fibonacci_sphere(_option(options, "directions", _count(1)))
+    if isinstance(value, int):  # bool too, which `as_count` rejects
+        return fibonacci_sphere(_option(options, "directions", lambda v: as_count(v, 1)))
     arr = _option(options, "directions", lambda v: np.array([_floats(row) for row in v]))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
@@ -306,7 +298,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
 def _t1_grid(value) -> np.ndarray:
     """[start, stop, count] with an integer count, else a list of times."""
     if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
-        return np.linspace(json_number(value[0]), json_number(value[1]), _count()(value[2]))
+        return np.linspace(json_number(value[0]), json_number(value[1]), as_count(value[2]))
     return np.asarray(_floats(value))
 
 
@@ -315,7 +307,7 @@ def _mesh(value):
     if value is None:
         return None
     n_theta, n_phi = value
-    return latlong_mesh(_count(1)(n_theta), _count(1)(n_phi))
+    return latlong_mesh(as_count(n_theta, 1), as_count(n_phi, 1))
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -346,7 +338,7 @@ def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         scen.traj1,
         scen.traj2,
         scen.boundary,
-        n_points=_option(scen.options, "n_points", _count(1), 9),
+        n_points=_option(scen.options, "n_points", lambda v: as_count(v, 1), 9),
         el_tol=el_tol,
         break_tol=_option(scen.options, "break_tol", json_number, 1e-8),
         kappa=scen.kappa,
@@ -463,7 +455,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
-        seed = (_count(1)(seed_opt[0]), json_number(seed_opt[1]))
+        seed = (as_count(seed_opt[0], 1, "seed particle"), json_number(seed_opt[1]))
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError("seed must be [particle, time]") from exc
     chain = sewing_chain(
@@ -471,7 +463,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
         scen.traj2,
         seed,
         scen.options.get("direction", "forward"),
-        _option(scen.options, "count", _count(), 8),
+        _option(scen.options, "count", as_count, 8),
     )
     rows = tuple(
         (i, particle, t) for i, (particle, t) in enumerate(chain.entries)
@@ -484,7 +476,7 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
 
 def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": json_number, "max_iter": _count(), "el_tol": json_number,
+    kinds = {"gtol": json_number, "max_iter": as_count, "el_tol": json_number,
              "break_tol": json_number}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
@@ -501,7 +493,7 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     init = discretize(
         scen.boundary,
         (scen.traj1, scen.traj2),
-        _option(scen.options, "nodes_per_segment", _count(), 6),
+        _option(scen.options, "nodes_per_segment", as_count, 6),
         break_times=break_times,
         free_break_times=_option(scen.options, "free_break_times", _flag, False),
     )

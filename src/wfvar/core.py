@@ -41,6 +41,7 @@ __all__ = [
     "replace_window",
     "merge_history",
     "json_number",
+    "as_count",
     "trajectory_to_dict",
     "trajectory_from_dict",
     "save_trajectory",
@@ -178,41 +179,6 @@ def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
     return tuple(rows)
 
 
-def _cubic_roots(q) -> list:
-    """Candidate real roots of the polynomial with ascending coefficients q
-    (degree at most 3), in closed form: the real roots and the real part of
-    a complex pair.  A cubic term at most 1e-8 of the largest coefficient is
-    dropped; that moves the roots in [0, 1] by about 1e-8, which moves a
-    stationary value of a polynomial only at second order.
-    """
-    d, c, b, a = (list(q) + [0.0] * 4)[:4]
-    big = max(abs(a), abs(b), abs(c), abs(d))
-    if big == 0.0:
-        return []
-    d, c, b, a = d / big, c / big, b / big, a / big
-    if abs(a) > 1e-8:
-        # depressed cubic t^3 + p t + r in t = s + B / 3
-        B, C, D = b / a, c / a, d / a
-        p, r, shift = C - B * B / 3.0, 2.0 * B**3 / 27.0 - B * C / 3.0 + D, -B / 3.0
-        disc = 0.25 * r * r + p**3 / 27.0
-        if disc >= 0.0:  # one real root (Cardano) and a complex pair
-            u = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
-            v = -p / (3.0 * u) if u else 0.0
-            roots = [u + v + shift, -0.5 * (u + v) + shift]
-        else:  # three real roots (trigonometric form)
-            m = 2.0 * math.sqrt(-p / 3.0)
-            phi = math.acos(max(-1.0, min(1.0, 3.0 * r / (p * m)))) / 3.0
-            roots = [m * math.cos(phi - 2.0 * math.pi * i / 3.0) + shift for i in range(3)]
-    elif b != 0.0:  # quadratic: its vertex and its roots, in the stable form
-        roots, disc = [-0.5 * c / b], c * c - 4.0 * b * d
-        if disc >= 0.0:
-            w = -0.5 * (c + math.copysign(math.sqrt(disc), c))
-            roots += [w / b, d / w] if w else [0.0]
-    else:
-        roots = [-d / c] if c else []
-    return roots
-
-
 @dataclass(frozen=True)
 class Segment:
     """One smooth polynomial piece of a trajectory.
@@ -285,10 +251,9 @@ class Segment:
         """Exact max |dx/dt| over the segment.
 
         |v|^2 is a polynomial, so its maximum on [0, h] sits at an endpoint or
-        at a real stationary point; the candidates are clipped into [0, h].
-        Up to cubic position rows the stationary points are the roots of a
-        cubic, found in closed form; higher degrees go through an eigenvalue
-        solve.  Extra candidates never lower the maximum.
+        at a real stationary point, a root of d|v|^2/du from an eigenvalue
+        solve; the candidates are clipped into [0, h].  Extra candidates
+        never lower the maximum.
         """
         vel = self._rows[1]
         h = self.t_end - self.t_start
@@ -300,13 +265,8 @@ class Segment:
                 for j, b in enumerate(cols):
                     s2[i + j] += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
             ds2 = [j * s2[j] for j in range(1, len(s2))]
-            if len(ds2) <= 4:
-                # in s = u / h, whose candidates belong to [0, 1]
-                roots = _cubic_roots([c * h**k for k, c in enumerate(ds2)])
-                us += [min(max(r, 0.0), 1.0) * h for r in roots]
-            else:
-                us += [min(max(r.real, 0.0), h) for r in npoly.polyroots(ds2)
-                       if abs(r.imag) <= 1e-6 * max(1.0, abs(r))]
+            us += [min(max(r.real, 0.0), h) for r in npoly.polyroots(ds2)
+                   if abs(r.imag) <= 1e-6 * max(1.0, abs(r))]
         speeds = []
         for u in set(us):
             vx, vy, vz = self._local(u, 1)
@@ -558,7 +518,7 @@ def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTraj
 
 
 def hermite_trajectory(times, positions, velocities, particle: ParticleParams,
-                       strict: bool = True, left_velocities=None) -> PiecewiseTrajectory:
+                       left_velocities=None) -> PiecewiseTrajectory:
     """C^1 cubic-Hermite trajectory through nodes with prescribed velocities.
 
     ``positions`` and ``velocities`` hold one (3,) row per time, else
@@ -567,7 +527,7 @@ def hermite_trajectory(times, positions, velocities, particle: ParticleParams,
     ``velocities``, which each cell starts with.
     """
     knots, coeffs = _hermite_cells(times, positions, velocities, left_velocities)
-    return _chain(PiecewiseTrajectory, knots, coeffs, particle, strict)
+    return _chain(PiecewiseTrajectory, knots, coeffs, particle)
 
 
 @dataclass(frozen=True)
@@ -794,6 +754,14 @@ def json_number(value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError("integer too large for a float") from None
+
+
+def as_count(value, minimum: int = 0, what: str = "count") -> int:
+    """`value` as a count >= `minimum`, else ConfigError.  Only integers
+    count: floats, which ``int`` would truncate, and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def trajectory_to_dict(traj: PiecewiseTrajectory) -> dict:

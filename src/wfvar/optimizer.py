@@ -30,6 +30,7 @@ from .core import (
     Perturbation,
     PiecewiseTrajectory,
     Side,
+    as_count,
     fd_node_velocities,
     hermite_trajectory,
     merge_history,
@@ -167,13 +168,6 @@ def _true_breaks(traj: PiecewiseTrajectory, tol: float = _VELOCITY_JUMP_TOL):
     return taus[np.linalg.norm(jumps, axis=1) > tol].tolist()
 
 
-def _count(value, minimum: int, what: str) -> int:
-    """`value` as a count; as in the CLI, floats and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def discretize(boundary: BoundaryData, trajs, n_nodes: int,
                break_times=None, free_break_times: bool = False) -> DecisionVector:
     """Encode a trajectory pair on per-segment uniform node grids.
@@ -184,7 +178,7 @@ def discretize(boundary: BoundaryData, trajs, n_nodes: int,
     open window.  The encoding is exact at nodes: decode reproduces node
     positions and one-sided break velocities bit-for-bit.
     """
-    n_nodes = _count(n_nodes, 2, "nodes per segment")
+    n_nodes = as_count(n_nodes, 2, "nodes per segment")
     layouts = []
     blocks = []
     for k in (1, 2):
@@ -301,7 +295,7 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     evaluated at every genuine velocity jump.  `converged` reports whether
     both maxima beat their tolerances.
     """
-    n_points = _count(n_points, 1, "n_points")
+    n_points = as_count(n_points, 1, "n_points")
     partners = (merge_history(traj2, boundary.history2),
                 merge_history(traj1, boundary.history1))
     el_max = []

@@ -25,6 +25,7 @@ from .core import (
     ParticleParams,
     PiecewiseTrajectory,
     Vec3,
+    as_count,
     cross,
     fd_node_velocities,
     hermite_trajectory,
@@ -47,16 +48,27 @@ from .lightcone import Branch, cone_time, far_cone_times
 DEFAULT_LMAX = 4
 
 
-def k12(v1, v2, n) -> float:
-    """Dilation mismatch 1/(1 - n.v1) - 1/(1 - n.v2) between the cone ends."""
-    v1 = vec3(v1)
-    v2 = vec3(v2)
-    n = vec3(n)
-    return 1.0 / (1.0 - float(n @ v1)) - 1.0 / (1.0 - float(n @ v2))
+def _directions(n) -> np.ndarray:
+    """A (3,) direction or (M, 3) direction rows as a float array; a
+    non-finite entry raises DomainError."""
+    n = np.asarray(n, dtype=float)
+    if n.ndim not in (1, 2) or n.shape[-1] != 3:
+        raise DomainError(f"directions must have shape (3,) or (M, 3), got {n.shape}")
+    if not np.all(np.isfinite(n)):
+        raise DomainError(f"non-finite direction components: {n}")
+    return n
 
 
-def _project_transverse(vec: Vec3, n: Vec3) -> Vec3:
-    return vec - float(n @ vec) * n
+def k12(v1, v2, n):
+    """Dilation mismatch 1/(1 - n.v1) - 1/(1 - n.v2) between the cone ends,
+    a float for one direction and an (M,) array for (M, 3) rows."""
+    n = _directions(n)
+    return 1.0 / (1.0 - n @ vec3(v1)) - 1.0 / (1.0 - n @ vec3(v2))
+
+
+def _dilated_difference(v1: Vec3, v2: Vec3, n: np.ndarray) -> np.ndarray:
+    """v1/(1 - n.v1) - v2/(1 - n.v2) per direction row."""
+    return v1 / (1.0 - n @ v1)[..., None] - v2 / (1.0 - n @ v2)[..., None]
 
 
 @lru_cache(maxsize=None)
@@ -65,18 +77,20 @@ def _legendre_derivative(l: int, m: int) -> np.ndarray:
     return legder(np.eye(l + 1)[l], m)
 
 
-def _assoc_legendre(l: int, m: int, x: float) -> float:
+def _assoc_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
     """P_l^m(x) = (-1)^m (1 - x^2)^(m/2) d^m/dx^m P_l(x), with the
     Condon-Shortley phase of scipy.special.lpmv, so stored harmonic tables
     keep their meaning."""
-    return (-math.sqrt(1.0 - x * x)) ** m * float(legval(x, _legendre_derivative(l, m)))
+    return (-np.sqrt(1.0 - x * x)) ** m * legval(x, _legendre_derivative(l, m))
 
 
-def _real_sph_basis(n: Vec3, lmax: int) -> np.ndarray:
-    """Real spherical harmonics up to degree lmax, evaluated at unit n."""
-    ct = float(np.clip(n[2], -1.0, 1.0))
-    phi = math.atan2(float(n[1]), float(n[0]))
-    vals = np.empty((lmax + 1) ** 2)
+def _real_sph_basis(n, lmax: int) -> np.ndarray:
+    """Real spherical harmonics up to degree lmax at a unit (3,) direction,
+    shape (K,), or at (M, 3) unit rows, shape (M, K)."""
+    n = np.asarray(n, dtype=float)
+    ct = np.clip(n[..., 2], -1.0, 1.0)
+    phi = np.arctan2(n[..., 1], n[..., 0])
+    vals = np.empty(n.shape[:-1] + ((lmax + 1) ** 2,))
     i = 0
     for l in range(lmax + 1):
         for m in range(-l, l + 1):
@@ -89,11 +103,11 @@ def _real_sph_basis(n: Vec3, lmax: int) -> np.ndarray:
             )
             p = _assoc_legendre(l, am, ct)
             if m == 0:
-                vals[i] = norm * p
+                vals[..., i] = norm * p
             elif m > 0:
-                vals[i] = math.sqrt(2.0) * norm * p * math.cos(m * phi)
+                vals[..., i] = math.sqrt(2.0) * norm * p * np.cos(m * phi)
             else:
-                vals[i] = math.sqrt(2.0) * norm * p * math.sin(am * phi)
+                vals[..., i] = math.sqrt(2.0) * norm * p * np.sin(am * phi)
             i += 1
     return vals
 
@@ -107,18 +121,20 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _linear_cone_time(p: Vec3, v: Vec3, t: float, n: Vec3) -> float:
+def _linear_cone_time(p: Vec3, v: Vec3, t, n: np.ndarray):
     # sphere-time cone condition t_k = t + n.x(t_k) for x(t_k) = p + v t_k
-    return (t + float(n @ p)) / (1.0 - float(n @ v))
+    return (t + n @ p) / (1.0 - n @ v)
 
 
 @dataclass(frozen=True)
 class SeparationFamilyParams:
     """Per-interval direction maps (D_sigma, L_sigma) over sphere-time edges.
 
-    Construct through one of the classmethods; evaluation projects both maps
-    transverse to n unless the family was built with project=False, in which
-    case `validate` is the gate that rejects non-transverse maps.
+    Construct through one of the classmethods.  Every map takes (M, 3)
+    direction rows and returns (M, 3) rows, or one constant (3,) row for all
+    of them.  Evaluation projects both maps transverse to n unless the
+    family was built with project=False, in which case `validate` is the
+    gate that rejects non-transverse maps.
     """
 
     kind: str
@@ -156,10 +172,10 @@ class SeparationFamilyParams:
                     f"harmonic tables must have shape (3, {k}), got {tab.shape}"
                 )
         d_funcs = tuple(
-            (lambda n, tab=tab: tab @ _real_sph_basis(n, lmax)) for tab in d_tables
+            (lambda n, tab=tab: _real_sph_basis(n, lmax) @ tab.T) for tab in d_tables
         )
         l_funcs = tuple(
-            (lambda n, tab=tab: tab @ _real_sph_basis(n, lmax)) for tab in l_tables
+            (lambda n, tab=tab: _real_sph_basis(n, lmax) @ tab.T) for tab in l_tables
         )
         payload = {
             "lmax": lmax,
@@ -190,13 +206,12 @@ class SeparationFamilyParams:
             p1, v1, p2, v2 = piece
             t1 = _linear_cone_time(p1, v1, edge, n)
             t2 = _linear_cone_time(p2, v2, edge, n)
-            sep = (p1 + v1 * t1) - (p2 + v2 * t2)
-            return sep - (t1 - t2) * n
+            sep = (p1 + v1 * t1[:, None]) - (p2 + v2 * t2[:, None])
+            return sep - (t1 - t2)[:, None] * n
 
         def l_func(n, piece):
             _, v1, _, v2 = piece
-            lhs = v1 / (1.0 - float(n @ v1)) - v2 / (1.0 - float(n @ v2))
-            return cross(n, lhs)
+            return cross(n, _dilated_difference(v1, v2, n))
 
         d_funcs = tuple(
             (lambda n, e=t_edges[i], pc=pc: d_func(n, e, pc))
@@ -218,50 +233,70 @@ class SeparationFamilyParams:
     def n_intervals(self) -> int:
         return self.t_edges.size - 1
 
-    def interval_index(self, t: float) -> int:
+    def interval_index(self, t):
+        """Interval of a float time (an int), or of each of (M,) times."""
         edges = self.t_edges
-        if t < edges[0] or t > edges[-1]:
+        t = np.asarray(t, dtype=float)
+        outside = ~((edges[0] <= t) & (t <= edges[-1]))
+        if outside.any():
             raise DomainError(
-                f"t={t} outside the family domain [{edges[0]}, {edges[-1]}]"
+                f"t={t[outside].flat[0]} outside the family domain "
+                f"[{edges[0]}, {edges[-1]}]"
             )
-        idx = int(np.searchsorted(edges, t, side="right")) - 1
-        return min(idx, self.n_intervals - 1)
+        idx = np.minimum(np.searchsorted(edges, t, side="right") - 1, self.n_intervals - 1)
+        return idx if idx.ndim else int(idx)
 
-    def d_sigma(self, sigma: int, n) -> Vec3:
-        n = vec3(n)
-        raw = vec3(self.d_raw[sigma](n))
-        return _project_transverse(raw, n) if self.project else raw
+    def _evaluate(self, maps: tuple, sigma, n) -> np.ndarray:
+        """The maps of interval `sigma` (one, or one per row) at direction
+        rows n, one call per interval present."""
+        n = _directions(n)
+        shape = np.broadcast_shapes(n.shape[:-1], np.shape(sigma))
+        rows = np.broadcast_to(n, shape + (3,)).reshape(-1, 3)
+        sigmas = np.broadcast_to(sigma, shape).reshape(-1)
+        out = np.empty(rows.shape)
+        for s in set(sigmas.tolist()):
+            pick = sigmas == s
+            out[pick] = maps[s](rows[pick])
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"non-finite map output: {out[~np.isfinite(out).all(axis=1)]}")
+        if self.project:
+            out -= (rows * out).sum(axis=1)[:, None] * rows
+        return out.reshape(shape + (3,))
 
-    def l_sigma(self, sigma: int, n) -> Vec3:
-        n = vec3(n)
-        raw = vec3(self.l_raw[sigma](n))
-        return _project_transverse(raw, n) if self.project else raw
+    def d_sigma(self, sigma, n) -> np.ndarray:
+        return self._evaluate(self.d_raw, sigma, n)
+
+    def l_sigma(self, sigma, n) -> np.ndarray:
+        return self._evaluate(self.l_raw, sigma, n)
 
     def validate(self, samples: int = 32, tol: float = 1e-12) -> None:
         """Check transversality and boundedness on a direction sample."""
-        for n in fibonacci_sphere(samples):
-            for sigma in range(self.n_intervals):
-                for name, val in (("D", self.d_sigma(sigma, n)),
-                                  ("L", self.l_sigma(sigma, n))):
-                    if not np.all(np.isfinite(val)):
-                        raise ContractError(
-                            f"{name}_{sigma} not finite at n={n.tolist()}"
-                        )
-                    if abs(float(n @ val)) > tol:
-                        raise ContractError(
-                            f"n.{name}_{sigma} = {float(n @ val):.3g} violates "
-                            f"transversality at n={n.tolist()}"
-                        )
+        ns = fibonacci_sphere(samples)
+        for sigma in range(self.n_intervals):
+            for name, at in (("D", self.d_sigma), ("L", self.l_sigma)):
+                try:
+                    vals = at(sigma, ns)
+                except DomainError as exc:
+                    raise ContractError(f"{name}_{sigma} not finite: {exc}") from exc
+                normal = (ns * vals).sum(axis=1)
+                worst = int(np.abs(normal).argmax())
+                if abs(normal[worst]) > tol:
+                    raise ContractError(
+                        f"n.{name}_{sigma} = {normal[worst]:.3g} violates "
+                        f"transversality at n={ns[worst].tolist()}"
+                    )
 
 
-def separation_family(params: SeparationFamilyParams, t: float, n,
-                      dt12: float) -> Vec3:
-    """Required separation x1(t1) - x2(t2) at sphere time t and direction n."""
-    n = vec3(n)
+def separation_family(params: SeparationFamilyParams, t, n, dt12) -> np.ndarray:
+    """Required separation x1(t1) - x2(t2) at sphere time t and direction n:
+    (3,) for a float time and one direction, (M, 3) for (M,) times or
+    (M, 3) direction rows."""
+    n = _directions(n)
     sigma = params.interval_index(t)
     d = params.d_sigma(sigma, n)
     l_vec = params.l_sigma(sigma, n)
-    return d + dt12 * n - (t - params.t_edges[sigma]) * cross(n, l_vec)
+    lever = np.asarray(t - params.t_edges[sigma])[..., None]
+    return d + np.asarray(dt12)[..., None] * n - lever * cross(n, l_vec)
 
 
 def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams:
@@ -277,7 +312,6 @@ def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams
 
     def shifted_d(sigma):
         def func(n):
-            n = vec3(n)
             total = params.d_sigma(0, n)
             for j in range(sigma):
                 total = total - widths[j] * cross(n, params.l_sigma(j, n))
@@ -287,7 +321,7 @@ def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams
 
     d_funcs = tuple(shifted_d(s) for s in range(params.n_intervals))
     l_funcs = tuple(
-        (lambda n, s=s: params.l_sigma(s, vec3(n)))
+        (lambda n, s=s: params.l_sigma(s, n))
         for s in range(params.n_intervals)
     )
     return SeparationFamilyParams.from_callables(params.t_edges, d_funcs, l_funcs)
@@ -382,16 +416,11 @@ def rigidity_check(v1, v2, n_samples) -> RigidityReport:
     The report carries, per direction, the best-fit multiple of n and the
     norm of the transverse remainder.
     """
-    v1 = vec3(v1)
-    v2 = vec3(v2)
-    ns = np.asarray([vec3(n) for n in n_samples], dtype=float)
+    ns = _directions(np.atleast_2d(n_samples))
     _require_spanning(ns)
-    violations = np.empty(ns.shape[0])
-    k_values = np.empty(ns.shape[0])
-    for i, n in enumerate(ns):
-        lhs = v1 / (1.0 - float(n @ v1)) - v2 / (1.0 - float(n @ v2))
-        k_values[i] = float(n @ lhs)
-        violations[i] = float(np.linalg.norm(lhs - k_values[i] * n))
+    lhs = _dilated_difference(vec3(v1), vec3(v2), ns)
+    k_values = (ns * lhs).sum(axis=1)
+    violations = np.linalg.norm(lhs - k_values[:, None] * ns, axis=1)
     return RigidityReport(
         max_violation=float(violations.max()),
         violations=violations,
@@ -427,7 +456,7 @@ def sewing_chain(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     trajs = {1: traj1, 2: traj2}
     entries = []
     truncated = False
-    for _ in range(int(count)):
+    for _ in range(as_count(count, 0, "count")):
         event = (float(t), trajs[particle].position(float(t)))
         other = 3 - particle
         try:
@@ -456,9 +485,7 @@ def _candidates(traj2, params, n_grid, t1, x1):
     one far-cone pass."""
     t = t1 - (n_grid * x1).sum(axis=1)
     t2 = far_cone_times(traj2, t, n_grid, 0.0, Branch.RETARDED)
-    seps = np.stack([separation_family(params, ti, n, t1 - t2i)
-                     for ti, n, t2i in zip(t, n_grid, t2)])
-    return traj2.evaluate(t2) + seps, t, t2
+    return traj2.evaluate(t2) + separation_family(params, t, n_grid, t1 - t2), t, t2
 
 
 def _solve_position(traj2, params, n_grid, t1, x0):
@@ -467,8 +494,7 @@ def _solve_position(traj2, params, n_grid, t1, x0):
     for _ in range(60):
         cands, t, t2 = _candidates(traj2, params, n_grid, t1, x)
         v2 = traj2.evaluate(t2, 1)
-        l_vecs = np.stack([params.l_sigma(params.interval_index(ti), n)
-                           for ti, n in zip(t, n_grid)])
+        l_vecs = params.l_sigma(params.interval_index(t), n_grid)
         doppler = 1.0 - (n_grid * v2).sum(axis=1)
         drhs_dt = (v2 - n_grid) / doppler[:, None] - cross(n_grid, l_vecs)
         res = (x - cands).reshape(-1)
@@ -493,7 +519,11 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     measure.  Exceeding `spread_tol` raises with the report attached.
     """
     params.validate()
-    n_grid = np.asarray([vec3(n) / np.linalg.norm(vec3(n)) for n in n_grid])
+    n_grid = _directions(np.atleast_2d(n_grid))
+    norms = np.linalg.norm(n_grid, axis=1)
+    if not np.all(norms > 0.0):
+        raise DomainError("direction vectors must be nonzero")
+    n_grid = n_grid / norms[:, None]
     _require_spanning(n_grid)
     t1s = np.asarray(t1_grid, dtype=float)
     if t1s.ndim != 1 or t1s.size < 2 or not np.all(np.diff(t1s) > 0):

@@ -20,6 +20,7 @@ from wfvar.errors import (
 )
 from wfvar.farfield import gah_residual, latlong_mesh
 from wfvar.lightcone import Branch
+from wfvar import shortrange
 from wfvar.shortrange import (
     _real_sph_basis,
     SeparationFamilyParams,
@@ -178,6 +179,180 @@ class TestSeparationFamily:
             )
             right = separation_family(adjusted, edge, n, dt12)
             assert_allclose(left, right, atol=1e-12)
+
+
+def reference_map(maps, project, sigma, n):
+    """One map at one direction, projected by hand."""
+    raw = np.broadcast_to(maps[sigma](n[None]), (1, 3))[0]
+    return raw - np.dot(n, raw) * n if project else raw
+
+
+def reference_separation(params, t, n, dt12):
+    """`separation_family` at one time and direction, from the raw maps."""
+    edges = params.t_edges
+    sigma = min(int(np.searchsorted(edges, t, side="right")) - 1, params.n_intervals - 1)
+    d = reference_map(params.d_raw, params.project, sigma, n)
+    l_vec = reference_map(params.l_raw, params.project, sigma, n)
+    return d + dt12 * n - (t - edges[sigma]) * np.cross(n, l_vec)
+
+
+def row_families():
+    rng = np.random.default_rng(5)
+    edges = (-2.0, 0.5, 3.0)
+    harmonic = SeparationFamilyParams.from_harmonic_tables(
+        edges, rng.normal(size=(2, 3, 25)), 0.3 * rng.normal(size=(2, 3, 25)))
+    linear = SeparationFamilyParams.from_linear_pieces(edges, [
+        ([0, 1.5, 0], [0.1, 0, 0.05], [0.2, -0.3, 0], [0, -0.2, 0.1]),
+        ([0, 1.5, 0], [0.1, 0, 0.05], [0.2, -0.3, 0], [0.15, 0.1, 0]),
+    ])
+    callable_family = SeparationFamilyParams.from_callables(
+        edges,
+        [lambda n: np.sin(3.0 * n) + n[:, ::-1] ** 2, lambda n: [0.0, 1.5, 0.0]],
+        [lambda n: np.cos(n) * 0.2, lambda n: np.cross(n, [0.1, -0.2, 0.3])],
+    )
+    return {"linear": linear, "harmonic": harmonic, "callable": callable_family,
+            "continuity": enforce_continuity(harmonic)}
+
+
+FAMILIES = row_families()
+
+
+class TestDirectionRows:
+    """Each row form against a per-row reference loop."""
+
+    rows = np.array([unit(r) for r in np.random.default_rng(9).normal(size=(12, 3))])
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_maps_match_per_row_reference(self, name):
+        params = FAMILIES[name]
+        sigmas = np.arange(self.rows.shape[0]) % params.n_intervals
+        for at, maps in ((params.d_sigma, params.d_raw), (params.l_sigma, params.l_raw)):
+            for sigma in range(params.n_intervals):
+                got = at(sigma, self.rows)
+                assert got.shape == self.rows.shape
+                ref = [reference_map(maps, params.project, sigma, n) for n in self.rows]
+                assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+                assert_allclose(at(sigma, self.rows[3]), ref[3], rtol=0.0, atol=1e-13)
+            # one interval per row, grouped by interval
+            ref = [at(s, n) for s, n in zip(sigmas.tolist(), self.rows)]
+            assert_allclose(at(sigmas, self.rows), ref, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_sphere_times_straddling_an_edge(self, name):
+        params = FAMILIES[name]
+        m = self.rows.shape[0]
+        # rows on both sides of the inner edge, one exactly on it and one on
+        # the last edge, which belongs to the last interval
+        t = 0.5 + np.linspace(-0.3, 0.3, m)
+        t[0], t[-1] = 0.5, 3.0
+        dt12 = np.linspace(-0.2, 0.4, m)
+        assert params.interval_index(t).tolist() == [1] + [0] * 5 + [1] * 6
+        got = separation_family(params, t, self.rows, dt12)
+        ref = [reference_separation(params, ti, n, d)
+               for ti, n, d in zip(t, self.rows, dt12)]
+        assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+        # a float time with rows, and times with one direction
+        assert_allclose(separation_family(params, 1.0, self.rows, 0.1),
+                        [reference_separation(params, 1.0, n, 0.1) for n in self.rows],
+                        rtol=0.0, atol=1e-13)
+        assert_allclose(separation_family(params, t, self.rows[2], dt12),
+                        [reference_separation(params, ti, self.rows[2], d)
+                         for ti, d in zip(t, dt12)], rtol=0.0, atol=1e-13)
+
+    def test_one_row_returns_the_scalar_forms(self):
+        params = FAMILIES["linear"]
+        n = self.rows[0]
+        assert type(params.interval_index(1.0)) is int
+        sep = separation_family(params, 1.0, n, 0.2)
+        assert sep.shape == (3,)
+        assert_allclose(sep, reference_separation(params, 1.0, n, 0.2), rtol=0.0, atol=1e-14)
+        assert isinstance(k12([0.1, 0, 0], [0, 0.2, 0], n), float)
+
+    def test_callables_receive_rows(self):
+        shapes = []
+
+        def d_map(n):
+            shapes.append(n.shape)
+            return np.zeros_like(n)
+
+        params = SeparationFamilyParams.from_callables(
+            (0.0, 1.0, 2.0), [d_map, d_map], [lambda n: np.zeros(3)] * 2)
+        separation_family(params, np.array([0.2, 1.5, 0.7]), self.rows[:3], 0.0)
+        separation_family(params, 0.2, self.rows[0], 0.0)
+        assert shapes == [(2, 3), (1, 3), (1, 3)]
+
+    def test_k12_and_rigidity_rows_match_the_per_direction_formula(self):
+        rng = np.random.default_rng(17)
+        v1, v2 = 0.5 * rng.uniform(-1, 1, 3), 0.5 * rng.uniform(-1, 1, 3)
+        got = k12(v1, v2, self.rows)
+        ref = [1.0 / (1.0 - np.dot(n, v1)) - 1.0 / (1.0 - np.dot(n, v2)) for n in self.rows]
+        assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+        report = rigidity_check(v1, v2, self.rows)
+        for n, k, viol in zip(self.rows, report.k_values, report.violations):
+            lhs = v1 / (1.0 - np.dot(n, v1)) - v2 / (1.0 - np.dot(n, v2))
+            assert abs(k - np.dot(n, lhs)) < 1e-15
+            assert abs(viol - np.linalg.norm(lhs - np.dot(n, lhs) * n)) < 1e-15
+
+    def test_non_finite_map_output_or_direction_is_a_domain_error(self):
+        params = SeparationFamilyParams.from_callables(
+            (0.0, 1.0, 2.0),
+            [lambda n: np.zeros_like(n), lambda n: np.where(n[:, :1] > 0, np.nan, n)],
+            [lambda n: np.zeros(3)] * 2)
+        t = np.array([0.5, 1.5])
+        rows = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
+        with pytest.raises(DomainError):
+            separation_family(params, t, rows, 0.0)
+        with pytest.raises(DomainError):
+            params.d_sigma(1, rows)
+        separation_family(params, t, rows[::-1], 0.0)  # the NaN row is in interval 0
+        with pytest.raises(DomainError):
+            separation_family(params, t, [[np.nan, 0, 1], [0, 0, 1]], 0.0)
+        with pytest.raises(DomainError):
+            k12([0.1, 0, 0], [0, 0, 0], [np.inf, 0, 0])
+
+    @pytest.mark.parametrize("t", [[0.5, 3.5], [-2.1, 1.0], [0.5, np.nan]])
+    def test_array_times_outside_the_domain(self, t):
+        params = FAMILIES["callable"]  # domain [-2, 3]
+        with pytest.raises(DomainError):
+            params.interval_index(np.array(t))
+        with pytest.raises(DomainError):
+            separation_family(params, np.array(t), self.rows[:2], 0.0)
+
+    def test_validate_errors(self):
+        nan_map = SeparationFamilyParams.from_callables(
+            (-1.0, 1.0), [lambda n: np.full_like(n, np.nan)], [lambda n: np.zeros(3)])
+        with pytest.raises(ContractError, match="D_0 not finite"):
+            nan_map.validate()
+        radial_l = SeparationFamilyParams.from_callables(
+            (-1.0, 0.0, 1.0), [lambda n: np.zeros(3)] * 2, [lambda n: 0.0 * n, lambda n: n],
+            project=False)
+        with pytest.raises(ContractError, match="n.L_1 = 1 violates"):
+            radial_l.validate()
+        for params in FAMILIES.values():
+            params.validate()
+
+    def test_construct_partner_makes_one_family_call_per_candidate_pass(self, monkeypatch):
+        counts = {"candidates": 0, "family": 0}
+        candidates, family = shortrange._candidates, shortrange.separation_family
+
+        def count(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(shortrange, "_candidates", count("candidates", candidates))
+        monkeypatch.setattr(shortrange, "separation_family", count("family", family))
+        params = SeparationFamilyParams.from_linear_pieces(
+            (-40.0, 0.0, 40.0),
+            [([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0, -0.2, 0]),
+             ([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0.15, 0.1, 0])])
+        traj2 = polygonal_from_vertices(
+            [(-60.0, [0, 12.0, 0]), (0.0, [0, 0, 0]), (60.0, [9.0, 6.0, 0])], NEG)
+        construct_partner(traj2, params, cone_directions([0.5, 1.0, -0.3], count=10),
+                          np.linspace(-2.0, 2.0, 5))
+        assert counts["candidates"] > 5
+        assert counts["family"] == counts["candidates"]
 
 
 class TestRealHarmonics:
@@ -374,6 +549,20 @@ class TestSewingChain:
         with pytest.raises(DomainError):
             sewing_chain(traj, traj, (3, 0.0), "forward", 1)
 
+    @pytest.mark.parametrize("count", [2.7, True, -1, "2"])
+    def test_bad_counts(self, count):
+        # int() would run 2.7 as 2 steps and True as 1
+        traj1 = static_traj([0, 0, 0])
+        traj2 = static_traj([2.0, 0, 0], particle=NEG)
+        with pytest.raises(ConfigError):
+            sewing_chain(traj1, traj2, (2, 0.0), "forward", count)
+
+    def test_numpy_integer_count(self):
+        traj1 = static_traj([0, 0, 0])
+        traj2 = static_traj([2.0, 0, 0], particle=NEG)
+        chain = sewing_chain(traj1, traj2, (2, 0.0), "forward", np.int64(2))
+        assert len(chain.entries) == 2
+
 
 class TestConstructPartner:
     def test_static_fixed_point(self):
@@ -440,6 +629,14 @@ class TestConstructPartner:
         params = constant_family([0, 1.5, 0], [0, 0, 0], (-50.0, 50.0))
         grid = [[1.0, 0, 0], [0, 1.0, 0], unit([1.0, 1.0, 0.0])]
         with pytest.raises(InsufficientSamplingError):
+            construct_partner(traj2, params, grid, np.linspace(-1, 1, 3))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+    def test_zero_or_non_finite_direction_rejected(self, bad):
+        traj2 = static_traj([0, 0, 0], particle=NEG)
+        params = constant_family([0, 1.5, 0], [0, 0, 0], (-50.0, 50.0))
+        grid = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], bad]
+        with pytest.raises(DomainError):
             construct_partner(traj2, params, grid, np.linspace(-1, 1, 3))
 
     def test_non_transverse_params_rejected(self):
