@@ -539,6 +539,8 @@ def run(command: str, scenario_path, out_dir=None, tol=None,
         )
         return 2
     try:
+        if tol is not None and not np.isfinite(tol):
+            raise ConfigError(f"--tol must be a finite number, got {tol!r}")
         scen = load_scenario(scenario_path)
         out = Path(out_dir) if out_dir is not None else Path(scenario_path).resolve().parent
         out.mkdir(parents=True, exist_ok=True)

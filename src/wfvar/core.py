@@ -101,40 +101,23 @@ class ParticleParams:
             raise DomainError(f"charge must be finite, got {self.charge}")
 
 
-def _shift_row(row, delta: float) -> list:
-    """Ascending coefficients in w of p(w + delta), for ascending coefficients of p.
-
-    Horner steps acc <- acc * (w + delta) + c on plain floats, done the way
-    numpy's ``Polynomial(row)(Polynomial([delta, 1]))`` does them, so the
-    result is bit-identical to that composition: every product sum starts
-    from 0.0 (which turns -0.0 into 0.0) and trailing zeros are trimmed.
-    """
-    delta = float(delta) + 0.0
-    row = [float(c) for c in row]
-    acc = [row[-1] + 0.0]
-    for c in reversed(row[:-1]):
-        nxt = [0.0 + acc[0] * delta]
-        nxt += [0.0 + acc[k] * delta + acc[k - 1] for k in range(1, len(acc))]
-        nxt.append(0.0 + acc[-1])
-        nxt[0] = c + nxt[0]
-        while len(nxt) > 1 and nxt[-1] == 0.0:
-            nxt.pop()
+def _shift_cells(coeffs, deltas) -> np.ndarray:
+    """Ascending coefficients in w of p_i(w + deltas[i]) for the (n, 3, K)
+    ascending coefficients of each cell's p_i, by Horner steps in numpy's
+    ``Polynomial(row)(Polynomial([delta, 1]))`` order: each row is that
+    composition padded with zeros, bit for bit (every product sum starts
+    from 0.0, which turns -0.0 into 0.0).  A cell with delta == 0 is kept."""
+    out = np.array(coeffs, dtype=float)
+    moved = np.flatnonzero(deltas)
+    c, d = out[moved], np.asarray(deltas, dtype=float)[moved, None, None] + 0.0
+    acc = np.zeros_like(c)
+    acc[..., 0] = c[..., -1] + 0.0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        nxt = 0.0 + acc * d
+        nxt[..., 1:] += acc[..., :-1]
+        nxt[..., 0] = c[..., k] + nxt[..., 0]
         acc = nxt
-    return acc
-
-
-def _poly_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """Re-expand polynomial rows so that p(u) becomes p(w + delta).
-
-    ``coeffs`` has shape (3, K), ascending powers.  Used to re-base a segment
-    onto a different local time origin.
-    """
-    if delta == 0.0:
-        return coeffs.copy()
-    out = np.zeros_like(coeffs)
-    for i, row in enumerate(coeffs.tolist()):
-        c = _shift_row(row, delta)
-        out[i, : len(c)] = c
+    out[moved] = acc
     return out
 
 
@@ -278,7 +261,8 @@ class Segment:
         if a < self.t_start - 1e-12 or b > self.t_end + 1e-12:
             raise DomainError(f"[{a}, {b}] not inside segment [{self.t_start}, {self.t_end}]")
         cs = self.check_speed if check_speed is None else check_speed
-        return Segment(a, b, _poly_shift(self.coeffs, a - self.t_start), check_speed=cs)
+        return Segment(a, b, _shift_cells(self.coeffs[None], [a - self.t_start])[0],
+                       check_speed=cs)
 
 
 @dataclass(frozen=True)
@@ -636,10 +620,9 @@ class Perturbation(SegmentChain):
         """Piecewise-linear bump: 0 at t0 and t1, `amplitude` at t_peak."""
         amp = vec3(amplitude)
         zero = np.zeros(3)
-        return cls((
-            Segment.linear(t0, t_peak, zero, amp, check_speed=False),
-            Segment.linear(t_peak, t1, amp, zero, check_speed=False),
-        ))
+        slopes = [(amp - zero) / (t_peak - t0), (zero - amp) / (t1 - t_peak)]
+        coeffs = np.array([[zero, slopes[0]], [amp, slopes[1]]]).transpose(0, 2, 1)
+        return _chain(cls, [t0, t_peak, t1], coeffs, check_speed=False)
 
     @classmethod
     def from_nodes(cls, times, values, velocities=None,
@@ -670,32 +653,50 @@ def fd_node_velocities(times, values) -> np.ndarray:
             + y[j + 2] * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
 
-def _merged_breakpoints(traj: PiecewiseTrajectory, pert: Perturbation):
-    pts = {traj.t_start, traj.t_end, pert.t_start, pert.t_end}
-    pts.update(traj.junction_times())
-    pts.update(pert.junction_times())
-    lo, hi = traj.t_start, traj.t_end
-    return sorted(p for p in pts if lo <= p <= hi)
-
-
 def add_perturbation(traj: PiecewiseTrajectory, pert: Perturbation,
                      eps: float) -> PiecewiseTrajectory:
-    """The trajectory displaced by eps * b(t) (b treated as 0 outside its domain)."""
-    mesh = _merged_breakpoints(traj, pert)
-    segs = []
-    for a, b in zip(mesh, mesh[1:]):
-        base = traj.segment_at(0.5 * (a + b)).rebased(a, b, check_speed=False)
-        c = base.coeffs
-        if pert.t_start <= a and b <= pert.t_end:
-            ps = pert.segment_at(0.5 * (a + b))
-            pc = _poly_shift(ps.coeffs, a - ps.t_start)
-            k = max(c.shape[1], pc.shape[1])
-            cc = np.zeros((3, k))
-            cc[:, : c.shape[1]] = c
-            cc[:, : pc.shape[1]] += eps * pc
-            c = cc
-        segs.append(Segment(a, b, c))
-    return PiecewiseTrajectory(tuple(segs), traj.particle)
+    """The trajectory displaced by eps * b(t) (b treated as 0 outside its
+    domain), on both knot sets; each cell re-bases the segments governing
+    its midpoint onto its start."""
+    # a set, not np.unique, which imports numpy.ma (about 1.4 MiB)
+    knots = np.array(sorted({*traj.packed.knots.tolist(), *pert.packed.knots.tolist()}))
+    knots = knots[(knots >= traj.t_start) & (knots <= traj.t_end)]
+    a, b = knots[:-1], knots[1:]
+    mid = 0.5 * (a + b)
+    i = traj.segment_indices(mid)
+    cells = _shift_cells(traj.packed.rows[0][i], a - traj.packed.knots[i])
+    inside = np.flatnonzero((a >= pert.t_start) & (b <= pert.t_end))
+    j = pert.segment_indices(mid[inside])
+    shifts = eps * _shift_cells(pert.packed.rows[0][j], a[inside] - pert.packed.knots[j])
+    coeffs = np.zeros(cells.shape[:-1] + (max(cells.shape[-1], shifts.shape[-1]),))
+    coeffs[..., : cells.shape[-1]] = cells
+    coeffs[inside, :, : shifts.shape[-1]] += shifts
+    return _chain(PiecewiseTrajectory, knots, coeffs, traj.particle)
+
+
+def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory,
+            particle: ParticleParams) -> PiecewiseTrajectory:
+    """``full`` outside [part.t_start, part.t_end] and ``part`` inside: the
+    cells of ``full`` that reach past either end, cut there, around the
+    cells of ``part``.  A seam where the cells do not meet raises
+    DomainError."""
+    a, b = part.t_start, part.t_end
+    knots, rows = full.packed.knots, full.packed.rows[0]
+    inner_knots, inner_rows = part.packed.knots, part.packed.rows[0]
+    i = int(np.searchsorted(knots[:-1], a))  # cells [0, i) start before a
+    j = int(np.searchsorted(knots[1:], b, side="right"))  # cells [j, n) end after b
+    if i and knots[i] < a:
+        raise DomainError(f"segments must abut exactly: {float(knots[i])} != {a}")
+    if j < knots.size - 1 and knots[j] > b:
+        raise DomainError(f"segments must abut exactly: {b} != {float(knots[j])}")
+    m, k, kp = inner_knots.size - 1, rows.shape[-1], inner_rows.shape[-1]
+    coeffs = np.zeros((i + m + knots.size - 1 - j, 3, max(k, kp)))
+    coeffs[:i, :, :k] = rows[:i]
+    coeffs[i : i + m, :, :kp] = inner_rows
+    starts = knots[j:-1]
+    coeffs[i + m :, :, :k] = _shift_cells(rows[j:], np.maximum(starts, b) - starts)
+    return _chain(PiecewiseTrajectory, np.concatenate([knots[:i], inner_knots, knots[j + 1 :]]),
+                  coeffs, particle)
 
 
 def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
@@ -709,19 +710,7 @@ def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
     a, b = float(window[0]), float(window[1])
     if window_part.t_start != a or window_part.t_end != b:
         raise DomainError("window part must span the window exactly")
-    segs = []
-    for s in full.segments:
-        if s.t_end <= a:
-            segs.append(s)
-        elif s.t_start < a:
-            segs.append(s.rebased(s.t_start, a))
-    segs.extend(window_part.segments)
-    for s in full.segments:
-        if s.t_start >= b:
-            segs.append(s)
-        elif s.t_end > b:
-            segs.append(s.rebased(b, s.t_end))
-    return PiecewiseTrajectory(tuple(segs), full.particle)
+    return _splice(full, window_part, full.particle)
 
 
 def merge_history(traj: PiecewiseTrajectory,
@@ -732,10 +721,8 @@ def merge_history(traj: PiecewiseTrajectory,
         return traj
     if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
         return replace_window(history, traj, (traj.t_start, traj.t_end))
-    if history.t_end == traj.t_start:
-        return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
-    if traj.t_end == history.t_start:
-        return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
+    if history.t_end == traj.t_start or traj.t_end == history.t_start:
+        return _splice(history, traj, traj.particle)
     raise DomainError(
         f"history [{history.t_start}, {history.t_end}] neither contains nor "
         f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
@@ -745,15 +732,18 @@ def merge_history(traj: PiecewiseTrajectory,
 # -- JSON exchange format -----------------------------------------------------
 
 def json_number(value) -> float:
-    """A JSON number as a float.  Booleans, which ``float`` would take as 0
-    or 1, strings, which it would parse, and integers too large for a float
-    raise ValueError."""
+    """A finite JSON number as a float.  Booleans, which ``float`` would take
+    as 0 or 1, strings, which it would parse, NaN and infinities, which
+    Python's ``json`` reads, and integers too large for a float raise
+    ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     try:
-        return float(value)
+        if math.isfinite(value):
+            return float(value)
     except OverflowError:
         raise ValueError("integer too large for a float") from None
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def as_count(value, minimum: int = 0, what: str = "count") -> int:

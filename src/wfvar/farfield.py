@@ -51,8 +51,7 @@ def _near_break(traj: PiecewiseTrajectory, t_k: np.ndarray, guard: float) -> np.
 def _far_kinematics(traj, t, n, R, branch):
     """Far cone time with the right-sided velocity and acceleration there."""
     t_k = far_cone_time(traj, t, n, R, branch)
-    seg = traj.segment_at(t_k)
-    return t_k, np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
+    return t_k, traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
 
 
 def _lw_field(q, n, R, v, a, branch):

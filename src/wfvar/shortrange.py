@@ -291,12 +291,17 @@ def separation_family(params: SeparationFamilyParams, t, n, dt12) -> np.ndarray:
     """Required separation x1(t1) - x2(t2) at sphere time t and direction n:
     (3,) for a float time and one direction, (M, 3) for (M,) times or
     (M, 3) direction rows."""
+    return _separation(params, t, n, dt12)[0]
+
+
+def _separation(params, t, n, dt12) -> tuple:
+    """`separation_family` and the L_sigma rows it read."""
     n = _directions(n)
     sigma = params.interval_index(t)
     d = params.d_sigma(sigma, n)
     l_vec = params.l_sigma(sigma, n)
     lever = np.asarray(t - params.t_edges[sigma])[..., None]
-    return d + np.asarray(dt12)[..., None] * n - lever * cross(n, l_vec)
+    return d + np.asarray(dt12)[..., None] * n - lever * cross(n, l_vec), l_vec
 
 
 def enforce_continuity(params: SeparationFamilyParams) -> SeparationFamilyParams:
@@ -481,20 +486,20 @@ class ConsistencyReport:
 
 def _candidates(traj2, params, n_grid, t1, x1):
     """Every direction's reconstruction of x1(t1) given a trial position, with
-    the sphere times and the partner's cone times, all directions solved in
-    one far-cone pass."""
+    the partner's cone times and the L_sigma rows at the sphere times, all
+    directions solved in one far-cone pass."""
     t = t1 - (n_grid * x1).sum(axis=1)
     t2 = far_cone_times(traj2, t, n_grid, 0.0, Branch.RETARDED)
-    return traj2.evaluate(t2) + separation_family(params, t, n_grid, t1 - t2), t, t2
+    separation, l_vecs = _separation(params, t, n_grid, t1 - t2)
+    return traj2.evaluate(t2) + separation, t2, l_vecs
 
 
 def _solve_position(traj2, params, n_grid, t1, x0):
     """Least-squares position from the stacked per-direction relations."""
     x = vec3(x0).copy()
     for _ in range(60):
-        cands, t, t2 = _candidates(traj2, params, n_grid, t1, x)
+        cands, t2, l_vecs = _candidates(traj2, params, n_grid, t1, x)
         v2 = traj2.evaluate(t2, 1)
-        l_vecs = params.l_sigma(params.interval_index(t), n_grid)
         doppler = 1.0 - (n_grid * v2).sum(axis=1)
         drhs_dt = (v2 - n_grid) / doppler[:, None] - cross(n_grid, l_vecs)
         res = (x - cands).reshape(-1)

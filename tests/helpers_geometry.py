@@ -6,17 +6,50 @@ import math
 import numpy as np
 
 from wfvar.action import coupling
-from wfvar.core import (PackedChain, ParticleParams, PiecewiseTrajectory, Segment, Side,
-                        _shift_row, vec3)
-from wfvar.errors import CollisionError, InsufficientHistoryError
+from wfvar.core import PackedChain, ParticleParams, PiecewiseTrajectory, Segment, Side, vec3
+from wfvar.errors import CollisionError, DomainError, InsufficientHistoryError
 from wfvar.lightcone import COLLISION_R, Branch, cone_time
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
 
 
+def reference_shift_row(row, delta: float) -> list:
+    """Ascending coefficients in w of p(w + delta), for ascending coefficients of p.
+
+    Horner steps acc <- acc * (w + delta) + c on plain floats, done the way
+    numpy's ``Polynomial(row)(Polynomial([delta, 1]))`` does them, so the
+    result is bit-identical to that composition: every product sum starts
+    from 0.0 (which turns -0.0 into 0.0) and trailing zeros are trimmed.
+    """
+    delta = float(delta) + 0.0
+    row = [float(c) for c in row]
+    acc = [row[-1] + 0.0]
+    for c in reversed(row[:-1]):
+        nxt = [0.0 + acc[0] * delta]
+        nxt += [0.0 + acc[k] * delta + acc[k - 1] for k in range(1, len(acc))]
+        nxt.append(0.0 + acc[-1])
+        nxt[0] = c + nxt[0]
+        while len(nxt) > 1 and nxt[-1] == 0.0:
+            nxt.pop()
+        acc = nxt
+    return acc
+
+
+def reference_poly_shift(coeffs, delta: float) -> np.ndarray:
+    """(3, K) rows re-expanded so that p(u) becomes p(w + delta), one row at a
+    time, padded back to K; a zero delta copies the rows."""
+    if delta == 0.0:
+        return coeffs.copy()
+    out = np.zeros_like(coeffs)
+    for i, row in enumerate(coeffs.tolist()):
+        c = reference_shift_row(row, delta)
+        out[i, : len(c)] = c
+    return out
+
+
 def segment_from_global(t0, t1, global_rows, particle=None):
     """Segment whose position is the given polynomial in absolute time t."""
-    rows = [_shift_row(r, t0) for r in global_rows]  # t = u + t0
+    rows = [reference_shift_row(r, t0) for r in global_rows]  # t = u + t0
     k = max(len(r) for r in rows)
     coeffs = np.zeros((3, k))
     for i, r in enumerate(rows):
@@ -238,3 +271,65 @@ def reference_fd_velocities(times, values):
                    + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
                    + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
     return out
+
+
+# -- per-segment references for the chain splice and perturbation ----------------
+
+def reference_rebased(seg, a, b, check_speed=None):
+    """One `Segment` holding the polynomial of ``seg`` on [a, b]."""
+    cs = seg.check_speed if check_speed is None else check_speed
+    return Segment(a, b, reference_poly_shift(seg.coeffs, a - seg.t_start), check_speed=cs)
+
+
+def reference_add_perturbation(traj, pert, eps):
+    """`wfvar.core.add_perturbation`, one `Segment` per cell of the merged
+    knots."""
+    pts = {traj.t_start, traj.t_end, pert.t_start, pert.t_end}
+    pts.update(traj.junction_times())
+    pts.update(pert.junction_times())
+    mesh = sorted(p for p in pts if traj.t_start <= p <= traj.t_end)
+    segs = []
+    for a, b in zip(mesh, mesh[1:]):
+        base = reference_rebased(traj.segment_at(0.5 * (a + b)), a, b, check_speed=False)
+        c = base.coeffs
+        if pert.t_start <= a and b <= pert.t_end:
+            ps = pert.segment_at(0.5 * (a + b))
+            pc = reference_poly_shift(ps.coeffs, a - ps.t_start)
+            k = max(c.shape[1], pc.shape[1])
+            cc = np.zeros((3, k))
+            cc[:, : c.shape[1]] = c
+            cc[:, : pc.shape[1]] += eps * pc
+            c = cc
+        segs.append(Segment(a, b, c))
+    return PiecewiseTrajectory(tuple(segs), traj.particle)
+
+
+def reference_replace_window(full, window_part, window):
+    """`wfvar.core.replace_window`, one `Segment` at a time."""
+    a, b = float(window[0]), float(window[1])
+    if window_part.t_start != a or window_part.t_end != b:
+        raise DomainError("window part must span the window exactly")
+    segs = []
+    for s in full.segments:
+        if s.t_end <= a:
+            segs.append(s)
+        elif s.t_start < a:
+            segs.append(reference_rebased(s, s.t_start, a))
+    segs.extend(window_part.segments)
+    for s in full.segments:
+        if s.t_start >= b:
+            segs.append(s)
+        elif s.t_end > b:
+            segs.append(reference_rebased(s, b, s.t_end))
+    return PiecewiseTrajectory(tuple(segs), full.particle)
+
+
+def reference_merge_history(traj, history):
+    """`wfvar.core.merge_history` on segment tuples."""
+    if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
+        return reference_replace_window(history, traj, (traj.t_start, traj.t_end))
+    if history.t_end == traj.t_start:
+        return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
+    if traj.t_end == history.t_start:
+        return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
+    raise DomainError("history neither contains nor abuts the trajectory")

@@ -259,6 +259,22 @@ class TestExitCodes:
         ("construct-partner", partner_scenario(linear_family(t_edge="50"))),
         ("gah-scan", {**static_pair(), "options": {"times": [0.0],
                                                    "directions": [["1", 0, 0], [0, 1, 0]]}}),
+        # Python's json reads NaN and Infinity; a non-finite number is malformed
+        ("action", {**static_pair(), "kappa": math.nan,
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("verify", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": {"el_tol": math.nan}}),
+        ("construct-partner", {**partner_scenario(linear_family()),
+                               "options": {"directions": 8, "t1_grid": [-3.0, 3.0, 5],
+                                           "spread_tol": math.nan}}),
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, 50.0],
+                                    "positions": [[0, 0, 0], [0, -math.inf, 0]],
+                                    "velocities": [[0, 0, 0], [0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("construct-partner", partner_scenario(harmonic_family(intervals=[
+            {"t_edge": 50.0, "D_coeffs": [[0.0], [math.nan], [0.0]],
+             "L_coeffs": [[0.0], [0.0], [0.0]]}]))),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
@@ -266,7 +282,8 @@ class TestExitCodes:
             "t1-grid-count-true", "seed-fraction", "seed-text", "vertex-text",
             "polygonal-text", "hermite-text", "end-time-huge", "segment-time-text",
             "segment-coeff-text", "family-start-text", "lmax-text", "lmax-fraction",
-            "lmax-true", "table-text", "piece-text", "edge-text", "direction-vector-text"])
+            "lmax-true", "table-text", "piece-text", "edge-text", "direction-vector-text",
+            "kappa-nan", "el-tol-nan", "spread-tol-nan", "node-infinite", "family-coeff-nan"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1
@@ -458,6 +475,17 @@ class TestActionVerify:
         assert run("verify", self.scenario(tmp_path), out_dir=out, tol=1.0,
                    quiet=True) == 0
         assert quantities(out / "verify.csv")["converged"] == 1.0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_flag_is_a_config_error(self, tmp_path, capsys, tol):
+        # a NaN tolerance would pass every comparison against it
+        out = tmp_path / "out"
+        argv = ["verify", "--scenario", str(self.scenario(tmp_path)), "--out", str(out),
+                f"--tol={tol}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+        assert not (out / "verify.csv").exists()
 
 
 class TestFlux:

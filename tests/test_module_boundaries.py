@@ -73,6 +73,41 @@ def test_optimizer_takes_one_first_variation_per_gradient():
     assert id(calls[0]) not in looped
 
 
+def core_functions() -> dict:
+    """The functions of `core` by name, methods as `Class.name`."""
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs.update({f"{cls.name}.{node.name}": node for node in cls.body
+                      if isinstance(node, ast.FunctionDef)})
+    return funcs
+
+
+def reached_calls(funcs: dict, name: str, seen=None) -> list:
+    """The calls one core function makes, and those of the module-level core
+    functions it calls, transitively."""
+    seen = set() if seen is None else seen
+    seen.add(name)
+    calls = [node for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)]
+    for callee in [getattr(call.func, "id", None) for call in calls]:
+        if callee in funcs and callee not in seen:
+            calls += reached_calls(funcs, callee, seen)
+    return calls
+
+
+def test_chain_algebra_builds_through_the_array_builder():
+    # splice and perturbation make their cells as arrays and their chain by
+    # one `_chain` call, never a `Segment` (or a chain of them) at a time
+    constructors = {"Segment", "PiecewiseTrajectory", "Perturbation", "cls"}
+    funcs = core_functions()
+    for name in ("replace_window", "merge_history", "add_perturbation", "Perturbation.tent"):
+        calls = reached_calls(funcs, name)
+        owners = [getattr(call.func, "id", None)
+                  or getattr(getattr(call.func, "value", None), "id", None) for call in calls]
+        assert constructors.isdisjoint(owners), name
+        assert "_chain" in owners, name
+
+
 def outside_imports(path: Path) -> list:
     """Absolute imports of one module that are neither the standard library
     nor numpy."""

@@ -217,6 +217,20 @@ def row_families():
 FAMILIES = row_families()
 
 
+def construct_two_interval_partner():
+    """Run `construct_partner` on a two-interval linear family; returns the
+    family."""
+    params = SeparationFamilyParams.from_linear_pieces(
+        (-40.0, 0.0, 40.0),
+        [([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0, -0.2, 0]),
+         ([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0.15, 0.1, 0])])
+    traj2 = polygonal_from_vertices(
+        [(-60.0, [0, 12.0, 0]), (0.0, [0, 0, 0]), (60.0, [9.0, 6.0, 0])], NEG)
+    construct_partner(traj2, params, cone_directions([0.5, 1.0, -0.3], count=10),
+                      np.linspace(-2.0, 2.0, 5))
+    return params
+
+
 class TestDirectionRows:
     """Each row form against a per-row reference loop."""
 
@@ -332,8 +346,9 @@ class TestDirectionRows:
             params.validate()
 
     def test_construct_partner_makes_one_family_call_per_candidate_pass(self, monkeypatch):
+        # `_separation` is `separation_family` with the L rows it read
         counts = {"candidates": 0, "family": 0}
-        candidates, family = shortrange._candidates, shortrange.separation_family
+        candidates, family = shortrange._candidates, shortrange._separation
 
         def count(key, fn):
             def wrapper(*args):
@@ -342,17 +357,30 @@ class TestDirectionRows:
             return wrapper
 
         monkeypatch.setattr(shortrange, "_candidates", count("candidates", candidates))
-        monkeypatch.setattr(shortrange, "separation_family", count("family", family))
-        params = SeparationFamilyParams.from_linear_pieces(
-            (-40.0, 0.0, 40.0),
-            [([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0, -0.2, 0]),
-             ([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0.15, 0.1, 0])])
-        traj2 = polygonal_from_vertices(
-            [(-60.0, [0, 12.0, 0]), (0.0, [0, 0, 0]), (60.0, [9.0, 6.0, 0])], NEG)
-        construct_partner(traj2, params, cone_directions([0.5, 1.0, -0.3], count=10),
-                          np.linspace(-2.0, 2.0, 5))
+        monkeypatch.setattr(shortrange, "_separation", count("family", family))
+        construct_two_interval_partner()
         assert counts["candidates"] > 5
         assert counts["family"] == counts["candidates"]
+
+    def test_construct_partner_reads_the_l_rows_once_per_candidate_pass(self, monkeypatch):
+        # the position solve takes its L rows from the candidates' family call
+        counts = {"candidates": 0, "l_sigma": 0}
+        candidates, l_sigma = shortrange._candidates, SeparationFamilyParams.l_sigma
+
+        def counted_candidates(*args):
+            counts["candidates"] += 1
+            return candidates(*args)
+
+        def counted_l_sigma(self, sigma, n):
+            counts["l_sigma"] += 1
+            return l_sigma(self, sigma, n)
+
+        monkeypatch.setattr(shortrange, "_candidates", counted_candidates)
+        monkeypatch.setattr(SeparationFamilyParams, "l_sigma", counted_l_sigma)
+        params = construct_two_interval_partner()
+        assert counts["candidates"] > 5
+        # `validate` reads each L_sigma once before the solve
+        assert counts["l_sigma"] == counts["candidates"] + params.n_intervals
 
 
 class TestRealHarmonics:
