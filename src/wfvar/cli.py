@@ -33,7 +33,6 @@ from .core import (
     polygonal_from_vertices,
     save_trajectory,
     trajectory_from_dict,
-    vec3,
 )
 from .errors import ConfigError, WfvarError
 from .farfield import GUARD_BAND, gah_residuals, latlong_mesh, sphere_flux
@@ -82,6 +81,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# formatters of the exact types most cells have; any other type, bool and
+# numpy scalars included, goes through `_fmt`
+_FORMATS = {float: lambda v: format(v, ".17g"), int: str, str: str}
+
+
 def emit_report(report, path) -> None:
     """Write a report as CSV; floats round-trip at 17 significant digits."""
     if isinstance(report, MinimizerReport):
@@ -99,9 +103,11 @@ def emit_report(report, path) -> None:
         table = report
     else:
         raise ConfigError(f"cannot serialize report of type {type(report).__name__}")
-    lines = [",".join(table.header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    # line by line, so no copy of the whole text is held
+    with Path(path).open("w") as out:
+        out.write(",".join(table.header) + "\n")
+        out.writelines(",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]) + "\n"
+                       for row in table.rows)
 
 
 # -- scenario loading ---------------------------------------------------------
@@ -118,7 +124,7 @@ def _traj_from_record(record, particle: ParticleParams) -> PiecewiseTrajectory:
         if kind == "polygonal":
             return polygonal_from_vertices(_vertices(record["vertices"]), particle)
         if kind == "hermite":
-            nodes = ([_floats(row) for row in record[key]] for key in ("positions", "velocities"))
+            nodes = (_floats(record[key], rows=True) for key in ("positions", "velocities"))
             return hermite_trajectory(_floats(record["times"]), *nodes, particle)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
@@ -254,26 +260,45 @@ def _flag(value) -> bool:
     return value
 
 
-def _floats(values) -> list:
-    return [json_number(v) for v in values]
+def _floats(values, rows: bool = False) -> np.ndarray:
+    """A list of JSON numbers, or with `rows` a list of equal-length lists of
+    them, as one float array under `json_number`'s rules: booleans,
+    strings, NaN, infinities, integers too large for a float and ragged
+    rows raise ValueError."""
+    types = set(map(type, [v for row in values for v in row] if rows else values))
+    if not types <= {int, float}:
+        raise ValueError(f"expected numbers, got {sorted(t.__name__ for t in types)}")
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+    if not np.isfinite(array).all():
+        raise ValueError("expected finite numbers")
+    return array
 
 
 def _vertices(rows) -> list:
     """(time, position) pairs of [t, x, y, z] rows."""
-    return [(json_number(v[0]), vec3(_floats(v[1:4]))) for v in rows]
+    table = _floats(rows, rows=True)
+    if table.ndim != 2 or table.shape[1] < 4:
+        raise ValueError("vertex rows must be [t, x, y, z]")
+    return list(zip(table[:, 0].tolist(), table[:, 1:4]))
 
 
 def _time_range(value) -> tuple:
-    """[start, stop, count] of a time scan."""
+    """[start, stop, count] of a time scan, at least one time."""
     a, b, count = value
-    return json_number(a), json_number(b), as_count(count)
+    return json_number(a), json_number(b), as_count(count, 1)
 
 
 def _scan_times(options: dict) -> list:
     if "times" in options and "time_range" in options:
         raise ConfigError("give either times or time_range, not both")
     if "times" in options:
-        return _option(options, "times", _floats)
+        times = _option(options, "times", _floats).tolist()
+        if not times:
+            raise ConfigError("option times needs at least one time")
+        return times
     if "time_range" in options:
         a, b, count = _option(options, "time_range", _time_range)
         return [float(t) for t in np.linspace(a, b, count)]
@@ -286,7 +311,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
         return fibonacci_sphere(default_count)
     if isinstance(value, int):  # bool too, which `as_count` rejects
         return fibonacci_sphere(_option(options, "directions", lambda v: as_count(v, 1)))
-    arr = _option(options, "directions", lambda v: np.array([_floats(row) for row in v]))
+    arr = _option(options, "directions", lambda v: _floats(v, rows=True))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
     norms = np.linalg.norm(arr, axis=1)
@@ -299,7 +324,7 @@ def _t1_grid(value) -> np.ndarray:
     """[start, stop, count] with an integer count, else a list of times."""
     if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
         return np.linspace(json_number(value[0]), json_number(value[1]), as_count(value[2]))
-    return np.asarray(_floats(value))
+    return _floats(value)
 
 
 def _mesh(value):
@@ -360,16 +385,13 @@ def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     lane_t = np.repeat(times, len(dirs))
     lane_n = np.tile(dirs, (len(times), 1))
     res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n, guard=guard)
-    rows = []
-    for t, n, g, ok in zip(lane_t, lane_n, res, defined):
-        if ok:
-            rows.append((t, n[0], n[1], n[2], g[0], g[1], g[2], 1))
-        else:
-            rows.append((t, n[0], n[1], n[2], 0.0, 0.0, 0.0, 0))
+    # an undefined lane writes zero residuals; `defined` as 1.0 and 0.0
+    # prints as 1 and 0
+    rows = tuple(np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0),
+                                  defined)).tolist())
     path = out / "gah_scan.csv"
     emit_report(
-        ReportTable(("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined"),
-                    tuple(rows)),
+        ReportTable(("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined"), rows),
         path,
     )
     _say(quiet, f"gah scan: {len(rows)} samples -> {path}")

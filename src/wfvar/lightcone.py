@@ -186,14 +186,14 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
 
 
 def cone_pair(traj: PiecewiseTrajectory, t, x, side: Side = Side.RIGHT) -> tuple:
-    """Advanced and retarded cone solutions of the events (t, x) onto `traj`:
-    `cone_times` on both branches, for one float time and a (3,) position
-    or for (M,) times and (M, 3) positions.
+    """Advanced and retarded cone solutions of the events (t, x) onto `traj`,
+    for one float time and a (3,) position or for (M,) times and (M, 3)
+    positions: both branches in one lane solve, each equal to `cone_times`
+    on its branch.
 
     Raises CollisionError when a cone distance falls below COLLISION_R.
     """
-    return tuple(cone_times(traj, t, x, branch, side)
-                 for branch in (Branch.ADVANCED, Branch.RETARDED))
+    return tuple(_cone_solutions(traj, ((Branch.ADVANCED, t, x), (Branch.RETARDED, t, x)), side))
 
 
 def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -204,20 +204,22 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     Both cone maps are strictly increasing in t1, so a junction tau is
     crossed when it lies between the images of a and b.  The crossing time
     solves t1 = tau + s r, the other branch's cone condition of the partner
-    event (tau, x2(tau)) onto trajectory 1, so one batched solve per branch
-    finds them all.
+    event (tau, x2(tau)) onto trajectory 1, so one lane solve finds the
+    crossings of both branches.
     """
-    out = []
     junctions = partner.junction_times()
     if not junctions or b <= a:
-        return out
+        return []
+    blocks, branches = [], []
     for branch, other in ((Branch.RETARDED, Branch.ADVANCED), (Branch.ADVANCED, Branch.RETARDED)):
         lo2, hi2 = (cone_time(partner, (t, traj1.position(t)), branch).t_k for t in (a, b))
         taus = np.array([tau for tau in junctions if lo2 < tau < hi2])
         if taus.size:
-            t1 = cone_times(traj1, taus, partner.evaluate(taus), other).t_k
-            out += [(t, tau, branch) for t, tau in zip(t1.tolist(), taus.tolist())]
-    return out
+            blocks.append((other, taus, partner.evaluate(taus)))
+            branches.append(branch)
+    sols = _cone_solutions(traj1, blocks) if blocks else []
+    return [(t, tau, branch) for sol, (_, taus, _), branch in zip(sols, blocks, branches)
+            for t, tau in zip(sol.t_k.tolist(), taus.tolist())]
 
 
 def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
@@ -236,8 +238,7 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
     return float(far_cone_times(traj, float(t), vec3(n)[None, :], R, branch)[0])
 
 
-def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
-                event) -> tuple:
+def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     """Roots of strictly decreasing residuals on a packed chain, one lane
     per event time in `t`, as (t_k, k, g_k).
 
@@ -250,14 +251,16 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
     inside segment k - 1: Newton from the secant point, bisection whenever
     a step leaves the bracket, one polishing step and the _MAX_ITER budget.
     Every other lane keeps knot min(k, last): its root, or the domain end
-    its root lies past.  A non-finite event time raises ConeSolveError with
-    `event(lane)` before any search.  `cone_time` is the same loop on
-    floats, step for step.
+    its root lies past.  `event(lane)` is the (event, Branch) pair a
+    ConeSolveError of that lane names: a non-finite event time raises one
+    for the first such lane before any search.  `cone_time` is the same
+    loop on floats, step for step.
     """
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
+        at, branch = event(bad[0])
         raise ConeSolveError(f"{branch.value} {what} of event t={t[bad[0]]} has no "
-                             f"finite residual", event(bad[0]), branch)
+                             f"finite residual", at, branch)
     knots, xk = packed.knots, packed.knot_positions
     last = knots.size - 1
     every = slice(None)
@@ -298,10 +301,10 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, branch: Branch,
         g, aux = residual(lanes, s, packed.at(seg, s))
         off = np.abs(g) > tol(lanes, s, aux, False)
         if off.any():
-            lane = lanes[off][0]
+            at, branch = event(lanes[off][0])
             raise ConeSolveError(
-                f"{branch.value} {what} root of event t={event(lane)[0]} did not converge: "
-                f"residual {g[off][0]:.3g} after {_MAX_ITER} iterations", event(lane), branch)
+                f"{branch.value} {what} root of event t={at[0]} did not converge: "
+                f"residual {g[off][0]:.3g} after {_MAX_ITER} iterations", at, branch)
         t_k[lanes] = s
     return t_k, k, gk
 
@@ -324,33 +327,54 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
     Errors are raised for the first failing lane.  Each lane equals
     `cone_time` of its event bit for bit.
     """
-    shape = np.shape(ts)
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    xs = np.asarray(xs, dtype=float).reshape(ts.size, 3)
+    return _cone_solutions(traj, ((branch, ts, xs),), side)[0]
+
+
+def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) -> list:
+    """`cone_times` of every (branch, ts, xs) block of `blocks` in one lane
+    solve, as one ConeSolution per block.
+
+    Each lane carries its block's branch sign, which only ever multiplies
+    by +-1.0, so every lane is bit for bit the `cone_times` lane of its
+    event.  Errors are those of one `cone_times` call per block in order:
+    a non-finite position or event time (the first such lane, with its
+    branch) before any solve, then each block's tolerance and domain-exit
+    check and its COLLISION_R check.  One difference: when lanes of two
+    blocks fail inside the root loop, the error may name a lane of a later
+    block where the calls in order named one of an earlier block.
+    """
+    shapes = [np.shape(ts) for _, ts, _ in blocks]
+    ts = [np.asarray(t, dtype=float).reshape(-1) for _, t, _ in blocks]
+    xs = np.concatenate([np.asarray(x, dtype=float).reshape(t.size, 3)
+                         for t, (_, _, x) in zip(ts, blocks)])
+    sizes = [t.size for t in ts]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    ts = np.concatenate(ts)
     if not np.all(np.isfinite(xs)):
         raise DomainError("non-finite event positions")
-    sign = branch.sign
+    sign = np.repeat([float(branch.sign) for branch, _, _ in blocks], sizes)
 
     def event(lane):
-        return float(ts[lane]), xs[lane]
+        return (float(ts[lane]), xs[lane]), blocks[np.searchsorted(ends, lane, "right")][0]
 
     def residual(lanes, t_k, x):
         """(t - t_k) - sign*r, with (distance vectors, r)."""
         d = xs[lanes] - x
         r = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-        return (ts[lanes] - t_k) - sign * r, (d, r)
+        return (ts[lanes] - t_k) - sign[lanes] * r, (d, r)
 
     def slope(lanes, aux, v):
         d, r = aux
         with np.errstate(divide="ignore", invalid="ignore"):
             nv = (d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1] + d[:, 2] * v[:, 2]) / r
-        return np.where(r > 0.0, -1.0 + sign * nv, math.nan)
+        return np.where(r > 0.0, -1.0 + sign[lanes] * nv, math.nan)
 
     def tol(lanes, t_k, aux, tight):
         return _cone_tol(ts[lanes], t_k, aux[1], tight, np.maximum)
 
     packed = traj.packed
-    t_k, k, gk = _lane_roots(packed, ts, residual, slope, tol, "cone", branch, event)
+    t_k, k, gk = _lane_roots(packed, ts, residual, slope, tol, "cone", event)
     # past a domain end, t_k already holds that end
     exits = ((k == 0) & (gk != 0.0)) | (k >= packed.knots.size)
 
@@ -371,31 +395,39 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
 
     index = traj.segment_indices(t_k)
     g, (d, r) = residual(slice(None), t_k, packed.at(index, t_k))
-    off = np.flatnonzero(np.abs(g) > tol(slice(None), t_k, (d, r), False))
-    if off.size:
-        lane = off[0]
-        if exits[lane]:
-            raise InsufficientHistoryError(
-                f"{branch.value} cone of event t={ts[lane]} exits the domain "
-                f"[{packed.knots[0]}, {packed.knots[-1]}]")
-        raise ConvergenceError(f"cone residual {g[lane]:.3g} exceeds tolerance "
-                               f"at t_k={t_k[lane]}")
-    close = np.flatnonzero(r < COLLISION_R)
-    if close.size:
-        lane = close[0]
+    off = np.abs(g) > tol(slice(None), t_k, (d, r), False)
+    close = r < COLLISION_R
+    failed = np.flatnonzero(off | close)
+    if failed.size:
+        # the first block with a failing lane, its tolerance check first
+        block = np.searchsorted(ends, failed[0], "right")
+        lanes = np.arange(starts[block], ends[block])
+        branch = blocks[block][0]
+        if off[lanes].any():
+            lane = lanes[off[lanes]][0]
+            if exits[lane]:
+                raise InsufficientHistoryError(
+                    f"{branch.value} cone of event t={ts[lane]} exits the domain "
+                    f"[{packed.knots[0]}, {packed.knots[-1]}]")
+            raise ConvergenceError(f"cone residual {g[lane]:.3g} exceeds tolerance "
+                                   f"at t_k={t_k[lane]}")
+        lane = lanes[close[lanes]][0]
         raise CollisionError(f"cone distance {r[lane]} below {COLLISION_R} at t={ts[lane]}")
     n_hat = d / r[:, None]
     index = traj.segment_indices(t_k, side)
     v = packed.at(index, t_k, 1)
     doppler = 1.0 - sign * (n_hat[:, 0] * v[:, 0] + n_hat[:, 1] * v[:, 1]
                             + n_hat[:, 2] * v[:, 2])
+    a = packed.at(index, t_k, 2)
+    dilation = 1.0 / doppler
 
-    def rows(field):  # back to the shape of `ts`
-        return field.reshape(shape + field.shape[1:])[()]
+    def rows(field, block):  # the block's lanes, back to the shape of its `ts`
+        lanes = field[starts[block]:ends[block]]
+        return lanes.reshape(shapes[block] + field.shape[1:])[()]
 
-    return ConeSolution(t_k=rows(t_k), r=rows(r), n_hat=rows(n_hat), v=rows(v),
-                        a=rows(packed.at(index, t_k, 2)), dilation=rows(1.0 / doppler),
-                        side=side, branch=branch)
+    return [ConeSolution(t_k=rows(t_k, i), r=rows(r, i), n_hat=rows(n_hat, i), v=rows(v, i),
+                         a=rows(a, i), dilation=rows(dilation, i), side=side, branch=branch)
+            for i, (branch, _, _) in enumerate(blocks)]
 
 
 def unit_directions(dirs) -> np.ndarray:
@@ -433,7 +465,7 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     n0, n1, n2 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
 
     def event(lane):
-        return float(t[lane]), dirs[lane], R
+        return (float(t[lane]), dirs[lane], R), branch
 
     scale = np.maximum(1.0, np.abs(t) + R)
 
@@ -450,7 +482,7 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
 
     packed = traj.packed
     knots, last = packed.knots, packed.knots.size - 1
-    t_k, k, gk = _lane_roots(packed, t, residual, slope, tol, "far cone", branch, event)
+    t_k, k, gk = _lane_roots(packed, t, residual, slope, tol, "far cone", event)
     # outside the domain x is held at its end value, so the slope is -1 and
     # the residual at t_k = 0 is the root
     for lanes, j in (np.flatnonzero((k == 0) & (gk != 0.0)), 0), (np.flatnonzero(k > last), last):

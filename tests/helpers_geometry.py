@@ -8,7 +8,7 @@ import numpy as np
 from wfvar.action import coupling
 from wfvar.core import PackedChain, ParticleParams, PiecewiseTrajectory, Segment, Side, vec3
 from wfvar.errors import CollisionError, DomainError, InsufficientHistoryError
-from wfvar.lightcone import COLLISION_R, Branch, cone_time
+from wfvar.lightcone import COLLISION_R, Branch, cone_time, cone_times
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
 
@@ -139,6 +139,22 @@ def scalar_cone_pair(traj, t, x, side=Side.RIGHT):
         if sol.r < COLLISION_R:
             raise CollisionError(f"cone distance {sol.r} below {COLLISION_R} at t={t}")
     return pair
+
+
+def reference_cone_crossings(traj1, partner, a, b):
+    """The per-branch form of `cone_crossings`: one `cone_times` solve per
+    branch's junction events, retarded images first."""
+    out = []
+    junctions = partner.junction_times()
+    if not junctions or b <= a:
+        return out
+    for branch, other in ((Branch.RETARDED, Branch.ADVANCED), (Branch.ADVANCED, Branch.RETARDED)):
+        lo2, hi2 = (cone_time(partner, (t, traj1.position(t)), branch).t_k for t in (a, b))
+        taus = np.array([tau for tau in junctions if lo2 < tau < hi2])
+        if taus.size:
+            t1 = cone_times(traj1, taus, partner.evaluate(taus), other).t_k
+            out += [(t, tau, branch) for t, tau in zip(t1.tolist(), taus.tolist())]
+    return out
 
 
 def scalar_branch_sums(pair):

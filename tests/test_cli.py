@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wfvar.cli import ReportTable, emit_report, load_scenario, main, run
+from wfvar.cli import ReportTable, _fmt, emit_report, load_scenario, main, run
 from wfvar.core import ParticleParams, load_trajectory, polygonal_from_vertices, save_trajectory
 from wfvar.errors import ConfigError
 from wfvar.shortrange import SeparationFamilyParams, save_family
@@ -137,6 +137,22 @@ class TestEmitReport:
         _, rows = read_csv(path)
         for (text,), v in zip(rows, values):
             assert float(text) == v
+
+
+    def test_cells_print_as_the_generic_formatter_prints_them(self, tmp_path):
+        # exact floats, ints and strings take their own formatter, every
+        # other type `_fmt`; the file is the `_fmt` join byte for byte
+        rows = (
+            (0.1 + 0.2, np.float64(0.1 + 0.2), -0.0, np.float64(-0.0), 5e-324, 2.5e-310),
+            (1e300, -1e300, np.float32(0.1), math.nan, math.inf, -math.inf),
+            (3, -7, np.int64(-7), np.int32(12), 10**30, 0),
+            (True, False, np.bool_(True), np.bool_(False), "defined", ""),
+            (np.float64(5e-324), 1.0, 2, "x", np.uint8(255), -2.0),
+        )
+        path = tmp_path / "mixed.csv"
+        emit_report(ReportTable(tuple("abcdef"), rows), path)
+        expected = "\n".join(["a,b,c,d,e,f"] + [",".join(_fmt(v) for v in row) for row in rows])
+        assert path.read_bytes() == (expected + "\n").encode()
 
 
 class TestExitCodes:
@@ -275,6 +291,37 @@ class TestExitCodes:
         ("construct-partner", partner_scenario(harmonic_family(intervals=[
             {"t_edge": 50.0, "D_coeffs": [[0.0], [math.nan], [0.0]],
              "L_coeffs": [[0.0], [0.0], [0.0]]}]))),
+        # whole node tables and vertex lists are read in one pass, by the
+        # same rules
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, 50.0],
+                                    "positions": [[0, 0, 0], [0, 0]],
+                                    "velocities": [[0, 0, 0], [0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "polygonal",
+                                    "vertices": [[-50.0, 0, 0, 0], [50.0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, 10**400],
+                                    "positions": [[0, 0, 0], [0, 0, 0]],
+                                    "velocities": [[0, 0, 0], [0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "polygonal",
+                                    "vertices": [[-50.0, 0, 0, 0], [50.0, 10**400, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "hermite", "times": [-50.0, 50.0],
+                                    "positions": [[0, 0, 0], [0, False, 0]],
+                                    "velocities": [[0, 0, 0], [0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("build-polygonal", {"options": {"vertices1": [[-5.0, 0, True, 0], [5.0, 1, 0, 0]]}}),
+        # a scan of no times is malformed, not an empty report
+        ("gah-scan", {**static_pair(), "options": {"times": []}}),
+        ("gah-scan", {**static_pair(), "options": {"time_range": [0.0, 1.0, 0]}}),
+        ("flux", {**static_pair(), "options": {"times": [], "radius": 5.0}}),
+        ("flux", {**static_pair(), "options": {"time_range": [0.0, 1.0, 0], "radius": 5.0}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
@@ -283,7 +330,10 @@ class TestExitCodes:
             "polygonal-text", "hermite-text", "end-time-huge", "segment-time-text",
             "segment-coeff-text", "family-start-text", "lmax-text", "lmax-fraction",
             "lmax-true", "table-text", "piece-text", "edge-text", "direction-vector-text",
-            "kappa-nan", "el-tol-nan", "spread-tol-nan", "node-infinite", "family-coeff-nan"])
+            "kappa-nan", "el-tol-nan", "spread-tol-nan", "node-infinite", "family-coeff-nan",
+            "node-row-ragged", "vertex-row-ragged", "node-time-huge", "vertex-huge",
+            "node-row-bool", "vertex-row-bool", "gah-times-empty", "gah-time-range-empty",
+            "flux-times-empty", "flux-time-range-empty"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1
@@ -408,12 +458,14 @@ class TestGahScan:
         # the [0, 2, 0] direction row is normalized before use
         assert abs(float(rows[1][2]) - 1.0) < 1e-15
 
-    def test_empty_scan_is_header_only(self, tmp_path):
+    def test_empty_scan_is_a_config_error(self, tmp_path, capsys):
+        # a scan of no times writes no header-only report
         data = base_scenario(**static_pair(), options={"times": []})
         out = tmp_path / "out"
-        assert run("gah-scan", write_scenario(tmp_path, data), out_dir=out,
-                   quiet=True) == 0
-        assert (out / "gah_scan.csv").read_text() == "t,nx,ny,nz,gx,gy,gz,defined\n"
+        assert run("gah-scan", write_scenario(tmp_path, data), out_dir=out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+        assert not (out / "gah_scan.csv").exists()
 
     def test_guard_band_rows_marked_undefined(self, tmp_path):
         kinked = {
@@ -620,7 +672,7 @@ class TestMain:
 
     def test_summary_line_by_default(self, tmp_path, capsys):
         data = base_scenario(**static_pair(),
-                             options={"times": [], "directions": 3})
+                             options={"times": [0.0], "directions": 3})
         path = write_scenario(tmp_path, data)
         code = main(["gah-scan", "--scenario", str(path),
                      "--out", str(tmp_path / "out")])
@@ -628,7 +680,7 @@ class TestMain:
         assert "gah scan" in capsys.readouterr().out
 
     def test_default_out_is_scenario_directory(self, tmp_path):
-        data = base_scenario(**static_pair(), options={"times": []})
+        data = base_scenario(**static_pair(), options={"times": [0.0], "directions": 3})
         path = write_scenario(tmp_path, data)
         assert run("gah-scan", path, quiet=True) == 0
         assert (tmp_path / "gah_scan.csv").exists()

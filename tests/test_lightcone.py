@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from helpers_geometry import DEFAULT as P
 from helpers_geometry import (
+    reference_cone_crossings,
     scalar_far_cone_time,
     segment_from_global,
     static_traj,
@@ -15,6 +19,7 @@ from helpers_geometry import (
     uniform_traj,
 )
 
+from wfvar import cli, lightcone
 from wfvar.core import (
     PackedChain,
     PiecewiseTrajectory,
@@ -654,3 +659,156 @@ class TestBatchedConeTimes:
                 cone_times(traj, ts, xs, branch)
             with pytest.raises(CollisionError):  # 1e-10 away, below COLLISION_R
                 cone_time(traj, (ts[1], xs[1]), branch)
+
+
+# -- both branches of a pair in one lane solve -----------------------------------
+
+def per_branch_pair(traj, ts, xs, side):
+    """`cone_pair` as one `cone_times` call per branch."""
+    return tuple(cone_times(traj, ts, xs, branch, side)
+                 for branch in (Branch.ADVANCED, Branch.RETARDED))
+
+
+def assert_pair_is_cone_time(pair, traj, ts, xs, side):
+    """Every lane of both branches of `pair` against the float `cone_time`
+    of its event on `side`, bit for bit."""
+    for sol, branch in zip(pair, (Branch.ADVANCED, Branch.RETARDED)):
+        assert sol.branch is branch and sol.side is side
+        for i, (t, x) in enumerate(zip(ts, xs)):
+            one = cone_time(traj, (t, x), branch, side=side)
+            for name in FIELDS:
+                assert np.array_equal(bits(getattr(sol, name)[i]), bits(getattr(one, name))), name
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cone_pair_lanes_are_cone_time_bit_for_bit(data):
+    # each event has the root of one branch on a knot, just off one, or
+    # anywhere in or past the domain; on both sides every lane of both
+    # branches is the float `cone_time` of its event, and a pair that
+    # fails raises what the per-branch calls raise
+    traj = data.draw(trajectories())
+    knots = [traj.t_start, traj.t_end] + traj.junction_times()
+    ts, xs = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        tau = data.draw(st.one_of(
+            st.sampled_from(knots),
+            st.builds(lambda k, e: k + e, st.sampled_from(knots),
+                      st.sampled_from([-1e-9, -1e-12, -1e-15, 1e-15, 1e-12, 1e-9])),
+            st.floats(traj.t_start - 0.5, traj.t_end + 0.5)))
+        r = data.draw(st.sampled_from([0.01, 0.1, 0.2, 0.5, 1.0, 1e-10]))
+        at = min(max(tau, traj.t_start), traj.t_end)
+        xs.append(traj.position(at) + r * unit(data.draw))
+        ts.append(tau + data.draw(st.sampled_from(list(Branch))).sign * r)
+    ts, xs = np.array(ts), np.array(xs)
+    for side in Side:
+        pair = outcome(lambda: cone_pair(traj, ts, xs, side))
+        expected = outcome(lambda: per_branch_pair(traj, ts, xs, side))
+        if isinstance(pair, type) or isinstance(expected, type):
+            assert pair is expected
+        else:
+            assert_pair_is_cone_time(pair, traj, ts, xs, side)
+
+
+def crossing_bits(crossings):
+    return [(float.hex(t), float.hex(tau), branch) for t, tau, branch in crossings]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_cone_crossings_match_the_per_branch_form(data):
+    # the set-up of test_cone_crossing_roots_hit_the_partner_junction, on
+    # windows that start and end on knots of trajectory 1 or anywhere in it
+    junctions = sorted(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4,
+                                          unique=True)))
+    partner = slow_polygon(data.draw, [-40.0] + junctions + [40.0], [0, 0, 0])
+    t1s = sorted(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=5, unique=True)))
+    traj1 = slow_polygon(data.draw, t1s, [0, 8, 0])
+    ends = st.one_of(st.sampled_from(t1s), st.floats(traj1.t_start, traj1.t_end))
+    a, b = data.draw(ends), data.draw(ends)
+    assert crossing_bits(cone_crossings(traj1, partner, a, b)) == crossing_bits(
+        reference_cone_crossings(traj1, partner, a, b))
+
+
+def count_lane_solves(monkeypatch) -> list:
+    """The lane counts of every `_lane_roots` call from now on."""
+    calls = []
+    lane_roots = lightcone._lane_roots
+
+    def counted(packed, t, *args):
+        calls.append(t.size)
+        return lane_roots(packed, t, *args)
+
+    monkeypatch.setattr(lightcone, "_lane_roots", counted)
+    return calls
+
+
+class TestOneLaneSolvePerPair:
+    @pytest.mark.parametrize("side", list(Side))
+    def test_circle_pair_lanes(self, side):
+        partner = circle(0.4, 0.5, math.pi)
+        ts = np.linspace(-3.0, 3.0, 61)
+        xs = circle(0.4, 0.5, 0.0).evaluate(ts)
+        assert_pair_is_cone_time(cone_pair(partner, ts, xs, side), partner, ts, xs, side)
+
+    def test_nan_event_time_names_the_advanced_branch(self):
+        traj = static_traj([0, 0, 0])
+        xs = np.tile([1.0, 0.0, 0.0], (3, 1))
+        with pytest.raises(ConeSolveError) as err:
+            cone_pair(traj, np.array([0.0, math.nan, 1.0]), xs)
+        assert err.value.branch is Branch.ADVANCED
+        assert math.isnan(err.value.event[0])
+
+    def test_blocks_are_checked_in_order(self):
+        # static charge at the origin on [0, 5]; lane 0 is 1e-10 from it, a
+        # collision on both branches, and lane 1's root leaves the domain on
+        # one branch only.  Each branch alone raises its tolerance error
+        # before its collision, so the pair raises what the first branch
+        # raises: a collision when the retarded cone exits, the exit when
+        # the advanced one does
+        traj = static_traj([0, 0, 0], t0=0.0, t1=5.0)
+        xs = np.array([[1e-10, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        for ts, exits, first in (([2.0, 1.0], Branch.RETARDED, CollisionError),
+                                 ([2.0, 4.0], Branch.ADVANCED, InsufficientHistoryError)):
+            ts = np.array(ts)
+            with pytest.raises(InsufficientHistoryError):
+                cone_times(traj, ts, xs, exits)
+            with pytest.raises(first):
+                per_branch_pair(traj, ts, xs, Side.RIGHT)
+            with pytest.raises(first):
+                cone_pair(traj, ts, xs)
+
+    def test_one_lane_solve_per_pair_and_per_crossing_search(self, monkeypatch):
+        calls = count_lane_solves(monkeypatch)
+        partner = circle(0.4, 0.5, math.pi)
+        ts = np.linspace(-3.0, 3.0, 9)
+        cone_pair(partner, ts, circle(0.4, 0.5, 0.0).evaluate(ts))
+        cone_pair(partner, 0.3, np.array([0.1, 2.0, -0.2]))
+        assert calls == [18, 2]
+        # junctions at -1, 0 and 1, trajectory 1 about 8 away: on (-10, 10)
+        # both cone images cross all three
+        calls.clear()
+        kinked = polygonal_from_vertices([(-40.0, [0, 0, 0]), (-1.0, [0.1, 0, 0]),
+                                          (0.0, [0.0, 0.1, 0]), (1.0, [0, 0, 0]),
+                                          (40.0, [0, 0, 0])], P)
+        mover = static_traj([0.0, 8.0, 0.0])
+        crossings = cone_crossings(mover, kinked, -10.0, 10.0)
+        assert sorted({branch for _, _, branch in crossings}, key=str) == sorted(Branch, key=str)
+        assert calls == [6]
+        assert cone_crossings(mover, kinked, -0.5, 0.5) == [] and calls == [6]
+
+    def test_a_check_pass_makes_84_lane_solves(self, monkeypatch, tmp_path):
+        # the benchmark's seed-1 `check` pass: 168 lane solves when each
+        # branch was its own solve
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        jobs = workloads.build("check", 1, tmp_path)
+        calls = count_lane_solves(monkeypatch)
+        for job in jobs:
+            assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0
+            assert job.gate() is None
+        assert len(calls) == 84
+        assert max(calls) == 1080

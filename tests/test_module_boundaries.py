@@ -73,6 +73,23 @@ def test_optimizer_takes_one_first_variation_per_gradient():
     assert id(calls[0]) not in looped
 
 
+def test_cone_pairs_and_crossings_take_one_lane_solve():
+    # both branches of a pair, and the junction events of both branches of
+    # a crossing search, go to one `_cone_solutions` call outside any loop
+    tree = ast.parse((PACKAGE / "lightcone.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("cone_pair", "cone_crossings"):
+        func = funcs[name]
+        names = {getattr(node, "id", None) for node in ast.walk(func)}
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_cone_solutions"]
+        looped = {id(node) for loop in ast.walk(func) if isinstance(loop, LOOPS)
+                  for node in ast.walk(loop)}
+        assert "cone_times" not in names, name
+        assert len(calls) == 1, name
+        assert id(calls[0]) not in looped, name
+
+
 def core_functions() -> dict:
     """The functions of `core` by name, methods as `Class.name`."""
     tree = ast.parse((PACKAGE / "core.py").read_text())

@@ -316,18 +316,20 @@ class TestOnePassGradient:
         from wfvar.action import action
         from wfvar.optimizer import _block_gradient, _primary_view
 
+        # every lane solve of `cone_times`, `cone_pair` and `cone_crossings`
+        # goes through `_cone_solutions`
         lanes = []
-        cone_times, cone_time = lightcone.cone_times, lightcone.cone_time
+        cone_solutions, cone_time = lightcone._cone_solutions, lightcone.cone_time
 
-        def counted_cone_times(traj, ts, *args, **kwargs):
-            lanes.append(np.size(ts))
-            return cone_times(traj, ts, *args, **kwargs)
+        def counted_cone_solutions(traj, blocks, *args, **kwargs):
+            lanes.extend(np.size(ts) for _, ts, _ in blocks)
+            return cone_solutions(traj, blocks, *args, **kwargs)
 
         def counted_cone_time(*args, **kwargs):
             lanes.append(1)
             return cone_time(*args, **kwargs)
 
-        monkeypatch.setattr(lightcone, "cone_times", counted_cone_times)
+        monkeypatch.setattr(lightcone, "_cone_solutions", counted_cone_solutions)
         monkeypatch.setattr(lightcone, "cone_time", counted_cone_time)
         boundary, traj1, traj2 = coupled_boundary()
         dv = discretize(boundary, (traj1, traj2), n_nodes)
