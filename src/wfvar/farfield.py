@@ -233,15 +233,11 @@ def latlong_mesh(n_theta: int = 17, n_phi: int = 35) -> SphereMesh:
     direction dependence converges fast; the default has 595 points.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    dirs = []
-    weights = []
-    for ct, w in zip(nodes, wts):
-        st = np.sqrt(max(0.0, 1.0 - ct * ct))
-        for j in range(n_phi):
-            phi = 2.0 * np.pi * (j + 0.5) / n_phi
-            dirs.append([st * np.cos(phi), st * np.sin(phi), ct])
-            weights.append(w / (2.0 * n_phi))
-    return SphereMesh(np.array(dirs), np.array(weights))
+    st = np.sqrt(np.maximum(0.0, 1.0 - nodes * nodes))
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    dirs = np.stack([np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
+                     np.repeat(nodes, n_phi).reshape(n_theta, n_phi)], axis=2)
+    return SphereMesh(dirs.reshape(-1, 3), np.repeat(wts / (2.0 * n_phi), n_phi))
 
 
 def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,

@@ -270,9 +270,12 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
         mid = np.minimum((k + hi) // 2, last)
         above = residual(every, knots[mid], xk[mid])[0] > 0.0
         k, hi = np.where((k < hi) & above, mid + 1, k), np.where((k < hi) & ~above, mid, hi)
+        del mid, above
+    del hi
     at_knot = np.minimum(k, last)
     gk = residual(every, knots[at_knot], xk[at_knot])[0]
     t_k = knots[at_knot]
+    del at_knot
 
     # inside segment k - 1; lanes drop out as they finish
     lanes = np.flatnonzero((k >= 1) & (k <= last) & (gk != 0.0))
@@ -280,6 +283,7 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     a, b = knots[seg], knots[seg + 1]
     ga, gb = residual(lanes, a, xk[seg])[0], gk[lanes]
     s = np.minimum(np.maximum(a + ga * (b - a) / (ga - gb), a), b)
+    del ga, gb
     for _ in range(_MAX_ITER):
         if not lanes.size:
             break

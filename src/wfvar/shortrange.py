@@ -484,32 +484,41 @@ class ConsistencyReport:
     max_spread: float
 
 
-def _candidates(traj2, params, n_grid, t1, x1):
-    """Every direction's reconstruction of x1(t1) given a trial position, with
-    the partner's cone times and the L_sigma rows at the sphere times, all
-    directions solved in one far-cone pass."""
-    t = t1 - (n_grid * x1).sum(axis=1)
-    t2 = far_cone_times(traj2, t, n_grid, 0.0, Branch.RETARDED)
-    separation, l_vecs = _separation(params, t, n_grid, t1 - t2)
-    return traj2.evaluate(t2) + separation, t2, l_vecs
+def _candidates(traj2, params, n_grid, t1s, x1s):
+    """Every direction's reconstruction of x1(t1) at each grid time of `t1s`
+    ((T,)) given trial positions `x1s` ((T, 3)), with the partner's cone
+    times and the L_sigma rows at the sphere times: (T, M, 3), (T, M) and
+    (T, M, 3) arrays, all T*M lanes in one far-cone pass."""
+    t = t1s[:, None] - (n_grid * x1s[:, None, :]).sum(axis=2)
+    rows = np.tile(n_grid, (t1s.size, 1))
+    t2 = far_cone_times(traj2, t.reshape(-1), rows, 0.0, Branch.RETARDED).reshape(t.shape)
+    separation, l_vecs = _separation(params, t.reshape(-1), rows, (t1s[:, None] - t2).reshape(-1))
+    cands = traj2.evaluate(t2.reshape(-1)) + separation
+    return cands.reshape(t.shape + (3,)), t2, l_vecs.reshape(t.shape + (3,))
 
 
-def _solve_position(traj2, params, n_grid, t1, x0):
-    """Least-squares position from the stacked per-direction relations."""
-    x = vec3(x0).copy()
+def _solve_positions(traj2, params, n_grid, t1s, x0s):
+    """Least-squares position at every grid time from its stacked
+    per-direction relations, each from its row of the starts `x0s` ((T, 3)).
+    Each round takes one Newton step for every grid time still open, in one
+    candidate pass; a grid time closes once its step is below
+    1e-13 max(1, |x|)."""
+    x = np.array(x0s, dtype=float)
+    open_ = np.arange(t1s.size)
     for _ in range(60):
-        cands, t2, l_vecs = _candidates(traj2, params, n_grid, t1, x)
-        v2 = traj2.evaluate(t2, 1)
-        doppler = 1.0 - (n_grid * v2).sum(axis=1)
-        drhs_dt = (v2 - n_grid) / doppler[:, None] - cross(n_grid, l_vecs)
-        res = (x - cands).reshape(-1)
-        jac = (np.eye(3) + drhs_dt[:, :, None] * n_grid[:, None, :]).reshape(-1, 3)
-        delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        x = x + delta
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if float(np.linalg.norm(delta)) < 1e-13 * scale:
+        cands, t2, l_vecs = _candidates(traj2, params, n_grid, t1s[open_], x[open_])
+        v2 = traj2.evaluate(t2.reshape(-1), 1).reshape(cands.shape)
+        doppler = 1.0 - (n_grid * v2).sum(axis=2)
+        drhs_dt = (v2 - n_grid) / doppler[..., None] - cross(n_grid, l_vecs)
+        res = (x[open_, None, :] - cands).reshape(open_.size, -1)
+        jac = (np.eye(3) + drhs_dt[..., None] * n_grid[:, None, :]).reshape(open_.size, -1, 3)
+        delta = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, res)])
+        x[open_] += delta
+        scale = np.maximum(1.0, np.linalg.norm(x[open_], axis=1))
+        open_ = open_[np.linalg.norm(delta, axis=1) >= 1e-13 * scale]
+        if not open_.size:
             return x
-    raise ConvergenceError(f"partner position solve stalled at t1={t1}")
+    raise ConvergenceError(f"partner position solve stalled at t1={t1s[open_[0]]}")
 
 
 def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams,
@@ -522,6 +531,11 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     position; the per-direction candidates anchored at that position must
     then agree among themselves, and their spread is the consistency
     measure.  Exceeding `spread_tol` raises with the report attached.
+    Every grid time is solved together, each starting from the partner's
+    position x2(t1) (held at x2's end past its history), so its first
+    trial cones meet x2 at t1: each Newton round is one far-cone pass over
+    the lanes of all grid times still open, and one more pass gives the
+    candidates.
     """
     params.validate()
     n_grid = _directions(np.atleast_2d(n_grid))
@@ -536,16 +550,13 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     if fit not in ("auto", "polygonal", "hermite"):
         raise ConfigError(f"unknown fit mode {fit!r}")
 
-    positions = np.empty((t1s.size, 3))
-    spreads = np.empty(t1s.size)
-    x_guess = traj2.position(t1s[0])
-    for i, t1 in enumerate(t1s):
-        x = _solve_position(traj2, params, n_grid, t1, x_guess)
-        cands = _candidates(traj2, params, n_grid, t1, x)[0]
-        mean = cands.mean(axis=0)
-        positions[i] = mean
-        spreads[i] = float(np.linalg.norm(cands - mean, axis=1).max())
-        x_guess = x
+    # x2(t1_grid[0]) is a DomainError when the first grid time is outside x2
+    starts = np.vstack([traj2.position(t1s[0]),
+                        traj2.evaluate(np.minimum(t1s[1:], traj2.t_end))])
+    x = _solve_positions(traj2, params, n_grid, t1s, starts)
+    cands = _candidates(traj2, params, n_grid, t1s, x)[0]
+    positions = cands.mean(axis=1)
+    spreads = np.linalg.norm(cands - positions[:, None, :], axis=2).max(axis=1)
     report = ConsistencyReport(
         t1_grid=t1s,
         positions=positions,

@@ -1,14 +1,31 @@
 """Shared fixtures: simple trajectories, closed-form cone-time oracles and
 scalar references for the batched paths."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from wfvar.action import coupling
-from wfvar.core import PackedChain, ParticleParams, PiecewiseTrajectory, Segment, Side, vec3
-from wfvar.errors import CollisionError, DomainError, InsufficientHistoryError
-from wfvar.lightcone import COLLISION_R, Branch, cone_time, cone_times
+from wfvar.core import (
+    PackedChain,
+    ParticleParams,
+    PiecewiseTrajectory,
+    Segment,
+    Side,
+    cross,
+    vec3,
+)
+from wfvar.errors import (
+    CollisionError,
+    ConvergenceError,
+    DomainError,
+    InsufficientHistoryError,
+)
+from wfvar.lightcone import COLLISION_R, Branch, cone_time, cone_times, far_cone_times
+from wfvar.shortrange import _separation
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
 
@@ -349,3 +366,77 @@ def reference_merge_history(traj, history):
     if traj.t_end == history.t_start:
         return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
     raise DomainError("history neither contains nor abuts the trajectory")
+
+
+# -- sequential reference for the partner reconstruction --------------------------
+
+def reference_candidates(traj2, params, n_grid, t1, x1):
+    """Every direction's reconstruction of x1(t1) at one grid time, with the
+    partner's cone times and the L_sigma rows."""
+    t = t1 - (n_grid * x1).sum(axis=1)
+    t2 = far_cone_times(traj2, t, n_grid, 0.0, Branch.RETARDED)
+    separation, l_vecs = _separation(params, t, n_grid, t1 - t2)
+    return traj2.evaluate(t2) + separation, t2, l_vecs
+
+
+def reference_solve_position(traj2, params, n_grid, t1, x0):
+    """Least-squares position at one grid time by Newton from x0."""
+    x = vec3(x0).copy()
+    for _ in range(60):
+        cands, t2, l_vecs = reference_candidates(traj2, params, n_grid, t1, x)
+        v2 = traj2.evaluate(t2, 1)
+        doppler = 1.0 - (n_grid * v2).sum(axis=1)
+        drhs_dt = (v2 - n_grid) / doppler[:, None] - cross(n_grid, l_vecs)
+        res = (x - cands).reshape(-1)
+        jac = (np.eye(3) + drhs_dt[:, :, None] * n_grid[:, None, :]).reshape(-1, 3)
+        delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        x = x + delta
+        scale = max(1.0, float(np.linalg.norm(x)))
+        if float(np.linalg.norm(delta)) < 1e-13 * scale:
+            return x
+    raise ConvergenceError(f"partner position solve stalled at t1={t1}")
+
+
+def reference_construct_partner(traj2, params, n_grid, t1_grid):
+    """Positions and spreads of `wfvar.shortrange.construct_partner`, one
+    grid time at a time, each Newton solve started from the previous grid
+    time's position."""
+    n_grid = np.asarray(n_grid, dtype=float)
+    n_grid = n_grid / np.linalg.norm(n_grid, axis=1)[:, None]
+    t1s = np.asarray(t1_grid, dtype=float)
+    positions = np.empty((t1s.size, 3))
+    spreads = np.empty(t1s.size)
+    x_guess = traj2.position(t1s[0])
+    for i, t1 in enumerate(t1s):
+        x = reference_solve_position(traj2, params, n_grid, t1, x_guess)
+        cands = reference_candidates(traj2, params, n_grid, t1, x)[0]
+        positions[i] = cands.mean(axis=0)
+        spreads[i] = float(np.linalg.norm(cands - positions[i], axis=1).max())
+        x_guess = x
+    return positions, spreads
+
+
+def reference_latlong_mesh(n_theta=17, n_phi=35) -> tuple:
+    """(directions, weights) of `wfvar.farfield.latlong_mesh`, built point by
+    point."""
+    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    dirs = []
+    weights = []
+    for ct, w in zip(nodes, wts):
+        st = np.sqrt(max(0.0, 1.0 - ct * ct))
+        for j in range(n_phi):
+            phi = 2.0 * np.pi * (j + 0.5) / n_phi
+            dirs.append([st * np.cos(phi), st * np.sin(phi), ct])
+            weights.append(w / (2.0 * n_phi))
+    return np.array(dirs), np.array(weights)
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's scenario builder, `bench/workloads.py`, imported
+    without installing it (its own `workloads` import resolves to it)."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    return workloads

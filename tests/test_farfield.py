@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers_geometry import scalar_far_cone_time, segment_from_global, static_traj
+from helpers_geometry import (
+    bits,
+    reference_latlong_mesh,
+    scalar_far_cone_time,
+    segment_from_global,
+    static_traj,
+)
 
 from wfvar import farfield
 from wfvar.core import ParticleParams, PiecewiseTrajectory, hermite_trajectory, polygonal_from_vertices, vec3
@@ -230,6 +236,14 @@ class TestSphereMesh:
         assert_allclose(mean_n, 0.0, atol=1e-14)
         mean_nz2 = mesh.weights @ mesh.directions[:, 2] ** 2
         assert abs(mean_nz2 - 1.0 / 3.0) < 1e-13
+
+    @pytest.mark.parametrize("size", [(), (1, 1), (3, 4), (6, 9), (24, 61)])
+    def test_mesh_matches_the_point_by_point_build(self, size):
+        mesh = latlong_mesh(*size)
+        directions, weights = reference_latlong_mesh(*size)
+        assert mesh.directions.shape == directions.shape
+        assert bits(mesh.directions) == bits(directions)
+        assert bits(mesh.weights) == bits(weights)
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):

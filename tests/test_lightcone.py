@@ -1,7 +1,4 @@
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers_geometry import DEFAULT as P
 from helpers_geometry import (
+    bench_workloads,
     reference_cone_crossings,
     scalar_far_cone_time,
     segment_from_global,
@@ -800,12 +798,7 @@ class TestOneLaneSolvePerPair:
     def test_a_check_pass_makes_84_lane_solves(self, monkeypatch, tmp_path):
         # the benchmark's seed-1 `check` pass: 168 lane solves when each
         # branch was its own solve
-        spec = importlib.util.spec_from_file_location(
-            "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "workloads", workloads)
-        spec.loader.exec_module(workloads)
-        jobs = workloads.build("check", 1, tmp_path)
+        jobs = bench_workloads(monkeypatch).build("check", 1, tmp_path)
         calls = count_lane_solves(monkeypatch)
         for job in jobs:
             assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0

@@ -90,6 +90,22 @@ def test_cone_pairs_and_crossings_take_one_lane_solve():
         assert id(calls[0]) not in looped, name
 
 
+def test_partner_solves_every_grid_time_in_each_pass():
+    # one position solve and one final candidate pass over all grid times,
+    # and no per-grid-time loop inside a candidate pass
+    tree = ast.parse((PACKAGE / "shortrange.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    func = funcs["construct_partner"]
+    looped = {id(node) for loop in ast.walk(func) if isinstance(loop, LOOPS)
+              for node in ast.walk(loop)}
+    for name in ("_candidates", "_solve_positions"):
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == name]
+        assert len(calls) == 1, name
+        assert id(calls[0]) not in looped, name
+    assert not any(isinstance(node, LOOPS) for node in ast.walk(funcs["_candidates"]))
+
+
 def core_functions() -> dict:
     """The functions of `core` by name, methods as `Class.name`."""
     tree = ast.parse((PACKAGE / "core.py").read_text())

@@ -7,14 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers_geometry import scalar_far_cone_time, static_traj, uniform_traj
+from helpers_geometry import (
+    bench_workloads,
+    reference_construct_partner,
+    scalar_far_cone_time,
+    static_traj,
+    uniform_traj,
+)
 
+from wfvar import cli
 from wfvar.core import ParticleParams, polygonal_from_vertices, vec3
 from wfvar.errors import (
     ConfigError,
     ContractError,
+    ConvergenceError,
     DomainError,
     InconsistentParamsError,
+    InsufficientHistoryError,
     InsufficientSamplingError,
     SuperluminalError,
 )
@@ -24,6 +33,7 @@ from wfvar import shortrange
 from wfvar.shortrange import (
     _real_sph_basis,
     SeparationFamilyParams,
+    fibonacci_sphere,
     construct_partner,
     enforce_continuity,
     k12,
@@ -217,18 +227,30 @@ def row_families():
 FAMILIES = row_families()
 
 
-def construct_two_interval_partner():
-    """Run `construct_partner` on a two-interval linear family; returns the
+def construct_two_interval_partner(grid_size=5):
+    """Run `construct_partner` on the two-interval linear family of
+    `partner_setups` over `grid_size` grid times in [-2, 2]; returns the
     family."""
-    params = SeparationFamilyParams.from_linear_pieces(
-        (-40.0, 0.0, 40.0),
-        [([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0, -0.2, 0]),
-         ([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0.15, 0.1, 0])])
-    traj2 = polygonal_from_vertices(
-        [(-60.0, [0, 12.0, 0]), (0.0, [0, 0, 0]), (60.0, [9.0, 6.0, 0])], NEG)
-    construct_partner(traj2, params, cone_directions([0.5, 1.0, -0.3], count=10),
-                      np.linspace(-2.0, 2.0, 5))
+    traj2, params, directions, _ = partner_setups()["linear"]
+    construct_partner(traj2, params, directions, np.linspace(-2.0, 2.0, grid_size))
     return params
+
+
+def newton_rounds(monkeypatch, grid_size):
+    """Newton rounds of the two-interval partner over `grid_size` grid
+    times, from its least-squares solves: one per open grid time per round."""
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", counted)
+        construct_two_interval_partner(grid_size)
+    assert len(solves) % grid_size == 0  # every grid time takes every round
+    return len(solves) // grid_size
 
 
 class TestDirectionRows:
@@ -346,8 +368,12 @@ class TestDirectionRows:
             params.validate()
 
     def test_construct_partner_makes_one_family_call_per_candidate_pass(self, monkeypatch):
-        # `_separation` is `separation_family` with the L rows it read
-        counts = {"candidates": 0, "family": 0}
+        # `_separation` is `separation_family` with the L rows it read; the
+        # grid times share their candidate passes, one per Newton round and
+        # one for the final candidates, whatever the grid size
+        rounds = newton_rounds(monkeypatch, 5)
+        assert rounds == newton_rounds(monkeypatch, 17)
+        counts = {}
         candidates, family = shortrange._candidates, shortrange._separation
 
         def count(key, fn):
@@ -358,13 +384,16 @@ class TestDirectionRows:
 
         monkeypatch.setattr(shortrange, "_candidates", count("candidates", candidates))
         monkeypatch.setattr(shortrange, "_separation", count("family", family))
-        construct_two_interval_partner()
-        assert counts["candidates"] > 5
-        assert counts["family"] == counts["candidates"]
+        for grid_size in (5, 17):
+            counts.update(candidates=0, family=0)
+            construct_two_interval_partner(grid_size)
+            assert counts["candidates"] == rounds + 1
+            assert counts["family"] == counts["candidates"]
 
     def test_construct_partner_reads_the_l_rows_once_per_candidate_pass(self, monkeypatch):
         # the position solve takes its L rows from the candidates' family call
-        counts = {"candidates": 0, "l_sigma": 0}
+        rounds = newton_rounds(monkeypatch, 5)
+        counts = {}
         candidates, l_sigma = shortrange._candidates, SeparationFamilyParams.l_sigma
 
         def counted_candidates(*args):
@@ -377,10 +406,12 @@ class TestDirectionRows:
 
         monkeypatch.setattr(shortrange, "_candidates", counted_candidates)
         monkeypatch.setattr(SeparationFamilyParams, "l_sigma", counted_l_sigma)
-        params = construct_two_interval_partner()
-        assert counts["candidates"] > 5
-        # `validate` reads each L_sigma once before the solve
-        assert counts["l_sigma"] == counts["candidates"] + params.n_intervals
+        for grid_size in (5, 17):
+            counts.update(candidates=0, l_sigma=0)
+            params = construct_two_interval_partner(grid_size)
+            assert counts["candidates"] == rounds + 1
+            # `validate` reads each L_sigma once before the solve
+            assert counts["l_sigma"] == counts["candidates"] + params.n_intervals
 
 
 class TestRealHarmonics:
@@ -680,10 +711,112 @@ class TestConstructPartner:
             )
 
     def test_family_domain_exceeded(self):
+        # the batched solve raises where the sequential reference does
         traj2 = static_traj([0, 0, 0], particle=NEG)
         params = constant_family([0, 1.5, 0], [0, 0, 0], (-1.0, 1.0))
-        with pytest.raises(DomainError):
-            construct_partner(
-                traj2, params, cone_directions([1, 1, 1], count=6),
-                np.linspace(-4.0, 4.0, 5),
-            )
+        for solve in (construct_partner, reference_construct_partner):
+            with pytest.raises(DomainError, match="outside the family domain"):
+                solve(traj2, params, cone_directions([1, 1, 1], count=6),
+                      np.linspace(-4.0, 4.0, 5))
+
+
+def partner_setups() -> dict:
+    """(traj2, family, directions, grid times) of five partner solves."""
+    linear = SeparationFamilyParams.from_linear_pieces(
+        (-40.0, 0.0, 40.0),
+        [([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0, -0.2, 0]),
+         ([0, 1.5, 0], [0.1, 0, 0.05], [0, 0, 0], [0.15, 0.1, 0])])
+    kinked = polygonal_from_vertices(
+        [(-60.0, [0, 12.0, 0]), (0.0, [0, 0, 0]), (60.0, [9.0, 6.0, 0])], NEG)
+    rng = np.random.default_rng(3)
+    d_tabs = 0.02 * rng.normal(size=(2, 3, 25))
+    d_tabs[:, 1, 0] += 5.0
+    harmonic = SeparationFamilyParams.from_harmonic_tables(
+        (-50.0, 0.5, 50.0), d_tabs, 0.02 * rng.normal(size=(2, 3, 25)))
+    static_grid = cone_directions([0.3, -0.7, 1.0], count=6) + [vec3(1, 0, 0), vec3(0, 1, 0)]
+    return {
+        "linear": (kinked, linear, cone_directions([0.5, 1.0, -0.3], count=10),
+                   np.linspace(-4.0, 4.0, 17)),
+        "static": (static_traj([0, 0, 0], particle=NEG),
+                   constant_family([0, 1.5, 0], [0, 0, 0], (-50.0, 50.0)), static_grid,
+                   np.linspace(-3.0, 3.0, 7)),
+        # an inconsistent family: the report is the result
+        "harmonic": (uniform_traj([0.5, 0, 0], [0.1, -0.2, 0.05], particle=NEG), harmonic,
+                     fibonacci_sphere(12), np.linspace(-3.0, 3.0, 9)),
+        # grid times 80 apart on a partner at speed 0.5: one start shared by
+        # all grid times, x2(-40), puts t1 = 40's first trial cones at
+        # t2 = 120, past the partner's history
+        "moving": (uniform_traj([0, 0, 0], [0.5, 0, 0], t0=-60.0, t1=60.0, particle=NEG),
+                   constant_family([0, 1.5, 0], [0, 0, 0], (-100.0, 100.0)), static_grid,
+                   np.linspace(-40.0, 40.0, 9)),
+        # the pair 1e6 from the sphere's centre: sphere times near +-1e6
+        "far": (static_traj([1e6, 0, 0], t0=-3e6, t1=3e6, particle=NEG),
+                constant_family([0, 1.5, 0], [0, 0, 0], (-3e6, 3e6)), static_grid,
+                np.linspace(-3.0, 3.0, 7)),
+    }
+
+
+class TestBatchedPartner:
+    """`construct_partner` against the sequential per-grid-time reference."""
+
+    @pytest.mark.parametrize("name", sorted(partner_setups()))
+    def test_matches_sequential_reference(self, name):
+        traj2, params, grid, t1s = partner_setups()[name]
+        _, report = construct_partner(traj2, params, grid, t1s, spread_tol=math.inf)
+        positions, spreads = reference_construct_partner(traj2, params, grid, t1s)
+        assert_allclose(report.positions, positions, rtol=0.0, atol=1e-12)
+        assert_allclose(report.spreads, spreads, rtol=0.0, atol=1e-12)
+
+    def test_cone_exit_is_insufficient_history(self):
+        # the partner's history ends at 2.5: the cones of t1 = 5 and 6 leave
+        # it whatever the trial position, those of t1 <= 0 never do; each
+        # grid time starts at x2 = 0, so its first sphere times are t1
+        _, params, grid, _ = partner_setups()["static"]
+        traj2 = static_traj([0, 0, 0], t0=-10.0, t1=2.5, particle=NEG)
+        t1s = np.array([-3.0, -2.0, -1.0, 0.0, 5.0, 6.0])
+        with pytest.raises(InsufficientHistoryError, match=r"^far cone time 5\.0 outside"):
+            construct_partner(traj2, params, grid, t1s)
+        with pytest.raises(InsufficientHistoryError, match="outside trajectory domain"):
+            reference_construct_partner(traj2, params, grid, t1s)
+
+    def test_first_grid_time_outside_the_partner_is_a_domain_error(self):
+        traj2, params, grid, _ = partner_setups()["moving"]
+        for t1s in ([-70.0, -40.0, 0.0], [61.0, 62.0]):
+            for solve in (construct_partner, reference_construct_partner):
+                with pytest.raises(DomainError, match=f"^time {t1s[0]} outside domain"):
+                    solve(traj2, params, grid, np.array(t1s))
+
+    def test_round_budget_names_an_unsettled_grid_time(self, monkeypatch):
+        # the candidates of t1 = 0.5 jump by 1e-3 every pass, so its Newton
+        # step never shrinks while every other grid time settles
+        candidates, passes = shortrange._candidates, []
+
+        def unsettled(traj2, params, n_grid, t1s, x1s):
+            cands, t2, l_vecs = candidates(traj2, params, n_grid, t1s, x1s)
+            passes.append(t1s.size)
+            cands[t1s == 0.5] += (-1.0) ** len(passes) * 1e-3
+            return cands, t2, l_vecs
+
+        monkeypatch.setattr(shortrange, "_candidates", unsettled)
+        traj2, params, grid, _ = partner_setups()["static"]
+        with pytest.raises(ConvergenceError, match=r"stalled at t1=0\.5$"):
+            construct_partner(traj2, params, grid, np.linspace(-1.0, 1.0, 5))
+        assert len(passes) == 60
+        assert passes[-1] == 1
+
+    def test_bench_partner_job_makes_three_far_cone_passes(self, monkeypatch, tmp_path):
+        # the benchmark's seed-1 `construct-partner` job: 33 grid times of 8
+        # directions, solved in 2 Newton rounds and a final pass; one
+        # grid time at a time it took 99 passes of 8 lanes
+        jobs = bench_workloads(monkeypatch).build("radiation", 1, tmp_path)
+        job = next(job for job in jobs if job.command == "construct-partner")
+        far_cone_times, lanes = shortrange.far_cone_times, []
+
+        def counted(traj, t, dirs, *args):
+            lanes.append(len(dirs))
+            return far_cone_times(traj, t, dirs, *args)
+
+        monkeypatch.setattr(shortrange, "far_cone_times", counted)
+        assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0
+        assert job.gate() is None
+        assert lanes == [33 * 8] * 3
