@@ -121,10 +121,21 @@ def _shift_cells(coeffs, deltas) -> np.ndarray:
     return out
 
 
+def _cell_rows(coeffs) -> tuple:
+    """Position, velocity and acceleration rows of (..., 3, K) ascending
+    coefficients, as ``npoly.polyder`` forms them: a constant's derivative is
+    the constant times 0."""
+    rows = [coeffs]
+    for m in (1, 2):
+        rows.append(rows[-1][..., 1:] * np.arange(1, rows[-1].shape[-1])
+                    if m < coeffs.shape[-1] else coeffs[..., :1] * 0)
+    return tuple(rows)
+
+
 def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
     """Check the cells with knots ``ts`` (n+1 times) and coefficients
     (n, 3, K) once per chain, give each of the n ``segments`` its read-only
-    coefficients and its rows, and judge their speeds; returns the rows.
+    coefficients, and judge their speeds; returns the `_cell_rows`.
 
     The one validation rule of every segment.  The speed rule: |v(u)| <=
     sum_k |v_k| u^k on [0, h], so a segment whose bound stays 1e-9 below 1
@@ -138,13 +149,9 @@ def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
     if not np.isfinite(coeffs).all():
         raise DomainError("segment coefficients must be finite")
     coeffs.setflags(write=False)
-    rows = [coeffs]  # then the derivatives, as npoly.polyder forms them
-    for m in (1, 2):
-        rows.append(rows[-1][..., 1:] * np.arange(1, rows[-1].shape[-1])
-                    if m < coeffs.shape[-1] else coeffs[..., :1] * 0)
-    tuples = ([tuple(map(tuple, block)) for block in r.tolist()] for r in rows)
-    for seg, c, seg_rows in zip(segments, coeffs, zip(*tuples)):
-        seg.__dict__.update(coeffs=c, _rows=seg_rows)
+    rows = _cell_rows(coeffs)
+    for seg, c in zip(segments, coeffs):
+        seg.__dict__["coeffs"] = c
     if segments[0].check_speed:
         norms = np.sqrt((rows[1] * rows[1]).sum(axis=-2))
         bound = norms[:, -1]
@@ -159,7 +166,7 @@ def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
                 if speed >= 1.0:
                     raise SuperluminalError(
                         f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1")
-    return tuple(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,6 @@ class Segment:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if c.shape[0] != 3 or c.shape[1] < 1:
             raise DomainError(f"segment coeffs must have shape (3, K>=1), got {c.shape}")
-        # sets coeffs and the position, velocity and acceleration rows as
-        # float tuples, ascending powers; every evaluation reads these
         _fill_segments([self], [self.t_start, self.t_end], c[None].copy())
 
     # -- construction helpers -------------------------------------------------
@@ -201,6 +206,11 @@ class Segment:
         return cls(t0, t1, c[0], check_speed=check_speed)
 
     # -- evaluation ------------------------------------------------------------
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """`_cell_rows` as float tuples, made on the first scalar read."""
+        return tuple(tuple(map(tuple, r.tolist())) for r in _cell_rows(self.coeffs))
 
     def at(self, t: float, order: int = 0) -> list:
         """Position (order 0), velocity (1) or acceleration (2) at a float
@@ -256,14 +266,6 @@ class Segment:
             speeds.append(math.sqrt(vx * vx + vy * vy + vz * vz))
         return max(speeds)
 
-    def rebased(self, a: float, b: float, check_speed: bool | None = None) -> "Segment":
-        """The same polynomial restricted to [a, b] ⊆ [t_start, t_end]."""
-        if a < self.t_start - 1e-12 or b > self.t_end + 1e-12:
-            raise DomainError(f"[{a}, {b}] not inside segment [{self.t_start}, {self.t_end}]")
-        cs = self.check_speed if check_speed is None else check_speed
-        return Segment(a, b, _shift_cells(self.coeffs[None], [a - self.t_start])[0],
-                       check_speed=cs)
-
 
 @dataclass(frozen=True)
 class PackedChain:
@@ -293,14 +295,10 @@ class PackedChain:
     @classmethod
     def of(cls, segments) -> "PackedChain":
         knots = np.array([s.t_start for s in segments] + [segments[-1].t_end])
-        rows = []
-        for m in range(3):
-            k = max(len(s._rows[m][0]) for s in segments)
-            packed = np.zeros((len(segments), 3, k))
-            for i, s in enumerate(segments):
-                packed[i, :, : len(s._rows[m][0])] = s._rows[m]
-            rows.append(packed)
-        return cls(knots, tuple(rows))
+        coeffs = np.zeros((len(segments), 3, max(s.coeffs.shape[1] for s in segments)))
+        for i, s in enumerate(segments):
+            coeffs[i, :, : s.coeffs.shape[1]] = s.coeffs
+        return cls(knots, _cell_rows(coeffs))
 
     def junction_gaps(self) -> np.ndarray:
         """|position gap| at each interior knot: the left limit against the
@@ -795,4 +793,8 @@ def save_trajectory(traj: PiecewiseTrajectory, path) -> None:
 
 def load_trajectory(path) -> PiecewiseTrajectory:
     with open(path) as fh:
-        return trajectory_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"trajectory file is not valid JSON: {exc}") from exc
+    return trajectory_from_dict(data)

@@ -48,6 +48,21 @@ def _cone_tol(t, t_k, r, tight: bool, maximum=max):
     return 1e-12 * maximum(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
 
 
+def _rounding_floor(packed, cells):
+    """100 eps times the magnitude sum_k |c_k| h^k of cells `cells` of a
+    packed chain: about the rounding of a position read on such a cell,
+    which no residual there can beat.  A lane that would raise for a
+    residual above its tolerance is accepted within this floor."""
+    c = packed.rows[0][cells]
+    sq = c * c
+    norms = np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+    h = packed.knots[cells + 1] - packed.knots[cells]
+    bound = norms[..., -1]
+    for k in range(norms.shape[-1] - 2, -1, -1):
+        bound = norms[..., k] + bound * h
+    return 100.0 * _EPS * bound
+
+
 class Branch(Enum):
     RETARDED = "retarded"
     ADVANCED = "advanced"
@@ -142,14 +157,16 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
             if not a < step < b:
                 step = 0.5 * (a + b)
             if step == s:
-                if abs(g) > _cone_tol(t, s, r, False):
+                if (abs(g) > _cone_tol(t, s, r, False)
+                        and abs(g) > _rounding_floor(traj.packed, k - 1)):
                     raise ConvergenceError(f"cone residual {g:.3g} at t_k={s}")
                 t_k = s
                 break
             s = step
         else:
             g, _, r = residual(s, seg)
-            if abs(g) > _cone_tol(t, s, r, False):
+            if (abs(g) > _cone_tol(t, s, r, False)
+                    and abs(g) > _rounding_floor(traj.packed, k - 1)):
                 raise ConeSolveError(
                     f"{branch.value} cone root of event t={t} did not converge: "
                     f"residual {g:.3g} after {_MAX_ITER} iterations", (t, x), branch)
@@ -173,7 +190,8 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
             raise InsufficientHistoryError(
                 f"{branch.value} cone of event t={t} exits the domain "
                 f"[{traj.t_start}, {traj.t_end}]")
-        raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
+        if abs(g) > _rounding_floor(traj.packed, int(traj.segment_indices(t_k))):
+            raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
     if r < COLLISION_R:
         raise CollisionError(f"cone distance {r} below {COLLISION_R} at t={t}")
     n0, n1, n2 = d[0] / r, d[1] / r, d[2] / r
@@ -249,12 +267,13 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     k, the first knot whose residual is <= 0 (knots.size if none is).  A
     lane with 1 <= k <= last and a nonzero residual g_k at knot k is solved
     inside segment k - 1: Newton from the secant point, bisection whenever
-    a step leaves the bracket, one polishing step and the _MAX_ITER budget.
-    Every other lane keeps knot min(k, last): its root, or the domain end
-    its root lies past.  `event(lane)` is the (event, Branch) pair a
-    ConeSolveError of that lane names: a non-finite event time raises one
-    for the first such lane before any search.  `cone_time` is the same
-    loop on floats, step for step.
+    a step leaves the bracket, one polishing step and the _MAX_ITER budget;
+    a lane that stalls or spends the budget must meet `tol` or its cell's
+    `_rounding_floor`.  Every other lane keeps knot min(k, last): its root,
+    or the domain end its root lies past.  `event(lane)` is the (event,
+    Branch) pair a ConeSolveError of that lane names: a non-finite event
+    time raises one for the first such lane before any search.  `cone_time`
+    is the same loop on floats, step for step.
     """
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
@@ -297,6 +316,8 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
         stalled = ~done & (step == s)
         off = stalled & (np.abs(g) > tol(lanes, s, aux, False))
         if off.any():
+            off &= np.abs(g) > _rounding_floor(packed, seg)
+        if off.any():
             raise ConvergenceError(f"{what} residual {g[off][0]:.3g} at t_k={s[off][0]}")
         t_k[lanes[stalled]] = s[stalled]
         keep = ~(done | stalled)
@@ -304,6 +325,8 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     if lanes.size:
         g, aux = residual(lanes, s, packed.at(seg, s))
         off = np.abs(g) > tol(lanes, s, aux, False)
+        if off.any():
+            off &= np.abs(g) > _rounding_floor(packed, seg)
         if off.any():
             at, branch = event(lanes[off][0])
             raise ConeSolveError(
@@ -322,14 +345,15 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
     V and A where a root lands on a junction.
 
     Each lane is bracketed between two knots of the chain and solved by
-    Newton with bisection (`_lane_roots`) under the `_cone_tol` tolerances
-    and the _MAX_ITER budget.  A root past a domain end returns that end
-    when the end's residual is within tolerance and raises
-    InsufficientHistoryError otherwise; a root within 1e-9 max(1, |t_k|) of
-    a junction snaps to it when the junction's residual is within
-    tolerance; a cone distance below COLLISION_R raises CollisionError.
-    Errors are raised for the first failing lane.  Each lane equals
-    `cone_time` of its event bit for bit.
+    Newton with bisection (`_lane_roots`) under the `_cone_tol` tolerances,
+    each widened to its cell's `_rounding_floor` where a lane would
+    otherwise fail to converge, and the _MAX_ITER budget.  A root past a
+    domain end returns that end when the end's residual is within tolerance
+    and raises InsufficientHistoryError otherwise; a root within 1e-9
+    max(1, |t_k|) of a junction snaps to it when the junction's residual is
+    within tolerance; a cone distance below COLLISION_R raises
+    CollisionError.  Errors are raised for the first failing lane.  Each
+    lane equals `cone_time` of its event bit for bit.
     """
     return _cone_solutions(traj, ((branch, ts, xs),), side)[0]
 
@@ -400,6 +424,8 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
     index = traj.segment_indices(t_k)
     g, (d, r) = residual(slice(None), t_k, packed.at(index, t_k))
     off = np.abs(g) > tol(slice(None), t_k, (d, r), False)
+    if off.any():  # a lane left in the domain also passes within its cell's floor
+        off &= exits | (np.abs(g) > _rounding_floor(packed, index))
     close = r < COLLISION_R
     failed = np.flatnonzero(off | close)
     if failed.size:

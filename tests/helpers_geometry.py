@@ -269,8 +269,8 @@ def bits(values) -> bytes:
 
 def assert_segments_match(chain, knots, coeffs):
     """The chain's segments carry `knots` and the (3, K) blocks `coeffs` bit
-    for bit, their rows are `reference_rows` of those blocks, and the
-    chain's packed rows are the segments' own rows."""
+    for bit, their float rows are `reference_rows` of those blocks, and the
+    chain's packed rows are those `PackedChain.of` makes from its segments."""
     segs = chain.segments
     assert len(segs) == len(coeffs) == len(knots) - 1
     for seg, t0, t1, c in zip(segs, knots, knots[1:], coeffs):

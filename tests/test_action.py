@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers_geometry import scalar_canonical_current, scalar_cone_pair, scalar_el_residual
+from helpers_geometry import (
+    reference_rebased,
+    scalar_canonical_current,
+    scalar_cone_pair,
+    scalar_el_residual,
+)
 
 from wfvar.action import (
     _MAX_CELLS,
@@ -111,7 +116,8 @@ class TestAction:
     def test_spurious_break_does_not_move_the_integral(self):
         t1, t2 = static_pair(2.0)
         split = PiecewiseTrajectory(
-            (t1.segments[0].rebased(-50.0, 1.7), t1.segments[0].rebased(1.7, 50.0)),
+            (reference_rebased(t1.segments[0], -50.0, 1.7),
+             reference_rebased(t1.segments[0], 1.7, 50.0)),
             POS,
         )
         w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
@@ -135,7 +141,8 @@ class TestAction:
             parts = []
             for s in refined_t1.segments:
                 if s is seg:
-                    parts.extend([s.rebased(s.t_start, m), s.rebased(m, s.t_end)])
+                    parts.extend([reference_rebased(s, s.t_start, m),
+                                  reference_rebased(s, m, s.t_end)])
                 else:
                     parts.append(s)
             refined_t1 = PiecewiseTrajectory(tuple(parts), POS)

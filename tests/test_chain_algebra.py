@@ -14,7 +14,6 @@ from helpers_geometry import (
     reference_merge_history,
     reference_replace_window,
 )
-from wfvar import core
 from wfvar.core import (
     PackedChain,
     ParticleParams,
@@ -188,13 +187,6 @@ def test_tent_is_two_linear_segments():
     assert all(not s.check_speed for s in b.segments)
     with pytest.raises(DomainError), np.errstate(divide="ignore", invalid="ignore"):
         Perturbation.tent(0.0, 0.0, 1.0, [0.1, 0.0, 0.0])
-
-
-def test_rebased_is_the_shifted_cell():
-    seg = hermite([0.0, 2.0]).segments[0]
-    sub = seg.rebased(0.5, 1.5)
-    assert bits(sub.coeffs) == bits(core._shift_cells(seg.coeffs[None], [0.5])[0])
-    assert (sub.t_start, sub.t_end, sub.check_speed) == (0.5, 1.5, True)
 
 
 def test_splice_and_perturbation_build_no_segment_one_at_a_time(monkeypatch):

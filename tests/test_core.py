@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers_geometry import (
     reference_hermite_coeffs,
     reference_fd_velocities,
     reference_linear_coeffs,
+    reference_rows,
     segment_from_global,
 )
 from wfvar import core
@@ -316,6 +318,73 @@ class TestBulkConstructionCounts:
         calls.assert_none()
 
 
+def check_circle():
+    """The 200-cell Hermite circle of the benchmark's `check` circle pair."""
+    times = np.arange(-50.0, 50.25, 0.5)
+    ang = 0.5 * times
+    xs = 0.4 * np.stack([np.cos(ang), np.sin(ang), 0.0 * ang], axis=1)
+    vs = 0.2 * np.stack([-np.sin(ang), np.cos(ang), 0.0 * ang], axis=1)
+    return hermite_trajectory(times, xs, vs, ELECTRON)
+
+
+def filled(chain) -> list:
+    """Indices of the segments whose float rows have been made."""
+    return [i for i, seg in enumerate(chain.segments) if "_rows" in seg.__dict__]
+
+
+class TestRowsOnFirstScalarRead:
+    """A segment keeps its coefficients only; its float rows are made the
+    first time the scalar path reads it."""
+
+    def test_building_a_chain_forms_no_float_rows(self):
+        traj = check_circle()
+        pert = Perturbation.from_nodes([0.0, 0.5, 1.25, 2.0], -np.ones((4, 3)))
+        seg = Segment(0.0, 1.0, [[1.0, 0.5], [-2.0, 0.0], [0.0, 0.1]])
+        chain = PiecewiseTrajectory((seg, Segment(1.0, 2.0, [[1.5], [-2.0], [0.1]])), PROTON)
+        assert len(traj.segments) == 200
+        for built in (traj, pert, chain):
+            built.evaluate([0.25, 1.0], 1)
+            assert filled(built) == []
+        assert seg._rows == reference_rows(seg.coeffs)
+        assert filled(chain) == [0]
+
+    def test_one_cone_time_fills_only_the_cells_it_reads(self):
+        from wfvar.lightcone import Branch, cone_time
+
+        traj = check_circle()
+        n = len(traj.segments)
+        sol = cone_time(traj, (0.3, [3.0, 0.5, 0.0]), Branch.RETARDED)
+        cells = filled(traj)
+        assert traj.segment_indices(sol.t_k) in cells
+        assert 0 < len(cells) <= math.log2(n) + 3
+
+    def test_packed_rows_of_mixed_degrees_are_the_array_builders(self):
+        # padded, a degree-0 cell with c < 0 gets the velocity row +0.0,
+        # where its own derivative row, c * 0, is -0.0
+        coeffs = [[[-2.0], [0.5], [-0.0]],
+                  [[-2.0, 0.1], [0.5, -0.3], [0.0, -0.0]],
+                  [[-1.9, 0.2, -0.01, 0.003], [0.2, 0.0, 0.02, -0.004], [0.0, 0.1, -0.0, 0.0]]]
+        knots = [-1.0, 0.0, 1.0, 2.5]
+        segs = tuple(Segment(a, b, c, check_speed=False)
+                     for a, b, c in zip(knots, knots[1:], coeffs))
+        padded = np.zeros((3, 3, 4))
+        for i, c in enumerate(coeffs):
+            padded[i, :, : len(c[0])] = c
+        built = core._chain(core.SegmentChain, knots, padded, check_speed=False)
+        packed, of = built.packed, PackedChain.of(segs)
+        assert np.array_equal(of.knots, packed.knots)
+        for m in range(3):
+            assert of.rows[m].shape == packed.rows[m].shape
+            assert np.array_equal(of.rows[m], packed.rows[m])
+        assert np.signbit(segs[0]._rows[1][0][0]) and not np.signbit(of.rows[1][0, 0, 0])
+        chain = core.SegmentChain(segs)
+        ts = np.array(knots + [-0.5, 0.25, 1.75])
+        for side in Side:
+            for order in range(3):
+                want = built.evaluate(ts, order, side)
+                assert np.array_equal(chain.evaluate(ts, order, side), want)
+
+
 class TestSegment:
     def test_cubic_state(self):
         traj = cubic_x3()
@@ -363,14 +432,6 @@ class TestSegment:
                         want = npoly.polyval(np.asarray(t) - t0, rows)
                         assert ev(t).tobytes() == want.tobytes()
                         assert ev(t).tobytes() == np.array(seg.at(t, order)).tobytes()
-
-    def test_rebased_is_same_polynomial(self):
-        seg = Segment(0.0, 2.0, np.array([[1.0, 0.2, -0.05], [0, 0.1, 0.0],
-                                          [0.5, 0.0, 0.02]]))
-        sub = seg.rebased(0.5, 1.5)
-        for t in np.linspace(0.5, 1.5, 7):
-            assert_allclose(sub.position(t), seg.position(t), atol=1e-14)
-            assert_allclose(sub.velocity(t), seg.velocity(t), atol=1e-14)
 
 
 class TestPolygonal:
@@ -632,6 +693,21 @@ class TestJsonExchange:
         for a, b in zip(loaded.segments, traj.segments):
             assert a.t_start == b.t_start and a.t_end == b.t_end
             assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_truncated_files_raise_config_error(self, tmp_path):
+        from wfvar.shortrange import SeparationFamilyParams, load_family, save_family
+
+        traj = polygonal_from_vertices([(0.0, [0, 0, 0]), (1.0, [0.1, 0, 0])], ELECTRON)
+        family = SeparationFamilyParams.from_harmonic_tables(
+            (-1.0, 1.0), np.ones((1, 3, 25)), np.zeros((1, 3, 25)))
+        for record, save, load in ((traj, save_trajectory, load_trajectory),
+                                   (family, save_family, load_family)):
+            path = tmp_path / "record.json"
+            save(record, path)
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load(path)
 
     def test_malformed_record_raises_config_error(self):
         with pytest.raises(ConfigError):

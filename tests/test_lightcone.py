@@ -661,6 +661,35 @@ class TestBatchedConeTimes:
 
 # -- both branches of a pair in one lane solve -----------------------------------
 
+class TestLongCellRoundingFloor:
+    # reading x(t_k) on a cell 6e6 long rounds by about |v| |u| eps ~ 1e-10,
+    # above the 1e-12 tolerances of lanes near t = 0; those lanes pass
+    # within their cell's rounding floor instead of raising
+    x0, v = np.array([1e3, 0.0, 0.0]), np.array([0.1, -0.2, 0.05])
+
+    def lanes(self):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-50.0, 50.0, 2000)
+        n = rng.standard_normal((2000, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        x = self.x0 + rng.uniform(-1e3, 1e3, (2000, 3))
+        return uniform_traj(self.x0, self.v, t0=-3e6, t1=3e6), t, n, x
+
+    def test_far_roots(self):
+        traj, t, n, _ = self.lanes()
+        for branch in Branch:
+            want = (t + branch.sign * (n @ self.x0)) / (1.0 - branch.sign * (n @ self.v))
+            assert_allclose(far_cone_times(traj, t, n, 0.0, branch), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_near_roots(self, branch):
+        traj, t, _, x = self.lanes()
+        batched = assert_lanes_match_cone_time(traj, t, x, branch)
+        want = [uniform_cone_roots(self.x0, self.v, ti, xi)[branch is Branch.ADVANCED]
+                for ti, xi in zip(t, x)]
+        assert_allclose(batched.t_k, want, rtol=1e-9)
+
+
 def per_branch_pair(traj, ts, xs, side):
     """`cone_pair` as one `cone_times` call per branch."""
     return tuple(cone_times(traj, ts, xs, branch, side)

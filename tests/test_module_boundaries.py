@@ -141,6 +141,29 @@ def test_chain_algebra_builds_through_the_array_builder():
         assert "_chain" in owners, name
 
 
+def row_cache_uses(path: Path) -> list:
+    """Places in one module that read or write `_rows` (as an attribute, a
+    name, a keyword or a string) outside `class Segment`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "Segment"
+              for node in ast.walk(cls)}
+    hits = []
+    for node in ast.walk(tree):
+        name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                or getattr(node, "arg", None) or getattr(node, "value", None))
+        if name == "_rows" and id(node) not in inside:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_only_a_segment_touches_its_float_rows():
+    # a chain forms its rows once, as arrays; a segment makes its own float
+    # rows on the first scalar read, and nothing else reads them
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in row_cache_uses(path)]
+    assert hits == []
+
+
 def outside_imports(path: Path) -> list:
     """Absolute imports of one module that are neither the standard library
     nor numpy."""
