@@ -15,12 +15,11 @@ through either cone map, which keeps the integrand smooth on each cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history
+from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history, time_window
 from .errors import CollisionError, ConvergenceError, DomainError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
 
@@ -55,12 +54,7 @@ class ActionWindow:
     t_end: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise DomainError("window times must be finite")
-        if self.t_end < self.t_start:
-            raise DomainError(
-                f"window must have t_start <= t_end, got [{self.t_start}, {self.t_end}]"
-            )
+        time_window(self.t_start, self.t_end)
 
     @property
     def length(self) -> float:

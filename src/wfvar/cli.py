@@ -15,7 +15,6 @@ diagnostic line on stderr), 2 for an unknown command.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,9 @@ from .core import (
     as_count,
     hermite_trajectory,
     json_number,
+    json_numbers,
     polygonal_from_vertices,
+    read_json,
     save_trajectory,
     trajectory_from_dict,
 )
@@ -124,8 +125,8 @@ def _traj_from_record(record, particle: ParticleParams) -> PiecewiseTrajectory:
         if kind == "polygonal":
             return polygonal_from_vertices(_vertices(record["vertices"]), particle)
         if kind == "hermite":
-            nodes = (_floats(record[key], rows=True) for key in ("positions", "velocities"))
-            return hermite_trajectory(_floats(record["times"]), *nodes, particle)
+            nodes = (json_numbers(record[key], rows=True) for key in ("positions", "velocities"))
+            return hermite_trajectory(json_numbers(record["times"]), *nodes, particle)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
     raise ConfigError(f"unknown trajectory kind {record.get('kind')!r}")
@@ -140,11 +141,7 @@ def _load_traj(data: dict, idx: int, particle: ParticleParams,
             f"trajectory{idx} given both inline and as a file reference"
         )
     if ref is not None:
-        with open(base / ref) as fh:
-            try:
-                inline = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{ref} is not valid JSON: {exc}") from exc
+        inline = read_json(base / ref, ref)
     if inline is None:
         return None
     return _traj_from_record(inline, particle)
@@ -164,11 +161,7 @@ def _load_family_params(data: dict, base: Path) -> SeparationFamilyParams | None
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    data = read_json(path, "scenario")
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
     version = data.get("version")
@@ -260,26 +253,9 @@ def _flag(value) -> bool:
     return value
 
 
-def _floats(values, rows: bool = False) -> np.ndarray:
-    """A list of JSON numbers, or with `rows` a list of equal-length lists of
-    them, as one float array under `json_number`'s rules: booleans,
-    strings, NaN, infinities, integers too large for a float and ragged
-    rows raise ValueError."""
-    types = set(map(type, [v for row in values for v in row] if rows else values))
-    if not types <= {int, float}:
-        raise ValueError(f"expected numbers, got {sorted(t.__name__ for t in types)}")
-    try:
-        array = np.array(values, dtype=float)
-    except OverflowError:
-        raise ValueError("integer too large for a float") from None
-    if not np.isfinite(array).all():
-        raise ValueError("expected finite numbers")
-    return array
-
-
 def _vertices(rows) -> list:
     """(time, position) pairs of [t, x, y, z] rows."""
-    table = _floats(rows, rows=True)
+    table = json_numbers(rows, rows=True)
     if table.ndim != 2 or table.shape[1] < 4:
         raise ValueError("vertex rows must be [t, x, y, z]")
     return list(zip(table[:, 0].tolist(), table[:, 1:4]))
@@ -295,7 +271,7 @@ def _scan_times(options: dict) -> list:
     if "times" in options and "time_range" in options:
         raise ConfigError("give either times or time_range, not both")
     if "times" in options:
-        times = _option(options, "times", _floats).tolist()
+        times = _option(options, "times", json_numbers).tolist()
         if not times:
             raise ConfigError("option times needs at least one time")
         return times
@@ -311,7 +287,7 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
         return fibonacci_sphere(default_count)
     if isinstance(value, int):  # bool too, which `as_count` rejects
         return fibonacci_sphere(_option(options, "directions", lambda v: as_count(v, 1)))
-    arr = _option(options, "directions", lambda v: _floats(v, rows=True))
+    arr = _option(options, "directions", lambda v: json_numbers(v, rows=True))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
     norms = np.linalg.norm(arr, axis=1)
@@ -324,7 +300,7 @@ def _t1_grid(value) -> np.ndarray:
     """[start, stop, count] with an integer count, else a list of times."""
     if isinstance(value, list) and len(value) == 3 and isinstance(value[2], int):
         return np.linspace(json_number(value[0]), json_number(value[1]), as_count(value[2]))
-    return _floats(value)
+    return json_numbers(value)
 
 
 def _mesh(value):
@@ -507,7 +483,7 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     break_times = scen.options.get("break_times")
     if break_times is not None:
         try:
-            break_times = (_floats(break_times[0]), _floats(break_times[1]))
+            break_times = (json_numbers(break_times[0]), json_numbers(break_times[1]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(
                 "break_times must be two lists, one per particle"

@@ -41,6 +41,9 @@ __all__ = [
     "replace_window",
     "merge_history",
     "json_number",
+    "json_numbers",
+    "read_json",
+    "time_window",
     "as_count",
     "trajectory_to_dict",
     "trajectory_from_dict",
@@ -132,6 +135,14 @@ def _cell_rows(coeffs) -> tuple:
     return tuple(rows)
 
 
+def _order(order) -> int:
+    """A derivative order: the integer 0, 1 or 2 (a bool is not), else
+    DomainError."""
+    if (type(order) is int or isinstance(order, np.integer)) and 0 <= order <= 2:
+        return order
+    raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
+
+
 def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
     """Check the cells with knots ``ts`` (n+1 times) and coefficients
     (n, 3, K) once per chain, give each of the n ``segments`` its read-only
@@ -214,8 +225,8 @@ class Segment:
 
     def at(self, t: float, order: int = 0) -> list:
         """Position (order 0), velocity (1) or acceleration (2) at a float
-        time, as a list of three floats."""
-        return self._local(t - self.t_start, order)
+        time, as a list of three floats; any other order raises DomainError."""
+        return self._local(t - self.t_start, _order(order))
 
     def _local(self, u: float, order: int) -> list:
         """Horner at local time u, in ``npoly.polyval``'s operation order."""
@@ -310,7 +321,7 @@ class PackedChain:
         """(..., 3) values of segments ``index`` at times ``ts`` (both of one
         shape, (M,) or scalar), by Horner in ``Segment.at``'s operation
         order: each lane is bit-identical to ``Segment.at``."""
-        c = self.rows[order][index]
+        c = self.rows[_order(order)][index]
         u = (np.asarray(ts, dtype=float) - self.knots[index])[..., None]
         acc = c[..., -1] + u * 0
         for k in range(c.shape[-1] - 2, -1, -1):
@@ -541,6 +552,16 @@ def validate(traj: PiecewiseTrajectory) -> ValidationReport:
     )
 
 
+def time_window(start, end) -> tuple:
+    """(start, end) as floats: both ends finite and start <= end, else
+    DomainError."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise DomainError(f"window times must be finite, got [{start}, {end}]")
+    if end < start:
+        raise DomainError(f"window must have start <= end, got [{start}, {end}]")
+    return float(start), float(end)
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Boundary set of the variational problem.
@@ -562,17 +583,12 @@ class BoundaryData:
     window2: tuple | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
-            raise DomainError("window times must be finite")
-        if self.end_time < self.start_time:
-            raise DomainError("end_time must be >= start_time")
+        time_window(self.start_time, self.end_time)
         if not math.isfinite(self.k2):
             raise DomainError("K2 must be finite")
         if self.window2 is not None:
             a, b = self.window2
-            if b < a:
-                raise DomainError("window2 end must be >= start")
-            object.__setattr__(self, "window2", (float(a), float(b)))
+            object.__setattr__(self, "window2", time_window(a, b))
 
     def window(self, k: int) -> tuple:
         """Variable window of particle k (1 or 2)."""
@@ -744,6 +760,34 @@ def json_number(value) -> float:
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
+def json_numbers(values, rows: bool = False) -> np.ndarray:
+    """A list of JSON numbers, or with `rows` a list of equal-length lists of
+    them, as one float array under `json_number`'s rules: booleans,
+    strings, NaN, infinities, integers too large for a float and ragged
+    rows raise ValueError."""
+    types = set(map(type, [v for row in values for v in row] if rows else values))
+    if not types <= {int, float}:
+        raise ValueError(f"expected numbers, got {sorted(t.__name__ for t in types)}")
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+    if not np.isfinite(array).all():
+        raise ValueError("expected finite numbers")
+    return array
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at `path`, read as UTF-8.  A file that
+    is not valid JSON, that is not UTF-8 or that holds an integer past
+    Python's digit limit raises ConfigError naming `what`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def as_count(value, minimum: int = 0, what: str = "count") -> int:
     """`value` as a count >= `minimum`, else ConfigError.  Only integers
     count: floats, which ``int`` would truncate, and booleans are rejected."""
@@ -778,7 +822,7 @@ def trajectory_from_dict(d: dict) -> PiecewiseTrajectory:
                 raise ConfigError(f"segment record must be a JSON object, got {sd!r}")
             if sd.get("kind", "polynomial") != "polynomial":
                 raise ConfigError(f"unsupported segment kind {sd.get('kind')!r}")
-            coeffs = [[json_number(c) for c in row] for row in sd["coeffs"]]
+            coeffs = json_numbers(sd["coeffs"], rows=True)
             segs.append(Segment(json_number(sd["t0"]), json_number(sd["t1"]), coeffs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
@@ -792,9 +836,4 @@ def save_trajectory(traj: PiecewiseTrajectory, path) -> None:
 
 
 def load_trajectory(path) -> PiecewiseTrajectory:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"trajectory file is not valid JSON: {exc}") from exc
-    return trajectory_from_dict(data)
+    return trajectory_from_dict(read_json(path, "trajectory file"))

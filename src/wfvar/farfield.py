@@ -15,6 +15,7 @@ measure-zero set that surface integrals may skip.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ _BOTH_BRANCHES = (Branch.RETARDED, Branch.ADVANCED)
 
 def _unit(n) -> Vec3:
     return unit_directions(vec3(n)[None])[0]
+
+
+def _radius(R) -> None:
+    """The one sphere-radius rule: R finite and positive, else DomainError."""
+    if not (math.isfinite(R) and R > 0.0):
+        raise DomainError(f"sphere radius must be finite and positive, got {R}")
 
 
 def _dot(a, b):
@@ -73,8 +80,7 @@ def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
            branch: Branch = Branch.RETARDED) -> tuple:
     """Far electric and magnetic field of one charge at (t, R n)."""
     n = _unit(n)
-    if R <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    _radius(R)
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     e = _lw_field(traj.particle.charge, n, R, v, a, branch)
     return e, float(branch.sign) * cross(n, e)
@@ -93,8 +99,7 @@ def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
     the same field and is kept as a cross check.
     """
     n = _unit(n)
-    if R <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    _radius(R)
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     s = float(branch.sign)
     return -s * (traj.particle.charge / R) * cross(n, _second_derivative(n, v, a, branch))
@@ -158,8 +163,7 @@ def wf_far(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
            n, R: float, guard: float = GUARD_BAND) -> FarFieldSample:
     """Half-advanced plus half-retarded fields of both charges at (t, R n)."""
     dirs = _unit(n)[None]
-    if R <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    _radius(R)
     totals, defined = _branch_totals((traj1, traj2), t, dirs, R, guard)
     return _samples(t, dirs, R, totals, defined)[0]
 
@@ -245,8 +249,7 @@ def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
               guard: float = GUARD_BAND) -> list:
     """Far-field samples over a whole direction mesh at one time."""
     mesh = latlong_mesh() if mesh is None else mesh
-    if R <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    _radius(R)
     totals, defined = _branch_totals((traj1, traj2), t, mesh.directions, R, guard)
     return _samples(t, mesh.directions, R, totals, defined)
 
@@ -264,8 +267,7 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     for a single isolated charge.
     """
     mesh = latlong_mesh() if mesh is None else mesh
-    if R <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    _radius(R)
     trajs = (traj1,) if traj2 is None else (traj1, traj2)
     branches = (Branch.RETARDED,) if retarded_only else _BOTH_BRANCHES
     totals, defined = _branch_totals(trajs, t, mesh.directions, R, guard, branches)

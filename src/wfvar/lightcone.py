@@ -373,8 +373,12 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
     """
     shapes = [np.shape(ts) for _, ts, _ in blocks]
     ts = [np.asarray(t, dtype=float).reshape(-1) for _, t, _ in blocks]
-    xs = np.concatenate([np.asarray(x, dtype=float).reshape(t.size, 3)
-                         for t, (_, _, x) in zip(ts, blocks)])
+    xs = [np.asarray(x, dtype=float) for _, _, x in blocks]
+    for t, x in zip(ts, xs):
+        if x.size != 3 * t.size:
+            raise DomainError(f"events need one (3,) position per time: got shape "
+                              f"{x.shape} for {t.size} times")
+    xs = np.concatenate([x.reshape(t.size, 3) for t, x in zip(ts, xs)])
     sizes = [t.size for t in ts]
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -487,10 +491,14 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     slack.  Errors match `far_cone_time`'s, for the first failing lane.
     """
     dirs = unit_directions(dirs)
-    if R < 0.0:
-        raise DomainError("R must be nonnegative")
+    if not (math.isfinite(R) and R >= 0.0):
+        raise DomainError(f"R must be finite and nonnegative, got {R}")
     R = float(R)
-    t = np.broadcast_to(np.asarray(t, dtype=float), dirs.shape[:1])
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or t.size not in (1, dirs.shape[0]):
+        raise DomainError(f"event times of shape {t.shape} do not match "
+                          f"{dirs.shape[0]} directions")
+    t = np.broadcast_to(t, dirs.shape[:1])
     sign = branch.sign
     n0, n1, n2 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
 

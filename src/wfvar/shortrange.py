@@ -30,7 +30,9 @@ from .core import (
     fd_node_velocities,
     hermite_trajectory,
     json_number,
+    json_numbers,
     polygonal_from_vertices,
+    read_json,
     vec3,
 )
 from .errors import (
@@ -362,21 +364,16 @@ def params_from_dict(data: dict) -> SeparationFamilyParams:
         if not isinstance(intervals, list) or not intervals:
             raise ConfigError("intervals must be a non-empty list")
         edges = [json_number(data["t_start"])] + [json_number(iv["t_edge"]) for iv in intervals]
-
-        def numbers(rows):
-            return [[json_number(c) for c in row] for row in rows]
-
         if kind == "harmonic":
-            lmax = data.get("lmax", DEFAULT_LMAX)
-            if isinstance(lmax, bool) or not isinstance(lmax, int) or lmax < 0:
-                raise ConfigError(f"lmax must be a JSON integer >= 0, got {lmax!r}")
-            d_tables = [numbers(iv["D_coeffs"]) for iv in intervals]
-            l_tables = [numbers(iv["L_coeffs"]) for iv in intervals]
+            lmax = as_count(data.get("lmax", DEFAULT_LMAX), 0, "lmax")
+            d_tables = [json_numbers(iv["D_coeffs"], rows=True) for iv in intervals]
+            l_tables = [json_numbers(iv["L_coeffs"], rows=True) for iv in intervals]
             return SeparationFamilyParams.from_harmonic_tables(
                 edges, d_tables, l_tables, lmax=lmax
             )
         if kind == "linear":
-            pieces = [numbers(iv[key] for key in ("p1", "v1", "p2", "v2")) for iv in intervals]
+            pieces = [json_numbers([iv[key] for key in ("p1", "v1", "p2", "v2")], rows=True)
+                      for iv in intervals]
             return SeparationFamilyParams.from_linear_pieces(edges, pieces)
         raise ConfigError(f"unknown family kind {kind!r}")
     except ConfigError:
@@ -391,12 +388,7 @@ def save_family(params: SeparationFamilyParams, path) -> None:
 
 
 def load_family(path) -> SeparationFamilyParams:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"family file is not valid JSON: {exc}") from exc
-    return params_from_dict(data)
+    return params_from_dict(read_json(path, "family file"))
 
 
 @dataclass(frozen=True)

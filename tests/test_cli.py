@@ -211,6 +211,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: t1.json"), err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", ("[" + "1" * 5000 + "]").encode()],
+                             ids=["not-utf8", "huge-integer"])
+    @pytest.mark.parametrize("ref", [None, "trajectory1_file", "family_file"],
+                             ids=["scenario", "trajectory-file", "family-file"])
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, ref, content):
+        # bytes that are not UTF-8 and integers past Python's 4,300-digit
+        # limit, in the scenario itself or in a file it references
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        if ref is not None:
+            path = write_scenario(tmp_path, base_scenario(**{ref: "bad.json"}))
+        assert run("action", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config:"), err
+
     def test_missing_trajectory_is_config_error(self, tmp_path, capsys):
         data = base_scenario(trajectory1=static_record(0.0, 0.0, 0.0),
                              options={"times": [0.0]})

@@ -433,6 +433,24 @@ class TestSegment:
                         assert ev(t).tobytes() == want.tobytes()
                         assert ev(t).tobytes() == np.array(seg.at(t, order)).tobytes()
 
+    @pytest.mark.parametrize("order", [-1, -2, 3, True, False, 1.0, 1.5, "1", None])
+    @pytest.mark.parametrize("evaluator", ["evaluate", "packed", "segment"])
+    def test_derivative_order_must_be_0_1_or_2(self, evaluator, order):
+        # a negative order once indexed the rows from the end, and True read as 1
+        traj = cubic_x3()
+        call = {"evaluate": lambda: traj.evaluate(0.25, order),
+                "packed": lambda: traj.packed.at(0, 0.25, order),
+                "segment": lambda: traj.segments[0].at(0.25, order)}[evaluator]
+        with pytest.raises(DomainError, match="derivative order"):
+            call()
+
+    def test_numpy_integer_orders_keep_their_bits(self):
+        traj = cubic_x3()
+        for order in range(3):
+            want = traj.evaluate(0.25, order).tobytes()
+            assert traj.evaluate(0.25, np.int64(order)).tobytes() == want
+            assert np.array(traj.segments[0].at(0.25, np.int64(order))).tobytes() == want
+
 
 class TestPolygonal:
     def test_one_sided_velocity_at_vertex(self):
@@ -601,6 +619,13 @@ class TestBoundaryData:
         with pytest.raises(DomainError):
             BoundaryData(start_time=1.0, end_time=0.0)
 
+    @pytest.mark.parametrize("window2", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                                         (0.0, math.inf), (1.0, 0.0)],
+                             ids=["start-nan", "end-nan", "start-inf", "end-inf", "reversed"])
+    def test_rejects_non_finite_or_reversed_partner_window(self, window2):
+        with pytest.raises(DomainError):
+            BoundaryData(0.0, 1.0, window2=window2)
+
 
 class TestPerturbation:
     def test_tent_shape(self):
@@ -705,9 +730,13 @@ class TestJsonExchange:
             path = tmp_path / "record.json"
             save(record, path)
             text = path.read_text()
-            path.write_text(text[: len(text) // 2])
-            with pytest.raises(ConfigError, match="not valid JSON"):
-                load(path)
+            # cut in half, bytes that are not UTF-8, an integer past Python's
+            # 4,300-digit limit
+            for bad in (text[: len(text) // 2].encode(), b"\xff\xfe{}",
+                        ("[" + "1" * 5000 + "]").encode()):
+                path.write_bytes(bad)
+                with pytest.raises(ConfigError, match="not valid JSON"):
+                    load(path)
 
     def test_malformed_record_raises_config_error(self):
         with pytest.raises(ConfigError):
@@ -719,3 +748,21 @@ class TestJsonExchange:
         bad["segments"][0]["kind"] = "spline"
         with pytest.raises(ConfigError):
             trajectory_from_dict(bad)
+
+    @pytest.mark.parametrize("where, value", [
+        ("coeff", True), ("coeff", "0.1"), ("coeff", math.nan), ("coeff", 10**400),
+        ("t1", False), ("t1", "1"), ("t1", math.inf), ("row", [0.0]),
+    ], ids=["coeff-bool", "coeff-text", "coeff-nan", "coeff-huge", "time-bool",
+            "time-text", "time-inf", "ragged-row"])
+    def test_malformed_numbers_raise_config_error(self, where, value):
+        record = trajectory_to_dict(
+            polygonal_from_vertices([(0.0, [0, 0, 0]), (1.0, [0.1, 0, 0])], ELECTRON))
+        segment = record["segments"][0]
+        if where == "coeff":
+            segment["coeffs"][0][1] = value
+        elif where == "row":
+            segment["coeffs"][1] = value
+        else:
+            segment[where] = value
+        with pytest.raises(ConfigError):
+            trajectory_from_dict(record)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ class TestLwFar:
             lw_far(traj, 10.0, [0, 0, 2], 10.0)
         with pytest.raises(DomainError):
             lw_far(traj, 10.0, [0, 0, 1], -1.0)
+
+
+RADIUS_CALLS = {
+    "lw_far": lambda a, b, R: lw_far(a, 50.0, [1, 0, 0], R),
+    "b_via_second_derivative": lambda a, b, R: b_via_second_derivative(a, 50.0, [1, 0, 0], R),
+    "wf_far": lambda a, b, R: wf_far(a, b, 50.0, [1, 0, 0], R),
+    "field_map": lambda a, b, R: field_map(a, b, 50.0, R, latlong_mesh(3, 4)),
+    "sphere_flux": lambda a, b, R: sphere_flux(a, b, 50.0, R, latlong_mesh(3, 4)),
+}
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "minus-inf", "zero", "negative"])
+@pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+def test_sphere_radius_must_be_finite_and_positive(name, R):
+    # a non-finite radius once gave zero fields, or a NaN flux
+    pair = static_traj([0, 0, 0], particle=POS), static_traj([1, 0, 0], particle=NEG)
+    with pytest.raises(DomainError, match="sphere radius"):
+        RADIUS_CALLS[name](*pair, R)
 
 
 class TestSecondDerivativeRoute:

@@ -218,6 +218,16 @@ class TestFarConeTime:
         with pytest.raises(DomainError):
             far_cone_time(static_traj([0, 0, 0]), 0.0, [1, 1, 0], 100.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, -1.0],
+                             ids=["nan", "inf", "minus-inf", "negative"])
+    def test_radius_must_be_finite_and_nonnegative(self, R):
+        # a NaN radius once returned the domain start as the cone time
+        traj = uniform_traj([0, 0, 0], [0.5, 0, 0])
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            far_cone_time(traj, 0.0, [1, 0, 0], R)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            far_cone_times(traj, [0.0, 1.0], np.eye(3)[:2], R)
+
     def test_domain_exit(self):
         with pytest.raises(InsufficientHistoryError):
             far_cone_time(static_traj([0, 0, 0], t0=-50.0, t1=50.0), 0.0,
@@ -444,6 +454,17 @@ class TestBatchedFarConeErrors:
         with pytest.raises(DomainError):
             far_cone_times(static_traj([0, 0, 0]), 0.0, dirs, 100.0)
 
+    @pytest.mark.parametrize("ts", [[0.0, 1.0, 2.0], [[0.0], [1.0]], []],
+                             ids=["three-times", "column", "no-times"])
+    def test_event_times_must_match_the_directions(self, ts):
+        with pytest.raises(DomainError, match="do not match 2 directions"):
+            far_cone_times(static_traj([0, 0, 0]), ts, np.eye(3)[:2], 100.0)
+
+    @pytest.mark.parametrize("ts", [0.0, [0.0], [0.0, 1.0]], ids=["float", "one", "two"])
+    def test_broadcast_event_times_still_solve(self, ts):
+        t_k = far_cone_times(static_traj([0, 0, 0]), ts, np.eye(3)[:2], 100.0)
+        assert t_k.shape == (2,)
+
     def test_newton_cycle_across_junctions(self):
         # the lane of TestFarConeTime.test_newton_cycle_across_junctions
         traj = polygonal_from_vertices([(-20.0, [-22.4, 0, 0]), (-1.0, [-7.2, 0, 0]),
@@ -647,6 +668,21 @@ class TestBatchedConeTimes:
                 cone_times(traj, np.array([0.0, math.nan, 1.0]), xs, branch)
             assert err.value.branch is branch
             assert math.isnan(err.value.event[0])
+
+    @pytest.mark.parametrize("xs", [np.zeros(3), np.zeros((3, 3)), np.zeros(7)],
+                             ids=["one-row", "three-rows", "seven-numbers"])
+    def test_positions_must_match_the_times(self, xs):
+        traj = static_traj([5.0, 0, 0])
+        with pytest.raises(DomainError, match="one \\(3,\\) position per time"):
+            cone_times(traj, [0.0, 1.0], xs, Branch.RETARDED)
+        with pytest.raises(DomainError, match="one \\(3,\\) position per time"):
+            cone_pair(traj, [0.0, 1.0], xs)
+
+    def test_flat_positions_of_two_events_still_solve(self):
+        traj = static_traj([5.0, 0, 0])
+        flat = cone_times(traj, [0.0, 1.0], np.zeros(6), Branch.RETARDED)
+        rows = cone_times(traj, [0.0, 1.0], np.zeros((2, 3)), Branch.RETARDED)
+        assert flat.t_k.tobytes() == rows.t_k.tobytes()
 
     def test_collision_lane_raises(self):
         traj = uniform_traj([0, 0, 0], [0.3, 0, 0])

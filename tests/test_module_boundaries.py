@@ -164,6 +164,29 @@ def test_only_a_segment_touches_its_float_rows():
     assert hits == []
 
 
+def json_reads(path: Path) -> list:
+    """Calls of `json.load` or `json.loads` in one module, as
+    `module:function:line`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(node): func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    return [f"{path.stem}:{owner.get(id(node))}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"]
+
+
+def test_only_read_json_parses_json():
+    # every JSON file goes through one reader, which maps every decoding
+    # failure to ConfigError; number lists go through `json_numbers`
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in json_reads(path)]
+    assert [hit.rsplit(":", 1)[0] for hit in hits] == ["core:read_json"]
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    assert "_floats" not in {node.name for node in ast.walk(cli)
+                             if isinstance(node, ast.FunctionDef)}
+
+
 def outside_imports(path: Path) -> list:
     """Absolute imports of one module that are neither the standard library
     nor numpy."""

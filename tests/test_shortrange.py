@@ -511,6 +511,32 @@ class TestFamilySerialization:
             with pytest.raises(ConfigError):
                 params_from_dict(bad)
 
+    @pytest.mark.parametrize("value", [True, "0.5", math.nan, 10**400, "ragged"],
+                             ids=["bool", "text", "nan", "huge", "ragged"])
+    @pytest.mark.parametrize("kind", ["harmonic", "linear"])
+    def test_malformed_numbers_raise_config_error(self, kind, value):
+        if kind == "harmonic":
+            interval = {"t_edge": 1.0, "D_coeffs": np.zeros((3, 25)).tolist(),
+                        "L_coeffs": np.zeros((3, 25)).tolist()}
+            row = interval["L_coeffs"][1]
+        else:
+            interval = {"t_edge": 1.0, "p1": [0.0, 1.5, 0.0], "v1": [0.1, 0.0, 0.0],
+                        "p2": [0.0, 0.0, 0.0], "v2": [0.0, -0.2, 0.0]}
+            row = interval["v2"]
+        if value == "ragged":
+            row.pop()
+        else:
+            row[1] = value
+        with pytest.raises(ConfigError):
+            params_from_dict({"kind": kind, "t_start": 0.0, "intervals": [interval]})
+
+    @pytest.mark.parametrize("lmax", [-1, None])
+    def test_lmax_is_a_count(self, lmax):
+        data = {"kind": "harmonic", "t_start": 0.0, "lmax": lmax, "intervals": [
+            {"t_edge": 1.0, "D_coeffs": [[0.0]] * 3, "L_coeffs": [[0.0]] * 3}]}
+        with pytest.raises(ConfigError, match="lmax"):
+            params_from_dict(data)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
