@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history, time_window
+from .core import (BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history,
+                   subluminal, time_window)
 from .errors import CollisionError, ConvergenceError, DomainError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
 
@@ -75,10 +76,8 @@ def interaction_density(state1, cone_adv: ConeSolution, cone_ret: ConeSolution,
     points from (M, 3) state rows and the array-valued solutions of
     `cone_pair`."""
     v1 = np.asarray(state1[1], dtype=float)
-    v1sq = np.sum(v1 * v1, axis=-1)
-    if np.any(v1sq >= 1.0):
-        raise DomainError(f"superluminal velocity |v1|^2 = {np.max(v1sq)}")
-    total = -m1 * np.sqrt(1.0 - v1sq)
+    subluminal(v1)
+    total = -m1 * np.sqrt(1.0 - np.sum(v1 * v1, axis=-1))
     for sol in (cone_adv, cone_ret):
         if np.any(sol.r < COLLISION_R):
             raise CollisionError(f"cone distance {np.min(sol.r)} below collision cutoff")

@@ -132,14 +132,20 @@ def _traj_from_record(record, particle: ParticleParams) -> PiecewiseTrajectory:
     raise ConfigError(f"unknown trajectory kind {record.get('kind')!r}")
 
 
+def _inline_or_file(data: dict, key: str) -> tuple:
+    """The inline record `key` and the file name `key`_file, at most one of
+    them given; a file name that is not a string is a ConfigError."""
+    inline, ref = data.get(key), data.get(f"{key}_file")
+    if inline is not None and ref is not None:
+        raise ConfigError(f"{key} given both inline and as a file reference")
+    if not isinstance(ref, (str, type(None))):
+        raise ConfigError(f"{key}_file must be a file name string, got {ref!r}")
+    return inline, ref
+
+
 def _load_traj(data: dict, idx: int, particle: ParticleParams,
                base: Path) -> PiecewiseTrajectory | None:
-    inline = data.get(f"trajectory{idx}")
-    ref = data.get(f"trajectory{idx}_file")
-    if inline is not None and ref is not None:
-        raise ConfigError(
-            f"trajectory{idx} given both inline and as a file reference"
-        )
+    inline, ref = _inline_or_file(data, f"trajectory{idx}")
     if ref is not None:
         inline = read_json(base / ref, ref)
     if inline is None:
@@ -148,10 +154,7 @@ def _load_traj(data: dict, idx: int, particle: ParticleParams,
 
 
 def _load_family_params(data: dict, base: Path) -> SeparationFamilyParams | None:
-    inline = data.get("family")
-    ref = data.get("family_file")
-    if inline is not None and ref is not None:
-        raise ConfigError("family given both inline and as a file reference")
+    inline, ref = _inline_or_file(data, "family")
     if ref is not None:
         return load_family(base / ref)
     if inline is None:
@@ -164,11 +167,9 @@ def load_scenario(path) -> Scenario:
     data = read_json(path, "scenario")
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    version = data.get("version")
+    version = as_count(data.get("version"), 0, "scenario version")
     if version != SCENARIO_VERSION:
-        raise ConfigError(
-            f"scenario version must be {SCENARIO_VERSION}, got {version!r}"
-        )
+        raise ConfigError(f"scenario version must be {SCENARIO_VERSION}, got {version!r}")
     if data.get("units") != "c=1":
         raise ConfigError('scenario must declare "units": "c=1"')
     raw_particles = data.get("particles")

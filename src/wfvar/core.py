@@ -23,6 +23,7 @@ from .errors import ConfigError, ContractError, DomainError, SuperluminalError
 __all__ = [
     "Vec3",
     "vec3",
+    "subluminal",
     "cross",
     "Side",
     "ParticleParams",
@@ -67,6 +68,24 @@ def vec3(x, y=None, z=None) -> Vec3:
         v = np.array([x, y, z], dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"non-finite vector components: {v}")
+    return v
+
+
+def subluminal(v) -> np.ndarray:
+    """A velocity as finite floats with every speed |v| < 1: three entries
+    make one (3,) vector, read as `vec3` reads one, and (M, 3) rows are M
+    velocities.  A speed of 1 or more raises SuperluminalError, a bad shape
+    or a non-finite entry DomainError; the one check of a given velocity."""
+    v = np.asarray(v, dtype=float)
+    if v.size == 3:
+        v = v.reshape(3)
+    elif v.ndim != 2 or v.shape[1] != 3:
+        raise DomainError(f"velocities must have shape (3,) or (M, 3), got {v.shape}")
+    speed_sq = (v * v).sum(axis=-1)
+    if not (speed_sq < 1.0).all():  # a NaN or infinite entry fails it too
+        if not np.isfinite(v).all():
+            raise DomainError(f"non-finite velocity components: {v}")
+        raise SuperluminalError(f"velocity reaches speed {math.sqrt(speed_sq.max()):.6g} >= 1")
     return v
 
 
@@ -404,25 +423,26 @@ class SegmentChain:
         ts = np.asarray(ts, dtype=float)
         return self.packed.at(self.segment_indices(ts, side), ts, order)
 
+    def max_speed(self) -> float:
+        return max(s.max_speed() for s in self.segments)
+
 
 @dataclass(frozen=True)
 class PiecewiseTrajectory(SegmentChain):
     """A continuous chain of segments plus the particle it describes."""
 
     particle: ParticleParams
-    strict: bool = True
 
     def __post_init__(self):
         super().__post_init__()
-        if self.strict:
-            packed = self.packed
-            gaps = packed.junction_gaps()
-            scale = max(1.0, float(np.abs(packed.rows[0][..., 0]).max()))
-            torn = gaps > 1e-9 * scale
-            if torn.any():
-                i = int(torn.argmax())
-                raise DomainError(
-                    f"position gap {gaps[i]:.3g} at junction t={packed.knots[i + 1]}")
+        packed = self.packed
+        gaps = packed.junction_gaps()
+        scale = max(1.0, float(np.abs(packed.rows[0][..., 0]).max()))
+        torn = gaps > 1e-9 * scale
+        if torn.any():
+            i = int(torn.argmax())
+            raise DomainError(
+                f"position gap {gaps[i]:.3g} at junction t={packed.knots[i + 1]}")
 
     def position(self, t: float, side: Side = Side.RIGHT) -> Vec3:
         return self.segment_at(t, side).position(t)
@@ -436,9 +456,6 @@ class PiecewiseTrajectory(SegmentChain):
     def state(self, t: float, side: Side = Side.RIGHT):
         seg = self.segment_at(t, side)
         return seg.position(t), seg.velocity(t), seg.acceleration(t)
-
-    def max_speed(self) -> float:
-        return max(s.max_speed() for s in self.segments)
 
 
 def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
@@ -541,7 +558,7 @@ class ValidationReport:
         )
 
 
-def validate(traj: PiecewiseTrajectory) -> ValidationReport:
+def validate(traj: SegmentChain) -> ValidationReport:
     """Report max speed, per-junction continuity defects, and time ordering."""
     packed = traj.packed
     return ValidationReport(

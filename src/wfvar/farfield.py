@@ -20,16 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, Vec3, cross, vec3
+from .core import PiecewiseTrajectory, Vec3, cross
 from .errors import CoverageError, DomainError
 from .lightcone import Branch, far_cone_time, far_cone_times, unit_directions
 
 GUARD_BAND = 1e-9
 _BOTH_BRANCHES = (Branch.RETARDED, Branch.ADVANCED)
-
-
-def _unit(n) -> Vec3:
-    return unit_directions(vec3(n)[None])[0]
 
 
 def _radius(R) -> None:
@@ -79,7 +75,7 @@ def _second_derivative(n, v, a, branch):
 def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
            branch: Branch = Branch.RETARDED) -> tuple:
     """Far electric and magnetic field of one charge at (t, R n)."""
-    n = _unit(n)
+    n = unit_directions(n)
     _radius(R)
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     e = _lw_field(traj.particle.charge, n, R, v, a, branch)
@@ -98,7 +94,7 @@ def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
     and B = -s (q n / R) x d^2/dt^2 x(t_k).  This is an independent route to
     the same field and is kept as a cross check.
     """
-    n = _unit(n)
+    n = unit_directions(n)
     _radius(R)
     _, v, a = _far_kinematics(traj, t, n, R, branch)
     s = float(branch.sign)
@@ -162,7 +158,7 @@ def _samples(t, dirs, R, totals, defined) -> list:
 def wf_far(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
            n, R: float, guard: float = GUARD_BAND) -> FarFieldSample:
     """Half-advanced plus half-retarded fields of both charges at (t, R n)."""
-    dirs = _unit(n)[None]
+    dirs = unit_directions(n)[None]
     _radius(R)
     totals, defined = _branch_totals((traj1, traj2), t, dirs, R, guard)
     return _samples(t, dirs, R, totals, defined)[0]
@@ -192,7 +188,7 @@ def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     band of a breaking time; vanishing almost everywhere characterizes
     non-radiating pairs.
     """
-    residuals, defined = gah_residuals(traj1, traj2, t, _unit(n)[None], guard)
+    residuals, defined = gah_residuals(traj1, traj2, t, unit_directions(n)[None], guard)
     return residuals[0] if defined[0] else None
 
 

@@ -253,7 +253,7 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
     farther out raises InsufficientHistoryError.  One lane of
     `far_cone_times`.
     """
-    return float(far_cone_times(traj, float(t), vec3(n)[None, :], R, branch)[0])
+    return float(far_cone_times(traj, float(t), unit_directions(n)[None], R, branch)[0])
 
 
 def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
@@ -465,17 +465,18 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
 
 
 def unit_directions(dirs) -> np.ndarray:
-    """Directions as an (M, 3) float array of finite rows with |n| within
-    1e-9 of 1, the far-cone solve's rule; DomainError otherwise."""
+    """A (3,) direction or (M, 3) direction rows as a float array of the
+    same shape, every entry finite and every row with |n| within 1e-9 of 1:
+    the one direction rule, the far-cone solve's; DomainError otherwise."""
     dirs = np.asarray(dirs, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise DomainError(f"directions must have shape (M, 3), got {dirs.shape}")
-    if not np.all(np.isfinite(dirs)):
-        raise DomainError("non-finite direction components")
-    norms = np.linalg.norm(dirs, axis=1)
-    off_unit = np.abs(norms - 1.0) > 1e-9
-    if off_unit.any():
-        raise DomainError(f"direction must be a unit vector, |n| = {norms[off_unit][0]}")
+    if dirs.ndim not in (1, 2) or dirs.shape[-1] != 3:
+        raise DomainError(f"directions must have shape (3,) or (M, 3), got {dirs.shape}")
+    norms = np.sqrt((dirs * dirs).sum(axis=-1))
+    unit = np.abs(norms - 1.0) <= 1e-9  # false for a NaN or infinite entry too
+    if not unit.all():
+        if not np.isfinite(dirs).all():
+            raise DomainError("non-finite direction components")
+        raise DomainError(f"direction must be a unit vector, |n| = {norms[~unit][0]}")
     return dirs
 
 
@@ -491,6 +492,8 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     slack.  Errors match `far_cone_time`'s, for the first failing lane.
     """
     dirs = unit_directions(dirs)
+    if dirs.ndim != 2:
+        raise DomainError(f"directions must have shape (M, 3), got {dirs.shape}")
     if not (math.isfinite(R) and R >= 0.0):
         raise DomainError(f"R must be finite and nonnegative, got {R}")
     R = float(R)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import branch_sums, canonical_current, coupling
-from .core import PiecewiseTrajectory, Side, Vec3, vec3
-from .errors import InfeasibleJumpError, SuperluminalError
+from .core import PiecewiseTrajectory, Side, Vec3, subluminal
+from .errors import InfeasibleJumpError
 from .lightcone import cone_pair
 
 __all__ = [
@@ -91,10 +91,8 @@ def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     e*^2 - |p*|^2 = m^2; a defect beyond MASS_SHELL_TOL * max(1, e*) raises
     InfeasibleJumpError.
     """
-    v_pre = vec3(v_pre)
+    v_pre = subluminal(v_pre)
     pre_sq = float(v_pre @ v_pre)
-    if pre_sq >= 1.0:
-        raise SuperluminalError(f"|v_pre| = {math.sqrt(pre_sq):.6g} >= 1")
     k = coupling(traj1, traj2, kappa)
     m = traj1.particle.mass
     x1 = traj1.position(t_break)

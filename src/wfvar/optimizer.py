@@ -34,6 +34,7 @@ from .core import (
     fd_node_velocities,
     hermite_trajectory,
     merge_history,
+    subluminal,
     vec3,
 )
 from .errors import ConfigError, DomainError, SuperluminalError
@@ -143,11 +144,7 @@ def _decode_particle(layout: ParticleLayout, block: np.ndarray,
                      free_break_times: bool) -> PiecewiseTrajectory:
     times, positions, break_vels = _unpack_block(layout, block, free_break_times)
     vel_l, vel_r = _node_velocities(layout, times, positions, break_vels)
-    speeds = np.linalg.norm(np.vstack([vel_l, vel_r]), axis=1)
-    if speeds.max() >= 1.0:
-        raise SuperluminalError(
-            f"encoded node velocity reaches speed {speeds.max():.6g} >= 1"
-        )
+    subluminal(np.vstack([vel_l, vel_r]))
     return hermite_trajectory(times, positions, vel_r, layout.particle,
                               left_velocities=vel_l)
 

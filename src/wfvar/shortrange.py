@@ -33,6 +33,7 @@ from .core import (
     json_numbers,
     polygonal_from_vertices,
     read_json,
+    subluminal,
     vec3,
 )
 from .errors import (
@@ -43,29 +44,17 @@ from .errors import (
     InconsistentParamsError,
     InsufficientHistoryError,
     InsufficientSamplingError,
-    SuperluminalError,
 )
-from .lightcone import Branch, cone_time, far_cone_times
+from .lightcone import Branch, cone_time, far_cone_times, unit_directions
 
 DEFAULT_LMAX = 4
-
-
-def _directions(n) -> np.ndarray:
-    """A (3,) direction or (M, 3) direction rows as a float array; a
-    non-finite entry raises DomainError."""
-    n = np.asarray(n, dtype=float)
-    if n.ndim not in (1, 2) or n.shape[-1] != 3:
-        raise DomainError(f"directions must have shape (3,) or (M, 3), got {n.shape}")
-    if not np.all(np.isfinite(n)):
-        raise DomainError(f"non-finite direction components: {n}")
-    return n
 
 
 def k12(v1, v2, n):
     """Dilation mismatch 1/(1 - n.v1) - 1/(1 - n.v2) between the cone ends,
     a float for one direction and an (M,) array for (M, 3) rows."""
-    n = _directions(n)
-    return 1.0 / (1.0 - n @ vec3(v1)) - 1.0 / (1.0 - n @ vec3(v2))
+    n = unit_directions(n)
+    return 1.0 / (1.0 - n @ subluminal(v1)) - 1.0 / (1.0 - n @ subluminal(v2))
 
 
 def _dilated_difference(v1: Vec3, v2: Vec3, n: np.ndarray) -> np.ndarray:
@@ -199,9 +188,7 @@ class SeparationFamilyParams:
         clean = []
         for piece in pieces:
             p1, v1, p2, v2 = (vec3(x) for x in piece)
-            for v in (v1, v2):
-                if float(v @ v) >= 1.0:
-                    raise SuperluminalError("piece velocity must satisfy |v| < 1")
+            subluminal([v1, v2])
             clean.append((p1, v1, p2, v2))
 
         def d_func(n, edge, piece):
@@ -251,7 +238,7 @@ class SeparationFamilyParams:
     def _evaluate(self, maps: tuple, sigma, n) -> np.ndarray:
         """The maps of interval `sigma` (one, or one per row) at direction
         rows n, one call per interval present."""
-        n = _directions(n)
+        n = unit_directions(n)
         shape = np.broadcast_shapes(n.shape[:-1], np.shape(sigma))
         rows = np.broadcast_to(n, shape + (3,)).reshape(-1, 3)
         sigmas = np.broadcast_to(sigma, shape).reshape(-1)
@@ -298,7 +285,7 @@ def separation_family(params: SeparationFamilyParams, t, n, dt12) -> np.ndarray:
 
 def _separation(params, t, n, dt12) -> tuple:
     """`separation_family` and the L_sigma rows it read."""
-    n = _directions(n)
+    n = unit_directions(n)
     sigma = params.interval_index(t)
     d = params.d_sigma(sigma, n)
     l_vec = params.l_sigma(sigma, n)
@@ -413,9 +400,9 @@ def rigidity_check(v1, v2, n_samples) -> RigidityReport:
     The report carries, per direction, the best-fit multiple of n and the
     norm of the transverse remainder.
     """
-    ns = _directions(np.atleast_2d(n_samples))
+    ns = unit_directions(np.atleast_2d(n_samples))
     _require_spanning(ns)
-    lhs = _dilated_difference(vec3(v1), vec3(v2), ns)
+    lhs = _dilated_difference(subluminal(v1), subluminal(v2), ns)
     k_values = (ns * lhs).sum(axis=1)
     violations = np.linalg.norm(lhs - k_values[:, None] * ns, axis=1)
     return RigidityReport(
@@ -530,11 +517,11 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     candidates.
     """
     params.validate()
-    n_grid = _directions(np.atleast_2d(n_grid))
-    norms = np.linalg.norm(n_grid, axis=1)
-    if not np.all(norms > 0.0):
+    n_grid = np.atleast_2d(np.asarray(n_grid, dtype=float))
+    norms = np.linalg.norm(n_grid, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
         raise DomainError("direction vectors must be nonzero")
-    n_grid = n_grid / norms[:, None]
+    n_grid = unit_directions(n_grid / norms)
     _require_spanning(n_grid)
     t1s = np.asarray(t1_grid, dtype=float)
     if t1s.ndim != 1 or t1s.size < 2 or not np.all(np.diff(t1s) > 0):

@@ -38,7 +38,8 @@ from wfvar.core import (
     polygonal_from_vertices,
     vec3,
 )
-from wfvar.errors import CollisionError, ContractError, ConvergenceError, DomainError
+from wfvar.errors import (CollisionError, ContractError, ConvergenceError, DomainError,
+                          SuperluminalError)
 from wfvar.lightcone import Branch, cone_crossings, cone_time, cone_times
 from wfvar.momentum import energy_current, momentum_current
 
@@ -89,6 +90,17 @@ class TestInteractionDensity:
                              branch=adv.branch)
         with pytest.raises(CollisionError):
             interaction_density((x1, v1), squeezed, ret)
+
+
+    @pytest.mark.parametrize("v1", [[1.0, 0, 0], [[0.1, 0, 0], [0, 0.8, -0.8]]],
+                             ids=["speed-1", "rows"])
+    def test_superluminal_velocity_raises(self, v1):
+        t1, t2 = static_pair(2.0)
+        x1 = t1.position(0.0)
+        adv = cone_time(t2, (0.0, x1), Branch.ADVANCED)
+        ret = cone_time(t2, (0.0, x1), Branch.RETARDED)
+        with pytest.raises(SuperluminalError):
+            interaction_density((x1, v1), adv, ret)
 
 
 class TestAction:

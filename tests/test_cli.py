@@ -108,6 +108,8 @@ class TestScenarioLoading:
         for mutate in (
             lambda d: d.pop("version"),
             lambda d: d.update(version=9),
+            lambda d: d.update(version=True),  # not the integer 1
+            lambda d: d.update(version=1.0),
             lambda d: d.update(units="SI"),
             lambda d: d.update(particles=[{"mass": 1.0, "charge": 1.0}]),
         ):
@@ -116,6 +118,13 @@ class TestScenarioLoading:
             path = write_scenario(tmp_path, data)
             with pytest.raises(ConfigError):
                 load_scenario(path)
+
+    @pytest.mark.parametrize("key, ref", [("trajectory1_file", 5), ("trajectory2_file", {}),
+                                          ("family_file", [1])])
+    def test_file_references_must_be_strings(self, tmp_path, key, ref):
+        path = write_scenario(tmp_path, base_scenario(**{key: ref}))
+        with pytest.raises(ConfigError, match=f"^{key} must be a file name string"):
+            load_scenario(path)
 
     def test_rejects_inline_plus_file(self, tmp_path):
         data = base_scenario(**static_pair())
@@ -337,6 +346,10 @@ class TestExitCodes:
         ("gah-scan", {**static_pair(), "options": {"time_range": [0.0, 1.0, 0]}}),
         ("flux", {**static_pair(), "options": {"times": [], "radius": 5.0}}),
         ("flux", {**static_pair(), "options": {"time_range": [0.0, 1.0, 0], "radius": 5.0}}),
+        # a file reference is a file name string
+        ("action", {"trajectory1_file": 5, "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("construct-partner", {**partner_scenario(None), "family_file": [1]}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
@@ -348,7 +361,8 @@ class TestExitCodes:
             "kappa-nan", "el-tol-nan", "spread-tol-nan", "node-infinite", "family-coeff-nan",
             "node-row-ragged", "vertex-row-ragged", "node-time-huge", "vertex-huge",
             "node-row-bool", "vertex-row-bool", "gah-times-empty", "gah-time-range-empty",
-            "flux-times-empty", "flux-time-range-empty"])
+            "flux-times-empty", "flux-time-range-empty", "trajectory-file-number",
+            "family-file-list"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1

@@ -33,6 +33,7 @@ from wfvar.core import (
     polygonal_from_vertices,
     replace_window,
     save_trajectory,
+    subluminal,
     trajectory_from_dict,
     trajectory_to_dict,
     validate,
@@ -260,7 +261,7 @@ class TestArrayBuilder:
         coeffs[7, 1, 0] += 1e-6  # tear the chain at its 8th knot
         with pytest.raises(DomainError, match=f"position gap 1e-06 at junction t={times[7]}"):
             core._chain(PiecewiseTrajectory, times, coeffs, ELECTRON)
-        torn = core._chain(PiecewiseTrajectory, times, coeffs, ELECTRON, False)
+        torn = core._chain(core.SegmentChain, times, coeffs)  # no gap rule
         (t1, g1), (t2, g2) = [d for d in validate(torn).continuity_defects if d[1] > 1e-9]
         assert (t1, t2) == (times[7], times[8])
         assert abs(g1 - 1e-6) < 1e-15 and abs(g2 - 1e-6) < 1e-15
@@ -572,7 +573,7 @@ class TestValidation:
     def test_gap_reported_by_validate(self):
         a = Segment.linear(0.0, 1.0, [0, 0, 0], [0.1, 0, 0])
         b = Segment.linear(1.0, 2.0, [0.1 + 1e-3, 0, 0], [0.2, 0, 0])
-        traj = PiecewiseTrajectory((a, b), ELECTRON, strict=False)
+        traj = core.SegmentChain((a, b))  # a chain without the gap rule
         report = validate(traj)
         assert not report.ok
         (t_junction, gap), = report.continuity_defects
@@ -603,6 +604,29 @@ class TestParticleParams:
     def test_frozen(self):
         with pytest.raises(Exception):
             ELECTRON.mass = 2.0
+
+
+class TestSubluminal:
+    def test_vectors_and_rows_come_back_as_float_arrays(self):
+        assert subluminal([0.5, 0, 0]).tolist() == [0.5, 0.0, 0.0]
+        for one in ([[0.5, 0.0, 0.25]], [[0.5], [0.0], [0.25]]):  # read as vec3 reads it
+            assert subluminal(one).tolist() == [0.5, 0.0, 0.25]
+        rows = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, -0.99]])
+        assert subluminal(rows) is rows
+        assert subluminal(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("v", [[1.0, 0, 0], [0, -0.8, 0.8], [[0, 0, 0.5], [2.0, 0, 0]]],
+                             ids=["speed-1", "vector", "rows"])
+    def test_a_speed_of_one_or_more_is_superluminal(self, v):
+        with pytest.raises(SuperluminalError):
+            subluminal(v)
+
+    @pytest.mark.parametrize("v", [[0.1, 0.2], [[0.1, 0, 0, 0]], np.zeros((2, 3, 3)),
+                                   [np.nan, 0, 0], [[0, 0, 0], [0, np.inf, 0]]],
+                             ids=["two", "four-column", "three-axes", "nan", "inf-row"])
+    def test_a_bad_shape_or_entry_is_a_domain_error(self, v):
+        with pytest.raises(DomainError):
+            subluminal(v)
 
 
 class TestBoundaryData:

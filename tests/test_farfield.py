@@ -301,15 +301,32 @@ class TestSphereMesh:
         n = np.array([1.0 + excess, 0.0, 0.0])
         traj = quadratic_charge(half_accel=0.05, span=5.0)
         verdicts = []
+        partner = static_traj([0, 3.0, 0], particle=NEG)
         for use in (lambda: far_cone_time(traj, 0.0, n, 1.0),
                     lambda: lw_far(traj, 0.0, n, 1.0),
+                    lambda: b_via_second_derivative(traj, 0.0, n, 1.0),
+                    lambda: wf_far(traj, partner, 0.0, n, 1.0),
+                    lambda: gah_residual(traj, partner, 0.0, n),
                     lambda: SphereMesh(n[None], np.ones(1))):
             try:
                 use()
                 verdicts.append(True)
             except DomainError:
                 verdicts.append(False)
-        assert verdicts == [accepted] * 3
+        assert verdicts == [accepted] * 6
+
+    @pytest.mark.parametrize("n", [[0.0, 0, 0], [0, 2.0, 0], [np.nan, 0, 1], [0, np.inf, 0],
+                                   [1.0, 0], np.eye(3)[:2]],
+                             ids=["zero", "long", "nan", "inf", "two", "rows"])
+    def test_fields_reject_bad_directions(self, n):
+        traj = quadratic_charge(half_accel=0.05, span=5.0)
+        partner = static_traj([0, 3.0, 0], particle=NEG)
+        for use in (lambda: lw_far(traj, 0.0, n, 1.0),
+                    lambda: b_via_second_derivative(traj, 0.0, n, 1.0),
+                    lambda: wf_far(traj, partner, 0.0, n, 1.0),
+                    lambda: gah_residual(traj, partner, 0.0, n)):
+            with pytest.raises(DomainError):
+                use()
 
 
 class TestSphereFlux:

@@ -37,6 +37,7 @@ from wfvar.lightcone import (
     far_cone_time,
     far_cone_times,
     influence_interval,
+    unit_directions,
 )
 
 
@@ -453,6 +454,14 @@ class TestBatchedFarConeErrors:
         dirs = np.array([[1.0, 0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DomainError):
             far_cone_times(static_traj([0, 0, 0]), 0.0, dirs, 100.0)
+
+    def test_one_direction_or_rows_keep_their_shape(self):
+        rows = np.eye(3)
+        assert unit_directions(rows) is rows
+        assert unit_directions([0, 0, 1]).tolist() == [0.0, 0.0, 1.0]
+        # the batched solve still takes (M, 3) rows only
+        with pytest.raises(DomainError, match=r"shape \(M, 3\)"):
+            far_cone_times(static_traj([0, 0, 0]), 0.0, np.array([1.0, 0, 0]), 100.0)
 
     @pytest.mark.parametrize("ts", [[0.0, 1.0, 2.0], [[0.0], [1.0]], []],
                              ids=["three-times", "column", "no-times"])

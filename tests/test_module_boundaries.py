@@ -229,3 +229,19 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], cwd=PACKAGE.parent,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_one_rule_per_kinematic_input():
+    # directions are checked by `lightcone.unit_directions` and given
+    # velocities by `core.subluminal`, never by a copy of either rule
+    for name in ("farfield", "shortrange"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_directions", "_unit"}, name
+    for name in ("action", "momentum", "optimizer", "shortrange"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        speed_checks = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                        and any(isinstance(side, ast.Constant) and side.value == 1.0
+                                and isinstance(side.value, float)
+                                for side in (node.left, *node.comparators))]
+        assert speed_checks == [], name

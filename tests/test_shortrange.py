@@ -565,7 +565,7 @@ class TestRigidity:
         with pytest.raises(InsufficientSamplingError):
             rigidity_check(
                 [0.1, 0, 0], [0, 0.1, 0],
-                [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0.5, 0.5, 0]],
+                [[1, 0, 0], [0, 1, 0], [-1, 0, 0], unit([1, 1, 0])],
             )
         with pytest.raises(InsufficientSamplingError):
             rigidity_check([0.1, 0, 0], [0, 0.1, 0], [[1, 0, 0], [0, 1, 0]])
@@ -580,6 +580,63 @@ class TestRigidity:
             ns = [unit(rng.normal(size=3)) for _ in range(8)]
             report = rigidity_check(v1, v2, ns)
             assert report.max_violation > 1e-3 * np.linalg.norm(v1 - v2)
+
+
+def linear_family():
+    return SeparationFamilyParams.from_linear_pieces(
+        (-10.0, 10.0), [([0, 0, 0], [0.1, 0, 0], [0, 0, 0], [0.2, 0, 0])])
+
+
+class TestKinematicInputs:
+    """Every direction is a finite unit row and every given velocity a
+    finite one with speed below 1, whichever function reads it."""
+
+    @pytest.mark.parametrize("bad", [[2.0, 0, 0], [0, 0.5, 0], [0, 0, 1 + 2e-9],
+                                     [np.nan, 0, 1], [0, -np.inf, 0]],
+                             ids=["long", "short", "just-long", "nan", "inf"])
+    def test_directions_must_be_finite_unit_rows(self, bad):
+        rows = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], bad])
+        params = linear_family()
+        for use in (lambda n: rigidity_check([0.1, 0, 0], [0.2, 0, 0], n),
+                    lambda n: k12([0.1, 0, 0], [0.2, 0, 0], n),
+                    lambda n: separation_family(params, 0.5, n, 0.0),
+                    lambda n: params.d_sigma(0, n),
+                    lambda n: params.l_sigma(0, n)):
+            for n in (rows, bad):
+                with pytest.raises(DomainError):
+                    use(n)
+
+    def test_mended_direction_defects(self):
+        # each of these once returned a number for a non-unit direction
+        v1, v2 = [0.1, 0, 0], [0.2, 0, 0]
+        assert rigidity_check(v1, v2, np.eye(3)).max_violation == pytest.approx(0.1)
+        assert k12(v1, v2, [1.0, 0, 0]) == pytest.approx(-0.1388888888888889)
+        with pytest.raises(DomainError):
+            rigidity_check(v1, v2, 2 * np.eye(3))
+        with pytest.raises(DomainError):
+            k12(v1, v2, [2.0, 0, 0])
+        with pytest.raises(DomainError):
+            separation_family(linear_family(), 0.0, [0, 0, 2.0], 0.0)
+
+    @pytest.mark.parametrize("fast", [[1.0, 0, 0], [2.0, 0, 0], [0, -0.8, 0.8]],
+                             ids=["speed-1", "speed-2", "speed-1.13"])
+    def test_speeds_of_one_or_more_are_superluminal(self, fast):
+        still = [0.0, 0.0, 0.0]
+        for v1, v2 in ((fast, still), (still, fast)):
+            for use in (lambda: k12(v1, v2, [1.0, 0, 0]),
+                        lambda: k12(v1, v2, [0, 1.0, 0]),
+                        lambda: rigidity_check(v1, v2, np.eye(3)),
+                        lambda: SeparationFamilyParams.from_linear_pieces(
+                            (0.0, 1.0), [(still, v1, still, v2)])):
+                with pytest.raises(SuperluminalError):
+                    use()
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [0.1, 0.2]], ids=["nan", "two"])
+    def test_a_bad_velocity_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            k12(bad, [0, 0, 0], [1.0, 0, 0])
+        with pytest.raises(DomainError):
+            rigidity_check([0, 0, 0], bad, np.eye(3))
 
 
 class TestSewingChain:
