@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ SCENARIO_VERSION = 1
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario file plus the directory its file refs resolve against."""
+    """Parsed scenario file."""
 
     particles: tuple
     traj1: PiecewiseTrajectory | None
@@ -61,7 +61,6 @@ class Scenario:
     boundary: BoundaryData | None
     kappa: float | None
     options: dict
-    base_dir: Path
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,6 @@ def load_scenario(path) -> Scenario:
         boundary=boundary,
         kappa=kappa,
         options=options,
-        base_dir=base,
     )
 
 
@@ -312,52 +310,38 @@ def _mesh(value):
     return latlong_mesh(as_count(n_theta, 1), as_count(n_phi, 1))
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
 # -- command handlers ---------------------------------------------------------
+# each takes the scenario and the output directory, writes any extra files
+# there, and returns (CSV name, report, summary line) for `run` to write
 
-def _cmd_action(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_action(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True, boundary=True)
     s1, s2 = one_sided_actions(scen.traj1, scen.traj2, scen.boundary, scen.kappa)
-    path = out / "action.csv"
-    emit_report(
-        ReportTable(
-            ("quantity", "value"),
-            (("action1", s1), ("action2", s2), ("total", s1 + s2)),
-        ),
-        path,
-    )
-    _say(quiet, f"total action {s1 + s2:.12g} -> {path}")
+    rows = (("action1", s1), ("action2", s2), ("total", s1 + s2))
+    return "action.csv", ReportTable(("quantity", "value"), rows), f"total action {s1 + s2:.12g}"
 
 
-def _cmd_verify(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_verify(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    el_tol = float(tol) if tol is not None else _option(scen.options, "el_tol", json_number, 1e-6)
     report = verify(
         scen.traj1,
         scen.traj2,
         scen.boundary,
         n_points=_option(scen.options, "n_points", lambda v: as_count(v, 1), 9),
-        el_tol=el_tol,
+        el_tol=_option(scen.options, "el_tol", json_number, 1e-6),
         break_tol=_option(scen.options, "break_tol", json_number, 1e-8),
         kappa=scen.kappa,
     )
-    path = out / "verify.csv"
-    emit_report(report, path)
-    _say(quiet, f"verify: max_el {report.max_el:.3g}, "
-                f"max_break {report.max_break:.3g}, "
-                f"converged {int(report.converged)} -> {path}")
+    return "verify.csv", report, (f"verify: max_el {report.max_el:.3g}, "
+                                  f"max_break {report.max_break:.3g}, "
+                                  f"converged {int(report.converged)}")
 
 
-def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
     dirs = _directions(scen.options, 32)
-    guard = float(tol) if tol is not None else _option(
-        scen.options, "guard", json_number, GUARD_BAND)
+    guard = _option(scen.options, "guard", json_number, GUARD_BAND)
     # lanes run time-major: every direction at the first time, then the next
     lane_t = np.repeat(times, len(dirs))
     lane_n = np.tile(dirs, (len(times), 1))
@@ -366,39 +350,30 @@ def _cmd_gah_scan(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     # prints as 1 and 0
     rows = tuple(np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0),
                                   defined)).tolist())
-    path = out / "gah_scan.csv"
-    emit_report(
-        ReportTable(("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined"), rows),
-        path,
-    )
-    _say(quiet, f"gah scan: {len(rows)} samples -> {path}")
+    header = ("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined")
+    return "gah_scan.csv", ReportTable(header, rows), f"gah scan: {len(rows)} samples"
 
 
-def _cmd_flux(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_flux(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True)
     times = _scan_times(scen.options)
     if "radius" not in scen.options:
         raise ConfigError("flux options need a radius")
     radius = _option(scen.options, "radius", json_number)
-    if radius <= 0.0:
-        raise ConfigError("flux radius must be positive")
     mesh = _option(scen.options, "mesh", _mesh)
     retarded_only = _option(scen.options, "retarded_only", _flag, False)
-    guard = float(tol) if tol is not None else _option(
-        scen.options, "guard", json_number, GUARD_BAND)
+    guard = _option(scen.options, "guard", json_number, GUARD_BAND)
     rows = []
     for t in times:
         value = sphere_flux(scen.traj1, scen.traj2, t, radius, mesh=mesh,
                             retarded_only=retarded_only, guard=guard)
         rows.append((t, radius, value))
-    path = out / "flux.csv"
-    emit_report(ReportTable(("t", "radius", "flux"), tuple(rows)), path)
-    _say(quiet, f"flux: {len(rows)} times at radius {radius:g} -> {path}")
+    return ("flux.csv", ReportTable(("t", "radius", "flux"), tuple(rows)),
+            f"flux: {len(rows)} times at radius {radius:g}")
 
 
-def _cmd_build_polygonal(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_build_polygonal(scen: Scenario, out: Path) -> tuple:
     rows = []
-    written = []
     for idx in (1, 2):
         verts = scen.options.get(f"vertices{idx}")
         if verts is None:
@@ -410,47 +385,40 @@ def _cmd_build_polygonal(scen: Scenario, out: Path, tol, quiet: bool) -> None:
                 f"vertices{idx} must be rows of [t, x, y, z]"
             ) from exc
         traj = polygonal_from_vertices(pairs, scen.particles[idx - 1])
-        traj_path = out / f"trajectory{idx}.json"
-        save_trajectory(traj, traj_path)
-        written.append(traj_path)
+        save_trajectory(traj, out / f"trajectory{idx}.json")
         rows.append((f"max_speed{idx}", traj.max_speed()))
         rows.append((f"segments{idx}", len(traj.segments)))
     if not rows:
         raise ConfigError("build-polygonal needs vertices1 or vertices2")
-    path = out / "build.csv"
-    emit_report(ReportTable(("quantity", "value"), tuple(rows)), path)
-    _say(quiet, f"built {len(written)} polygonal trajectories -> {path}")
+    return ("build.csv", ReportTable(("quantity", "value"), tuple(rows)),
+            f"built {len(rows) // 2} polygonal trajectories")
 
 
-def _cmd_construct_partner(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj2=True, family=True)
     dirs = _directions(scen.options, 32)
     if scen.options.get("t1_grid") is None:
         raise ConfigError("construct-partner options need a t1_grid")
     t1_grid = _option(scen.options, "t1_grid", _t1_grid)
-    spread_tol = float(tol) if tol is not None else _option(
-        scen.options, "spread_tol", json_number, 1e-6)
     traj1, report = construct_partner(
         scen.traj2,
         scen.family,
         dirs,
         t1_grid,
-        spread_tol=spread_tol,
+        spread_tol=_option(scen.options, "spread_tol", json_number, 1e-6),
         particle=scen.particles[0],
         fit=scen.options.get("fit", "auto"),
     )
-    traj_path = out / "partner.json"
-    save_trajectory(traj1, traj_path)
+    save_trajectory(traj1, out / "partner.json")
     rows = tuple(
         (t, x[0], x[1], x[2], s)
         for t, x, s in zip(report.t1_grid, report.positions, report.spreads)
     )
-    path = out / "partner.csv"
-    emit_report(ReportTable(("t1", "x", "y", "z", "spread"), rows), path)
-    _say(quiet, f"partner spread {report.max_spread:.3g} -> {traj_path}")
+    return ("partner.csv", ReportTable(("t1", "x", "y", "z", "spread"), rows),
+            f"partner spread {report.max_spread:.3g}")
 
 
-def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_sewing_chain(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
@@ -467,20 +435,17 @@ def _cmd_sewing_chain(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     rows = tuple(
         (i, particle, t) for i, (particle, t) in enumerate(chain.entries)
     )
-    path = out / "chain.csv"
-    emit_report(ReportTable(("index", "particle", "time"), rows), path)
     note = " (truncated)" if chain.truncated else ""
-    _say(quiet, f"chain of {len(rows)} break times{note} -> {path}")
+    return ("chain.csv", ReportTable(("index", "particle", "time"), rows),
+            f"chain of {len(rows)} break times{note}")
 
 
-def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
+def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True, boundary=True)
     kinds = {"gtol": json_number, "max_iter": as_count, "el_tol": json_number,
              "break_tol": json_number}
     opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
             if k in scen.options}
-    if tol is not None:
-        opts["gtol"] = float(tol)
     break_times = scen.options.get("break_times")
     if break_times is not None:
         try:
@@ -499,21 +464,20 @@ def _cmd_minimize(scen: Scenario, out: Path, tol, quiet: bool) -> None:
     traj1, traj2, report = minimize(scen.boundary, init, opts, kappa=scen.kappa)
     save_trajectory(traj1, out / "minimized1.json")
     save_trajectory(traj2, out / "minimized2.json")
-    path = out / "minimize.csv"
-    emit_report(report, path)
-    _say(quiet, f"minimize: action {report.action:.12g}, "
-                f"converged {int(report.converged)} -> {path}")
+    return "minimize.csv", report, (f"minimize: action {report.action:.12g}, "
+                                    f"converged {int(report.converged)}")
 
 
+# each command's handler and the option `--tol` overrides (None: ignored)
 _COMMANDS = {
-    "action": _cmd_action,
-    "verify": _cmd_verify,
-    "gah-scan": _cmd_gah_scan,
-    "flux": _cmd_flux,
-    "build-polygonal": _cmd_build_polygonal,
-    "construct-partner": _cmd_construct_partner,
-    "sewing-chain": _cmd_sewing_chain,
-    "minimize": _cmd_minimize,
+    "action": (_cmd_action, None),
+    "verify": (_cmd_verify, "el_tol"),
+    "gah-scan": (_cmd_gah_scan, "guard"),
+    "flux": (_cmd_flux, "guard"),
+    "build-polygonal": (_cmd_build_polygonal, None),
+    "construct-partner": (_cmd_construct_partner, "spread_tol"),
+    "sewing-chain": (_cmd_sewing_chain, None),
+    "minimize": (_cmd_minimize, "gtol"),
 }
 
 
@@ -528,22 +492,32 @@ def _diagnostic(exc: Exception) -> str:
 
 def run(command: str, scenario_path, out_dir=None, tol=None,
         quiet: bool = False) -> int:
-    """Run one command against a scenario file; returns the exit code."""
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    """Run one command against a scenario file; returns the exit code.
+
+    `tol` replaces the command's `_COMMANDS` option, if it has one; the
+    handler's report goes to its CSV and its summary, unless `quiet`, to
+    stdout."""
+    if command not in _COMMANDS:
         print(
             f"unknown command {command!r}; expected one of "
             + ", ".join(sorted(_COMMANDS)),
             file=sys.stderr,
         )
         return 2
+    handler, tol_option = _COMMANDS[command]
     try:
         if tol is not None and not np.isfinite(tol):
             raise ConfigError(f"--tol must be a finite number, got {tol!r}")
         scen = load_scenario(scenario_path)
+        if tol is not None and tol_option is not None:
+            scen = replace(scen, options={**scen.options, tol_option: float(tol)})
         out = Path(out_dir) if out_dir is not None else Path(scenario_path).resolve().parent
         out.mkdir(parents=True, exist_ok=True)
-        handler(scen, out, tol, quiet)
+        csv_name, report, summary = handler(scen, out)
+        path = out / csv_name
+        emit_report(report, path)
+        if not quiet:
+            print(f"{summary} -> {path}")
     except WfvarError as exc:
         print(_diagnostic(exc), file=sys.stderr)
         return 1

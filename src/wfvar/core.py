@@ -162,14 +162,15 @@ def _order(order) -> int:
     raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
 
 
-def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
+def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> "PackedChain":
     """Check the cells with knots ``ts`` (n+1 times) and coefficients
     (n, 3, K) once per chain, give each of the n ``segments`` its read-only
-    coefficients, and judge their speeds; returns the `_cell_rows`.
+    coefficients, and judge their speeds; returns the cells' `PackedChain`.
 
     The one validation rule of every segment.  The speed rule: |v(u)| <=
-    sum_k |v_k| u^k on [0, h], so a segment whose bound stays 1e-9 below 1
-    passes, and the exact `Segment.max_speed` judges the rest alone.
+    sum_k |v_k| u^k on [0, h] (`PackedChain.bounds`), so a segment whose
+    bound stays 1e-9 below 1 passes, and the exact `Segment.max_speed`
+    judges the rest alone.
     """
     if not all(map(math.isfinite, ts)):
         raise DomainError("segment times must be finite")
@@ -179,24 +180,18 @@ def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> tuple:
     if not np.isfinite(coeffs).all():
         raise DomainError("segment coefficients must be finite")
     coeffs.setflags(write=False)
-    rows = _cell_rows(coeffs)
+    packed = PackedChain(np.array(ts, dtype=float), _cell_rows(coeffs))
     for seg, c in zip(segments, coeffs):
         seg.__dict__["coeffs"] = c
     if segments[0].check_speed:
-        norms = np.sqrt((rows[1] * rows[1]).sum(axis=-2))
-        bound = norms[:, -1]
-        if norms.shape[-1] > 1:  # sum_k |v_k| h^k by Horner
-            h = np.subtract(ts[1:], ts[:-1])
-            for k in range(norms.shape[-1] - 2, -1, -1):
-                bound = norms[:, k] + bound * h
-        passed = bound < 1.0 - 1e-9
+        passed = packed.bounds(slice(None), 1) < 1.0 - 1e-9
         if not passed.all():
             for seg in (segments[i] for i in np.flatnonzero(~passed).tolist()):
                 speed = seg.max_speed()
                 if speed >= 1.0:
                     raise SuperluminalError(
                         f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1")
-    return rows
+    return packed
 
 
 @dataclass(frozen=True)
@@ -330,6 +325,19 @@ class PackedChain:
             coeffs[i, :, : s.coeffs.shape[1]] = s.coeffs
         return cls(knots, _cell_rows(coeffs))
 
+    def bounds(self, cells, order: int = 0) -> np.ndarray:
+        """sum_k |c_k| h^k of the order-`order` rows c of cells `cells` (an
+        index, an index array or a slice), h each cell's width: a bound on
+        |x|, |v| or |a| over each cell."""
+        c = self.rows[_order(order)][cells]
+        sq = c * c
+        norms = np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+        h = (self.knots[1:] - self.knots[:-1])[cells]
+        bound = norms[..., -1]
+        for k in range(norms.shape[-1] - 2, -1, -1):  # by Horner
+            bound = norms[..., k] + bound * h
+        return bound
+
     def junction_gaps(self) -> np.ndarray:
         """|position gap| at each interior knot: the left limit against the
         right one."""
@@ -415,6 +423,21 @@ class SegmentChain:
         junctions = self.packed.knots[1:-1]
         return np.searchsorted(junctions, ts, side=side.value)
 
+    def nearest_junctions(self, ts, width) -> tuple:
+        """(j, near) for each of the times ``ts``: j is the junction before
+        t if it lies within ``width`` (one, or one per time), else the one
+        at or after t, and near is |j - t| < width; without junctions j is
+        ``ts`` and near is all False."""
+        ts = np.asarray(ts, dtype=float)
+        junctions = self.packed.knots[1:-1]
+        if not junctions.size:
+            return ts, np.zeros(ts.shape, dtype=bool)
+        i = np.searchsorted(junctions, ts)
+        before = junctions[np.maximum(i - 1, 0)]
+        after = junctions[np.minimum(i, junctions.size - 1)]
+        j = np.where((i > 0) & (ts - before < width), before, after)
+        return j, np.abs(j - ts) < width
+
     def evaluate(self, ts, order: int = 0, side: Side = Side.RIGHT) -> np.ndarray:
         """Position (order 0), velocity (1) or acceleration (2) at each of the
         times ``ts`` ((M,)), as an (M, 3) array, or at one time as a (3,)
@@ -463,9 +486,9 @@ def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
     and coefficients (n, 3, K), ascending powers of t - knots[i].
 
     Makes the segments by `_fill_segments`, without running
-    `Segment.__post_init__`, and seeds the chain's `PackedChain` from the
-    same arrays before the chain's own ``__post_init__`` runs, so neither
-    that nor the first evaluation packs it.
+    `Segment.__post_init__`, and seeds the chain with the `PackedChain` it
+    returns before the chain's own ``__post_init__`` runs, so neither that
+    nor the first evaluation packs it.
     """
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or knots.size < 2:
@@ -474,9 +497,9 @@ def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
     segs = [object.__new__(Segment) for _ in ts[1:]]
     for seg, t0, t1 in zip(segs, ts, ts[1:]):
         seg.__dict__.update(t_start=t0, t_end=t1, check_speed=check_speed)
-    rows = _fill_segments(segs, ts, np.ascontiguousarray(coeffs, dtype=float))
+    packed = _fill_segments(segs, ts, np.ascontiguousarray(coeffs, dtype=float))
     chain = object.__new__(cls)
-    object.__setattr__(chain, "_packed", PackedChain(knots, rows))
+    object.__setattr__(chain, "_packed", packed)
     chain.__init__(tuple(segs), *fields)
     return chain
 

@@ -39,18 +39,6 @@ def _dot(a, b):
     return (a * b).sum(axis=-1)
 
 
-def _near_break(traj: PiecewiseTrajectory, t_k: np.ndarray, guard: float) -> np.ndarray:
-    """Whether a junction lies within `guard` of each time t_k; only the two
-    junctions around a time can be the nearest."""
-    junctions = traj.packed.knots[1:-1]
-    if not junctions.size:
-        return np.zeros(t_k.shape, dtype=bool)
-    i = np.searchsorted(junctions, t_k)
-    below = junctions[np.maximum(i - 1, 0)]
-    above = junctions[np.minimum(i, junctions.size - 1)]
-    return (np.abs(t_k - below) < guard) | (np.abs(t_k - above) < guard)
-
-
 def _far_kinematics(traj, t, n, R, branch):
     """Far cone time with the right-sided velocity and acceleration there."""
     t_k = far_cone_time(traj, t, n, R, branch)
@@ -133,7 +121,7 @@ def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=_lw_
     for traj in trajs:
         for branch in branches:
             t_k = far_cone_times(traj, t, dirs, R, branch)
-            defined &= ~_near_break(traj, t_k, guard)
+            defined &= ~traj.nearest_junctions(t_k, guard)[1]
             v, a = traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
             totals[branch] += field(traj.particle.charge, dirs, R, v, a, branch)
     return totals, defined

@@ -33,6 +33,10 @@ __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
+#: a cell's rounding floor per unit of its `PackedChain.bounds`: about the
+#: rounding of a position read on the cell, which no residual there can
+#: beat, so a lane that would raise is accepted within the floor
+_FLOOR = 100.0 * _EPS
 
 #: cone distances below this are a collision of the two charges
 COLLISION_R = 1e-9
@@ -46,21 +50,6 @@ def _cone_tol(t, t_k, r, tight: bool, maximum=max):
     if tight:
         return 1e-13 * maximum(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + abs(r))
     return 1e-12 * maximum(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
-
-
-def _rounding_floor(packed, cells):
-    """100 eps times the magnitude sum_k |c_k| h^k of cells `cells` of a
-    packed chain: about the rounding of a position read on such a cell,
-    which no residual there can beat.  A lane that would raise for a
-    residual above its tolerance is accepted within this floor."""
-    c = packed.rows[0][cells]
-    sq = c * c
-    norms = np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
-    h = packed.knots[cells + 1] - packed.knots[cells]
-    bound = norms[..., -1]
-    for k in range(norms.shape[-1] - 2, -1, -1):
-        bound = norms[..., k] + bound * h
-    return 100.0 * _EPS * bound
 
 
 class Branch(Enum):
@@ -158,7 +147,7 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
                 step = 0.5 * (a + b)
             if step == s:
                 if (abs(g) > _cone_tol(t, s, r, False)
-                        and abs(g) > _rounding_floor(traj.packed, k - 1)):
+                        and abs(g) > _FLOOR * traj.packed.bounds(k - 1)):
                     raise ConvergenceError(f"cone residual {g:.3g} at t_k={s}")
                 t_k = s
                 break
@@ -166,7 +155,7 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
         else:
             g, _, r = residual(s, seg)
             if (abs(g) > _cone_tol(t, s, r, False)
-                    and abs(g) > _rounding_floor(traj.packed, k - 1)):
+                    and abs(g) > _FLOOR * traj.packed.bounds(k - 1)):
                 raise ConeSolveError(
                     f"{branch.value} cone root of event t={t} did not converge: "
                     f"residual {g:.3g} after {_MAX_ITER} iterations", (t, x), branch)
@@ -190,7 +179,7 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
             raise InsufficientHistoryError(
                 f"{branch.value} cone of event t={t} exits the domain "
                 f"[{traj.t_start}, {traj.t_end}]")
-        if abs(g) > _rounding_floor(traj.packed, int(traj.segment_indices(t_k))):
+        if abs(g) > _FLOOR * traj.packed.bounds(int(traj.segment_indices(t_k))):
             raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
     if r < COLLISION_R:
         raise CollisionError(f"cone distance {r} below {COLLISION_R} at t={t}")
@@ -269,11 +258,12 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     inside segment k - 1: Newton from the secant point, bisection whenever
     a step leaves the bracket, one polishing step and the _MAX_ITER budget;
     a lane that stalls or spends the budget must meet `tol` or its cell's
-    `_rounding_floor`.  Every other lane keeps knot min(k, last): its root,
-    or the domain end its root lies past.  `event(lane)` is the (event,
-    Branch) pair a ConeSolveError of that lane names: a non-finite event
-    time raises one for the first such lane before any search.  `cone_time`
-    is the same loop on floats, step for step.
+    rounding floor, `_FLOOR` times its `PackedChain.bounds`.  Every other
+    lane keeps knot min(k, last): its root, or the domain end its root lies
+    past.  `event(lane)` is the (event, Branch) pair a ConeSolveError of
+    that lane names: a non-finite event time raises one for the first such
+    lane before any search.  `cone_time` is the same loop on floats, step
+    for step.
     """
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
@@ -316,7 +306,7 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
         stalled = ~done & (step == s)
         off = stalled & (np.abs(g) > tol(lanes, s, aux, False))
         if off.any():
-            off &= np.abs(g) > _rounding_floor(packed, seg)
+            off &= np.abs(g) > _FLOOR * packed.bounds(seg)
         if off.any():
             raise ConvergenceError(f"{what} residual {g[off][0]:.3g} at t_k={s[off][0]}")
         t_k[lanes[stalled]] = s[stalled]
@@ -326,7 +316,7 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
         g, aux = residual(lanes, s, packed.at(seg, s))
         off = np.abs(g) > tol(lanes, s, aux, False)
         if off.any():
-            off &= np.abs(g) > _rounding_floor(packed, seg)
+            off &= np.abs(g) > _FLOOR * packed.bounds(seg)
         if off.any():
             at, branch = event(lanes[off][0])
             raise ConeSolveError(
@@ -346,7 +336,7 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
 
     Each lane is bracketed between two knots of the chain and solved by
     Newton with bisection (`_lane_roots`) under the `_cone_tol` tolerances,
-    each widened to its cell's `_rounding_floor` where a lane would
+    each widened to its cell's rounding floor (`_FLOOR`) where a lane would
     otherwise fail to converge, and the _MAX_ITER budget.  A root past a
     domain end returns that end when the end's residual is within tolerance
     and raises InsufficientHistoryError otherwise; a root within 1e-9
@@ -412,24 +402,18 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
 
     # snap to the junction before t_k if it is within 1e-9, else to the one
     # at or after it, if that is
-    junctions = packed.knots[1:-1]
-    if junctions.size:
-        i = np.searchsorted(junctions, t_k)
-        before = junctions[np.maximum(i - 1, 0)]
-        after = junctions[np.minimum(i, junctions.size - 1)]
-        near = 1e-9 * np.maximum(1.0, np.abs(t_k))
-        j = np.where((i > 0) & (t_k - before < near), before, after)
-        lanes = np.flatnonzero((j != t_k) & (np.abs(j - t_k) < near))
-        j = j[lanes]
-        gj, aux = residual(lanes, j, traj.evaluate(j))
-        snap = np.abs(gj) <= tol(lanes, j, aux, False)
-        t_k[lanes[snap]] = j[snap]
+    j, near = traj.nearest_junctions(t_k, 1e-9 * np.maximum(1.0, np.abs(t_k)))
+    lanes = np.flatnonzero(near & (j != t_k))
+    j = j[lanes]
+    gj, aux = residual(lanes, j, traj.evaluate(j))
+    snap = np.abs(gj) <= tol(lanes, j, aux, False)
+    t_k[lanes[snap]] = j[snap]
 
     index = traj.segment_indices(t_k)
     g, (d, r) = residual(slice(None), t_k, packed.at(index, t_k))
     off = np.abs(g) > tol(slice(None), t_k, (d, r), False)
     if off.any():  # a lane left in the domain also passes within its cell's floor
-        off &= exits | (np.abs(g) > _rounding_floor(packed, index))
+        off &= exits | (np.abs(g) > _FLOOR * packed.bounds(index))
     close = r < COLLISION_R
     failed = np.flatnonzero(off | close)
     if failed.size:

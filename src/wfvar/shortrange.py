@@ -237,8 +237,7 @@ class SeparationFamilyParams:
 
     def _evaluate(self, maps: tuple, sigma, n) -> np.ndarray:
         """The maps of interval `sigma` (one, or one per row) at direction
-        rows n, one call per interval present."""
-        n = unit_directions(n)
+        rows n, already checked, one call per interval present."""
         shape = np.broadcast_shapes(n.shape[:-1], np.shape(sigma))
         rows = np.broadcast_to(n, shape + (3,)).reshape(-1, 3)
         sigmas = np.broadcast_to(sigma, shape).reshape(-1)
@@ -253,10 +252,10 @@ class SeparationFamilyParams:
         return out.reshape(shape + (3,))
 
     def d_sigma(self, sigma, n) -> np.ndarray:
-        return self._evaluate(self.d_raw, sigma, n)
+        return self._evaluate(self.d_raw, sigma, unit_directions(n))
 
     def l_sigma(self, sigma, n) -> np.ndarray:
-        return self._evaluate(self.l_raw, sigma, n)
+        return self._evaluate(self.l_raw, sigma, unit_directions(n))
 
     def validate(self, samples: int = 32, tol: float = 1e-12) -> None:
         """Check transversality and boundedness on a direction sample."""
@@ -280,15 +279,15 @@ def separation_family(params: SeparationFamilyParams, t, n, dt12) -> np.ndarray:
     """Required separation x1(t1) - x2(t2) at sphere time t and direction n:
     (3,) for a float time and one direction, (M, 3) for (M,) times or
     (M, 3) direction rows."""
-    return _separation(params, t, n, dt12)[0]
+    return _separation(params, t, unit_directions(n), dt12)[0]
 
 
 def _separation(params, t, n, dt12) -> tuple:
-    """`separation_family` and the L_sigma rows it read."""
-    n = unit_directions(n)
+    """`separation_family` at checked direction rows n, and the L_sigma
+    rows it read."""
     sigma = params.interval_index(t)
-    d = params.d_sigma(sigma, n)
-    l_vec = params.l_sigma(sigma, n)
+    d = params._evaluate(params.d_raw, sigma, n)
+    l_vec = params._evaluate(params.l_raw, sigma, n)
     lever = np.asarray(t - params.t_edges[sigma])[..., None]
     return d + np.asarray(dt12)[..., None] * n - lever * cross(n, l_vec), l_vec
 
@@ -518,6 +517,8 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     """
     params.validate()
     n_grid = np.atleast_2d(np.asarray(n_grid, dtype=float))
+    if not np.isfinite(n_grid).all():
+        raise DomainError("non-finite direction components")
     norms = np.linalg.norm(n_grid, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise DomainError("direction vectors must be nonzero")

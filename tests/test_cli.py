@@ -70,6 +70,26 @@ def segments_scenario(t0, t1, x=0.0):
             "boundary": {"start_time": -1.0, "end_time": 1.0}}
 
 
+def kinked_record(x):
+    """A charge resting at (x, 0, 0) whose chain has a junction at t = 0."""
+    return {"kind": "polygonal",
+            "vertices": [[-50.0, x, 0.0, 0.0], [0.0, x, 0.0, 0.0], [50.0, x, 0.0, 0.0]]}
+
+
+def exact_minimize_scenario(**options):
+    """A uniform line against a static partner 1e6 away, already a solution."""
+    far = 2.5e6
+    return base_scenario(
+        trajectory1={"kind": "polygonal",
+                     "vertices": [[-far, -0.3 * far, -0.1 * far, 0.0],
+                                  [far, 0.3 * far, 0.1 * far, 0.0]]},
+        trajectory2={"kind": "polygonal",
+                     "vertices": [[-far, 1.0e6, 0.0, 0.0], [far, 1.0e6, 0.0, 0.0]]},
+        boundary={"start_time": -1.0, "end_time": 1.0},
+        options={"nodes_per_segment": 3, "max_iter": 5, **options},
+    )
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -590,6 +610,16 @@ class TestFlux:
                    out_dir=tmp_path / "out") == 1
         assert "radius" in capsys.readouterr().err
 
+    def test_non_positive_radius_is_a_domain_error(self, tmp_path, capsys):
+        # the sphere-radius rule of `farfield` judges the option
+        data = base_scenario(trajectory1=static_record(0.0, 0.0, 0.0),
+                             options={"times": [0.0], "radius": -1.0})
+        assert run("flux", write_scenario(tmp_path, data),
+                   out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: domain: sphere radius") and "-1.0" in err[0], err
+
 
 class TestBuildPolygonal:
     def test_writes_trajectories_and_report(self, tmp_path):
@@ -662,20 +692,7 @@ class TestSewingChain:
 
 class TestMinimize:
     def test_exact_solution_round_trip(self, tmp_path):
-        far = 2.5e6
-        data = base_scenario(
-            trajectory1={
-                "kind": "polygonal",
-                "vertices": [[-far, -0.3 * far, -0.1 * far, 0.0],
-                             [far, 0.3 * far, 0.1 * far, 0.0]],
-            },
-            trajectory2={
-                "kind": "polygonal",
-                "vertices": [[-far, 1.0e6, 0.0, 0.0], [far, 1.0e6, 0.0, 0.0]],
-            },
-            boundary={"start_time": -1.0, "end_time": 1.0},
-            options={"nodes_per_segment": 3, "gtol": 1e-8, "max_iter": 5},
-        )
+        data = exact_minimize_scenario(gtol=1e-8)
         out = tmp_path / "out"
         assert run("minimize", write_scenario(tmp_path, data), out_dir=out,
                    quiet=True) == 0
@@ -687,6 +704,57 @@ class TestMinimize:
                                    atol=1e-8)
         np.testing.assert_allclose(refined.velocity(0.5), [0.3, 0.1, 0.0],
                                    atol=1e-8)
+
+
+# command, the option `--tol` replaces, a `--tol` value that changes the
+# outcome, and a scenario
+TOL_CASES = {
+    # el_tol 1.0 passes the static pair's EL residual of 0.25
+    "verify": ("verify", "el_tol", 1.0, base_scenario(
+        **static_pair(), boundary={"start_time": -2.0, "end_time": 2.0}, options={})),
+    # a guard band of 100 around t = 0 holds every cone time
+    "gah-scan": ("gah-scan", "guard", 100.0, base_scenario(
+        trajectory1=kinked_record(0.0), trajectory2=kinked_record(2.0),
+        options={"times": [0.5], "directions": 3})),
+    "flux": ("flux", "guard", 100.0, base_scenario(
+        trajectory1=kinked_record(0.0),
+        options={"times": [0.5], "radius": 5.0, "mesh": [3, 5]})),
+    # the spread of the fixed point is a few 1e-16
+    "construct-partner": ("construct-partner", "spread_tol", 1e-17, base_scenario(
+        trajectory2=static_record(0.0, 0.0, 0.0), family=harmonic_family(),
+        options={"directions": 8, "t1_grid": [-3.0, 3.0, 7]})),
+    # no step meets gtol 1e-30, so the minimizer spends max_iter
+    "minimize": ("minimize", "gtol", 1e-30, exact_minimize_scenario()),
+}
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("name", sorted(TOL_CASES))
+    def test_tol_replaces_the_commands_option(self, tmp_path, capsys, name):
+        command, key, tol, data = TOL_CASES[name]
+
+        def outcome(label, options, tol=None):
+            """Exit code, stderr and every output file of one run."""
+            scenario = {**data, "options": {**data["options"], **options}}
+            out = tmp_path / label
+            code = run(command, write_scenario(tmp_path, scenario, f"{label}.json"),
+                       out_dir=out, tol=tol, quiet=True)
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            return code, capsys.readouterr().err, files
+
+        via_tol = outcome("tol", {}, tol)
+        assert via_tol == outcome("option", {key: tol})
+        assert via_tol != outcome("default", {})
+        # the scenario's own value is never read, malformed or not
+        assert via_tol == outcome("malformed", {key: "abc"}, tol)
+
+    def test_action_ignores_tol(self, tmp_path):
+        path = write_scenario(tmp_path, TOL_CASES["verify"][3])
+        blobs = []
+        for label, tol in (("plain", None), ("tol", 1e-30)):
+            assert run("action", path, out_dir=tmp_path / label, tol=tol, quiet=True) == 0
+            blobs.append((tmp_path / label / "action.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestMain:
@@ -707,6 +775,13 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert "gah scan" in capsys.readouterr().out
+
+    def test_summary_names_the_report_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, TOL_CASES["construct-partner"][3])
+        assert run("construct-partner", path, out_dir=out) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("partner spread ") and line.endswith(f" -> {out / 'partner.csv'}")
 
     def test_default_out_is_scenario_directory(self, tmp_path):
         data = base_scenario(**static_pair(), options={"times": [0.0], "directions": 3})

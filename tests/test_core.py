@@ -596,6 +596,60 @@ class TestValidation:
         assert abs(validate(traj).max_speed - dense) < 1e-9
 
 
+def mixed_chain():
+    """A cubic cell, a line and a resting cell, with junctions at 0.7 and 2."""
+    return hermite_trajectory(
+        [0.0, 0.7, 2.0, 2.5],
+        [vec3(0, 0, 0), vec3(0.2, -0.1, 0.05), vec3(-0.1, 0.3, 0.0), vec3(-0.1, 0.3, 0.0)],
+        [vec3(0.1, 0, 0), vec3(-0.3, 0.2, 0.1), vec3(0, 0, 0), vec3(0, 0, 0)],
+        ELECTRON,
+    )
+
+
+class TestCellBounds:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_horner_sum_of_row_norms(self, order):
+        traj = mixed_chain()
+        bounds = traj.packed.bounds(slice(None), order)
+        for i, seg in enumerate(traj.segments):
+            rows = npoly.polyder(seg.coeffs.T, order) if order else seg.coeffs.T
+            h = seg.t_end - seg.t_start
+            norms = np.sqrt((rows * rows).sum(axis=1))
+            assert bounds[i] == pytest.approx(float(norms @ h ** np.arange(norms.size)),
+                                              rel=1e-15)
+            # a bound on the row's values over the cell
+            u = np.linspace(0.0, h, 101)
+            values = np.array([seg.at(t, order) for t in (seg.t_start + u).tolist()])
+            assert np.sqrt((values * values).sum(axis=1)).max() <= bounds[i] * (1 + 1e-15)
+
+    def test_one_cell_an_index_array_and_a_slice_agree(self):
+        packed = mixed_chain().packed
+        every = packed.bounds(slice(None))
+        assert bits([packed.bounds(k) for k in range(3)]) == bits(every)
+        assert bits(packed.bounds(np.array([2, 0]))) == bits(every[[2, 0]])
+
+
+class TestNearestJunctions:
+    def test_before_within_width_else_at_or_after(self):
+        traj = mixed_chain()  # junctions at 0.7 and 2.0
+        ts = np.array([0.0, 0.68, 0.7, 0.705, 1.0, 1.995, 2.0, 2.005, 2.5])
+        j, near = traj.nearest_junctions(ts, 0.01)
+        assert j.tolist() == [0.7, 0.7, 0.7, 0.7, 2.0, 2.0, 2.0, 2.0, 2.0]
+        assert near.tolist() == [False, False, True, True, False, True, True, True, False]
+
+    def test_a_width_per_time(self):
+        traj = mixed_chain()
+        j, near = traj.nearest_junctions([0.75, 0.75, 1.95], [0.01, 0.1, 0.1])
+        assert j.tolist() == [2.0, 0.7, 2.0]
+        assert near.tolist() == [False, True, True]
+
+    def test_no_junctions_is_never_near(self):
+        line = polygonal_from_vertices([(0.0, [0, 0, 0]), (1.0, [0.1, 0, 0])], ELECTRON)
+        j, near = line.nearest_junctions([0.0, 0.5, 1.0], 10.0)
+        assert j.tolist() == [0.0, 0.5, 1.0]
+        assert not near.any()
+
+
 class TestParticleParams:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):

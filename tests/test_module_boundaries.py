@@ -245,3 +245,38 @@ def test_one_rule_per_kinematic_input():
                                 and isinstance(side.value, float)
                                 for side in (node.left, *node.comparators))]
         assert speed_checks == [], name
+
+
+def attributes_read(path: Path) -> set:
+    """Attribute names one module reads (`x.name`)."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_cli_writes_every_report_in_run():
+    # each handler returns its CSV name, report and summary; `run` alone
+    # writes the report and prints the summary
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handlers = [name for name in funcs if name.startswith("_cmd_")]
+    assert len(handlers) == 8
+
+    def called(func) -> list:
+        return [getattr(node.func, "id", None) for node in ast.walk(func)
+                if isinstance(node, ast.Call)]
+
+    for name in handlers:
+        assert not {"emit_report", "print"} & set(called(funcs[name])), name
+    assert called(funcs["run"]).count("emit_report") == 1
+
+
+def test_cone_floor_reads_cell_bounds_from_core():
+    # the cone rounding floor takes `PackedChain.bounds`, one rule with the
+    # segment speed screen, instead of reading the chain's rows
+    for name in ("lightcone", "farfield"):
+        assert "rows" not in attributes_read(PACKAGE / f"{name}.py"), name
+
+
+def test_guard_band_reads_junctions_from_core():
+    # the guard band asks the chain for its nearest junctions
+    assert "packed" not in attributes_read(PACKAGE / "farfield.py")

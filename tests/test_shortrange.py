@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from wfvar.errors import (
     SuperluminalError,
 )
 from wfvar.farfield import gah_residual, latlong_mesh
-from wfvar.lightcone import Branch
+from wfvar import lightcone
+from wfvar.lightcone import Branch, unit_directions
 from wfvar import shortrange
 from wfvar.shortrange import (
     _real_sph_basis,
@@ -391,21 +393,22 @@ class TestDirectionRows:
             assert counts["family"] == counts["candidates"]
 
     def test_construct_partner_reads_the_l_rows_once_per_candidate_pass(self, monkeypatch):
-        # the position solve takes its L rows from the candidates' family call
+        # the position solve takes its L rows from the candidates' family
+        # call; `l_sigma` and `_separation` both read them through `_evaluate`
         rounds = newton_rounds(monkeypatch, 5)
         counts = {}
-        candidates, l_sigma = shortrange._candidates, SeparationFamilyParams.l_sigma
+        candidates, evaluate = shortrange._candidates, SeparationFamilyParams._evaluate
 
         def counted_candidates(*args):
             counts["candidates"] += 1
             return candidates(*args)
 
-        def counted_l_sigma(self, sigma, n):
-            counts["l_sigma"] += 1
-            return l_sigma(self, sigma, n)
+        def counted_evaluate(self, maps, sigma, n):
+            counts["l_sigma"] += maps is self.l_raw
+            return evaluate(self, maps, sigma, n)
 
         monkeypatch.setattr(shortrange, "_candidates", counted_candidates)
-        monkeypatch.setattr(SeparationFamilyParams, "l_sigma", counted_l_sigma)
+        monkeypatch.setattr(SeparationFamilyParams, "_evaluate", counted_evaluate)
         for grid_size in (5, 17):
             counts.update(candidates=0, l_sigma=0)
             params = construct_two_interval_partner(grid_size)
@@ -637,6 +640,31 @@ class TestKinematicInputs:
             k12(bad, [0, 0, 0], [1.0, 0, 0])
         with pytest.raises(DomainError):
             rigidity_check([0, 0, 0], bad, np.eye(3))
+
+
+    def test_partner_rejects_an_infinite_row_before_dividing(self):
+        # inf / inf once warned before the DomainError
+        traj2, params, grid, t1s = partner_setups()["static"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite direction components"):
+                construct_partner(traj2, params, np.vstack([grid, [np.inf, 0, 0]]), t1s)
+
+    def test_one_direction_check_per_candidate_pass(self, monkeypatch):
+        # the far-cone solve checks the rows; `_separation` trusts them
+        checked = []
+
+        def counted(dirs):
+            checked.append(np.shape(dirs))
+            return unit_directions(dirs)
+
+        monkeypatch.setattr(shortrange, "unit_directions", counted)
+        monkeypatch.setattr(lightcone, "unit_directions", counted)
+        traj2, params, _, _ = partner_setups()["static"]
+        t1s = np.linspace(-2.0, 2.0, 5)
+        shortrange._candidates(traj2, params, fibonacci_sphere(32), t1s,
+                               np.tile([0.0, 1.5, 0.0], (5, 1)))
+        assert checked == [(160, 3)]
 
 
 class TestSewingChain:
