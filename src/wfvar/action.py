@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BoundaryData, Perturbation, PiecewiseTrajectory, Side, merge_history,
-                   subluminal, time_window)
-from .errors import CollisionError, ConvergenceError, DomainError
+from .core import (BoundaryData, PackedChain, Perturbation, PiecewiseTrajectory, Side,
+                   merge_history, subluminal, time_window)
+from .errors import CollisionError, ConvergenceError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
 
 __all__ = [
@@ -123,32 +123,39 @@ def _branch_partials(v1, sol: ConeSolution):
             - N * (rho * grad_r + r * grad_rho) / (2.0 * r * r * rho * rho))
 
 
-def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                      t, side: Side, kappa: float) -> tuple:
-    """(dL/dx1, p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided
-    by `side`, from one state and one cone pair; `kappa` is the resolved
-    coupling.  p and e are the momentum and energy currents: (3,) rows and a
-    scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
+def _local_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                    t, side: Side, kappa: float) -> tuple:
+    """(v1, the cone pair, p, e) at time t of trajectory 1: `canonical_current`
+    with the velocity and cone pair that dL/dx1 is formed from."""
     x1, v1 = traj1.evaluate(t, 0, side), traj1.evaluate(t, 1, side)
     pair = cone_pair(partner, t, x1, side)
     W, w = branch_sums(pair)
     m_gamma = traj1.particle.mass * (1.0 / np.sqrt(1.0 - np.sum(v1 * v1, axis=-1)))
-    d_dx = sum(kappa * _branch_partials(v1, sol) for sol in pair)
-    return d_dx, m_gamma[..., None] * v1 - kappa * W, m_gamma - kappa * w
+    return v1, pair, m_gamma[..., None] * v1 - kappa * W, m_gamma - kappa * w
+
+
+def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                      t, side: Side, kappa: float) -> tuple:
+    """(p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided by
+    `side`, from one state and one cone pair; `kappa` is the resolved
+    coupling.  p and e are the momentum and energy currents: (3,) rows and a
+    scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
+    return _local_currents(traj1, partner, t, side, kappa)[2:]
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dx1 with the implicit cone-time dependence included."""
     k = coupling(traj1, partner, kappa)
-    return canonical_current(traj1, partner, t, side, k)[0]
+    v1, pair, _, _ = _local_currents(traj1, partner, t, side, k)
+    return sum(k * _branch_partials(v1, sol) for sol in pair)
 
 
 def lagrangian_velocity_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dv1; the cone condition involves positions only, so this is exact."""
     k = coupling(traj1, partner, kappa)
-    return canonical_current(traj1, partner, t, side, k)[1]
+    return canonical_current(traj1, partner, t, side, k)[0]
 
 
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -252,31 +259,30 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                         window: ActionWindow, boundary: BoundaryData,
                         b, kappa: float | None = None):
     """Directional derivative of the action along an admissible displacement
-    `b` (a float), or along each of a sequence of C displacements on one
-    domain ((C,) values from one mesh, one `cone_crossings`, one
-    `canonical_current` per quadrature level and one (ncross, C) jump matrix)."""
-    fields = [b] if isinstance(b, Perturbation) else list(b)
-    if len({(f.t_start, f.t_end) for f in fields}) > 1:
-        raise DomainError("the displacements of one first variation must share one domain")
-    for f in fields:
-        f.check_admissible(window.t_start, window.t_end)
-    lo = max([window.t_start] + [f.t_start for f in fields])
-    hi = min([window.t_end] + [f.t_end for f in fields])
-    if hi <= lo or not fields:  # no field, or its support misses the window
-        return 0.0 if isinstance(b, Perturbation) else np.zeros(len(fields))
+    `b`: a float along a `Perturbation`, (C,) values along a bundle of C
+    fields on one knot vector (a `PackedChain` with (nseg, C, 3, K) rows, as
+    `PackedChain.hermite` makes), from one mesh, one `cone_crossings`, and per
+    quadrature level one current, one searchsorted and one Horner per order."""
+    single = isinstance(b, Perturbation)
+    field = PackedChain(b.packed.knots, tuple(r[:, None] for r in b.packed.rows)) if single else b
+    field.check_admissible(window.t_start, window.t_end)
+    (start, end), count = field.knots[[0, -1]].tolist(), field.rows[0].shape[1]
+    lo, hi = max(window.t_start, start), min(window.t_end, end)
+    if hi <= lo or not count:  # no field, or its support misses the window
+        return 0.0 if single else np.zeros(count)
     partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
 
-    def rows(ts, order=0):  # (N, C, 3) field rows
-        return np.stack([f.evaluate(ts, order) for f in fields], axis=1)
-
     def integrand(ts):
-        d_dx, p, _ = canonical_current(traj1, partner, ts, Side.RIGHT, k)
-        return (_dot(d_dx[:, None], rows(ts)) + _dot(p[:, None], rows(ts, 1)))[..., 0]
+        v1, pair, p, _ = _local_currents(traj1, partner, ts, Side.RIGHT, k)
+        d_dx = sum(k * _branch_partials(v1, sol) for sol in pair)
+        i = np.searchsorted(field.knots[1:-1], ts, side="right")  # (N,) cells
+        return (_dot(d_dx[:, None], field.at(i, ts))
+                + _dot(p[:, None], field.at(i, ts, 1)))[..., 0]
 
     crossings = cone_crossings(traj1, partner, lo, hi)
     mesh = pullback_mesh(traj1, partner, lo, hi, crossings=crossings,
-                         extra=[t for f in fields for t in f.junction_times()])
+                         extra=field.knots[1:-1].tolist())
     totals = _integrate(integrand, mesh).tolist()
     if crossings:
         # Where a cone image crosses a partner breaking point, the delayed
@@ -293,10 +299,11 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         s = np.array([[-branch.sign] for _t, _tau, branch in crossings])
         adv, ret = pairs[Side.RIGHT]
         n_hat = np.where(s > 0, adv.n_hat, ret.n_hat)
-        dcross = -s * _dot(n_hat[:, None], rows(t1))[..., 0] / (1.0 + s * _dot(n_hat, v1))
+        b1 = field.at(np.searchsorted(field.knots[1:-1], t1, side="right"), t1)  # (ncross, C, 3)
+        dcross = -s * _dot(n_hat[:, None], b1)[..., 0] / (1.0 + s * _dot(n_hat, v1))
         jumps = (dens[Side.LEFT] - dens[Side.RIGHT])[:, None] * dcross
         totals = [sum(col, total) for col, total in zip(jumps.T.tolist(), totals)]
-    return totals[0] if isinstance(b, Perturbation) else np.array(totals)
+    return totals[0] if single else np.array(totals)
 
 
 def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

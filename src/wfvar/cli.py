@@ -35,8 +35,9 @@ from .core import (
     save_trajectory,
     trajectory_from_dict,
 )
-from .errors import ConfigError, WfvarError
+from .errors import ConfigError, DomainError, WfvarError
 from .farfield import GUARD_BAND, gah_residuals, latlong_mesh, sphere_flux
+from .lightcone import normalized_directions
 from .optimizer import MinimizerReport, discretize, minimize, one_sided_actions, verify
 from .shortrange import (
     SeparationFamilyParams,
@@ -289,10 +290,10 @@ def _directions(options: dict, default_count: int) -> np.ndarray:
     arr = _option(options, "directions", lambda v: json_numbers(v, rows=True))
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ConfigError("directions must be a count or a list of 3-vectors")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise ConfigError("direction vectors must be nonzero")
-    return arr / norms[:, None]
+    try:
+        return normalized_directions(arr)
+    except DomainError as exc:  # a zero row: the JSON reader rejects non-finite ones
+        raise ConfigError(str(exc)) from exc
 
 
 def _t1_grid(value) -> np.ndarray:

@@ -261,10 +261,6 @@ class Segment:
     def acceleration(self, t: float) -> Vec3:
         return np.array(self.at(float(t), 2))
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
-
     def max_speed(self) -> float:
         """Exact max |dx/dt| over the segment.
 
@@ -325,6 +321,14 @@ class PackedChain:
             coeffs[i, :, : s.coeffs.shape[1]] = s.coeffs
         return cls(knots, _cell_rows(coeffs))
 
+    @classmethod
+    def hermite(cls, times, positions, velocities, left_velocities=None) -> "PackedChain":
+        """The cubic-Hermite cells of `hermite_trajectory`, without segments:
+        (n, ..., 3) node rows give (nseg, ..., 3, K) cell rows, so (n, C, 3)
+        rows make a bundle of C fields on one knot vector."""
+        knots, coeffs = _hermite_cells(times, positions, velocities, left_velocities)
+        return cls(knots, _cell_rows(coeffs))
+
     def bounds(self, cells, order: int = 0) -> np.ndarray:
         """sum_k |c_k| h^k of the order-`order` rows c of cells `cells` (an
         index, an index array or a slice), h each cell's width: a bound on
@@ -347,13 +351,29 @@ class PackedChain:
     def at(self, index, ts, order: int = 0) -> np.ndarray:
         """(..., 3) values of segments ``index`` at times ``ts`` (both of one
         shape, (M,) or scalar), by Horner in ``Segment.at``'s operation
-        order: each lane is bit-identical to ``Segment.at``."""
+        order: each lane is bit-identical to ``Segment.at``.  Rows with a
+        field axis, (nseg, C, 3, K), give (..., C, 3) values."""
         c = self.rows[_order(order)][index]
-        u = (np.asarray(ts, dtype=float) - self.knots[index])[..., None]
+        u = np.asarray(ts, dtype=float) - self.knots[index]
+        u = u[(...,) + (None,) * (c.ndim - u.ndim - 1)]
         acc = c[..., -1] + u * 0
         for k in range(c.shape[-1] - 2, -1, -1):
             acc = c[..., k] + acc * u
         return acc
+
+    def check_admissible(self, t0: float, t1: float, tol: float = 1e-12) -> None:
+        """Raise ContractError unless every field, zero outside the domain,
+        vanishes at the window ends t0, t1 and, lest it tear the trajectory,
+        at any domain end inside the window."""
+        a, b = self.knots[[0, -1]].tolist()
+        if a >= t1 or b <= t0:
+            return  # zero on the whole window
+        ts = np.array([t for t in (t0, t1) if a <= t <= b] + [t for t in (a, b) if t0 < t < t1])
+        values = self.at(np.searchsorted(self.knots[1:-1], ts, side="right"), ts)
+        mags = np.linalg.norm(values.reshape(ts.size, -1, 3), axis=-1).max(axis=1, initial=0.0)
+        if (mags > tol).any():
+            i = int(np.argmax(mags > tol))
+            raise ContractError(f"perturbation must vanish at t={ts[i]}, |b|={mags[i]:.3g}")
 
 
 @dataclass(frozen=True)
@@ -505,24 +525,24 @@ def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
 
 
 def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
-    """Knots and (n, 3, 4) coefficients of the cubic-Hermite cells through
-    one (3,) position and velocity row per time; cell i ends with
-    ``left_velocities[i + 1]``, which defaults to ``velocities``."""
+    """Knots and (n, ..., 3, 4) coefficients of the cubic-Hermite cells
+    through one (..., 3) position and velocity row per time; cell i ends
+    with ``left_velocities[i + 1]``, which defaults to ``velocities``."""
     knots = np.asarray(times, dtype=float)
     if left_velocities is None:
         left_velocities = velocities
     nodes = [np.asarray(a, dtype=float) for a in (positions, velocities, left_velocities)]
     for name, a in zip(("positions", "velocities", "left velocities"), nodes):
-        if knots.ndim != 1 or a.shape != (knots.size, 3):
+        if knots.ndim != 1 or a.shape != (knots.size, *nodes[0].shape[1:-1], 3):
             raise DomainError(f"{name} need one (3,) row per time: got shape "
                               f"{a.shape} for {knots.size} times")
     x0, x1, v0, v1 = nodes[0][:-1], nodes[0][1:], nodes[1][:-1], nodes[2][1:]
     # powers of h on floats: numpy's array power differs in the last bit on some lanes
     powers = [(u, u**2, u**3) for u in (knots[1:] - knots[:-1]).tolist()]
-    h1, h2, h3 = np.array(powers, dtype=float).reshape(-1, 3, 1).transpose(1, 0, 2)
+    h1, h2, h3 = np.array(powers, dtype=float).T.reshape((3, -1) + (1,) * (x0.ndim - 1))
     c2 = 3.0 * (x1 - x0) / h2 - (2.0 * v0 + v1) / h1
     c3 = 2.0 * (x0 - x1) / h3 + (v0 + v1) / h2
-    return knots, np.array([x0, v0, c2, c3]).transpose(1, 2, 0)
+    return knots, np.moveaxis(np.array([x0, v0, c2, c3]), 0, -1)
 
 
 def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTrajectory:
@@ -653,21 +673,8 @@ class Perturbation(SegmentChain):
         return self.segment_at(t, side).velocity(t)
 
     def check_admissible(self, t0: float, t1: float, tol: float = 1e-12) -> None:
-        """Raise unless the zero-extension of b is continuous on [t0, t1] and
-        vanishes at both window endpoints.
-
-        b is treated as identically zero outside its own domain, so the
-        displacement must also vanish at any domain edge interior to the
-        window; otherwise the extension would tear the trajectory.
-        """
-        if self.t_start >= t1 or self.t_end <= t0:
-            return  # zero on the whole window
-        checkpoints = [t for t in (t0, t1) if self.t_start <= t <= self.t_end]
-        checkpoints += [t for t in (self.t_start, self.t_end) if t0 < t < t1]
-        for t in checkpoints:
-            mag = float(np.linalg.norm(self.value(t)))
-            if mag > tol:
-                raise ContractError(f"perturbation must vanish at t={t}, |b|={mag:.3g}")
+        """`PackedChain.check_admissible` of b's cells."""
+        self.packed.check_admissible(t0, t1, tol)
 
     @classmethod
     def tent(cls, t0: float, t_peak: float, t1: float, amplitude) -> "Perturbation":
@@ -679,29 +686,27 @@ class Perturbation(SegmentChain):
         return _chain(cls, [t0, t_peak, t1], coeffs, check_speed=False)
 
     @classmethod
-    def from_nodes(cls, times, values, velocities=None,
-                   left_velocities=None) -> "Perturbation":
+    def from_nodes(cls, times, values, velocities=None) -> "Perturbation":
         """Cubic-Hermite displacement through nodes (velocities default to
-        parabolic finite differences; ``left_velocities`` as in
-        `hermite_trajectory`)."""
+        parabolic finite differences)."""
         vals = np.asarray(values, dtype=float)
         if velocities is None:
             velocities = fd_node_velocities(times, vals)
-        knots, coeffs = _hermite_cells(times, vals, velocities, left_velocities)
+        knots, coeffs = _hermite_cells(times, vals, velocities)
         return _chain(cls, knots, coeffs, check_speed=False)
 
 
 def fd_node_velocities(times, values) -> np.ndarray:
-    """(n, 3) node derivative estimates of (n, 3) node values, exact for
-    quadratic data: the derivative at each node of the parabola through its
-    3-point stencil (the chord slope for two nodes)."""
+    """(n, ..., 3) node derivative estimates of (n, ..., 3) node values,
+    exact for quadratic data: the derivative at each node of the parabola
+    through its 3-point stencil (the chord slope for two nodes)."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size == 2:
         return np.array([(y[1] - y[0]) / (t[1] - t[0])] * 2)
     j = np.clip(np.arange(t.size) - 1, 0, t.size - 3)
-    t0, t1, t2 = t[j, None], t[j + 1, None], t[j + 2, None]
-    t = t[:, None]
+    t = t.reshape((-1,) + (1,) * (y.ndim - 1))
+    t0, t1, t2 = t[j], t[j + 1], t[j + 2]
     return (y[j] * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
             + y[j + 1] * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
             + y[j + 2] * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))

@@ -231,7 +231,8 @@ def latlong_mesh(n_theta: int = 17, n_phi: int = 35) -> SphereMesh:
 def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
               R: float, mesh: SphereMesh | None = None,
               guard: float = GUARD_BAND) -> list:
-    """Far-field samples over a whole direction mesh at one time."""
+    """Far-field samples over a whole direction mesh at one time, on the
+    sphere of radius R centred at the origin (see `sphere_flux`)."""
     mesh = latlong_mesh() if mesh is None else mesh
     _radius(R)
     totals, defined = _branch_totals((traj1, traj2), t, mesh.directions, R, guard)
@@ -249,6 +250,11 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     -|E_ret|^2, whose magnitude reduces to the classical dipole power for a
     slow source; the sign still marks outflow as negative.  Pass traj2=None
     for a single isolated charge.
+
+    The sphere is centred at the origin, so for a pair a distance d from it
+    each history must reach from about t - (R + d) to t + (R + d): a pair
+    moved about 1e3 away, with histories of a few hundred time units,
+    raises InsufficientHistoryError.
     """
     mesh = latlong_mesh() if mesh is None else mesh
     _radius(R)

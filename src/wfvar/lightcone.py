@@ -29,7 +29,7 @@ from .errors import (
 
 __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
            "cone_times", "far_cone_time", "far_cone_times", "influence_interval",
-           "unit_directions"]
+           "normalized_directions", "unit_directions"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
@@ -462,6 +462,23 @@ def unit_directions(dirs) -> np.ndarray:
             raise DomainError("non-finite direction components")
         raise DomainError(f"direction must be a unit vector, |n| = {norms[~unit][0]}")
     return dirs
+
+
+def normalized_directions(rows) -> np.ndarray:
+    """Direction rows over their norms, checked by `unit_directions`: the one
+    normalization of given directions.  A row whose sum of squares over- or
+    underflows is first divided by its largest |entry|; the others keep
+    ``np.linalg.norm``'s quotient.  A zero or non-finite row is a DomainError."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise DomainError("non-finite direction components")
+    largest = np.abs(rows).max(axis=-1, keepdims=True, initial=0.0)
+    if not largest.all():
+        raise DomainError("direction vectors must be nonzero")
+    with np.errstate(over="ignore", under="ignore"):
+        sq = (rows * rows).sum(axis=-1, keepdims=True)
+    rows = rows / np.where((sq == np.inf) | (sq < np.finfo(float).tiny), largest, 1.0)
+    return unit_directions(rows / np.sqrt((rows * rows).sum(axis=-1, keepdims=True)))
 
 
 def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,

@@ -49,7 +49,7 @@ def momentum_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                      kappa: float | None = None) -> Vec3:
     """Space part of the one-sided current at time t."""
     k = coupling(traj1, traj2, kappa)
-    return canonical_current(traj1, traj2, t, side, k)[1]
+    return canonical_current(traj1, traj2, t, side, k)[0]
 
 
 def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -57,7 +57,7 @@ def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                    kappa: float | None = None) -> float:
     """Time part of the one-sided current at time t."""
     k = coupling(traj1, traj2, kappa)
-    return canonical_current(traj1, traj2, t, side, k)[2]
+    return canonical_current(traj1, traj2, t, side, k)[1]
 
 
 def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -74,8 +74,8 @@ def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     if not ts.size:
         return []
     k = coupling(traj1, traj2, kappa)
-    _, p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, k)
-    _, p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, k)
+    p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, k)
+    p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, k)
     return [BreakResidual(t=t, dp=dp, de=de)
             for t, dp, de in zip(ts.tolist(), p_r - p_l, (e_r - e_l).tolist())]
 

@@ -26,8 +26,8 @@ import numpy as np
 from .action import ActionWindow, action, el_residual, frechet_directional
 from .core import (
     BoundaryData,
+    PackedChain,
     ParticleParams,
-    Perturbation,
     PiecewiseTrajectory,
     Side,
     as_count,
@@ -125,18 +125,17 @@ def _unpack_block(layout: ParticleLayout, block: np.ndarray,
 
 
 def _node_velocities(layout: ParticleLayout, times, positions, break_vels):
-    """Two one-sided velocities per node; finite differences within runs."""
-    n = times.size
-    vel_l = np.empty((n, 3))
-    vel_r = np.empty((n, 3))
-    bounds = [0, *layout.break_indices.tolist(), n - 1]
+    """Two one-sided velocities per node of (n, ..., 3) positions: finite
+    differences within runs, the (nb, 2, ..., 3) break velocities at breaks."""
+    vel_l = np.empty_like(positions)
+    vel_r = np.empty_like(positions)
+    bounds = [0, *layout.break_indices.tolist(), times.size - 1]
     for a, b in zip(bounds, bounds[1:]):
         fd = fd_node_velocities(times[a: b + 1], positions[a: b + 1])
         vel_l[a: b + 1] = fd
         vel_r[a: b + 1] = fd
-    for j, idx in enumerate(layout.break_indices):
-        vel_l[idx] = break_vels[j, 0]
-        vel_r[idx] = break_vels[j, 1]
+    vel_l[layout.break_indices] = break_vels[:, 0]
+    vel_r[layout.break_indices] = break_vels[:, 1]
     return vel_l, vel_r
 
 
@@ -224,26 +223,17 @@ def one_sided_actions(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
             action(traj2, traj1, win2, bd2, kappa=kappa))
 
 
-def _basis_perturbations(layout: ParticleLayout, block: np.ndarray,
-                         free_break_times: bool):
-    """Displacement field of each position/velocity coordinate.
-
-    The decode map is affine in the block, so differencing the node data at
-    unit coordinate offsets yields exact basis fields, each on the whole
-    node grid.  Freed time coordinates are not included (their derivatives
-    are formed by differencing the objective).
-    """
-    times, positions, break_vels = _unpack_block(layout, block, free_break_times)
+def _basis_fields(layout: ParticleLayout, times: np.ndarray) -> PackedChain:
+    """The displacement fields of the C position and velocity coordinates on
+    the node times, as one bundle: decode is affine, and its linear part
+    applied to the identity gives every field at once.  Freed time
+    coordinates are not included (the objective is differenced for them)."""
+    eye, n_int = np.eye(layout.size(free_break_times=False)), layout.n_interior
+    positions = np.zeros((n_int + 2, eye.shape[0], 3))  # the pinned ends stay zero
+    positions[1:-1] = eye[: 3 * n_int].reshape(n_int, 3, -1).transpose(0, 2, 1)
+    break_vels = eye[3 * n_int:].reshape(-1, 2, 3, eye.shape[0]).transpose(0, 1, 3, 2)
     vel_l, vel_r = _node_velocities(layout, times, positions, break_vels)
-    out = []
-    for j in range(layout.size(free_break_times=False)):
-        bumped = block.copy()
-        bumped[j] += 1.0
-        _, pos_b, vels_b = _unpack_block(layout, bumped, free_break_times)
-        vl_b, vr_b = _node_velocities(layout, times, pos_b, vels_b)
-        out.append(Perturbation.from_nodes(times, pos_b - positions, vr_b - vel_r,
-                                           left_velocities=vl_b - vel_l))
-    return out
+    return PackedChain.hermite(times, positions, vel_r, vel_l)
 
 
 @dataclass(frozen=True)
@@ -375,11 +365,11 @@ def _block_gradient(dv: DecisionVector, k: int, boundary: BoundaryData,
     layout = dv.layouts[k - 1]
     block = dv.theta[dv.block_slice(k)]
     win, bd = _primary_view(boundary, k)
-    basis = _basis_perturbations(layout, block, dv.free_break_times)
+    basis = _basis_fields(layout, _unpack_block(layout, block, dv.free_break_times)[0])
+    count = basis.rows[0].shape[1]
     g = np.empty(len(block))
-    g[:len(basis)] = frechet_directional(trajs[k - 1], trajs[2 - k], win, bd, basis,
-                                         kappa=kappa)
-    for j in range(len(basis), len(block)):  # freed breaking times
+    g[:count] = frechet_directional(trajs[k - 1], trajs[2 - k], win, bd, basis, kappa=kappa)
+    for j in range(count, len(block)):  # freed breaking times
         h = 1e-6 * max(1.0, abs(block[j]))
         g[j] = 0.0
         for sign in (1.0, -1.0):

@@ -45,7 +45,7 @@ from .errors import (
     InsufficientHistoryError,
     InsufficientSamplingError,
 )
-from .lightcone import Branch, cone_time, far_cone_times, unit_directions
+from .lightcone import Branch, cone_time, far_cone_times, normalized_directions, unit_directions
 
 DEFAULT_LMAX = 4
 
@@ -181,8 +181,11 @@ class SeparationFamilyParams:
         """Family generated by a pair of straight-line pieces per interval.
 
         Each piece is (p1, v1, p2, v2) with x_k(tau) = p_k + v_k tau on the
-        interval; D and L then have closed forms and the family is exactly
-        the one traced by a polygonal pair.
+        interval; D and L then have closed forms.  The family splits the
+        sphere time at the same edges for every direction, so it is exactly
+        the one traced by a polygonal pair only when the pair's breaks sit
+        at the spatial origin: a break at x appears in direction n at sphere
+        time tau - n.x (a pair shifted by one unit read a spread of 0.218).
         """
         t_edges = np.asarray(t_edges, dtype=float)
         clean = []
@@ -516,13 +519,7 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     candidates.
     """
     params.validate()
-    n_grid = np.atleast_2d(np.asarray(n_grid, dtype=float))
-    if not np.isfinite(n_grid).all():
-        raise DomainError("non-finite direction components")
-    norms = np.linalg.norm(n_grid, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DomainError("direction vectors must be nonzero")
-    n_grid = unit_directions(n_grid / norms)
+    n_grid = normalized_directions(np.atleast_2d(n_grid))
     _require_spanning(n_grid)
     t1s = np.asarray(t1_grid, dtype=float)
     if t1s.ndim != 1 or t1s.size < 2 or not np.all(np.diff(t1s) > 0):

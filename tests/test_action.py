@@ -28,12 +28,14 @@ from wfvar.action import (
 )
 from wfvar.core import (
     BoundaryData,
+    PackedChain,
     ParticleParams,
     Perturbation,
     PiecewiseTrajectory,
     Segment,
     Side,
     add_perturbation,
+    fd_node_velocities,
     hermite_trajectory,
     polygonal_from_vertices,
     vec3,
@@ -264,17 +266,10 @@ def crossing_pair():
 
 
 class TestFrechetSequence:
-    """The sequence form of `frechet_directional` against one call per field."""
+    """`frechet_directional` along a sequence of fields given as one bundle
+    on one knot vector, against one call per field."""
 
-    @staticmethod
-    def fields(rng, count=6):
-        nodes = [-2.0, -0.5, 1.0, 2.5, 4.0]
-        out = [Perturbation.tent(-2.0, 1.7, 4.0, [0.02, 0.03, -0.01])]
-        for _ in range(count - 1):
-            values = 0.05 * rng.uniform(-1.0, 1.0, (len(nodes), 3))
-            values[[0, -1]] = 0.0
-            out.append(Perturbation.from_nodes(nodes, values))
-        return out
+    NODES = [-2.0, -0.5, 1.0, 2.5, 4.0]
 
     @pytest.mark.parametrize("partner", ["static", "breaking"])
     def test_matches_the_per_field_calls(self, partner):
@@ -283,25 +278,22 @@ class TestFrechetSequence:
             t2 = static_traj([2.5, 0.3, 0.0], NEG)
         w, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
         assert (len(cone_crossings(t1, t2, -2.0, 4.0)) > 0) == (partner == "breaking")
-        fields = self.fields(np.random.default_rng(4))
-        values = frechet_directional(t1, t2, w, bd, fields)
-        each = np.array([frechet_directional(t1, t2, w, bd, b) for b in fields])
-        assert values.shape == (len(fields),)
-        assert np.abs(values - each).max() <= 1e-12 * np.abs(each).max()
+        values = 0.05 * np.random.default_rng(4).uniform(-1.0, 1.0, (len(self.NODES), 6, 3))
+        values[[0, -1]] = 0.0
+        slopes = fd_node_velocities(self.NODES, values)
+        bundle = PackedChain.hermite(self.NODES, values, slopes)
+        each = np.array([frechet_directional(t1, t2, w, bd, Perturbation.from_nodes(
+            self.NODES, values[:, c], slopes[:, c])) for c in range(6)])
+        got = frechet_directional(t1, t2, w, bd, bundle)
+        assert got.shape == (6,)
+        assert np.abs(got - each).max() <= 1e-12 * np.abs(each).max()
 
     def test_an_empty_sequence_gives_no_values(self):
         t1, t2 = crossing_pair()
-        values = frechet_directional(t1, t2, ActionWindow(-2.0, 4.0),
-                                     BoundaryData(-2.0, 4.0), [])
+        empty = np.zeros((len(self.NODES), 0, 3))
+        values = frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0),
+                                     PackedChain.hermite(self.NODES, empty, empty))
         assert values.shape == (0,)
-
-    def test_fields_on_different_domains_raise(self):
-        t1, t2 = crossing_pair()
-        fields = [Perturbation.tent(-2.0, 1.0, 4.0, [0.1, 0, 0]),
-                  Perturbation.tent(-1.0, 0.0, 3.0, [0.1, 0, 0])]
-        with pytest.raises(DomainError):
-            frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0),
-                                fields)
 
 
 class TestElResidual:
@@ -594,7 +586,8 @@ class TestBatchedPartials:
             assert len(cone_crossings(traj1, partner, -3.0, 3.0)) > 0
         k = coupling(traj1, partner, kappa)
         for side in Side:
-            d_dx, p, e = canonical_current(traj1, partner, ts, side, k)
+            p, e = canonical_current(traj1, partner, ts, side, k)
+            d_dx = lagrangian_position_partial(traj1, partner, ts, side, kappa)
             res = el_residual(traj1, partner, ts, side, kappa)
             assert d_dx.shape == p.shape == res.shape == (ts.size, 3) and e.shape == ts.shape
             for i, t in enumerate(ts.tolist()):
@@ -610,7 +603,7 @@ class TestBatchedPartials:
         rows = canonical_current(traj1, partner, ts, Side.LEFT, k)
         for i in (0, ts.size // 2):
             one = canonical_current(traj1, partner, float(ts[i]), Side.LEFT, k)
-            assert one[0].shape == one[1].shape == (3,) and np.ndim(one[2]) == 0
+            assert one[0].shape == (3,) and np.ndim(one[1]) == 0
             for lane, row in zip(one, rows):
                 assert np.array_equal(lane, row[i])
             assert np.array_equal(el_residual(traj1, partner, float(ts[i]), Side.LEFT),

@@ -507,6 +507,24 @@ class TestGahScan:
         # the [0, 2, 0] direction row is normalized before use
         assert abs(float(rows[1][2]) - 1.0) < 1e-15
 
+    def test_huge_direction_rows_are_normalized_and_zero_rows_rejected(self, tmp_path,
+                                                                       capsys):
+        rows = {}
+        for name, direction in (("huge", [1e308, 1e308, 0.0]), ("plain", [1.0, 1.0, 0.0])):
+            data = base_scenario(**static_pair(), options={"times": [0.0],
+                                                           "directions": [direction]})
+            out = tmp_path / name
+            assert run("gah-scan", write_scenario(tmp_path, data), out_dir=out,
+                       quiet=True) == 0
+            rows[name] = read_csv(out / "gah_scan.csv")[1]
+        assert rows["huge"] == rows["plain"]
+        assert float(rows["huge"][0][1]) == float(rows["huge"][0][2]) == 1.0 / 2.0 ** 0.5
+        data = base_scenario(**static_pair(), options={"times": [0.0],
+                                                       "directions": [[0.0, 0.0, 0.0]]})
+        assert run("gah-scan", write_scenario(tmp_path, data), out_dir=tmp_path / "zero") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+
     def test_empty_scan_is_a_config_error(self, tmp_path, capsys):
         # a scan of no times writes no header-only report
         data = base_scenario(**static_pair(), options={"times": []})

@@ -222,8 +222,10 @@ class TestArrayBuilder:
             elif trial % 3 == 1:
                 b = Perturbation.from_nodes(times, xs, vs)
                 left = vs
-            else:
-                b = Perturbation.from_nodes(times, xs, vs, left_velocities=left)
+            else:  # a bundle of one field, with left velocities, as a chain
+                packed = PackedChain.hermite(times, xs[:, None], vs[:, None], left[:, None])
+                b = core._chain(Perturbation, packed.knots, packed.rows[0][:, 0],
+                                check_speed=False)
             want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
                                              left[i + 1]) for i in range(len(times) - 1)]
             assert_segments_match(b, times.tolist(), want)
@@ -303,7 +305,7 @@ class TestBulkConstructionCounts:
         calls.assert_none()
 
     def test_every_bulk_constructor(self, monkeypatch):
-        from wfvar.optimizer import _basis_perturbations, decode, discretize
+        from wfvar.optimizer import _basis_fields, decode, discretize
 
         traj = hermite_trajectory(*circle_nodes(), ELECTRON)
         partner = polygonal_from_vertices([(-10.0, [2.0, 0.0, 0.0]), (0.0, [2.1, 0.0, 0.0]),
@@ -314,8 +316,15 @@ class TestBulkConstructionCounts:
                                 ELECTRON)
         Perturbation.from_nodes([0.0, 0.5, 1.25, 2.0], np.ones((4, 3)))
         decoded = decode(dv)
-        fields = _basis_perturbations(dv.layouts[0], dv.theta[dv.block_slice(1)], False)
-        assert len(decoded) == 2 and len(fields) == dv.block_slice(1).stop
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the basis bundle builds no chain of segments")
+
+        monkeypatch.setattr(core, "_chain", no_chain)
+        fields = _basis_fields(dv.layouts[0], dv.layouts[0].times)
+        assert len(decoded) == 2 and isinstance(fields, PackedChain)
+        assert fields.rows[0].shape[:2] == (len(dv.layouts[0].times) - 1,
+                                            dv.block_slice(1).stop)
         calls.assert_none()
 
 

@@ -73,6 +73,15 @@ def test_optimizer_takes_one_first_variation_per_gradient():
     assert id(calls[0]) not in looped
 
 
+def test_basis_fields_are_one_bundle():
+    # a block's basis fields are one `PackedChain` made in one pass from the
+    # identity, never one `Perturbation` per coordinate
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    assert "Perturbation" not in referenced_names(PACKAGE / "optimizer.py")
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(node, LOOPS) for node in ast.walk(funcs["_basis_fields"]))
+
+
 def test_cone_pairs_and_crossings_take_one_lane_solve():
     # both branches of a pair, and the junction events of both branches of
     # a crossing search, go to one `_cone_solutions` call outside any loop

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers_geometry import (
     uniform_traj,
 )
 
+from wfvar.action import lagrangian_position_partial
 from wfvar.core import ParticleParams, Side, polygonal_from_vertices, vec3
 from wfvar.errors import InfeasibleJumpError, SuperluminalError
 from wfvar.lightcone import Branch, cone_time
@@ -92,6 +94,25 @@ class TestSideConsistency:
         e_l = energy_current(traj1, traj2, t1, side=Side.LEFT)
         e_r = energy_current(traj1, traj2, t1, side=Side.RIGHT)
         assert abs(e_r - e_l) < 1e-12
+
+    def test_currents_form_no_position_partial(self, monkeypatch):
+        # dL/dx1 is formed only where it is read: break residuals and the
+        # currents take p and e alone
+        module = importlib.import_module("wfvar.action")
+        calls = []
+
+        def counted(*args, _original=module._branch_partials):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "_branch_partials", counted)
+        traj1, traj2 = self.make_pair()
+        assert len(break_residuals(traj1, traj2)) == 1
+        momentum_current(traj1, traj2, 0.5)
+        energy_current(traj1, traj2, 0.5)
+        assert calls == []
+        lagrangian_position_partial(traj1, traj2, 0.5)
+        assert len(calls) == 2  # one per cone branch
 
 
 def engineered_jump_instance():

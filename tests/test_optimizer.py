@@ -22,7 +22,7 @@ from wfvar.momentum import break_residuals
 from wfvar.optimizer import (
     DecisionVector,
     MinimizerReport,
-    _basis_perturbations,
+    _basis_fields,
     _node_velocities,
     _unpack_block,
     decode,
@@ -74,10 +74,11 @@ def reference_cells(times, positions, vel_r, vel_l, lo, hi):
 
 
 class TestArrayDecode:
-    """decode and the basis fields give the cells that one `Segment` per
-    cell gives, bit for bit, on non-uniform node grids with breaks; every
-    basis field spans the whole node grid, with zero cells where it does not
-    move the trajectory."""
+    """decode gives the cells that one `Segment` per cell gives, bit for bit,
+    on non-uniform node grids with breaks; the basis bundle holds one field
+    per coordinate over the whole node grid, with zero cells where it does
+    not move the trajectory, and each field is the difference of decode's
+    node data at a unit coordinate offset."""
 
     def test_decode_and_basis_fields_match_per_segment_cells(self):
         rng = np.random.default_rng(12)
@@ -94,15 +95,21 @@ class TestArrayDecode:
                 n = times.size - 1
                 assert_segments_match(traj, times.tolist(),
                                       reference_cells(times, positions, vel_r, vel_l, 0, n - 1))
-                fields = _basis_perturbations(layout, block, True)
-                for j, field in enumerate(fields):
+                fields = _basis_fields(layout, times)
+                count = layout.size(free_break_times=False)
+                assert np.array_equal(fields.knots, times)
+                assert fields.rows[0].shape == (n, count, 3, 4)
+                for j in range(count):
                     bumped = block.copy()
                     bumped[j] += 1.0
                     _, pos_b, vels_b = _unpack_block(layout, bumped, True)
                     vl_b, vr_b = _node_velocities(layout, times, pos_b, vels_b)
                     dpos, dvl, dvr = pos_b - positions, vl_b - vel_l, vr_b - vel_r
-                    assert_segments_match(field, times.tolist(),
-                                          reference_cells(times, dpos, dvr, dvl, 0, n - 1))
+                    # the differencing oracle carries the rounding of block + 1,
+                    # up to an ulp of the block's largest entry (particle 2 sits 1e6 away)
+                    want = np.array(reference_cells(times, dpos, dvr, dvl, 0, n - 1))
+                    scale = max(1.0, np.abs(block).max()) * np.abs(want).max()
+                    assert_allclose(fields.rows[0][:, j], want, rtol=0, atol=1e-13 * scale)
 
 
 class TestDiscretize:

@@ -809,6 +809,19 @@ class TestConstructPartner:
         with pytest.raises(DomainError):
             construct_partner(traj2, params, grid, np.linspace(-1, 1, 3))
 
+    def test_rows_past_the_square_root_of_the_float_range_are_normalized(self):
+        # a plain sum of squares overflows (1e308) or underflows (1e-200);
+        # such rows are scaled by their largest entry before the norm
+        traj2 = static_traj([0, 0, 0], particle=NEG)
+        params = constant_family([0, 1.5, 0], [0, 0, 0], (-50.0, 50.0))
+        plain = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        extreme = plain[:3] + [[1e308, 1e308, 0.0], [0.0, 1e-200, 1e-200]]
+        t1s = np.linspace(-1, 1, 3)
+        want, want_report = construct_partner(traj2, params, plain, t1s)
+        got, report = construct_partner(traj2, params, extreme, t1s)
+        assert np.array_equal(report.positions, want_report.positions)
+        assert np.array_equal(got.evaluate(t1s), want.evaluate(t1s))
+
     def test_non_transverse_params_rejected(self):
         traj2 = static_traj([0, 0, 0], particle=NEG)
         params = SeparationFamilyParams.from_callables(
