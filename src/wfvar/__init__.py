@@ -9,7 +9,6 @@ All quantities use natural units with c = 1.
 """
 
 from .action import (
-    ActionWindow,
     action,
     el_residual,
     frechet_directional,

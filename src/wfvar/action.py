@@ -15,17 +15,14 @@ through either cone map, which keeps the integrand smooth on each cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (BoundaryData, PackedChain, Perturbation, PiecewiseTrajectory, Side,
-                   merge_history, subluminal, time_window)
-from .errors import CollisionError, ConvergenceError
+                   merge_history, subluminal)
+from .errors import CollisionError, ConvergenceError, DomainError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
 
 __all__ = [
-    "ActionWindow",
     "interaction_density",
     "action",
     "frechet_directional",
@@ -41,25 +38,6 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: cells one integral may evaluate below its mesh cells, by halving
 _MAX_CELLS = 10_000
-
-
-@dataclass(frozen=True)
-class ActionWindow:
-    """Integration window of the variable trajectory.
-
-    A zero-length window is allowed and makes the integral empty by
-    convention (the action reduces to the boundary constant).
-    """
-
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        time_window(self.t_start, self.t_end)
-
-    @property
-    def length(self) -> float:
-        return self.t_end - self.t_start
 
 
 def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -238,10 +216,12 @@ def _integrate(f, mesh, rel_target=1e-11):
 
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-           window: ActionWindow, boundary: BoundaryData,
-           kappa: float | None = None) -> float:
-    """Boundary constant plus the delayed interaction integral over the window."""
-    if window.length == 0.0:
+           boundary: BoundaryData, kappa: float | None = None) -> float:
+    """Boundary constant plus the delayed interaction integral over trajectory
+    1's window, ``boundary.window(1)``; a zero-length window gives the
+    constant alone."""
+    a, b = boundary.window(1)
+    if a == b:
         return boundary.k2
     partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2, kappa)
@@ -251,23 +231,26 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         state = traj1.evaluate(ts), traj1.evaluate(ts, 1)
         return interaction_density(state, *cone_pair(partner, ts, state[0]), m1=m1, kappa=k)
 
-    mesh = pullback_mesh(traj1, partner, window.t_start, window.t_end)
+    mesh = pullback_mesh(traj1, partner, a, b)
     return boundary.k2 + _integrate(density, mesh)
 
 
 def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                        window: ActionWindow, boundary: BoundaryData,
-                        b, kappa: float | None = None):
+                        boundary: BoundaryData, b, kappa: float | None = None):
     """Directional derivative of the action along an admissible displacement
-    `b`: a float along a `Perturbation`, (C,) values along a bundle of C
-    fields on one knot vector (a `PackedChain` with (nseg, C, 3, K) rows, as
-    `PackedChain.hermite` makes), from one mesh, one `cone_crossings`, and per
-    quadrature level one current, one searchsorted and one Horner per order."""
+    `b` over trajectory 1's window, ``boundary.window(1)``: a float along a
+    `Perturbation`, (C,) values along a bundle of C fields on one knot vector
+    (a `PackedChain` with (nseg, C, 3, K) rows, as `PackedChain.hermite`
+    makes), from one mesh, one `cone_crossings`, and per quadrature level one
+    current, one searchsorted and one Horner per order."""
     single = isinstance(b, Perturbation)
     field = PackedChain(b.packed.knots, tuple(r[:, None] for r in b.packed.rows)) if single else b
-    field.check_admissible(window.t_start, window.t_end)
+    if field.rows[0].ndim != 4:
+        raise DomainError(f"a field bundle needs (nseg, C, 3, K) rows, got {field.rows[0].shape}")
+    lo, hi = boundary.window(1)
+    field.check_admissible(lo, hi)
     (start, end), count = field.knots[[0, -1]].tolist(), field.rows[0].shape[1]
-    lo, hi = max(window.t_start, start), min(window.t_end, end)
+    lo, hi = max(lo, start), min(hi, end)
     if hi <= lo or not count:  # no field, or its support misses the window
         return 0.0 if single else np.zeros(count)
     partner = merge_history(traj2, boundary.history2)

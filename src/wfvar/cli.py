@@ -36,7 +36,7 @@ from .core import (
     trajectory_from_dict,
 )
 from .errors import ConfigError, DomainError, WfvarError
-from .farfield import GUARD_BAND, gah_residuals, latlong_mesh, sphere_flux
+from .farfield import gah_residuals, latlong_mesh, sphere_flux
 from .lightcone import normalized_directions
 from .optimizer import MinimizerReport, discretize, minimize, one_sided_actions, verify
 from .shortrange import (
@@ -246,6 +246,12 @@ def _option(options: dict, key: str, convert, default=None):
         raise ConfigError(f"option {key} has a malformed value {value!r}") from exc
 
 
+def _given(options: dict, **kinds) -> dict:
+    """The options of `kinds` that `options` gives, each through its
+    converter; the library function called with them holds every default."""
+    return {key: _option(options, key, kind) for key, kind in kinds.items() if key in options}
+
+
 def _flag(value) -> bool:
     """A JSON boolean; anything else (the string "false", 1) is rejected."""
     if not isinstance(value, bool):
@@ -324,15 +330,9 @@ def _cmd_action(scen: Scenario, out: Path) -> tuple:
 
 def _cmd_verify(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    report = verify(
-        scen.traj1,
-        scen.traj2,
-        scen.boundary,
-        n_points=_option(scen.options, "n_points", lambda v: as_count(v, 1), 9),
-        el_tol=_option(scen.options, "el_tol", json_number, 1e-6),
-        break_tol=_option(scen.options, "break_tol", json_number, 1e-8),
-        kappa=scen.kappa,
-    )
+    report = verify(scen.traj1, scen.traj2, scen.boundary, kappa=scen.kappa,
+                    **_given(scen.options, n_points=lambda v: as_count(v, 1),
+                             el_tol=json_number, break_tol=json_number))
     return "verify.csv", report, (f"verify: max_el {report.max_el:.3g}, "
                                   f"max_break {report.max_break:.3g}, "
                                   f"converged {int(report.converged)}")
@@ -342,11 +342,11 @@ def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
     dirs = _directions(scen.options, 32)
-    guard = _option(scen.options, "guard", json_number, GUARD_BAND)
     # lanes run time-major: every direction at the first time, then the next
     lane_t = np.repeat(times, len(dirs))
     lane_n = np.tile(dirs, (len(times), 1))
-    res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n, guard=guard)
+    res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n,
+                                 **_given(scen.options, guard=json_number))
     # an undefined lane writes zero residuals; `defined` as 1.0 and 0.0
     # prints as 1 and 0
     rows = tuple(np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0),
@@ -361,14 +361,10 @@ def _cmd_flux(scen: Scenario, out: Path) -> tuple:
     if "radius" not in scen.options:
         raise ConfigError("flux options need a radius")
     radius = _option(scen.options, "radius", json_number)
-    mesh = _option(scen.options, "mesh", _mesh)
-    retarded_only = _option(scen.options, "retarded_only", _flag, False)
-    guard = _option(scen.options, "guard", json_number, GUARD_BAND)
+    given = _given(scen.options, mesh=_mesh, retarded_only=_flag, guard=json_number)
     rows = []
     for t in times:
-        value = sphere_flux(scen.traj1, scen.traj2, t, radius, mesh=mesh,
-                            retarded_only=retarded_only, guard=guard)
-        rows.append((t, radius, value))
+        rows.append((t, radius, sphere_flux(scen.traj1, scen.traj2, t, radius, **given)))
     return ("flux.csv", ReportTable(("t", "radius", "flux"), tuple(rows)),
             f"flux: {len(rows)} times at radius {radius:g}")
 
@@ -406,9 +402,8 @@ def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
         scen.family,
         dirs,
         t1_grid,
-        spread_tol=_option(scen.options, "spread_tol", json_number, 1e-6),
         particle=scen.particles[0],
-        fit=scen.options.get("fit", "auto"),
+        **_given(scen.options, spread_tol=json_number, fit=lambda v: v),
     )
     save_trajectory(traj1, out / "partner.json")
     rows = tuple(
@@ -443,10 +438,8 @@ def _cmd_sewing_chain(scen: Scenario, out: Path) -> tuple:
 
 def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
     _require(scen, traj1=True, traj2=True, boundary=True)
-    kinds = {"gtol": json_number, "max_iter": as_count, "el_tol": json_number,
-             "break_tol": json_number}
-    opts = {k: _option(scen.options, k, kind) for k, kind in kinds.items()
-            if k in scen.options}
+    opts = _given(scen.options, gtol=json_number, max_iter=as_count, el_tol=json_number,
+                  break_tol=json_number)
     break_times = scen.options.get("break_times")
     if break_times is not None:
         try:
@@ -460,7 +453,7 @@ def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
         (scen.traj1, scen.traj2),
         _option(scen.options, "nodes_per_segment", as_count, 6),
         break_times=break_times,
-        free_break_times=_option(scen.options, "free_break_times", _flag, False),
+        **_given(scen.options, free_break_times=_flag),
     )
     traj1, traj2, report = minimize(scen.boundary, init, opts, kappa=scen.kappa)
     save_trajectory(traj1, out / "minimized1.json")

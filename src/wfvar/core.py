@@ -348,6 +348,10 @@ class PackedChain:
         gap = self.ends[1, :-1] - self.ends[0, 1:]
         return np.sqrt((gap * gap).sum(axis=-1))
 
+    def gap_tol(self) -> float:
+        """The largest junction gap of a continuous chain: 1e-9 max(1, max |x|)."""
+        return 1e-9 * max(1.0, float(np.abs(self.rows[0][..., 0]).max()))
+
     def at(self, index, ts, order: int = 0) -> np.ndarray:
         """(..., 3) values of segments ``index`` at times ``ts`` (both of one
         shape, (M,) or scalar), by Horner in ``Segment.at``'s operation
@@ -480,8 +484,7 @@ class PiecewiseTrajectory(SegmentChain):
         super().__post_init__()
         packed = self.packed
         gaps = packed.junction_gaps()
-        scale = max(1.0, float(np.abs(packed.rows[0][..., 0]).max()))
-        torn = gaps > 1e-9 * scale
+        torn = gaps > packed.gap_tol()
         if torn.any():
             i = int(torn.argmax())
             raise DomainError(
@@ -589,26 +592,22 @@ class ValidationReport:
 
     max_speed: float
     continuity_defects: tuple  # of (junction time, |gap|)
-    times_monotonic: bool
-    continuity_tol: float = 1e-9
+    continuity_tol: float  # `PackedChain.gap_tol`, the trajectory rule
 
     @property
     def ok(self) -> bool:
-        return (
-            self.times_monotonic
-            and self.max_speed < 1.0
-            and all(g <= self.continuity_tol for _, g in self.continuity_defects)
-        )
+        return (self.max_speed < 1.0
+                and all(g <= self.continuity_tol for _, g in self.continuity_defects))
 
 
 def validate(traj: SegmentChain) -> ValidationReport:
-    """Report max speed, per-junction continuity defects, and time ordering."""
+    """Report max speed and per-junction continuity defects."""
     packed = traj.packed
     return ValidationReport(
         max_speed=traj.max_speed(),
         continuity_defects=tuple(zip(packed.knots[1:-1].tolist(),
                                      packed.junction_gaps().tolist())),
-        times_monotonic=bool(np.all(packed.knots[1:] > packed.knots[:-1])),
+        continuity_tol=packed.gap_tol(),
     )
 
 

@@ -226,7 +226,7 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
             branches.append(branch)
     sols = _cone_solutions(traj1, blocks) if blocks else []
     return [(t, tau, branch) for sol, (_, taus, _), branch in zip(sols, blocks, branches)
-            for t, tau in zip(sol.t_k.tolist(), taus.tolist())]
+            for t, tau in zip(sol.t_k.tolist(), taus.tolist()) if a < t < b]
 
 
 def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,

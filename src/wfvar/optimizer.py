@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import ActionWindow, action, el_residual, frechet_directional
+from .action import action, el_residual, frechet_directional
 from .core import (
     BoundaryData,
     PackedChain,
@@ -41,6 +41,8 @@ from .errors import ConfigError, DomainError, SuperluminalError
 from .momentum import break_residuals
 
 _VELOCITY_JUMP_TOL = 1e-12
+#: default tolerances of the EL and break residuals, for `verify` and its records
+_EL_TOL, _BREAK_TOL = 1e-6, 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,24 +205,22 @@ def discretize(boundary: BoundaryData, trajs, n_nodes: int,
     return DecisionVector(tuple(layouts), np.concatenate(blocks), free_break_times)
 
 
-def _primary_view(boundary: BoundaryData, k: int):
-    """Window and boundary data with particle k in the variable role."""
-    a, b = boundary.window(k)
+def _primary_view(boundary: BoundaryData, k: int) -> BoundaryData:
+    """The boundary set with particle k in the variable role: the boundary
+    itself for k = 1, else particle 2's window with the histories swapped."""
     if k == 1:
-        return ActionWindow(a, b), boundary
-    swapped = BoundaryData(a, b, history1=boundary.history2,
-                           history2=boundary.history1, k2=0.0)
-    return ActionWindow(a, b), swapped
+        return boundary
+    return BoundaryData(*boundary.window(2), history1=boundary.history2,
+                        history2=boundary.history1, k2=0.0)
 
 
 def one_sided_actions(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                       boundary: BoundaryData, kappa: float | None) -> tuple:
     """(action of particle 1, action of particle 2), each with its partner
     frozen; their sum is the total action of the pair."""
-    win1, bd1 = _primary_view(boundary, 1)
-    win2, bd2 = _primary_view(boundary, 2)
-    return (action(traj1, traj2, win1, bd1, kappa=kappa),
-            action(traj2, traj1, win2, bd2, kappa=kappa))
+    trajs = (traj1, traj2)
+    return tuple(action(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k), kappa=kappa)
+                 for k in (1, 2))
 
 
 def _basis_fields(layout: ParticleLayout, times: np.ndarray) -> PackedChain:
@@ -246,8 +246,8 @@ class MinimizerReport:
     break_residuals: tuple  # BreakResidual at velocity jumps, particle 1 then 2
     iterations: int
     converged: bool
-    el_tol: float = 1e-6
-    break_tol: float = 1e-8
+    el_tol: float = _EL_TOL
+    break_tol: float = _BREAK_TOL
     descent_log: tuple = ()  # (particle, action before, action after) per step
 
     @property
@@ -273,7 +273,7 @@ def _chebyshev_points(a: float, b: float, n: int) -> np.ndarray:
 
 def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
            boundary: BoundaryData, n_points: int = 9,
-           el_tol: float = 1e-6, break_tol: float = 1e-8,
+           el_tol: float = _EL_TOL, break_tol: float = _BREAK_TOL,
            kappa: float | None = None) -> MinimizerReport:
     """Residual check of both critical-point conditions over the windows.
 
@@ -283,13 +283,11 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     both maxima beat their tolerances.
     """
     n_points = as_count(n_points, 1, "n_points")
-    partners = (merge_history(traj2, boundary.history2),
-                merge_history(traj1, boundary.history1))
-    el_max = []
-    breaks = []
-    for k, traj in ((1, traj1), (2, traj2)):
-        partner = partners[k - 1]
-        a, b = boundary.window(k)
+    trajs, el_max, breaks = (traj1, traj2), [], []
+    for k in (1, 2):
+        view, traj = _primary_view(boundary, k), trajs[k - 1]
+        partner = merge_history(trajs[2 - k], view.history2)
+        a, b = view.window(1)
         cells = [(max(seg.t_start, a), min(seg.t_end, b)) for seg in traj.segments]
         ts = np.array([_chebyshev_points(lo, hi, n_points) for lo, hi in cells
                        if hi - lo > 1e-12 * max(1.0, abs(a), abs(b))]).reshape(-1)
@@ -315,8 +313,8 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 class MinimizeOptions:
     gtol: float = 1e-8
     max_iter: int = 40
-    el_tol: float = 1e-6
-    break_tol: float = 1e-8
+    el_tol: float = _EL_TOL
+    break_tol: float = _BREAK_TOL
 
 
 def _normalize_options(opts) -> MinimizeOptions:
@@ -364,11 +362,11 @@ def _block_gradient(dv: DecisionVector, k: int, boundary: BoundaryData,
                     trajs, objective, kappa=None) -> np.ndarray:
     layout = dv.layouts[k - 1]
     block = dv.theta[dv.block_slice(k)]
-    win, bd = _primary_view(boundary, k)
     basis = _basis_fields(layout, _unpack_block(layout, block, dv.free_break_times)[0])
     count = basis.rows[0].shape[1]
     g = np.empty(len(block))
-    g[:count] = frechet_directional(trajs[k - 1], trajs[2 - k], win, bd, basis, kappa=kappa)
+    g[:count] = frechet_directional(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k),
+                                    basis, kappa=kappa)
     for j in range(count, len(block)):  # freed breaking times
         h = 1e-6 * max(1.0, abs(block[j]))
         g[j] = 0.0
@@ -395,8 +393,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
 
     def objective(vec: DecisionVector, k: int) -> float:
         trajs = decode(vec)
-        win, bd = views[k]
-        return action(trajs[k - 1], trajs[2 - k], win, bd, kappa=kappa)
+        return action(trajs[k - 1], trajs[2 - k], views[k], kappa=kappa)
 
     dv = init
     decode(dv)  # feasibility gate: raises on superluminal encoding

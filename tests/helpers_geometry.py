@@ -160,7 +160,7 @@ def scalar_cone_pair(traj, t, x, side=Side.RIGHT):
 
 def reference_cone_crossings(traj1, partner, a, b):
     """The per-branch form of `cone_crossings`: one `cone_times` solve per
-    branch's junction events, retarded images first."""
+    branch's junction events, retarded images first, keeping t1 in (a, b)."""
     out = []
     junctions = partner.junction_times()
     if not junctions or b <= a:
@@ -170,7 +170,7 @@ def reference_cone_crossings(traj1, partner, a, b):
         taus = np.array([tau for tau in junctions if lo2 < tau < hi2])
         if taus.size:
             t1 = cone_times(traj1, taus, partner.evaluate(taus), other).t_k
-            out += [(t, tau, branch) for t, tau in zip(t1.tolist(), taus.tolist())]
+            out += [(t, tau, branch) for t, tau in zip(t1.tolist(), taus.tolist()) if a < t < b]
     return out
 
 

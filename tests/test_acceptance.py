@@ -16,7 +16,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from helpers_geometry import static_traj, uniform_cone_roots, uniform_traj
-from wfvar.action import ActionWindow, action, frechet_directional
+from wfvar.action import action, frechet_directional
 from wfvar.core import (
     BoundaryData,
     ParticleParams,
@@ -95,9 +95,8 @@ def test_static_pair_action_value():
     start = time.perf_counter()
     traj1 = static_traj([0.0, 0.0, 0.0], particle=POS)
     traj2 = static_traj([2.0, 0.0, 0.0], particle=NEG)
-    window = ActionWindow(-2.0, 2.0)
     boundary = BoundaryData(-2.0, 2.0, history2=traj2, k2=0.0)
-    value = action(traj1, traj2, window, boundary)
+    value = action(traj1, traj2, boundary)
     assert abs(value - (-2.0)) < 1e-10 * 2.0
     assert time.perf_counter() - start < 1.0
 
@@ -158,7 +157,6 @@ def test_directional_derivative_matches_finite_difference():
     traj2 = polygonal_from_vertices(
         [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (40.0, [2.5, -4, 0])], NEG
     )
-    window = ActionWindow(-2.0, 4.0)
     boundary = BoundaryData(-2.0, 4.0)
     node_times = [-2.0, -0.5, 1.0, 2.5, 4.0]
     rng = np.random.default_rng(99)
@@ -168,9 +166,9 @@ def test_directional_derivative_matches_finite_difference():
         values += [vec3(*rng.uniform(-0.05, 0.05, 3)) for _ in range(3)]
         values += [vec3(0, 0, 0)]
         b = Perturbation.from_nodes(node_times, values)
-        val = frechet_directional(traj1, traj2, window, boundary, b)
-        plus = action(add_perturbation(traj1, b, eps), traj2, window, boundary)
-        minus = action(add_perturbation(traj1, b, -eps), traj2, window, boundary)
+        val = frechet_directional(traj1, traj2, boundary, b)
+        plus = action(add_perturbation(traj1, b, eps), traj2, boundary)
+        minus = action(add_perturbation(traj1, b, -eps), traj2, boundary)
         ref = (plus - minus) / (2.0 * eps)
         assert abs(ref) > 1e-6  # the draw scale keeps the check non-vacuous
         assert abs(val - ref) < 1e-6 * abs(ref)

@@ -14,7 +14,6 @@ from helpers_geometry import (
 
 from wfvar.action import (
     _MAX_CELLS,
-    ActionWindow,
     _integrate,
     action,
     canonical_current,
@@ -108,23 +107,23 @@ class TestInteractionDensity:
 class TestAction:
     def test_static_pair_window4(self):
         t1, t2 = static_pair(2.0)
-        val = action(t1, t2, ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0))
+        val = action(t1, t2, BoundaryData(0.0, 4.0))
         assert abs(val - (-2.0)) < 1e-10 * 2.0
 
     def test_zero_length_window_returns_constant(self):
         t1, t2 = static_pair(2.0)
         bd = BoundaryData(1.0, 1.0, k2=0.625)
-        assert action(t1, t2, ActionWindow(1.0, 1.0), bd) == 0.625
+        assert action(t1, t2, bd) == 0.625
 
     def test_static_pair_d1_window7(self):
         t1, t2 = static_pair(1.0)
-        val = action(t1, t2, ActionWindow(-3.0, 4.0), BoundaryData(-3.0, 4.0))
+        val = action(t1, t2, BoundaryData(-3.0, 4.0))
         assert abs(val) < 1e-11
 
     def test_k2_offset(self):
         t1, t2 = static_pair(2.0)
         bd = BoundaryData(0.0, 4.0, k2=1.5)
-        val = action(t1, t2, ActionWindow(0.0, 4.0), bd)
+        val = action(t1, t2, bd)
         assert abs(val - (-0.5)) < 1e-10
 
     def test_spurious_break_does_not_move_the_integral(self):
@@ -134,8 +133,8 @@ class TestAction:
              reference_rebased(t1.segments[0], 1.7, 50.0)),
             POS,
         )
-        w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
-        assert abs(action(split, t2, w, bd) - action(t1, t2, w, bd)) < 1e-12
+        bd = BoundaryData(0.0, 4.0)
+        assert abs(action(split, t2, bd) - action(t1, t2, bd)) < 1e-12
 
     def test_mesh_refinement_stability(self):
         # moving pair with a partner break pulled back into the window
@@ -145,9 +144,9 @@ class TestAction:
         t2 = polygonal_from_vertices(
             [(-40.0, [3, 2, 0]), (1.0, [3, -2.1, 0]), (40.0, [3, 1.8, 0])], NEG
         )
-        w, bd = ActionWindow(-2.0, 5.0), BoundaryData(-2.0, 5.0)
-        base = action(t1, t2, w, bd)
-        mesh = pullback_mesh(t1, t2, w.t_start, w.t_end)
+        bd = BoundaryData(-2.0, 5.0)
+        base = action(t1, t2, bd)
+        mesh = pullback_mesh(t1, t2, *bd.window(1))
         mids = [0.5 * (a + b) for a, b in zip(mesh, mesh[1:])]
         refined_t1 = t1
         for m in mids:
@@ -160,7 +159,7 @@ class TestAction:
                 else:
                     parts.append(s)
             refined_t1 = PiecewiseTrajectory(tuple(parts), POS)
-        refined = action(refined_t1, t2, w, bd)
+        refined = action(refined_t1, t2, bd)
         assert abs(refined - base) < 1e-10 * max(1.0, abs(base))
 
     def test_pullback_mesh_contains_partner_break_images(self):
@@ -180,7 +179,7 @@ class TestAction:
         # is -sqrt(1 - 0.09) + 1/r with kappa = 1
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([0.0, d, 0.0])
-        val = action(t1, t2, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0), kappa=1.0)
+        val = action(t1, t2, BoundaryData(-1.0, 1.0), kappa=1.0)
         exact = -2.0 * np.sqrt(1.0 - 0.09) + (2.0 / 0.3) * np.arcsinh(0.3 / d)
         assert abs(val - exact) <= 1e-10 * abs(exact)
 
@@ -188,16 +187,16 @@ class TestAction:
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([0.0, 1e-10, 0.0])
         with pytest.raises(CollisionError):
-            action(t1, t2, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0), kappa=1.0)
+            action(t1, t2, BoundaryData(-1.0, 1.0), kappa=1.0)
 
     def test_reversed_window_rejected(self):
         with pytest.raises(DomainError):
-            ActionWindow(2.0, 1.0)
+            BoundaryData(2.0, 1.0)
 
 
-def fd_directional(t1, t2, w, bd, b, eps=1e-5):
-    plus = action(add_perturbation(t1, b, eps), t2, w, bd)
-    minus = action(add_perturbation(t1, b, -eps), t2, w, bd)
+def fd_directional(t1, t2, bd, b, eps=1e-5):
+    plus = action(add_perturbation(t1, b, eps), t2, bd)
+    minus = action(add_perturbation(t1, b, -eps), t2, bd)
     return (plus - minus) / (2 * eps)
 
 
@@ -205,22 +204,22 @@ class TestFrechet:
     def test_null_perturbation(self):
         t1, t2 = static_pair(2.0)
         b = Perturbation.tent(0.5, 2.0, 3.5, [0, 0, 0])
-        w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
-        assert frechet_directional(t1, t2, w, bd, b) == pytest.approx(0.0, abs=1e-14)
+        bd = BoundaryData(0.0, 4.0)
+        assert frechet_directional(t1, t2, bd, b) == pytest.approx(0.0, abs=1e-14)
 
     def test_static_pair_tent_along_separation(self):
         t1, t2 = static_pair(2.0)
-        w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
+        bd = BoundaryData(0.0, 4.0)
         b = Perturbation.tent(0.5, 2.0, 3.5, [0.3, 0, 0])
-        val = frechet_directional(t1, t2, w, bd, b)
-        ref = fd_directional(t1, t2, w, bd, b)
+        val = frechet_directional(t1, t2, bd, b)
+        ref = fd_directional(t1, t2, bd, b)
         assert abs(val - ref) < max(1e-8, 1e-6 * abs(val))
 
     def test_static_pair_tent_orthogonal_is_zero(self):
         t1, t2 = static_pair(2.0)
-        w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
+        bd = BoundaryData(0.0, 4.0)
         b = Perturbation.tent(0.5, 2.0, 3.5, [0, 0.3, 0])
-        assert abs(frechet_directional(t1, t2, w, bd, b)) < 1e-10
+        assert abs(frechet_directional(t1, t2, bd, b)) < 1e-10
 
     def test_moving_pair_matches_finite_difference(self):
         t1 = polygonal_from_vertices(
@@ -229,29 +228,29 @@ class TestFrechet:
         t2 = polygonal_from_vertices(
             [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (40.0, [2.5, -4, 0])], NEG
         )
-        w, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
+        bd = BoundaryData(-2.0, 4.0)
         b = Perturbation.from_nodes(
             [-2.0, -0.5, 1.0, 2.5, 4.0],
             [vec3(0, 0, 0), vec3(0.05, -0.02, 0.01), vec3(-0.03, 0.04, 0.0),
              vec3(0.02, 0.01, -0.03), vec3(0, 0, 0)],
         )
-        val = frechet_directional(t1, t2, w, bd, b)
-        ref = fd_directional(t1, t2, w, bd, b)
+        val = frechet_directional(t1, t2, bd, b)
+        ref = fd_directional(t1, t2, bd, b)
         assert abs(val - ref) < max(1e-8, 1e-6 * abs(val))
 
     def test_endpoint_violation_raises(self):
         t1, t2 = static_pair(2.0)
-        w, bd = ActionWindow(0.0, 4.0), BoundaryData(0.0, 4.0)
+        bd = BoundaryData(0.0, 4.0)
         b = Perturbation.tent(0.0, 2.0, 5.0, [0.1, 0, 0])  # nonzero at t=4
         with pytest.raises(ContractError):
-            frechet_directional(t1, t2, w, bd, b)
+            frechet_directional(t1, t2, bd, b)
 
     def test_free_particle_stationarity(self):
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([1e6, 0, 0], NEG, -3e6, 3e6)
-        w, bd = ActionWindow(-4.0, 4.0), BoundaryData(-4.0, 4.0)
+        bd = BoundaryData(-4.0, 4.0)
         b = Perturbation.tent(-4.0, 0.0, 4.0, [0.02, 0.05, -0.01])
-        assert abs(frechet_directional(t1, t2, w, bd, b)) < 1e-8
+        assert abs(frechet_directional(t1, t2, bd, b)) < 1e-8
 
 
 def crossing_pair():
@@ -276,24 +275,30 @@ class TestFrechetSequence:
         t1, t2 = crossing_pair()
         if partner == "static":
             t2 = static_traj([2.5, 0.3, 0.0], NEG)
-        w, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
+        bd = BoundaryData(-2.0, 4.0)
         assert (len(cone_crossings(t1, t2, -2.0, 4.0)) > 0) == (partner == "breaking")
         values = 0.05 * np.random.default_rng(4).uniform(-1.0, 1.0, (len(self.NODES), 6, 3))
         values[[0, -1]] = 0.0
         slopes = fd_node_velocities(self.NODES, values)
         bundle = PackedChain.hermite(self.NODES, values, slopes)
-        each = np.array([frechet_directional(t1, t2, w, bd, Perturbation.from_nodes(
+        each = np.array([frechet_directional(t1, t2, bd, Perturbation.from_nodes(
             self.NODES, values[:, c], slopes[:, c])) for c in range(6)])
-        got = frechet_directional(t1, t2, w, bd, bundle)
+        got = frechet_directional(t1, t2, bd, bundle)
         assert got.shape == (6,)
         assert np.abs(got - each).max() <= 1e-12 * np.abs(each).max()
 
     def test_an_empty_sequence_gives_no_values(self):
         t1, t2 = crossing_pair()
         empty = np.zeros((len(self.NODES), 0, 3))
-        values = frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0),
+        values = frechet_directional(t1, t2, BoundaryData(-2.0, 4.0),
                                      PackedChain.hermite(self.NODES, empty, empty))
         assert values.shape == (0,)
+
+    def test_a_bundle_without_a_field_axis_is_rejected(self):
+        t1, t2 = crossing_pair()
+        flat = PackedChain.hermite([-2.0, 1.0, 4.0], np.zeros((3, 3)), np.ones((3, 3)))
+        with pytest.raises(DomainError, match=r"\(nseg, C, 3, K\) rows, got \(2, 3, 4\)"):
+            frechet_directional(t1, t2, BoundaryData(-2.0, 4.0), flat)
 
 
 class TestElResidual:
@@ -499,33 +504,31 @@ def bench_polygon_pair(rng):
 
 
 def regression_pairs():
-    """(trajectory 1, trajectory 2, window, boundary) of the circle,
+    """(trajectory 1, trajectory 2, boundary) of the circle,
     polygon and smoke pairs and of the static-pair acceptance case."""
     circles = (circle_orbit(0.4, 0.5, 0.3, POS, span=50.0, dt=0.5),
                circle_orbit(-0.4, 0.5, 0.3, NEG, span=50.0, dt=0.5))
     smoke = static_pair(2.0)
     return {
-        "circle": (*circles, ActionWindow(-1.0, 1.0), BoundaryData(-1.0, 1.0)),
-        "polygon": (*bench_polygon_pair(np.random.default_rng(3)), ActionWindow(-4.0, 4.0),
-                    BoundaryData(-4.0, 4.0)),
-        "smoke": (*smoke, ActionWindow(-2.0, 2.0), BoundaryData(-2.0, 2.0)),
-        "static": (*smoke, ActionWindow(-2.0, 2.0),
-                   BoundaryData(-2.0, 2.0, history2=smoke[1], k2=0.25)),
+        "circle": (*circles, BoundaryData(-1.0, 1.0)),
+        "polygon": (*bench_polygon_pair(np.random.default_rng(3)), BoundaryData(-4.0, 4.0)),
+        "smoke": (*smoke, BoundaryData(-2.0, 2.0)),
+        "static": (*smoke, BoundaryData(-2.0, 2.0, history2=smoke[1], k2=0.25)),
     }
 
 
 class TestBatchedAction:
     @pytest.mark.parametrize("name", ["circle", "polygon", "smoke", "static"])
     def test_matches_the_scalar_reference_on_the_same_cell_tree(self, name):
-        traj1, traj2, window, boundary = regression_pairs()[name]
+        traj1, traj2, boundary = regression_pairs()[name]
         views = [(traj1, traj2, boundary)]
         if boundary.history2 is None:
             views.append((traj2, traj1, boundary))
         for mover, partner, bd in views:
-            value = action(mover, partner, window, bd)
+            value = action(mover, partner, bd)
             kappa = coupling(mover, partner)
             full = partner if bd.history2 is None else bd.history2
-            mesh = pullback_mesh(mover, full, window.t_start, window.t_end)
+            mesh = pullback_mesh(mover, full, *bd.window(1))
             ref, cells, depth = recursive_quadrature(scalar_density(mover, full, kappa), mesh)
             assert abs(value - (bd.k2 + ref)) <= 1e-13 * abs(value)
             f, tree = cell_tree(batched_density(mover, full, kappa))
@@ -621,7 +624,7 @@ class TestBatchedPartials:
             [-2.0, -0.5, 1.0, 2.5, 4.0],
             [vec3(0, 0, 0), vec3(0.05, -0.02, 0.01), vec3(-0.03, 0.04, 0.0),
              vec3(0.02, 0.01, -0.03), vec3(0, 0, 0)])
-        window, bd = ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0)
+        bd = BoundaryData(-2.0, 4.0)
         k = coupling(t1, t2)
 
         def integrand(t):
@@ -640,7 +643,7 @@ class TestBatchedPartials:
             n = cone_time(t2, (tc, x1), branch).n_hat
             ref += (dens[Side.LEFT] - dens[Side.RIGHT]) * (
                 -s * float(n @ b.value(tc)) / (1.0 + s * float(n @ v1)))
-        value = frechet_directional(t1, t2, window, bd, b)
+        value = frechet_directional(t1, t2, bd, b)
         assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
@@ -721,12 +724,11 @@ class TestQuadratureBudget:
         # first variation across partner breaks
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         for d in (1e-3, 1e-6):
-            action(t1, static_traj([0.0, d, 0.0]), ActionWindow(-1.0, 1.0),
-                   BoundaryData(-1.0, 1.0), kappa=1.0)
+            action(t1, static_traj([0.0, d, 0.0]), BoundaryData(-1.0, 1.0), kappa=1.0)
         t1 = polygonal_from_vertices(
             [(-40.0, [0, -8, 0]), (0.5, [0, 0.1, 0]), (40.0, [0, 7, 0])], POS)
         t2 = polygonal_from_vertices(
             [(-40.0, [2.5, 4, 0]), (-1.0, [2.5, -0.1, 0]), (40.0, [2.5, -4, 0])], NEG)
         b = Perturbation.tent(-2.0, 1.0, 4.0, [0.05, -0.02, 0.01])
-        frechet_directional(t1, t2, ActionWindow(-2.0, 4.0), BoundaryData(-2.0, 4.0), b)
+        frechet_directional(t1, t2, BoundaryData(-2.0, 4.0), b)
         assert len(halved) == 3 and max(halved) <= _MAX_CELLS // 100

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wfvar.cli import ReportTable, _fmt, emit_report, load_scenario, main, run
-from wfvar.core import ParticleParams, load_trajectory, polygonal_from_vertices, save_trajectory
+from wfvar.core import (ParticleParams, Side, load_trajectory, polygonal_from_vertices,
+                        save_trajectory)
 from wfvar.errors import ConfigError
 from wfvar.shortrange import SeparationFamilyParams, save_family
 
@@ -722,6 +723,25 @@ class TestMinimize:
                                    atol=1e-8)
         np.testing.assert_allclose(refined.velocity(0.5), [0.3, 0.1, 0.0],
                                    atol=1e-8)
+
+
+    def test_break_times_pin_one_break_of_particle_1(self, tmp_path):
+        data = exact_minimize_scenario(break_times=[[0.0], []])
+        out = tmp_path / "out"
+        assert run("minimize", write_scenario(tmp_path, data), out_dir=out, quiet=True) == 0
+        assert quantities(out / "minimize.csv")["converged"] == 1.0
+        refined = load_trajectory(out / "minimized1.json")
+        assert 0.0 in refined.junction_times()
+        np.testing.assert_allclose(refined.velocity(0.0, Side.LEFT), [0.3, 0.1, 0.0],
+                                   atol=1e-8)
+
+    @pytest.mark.parametrize("value", [[[0.0]], 5, [[0.0], ["x"]]])
+    def test_malformed_break_times_are_config_errors(self, tmp_path, capsys, value):
+        data = exact_minimize_scenario(break_times=value)
+        assert run("minimize", write_scenario(tmp_path, data), quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "break_times must be two lists, one per particle" in err
 
 
 # command, the option `--tol` replaces, a `--tol` value that changes the

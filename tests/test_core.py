@@ -589,6 +589,15 @@ class TestValidation:
         assert t_junction == 1.0
         assert abs(gap - 1e-3) < 1e-12
 
+    def test_validate_applies_the_constructor_gap_rule(self):
+        # 1e-4 is within 1e-9 max(1, max |x|) = 1e-3 of a chain near x = 1e6
+        a = Segment.linear(0.0, 1.0, [1e6, 0, 0], [1e6 + 0.1, 0, 0])
+        b = Segment.linear(1.0, 2.0, [1e6 + 0.1 + 1e-4, 0, 0], [1e6 + 0.2, 0, 0])
+        traj = PiecewiseTrajectory((a, b), ELECTRON)
+        report = validate(traj)
+        assert report.continuity_defects[0][1] > 9e-5
+        assert report.ok and report.continuity_tol == traj.packed.gap_tol()
+
     def test_max_speed_matches_dense_sampling(self):
         traj = hermite_trajectory(
             [0.0, 0.7, 2.0],

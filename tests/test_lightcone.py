@@ -515,6 +515,16 @@ def test_cone_crossing_roots_hit_the_partner_junction(data):
             assert abs(image - tau) <= 1e-12
 
 
+def test_a_crossing_on_the_window_start_is_dropped():
+    # the partner junction at 2.2e-309 lies just past 0, the advanced image
+    # of t1 = -8, so its crossing time rounds to -8, the window start
+    partner = polygonal_from_vertices([(-40.0, [0, 0, 0]), (0.0, [0, 0, 0]),
+                                       (2.2e-309, [0, 0, 0]), (40.0, [0, 0, 0])], P)
+    traj1 = polygonal_from_vertices([(-8.0, [0, 8, 0]), (0.0, [0, 8, 0])], P)
+    assert cone_time(partner, (-8.0, traj1.position(-8.0)), Branch.ADVANCED).t_k == 0.0
+    assert cone_crossings(traj1, partner, -8.0, 0.0) == []
+
+
 # -- batched near-cone lanes against the scalar solve --------------------------
 
 FIELDS = ("t_k", "r", "n_hat", "v", "a", "dilation")

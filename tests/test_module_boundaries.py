@@ -289,3 +289,19 @@ def test_cone_floor_reads_cell_bounds_from_core():
 def test_guard_band_reads_junctions_from_core():
     # the guard band asks the chain for its nearest junctions
     assert "packed" not in attributes_read(PACKAGE / "farfield.py")
+
+
+def test_action_reads_its_window_from_the_boundary_set():
+    # `action` and `frechet_directional` take one window, the boundary set's,
+    # and only `_primary_view` makes the swapped boundary set of particle 2
+    tree = ast.parse((PACKAGE / "action.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("action", "frechet_directional"):
+        args = functions[name].args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        assert "boundary" in params and "window" not in params, name
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    makers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and "BoundaryData" in {getattr(call.func, "id", None) for call in ast.walk(node)
+                                     if isinstance(call, ast.Call)}]
+    assert makers == ["_primary_view"]

@@ -17,7 +17,8 @@ from wfvar.action import lagrangian_position_partial
 from wfvar.core import ParticleParams, Side, polygonal_from_vertices, vec3
 from wfvar.errors import InfeasibleJumpError, SuperluminalError
 from wfvar.lightcone import Branch, cone_time
-from wfvar.momentum import break_residuals, energy_current, momentum_current, post_jump_velocity
+from wfvar.momentum import (break_residual, break_residuals, energy_current, momentum_current,
+                            post_jump_velocity)
 
 POS = ParticleParams(mass=1.0, charge=1.0)
 NEG = ParticleParams(mass=1.0, charge=-1.0)
@@ -61,6 +62,17 @@ class TestCurrents:
         assert res.t == 0.0
         assert_allclose(res.dp, [-0.75, 0.75, 0], atol=1e-9)
         assert abs(res.de) < 1e-12
+
+    def test_break_residual_is_one_lane_of_break_residuals(self):
+        traj1 = polygonal_from_vertices(
+            [(-50.0, [-30, 0, 0]), (0.5, [0, 0, 0]), (50.0, [0, 30, 0])], POS)
+        traj2 = polygonal_from_vertices(
+            [(-50.0, [2, -20, 0]), (-0.3, [2, 0, 0]), (50.0, [2, 15, 0])], NEG)
+        for t in (0.5, 0.2):
+            one = break_residual(traj1, traj2, t)
+            (lane,) = break_residuals(traj1, traj2, times=[t])
+            assert one.t == lane.t and one.de == lane.de
+            assert one.dp.tobytes() == lane.dp.tobytes()
 
 
 class TestSideConsistency:

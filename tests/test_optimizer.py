@@ -246,7 +246,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("setup", ["far", "coupled"])
     def test_gradient_matches_difference_quotient(self, setup):
-        from wfvar.action import ActionWindow, action
+        from wfvar.action import action
         from wfvar.optimizer import _block_gradient, _primary_view
 
         if setup == "far":
@@ -263,11 +263,11 @@ class TestMinimize:
         sl = init.block_slice(1)
         theta[sl.start: sl.start + 3] += [0.08, -0.05, 0.03]
         dv = init.with_theta(theta)
-        win, bd = _primary_view(boundary, 1)
+        bd = _primary_view(boundary, 1)
 
         def objective(vec, k):
             trajs = decode(vec)
-            return action(trajs[k - 1], trajs[2 - k], win, bd)
+            return action(trajs[k - 1], trajs[2 - k], bd)
 
         g = _block_gradient(dv, 1, boundary, decode(dv), objective)
         h = 1e-4
@@ -341,7 +341,7 @@ class TestOnePassGradient:
         boundary, traj1, traj2 = coupled_boundary()
         dv = discretize(boundary, (traj1, traj2), n_nodes)
         trajs = decode(dv)
-        action(*trajs, *_primary_view(boundary, 1))
+        action(*trajs, _primary_view(boundary, 1))
         one_action = sum(lanes)
         lanes.clear()
         g = _block_gradient(dv, 1, boundary, trajs, objective=None)
