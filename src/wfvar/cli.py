@@ -403,7 +403,7 @@ def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
         dirs,
         t1_grid,
         particle=scen.particles[0],
-        **_given(scen.options, spread_tol=json_number, fit=lambda v: v),
+        **_given(scen.options, spread_tol=json_number),
     )
     save_trajectory(traj1, out / "partner.json")
     rows = tuple(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -365,18 +364,19 @@ class PackedChain:
             acc = c[..., k] + acc * u
         return acc
 
-    def check_admissible(self, t0: float, t1: float, tol: float = 1e-12) -> None:
+    def check_admissible(self, t0: float, t1: float) -> None:
         """Raise ContractError unless every field, zero outside the domain,
-        vanishes at the window ends t0, t1 and, lest it tear the trajectory,
-        at any domain end inside the window."""
+        vanishes (|b| <= 1e-12) at the window ends t0, t1 and, lest it tear
+        the trajectory, at any domain end inside the window."""
         a, b = self.knots[[0, -1]].tolist()
         if a >= t1 or b <= t0:
             return  # zero on the whole window
         ts = np.array([t for t in (t0, t1) if a <= t <= b] + [t for t in (a, b) if t0 < t < t1])
         values = self.at(np.searchsorted(self.knots[1:-1], ts, side="right"), ts)
         mags = np.linalg.norm(values.reshape(ts.size, -1, 3), axis=-1).max(axis=1, initial=0.0)
-        if (mags > tol).any():
-            i = int(np.argmax(mags > tol))
+        off = mags > 1e-12
+        if off.any():
+            i = int(off.argmax())
             raise ContractError(f"perturbation must vanish at t={ts[i]}, |b|={mags[i]:.3g}")
 
 
@@ -402,26 +402,14 @@ class SegmentChain:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "t_start", segs[0].t_start)
         object.__setattr__(self, "t_end", segs[-1].t_end)
-        object.__setattr__(self, "_junctions", [s.t_start for s in segs[1:]])
 
     def junction_times(self) -> list:
         """Interior junction times (candidate breaking points)."""
-        return list(self._junctions)
+        return self.packed.knots[1:-1].tolist()
 
     def segment_at(self, t: float, side: Side = Side.RIGHT) -> Segment:
-        """The segment governing time t: at a junction, the one starting
-        there (RIGHT) or the one ending there (LEFT).
-
-        A time within _EDGE_SLACK * max(1, |t|) outside the domain gets the
-        end segment; one farther out raises DomainError.
-        """
-        if not self.t_start <= t <= self.t_end:
-            slack = _EDGE_SLACK * max(1.0, abs(t))
-            if t < self.t_start - slack or t > self.t_end + slack:
-                raise DomainError(
-                    f"time {t} outside domain [{self.t_start}, {self.t_end}]")
-        find = bisect_right if side is Side.RIGHT else bisect_left
-        return self.segments[find(self._junctions, t)]
+        """The segment governing time t, by `segment_indices`."""
+        return self.segments[int(self.segment_indices(t, side))]
 
     @property
     def packed(self) -> PackedChain:
@@ -434,8 +422,10 @@ class SegmentChain:
         return packed
 
     def segment_indices(self, ts, side: Side = Side.RIGHT) -> np.ndarray:
-        """Indices of the segments governing each of the times ``ts``, by
-        `segment_at`'s rule, edge slack and DomainError included."""
+        """Indices of the segments governing each of the times ``ts``: at a
+        junction, the one starting there (RIGHT) or the one ending there
+        (LEFT).  A time within _EDGE_SLACK * max(1, |t|) outside the domain
+        gets the end segment; one farther out raises DomainError."""
         ts = np.asarray(ts, dtype=float)
         outside = (ts < self.t_start) | (ts > self.t_end)
         if outside.any():
@@ -491,17 +481,16 @@ class PiecewiseTrajectory(SegmentChain):
                 f"position gap {gaps[i]:.3g} at junction t={packed.knots[i + 1]}")
 
     def position(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self.segment_at(t, side).position(t)
+        return self.evaluate(t, 0, side)
 
     def velocity(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self.segment_at(t, side).velocity(t)
+        return self.evaluate(t, 1, side)
 
     def acceleration(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self.segment_at(t, side).acceleration(t)
+        return self.evaluate(t, 2, side)
 
     def state(self, t: float, side: Side = Side.RIGHT):
-        seg = self.segment_at(t, side)
-        return seg.position(t), seg.velocity(t), seg.acceleration(t)
+        return tuple(self.evaluate(t, order, side) for order in (0, 1, 2))
 
 
 def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
@@ -666,14 +655,14 @@ class Perturbation(SegmentChain):
     """
 
     def value(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self.segment_at(t, side).position(t)
+        return self.evaluate(t, 0, side)
 
     def derivative(self, t: float, side: Side = Side.RIGHT) -> Vec3:
-        return self.segment_at(t, side).velocity(t)
+        return self.evaluate(t, 1, side)
 
-    def check_admissible(self, t0: float, t1: float, tol: float = 1e-12) -> None:
+    def check_admissible(self, t0: float, t1: float) -> None:
         """`PackedChain.check_admissible` of b's cells."""
-        self.packed.check_admissible(t0, t1, tol)
+        self.packed.check_admissible(t0, t1)
 
     @classmethod
     def tent(cls, t0: float, t_peak: float, t1: float, amplitude) -> "Perturbation":

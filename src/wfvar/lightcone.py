@@ -12,7 +12,6 @@ amplitude treats distances as the sphere radius R.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -162,29 +161,26 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
             t_k = s
 
     # the junction snap of `cone_times`
-    junctions = traj.junction_times()
-    if junctions:
-        i = bisect_left(junctions, t_k)
-        before, after = junctions[max(i - 1, 0)], junctions[min(i, len(junctions) - 1)]
-        near = 1e-9 * max(1.0, abs(t_k))
-        j = before if i > 0 and t_k - before < near else after
-        if j != t_k and abs(j - t_k) < near:
-            gj, _, rj = residual(j, traj.segment_at(j))
-            if abs(gj) <= _cone_tol(t, j, rj, False):
-                t_k = j
+    j, near = traj.nearest_junctions(t_k, 1e-9 * max(1.0, abs(t_k)))
+    j = float(j)
+    if near and j != t_k:
+        gj, _, rj = residual(j, traj.segment_at(j))
+        if abs(gj) <= _cone_tol(t, j, rj, False):
+            t_k = j
 
-    g, d, r = residual(t_k, traj.segment_at(t_k))
+    index = int(traj.segment_indices(t_k))
+    g, d, r = residual(t_k, segs[index])
     if abs(g) > _cone_tol(t, t_k, r, False):
         if (k == 0 and gk != 0.0) or k > last:
             raise InsufficientHistoryError(
                 f"{branch.value} cone of event t={t} exits the domain "
                 f"[{traj.t_start}, {traj.t_end}]")
-        if abs(g) > _FLOOR * traj.packed.bounds(int(traj.segment_indices(t_k))):
+        if abs(g) > _FLOOR * traj.packed.bounds(index):
             raise ConvergenceError(f"cone residual {g:.3g} exceeds tolerance at t_k={t_k}")
     if r < COLLISION_R:
         raise CollisionError(f"cone distance {r} below {COLLISION_R} at t={t}")
     n0, n1, n2 = d[0] / r, d[1] / r, d[2] / r
-    seg = traj.segment_at(t_k, side)
+    seg = segs[index] if side is Side.RIGHT else traj.segment_at(t_k, side)
     v = seg.at(t_k, 1)
     doppler = 1.0 - sign * (n0 * v[0] + n1 * v[1] + n2 * v[2])
     return ConeSolution(t_k=t_k, r=r, n_hat=np.array([n0, n1, n2]), v=np.array(v),
@@ -209,20 +205,33 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     junction, as (t1, tau, branch) triples.
 
     Both cone maps are strictly increasing in t1, so a junction tau is
-    crossed when it lies between the images of a and b.  The crossing time
-    solves t1 = tau + s r, the other branch's cone condition of the partner
-    event (tau, x2(tau)) onto trajectory 1, so one lane solve finds the
-    crossings of both branches.
+    crossed exactly when its cone residual (t - tau) - s |x1(t) - x2(tau)|,
+    s the branch sign, is below -`_cone_tol` at t = a and above it at t = b
+    (within it, `cone_times` snaps the image onto tau); at the partner's
+    domain ends the same residuals raise `cone_times`'
+    InsufficientHistoryError.  The crossing time solves t1 = tau + s r, the
+    other branch's cone condition of (tau, x2(tau)) onto trajectory 1, so
+    one lane solve finds the crossings of both branches.
     """
-    junctions = partner.junction_times()
-    if not junctions or b <= a:
+    knots, xk = partner.packed.knots, partner.packed.knot_positions
+    if knots.size < 3 or b <= a:
         return []
+    ts = np.array([[a], [b]])
+    d = np.array([traj1.position(a), traj1.position(b)])[:, None] - xk
+    r = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
+    tol = _cone_tol(ts, knots, r, False, np.maximum)
     blocks, branches = [], []
     for branch, other in ((Branch.RETARDED, Branch.ADVANCED), (Branch.ADVANCED, Branch.RETARDED)):
-        lo2, hi2 = (cone_time(partner, (t, traj1.position(t)), branch).t_k for t in (a, b))
-        taus = np.array([tau for tau in junctions if lo2 < tau < hi2])
-        if taus.size:
-            blocks.append((other, taus, partner.evaluate(taus)))
+        g = (ts - knots) - branch.sign * r  # (2, knots): at t = a, then at t = b
+        exits = (g[:, 0] < -tol[:, 0]) | (g[:, -1] > tol[:, -1])
+        if exits.any():
+            raise InsufficientHistoryError(
+                f"{branch.value} cone of event t={ts[exits.argmax(), 0]} exits the domain "
+                f"[{knots[0]}, {knots[-1]}]")
+        # past the exit check, neither domain end is crossed
+        crossed = np.flatnonzero((g[0] < -tol[0]) & (g[1] > tol[1]))
+        if crossed.size:
+            blocks.append((other, knots[crossed], xk[crossed]))
             branches.append(branch)
     sols = _cone_solutions(traj1, blocks) if blocks else []
     return [(t, tau, branch) for sol, (_, taus, _), branch in zip(sols, blocks, branches)
@@ -546,7 +555,5 @@ def influence_interval(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     trajectory 1; every t1 in between interacts with the given partner point
     through neither cone, and the endpoints through exactly one.
     """
-    event = (t2, traj2.position(t2))
-    lo = cone_time(traj1, event, Branch.RETARDED).t_k
-    hi = cone_time(traj1, event, Branch.ADVANCED).t_k
-    return (lo, hi)
+    advanced, retarded = cone_pair(traj1, t2, traj2.position(t2))
+    return (float(retarded.t_k), float(advanced.t_k))

@@ -159,11 +159,11 @@ def decode(dv: DecisionVector):
     )
 
 
-def _true_breaks(traj: PiecewiseTrajectory, tol: float = _VELOCITY_JUMP_TOL):
+def _true_breaks(traj: PiecewiseTrajectory):
     """Junctions with an actual velocity jump, not mere segment seams."""
     taus = np.array(traj.junction_times())
     jumps = traj.evaluate(taus, 1, Side.RIGHT) - traj.evaluate(taus, 1, Side.LEFT)
-    return taus[np.linalg.norm(jumps, axis=1) > tol].tolist()
+    return taus[np.linalg.norm(jumps, axis=1) > _VELOCITY_JUMP_TOL].tolist()
 
 
 def discretize(boundary: BoundaryData, trajs, n_nodes: int,
@@ -266,8 +266,9 @@ class MinimizerReport:
         return self.max_el < self.el_tol and self.max_break < self.break_tol
 
 
-def _chebyshev_points(a: float, b: float, n: int) -> np.ndarray:
-    j = np.arange(n)
+def _chebyshev_points(a, b, n: int) -> np.ndarray:
+    """(m, n): n Chebyshev points inside each of the m cells [a, b]."""
+    a, b, j = a[:, None], b[:, None], np.arange(n)
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * j + 1) / (2 * n))
 
 
@@ -288,9 +289,9 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         view, traj = _primary_view(boundary, k), trajs[k - 1]
         partner = merge_history(trajs[2 - k], view.history2)
         a, b = view.window(1)
-        cells = [(max(seg.t_start, a), min(seg.t_end, b)) for seg in traj.segments]
-        ts = np.array([_chebyshev_points(lo, hi, n_points) for lo, hi in cells
-                       if hi - lo > 1e-12 * max(1.0, abs(a), abs(b))]).reshape(-1)
+        lo, hi = np.maximum(traj.packed.knots[:-1], a), np.minimum(traj.packed.knots[1:], b)
+        keep = hi - lo > 1e-12 * max(1.0, abs(a), abs(b))
+        ts = _chebyshev_points(lo[keep], hi[keep], n_points).reshape(-1)
         res = np.linalg.norm(el_residual(traj, partner, ts, kappa=kappa), axis=1)
         el_max.append(tuple(res.reshape(-1, n_points).max(axis=1).tolist()))
         breaks += break_residuals(traj, partner, kappa,

@@ -260,9 +260,10 @@ class SeparationFamilyParams:
     def l_sigma(self, sigma, n) -> np.ndarray:
         return self._evaluate(self.l_raw, sigma, unit_directions(n))
 
-    def validate(self, samples: int = 32, tol: float = 1e-12) -> None:
-        """Check transversality and boundedness on a direction sample."""
-        ns = fibonacci_sphere(samples)
+    def validate(self) -> None:
+        """Check transversality (|n.D|, |n.L| <= 1e-12) and boundedness on 32
+        Fibonacci directions."""
+        ns = fibonacci_sphere(32)
         for sigma in range(self.n_intervals):
             for name, at in (("D", self.d_sigma), ("L", self.l_sigma)):
                 try:
@@ -271,7 +272,7 @@ class SeparationFamilyParams:
                     raise ContractError(f"{name}_{sigma} not finite: {exc}") from exc
                 normal = (ns * vals).sum(axis=1)
                 worst = int(np.abs(normal).argmax())
-                if abs(normal[worst]) > tol:
+                if abs(normal[worst]) > 1e-12:
                     raise ContractError(
                         f"n.{name}_{sigma} = {normal[worst]:.3g} violates "
                         f"transversality at n={ns[worst].tolist()}"
@@ -504,8 +505,7 @@ def _solve_positions(traj2, params, n_grid, t1s, x0s):
 
 def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams,
                       n_grid, t1_grid, spread_tol: float = 1e-6,
-                      particle: ParticleParams | None = None,
-                      fit: str = "auto"):
+                      particle: ParticleParams | None = None):
     """Partner trajectory whose cone-linked separation realizes the family.
 
     For each grid time the stacked per-direction system is solved for one
@@ -516,7 +516,8 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     position x2(t1) (held at x2's end past its history), so its first
     trial cones meet x2 at t1: each Newton round is one far-cone pass over
     the lanes of all grid times still open, and one more pass gives the
-    candidates.
+    candidates.  A `linear` family gives a polygonal partner, any other a
+    cubic-Hermite one through finite-difference node velocities.
     """
     params.validate()
     n_grid = normalized_directions(np.atleast_2d(n_grid))
@@ -524,8 +525,6 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
     t1s = np.asarray(t1_grid, dtype=float)
     if t1s.ndim != 1 or t1s.size < 2 or not np.all(np.diff(t1s) > 0):
         raise DomainError("t1_grid must be strictly increasing with >= 2 times")
-    if fit not in ("auto", "polygonal", "hermite"):
-        raise ConfigError(f"unknown fit mode {fit!r}")
 
     # x2(t1_grid[0]) is a DomainError when the first grid time is outside x2
     starts = np.vstack([traj2.position(t1s[0]),
@@ -548,8 +547,7 @@ def construct_partner(traj2: PiecewiseTrajectory, params: SeparationFamilyParams
         )
     if particle is None:
         particle = ParticleParams(mass=1.0, charge=-traj2.particle.charge)
-    use_polygonal = fit == "polygonal" or (fit == "auto" and params.kind == "linear")
-    if use_polygonal:
+    if params.kind == "linear":
         traj1 = polygonal_from_vertices(list(zip(t1s, positions)), particle)
     else:
         vels = fd_node_velocities(t1s, positions)

@@ -504,11 +504,15 @@ def test_cone_crossing_roots_hit_the_partner_junction(data):
     traj1 = slow_polygon(data.draw, t1s, [0, 8, 0])
     a, b = traj1.t_start, traj1.t_end
     crossings = cone_crossings(traj1, partner, a, b)
-    for branch in Branch:
+    for branch, other in ((Branch.RETARDED, Branch.ADVANCED), (Branch.ADVANCED, Branch.RETARDED)):
         lo = cone_time(partner, (a, traj1.position(a)), branch).t_k
         hi = cone_time(partner, (b, traj1.position(b)), branch).t_k
         found = [(t1, tau) for t1, tau, br in crossings if br is branch]
-        assert [tau for _, tau in found] == [tau for tau in junctions if lo < tau < hi]
+        # a junction between the images whose crossing time rounds onto a
+        # window end is no crossing inside (a, b)
+        assert [tau for _, tau in found] == [
+            tau for tau in junctions if lo < tau < hi
+            and a < cone_time(traj1, (tau, partner.position(tau)), other).t_k < b]
         for t1, tau in found:
             assert a < t1 < b
             image = cone_time(partner, (t1, traj1.position(t1)), branch).t_k
@@ -523,6 +527,20 @@ def test_a_crossing_on_the_window_start_is_dropped():
     traj1 = polygonal_from_vertices([(-8.0, [0, 8, 0]), (0.0, [0, 8, 0])], P)
     assert cone_time(partner, (-8.0, traj1.position(-8.0)), Branch.ADVANCED).t_k == 0.0
     assert cone_crossings(traj1, partner, -8.0, 0.0) == []
+
+
+@pytest.mark.parametrize("history, message", [
+    ((-3.0, 10.0), r"retarded cone of event t=-2\.0 exits the domain \[-3\.0, 10\.0\]"),
+    ((-10.0, 3.0), r"advanced cone of event t=2\.0 exits the domain \[-10\.0, 3\.0\]"),
+])
+def test_a_window_end_image_past_the_partner_history_raises(history, message):
+    # trajectory 1 at rest 4 from the partner on [-2, 2]: the retarded image
+    # of t1 = -2 is about -6 and the advanced image of t1 = 2 about 6
+    partner = polygonal_from_vertices([(history[0], [0, 0, 0]), (0.0, [0.1, 0, 0]),
+                                       (history[1], [0, 0, 0])], P)
+    traj1 = polygonal_from_vertices([(-2.0, [0, 4, 0]), (2.0, [0, 4, 0])], P)
+    with pytest.raises(InsufficientHistoryError, match=f"^{message}$"):
+        cone_crossings(traj1, partner, -2.0, 2.0)
 
 
 # -- batched near-cone lanes against the scalar solve --------------------------

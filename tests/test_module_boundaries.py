@@ -305,3 +305,30 @@ def test_action_reads_its_window_from_the_boundary_set():
               and "BoundaryData" in {getattr(call.func, "id", None) for call in ast.walk(node)
                                      if isinstance(call, ast.Call)}]
     assert makers == ["_primary_view"]
+
+
+def test_one_lookup_rule_under_every_chain_read():
+    # which cell governs a time is answered by `segment_indices` alone, so
+    # no module keeps a bisect over a second junction store
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "bisect" not in imported, path.name
+    segment_at = core_functions()["SegmentChain.segment_at"]
+    calls = [getattr(node.func, "attr", None) for node in ast.walk(segment_at)
+             if isinstance(node, ast.Call)]
+    assert "segment_indices" in calls
+
+
+def test_only_direct_calls_solve_a_float_cone():
+    # crossings read their junctions off knot residuals and influence
+    # intervals solve one `cone_pair`: inside `lightcone`, the float
+    # `cone_time` serves no other function
+    tree = ast.parse((PACKAGE / "lightcone.py").read_text())
+    users = [func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and func.name != "cone_time"
+             and "cone_time" in {getattr(node, "id", None) or getattr(node, "attr", None)
+                                 for node in ast.walk(func)}]
+    assert users == []
