@@ -27,7 +27,6 @@ __all__ = [
     "action",
     "frechet_directional",
     "el_residual",
-    "lagrangian_velocity_partial",
     "lagrangian_position_partial",
     "branch_sums",
     "canonical_current",
@@ -113,12 +112,12 @@ def _local_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
 
 
 def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                      t, side: Side, kappa: float) -> tuple:
+                      t, side: Side = Side.RIGHT, kappa: float | None = None) -> tuple:
     """(p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided by
-    `side`, from one state and one cone pair; `kappa` is the resolved
-    coupling.  p and e are the momentum and energy currents: (3,) rows and a
+    `side`, from one state and one cone pair; `kappa` resolves through
+    `coupling`.  p and e are the momentum and energy currents: (3,) rows and a
     scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
-    return _local_currents(traj1, partner, t, side, kappa)[2:]
+    return _local_currents(traj1, partner, t, side, coupling(traj1, partner, kappa))[2:]
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
@@ -127,13 +126,6 @@ def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGH
     k = coupling(traj1, partner, kappa)
     v1, pair, _, _ = _local_currents(traj1, partner, t, side, k)
     return sum(k * _branch_partials(v1, sol) for sol in pair)
-
-
-def lagrangian_velocity_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
-                                kappa: float | None = None):
-    """dL/dv1; the cone condition involves positions only, so this is exact."""
-    k = coupling(traj1, partner, kappa)
-    return canonical_current(traj1, partner, t, side, k)[0]
 
 
 def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,

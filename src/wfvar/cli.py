@@ -43,7 +43,6 @@ from .shortrange import (
     SeparationFamilyParams,
     construct_partner,
     fibonacci_sphere,
-    load_family,
     params_from_dict,
     sewing_chain,
 )
@@ -143,23 +142,13 @@ def _inline_or_file(data: dict, key: str) -> tuple:
     return inline, ref
 
 
-def _load_traj(data: dict, idx: int, particle: ParticleParams,
-               base: Path) -> PiecewiseTrajectory | None:
-    inline, ref = _inline_or_file(data, f"trajectory{idx}")
+def _load_record(data: dict, key: str, base: Path, parse, *args):
+    """`parse(record, *args)` of the record `key`, given inline or as the
+    file `key`_file relative to `base`; None when neither is given."""
+    inline, ref = _inline_or_file(data, key)
     if ref is not None:
         inline = read_json(base / ref, ref)
-    if inline is None:
-        return None
-    return _traj_from_record(inline, particle)
-
-
-def _load_family_params(data: dict, base: Path) -> SeparationFamilyParams | None:
-    inline, ref = _inline_or_file(data, "family")
-    if ref is not None:
-        return load_family(base / ref)
-    if inline is None:
-        return None
-    return params_from_dict(inline)
+    return None if inline is None else parse(inline, *args)
 
 
 def load_scenario(path) -> Scenario:
@@ -188,8 +177,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(options, dict):
         raise ConfigError("options must be a JSON object")
     base = path.resolve().parent
-    traj1 = _load_traj(data, 1, particles[0], base)
-    traj2 = _load_traj(data, 2, particles[1], base)
+    traj1 = _load_record(data, "trajectory1", base, _traj_from_record, particles[0])
+    traj2 = _load_record(data, "trajectory2", base, _traj_from_record, particles[1])
 
     boundary = None
     raw_b = data.get("boundary")
@@ -214,26 +203,11 @@ def load_scenario(path) -> Scenario:
         particles=particles,
         traj1=traj1,
         traj2=traj2,
-        family=_load_family_params(data, base),
+        family=_load_record(data, "family", base, params_from_dict),
         boundary=boundary,
         kappa=kappa,
         options=options,
     )
-
-
-def _require(scen: Scenario, *, traj1=False, traj2=False, boundary=False,
-             family=False) -> None:
-    missing = []
-    if traj1 and scen.traj1 is None:
-        missing.append("trajectory1")
-    if traj2 and scen.traj2 is None:
-        missing.append("trajectory2")
-    if boundary and scen.boundary is None:
-        missing.append("boundary")
-    if family and scen.family is None:
-        missing.append("family")
-    if missing:
-        raise ConfigError(f"scenario is missing {', '.join(missing)}")
 
 
 def _option(options: dict, key: str, convert, default=None):
@@ -322,14 +296,12 @@ def _mesh(value):
 # there, and returns (CSV name, report, summary line) for `run` to write
 
 def _cmd_action(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True, traj2=True, boundary=True)
     s1, s2 = one_sided_actions(scen.traj1, scen.traj2, scen.boundary, scen.kappa)
     rows = (("action1", s1), ("action2", s2), ("total", s1 + s2))
     return "action.csv", ReportTable(("quantity", "value"), rows), f"total action {s1 + s2:.12g}"
 
 
 def _cmd_verify(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True, traj2=True, boundary=True)
     report = verify(scen.traj1, scen.traj2, scen.boundary, kappa=scen.kappa,
                     **_given(scen.options, n_points=lambda v: as_count(v, 1),
                              el_tol=json_number, break_tol=json_number))
@@ -339,7 +311,6 @@ def _cmd_verify(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True, traj2=True)
     times = _scan_times(scen.options)
     dirs = _directions(scen.options, 32)
     # lanes run time-major: every direction at the first time, then the next
@@ -356,7 +327,6 @@ def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_flux(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True)
     times = _scan_times(scen.options)
     if "radius" not in scen.options:
         raise ConfigError("flux options need a radius")
@@ -392,7 +362,6 @@ def _cmd_build_polygonal(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj2=True, family=True)
     dirs = _directions(scen.options, 32)
     if scen.options.get("t1_grid") is None:
         raise ConfigError("construct-partner options need a t1_grid")
@@ -415,7 +384,6 @@ def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_sewing_chain(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True, traj2=True)
     seed_opt = scen.options.get("seed")
     try:
         seed = (as_count(seed_opt[0], 1, "seed particle"), json_number(seed_opt[1]))
@@ -437,7 +405,6 @@ def _cmd_sewing_chain(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
-    _require(scen, traj1=True, traj2=True, boundary=True)
     opts = _given(scen.options, gtol=json_number, max_iter=as_count, el_tol=json_number,
                   break_tol=json_number)
     break_times = scen.options.get("break_times")
@@ -462,17 +429,20 @@ def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
                                     f"converged {int(report.converged)}")
 
 
-# each command's handler and the option `--tol` overrides (None: ignored)
+# each command's handler, the option `--tol` overrides (None: ignored) and
+# the scenario parts it needs
 _COMMANDS = {
-    "action": (_cmd_action, None),
-    "verify": (_cmd_verify, "el_tol"),
-    "gah-scan": (_cmd_gah_scan, "guard"),
-    "flux": (_cmd_flux, "guard"),
-    "build-polygonal": (_cmd_build_polygonal, None),
-    "construct-partner": (_cmd_construct_partner, "spread_tol"),
-    "sewing-chain": (_cmd_sewing_chain, None),
-    "minimize": (_cmd_minimize, "gtol"),
+    "action": (_cmd_action, None, ("traj1", "traj2", "boundary")),
+    "verify": (_cmd_verify, "el_tol", ("traj1", "traj2", "boundary")),
+    "gah-scan": (_cmd_gah_scan, "guard", ("traj1", "traj2")),
+    "flux": (_cmd_flux, "guard", ("traj1",)),
+    "build-polygonal": (_cmd_build_polygonal, None, ()),
+    "construct-partner": (_cmd_construct_partner, "spread_tol", ("traj2", "family")),
+    "sewing-chain": (_cmd_sewing_chain, None, ("traj1", "traj2")),
+    "minimize": (_cmd_minimize, "gtol", ("traj1", "traj2", "boundary")),
 }
+# the scenario key of each part whose name differs from it
+_PART_KEYS = {"traj1": "trajectory1", "traj2": "trajectory2"}
 
 
 def _diagnostic(exc: Exception) -> str:
@@ -488,7 +458,8 @@ def run(command: str, scenario_path, out_dir=None, tol=None,
         quiet: bool = False) -> int:
     """Run one command against a scenario file; returns the exit code.
 
-    `tol` replaces the command's `_COMMANDS` option, if it has one; the
+    `tol` replaces the command's `_COMMANDS` option, if it has one; a
+    scenario without a part the command needs is a ConfigError; the
     handler's report goes to its CSV and its summary, unless `quiet`, to
     stdout."""
     if command not in _COMMANDS:
@@ -498,7 +469,7 @@ def run(command: str, scenario_path, out_dir=None, tol=None,
             file=sys.stderr,
         )
         return 2
-    handler, tol_option = _COMMANDS[command]
+    handler, tol_option, needs = _COMMANDS[command]
     try:
         if tol is not None and not np.isfinite(tol):
             raise ConfigError(f"--tol must be a finite number, got {tol!r}")
@@ -507,6 +478,9 @@ def run(command: str, scenario_path, out_dir=None, tol=None,
             scen = replace(scen, options={**scen.options, tol_option: float(tol)})
         out = Path(out_dir) if out_dir is not None else Path(scenario_path).resolve().parent
         out.mkdir(parents=True, exist_ok=True)
+        missing = [_PART_KEYS.get(part, part) for part in needs if getattr(scen, part) is None]
+        if missing:
+            raise ConfigError(f"scenario is missing {', '.join(missing)}")
         csv_name, report, summary = handler(scen, out)
         path = out / csv_name
         emit_report(report, path)

@@ -762,18 +762,17 @@ def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
 
 def merge_history(traj: PiecewiseTrajectory,
                   history: PiecewiseTrajectory | None) -> PiecewiseTrajectory:
-    """Extend a window trajectory with its frozen continuation, if any; a
-    trajectory that is its own history is returned as it is."""
+    """Extend a window trajectory, under its particle, with its frozen
+    continuation, if any; a trajectory that is its own history is returned."""
     if history is None or history is traj:
         return traj
-    if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
-        return replace_window(history, traj, (traj.t_start, traj.t_end))
-    if history.t_end == traj.t_start or traj.t_end == history.t_start:
-        return _splice(history, traj, traj.particle)
-    raise DomainError(
-        f"history [{history.t_start}, {history.t_end}] neither contains nor "
-        f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
-    )
+    if not (history.t_start <= traj.t_start and traj.t_end <= history.t_end
+            or history.t_end == traj.t_start or traj.t_end == history.t_start):
+        raise DomainError(
+            f"history [{history.t_start}, {history.t_end}] neither contains nor "
+            f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
+        )
+    return _splice(history, traj, traj.particle)
 
 
 # -- JSON exchange format -----------------------------------------------------

@@ -211,7 +211,9 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     domain ends the same residuals raise `cone_times`'
     InsufficientHistoryError.  The crossing time solves t1 = tau + s r, the
     other branch's cone condition of (tau, x2(tau)) onto trajectory 1, so
-    one lane solve finds the crossings of both branches.
+    one lane solve finds the crossings of both branches.  Only domain exits
+    are judged: a window end within COLLISION_R of the partner is reported
+    by the integrand's lane solves, not here.
     """
     knots, xk = partner.packed.knots, partner.packed.knot_positions
     if knots.size < 3 or b <= a:

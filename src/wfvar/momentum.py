@@ -48,16 +48,14 @@ def momentum_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                      t: float, side: Side = Side.RIGHT,
                      kappa: float | None = None) -> Vec3:
     """Space part of the one-sided current at time t."""
-    k = coupling(traj1, traj2, kappa)
-    return canonical_current(traj1, traj2, t, side, k)[0]
+    return canonical_current(traj1, traj2, t, side, kappa)[0]
 
 
 def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                    t: float, side: Side = Side.RIGHT,
                    kappa: float | None = None) -> float:
     """Time part of the one-sided current at time t."""
-    k = coupling(traj1, traj2, kappa)
-    return canonical_current(traj1, traj2, t, side, k)[1]
+    return canonical_current(traj1, traj2, t, side, kappa)[1]
 
 
 def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -73,9 +71,8 @@ def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     ts = np.array(traj1.junction_times() if times is None else times, dtype=float)
     if not ts.size:
         return []
-    k = coupling(traj1, traj2, kappa)
-    p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, k)
-    p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, k)
+    p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, kappa)
+    p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, kappa)
     return [BreakResidual(t=t, dp=dp, de=de)
             for t, dp, de in zip(ts.tolist(), p_r - p_l, (e_r - e_l).tolist())]
 

@@ -358,9 +358,10 @@ def reference_replace_window(full, window_part, window):
 
 
 def reference_merge_history(traj, history):
-    """`wfvar.core.merge_history` on segment tuples."""
+    """`wfvar.core.merge_history` on segment tuples, under traj's particle."""
     if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
-        return reference_replace_window(history, traj, (traj.t_start, traj.t_end))
+        merged = reference_replace_window(history, traj, (traj.t_start, traj.t_end))
+        return PiecewiseTrajectory(merged.segments, traj.particle)
     if history.t_end == traj.t_start:
         return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
     if traj.t_end == history.t_start:

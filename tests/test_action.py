@@ -22,7 +22,6 @@ from wfvar.action import (
     frechet_directional,
     interaction_density,
     lagrangian_position_partial,
-    lagrangian_velocity_partial,
     pullback_mesh,
 )
 from wfvar.core import (
@@ -189,6 +188,16 @@ class TestAction:
         with pytest.raises(CollisionError):
             action(t1, t2, BoundaryData(-1.0, 1.0), kappa=1.0)
 
+    def test_window_end_on_a_partner_with_junctions_raises(self):
+        # trajectory 1 leaves the partner's position at the window start:
+        # `cone_crossings` judges only domain exits and finds the crossings,
+        # and the integrand's lane solves report the collision
+        t2 = polygonal_from_vertices([(t, [0, 0, 0]) for t in (-40.0, 0.5, 1.5, 40.0)], NEG)
+        t1 = polygonal_from_vertices([(0.0, [0, 0, 0]), (4.0, [2.0, 0, 0])], POS)
+        assert len(cone_crossings(t1, t2, 0.0, 4.0)) == 4
+        with pytest.raises(CollisionError):
+            action(t1, t2, BoundaryData(0.0, 4.0))
+
     def test_reversed_window_rejected(self):
         with pytest.raises(DomainError):
             BoundaryData(2.0, 1.0)
@@ -334,7 +343,7 @@ class TestElResidual:
     def test_velocity_partial_is_exact_gamma_v_for_far_partner(self):
         t1 = polygonal_from_vertices([(-5.0, [0, 0, 0]), (5.0, [0, 0, 3.0])], POS)
         t2 = static_traj([1e6, 0, 0], NEG, -3e6, 3e6)
-        p = lagrangian_velocity_partial(t1, t2, 0.0)
+        p = momentum_current(t1, t2, 0.0)
         v = 0.3
         gamma = 1.0 / np.sqrt(1.0 - v * v)
         assert_allclose(p, [0, 0, gamma * v], atol=1e-9)
@@ -369,7 +378,7 @@ class TestClosedFormElResidual:
             # the stencil stays on one smooth piece of the momentum
             assert cone_crossings(t1, t2, t - 2 * h, t + 2 * h) == []
             assert not any(abs(j - t) <= 2 * h for j in t1.junction_times())
-            mom = {k: lagrangian_velocity_partial(t1, t2, t + k * h, kappa=kappa)
+            mom = {k: momentum_current(t1, t2, t + k * h, kappa=kappa)
                    for k in (-2, -1, 1, 2)}
             dmom = (mom[-2] - 8 * mom[-1] + 8 * mom[1] - mom[2]) / (12 * h)
             ref = dmom - lagrangian_position_partial(t1, t2, t, kappa=kappa)
@@ -421,7 +430,6 @@ class TestLegendreTransform:
                 lag = interaction_density((x1, v1), *scalar_cone_pair(t2, t, x1, side),
                                           m1=t1.particle.mass, kappa=k)
                 p = momentum_current(t1, t2, t, side, kappa)
-                assert np.array_equal(p, lagrangian_velocity_partial(t1, t2, t, side, kappa))
                 e = energy_current(t1, t2, t, side, kappa)
                 assert abs(e - (float(v1 @ p) - lag)) <= 1e-14
 

@@ -119,6 +119,15 @@ def test_mixed_degree_history_abutting_either_side():
         assert_matches_reference(merge_history, reference_merge_history, history, window)
 
 
+def test_merged_chain_takes_the_window_trajectorys_particle():
+    window = hermite([-1.0, 0.0, 1.0])
+    heavier = ParticleParams(mass=3.0, charge=-2.0)
+    for times in ([-5.0, 0.5, 5.0], [1.0, 3.0, 8.0]):  # contains, abuts
+        history = polygonal_from_vertices([(t, t * np.array([0.3, 0.1, 0.0])) for t in times],
+                                          heavier)
+        assert merge_history(window, history).particle == window.particle
+
+
 def test_splice_keeps_negative_zero_coefficients_of_unshifted_cells():
     before = np.array([[-0.0, 0.1], [2.0, -0.0], [-0.0, -0.0]])
     after = np.array([[0.3, -0.0], [2.0, 0.05], [-0.0, -0.0]])

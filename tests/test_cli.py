@@ -263,6 +263,29 @@ class TestExitCodes:
         assert run("gah-scan", path, out_dir=tmp_path / "out") == 1
         assert "trajectory2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields, missing", [
+        ("action", {}, "trajectory1, trajectory2, boundary"),
+        ("verify", {"trajectory2": static_record(2.0, 0.0, 0.0)}, "trajectory1, boundary"),
+        ("minimize", static_pair(), "boundary"),
+        ("gah-scan", {"trajectory2": static_record(2.0, 0.0, 0.0)}, "trajectory1"),
+        ("flux", {"trajectory2": static_record(2.0, 0.0, 0.0)}, "trajectory1"),
+        ("construct-partner", {}, "trajectory2, family"),
+        ("sewing-chain", {}, "trajectory1, trajectory2"),
+    ])
+    def test_each_command_names_every_missing_part(self, tmp_path, capsys, command, fields,
+                                                   missing):
+        path = write_scenario(tmp_path, base_scenario(**fields))
+        assert run(command, path, out_dir=tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: config: scenario is missing {missing}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_family_file_that_is_not_json(self, tmp_path, capsys):
+        (tmp_path / "fam.json").write_text("{not json")
+        path = write_scenario(tmp_path, base_scenario(family_file="fam.json"))
+        assert run("construct-partner", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: fam.json"), err
+
     @pytest.mark.parametrize("command, fields", [
         ("action", {"trajectory1": {"segments": [[0, 1]]}}),
         ("action", {**static_pair(), "boundary": [0, 1]}),

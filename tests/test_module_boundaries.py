@@ -279,6 +279,29 @@ def test_cli_writes_every_report_in_run():
     assert called(funcs["run"]).count("emit_report") == 1
 
 
+def test_cli_checks_scenario_parts_in_run():
+    # every `_COMMANDS` entry names the scenario parts its command needs,
+    # and `run` checks them: no handler calls `_require` or tests
+    # `scen.<part> is None`
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_COMMANDS")
+    parts = {"traj1", "traj2", "boundary", "family"}
+    for key, entry in zip(table.keys, table.values):
+        needs = ast.literal_eval(entry.elts[-1])
+        assert isinstance(needs, tuple) and set(needs) <= parts, key.value
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 8
+    for func in handlers:
+        calls = {getattr(node.func, "id", None) for node in ast.walk(func)
+                 if isinstance(node, ast.Call)}
+        checks = [node.lineno for node in ast.walk(func) if isinstance(node, ast.Compare)
+                  and getattr(node.left, "attr", None) in parts
+                  and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
+        assert "_require" not in calls and checks == [], func.name
+
+
 def test_cone_floor_reads_cell_bounds_from_core():
     # the cone rounding floor takes `PackedChain.bounds`, one rule with the
     # segment speed screen, instead of reading the chain's rows

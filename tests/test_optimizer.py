@@ -190,6 +190,16 @@ class TestVerify:
         assert abs(report.max_el - 0.25) < 1e-9
         assert not report.converged
 
+    @pytest.mark.parametrize("span", [(-300.0, 300.0), (5.0, 300.0)], ids=["contains", "abuts"])
+    def test_partner_history_takes_the_window_trajectorys_charge(self, span):
+        # the same static pair, particle 2's window trajectory inside or
+        # before a history of charge -2: kappa is still 1, as in `action`
+        traj1 = static_traj([0, 0, 0])
+        traj2 = static_traj([2.0, 0, 0], t0=-5.0, t1=5.0, particle=NEG)
+        history2 = static_traj([2.0, 0, 0], *span, particle=ParticleParams(1.0, -2.0))
+        report = verify(traj1, traj2, BoundaryData(-2.0, 2.0, history2=history2))
+        assert abs(report.max_el - 0.25) < 1e-9
+
     def test_smooth_orbit_has_no_breaks(self):
         traj1, traj2 = circle_pair()
         report = verify(traj1, traj2, BoundaryData(-1.0, 1.0))
