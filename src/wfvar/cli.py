@@ -188,7 +188,8 @@ def load_scenario(path) -> Scenario:
         try:
             window2 = raw_b.get("window2")
             if window2 is not None:
-                window2 = (json_number(window2[0]), json_number(window2[1]))
+                w0, w1 = window2
+                window2 = (json_number(w0), json_number(w1))
             boundary = BoundaryData(
                 json_number(raw_b["start_time"]),
                 json_number(raw_b["end_time"]),
@@ -384,10 +385,10 @@ def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
 
 
 def _cmd_sewing_chain(scen: Scenario, out: Path) -> tuple:
-    seed_opt = scen.options.get("seed")
     try:
-        seed = (as_count(seed_opt[0], 1, "seed particle"), json_number(seed_opt[1]))
-    except (TypeError, ValueError, IndexError) as exc:
+        particle, t = scen.options.get("seed")
+        seed = (as_count(particle, 1, "seed particle"), json_number(t))
+    except (TypeError, ValueError) as exc:
         raise ConfigError("seed must be [particle, time]") from exc
     chain = sewing_chain(
         scen.traj1,
@@ -410,8 +411,9 @@ def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
     break_times = scen.options.get("break_times")
     if break_times is not None:
         try:
-            break_times = (json_numbers(break_times[0]), json_numbers(break_times[1]))
-        except (TypeError, ValueError, IndexError) as exc:
+            times1, times2 = break_times
+            break_times = (json_numbers(times1), json_numbers(times2))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(
                 "break_times must be two lists, one per particle"
             ) from exc

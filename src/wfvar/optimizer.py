@@ -20,6 +20,7 @@ every velocity jump.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     as_count,
     fd_node_velocities,
     hermite_trajectory,
+    json_number,
     merge_history,
     subluminal,
     vec3,
@@ -111,6 +113,10 @@ class DecisionVector:
         return DecisionVector(self.layouts, theta, self.free_break_times)
 
 
+class _UnorderedTimes(DomainError):
+    """Freed breaking times that leave the node order: an infeasible trial."""
+
+
 def _unpack_block(layout: ParticleLayout, block: np.ndarray,
                   free_break_times: bool):
     n_int = layout.n_interior
@@ -121,7 +127,7 @@ def _unpack_block(layout: ParticleLayout, block: np.ndarray,
     if free_break_times and nb:
         times[layout.break_indices] = block[3 * n_int + 6 * nb:]
         if not np.all(np.diff(times) > 0):
-            raise DomainError("freed breaking times must keep nodes ordered")
+            raise _UnorderedTimes("freed breaking times must keep nodes ordered")
     positions = np.vstack([layout.x_start, pos, layout.x_end])
     return times, positions, vels
 
@@ -227,7 +233,7 @@ def _basis_fields(layout: ParticleLayout, times: np.ndarray) -> PackedChain:
     """The displacement fields of the C position and velocity coordinates on
     the node times, as one bundle: decode is affine, and its linear part
     applied to the identity gives every field at once.  Freed time
-    coordinates are not included (the objective is differenced for them)."""
+    coordinates are not included (their trial actions are differenced)."""
     eye, n_int = np.eye(layout.size(free_break_times=False)), layout.n_interior
     positions = np.zeros((n_int + 2, eye.shape[0], 3))  # the pinned ends stay zero
     positions[1:-1] = eye[: 3 * n_int].reshape(n_int, 3, -1).transpose(0, 2, 1)
@@ -320,61 +326,50 @@ class MinimizeOptions:
 
 def _normalize_options(opts) -> MinimizeOptions:
     if opts is None:
-        return MinimizeOptions()
-    if isinstance(opts, MinimizeOptions):
-        return opts
-    if isinstance(opts, dict):
-        known = MinimizeOptions.__dataclass_fields__
-        unknown = set(opts) - set(known)
+        opts = MinimizeOptions()
+    elif isinstance(opts, dict):
+        unknown = set(opts) - set(MinimizeOptions.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown minimizer options: {sorted(unknown)}")
-        return MinimizeOptions(**opts)
-    raise ConfigError(f"options must be a dict or MinimizeOptions, got {type(opts)}")
+        opts = MinimizeOptions(**opts)
+    elif not isinstance(opts, MinimizeOptions):
+        raise ConfigError(f"options must be a dict or MinimizeOptions, got {type(opts)}")
+    for name in ("gtol", "el_tol", "break_tol"):
+        try:
+            json_number(getattr(opts, name))
+        except ValueError as exc:
+            raise ConfigError(f"minimizer option {name}: {exc}") from exc
+    return replace(opts, max_iter=as_count(opts.max_iter, 0, "max_iter"))
 
 
-class _BlockState:
-    """BFGS bookkeeping of one particle's coordinate block."""
-
-    def __init__(self, dim: int):
-        self.h = np.eye(dim)
-        self.prev_g = None
-        self.prev_s = None
-
-    def update(self, g: np.ndarray) -> None:
-        if self.prev_g is None or self.prev_s is None:
-            return
-        y = g - self.prev_g
-        s = self.prev_s
-        ys = float(y @ s)
-        if ys > 1e-10 * np.linalg.norm(y) * np.linalg.norm(s):
-            rho = 1.0 / ys
-            v = np.eye(len(g)) - rho * np.outer(s, y)
-            self.h = v @ self.h @ v.T + rho * np.outer(s, s)
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        p = -self.h @ g
-        if float(p @ g) >= 0.0:  # lost curvature; fall back to steepest descent
-            self.h = np.eye(len(g))
-            p = -g
-        return p
+def _bfgs(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of the inverse Hessian `h` by the step `s` and the
+    gradient change `y`; `h` itself where the curvature y.s is too small."""
+    ys = float(y @ s)
+    if ys > 1e-10 * np.linalg.norm(y) * np.linalg.norm(s):
+        rho = 1.0 / ys
+        v = np.eye(len(s)) - rho * np.outer(s, y)
+        h = v @ h @ v.T + rho * np.outer(s, s)
+    return h
 
 
-def _block_gradient(dv: DecisionVector, k: int, boundary: BoundaryData,
-                    trajs, objective, kappa=None) -> np.ndarray:
-    layout = dv.layouts[k - 1]
-    block = dv.theta[dv.block_slice(k)]
-    basis = _basis_fields(layout, _unpack_block(layout, block, dv.free_break_times)[0])
+def _block_gradient(traj: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                    view: BoundaryData, layout: ParticleLayout, block: np.ndarray,
+                    trial, kappa=None) -> np.ndarray:
+    """Gradient of the one-sided action of `traj`, decoded from `block`:
+    one first variation over the basis fields on its node times, and central
+    differences of `trial(block)`'s action for freed breaking times."""
+    basis = _basis_fields(layout, traj.packed.knots)
     count = basis.rows[0].shape[1]
     g = np.empty(len(block))
-    g[:count] = frechet_directional(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k),
-                                    basis, kappa=kappa)
+    g[:count] = frechet_directional(traj, partner, view, basis, kappa=kappa)
     for j in range(count, len(block)):  # freed breaking times
         h = 1e-6 * max(1.0, abs(block[j]))
         g[j] = 0.0
         for sign in (1.0, -1.0):
-            trial = dv.theta.copy()
-            trial[dv.block_slice(k)][j] += sign * h
-            g[j] += sign * objective(dv.with_theta(trial), k) / (2.0 * h)
+            bumped = block.copy()
+            bumped[j] += sign * h
+            g[j] += sign * trial(bumped)[1] / (2.0 * h)
     return g
 
 
@@ -385,75 +380,66 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
     Each outer iteration takes one damped BFGS step per particle on that
     particle's one-sided action (partner frozen), using the exact first
     variation for the gradient.  Steps must pass an Armijo decrease test;
-    superluminal trials are rejected by shrinking the step.  Convergence
-    requires both block gradients below `gtol`; the returned report adds
-    the standard residual verification of the final pair.
+    infeasible trials (superluminal, or freed breaking times out of node
+    order) are rejected by shrinking the step.  Convergence requires both
+    block gradients below `gtol`; the returned report adds the standard
+    residual verification of the final pair.
     """
     options = _normalize_options(opts)
-    views = {k: _primary_view(boundary, k) for k in (1, 2)}
+    trajs = list(decode(init))  # feasibility gate: raises on superluminal encoding
+    views = [_primary_view(boundary, k) for k in (1, 2)]
+    blocks = [init.theta[init.block_slice(k)] for k in (1, 2)]
+    hs = [np.eye(block.size) for block in blocks]  # inverse Hessian per block
+    last = [None, None]  # (gradient, step) of each block's last accepted step
 
-    def objective(vec: DecisionVector, k: int) -> float:
-        trajs = decode(vec)
-        return action(trajs[k - 1], trajs[2 - k], views[k], kappa=kappa)
+    def trial(i: int, block: np.ndarray) -> tuple:
+        """Particle i + 1 at `block`, and its action against the frozen partner."""
+        traj = _decode_particle(init.layouts[i], block, init.free_break_times)
+        return traj, action(traj, trajs[1 - i], views[i], kappa=kappa)
 
-    dv = init
-    decode(dv)  # feasibility gate: raises on superluminal encoding
-    states = {k: _BlockState(dv.block_slice(k).stop - dv.block_slice(k).start)
-              for k in (1, 2)}
-    log = []
-    converged = False
-    iterations = 0
+    log, converged, iterations = [], False, 0
     for iterations in range(1, options.max_iter + 1):
-        grad_ok = True
-        moved = False
-        for k in (1, 2):
-            sl = dv.block_slice(k)
-            if sl.stop == sl.start:
+        grad_ok, moved = True, False
+        for i, block in enumerate(blocks):
+            if not block.size:
                 continue
-            trajs = decode(dv)
-            g = _block_gradient(dv, k, boundary, trajs, objective, kappa=kappa)
-            state = states[k]
-            state.update(g)
-            gnorm = float(np.abs(g).max())
-            if gnorm < options.gtol:
-                state.prev_g, state.prev_s = g, None
+            g = _block_gradient(trajs[i], trajs[1 - i], views[i], init.layouts[i], block,
+                                partial(trial, i), kappa=kappa)
+            if last[i] is not None:
+                hs[i] = _bfgs(hs[i], last[i][1], g - last[i][0])
+                last[i] = None
+            if float(np.abs(g).max()) < options.gtol:
                 continue
             grad_ok = False
-            p = state.direction(g)
-            f0 = objective(dv, k)
+            p = -hs[i] @ g
+            if float(p @ g) >= 0.0:  # lost curvature; fall back to steepest descent
+                hs[i], p = np.eye(block.size), -g
+            f0 = action(trajs[i], trajs[1 - i], views[i], kappa=kappa)
             slope = float(g @ p)
             alpha = 1.0
-            accepted = None
             for _ in range(30):
-                trial_theta = dv.theta.copy()
-                trial_theta[sl] += alpha * p
-                trial = dv.with_theta(trial_theta)
+                step = alpha * p
                 try:
-                    f_trial = objective(trial, k)
-                except SuperluminalError:
+                    traj, f_trial = trial(i, block + step)
+                except (SuperluminalError, _UnorderedTimes):
                     alpha *= 0.5  # infeasible iterate; shrink the step
                     continue
                 if f_trial <= f0 + 1e-4 * alpha * slope:
-                    accepted = (trial, f_trial, alpha)
                     break
                 alpha *= 0.5
-            if accepted is None:
-                state.prev_g, state.prev_s = g, None
+            else:
                 continue  # line-search failure: report non-converged later
-            trial, f_trial, alpha = accepted
-            state.prev_g, state.prev_s = g, alpha * p
-            dv = trial
-            log.append((k, f0, f_trial))
+            blocks[i], trajs[i], last[i] = block + step, traj, (g, step)
+            log.append((i + 1, f0, f_trial))
             moved = True
         if grad_ok:
             converged = True
             break
         if not moved:
             break  # both line searches failed; stop with converged=False
-    traj1, traj2 = decode(dv)
-    report = verify(traj1, traj2, boundary, el_tol=options.el_tol,
+    report = verify(*trajs, boundary, el_tol=options.el_tol,
                     break_tol=options.break_tol, kappa=kappa)
     report = replace(report, iterations=iterations,
                      converged=converged and report.residuals_ok,
                      descent_log=tuple(log))
-    return traj1, traj2, report
+    return (*trajs, report)

@@ -394,6 +394,12 @@ class TestExitCodes:
         ("action", {"trajectory1_file": 5, "trajectory2": static_record(2.0, 0.0, 0.0),
                     "boundary": {"start_time": -1.0, "end_time": 1.0}}),
         ("construct-partner", {**partner_scenario(None), "family_file": [1]}),
+        # a pair is exactly two entries, never a prefix of a longer list
+        ("sewing-chain", {**static_pair(), "options": {"seed": [1, 0.0, 99]}}),
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0,
+                                                  "window2": [-2.0, 2.0, 77]}}),
+        ("minimize", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                      "options": {"nodes_per_segment": 3, "break_times": [[], [], [5]]}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
@@ -406,7 +412,8 @@ class TestExitCodes:
             "node-row-ragged", "vertex-row-ragged", "node-time-huge", "vertex-huge",
             "node-row-bool", "vertex-row-bool", "gah-times-empty", "gah-time-range-empty",
             "flux-times-empty", "flux-time-range-empty", "trajectory-file-number",
-            "family-file-list"])
+            "family-file-list", "seed-three-entries", "window2-three-entries",
+            "break-times-three-lists"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
         path = write_scenario(tmp_path, base_scenario(**fields))
         assert run(command, path, out_dir=tmp_path / "out") == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,6 +23,7 @@ from wfvar.errors import ConfigError, DomainError, SuperluminalError
 from wfvar.momentum import break_residuals
 from wfvar.optimizer import (
     DecisionVector,
+    MinimizeOptions,
     MinimizerReport,
     _basis_fields,
     _node_velocities,
@@ -279,7 +282,7 @@ class TestMinimize:
             trajs = decode(vec)
             return action(trajs[k - 1], trajs[2 - k], bd)
 
-        g = _block_gradient(dv, 1, boundary, decode(dv), objective)
+        g = _block_gradient(*decode(dv), bd, dv.layouts[0], dv.theta[sl], None)
         h = 1e-4
         for j in coordinates:
             tp, tm = dv.theta.copy(), dv.theta.copy()
@@ -303,6 +306,21 @@ class TestMinimize:
         with pytest.raises(ConfigError):
             minimize(boundary, init, {"tol": 1e-8})
 
+    @pytest.mark.parametrize("opts", [
+        {"max_iter": 2.5}, MinimizeOptions(max_iter=2.5), {"max_iter": True},
+        {"max_iter": -1}, MinimizeOptions(max_iter=-1), {"gtol": math.nan},
+        MinimizeOptions(gtol=math.inf), {"el_tol": math.nan}, {"break_tol": -math.inf},
+    ], ids=["max-iter-fraction", "options-max-iter-fraction", "max-iter-true",
+            "max-iter-negative", "options-max-iter-negative", "gtol-nan", "options-gtol-inf",
+            "el-tol-nan", "break-tol-infinite"])
+    def test_malformed_option_rejected(self, opts):
+        # counts follow the CLI's integer rule and tolerances must be finite,
+        # in every form the options come in
+        boundary, traj1, traj2 = far_boundary()
+        init = discretize(boundary, (traj1, traj2), 3)
+        with pytest.raises(ConfigError):
+            minimize(boundary, init, opts)
+
     def test_free_break_time_coordinates(self):
         v_pre, v_post = vec3(0.10, 0.02, 0.0), vec3(0.16, -0.03, 0.0)
         traj1 = polygonal_from_vertices(
@@ -323,6 +341,72 @@ class TestMinimize:
         _, _, report = minimize(boundary, init, {"max_iter": 2, "gtol": 1e-10})
         for k, before, after in report.descent_log:
             assert after <= before + 1e-12
+
+
+def kinked_pair(v_after):
+    """Particle 1 at rest until t = 0, then at (v_after, 0, 0); particle 2
+    static 3 away; window [-1, 1]."""
+    traj1 = polygonal_from_vertices([(-50.0, [0, 0, 0]), (0.0, [0, 0, 0]),
+                                     (50.0, [50.0 * v_after, 0, 0])], POS)
+    traj2 = static_traj([3.0, 0, 0], t0=-50.0, t1=50.0, particle=NEG)
+    return BoundaryData(-1.0, 1.0, history1=traj1, history2=traj2), traj1, traj2
+
+
+class TestBlockSteps:
+    @pytest.mark.parametrize("n_nodes, v_after", [(2, 0.9), (3, 0.9), (6, 0.9), (6, 0.6)])
+    def test_unordered_break_time_trial_shrinks_the_step(self, n_nodes, v_after):
+        # a full step moves the freed break time past a neighbouring node;
+        # the line search halves it as it halves a superluminal trial
+        boundary, traj1, traj2 = kinked_pair(v_after)
+        init = discretize(boundary, (traj1, traj2), n_nodes, break_times=([0.0], []),
+                          free_break_times=True)
+        _, _, report = minimize(boundary, init, {"max_iter": 5})
+        assert report.descent_log
+        for k, before, after in report.descent_log:
+            assert after <= before + 1e-12
+
+    def test_a_block_step_decodes_only_its_own_block(self, monkeypatch):
+        # the pair is decoded once, by the feasibility gate; after that every
+        # trial (line search and freed-time differences) decodes its own
+        # block and reads the partner as it stands
+        from wfvar import optimizer
+
+        boundary, traj1, traj2 = kinked_pair(0.3)
+        init = discretize(boundary, (traj1, traj2), 3, break_times=([0.0], [0.0]),
+                          free_break_times=True)
+        theta = init.theta.copy()
+        theta[:3] += [0.03, -0.02, 0.01]
+        sl = init.block_slice(2)
+        theta[sl.start: sl.start + 3] += [-0.02, 0.01, 0.0]
+        events = []
+        decode_pair, decode_particle, one_action = (
+            optimizer.decode, optimizer._decode_particle, optimizer.action)
+
+        def counted_decode(dv):
+            events.append(("decode",))
+            return decode_pair(dv)
+
+        def counted_decode_particle(layout, block, free):
+            traj = decode_particle(layout, block, free)  # an infeasible trial raises here
+            events.append(("particle", 1 if layout is init.layouts[0] else 2))
+            return traj
+
+        def counted_action(traj, partner, view, **kwargs):
+            events.append(("action", 1 if view is boundary else 2))
+            return one_action(traj, partner, view, **kwargs)
+
+        monkeypatch.setattr(optimizer, "decode", counted_decode)
+        monkeypatch.setattr(optimizer, "_decode_particle", counted_decode_particle)
+        monkeypatch.setattr(optimizer, "action", counted_action)
+        _, _, report = minimize(boundary, init.with_theta(theta), {"max_iter": 2})
+        assert {k for k, _, _ in report.descent_log} == {1, 2}
+        assert events[:3] == [("decode",), ("particle", 1), ("particle", 2)]
+        assert ("decode",) not in events[3:]
+        for at, event in enumerate(events[3:], start=3):
+            if event[0] == "particle":
+                assert events[at + 1] == ("action", event[1]), events[at - 2: at + 2]
+        decodes = [event[1] for event in events if event[0] == "particle"]
+        assert decodes.count(1) > 2 and decodes.count(2) > 2
 
 
 class TestOnePassGradient:
@@ -354,6 +438,7 @@ class TestOnePassGradient:
         action(*trajs, _primary_view(boundary, 1))
         one_action = sum(lanes)
         lanes.clear()
-        g = _block_gradient(dv, 1, boundary, trajs, objective=None)
+        g = _block_gradient(*trajs, _primary_view(boundary, 1), dv.layouts[0],
+                            dv.theta[dv.block_slice(1)], None)
         assert g.shape == (3 * (n_nodes - 2),)
         assert 0 < sum(lanes) <= 2 * one_action
