@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BoundaryData, PackedChain, Perturbation, PiecewiseTrajectory, Side,
-                   merge_history, subluminal)
+                   cross, merge_history, subluminal)
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair
+from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, lw_fields
 
 __all__ = [
     "interaction_density",
@@ -285,32 +285,17 @@ def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                 t, side: Side = Side.RIGHT, kappa: float | None = None):
     """d/dt (dL/dv1) - dL/dx1, one-sided, zero on exact piecewise solutions.
 
-    The time derivative is exact algebra in trajectory 1's acceleration and
-    each branch's delayed velocity V and acceleration A.  Differentiating
-    the cone condition t2 = t + s r (s = +1 advanced, -1 retarded) gives
-
-        dt2/dt = (1 + s n.v1) / rho,     dr/dt = n.v1 - (n.V) dt2/dt,
-        dn/dt = (v1 - V dt2/dt - n dr/dt) / r,
-        drho/dt = s (dn/dt.V + (n.A) dt2/dt),
-
-    with rho = 1 + s n.V, so every term is read from one trajectory state
-    and one cone pair taken on `side`; at breaking points and cone
-    crossings the result is the limit from that side.  A float time gives
-    a (3,) row, (M,) times give (M, 3) rows.
+    It is the Lorentz residual m d(gamma v1)/dt - q1 (E + v1 x B), with E and B
+    half the advanced plus half the retarded `lw_fields` of trajectory 2 and
+    q1 q2 = -kappa, read from one state and one cone pair taken on `side`;
+    at breaking points and cone crossings the result is the limit from that
+    side.  A float time gives a (3,) row, (M,) times give (M, 3) rows.
     """
     k = coupling(traj1, traj2, kappa)
     x1, v1, a1 = (traj1.evaluate(t, order, side) for order in range(3))
     g2 = 1.0 / (1.0 - _dot(v1, v1))
     res = traj1.particle.mass * np.sqrt(g2) * (a1 + g2 * _dot(v1, a1) * v1)
     for sol in cone_pair(traj2, t, x1, side):
-        s, n, V, A = -sol.branch.sign, sol.n_hat, sol.v, sol.a
-        r, rho = sol.r[..., None], sol.doppler[..., None]
-        dt2 = (1.0 + s * _dot(n, v1)) / rho
-        dr = _dot(n, v1) - _dot(n, V) * dt2
-        dn = (v1 - V * dt2 - n * dr) / r
-        drho = s * (_dot(dn, V) + _dot(n, A) * dt2)
-        # d/dt of V / (2 r rho), which enters dL/dv1 with the factor -kappa
-        d_field = (A * dt2 / (2.0 * r * rho)
-                   - V * (rho * dr + r * drho) / (2.0 * r * r * rho * rho))
-        res -= k * (d_field + _branch_partials(v1, sol))
+        e, b = lw_fields(sol, -k)
+        res -= 0.5 * (e + cross(v1, b))
     return res

@@ -2,9 +2,10 @@
 
 Fields are evaluated in the far-field limit on a sphere of radius R much
 larger than the orbit, where the light-cone condition linearizes to
-t_k = t -+ R +- n.x(t_k).  Everything here is per unit charge-squared in
-Heaviside-like units with c = 1; the sphere-averaged flux of the combined
-field reproduces the classical dipole power for a slow retarded-only source.
+t_k = t -+ R +- n.x(t_k), and one charge's field is `lightcone.lw_radiation`
+at r = R.  Everything here is per unit charge-squared in Heaviside-like
+units with c = 1; the sphere-averaged flux of the combined field reproduces
+the classical dipole power for a slow retarded-only source.
 
 Breaking points make the fields one-sided along the cone images of the
 breaking times.  Samples whose cone time falls within a guard band of a
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, Vec3, cross
 from .errors import CoverageError, DomainError
-from .lightcone import Branch, far_cone_time, far_cone_times, unit_directions
+from .lightcone import Branch, far_cone_time, far_cone_times, lw_radiation, unit_directions
 
 GUARD_BAND = 1e-9
 _BOTH_BRANCHES = (Branch.RETARDED, Branch.ADVANCED)
@@ -45,14 +46,6 @@ def _far_kinematics(traj, t, n, R, branch):
     return t_k, traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
 
 
-def _lw_field(q, n, R, v, a, branch):
-    """One charge's far electric field, per (..., 3) row; the advanced branch
-    is the time reflection."""
-    s = float(branch.sign)  # +1 retarded, -1 advanced
-    g = np.asarray(1.0 - s * _dot(n, v))[..., None]
-    return (q / R) * cross(n, cross(n - s * v, a)) / g**3
-
-
 def _second_derivative(n, v, a, branch):
     """d^2/dt^2 x(t_k(t)) per (..., 3) row (see `b_via_second_derivative`)."""
     s = float(branch.sign)
@@ -66,7 +59,7 @@ def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
     n = unit_directions(n)
     _radius(R)
     _, v, a = _far_kinematics(traj, t, n, R, branch)
-    e = _lw_field(traj.particle.charge, n, R, v, a, branch)
+    e = lw_radiation(traj.particle.charge, n, R, v, a, branch)
     return e, float(branch.sign) * cross(n, e)
 
 
@@ -109,7 +102,7 @@ class FarFieldSample:
     defined: bool
 
 
-def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=_lw_field):
+def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=lw_radiation):
     """Per-lane sums of `field` over the given charges, one (M, 3) array per
     branch, and the lanes' guard flags.
 
@@ -136,7 +129,7 @@ def _samples(t, dirs, R, totals, defined) -> list:
     e_ret, e_adv = totals[Branch.RETARDED], totals[Branch.ADVANCED]
     b_ret, b_adv = cross(dirs, e_ret), cross(dirs, e_adv)
     e_tot = 0.5 * (e_adv + e_ret)
-    b_tot = 0.5 * b_adv - 0.5 * b_ret
+    b_tot = 0.5 * b_ret - 0.5 * b_adv
     return [FarFieldSample(t=t, n=dirs[i], R=R, E_ret=e_ret[i], B_ret=b_ret[i],
                            E_adv=e_adv[i], B_adv=-b_adv[i], E=e_tot[i], B=b_tot[i],
                            defined=bool(defined[i]))
@@ -181,7 +174,7 @@ def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
 
 def poynting_flux(E_adv, E_ret):
-    """Radial component of the generalized Poynting vector, per (..., 3) row."""
+    """-n.(E x B), the inward radial generalized Poynting flux, per (..., 3) row."""
     E_adv = np.asarray(E_adv, dtype=float)
     E_ret = np.asarray(E_ret, dtype=float)
     return 0.25 * (_dot(E_adv, E_adv) - _dot(E_ret, E_ret))

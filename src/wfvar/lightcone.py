@@ -6,7 +6,8 @@ For an event (t, x) and a world line x_k(.), the cone times solve
 
 which has exactly one root per branch when the world line is subluminal.
 The far-field variant keeps the n.x_k term in the time relation while the
-amplitude treats distances as the sphere radius R.
+amplitude treats distances as the sphere radius R; of the Lienard-Wiechert
+fields `lw_fields` of a cone solution, only the radiation term `lw_radiation` stays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, Side, Vec3, vec3
+from .core import PiecewiseTrajectory, Side, Vec3, cross, vec3
 from .errors import (
     CollisionError,
     ConeSolveError,
@@ -28,7 +29,7 @@ from .errors import (
 
 __all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
            "cone_times", "far_cone_time", "far_cone_times", "influence_interval",
-           "normalized_directions", "unit_directions"]
+           "lw_fields", "lw_radiation", "normalized_directions", "unit_directions"]
 
 _MAX_ITER = 100
 _EPS = np.finfo(float).eps
@@ -457,6 +458,26 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
     return [ConeSolution(t_k=rows(t_k, i), r=rows(r, i), n_hat=rows(n_hat, i), v=rows(v, i),
                          a=rows(a, i), dilation=rows(dilation, i), side=side, branch=branch)
             for i, (branch, _, _) in enumerate(blocks)]
+
+
+def lw_radiation(q, n, r, v, a, branch: Branch):
+    """Radiation term of charge q's electric field at distance r (a float or
+    (..., 1) column) in direction n from a source point with velocity v and
+    acceleration a, per (..., 3) row; the advanced branch is the time reflection."""
+    s = float(branch.sign)  # +1 retarded, -1 advanced
+    g = np.asarray(1.0 - s * (n * v).sum(axis=-1))[..., None]
+    return (q / r) * cross(n, cross(n - s * v, a)) / g**3
+
+
+def lw_fields(sol: ConeSolution, q) -> tuple:
+    """Lienard-Wiechert (E, B) of charge q at the event of `sol`, as (3,) or
+    (M, 3) rows: E = q (n - s V)(1 - V^2) / (g^3 r^2) + `lw_radiation`, with s
+    the branch sign and g = 1 - s n.V, and B = s n x E."""
+    s, n, v = float(sol.branch.sign), sol.n_hat, sol.v
+    r, g = np.asarray(sol.r)[..., None], np.asarray(sol.doppler)[..., None]
+    near = q * (1.0 - (v * v).sum(axis=-1, keepdims=True)) / (g**3 * r * r)
+    e = near * (n - s * v) + lw_radiation(q, n, r, v, sol.a, sol.branch)
+    return e, s * cross(n, e)
 
 
 def unit_directions(dirs) -> np.ndarray:

@@ -33,6 +33,7 @@ from wfvar.core import (
     Segment,
     Side,
     add_perturbation,
+    cross,
     fd_node_velocities,
     hermite_trajectory,
     polygonal_from_vertices,
@@ -40,7 +41,8 @@ from wfvar.core import (
 )
 from wfvar.errors import (CollisionError, ContractError, ConvergenceError, DomainError,
                           SuperluminalError)
-from wfvar.lightcone import Branch, cone_crossings, cone_time, cone_times
+from wfvar.farfield import lw_far
+from wfvar.lightcone import Branch, cone_crossings, cone_pair, cone_time, cone_times, lw_fields
 from wfvar.momentum import energy_current, momentum_current
 
 POS = ParticleParams(mass=1.0, charge=1.0)
@@ -653,6 +655,73 @@ class TestBatchedPartials:
                 -s * float(n @ b.value(tc)) / (1.0 + s * float(n @ v1)))
         value = frechet_directional(t1, t2, bd, b)
         assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def helix(radius, omega, pitch, phase, particle, span=30.0, dt=0.4):
+    times = np.arange(-span, span + 0.5 * dt, dt)
+    angle = omega * times + phase
+    xs = np.stack([radius * np.cos(angle), radius * np.sin(angle), pitch * times], axis=1)
+    vs = np.stack([-radius * omega * np.sin(angle), radius * omega * np.cos(angle),
+                   np.full_like(times, pitch)], axis=1)
+    return hermite_trajectory(times, xs, vs, particle)
+
+
+def helical_pair():
+    """Two helices about the z axis with charges +1 and -0.6."""
+    weak = ParticleParams(mass=1.7, charge=-0.6)
+    return helix(0.5, 0.6, 0.1, 0.0, POS), helix(0.7, -0.4, -0.2, 1.0, weak)
+
+
+class TestLienardWiechertField:
+    @pytest.mark.parametrize("kappa", [None, 0.37])
+    def test_lorentz_residual_matches_the_closed_form(self, kappa):
+        # unequal charges and an explicit kappa tell q1 q2 = -kappa and the
+        # half-advanced plus half-retarded weights apart
+        traj1, traj2 = helical_pair()
+        crossings = [t for t, _, _ in cone_crossings(traj1, traj2, -3.0, 3.0)]
+        assert crossings
+        ts = np.array(sorted({*np.linspace(-3.0, 3.0, 7).tolist(), *crossings}))
+        rows = {side: el_residual(traj1, traj2, ts, side, kappa) for side in Side}
+        for side, res in rows.items():
+            for i, t in enumerate(ts.tolist()):
+                assert_close(res[i], scalar_el_residual(traj1, traj2, t, side, kappa))
+        # the partner's acceleration jumps across each crossing, and so does
+        # the residual
+        at = np.isin(ts, crossings)
+        assert (np.abs(rows[Side.LEFT] - rows[Side.RIGHT])[at].max(axis=1) > 1e-6).all()
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_far_limit_is_lw_far(self, branch):
+        # at (t, R n) the near field approaches `lw_far` with a relative gap
+        # of order 1/R: the velocity term and the far-cone linearization
+        traj = helical_pair()[0]
+        n = vec3(0.3, -0.5, 0.8) / np.linalg.norm([0.3, -0.5, 0.8])
+        gaps = []
+        for R in (1e2, 1e3, 1e4):
+            t = 0.7 + branch.sign * R  # cone times near 0.7 on either branch
+            sol = cone_times(traj, np.array([t]), (R * n)[None], branch)
+            e, b = lw_fields(sol, traj.particle.charge)
+            assert_allclose(b, branch.sign * cross(sol.n_hat, e), rtol=0,
+                            atol=1e-15 * np.abs(e).max())
+            e_far, b_far = lw_far(traj, t, n, R, branch)
+            gaps.append([np.linalg.norm(f[0] - g) / np.linalg.norm(g)
+                         for f, g in ((e, e_far), (b, b_far))])
+        gaps = np.array(gaps)
+        assert (gaps[0] < 0.1).all()
+        ratios = gaps[:-1] / gaps[1:]
+        assert ((ratios > 5.0) & (ratios < 20.0)).all(), gaps
+
+    def test_uniform_motion_gives_the_boosted_coulomb_field(self):
+        # both branches give the field of the present position, with B = v x E
+        v = vec3(0.6, -0.2, 0.3)
+        traj = polygonal_from_vertices([(-50.0, -50.0 * v), (50.0, 50.0 * v)], NEG)
+        t, x = 1.3, vec3(2.0, -1.0, 0.5)
+        d = x - t * v
+        want = -(1.0 - v @ v) * d / ((d @ d) * (1.0 - v @ v) + (d @ v) ** 2) ** 1.5
+        for sol in cone_pair(traj, t, x):
+            e, b = lw_fields(sol, -1.0)
+            assert_allclose(e, want, rtol=1e-13, atol=0)
+            assert_allclose(b, cross(v, want), rtol=1e-12, atol=1e-15)
 
 
 class TestQuadratureBudget:

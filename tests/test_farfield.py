@@ -188,6 +188,24 @@ class TestWfFar:
         sample = wf_far(traj1, traj2, 0.2, n, 8.0)
         assert np.linalg.norm(sample.E_ret) > 1e-6
 
+    def test_combined_fields_are_the_half_sums(self):
+        # each branch's B sums `lw_far` over the charges, the combined B is
+        # half the retarded plus half the advanced one, and the Poynting flux
+        # is its inward radial component -n.(E x B)
+        traj1, traj2 = circle_pair()
+        n = vec3([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        sample = wf_far(traj1, traj2, 0.2, n, 8.0)
+        for branch, got in ((Branch.RETARDED, sample.B_ret), (Branch.ADVANCED, sample.B_adv)):
+            want = sum(lw_far(traj, 0.2, n, 8.0, branch)[1] for traj in (traj1, traj2))
+            assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        half = 0.5 * (sample.B_ret + sample.B_adv)
+        assert np.abs(half).max() > 1e-3
+        assert_allclose(sample.B, half, rtol=0, atol=1e-15 * np.abs(half).max())
+        assert_allclose(sample.E, 0.5 * (sample.E_ret + sample.E_adv), rtol=0, atol=0)
+        flux = poynting_flux(sample.E_adv, sample.E_ret)
+        assert abs(flux) > 1e-6
+        assert abs(flux + n @ np.cross(sample.E, sample.B)) <= 1e-12 * abs(flux)
+
     def test_guard_band_monotonicity(self):
         traj1 = polygonal_from_vertices(
             [(-120.0, [-6, 0, 0]), (0.0, [0, 0, 0]), (120.0, [0, 6, 0])], POS

@@ -355,3 +355,28 @@ def test_only_direct_calls_solve_a_float_cone():
              and "cone_time" in {getattr(node, "id", None) or getattr(node, "attr", None)
                                  for node in ast.walk(func)}]
     assert users == []
+
+
+def test_one_lienard_wiechert_field():
+    # the EL residual is the Lorentz force of `lightcone.lw_fields`, and the
+    # far field reads that field's radiation term, `lw_radiation`, instead
+    # of a formula of its own
+    def functions(name) -> dict:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(func) -> set:
+        return {getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(func)}
+
+    el = names(functions("action")["el_residual"])
+    assert "lw_fields" in el and "_branch_partials" not in el
+    far = functions("farfield")
+    assert "_lw_field" not in far
+    for name in ("lw_far", "_branch_totals"):
+        assert "lw_radiation" in names(far[name]), name
+    nested_cross = [node.lineno for func in far.values() for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cross"
+                    and any(getattr(getattr(arg, "func", None), "id", None) == "cross"
+                            for arg in node.args)]
+    assert nested_cross == []
