@@ -152,22 +152,19 @@ def _integrate(f, mesh, rel_target=1e-11):
     """Integral over the cells of `mesh` of a vector integrand `f`: (N,)
     times to (N,) values give a float, to (N, C) rows the (C,) column sums.
 
-    One rough pass at the cell midpoints sets each column's absolute scale.
-    Then, level by level, one call of f evaluates the Gauss-Legendre 15
-    nodes of every open cell and of its two halves.  A cell is done when its
-    halves agree with it within every column's tolerance; otherwise its
-    halves open on the next level, each with half its tolerances.  A
-    level-30 cell is accepted unless a gap exceeds 1000 times its tolerance.
+    Level by level, one call of f evaluates the Gauss-Legendre 15 nodes of
+    every open cell and of its two halves; level 0's centre nodes, at 0.0,
+    are the mesh-cell midpoints and set each column's absolute scale.  A
+    cell is done when its halves agree with it within every column's
+    tolerance; otherwise its halves open on the next level, each with half
+    its tolerances.  A level-30 cell is accepted unless a gap exceeds 1000
+    times its tolerance.
     Each cell's value is the sum of its halves' values, so the tree sums as
     a recursive halving would, and each column as its scalar integral would.
     Stalling at level 30, or halving past _MAX_CELLS cells, raises
     ConvergenceError.
     """
     a, b = np.array(mesh[:-1], dtype=float), np.array(mesh[1:], dtype=float)
-    mids = f(0.5 * (a + b))
-    rough = [sum(col) for col in ((b - a)[:, None] * np.abs(mids.reshape(a.size, -1))).T.tolist()]
-    tol = (rel_target * np.maximum(rough, 1.0)
-           * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)[:, None])
     levels, cells, budget = [], 0, a.size + _MAX_CELLS
     for depth in range(31):
         if cells + a.size > budget:  # a holds the halves of the open cells
@@ -180,7 +177,13 @@ def _integrate(f, mesh, rel_target=1e-11):
         nodes = np.concatenate([mid[:, None] + half[:, None] * _GL_NODES,
                                 (a + qh)[:, None] + qh[:, None] * _GL_NODES,
                                 (mid + qh)[:, None] + qh[:, None] * _GL_NODES], axis=1)
-        rows = f(nodes.ravel()).reshape(a.size, 3, _GL_NODES.size, -1)
+        out = f(nodes.ravel())
+        rows = out.reshape(a.size, 3, _GL_NODES.size, -1)
+        if not depth:
+            mids = rows[:, 0, _GL_NODES.size // 2]
+            rough = [sum(col) for col in ((b - a)[:, None] * np.abs(mids)).T.tolist()]
+            tol = (rel_target * np.maximum(rough, 1.0)
+                   * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)[:, None])
         sums = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)) @ _GL_WEIGHTS  # (cells, C, 3)
         fine = qh[:, None] * sums[..., 1] + qh[:, None] * sums[..., 2]
         gap = np.abs(fine - half[:, None] * sums[..., 0])
@@ -204,7 +207,7 @@ def _integrate(f, mesh, rel_target=1e-11):
             fine[open_] = value[0::2] + value[1::2]
         value = fine
     totals = [sum(col) for col in value.T.tolist()]
-    return totals[0] if mids.ndim == 1 else np.array(totals)
+    return totals[0] if out.ndim == 1 else np.array(totals)
 
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,

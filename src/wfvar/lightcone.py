@@ -287,12 +287,12 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     every = slice(None)
     k = np.zeros(t.shape, dtype=np.intp)
     hi = np.full(t.shape, last + 1)
-    while (k < hi).any():
+    while (live := k < hi).any():
         mid = np.minimum((k + hi) // 2, last)
         above = residual(every, knots[mid], xk[mid])[0] > 0.0
-        k, hi = np.where((k < hi) & above, mid + 1, k), np.where((k < hi) & ~above, mid, hi)
+        k, hi = np.where(live & above, mid + 1, k), np.where(live & ~above, mid, hi)
         del mid, above
-    del hi
+    del hi, live
     at_knot = np.minimum(k, last)
     gk = residual(every, knots[at_knot], xk[at_knot])[0]
     t_k = knots[at_knot]
@@ -316,14 +316,17 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
         a, b = np.where(g > 0.0, s, a), np.where(g > 0.0, b, s)
         step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
         stalled = ~done & (step == s)
-        off = stalled & (np.abs(g) > tol(lanes, s, aux, False))
-        if off.any():
-            off &= np.abs(g) > _FLOOR * packed.bounds(seg)
-        if off.any():
-            raise ConvergenceError(f"{what} residual {g[off][0]:.3g} at t_k={s[off][0]}")
-        t_k[lanes[stalled]] = s[stalled]
+        if stalled.any():
+            off = stalled & (np.abs(g) > tol(lanes, s, aux, False))
+            if off.any():
+                off &= np.abs(g) > _FLOOR * packed.bounds(seg)
+            if off.any():
+                raise ConvergenceError(f"{what} residual {g[off][0]:.3g} at t_k={s[off][0]}")
+            t_k[lanes[stalled]] = s[stalled]
         keep = ~(done | stalled)
-        lanes, seg, a, b, s = lanes[keep], seg[keep], a[keep], b[keep], step[keep]
+        if not keep.all():
+            lanes, seg, a, b, step = lanes[keep], seg[keep], a[keep], b[keep], step[keep]
+        s = step
     if lanes.size:
         g, aux = residual(lanes, s, packed.at(seg, s))
         off = np.abs(g) > tol(lanes, s, aux, False)

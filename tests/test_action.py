@@ -13,6 +13,7 @@ from helpers_geometry import (
 )
 
 from wfvar.action import (
+    _GL_NODES,
     _MAX_CELLS,
     _integrate,
     action,
@@ -486,16 +487,15 @@ def batched_density(traj1, partner, kappa):
 
 def cell_tree(f):
     """`f` with a record of its call sizes, and a reader of the cell tree
-    `_integrate` evaluated through it: after the rough pass, each call is
-    one level, with 45 nodes per cell.  The reader gives (cells, deepest
-    level)."""
+    `_integrate` evaluated through it: each call is one level, with 45
+    nodes per cell.  The reader gives (cells, deepest level)."""
     sizes = []
 
     def counted(ts):
         sizes.append(ts.size)
         return f(ts)
 
-    return counted, lambda: (sum(sizes[1:]) // (3 * GL_NODES.size), len(sizes) - 2)
+    return counted, lambda: (sum(sizes) // (3 * GL_NODES.size), len(sizes) - 1)
 
 
 def bench_polygon_pair(rng):
@@ -785,6 +785,30 @@ class TestQuadratureBudget:
             g, col_tree = cell_tree(col)
             assert _integrate(g, mesh) == value
             assert col_tree() == tree()
+
+    def test_the_centre_node_is_the_cell_midpoint(self):
+        # level 0's centre nodes are the mesh-cell midpoints bit for bit, so
+        # they give each column's rough scale
+        assert _GL_NODES.size % 2 == 1
+        assert _GL_NODES[_GL_NODES.size // 2] == 0.0
+
+    def test_one_integrand_call_per_level(self):
+        def f(t):
+            return np.abs(t - 0.3141) ** 1.5 + np.sin(7.0 * t)
+
+        mesh = [-1.0, -0.6, 0.0, 0.7, 1.0]
+        ref, _cells, depth = recursive_quadrature(f, mesh)
+        sizes = []
+
+        def counted(ts):
+            sizes.append(ts.size)
+            return f(ts)
+
+        total = _integrate(counted, mesh)
+        assert depth > 0
+        assert len(sizes) == depth + 1
+        assert sizes[0] == 3 * _GL_NODES.size * (len(mesh) - 1)
+        assert abs(total - ref) <= 1e-13 * abs(ref)
 
     def test_action_and_first_variation_stay_far_inside_the_budget(self, monkeypatch):
         module = importlib.import_module("wfvar.action")

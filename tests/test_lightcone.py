@@ -843,6 +843,17 @@ def count_lane_solves(monkeypatch) -> list:
     return calls
 
 
+def bench_pass_lane_solves(monkeypatch, tmp_path, workload: str) -> list:
+    """The lane counts of one seed-1 pass of a benchmark workload, every
+    output gated."""
+    jobs = bench_workloads(monkeypatch).build(workload, 1, tmp_path)
+    calls = count_lane_solves(monkeypatch)
+    for job in jobs:
+        assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0
+        assert job.gate() is None
+    return calls
+
+
 class TestOneLaneSolvePerPair:
     @pytest.mark.parametrize("side", list(Side))
     def test_circle_pair_lanes(self, side):
@@ -897,13 +908,13 @@ class TestOneLaneSolvePerPair:
         assert calls == [6]
         assert cone_crossings(mover, kinked, -0.5, 0.5) == [] and calls == [6]
 
-    def test_a_check_pass_makes_84_lane_solves(self, monkeypatch, tmp_path):
-        # the benchmark's seed-1 `check` pass: 168 lane solves when each
-        # branch was its own solve
-        jobs = bench_workloads(monkeypatch).build("check", 1, tmp_path)
-        calls = count_lane_solves(monkeypatch)
-        for job in jobs:
-            assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0
-            assert job.gate() is None
-        assert len(calls) == 84
+    def test_a_check_pass_makes_60_lane_solves(self, monkeypatch, tmp_path):
+        # 168 lane solves when each branch was its own solve, 84 while each
+        # integral's scale took a rough pass of its own
+        calls = bench_pass_lane_solves(monkeypatch, tmp_path, "check")
+        assert len(calls) == 60
         assert max(calls) == 1080
+
+    def test_a_refine_pass_makes_5_lane_solves(self, monkeypatch, tmp_path):
+        # 8 while each integral's scale took a rough pass of its own
+        assert len(bench_pass_lane_solves(monkeypatch, tmp_path, "refine")) == 5

@@ -380,3 +380,18 @@ def test_one_lienard_wiechert_field():
                     and any(getattr(getattr(arg, "func", None), "id", None) == "cross"
                             for arg in node.args)]
     assert nested_cross == []
+
+
+def test_quadrature_calls_its_integrand_once_per_level():
+    # the rough scale is read off level 0's centre nodes, so `_integrate`
+    # makes no call of its integrand outside the level loop
+    tree = ast.parse((PACKAGE / "action.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_integrate")
+    f = func.args.args[0].arg
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == f]
+    level_loop = next(node for node in func.body if isinstance(node, ast.For)
+                      and getattr(node.target, "id", None) == "depth")
+    assert len(calls) == 1
+    assert any(node is calls[0] for node in ast.walk(level_loop))
