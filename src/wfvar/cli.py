@@ -65,10 +65,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """Generic CSV payload: a fixed header and value rows."""
+    """Generic CSV payload: a fixed header and value rows, either a tuple of
+    row tuples of any cell types or one (N, C) float64 array."""
 
     header: tuple
-    rows: tuple
+    rows: tuple | np.ndarray
 
 
 def _fmt(value) -> str:
@@ -103,11 +104,20 @@ def emit_report(report, path) -> None:
         table = report
     else:
         raise ConfigError(f"cannot serialize report of type {type(report).__name__}")
+    rows = table.rows
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != len(table.header):
+            raise ConfigError(f"report array of {rows.dtype} and shape {rows.shape} does not "
+                              f"fit {len(table.header)} float columns")
+        # "%.17g" % x is format(x, ".17g") for every double
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        lines = (line % tuple(row) for row in rows.tolist())
+    else:
+        lines = (",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]) + "\n" for row in rows)
     # line by line, so no copy of the whole text is held
     with Path(path).open("w") as out:
         out.write(",".join(table.header) + "\n")
-        out.writelines(",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]) + "\n"
-                       for row in table.rows)
+        out.writelines(lines)
 
 
 # -- scenario loading ---------------------------------------------------------
@@ -321,8 +331,7 @@ def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
                                  **_given(scen.options, guard=json_number))
     # an undefined lane writes zero residuals; `defined` as 1.0 and 0.0
     # prints as 1 and 0
-    rows = tuple(np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0),
-                                  defined)).tolist())
+    rows = np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0), defined))
     header = ("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined")
     return "gah_scan.csv", ReportTable(header, rows), f"gah scan: {len(rows)} samples"
 
@@ -333,10 +342,9 @@ def _cmd_flux(scen: Scenario, out: Path) -> tuple:
         raise ConfigError("flux options need a radius")
     radius = _option(scen.options, "radius", json_number)
     given = _given(scen.options, mesh=_mesh, retarded_only=_flag, guard=json_number)
-    rows = []
-    for t in times:
-        rows.append((t, radius, sphere_flux(scen.traj1, scen.traj2, t, radius, **given)))
-    return ("flux.csv", ReportTable(("t", "radius", "flux"), tuple(rows)),
+    fluxes = sphere_flux(scen.traj1, scen.traj2, np.array(times), radius, **given)
+    rows = np.column_stack((times, np.full(len(times), radius), fluxes))
+    return ("flux.csv", ReportTable(("t", "radius", "flux"), rows),
             f"flux: {len(rows)} times at radius {radius:g}")
 
 
@@ -376,10 +384,7 @@ def _cmd_construct_partner(scen: Scenario, out: Path) -> tuple:
         **_given(scen.options, spread_tol=json_number),
     )
     save_trajectory(traj1, out / "partner.json")
-    rows = tuple(
-        (t, x[0], x[1], x[2], s)
-        for t, x, s in zip(report.t1_grid, report.positions, report.spreads)
-    )
+    rows = np.column_stack((report.t1_grid, report.positions, report.spreads))
     return ("partner.csv", ReportTable(("t1", "x", "y", "z", "spread"), rows),
             f"partner spread {report.max_spread:.3g}")
 

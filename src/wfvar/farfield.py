@@ -15,7 +15,6 @@ measure-zero set that surface integrals may skip.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -233,9 +232,10 @@ def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
 
 
 def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
-                t: float, R: float, mesh: SphereMesh | None = None,
-                retarded_only: bool = False, guard: float = GUARD_BAND) -> float:
-    """Surface integral of the generalized Poynting flux at radius R.
+                t, R: float, mesh: SphereMesh | None = None,
+                retarded_only: bool = False, guard: float = GUARD_BAND):
+    """Surface integral of the generalized Poynting flux at radius R, at one
+    time `t` (a float, giving a float) or at (T,) times (giving (T,) fluxes).
 
     Undefined samples are skipped and the quadrature renormalized by the
     covered weight, which is safe because they form a measure-zero set.  With
@@ -244,6 +244,13 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     slow source; the sign still marks outflow as negative.  Pass traj2=None
     for a single isolated charge.
 
+    All T x M (time, direction) lanes, time-major, go through one far-cone
+    pass, so each time's flux is bit for bit its own float call's.  The
+    first time, in the given order, that skips more than 10% of the mesh
+    raises CoverageError.  A far-cone error comes before any CoverageError
+    and names the first failing lane of the whole pass, which may be a
+    later time than a per-time loop's.
+
     The sphere is centred at the origin, so for a pair a distance d from it
     each history must reach from about t - (R + d) to t + (R + d): a pair
     moved about 1e3 away, with histories of a few hundred time units,
@@ -251,30 +258,37 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     """
     mesh = latlong_mesh() if mesh is None else mesh
     _radius(R)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DomainError(f"sphere times must be a float or (T,), got shape {times.shape}")
+    times = times.reshape(-1)
     trajs = (traj1,) if traj2 is None else (traj1, traj2)
     branches = (Branch.RETARDED,) if retarded_only else _BOTH_BRANCHES
-    totals, defined = _branch_totals(trajs, t, mesh.directions, R, guard, branches)
+    totals, defined = _branch_totals(trajs, np.repeat(times, len(mesh)),
+                                     np.tile(mesh.directions, (times.size, 1)), R, guard,
+                                     branches)
     e_ret = totals[Branch.RETARDED]
     if retarded_only:
         values = -_dot(e_ret, e_ret)
     else:
         values = poynting_flux(totals[Branch.ADVANCED], e_ret)
-    skipped = len(mesh) - int(defined.sum())
-    if skipped > 0.10 * len(mesh):
-        raise CoverageError(
-            f"{skipped} of {len(mesh)} sphere samples fall in guard bands"
-        )
-    w = mesh.weights[defined]
-    return R * R * float(w @ values[defined]) / float(w.sum())
+    values, defined = (a.reshape(times.size, len(mesh)) for a in (values, defined))
+    fluxes = []
+    for time, row, covered in zip(times.tolist(), values, defined):
+        skipped = len(mesh) - int(covered.sum())
+        if skipped > 0.10 * len(mesh):
+            raise CoverageError(f"{skipped} of {len(mesh)} sphere samples at t = {time!r} "
+                                "fall in guard bands")
+        w = mesh.weights[covered]
+        fluxes.append(R * R * float(w @ row[covered]) / float(w.sum()))
+    return fluxes[0] if np.ndim(t) == 0 else np.array(fluxes)
 
 
 def write_field_csv(samples, path) -> None:
-    """Field map as CSV with one row per sample; `defined` is 0 or 1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "nx", "ny", "nz", "Ex", "Ey", "Ez", "Bx", "By", "Bz", "defined"]
-        )
-        for s in samples:
-            row = [s.t, *s.n, *s.E, *s.B]
-            writer.writerow(["%.17g" % x for x in row] + [int(s.defined)])
+    """Field map as CSV, one line per sample ended by a bare newline as in
+    every CLI report; floats print at 17 significant digits, `defined` as 0
+    or 1."""
+    line = ",".join(["%.17g"] * 11) + "\n"
+    with open(path, "w") as fh:
+        fh.write("t,nx,ny,nz,Ex,Ey,Ez,Bx,By,Bz,defined\n")
+        fh.writelines(line % (s.t, *s.n, *s.E, *s.B, s.defined) for s in samples)

@@ -184,6 +184,28 @@ class TestEmitReport:
         expected = "\n".join(["a,b,c,d,e,f"] + [",".join(_fmt(v) for v in row) for row in rows])
         assert path.read_bytes() == (expected + "\n").encode()
 
+    def test_an_array_writes_the_bytes_of_its_tuple_rows(self, tmp_path):
+        # the float cells above, as an (N, C) float64 array, through the one
+        # row template
+        rows = ((-0.0, math.nan, math.inf), (-math.inf, 5e-324, 2.5e-310), (1.0, 0.1 + 0.2, -2.0))
+        paths = tmp_path / "tuples.csv", tmp_path / "array.csv"
+        emit_report(ReportTable(("a", "b", "c"), rows), paths[0])
+        emit_report(ReportTable(("a", "b", "c"), np.array(rows)), paths[1])
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+
+    def test_an_empty_array_writes_only_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_report(ReportTable(("a", "b", "c"), np.empty((0, 3))), path)
+        assert path.read_bytes() == b"a,b,c\n"
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3),
+                                      np.zeros((2, 3), dtype=np.int64)])
+    def test_an_array_must_fit_the_header(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ConfigError, match="does not fit 3 float columns"):
+            emit_report(ReportTable(("a", "b", "c"), rows), path)
+        assert not path.exists()
+
 
 class TestExitCodes:
     def test_unknown_command(self, tmp_path, capsys):
@@ -651,6 +673,17 @@ class TestFlux:
         assert header == ["t", "radius", "flux"]
         assert len(rows) == 1
         assert abs(float(rows[0][2])) < 1e-15
+
+    def test_a_far_cone_exit_at_any_time_fails_the_command(self, tmp_path, capsys):
+        # every time goes through one far-cone pass; t = 100 leaves the
+        # history [-50, 50] on the sphere of radius 5
+        data = base_scenario(trajectory1=static_record(0.0, 0.0, 0.0),
+                             options={"times": [0.0, 100.0], "radius": 5.0})
+        out = tmp_path / "out"
+        assert run("flux", write_scenario(tmp_path, data), out_dir=out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: insufficient history"), err
+        assert not (out / "flux.csv").exists()
 
     def test_radius_is_required(self, tmp_path, capsys):
         data = base_scenario(trajectory1=static_record(0.0, 0.0, 0.0),

@@ -15,7 +15,7 @@ from helpers_geometry import (
 
 from wfvar import farfield
 from wfvar.core import ParticleParams, PiecewiseTrajectory, hermite_trajectory, polygonal_from_vertices, vec3
-from wfvar.errors import CoverageError, DomainError
+from wfvar.errors import CoverageError, DomainError, InsufficientHistoryError
 from wfvar.farfield import (
     FarFieldSample,
     SphereMesh,
@@ -380,6 +380,47 @@ class TestSphereFlux:
         with pytest.raises(CoverageError):
             sphere_flux(traj1, traj2, 50.0, 49.0, guard=1e6)
 
+    @pytest.mark.parametrize("case", ["circle pair", "given mesh", "lone charge"])
+    def test_times_give_their_float_calls_bit_for_bit(self, case):
+        traj1, traj2 = circle_pair()
+        times = np.array([0.3, -1.1, 0.3, 2.0])
+        args, kwargs = (traj1, traj2, times, 6.0), {}
+        if case == "given mesh":
+            kwargs = {"mesh": latlong_mesh(5, 7)}
+        elif case == "lone charge":
+            args = (quadratic_charge(half_accel=0.03, span=0.45), None, 100.0 + 0.01 * times, 100.0)
+            kwargs = {"retarded_only": True}
+        fluxes = sphere_flux(*args, **kwargs)
+        assert fluxes.shape == times.shape
+        floats = [sphere_flux(*args[:2], float(t), args[3], **kwargs) for t in args[2]]
+        assert all(type(f) is float for f in floats)
+        assert bits(fluxes) == bits(floats)
+        assert np.all(fluxes != 0.0)
+
+    def test_the_first_thin_time_raises_and_is_named(self):
+        # the kink at t = 0 takes every retarded cone of t = R = 49 into the
+        # unit guard band; t = 48.5 is thin too, t = 59 is covered
+        traj1 = polygonal_from_vertices(
+            [(-120.0, [-6, 0, 0]), (0.0, [0, 0, 0]), (120.0, [0, 6, 0])], POS
+        )
+        traj2 = static_traj([0, 2, 0], particle=NEG)
+        assert math.isfinite(sphere_flux(traj1, traj2, 59.0, 49.0, guard=1.0))
+        with pytest.raises(CoverageError, match="at t = 48.5 fall"):
+            sphere_flux(traj1, traj2, 48.5, 49.0, guard=1.0)
+        with pytest.raises(CoverageError, match="at t = 49.0 fall"):
+            sphere_flux(traj1, traj2, np.array([59.0, 49.0, 48.5]), 49.0, guard=1.0)
+
+    def test_a_far_cone_exit_keeps_its_class(self):
+        traj1, traj2 = circle_pair()
+        with pytest.raises(InsufficientHistoryError):
+            sphere_flux(traj1, traj2, np.array([0.0, 20.0]), 6.0)
+
+    def test_times_must_be_a_float_or_one_axis(self):
+        traj1, traj2 = circle_pair()
+        assert sphere_flux(traj1, traj2, np.array([]), 6.0).shape == (0,)
+        with pytest.raises(DomainError, match="float or \\(T,\\)"):
+            sphere_flux(traj1, traj2, np.zeros((2, 1)), 6.0)
+
 
 class TestBatchedAgainstPerDirectionLoops:
     """The array kernel against the per-direction scalar routes it replaced,
@@ -456,3 +497,15 @@ class TestCsvExport:
         assert len(rows) == 1 + 12
         assert all(r[-1] == "1" for r in rows[1:])
         assert float(rows[1][0]) == 30.0
+
+    def test_bytes(self, tmp_path):
+        # bare newlines, as in every CLI report, and the 17-digit floats
+        s1 = static_traj([0, 0, 0], particle=POS)
+        s2 = static_traj([1, 0, 0], particle=NEG)
+        samples = field_map(s1, s2, 30.0, 25.0, mesh=latlong_mesh(1, 2))
+        path = tmp_path / "fields.csv"
+        write_field_csv(samples, path)
+        assert path.read_bytes() == (
+            b"t,nx,ny,nz,Ex,Ey,Ez,Bx,By,Bz,defined\n"
+            b"30,6.123233995736766e-17,1,0,0,0,0,0,0,0,1\n"
+            b"30,-1.8369701987210297e-16,-1,0,0,0,0,0,0,0,1\n")

@@ -17,7 +17,7 @@ from helpers_geometry import (
     uniform_traj,
 )
 
-from wfvar import cli, lightcone
+from wfvar import cli, farfield, lightcone, shortrange
 from wfvar.core import (
     PackedChain,
     PiecewiseTrajectory,
@@ -918,3 +918,19 @@ class TestOneLaneSolvePerPair:
     def test_a_refine_pass_makes_5_lane_solves(self, monkeypatch, tmp_path):
         # 8 while each integral's scale took a rough pass of its own
         assert len(bench_pass_lane_solves(monkeypatch, tmp_path, "refine")) == 5
+
+    def test_a_radiation_pass_makes_14_far_cone_passes(self, monkeypatch, tmp_path):
+        # 30 while `flux` took one `sphere_flux` call per time; the passes
+        # solve as many lanes as before
+        calls = []
+        far_cone_times = lightcone.far_cone_times
+
+        def counted(traj, t, dirs, *args):
+            calls.append(len(dirs))
+            return far_cone_times(traj, t, dirs, *args)
+
+        for module in (farfield, shortrange):
+            monkeypatch.setattr(module, "far_cone_times", counted)
+        lanes = bench_pass_lane_solves(monkeypatch, tmp_path, "radiation")
+        assert len(calls) == 14 and sum(calls) == 22067
+        assert lanes == calls

@@ -395,3 +395,19 @@ def test_quadrature_calls_its_integrand_once_per_level():
                       and getattr(node.target, "id", None) == "depth")
     assert len(calls) == 1
     assert any(node is calls[0] for node in ast.walk(level_loop))
+
+
+def test_grid_commands_make_one_far_field_call_and_write_arrays():
+    # `flux` sends all its times through one `sphere_flux` call, and the
+    # gah scan hands its float array to the report as it is
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(func) -> list:
+        return [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(func) if isinstance(node, ast.Call)]
+
+    flux = funcs["_cmd_flux"]
+    assert not [node for node in ast.walk(flux) if isinstance(node, (ast.For, ast.comprehension))]
+    assert called(flux).count("sphere_flux") == 1
+    assert "tolist" not in called(funcs["_cmd_gah_scan"])
