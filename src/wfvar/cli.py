@@ -342,7 +342,7 @@ def _cmd_flux(scen: Scenario, out: Path) -> tuple:
         raise ConfigError("flux options need a radius")
     radius = _option(scen.options, "radius", json_number)
     given = _given(scen.options, mesh=_mesh, retarded_only=_flag, guard=json_number)
-    fluxes = sphere_flux(scen.traj1, scen.traj2, np.array(times), radius, **given)
+    fluxes = sphere_flux(scen.traj1, scen.traj2, times, radius, **given)
     rows = np.column_stack((times, np.full(len(times), radius), fluxes))
     return ("flux.csv", ReportTable(("t", "radius", "flux"), rows),
             f"flux: {len(rows)} times at radius {radius:g}")
