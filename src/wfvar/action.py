@@ -20,7 +20,7 @@ import numpy as np
 from .core import (BoundaryData, PackedChain, Perturbation, PiecewiseTrajectory, Side,
                    cross, merge_history, subluminal)
 from .errors import CollisionError, ConvergenceError, DomainError
-from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, lw_fields
+from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, cone_pairs, lw_fields
 
 __all__ = [
     "interaction_density",
@@ -30,6 +30,7 @@ __all__ = [
     "lagrangian_position_partial",
     "branch_sums",
     "canonical_current",
+    "canonical_currents",
     "coupling",
     "pullback_mesh",
 ]
@@ -101,14 +102,27 @@ def _branch_partials(v1, sol: ConeSolution):
 
 
 def _local_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                    t, side: Side, kappa: float) -> tuple:
-    """(v1, the cone pair, p, e) at time t of trajectory 1: `canonical_current`
-    with the velocity and cone pair that dL/dx1 is formed from."""
-    x1, v1 = traj1.evaluate(t, 0, side), traj1.evaluate(t, 1, side)
-    pair = cone_pair(partner, t, x1, side)
-    W, w = branch_sums(pair)
-    m_gamma = traj1.particle.mass * (1.0 / np.sqrt(1.0 - np.sum(v1 * v1, axis=-1)))
-    return v1, pair, m_gamma[..., None] * v1 - kappa * W, m_gamma - kappa * w
+                    t, sides, kappa: float) -> list:
+    """(v1, the cone pair, p, e) at time t of trajectory 1 on each of `sides`:
+    `canonical_current` with the velocity and cone pair that dL/dx1 is
+    formed from.  Each side reads its own state, and the cone pairs of all
+    sides come from one lane solve."""
+    states = [(traj1.evaluate(t, 0, side), traj1.evaluate(t, 1, side)) for side in sides]
+    pairs = cone_pairs(partner, [(t, x1, side) for (x1, _), side in zip(states, sides)])
+    currents = []
+    for (_, v1), pair in zip(states, pairs):
+        W, w = branch_sums(pair)
+        m_gamma = traj1.particle.mass * (1.0 / np.sqrt(1.0 - np.sum(v1 * v1, axis=-1)))
+        currents.append((v1, pair, m_gamma[..., None] * v1 - kappa * W, m_gamma - kappa * w))
+    return currents
+
+
+def canonical_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
+                       t, sides, kappa: float | None = None) -> list:
+    """`canonical_current` on each of `sides`, as one (p, e) per side, with
+    the cone pairs of all sides from one lane solve."""
+    return [c[2:] for c in _local_currents(traj1, partner, t, sides,
+                                           coupling(traj1, partner, kappa))]
 
 
 def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -117,14 +131,14 @@ def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     `side`, from one state and one cone pair; `kappa` resolves through
     `coupling`.  p and e are the momentum and energy currents: (3,) rows and a
     scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
-    return _local_currents(traj1, partner, t, side, coupling(traj1, partner, kappa))[2:]
+    return canonical_currents(traj1, partner, t, (side,), kappa)[0]
 
 
 def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
                                 kappa: float | None = None):
     """dL/dx1 with the implicit cone-time dependence included."""
     k = coupling(traj1, partner, kappa)
-    v1, pair, _, _ = _local_currents(traj1, partner, t, side, k)
+    v1, pair, _, _ = _local_currents(traj1, partner, t, (side,), k)[0]
     return sum(k * _branch_partials(v1, sol) for sol in pair)
 
 
@@ -252,7 +266,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     k = coupling(traj1, traj2, kappa)
 
     def integrand(ts):
-        v1, pair, p, _ = _local_currents(traj1, partner, ts, Side.RIGHT, k)
+        v1, pair, p, _ = _local_currents(traj1, partner, ts, (Side.RIGHT,), k)[0]
         d_dx = sum(k * _branch_partials(v1, sol) for sol in pair)
         i = np.searchsorted(field.knots[1:-1], ts, side="right")  # (N,) cells
         return (_dot(d_dx[:, None], field.at(i, ts))
@@ -269,17 +283,18 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         # of the integrand times the crossing's rate of travel.
         t1 = np.array([t for t, _tau, _branch in crossings])
         x1, v1 = traj1.evaluate(t1), traj1.evaluate(t1, 1)
-        pairs = {edge: cone_pair(partner, t1, x1, edge) for edge in Side}
-        dens = {edge: interaction_density((x1, v1), *pair, m1=traj1.particle.mass, kappa=k)
-                for edge, pair in pairs.items()}
+        left, right = cone_pairs(partner, ((t1, x1, Side.LEFT), (t1, x1, Side.RIGHT)))
+        m1 = traj1.particle.mass
+        jump = (interaction_density((x1, v1), *left, m1=m1, kappa=k)
+                - interaction_density((x1, v1), *right, m1=m1, kappa=k))
         # s = +1 on an advanced crossing, -1 on a retarded one; the cone
         # direction does not depend on the side
         s = np.array([[-branch.sign] for _t, _tau, branch in crossings])
-        adv, ret = pairs[Side.RIGHT]
+        adv, ret = right
         n_hat = np.where(s > 0, adv.n_hat, ret.n_hat)
         b1 = field.at(np.searchsorted(field.knots[1:-1], t1, side="right"), t1)  # (ncross, C, 3)
         dcross = -s * _dot(n_hat[:, None], b1)[..., 0] / (1.0 + s * _dot(n_hat, v1))
-        jumps = (dens[Side.LEFT] - dens[Side.RIGHT])[:, None] * dcross
+        jumps = jump[:, None] * dcross
         totals = [sum(col, total) for col, total in zip(jumps.T.tolist(), totals)]
     return totals[0] if single else np.array(totals)
 

@@ -312,6 +312,15 @@ class PackedChain:
         """(nseg + 1, 3): the right-sided position at each knot."""
         return np.concatenate([self.ends[0], self.ends[1, -1:]])
 
+    @cached_property
+    def hull(self) -> tuple:
+        """(C, rho): a ball holding every knot position, centred on their
+        bounding box, with rho the largest knot distance from C."""
+        xk = self.knot_positions
+        centre = 0.5 * (xk.min(axis=0) + xk.max(axis=0))
+        d = xk - centre
+        return centre, float(np.sqrt((d * d).sum(axis=1)).max())
+
     @classmethod
     def of(cls, segments) -> "PackedChain":
         knots = np.array([s.t_start for s in segments] + [segments[-1].t_end])

@@ -245,7 +245,8 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     for a single isolated charge.
 
     All T x M (time, direction) lanes, time-major, go through one far-cone
-    pass, so each time's flux is bit for bit its own float call's.  The
+    pass, so each time's flux is bit for bit its own float call's; one time
+    passes the mesh's direction rows as they are.  The
     first time, in the given order, that skips more than 10% of the mesh
     raises CoverageError.  A far-cone error comes before any CoverageError
     and names the first failing lane of the whole pass, which may be a
@@ -264,9 +265,11 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
     times = times.reshape(-1)
     trajs = (traj1,) if traj2 is None else (traj1, traj2)
     branches = (Branch.RETARDED,) if retarded_only else _BOTH_BRANCHES
-    totals, defined = _branch_totals(trajs, np.repeat(times, len(mesh)),
-                                     np.tile(mesh.directions, (times.size, 1)), R, guard,
-                                     branches)
+    if times.size == 1:  # the mesh rows as they are, every lane at the one time
+        lane_times, dirs = times, mesh.directions
+    else:
+        lane_times, dirs = np.repeat(times, len(mesh)), np.tile(mesh.directions, (times.size, 1))
+    totals, defined = _branch_totals(trajs, lane_times, dirs, R, guard, branches)
     e_ret = totals[Branch.RETARDED]
     if retarded_only:
         values = -_dot(e_ret, e_ret)

@@ -27,8 +27,8 @@ from .errors import (
     InsufficientHistoryError,
 )
 
-__all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_time",
-           "cone_times", "far_cone_time", "far_cone_times", "influence_interval",
+__all__ = ["Branch", "COLLISION_R", "ConeSolution", "cone_crossings", "cone_pair", "cone_pairs",
+           "cone_time", "cone_times", "far_cone_time", "far_cone_times", "influence_interval",
            "lw_fields", "lw_radiation", "normalized_directions", "unit_directions"]
 
 _MAX_ITER = 100
@@ -50,6 +50,21 @@ def _cone_tol(t, t_k, r, tight: bool, maximum=max):
     if tight:
         return 1e-13 * maximum(1.0, abs(t)) + 25.0 * _EPS * (abs(t_k) + abs(r))
     return 1e-12 * maximum(1.0, abs(t)) + 100.0 * _EPS * (abs(t_k) + abs(r))
+
+
+def _cone_span(t, rc, rho, sign, maximum=max) -> tuple:
+    """Times (lo, hi) that bracket the first knot whose cone residual is
+    <= 0, for an event at time t a distance rc from the centre of the
+    partner's knot hull `PackedChain.hull` of radius rho.  Every knot
+    distance lies in [max(0, rc - rho), rc + rho], so a knot before both
+    t - s (rc + rho) and t - s max(0, rc - rho), s the branch sign, has a
+    residual > 0, and one at or past both has a residual <= 0.  Widened by
+    1e-9 (1 + |t| + rc + rho), far above the rounding of the residuals.
+    Floats by default; arrays with `maximum=np.maximum`."""
+    far = rc + rho
+    a, b = t - sign * far, t - sign * maximum(rc - rho, 0.0)  # a <= b when retarded
+    margin = 1e-9 * (1.0 + abs(t) + far)
+    return -maximum(-a, -b) - margin, maximum(a, b) + margin
 
 
 class Branch(Enum):
@@ -90,12 +105,13 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
 
     `event` is a (time, position) pair.  The residual g(t_k) = (t - t_k) -
     s r, s the branch sign, is strictly decreasing for subluminal motion.
-    A binary search on the knot residuals, each computed once, finds the
-    first knot k whose residual is <= 0; inside segment k - 1 the root is
-    refined as in `_lane_roots`, and the junction snap, domain-end rule,
-    COLLISION_R cutoff and Doppler sum follow `cone_times` in its operation
-    order, and so do the exception types.  `side` picks the one-sided V and
-    A where t_k lands on a junction.  Every position and velocity is one
+    A binary search on the knot residuals, each computed once and started
+    inside `_cone_span`'s knot-hull bracket, finds the first knot k whose
+    residual is <= 0; inside segment k - 1 the root is refined as in
+    `_lane_roots`, and the junction snap, domain-end rule, COLLISION_R
+    cutoff and Doppler sum follow `cone_times` in its operation order, and
+    so do the exception types.  `side` picks the one-sided V and A where
+    t_k lands on a junction.  Every position and velocity is one
     `Segment.at` call; a one-lane `cone_times` gives the same result at
     many times the cost.
     """
@@ -115,17 +131,30 @@ def cone_time(traj: PiecewiseTrajectory, event, branch: Branch,
         r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         return (t - t_k) - sign * r, d, r
 
-    # first knot whose residual is <= 0 (last + 1 if none is); ga and gb
-    # keep the residuals of knots k - 1 and k
-    k, hi, ga, gb = 0, last + 1, None, None
+    def knot_residual(j: int) -> float:
+        seg = segs[min(j, last - 1)]
+        return residual(seg.t_start if j < last else seg.t_end, seg)[0]
+
+    # first knot whose residual is <= 0 (last + 1 if none is), searched
+    # inside the knot-hull bracket; ga and gb keep the residuals of knots
+    # k - 1 and k
+    c, rho = traj.packed.hull
+    c0, c1, c2 = c.tolist()
+    rc = math.sqrt((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2)
+    k, hi = traj.packed.knots.searchsorted(_cone_span(t, rc, rho, sign)).tolist()
+    ga = gb = None
     while k < hi:
         mid = (k + hi) // 2
-        seg = segs[min(mid, last - 1)]
-        g = residual(seg.t_start if mid < last else seg.t_end, seg)[0]
+        g = knot_residual(mid)
         if g > 0.0:
             k, ga = mid + 1, g
         else:
             hi, gb = mid, g
+    # knots the search skipped, where the bracket started on them
+    if k <= last and gb is None:
+        gb = knot_residual(k)
+    if ga is None and k >= 1 and (k > last or gb != 0.0):
+        ga = knot_residual(k - 1)
     gk = gb if k <= last else ga
     t_k = segs[k].t_start if k < last else traj.t_end
 
@@ -193,11 +222,21 @@ def cone_pair(traj: PiecewiseTrajectory, t, x, side: Side = Side.RIGHT) -> tuple
     """Advanced and retarded cone solutions of the events (t, x) onto `traj`,
     for one float time and a (3,) position or for (M,) times and (M, 3)
     positions: both branches in one lane solve, each equal to `cone_times`
-    on its branch.
+    on its branch.  One block of `cone_pairs`.
 
     Raises CollisionError when a cone distance falls below COLLISION_R.
     """
-    return tuple(_cone_solutions(traj, ((Branch.ADVANCED, t, x), (Branch.RETARDED, t, x)), side))
+    return cone_pairs(traj, ((t, x, side),))[0]
+
+
+def cone_pairs(traj: PiecewiseTrajectory, events) -> list:
+    """`cone_pair` of every (t, x, side) block of `events` in one lane solve,
+    as one (advanced, retarded) pair per block: the two sides of a break
+    take one solve.  Errors are those of one `cone_pair` call per block in
+    order, with `_cone_solutions`' one difference."""
+    sols = _cone_solutions(traj, [(branch, t, x, side) for t, x, side in events
+                                  for branch in (Branch.ADVANCED, Branch.RETARDED)])
+    return list(zip(sols[0::2], sols[1::2]))
 
 
 def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
@@ -234,10 +273,10 @@ def cone_crossings(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
         # past the exit check, neither domain end is crossed
         crossed = np.flatnonzero((g[0] < -tol[0]) & (g[1] > tol[1]))
         if crossed.size:
-            blocks.append((other, knots[crossed], xk[crossed]))
+            blocks.append((other, knots[crossed], xk[crossed], Side.RIGHT))
             branches.append(branch)
     sols = _cone_solutions(traj1, blocks) if blocks else []
-    return [(t, tau, branch) for sol, (_, taus, _), branch in zip(sols, blocks, branches)
+    return [(t, tau, branch) for sol, (_, taus, _, _), branch in zip(sols, blocks, branches)
             for t, tau in zip(sol.t_k.tolist(), taus.tolist()) if a < t < b]
 
 
@@ -257,7 +296,7 @@ def far_cone_time(traj: PiecewiseTrajectory, t: float, n, R: float,
     return float(far_cone_times(traj, float(t), unit_directions(n)[None], R, branch)[0])
 
 
-def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
+def _lane_roots(packed, t, span, residual, slope, tol, what: str, event) -> tuple:
     """Roots of strictly decreasing residuals on a packed chain, one lane
     per event time in `t`, as (t_k, k, g_k).
 
@@ -265,7 +304,12 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     and chain positions x, with data `aux` read by `slope(lanes, aux, v)`
     (dg/dt_k at velocities v, NaN where undefined) and `tol(lanes, t_k,
     aux, tight)`.  A vectorized binary search on the knot residuals finds
-    k, the first knot whose residual is <= 0 (knots.size if none is).  A
+    k, the first knot whose residual is <= 0 (knots.size if none is).
+    `span()` gives each lane's (lo, hi) times, which bound k by the knot
+    hull: every knot before lo has a residual > 0 and the first one at or
+    past hi has one <= 0, so each lane's search runs between those two
+    knots only; k is the same as a search over every knot, which a span
+    of (-inf, inf) gives.  A
     lane with 1 <= k <= last and a nonzero residual g_k at knot k is solved
     inside segment k - 1: Newton from the secant point, bisection whenever
     a step leaves the bracket, one polishing step and the _MAX_ITER budget;
@@ -274,8 +318,8 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     lane keeps knot min(k, last): its root, or the domain end its root lies
     past.  `event(lane)` is the (event, Branch) pair a ConeSolveError of
     that lane names: a non-finite event time raises one for the first such
-    lane before any search.  `cone_time` is the same loop on floats, step
-    for step.
+    lane before any search, and before `span` is called.  `cone_time` is
+    the same loop on floats, step for step, from the same bracket.
     """
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
@@ -285,8 +329,9 @@ def _lane_roots(packed, t, residual, slope, tol, what: str, event) -> tuple:
     knots, xk = packed.knots, packed.knot_positions
     last = knots.size - 1
     every = slice(None)
-    k = np.zeros(t.shape, dtype=np.intp)
-    hi = np.full(t.shape, last + 1)
+    lo, hi = span()
+    k, hi = np.searchsorted(knots, lo), np.searchsorted(knots, hi)
+    del lo
     while (live := k < hi).any():
         mid = np.minimum((k + hi) // 2, last)
         above = residual(every, knots[mid], xk[mid])[0] > 0.0
@@ -349,10 +394,11 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
     position give scalar fields and (3,) rows.  `side` picks the one-sided
     V and A where a root lands on a junction.
 
-    Each lane is bracketed between two knots of the chain and solved by
-    Newton with bisection (`_lane_roots`) under the `_cone_tol` tolerances,
-    each widened to its cell's rounding floor (`_FLOOR`) where a lane would
-    otherwise fail to converge, and the _MAX_ITER budget.  A root past a
+    Each lane is bracketed between two knots of the chain, by a search
+    that starts inside the `_cone_span` of the chain's knot hull, and
+    solved by Newton with bisection (`_lane_roots`) under the `_cone_tol`
+    tolerances, each widened to its cell's rounding floor (`_FLOOR`) where
+    a lane would otherwise fail to converge, and the _MAX_ITER budget.  A root past a
     domain end returns that end when the end's residual is within tolerance
     and raises InsufficientHistoryError otherwise; a root within 1e-9
     max(1, |t_k|) of a junction snaps to it when the junction's residual is
@@ -360,25 +406,26 @@ def cone_times(traj: PiecewiseTrajectory, ts, xs, branch: Branch,
     CollisionError.  Errors are raised for the first failing lane.  Each
     lane equals `cone_time` of its event bit for bit.
     """
-    return _cone_solutions(traj, ((branch, ts, xs),), side)[0]
+    return _cone_solutions(traj, ((branch, ts, xs, side),))[0]
 
 
-def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) -> list:
-    """`cone_times` of every (branch, ts, xs) block of `blocks` in one lane
-    solve, as one ConeSolution per block.
+def _cone_solutions(traj: PiecewiseTrajectory, blocks) -> list:
+    """`cone_times` of every (branch, ts, xs, side) block of `blocks` in one
+    lane solve, as one ConeSolution per block.
 
     Each lane carries its block's branch sign, which only ever multiplies
-    by +-1.0, so every lane is bit for bit the `cone_times` lane of its
-    event.  Errors are those of one `cone_times` call per block in order:
-    a non-finite position or event time (the first such lane, with its
-    branch) before any solve, then each block's tolerance and domain-exit
-    check and its COLLISION_R check.  One difference: when lanes of two
+    by +-1.0, and its block's side, which picks its one-sided V and A, so
+    every lane is bit for bit the `cone_times` lane of its event.  Errors
+    are those of one `cone_times` call per block in order: a non-finite
+    position or event time (the first such lane, with its branch) before
+    any solve, then each block's tolerance and domain-exit check and its
+    COLLISION_R check.  One difference: when lanes of two
     blocks fail inside the root loop, the error may name a lane of a later
     block where the calls in order named one of an earlier block.
     """
-    shapes = [np.shape(ts) for _, ts, _ in blocks]
-    ts = [np.asarray(t, dtype=float).reshape(-1) for _, t, _ in blocks]
-    xs = [np.asarray(x, dtype=float) for _, _, x in blocks]
+    shapes = [np.shape(ts) for _, ts, _, _ in blocks]
+    ts = [np.asarray(t, dtype=float).reshape(-1) for _, t, _, _ in blocks]
+    xs = [np.asarray(x, dtype=float) for _, _, x, _ in blocks]
     for t, x in zip(ts, xs):
         if x.size != 3 * t.size:
             raise DomainError(f"events need one (3,) position per time: got shape "
@@ -390,7 +437,7 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
     ts = np.concatenate(ts)
     if not np.all(np.isfinite(xs)):
         raise DomainError("non-finite event positions")
-    sign = np.repeat([float(branch.sign) for branch, _, _ in blocks], sizes)
+    sign = np.repeat([float(branch.sign) for branch, _, _, _ in blocks], sizes)
 
     def event(lane):
         return (float(ts[lane]), xs[lane]), blocks[np.searchsorted(ends, lane, "right")][0]
@@ -411,7 +458,14 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
         return _cone_tol(ts[lanes], t_k, aux[1], tight, np.maximum)
 
     packed = traj.packed
-    t_k, k, gk = _lane_roots(packed, ts, residual, slope, tol, "cone", event)
+
+    def span():
+        c, rho = packed.hull
+        d = xs - c
+        rc = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        return _cone_span(ts, rc, rho, sign, np.maximum)
+
+    t_k, k, gk = _lane_roots(packed, ts, span, residual, slope, tol, "cone", event)
     # past a domain end, t_k already holds that end
     exits = ((k == 0) & (gk != 0.0)) | (k >= packed.knots.size)
 
@@ -419,10 +473,11 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
     # at or after it, if that is
     j, near = traj.nearest_junctions(t_k, 1e-9 * np.maximum(1.0, np.abs(t_k)))
     lanes = np.flatnonzero(near & (j != t_k))
-    j = j[lanes]
-    gj, aux = residual(lanes, j, traj.evaluate(j))
-    snap = np.abs(gj) <= tol(lanes, j, aux, False)
-    t_k[lanes[snap]] = j[snap]
+    if lanes.size:
+        j = j[lanes]
+        gj, aux = residual(lanes, j, traj.evaluate(j))
+        snap = np.abs(gj) <= tol(lanes, j, aux, False)
+        t_k[lanes[snap]] = j[snap]
 
     index = traj.segment_indices(t_k)
     g, (d, r) = residual(slice(None), t_k, packed.at(index, t_k))
@@ -447,7 +502,10 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
         lane = lanes[close[lanes]][0]
         raise CollisionError(f"cone distance {r[lane]} below {COLLISION_R} at t={ts[lane]}")
     n_hat = d / r[:, None]
-    index = traj.segment_indices(t_k, side)
+    for block, (*_, side) in enumerate(blocks):
+        if side is Side.LEFT:  # the RIGHT index serves every RIGHT lane
+            lanes = slice(starts[block], ends[block])
+            index[lanes] = traj.segment_indices(t_k[lanes], side)
     v = packed.at(index, t_k, 1)
     doppler = 1.0 - sign * (n_hat[:, 0] * v[:, 0] + n_hat[:, 1] * v[:, 1]
                             + n_hat[:, 2] * v[:, 2])
@@ -460,7 +518,7 @@ def _cone_solutions(traj: PiecewiseTrajectory, blocks, side: Side = Side.RIGHT) 
 
     return [ConeSolution(t_k=rows(t_k, i), r=rows(r, i), n_hat=rows(n_hat, i), v=rows(v, i),
                          a=rows(a, i), dilation=rows(dilation, i), side=side, branch=branch)
-            for i, (branch, _, _) in enumerate(blocks)]
+            for i, (branch, _, _, side) in enumerate(blocks)]
 
 
 def lw_radiation(q, n, r, v, a, branch: Branch):
@@ -521,11 +579,14 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
     """`far_cone_time` for many lanes at once: event times `t` (a float or
     (M,)) with unit directions `dirs` ((M, 3)), all at radius R.
 
-    Each lane is bracketed between two knots and solved inside a segment
-    by `_lane_roots`, with `far_cone_time`'s tolerances and _MAX_ITER
-    budget.  A root outside the domain, where x is held at its end value,
-    has slope -1 and is solved in closed form, with `far_cone_time`'s 1e-9
-    slack.  Errors match `far_cone_time`'s, for the first failing lane.
+    Each lane is bracketed between two knots, by a search that starts
+    inside the knot hull's bound on n.x, n.C -/+ rho widened by 1e-9
+    (max(1, |t| + R) + |C|_1 + 2 rho), which covers both rounding and an
+    |n| up to 1e-9 past 1, and solved inside a segment by `_lane_roots`,
+    with `far_cone_time`'s tolerances and _MAX_ITER budget.  A root outside
+    the domain, where x is held at its end value, has slope -1 and is
+    solved in closed form, with `far_cone_time`'s 1e-9 slack.  Errors
+    match `far_cone_time`'s, for the first failing lane.
     """
     dirs = unit_directions(dirs)
     if dirs.ndim != 2:
@@ -559,7 +620,16 @@ def far_cone_times(traj: PiecewiseTrajectory, t, dirs, R: float,
 
     packed = traj.packed
     knots, last = packed.knots, packed.knots.size - 1
-    t_k, k, gk = _lane_roots(packed, t, residual, slope, tol, "far cone", event)
+
+    def span():
+        # a knot's residual is (t - t_k) - s (R - n.x), with n.x within
+        # |n| rho of n.C
+        c, rho = packed.hull
+        mid = t - sign * (R - (n0 * c[0] + n1 * c[1] + n2 * c[2]))
+        half = rho + 1e-9 * (scale + np.abs(c).sum() + 2.0 * rho)
+        return mid - half, mid + half
+
+    t_k, k, gk = _lane_roots(packed, t, span, residual, slope, tol, "far cone", event)
     # outside the domain x is held at its end value, so the slope is -1 and
     # the residual at t_k = 0 is the root
     for lanes, j in (np.flatnonzero((k == 0) & (gk != 0.0)), 0), (np.flatnonzero(k > last), last):

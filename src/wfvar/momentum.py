@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import branch_sums, canonical_current, coupling
+from .action import branch_sums, canonical_current, canonical_currents, coupling
 from .core import PiecewiseTrajectory, Side, Vec3, subluminal
 from .errors import InfeasibleJumpError
-from .lightcone import cone_pair
+from .lightcone import cone_pairs
 
 __all__ = [
     "BreakResidual",
@@ -67,12 +67,12 @@ def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                     kappa: float | None = None, times=None) -> list:
     """Current jumps (Right minus Left) at each of `times` of trajectory 1,
-    by default at every junction, from one batched current per side."""
+    by default at every junction, from one batched current per side, with
+    both sides' cone pairs from one lane solve."""
     ts = np.array(traj1.junction_times() if times is None else times, dtype=float)
     if not ts.size:
         return []
-    p_r, e_r = canonical_current(traj1, traj2, ts, Side.RIGHT, kappa)
-    p_l, e_l = canonical_current(traj1, traj2, ts, Side.LEFT, kappa)
+    (p_r, e_r), (p_l, e_l) = canonical_currents(traj1, traj2, ts, (Side.RIGHT, Side.LEFT), kappa)
     return [BreakResidual(t=t, dp=dp, de=de)
             for t, dp, de in zip(ts.tolist(), p_r - p_l, (e_r - e_l).tolist())]
 
@@ -93,8 +93,9 @@ def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     k = coupling(traj1, traj2, kappa)
     m = traj1.particle.mass
     x1 = traj1.position(t_break)
-    W_plus, w_plus = branch_sums(cone_pair(traj2, t_break, x1, Side.RIGHT))
-    W_minus, w_minus = branch_sums(cone_pair(traj2, t_break, x1, Side.LEFT))
+    plus, minus = cone_pairs(traj2, ((t_break, x1, Side.RIGHT), (t_break, x1, Side.LEFT)))
+    W_plus, w_plus = branch_sums(plus)
+    W_minus, w_minus = branch_sums(minus)
     gamma_pre = 1.0 / math.sqrt(1.0 - pre_sq)
     p_star = m * gamma_pre * v_pre + k * (W_plus - W_minus)
     e_star = m * gamma_pre + k * (w_plus - w_minus)

@@ -397,6 +397,23 @@ class TestSphereFlux:
         assert bits(fluxes) == bits(floats)
         assert np.all(fluxes != 0.0)
 
+    def test_one_time_passes_the_mesh_rows_as_they_are(self, monkeypatch):
+        traj1, traj2 = circle_pair()
+        mesh = latlong_mesh(5, 7)
+        seen = []
+        far_cone_times = farfield.far_cone_times
+
+        def recorded(traj, t, dirs, *args):
+            seen.append(dirs is mesh.directions)
+            return far_cone_times(traj, t, dirs, *args)
+
+        monkeypatch.setattr(farfield, "far_cone_times", recorded)
+        one = sphere_flux(traj1, traj2, 0.3, 6.0, mesh=mesh)
+        assert bits(sphere_flux(traj1, traj2, np.array([0.3]), 6.0, mesh=mesh)) == bits([one])
+        assert seen == [True] * 8
+        sphere_flux(traj1, traj2, np.array([0.3, 0.3]), 6.0, mesh=mesh)
+        assert seen[8:] == [False] * 4
+
     def test_the_first_thin_time_raises_and_is_named(self):
         # the kink at t = 0 takes every retarded cone of t = R = 49 into the
         # unit guard band; t = 48.5 is thin too, t = 59 is covered

@@ -830,6 +830,143 @@ def test_cone_crossings_match_the_per_branch_form(data):
         reference_cone_crossings(traj1, partner, a, b))
 
 
+# -- the knot-hull bracket against a search over every knot --------------------
+
+def full_span_oracle(monkeypatch) -> tuple:
+    """From now on, run every `_lane_roots` call a second time with the span
+    (-inf, inf), a search over every knot.  Returns the lane counts of the
+    calls and the list of calls whose (t_k, k, g_k), or whose exception
+    type, differ from the full search's."""
+    calls, mismatches = [], []
+    lane_roots = lightcone._lane_roots
+
+    def checked(packed, t, span, *args):
+        def every_knot():
+            return np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
+
+        calls.append(t.size)
+        want = outcome(lambda: lane_roots(packed, t, every_knot, *args))
+        try:
+            got = lane_roots(packed, t, span, *args)
+        except Exception as exc:
+            if want is not type(exc):
+                mismatches.append((t, want, exc))
+            raise
+        if isinstance(want, type) or any(bits(a).tobytes() != bits(b).tobytes()
+                                         for a, b in zip(got, want)):
+            mismatches.append((t, want, got))
+        return got
+
+    monkeypatch.setattr(lightcone, "_lane_roots", checked)
+    return calls, mismatches
+
+
+def assert_brackets_match_the_full_search(solve):
+    """Run `solve()` under `full_span_oracle`: at least one lane solve, and
+    every one with the knot of a search over every knot."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls, mismatches = full_span_oracle(monkeypatch)
+        outcome(solve)
+    assert calls and mismatches == []
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_hull_bracket_finds_the_knot_of_the_full_search(data):
+    # polygonal and Hermite partners, both branches, near and far cones,
+    # with roots on knots, just off them, or anywhere in or past the domain
+    traj = data.draw(trajectories())
+    knots = [traj.t_start, traj.t_end] + traj.junction_times()
+    branch = data.draw(st.sampled_from(list(Branch)))
+    lanes = data.draw(st.integers(1, 6))
+    taus = np.array([data.draw(st.one_of(
+        st.sampled_from(knots),
+        st.builds(lambda k, e: k + e, st.sampled_from(knots),
+                  st.sampled_from([-1e-9, -1e-15, 1e-15, 1e-9])),
+        st.floats(traj.t_start - 3.0, traj.t_end + 3.0))) for _ in range(lanes)])
+    at = np.clip(taus, traj.t_start, traj.t_end)
+    dirs = np.array([unit(data.draw) for _ in range(lanes)])
+    r = np.array([data.draw(st.floats(0.0, 5.0)) for _ in range(lanes)])
+    xs = traj.evaluate(at) + r[:, None] * dirs
+    assert_brackets_match_the_full_search(
+        lambda: cone_times(traj, taus + branch.sign * r, xs, branch))
+    R = data.draw(st.sampled_from([0.0, 1.0, 1e3]))
+    t = taus + branch.sign * (R - (dirs * traj.evaluate(at)).sum(axis=1))
+    assert_brackets_match_the_full_search(lambda: far_cone_times(traj, t, dirs, R, branch))
+
+
+def shifted(traj, offset):
+    """`traj` moved by `offset`, through the array builder."""
+    knots = traj.packed.knots
+    return hermite_trajectory(knots, traj.evaluate(knots) + offset, traj.evaluate(knots, 1), P)
+
+
+def unit_rows(rng, count: int) -> np.ndarray:
+    rows = rng.standard_normal((count, 3))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+class TestHullBracketEdges:
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_static_partner_roots_on_its_knots(self, branch):
+        # rho = 0: every knot sits on the hull's centre, so each bracket is
+        # one time, widened by the margin; roots on the knots and a hair
+        # either side of them
+        x = np.array([1.5, -0.5, 2.0])
+        partner = polygonal_from_vertices([(float(t), x) for t in range(-8, 9)], P)
+        assert partner.packed.hull[1] == 0.0
+        rng = np.random.default_rng(7)
+        dirs, r = unit_rows(rng, 60), rng.uniform(0.3, 7.0, 60)
+        taus = np.repeat(np.arange(-6.0, 6.0), 5) + np.tile([0.0, 1e-15, -1e-15, 1e-12, 0.0], 12)
+        assert_brackets_match_the_full_search(
+            lambda: cone_times(partner, taus + branch.sign * r, x + r[:, None] * dirs, branch))
+        for R in (0.0, 7.5):
+            t = taus + branch.sign * (R - dirs @ x)
+            assert_brackets_match_the_full_search(
+                lambda: far_cone_times(partner, t, dirs, R, branch))
+
+    def test_a_partner_a_million_away(self):
+        # junctions about the cone images of events near t = 0 at the origin
+        times = [-3e6, -1e6 - 5.0, -1e6, -1e6 + 5.0, 1e6 - 5.0, 1e6, 1e6 + 5.0, 3e6]
+        rng = np.random.default_rng(8)
+        points = 1e6 * np.array([1.0, 0.0, 0.0]) + rng.uniform(-1.0, 1.0, (len(times), 3))
+        partner = polygonal_from_vertices(list(zip(times, points)), P)
+        ts = np.linspace(-4.0, 4.0, 33)
+        xs = rng.uniform(-2.0, 2.0, (33, 3))
+        for branch in Branch:
+            assert_brackets_match_the_full_search(lambda: cone_times(partner, ts, xs, branch))
+            assert_brackets_match_the_full_search(
+                lambda: far_cone_times(partner, ts, unit_rows(rng, 33), 1e6, branch))
+
+    def test_coordinates_near_a_million(self):
+        offset = np.array([1e6, -1e6, 1e6])
+        partner = shifted(circle(0.4, 0.5, math.pi), offset)
+        ts = np.linspace(-3.0, 3.0, 61)
+        xs = shifted(circle(0.4, 0.5, 0.0), offset).evaluate(ts)
+        dirs = unit_rows(np.random.default_rng(9), 61)
+        for branch in Branch:
+            assert_brackets_match_the_full_search(lambda: cone_times(partner, ts, xs, branch))
+            assert_brackets_match_the_full_search(
+                lambda: far_cone_times(partner, ts, dirs, 5.0, branch))
+
+    @pytest.mark.parametrize("excess", [0.999e-9, -0.999e-9])
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_directions_up_to_1e9_off_unit_length(self, branch, excess):
+        # the partner's knot at t = 1000 sits at 1000 s x, on the hull's
+        # edge; with n = (1 + excess) x, R = 0 and t = -0.5e-6, that knot's
+        # residual is t + 1000 excess, +-0.5e-6, just past the bound C.n +- rho
+        # when |n| > 1, while |t| + R is too small for the margin's own
+        # scale to cover it.  Random lanes besides
+        edge = branch.sign * np.array([1000.0, 0.0, 0.0])
+        partner = polygonal_from_vertices([(-3000.0, -edge), (1000.0, edge), (5000.0, -edge)], P)
+        assert partner.packed.hull[1] == 1000.0
+        dirs = (1.0 + excess) * np.vstack([[1.0, 0.0, 0.0],
+                                           unit_rows(np.random.default_rng(10), 40)])
+        t = np.concatenate([[-0.5e-6], np.linspace(-2000.0, 2000.0, 40)])
+        assert_brackets_match_the_full_search(
+            lambda: far_cone_times(partner, t, dirs, 0.0, branch))
+
+
 def count_lane_solves(monkeypatch) -> list:
     """The lane counts of every `_lane_roots` call from now on."""
     calls = []
@@ -843,11 +980,30 @@ def count_lane_solves(monkeypatch) -> list:
     return calls
 
 
-def bench_pass_lane_solves(monkeypatch, tmp_path, workload: str) -> list:
-    """The lane counts of one seed-1 pass of a benchmark workload, every
-    output gated."""
+def count_knot_passes(monkeypatch) -> list:
+    """The lane counts of every knot-residual pass from now on: each call
+    of a residual handed to `_lane_roots` whose lanes are a slice, every
+    lane at once, which is one search round or the final g_k."""
+    passes = []
+    lane_roots = lightcone._lane_roots
+
+    def counted(packed, t, span, residual, *args):
+        def counted_residual(lanes, *rest):
+            if isinstance(lanes, slice):
+                passes.append(t.size)
+            return residual(lanes, *rest)
+
+        return lane_roots(packed, t, span, counted_residual, *args)
+
+    monkeypatch.setattr(lightcone, "_lane_roots", counted)
+    return passes
+
+
+def bench_pass_lane_solves(monkeypatch, tmp_path, workload: str, counter=count_lane_solves):
+    """What `counter` collects over one seed-1 pass of a benchmark workload,
+    by default the lane counts of its lane solves, every output gated."""
     jobs = bench_workloads(monkeypatch).build(workload, 1, tmp_path)
-    calls = count_lane_solves(monkeypatch)
+    calls = counter(monkeypatch)
     for job in jobs:
         assert cli.run(job.command, job.dir / job.scenario, quiet=True) == 0
         assert job.gate() is None
@@ -908,12 +1064,21 @@ class TestOneLaneSolvePerPair:
         assert calls == [6]
         assert cone_crossings(mover, kinked, -0.5, 0.5) == [] and calls == [6]
 
-    def test_a_check_pass_makes_60_lane_solves(self, monkeypatch, tmp_path):
+    def test_a_check_pass_makes_56_lane_solves(self, monkeypatch, tmp_path):
         # 168 lane solves when each branch was its own solve, 84 while each
-        # integral's scale took a rough pass of its own
+        # integral's scale took a rough pass of its own, 60 while each side
+        # of a break took its own solve
         calls = bench_pass_lane_solves(monkeypatch, tmp_path, "check")
-        assert len(calls) == 60
+        assert len(calls) == 56
         assert max(calls) == 1080
+
+    @pytest.mark.parametrize("workload, passes", [("check", 116), ("refine", 5),
+                                                  ("radiation", 44)])
+    def test_knot_residual_passes_of_a_bench_pass(self, monkeypatch, tmp_path, workload,
+                                                  passes):
+        # 328, 20 and 80 while every lane's search ran over every knot
+        counts = bench_pass_lane_solves(monkeypatch, tmp_path, workload, count_knot_passes)
+        assert len(counts) == passes
 
     def test_a_refine_pass_makes_5_lane_solves(self, monkeypatch, tmp_path):
         # 8 while each integral's scale took a rough pass of its own

@@ -83,11 +83,14 @@ def test_basis_fields_are_one_bundle():
 
 
 def test_cone_pairs_and_crossings_take_one_lane_solve():
-    # both branches of a pair, and the junction events of both branches of
-    # a crossing search, go to one `_cone_solutions` call outside any loop
+    # both branches of every pair, and the junction events of both branches
+    # of a crossing search, go to one `_cone_solutions` call outside any
+    # loop; `cone_pair` is one block of `cone_pairs`
     tree = ast.parse((PACKAGE / "lightcone.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("cone_pair", "cone_crossings"):
+    assert [getattr(node.func, "id", None) for node in ast.walk(funcs["cone_pair"])
+            if isinstance(node, ast.Call)] == ["cone_pairs"]
+    for name in ("cone_pairs", "cone_crossings"):
         func = funcs[name]
         names = {getattr(node, "id", None) for node in ast.walk(func)}
         calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
@@ -411,3 +414,27 @@ def test_grid_commands_make_one_far_field_call_and_write_arrays():
     assert not [node for node in ast.walk(flux) if isinstance(node, (ast.For, ast.comprehension))]
     assert called(flux).count("sphere_flux") == 1
     assert "tolist" not in called(funcs["_cmd_gah_scan"])
+
+
+def test_both_sides_of_a_break_take_one_lane_solve():
+    # `break_residuals`, `post_jump_velocity` and the crossing jumps of
+    # `frechet_directional` solve their LEFT and RIGHT lanes together: no
+    # loop or comprehension over `Side` calls `cone_pair` or
+    # `canonical_current`, and no function calls either of them twice
+    solves = ("cone_pair", "canonical_current")
+    for name in ("momentum", "action"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+            called = [getattr(node.func, "id", None) for node in ast.walk(func)
+                      if isinstance(node, ast.Call)]
+            assert all(called.count(solve) <= 1 for solve in solves), (name, func.name)
+            for loop in ast.walk(func):
+                if isinstance(loop, (ast.For, ast.AsyncFor)):
+                    iters = [loop.iter]
+                elif isinstance(loop, LOOPS[3:]):
+                    iters = [gen.iter for gen in loop.generators]
+                else:
+                    continue
+                if "Side" in {getattr(node, "id", None) for it in iters for node in ast.walk(it)}:
+                    assert not {getattr(node.func, "id", None) for node in ast.walk(loop)
+                                if isinstance(node, ast.Call)} & set(solves), (name, func.name)

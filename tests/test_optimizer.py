@@ -423,7 +423,7 @@ class TestOnePassGradient:
         cone_solutions, cone_time = lightcone._cone_solutions, lightcone.cone_time
 
         def counted_cone_solutions(traj, blocks, *args, **kwargs):
-            lanes.extend(np.size(ts) for _, ts, _ in blocks)
+            lanes.extend(np.size(ts) for _, ts, *_ in blocks)
             return cone_solutions(traj, blocks, *args, **kwargs)
 
         def counted_cone_time(*args, **kwargs):
