@@ -38,6 +38,9 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: cells one integral may evaluate below its mesh cells, by halving
 _MAX_CELLS = 10_000
+#: an integral's error target per unit of its rough scale, the larger of 1
+#: and the sum of |f(midpoint)| times the width of each mesh cell
+_REL_TARGET = 1e-11
 
 
 def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -158,11 +161,14 @@ def pullback_mesh(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     for p in mesh[1:]:
         if p - out[-1] > 1e-12 * scale:
             out.append(p)
-    out[-1] = b
+    if len(out) > 1:
+        out[-1] = b
+    elif b > a:  # a window shorter than the merge width keeps its one cell
+        out.append(b)
     return out
 
 
-def _integrate(f, mesh, rel_target=1e-11):
+def _integrate(f, mesh):
     """Integral over the cells of `mesh` of a vector integrand `f`: (N,)
     times to (N,) values give a float, to (N, C) rows the (C,) column sums.
 
@@ -196,7 +202,7 @@ def _integrate(f, mesh, rel_target=1e-11):
         if not depth:
             mids = rows[:, 0, _GL_NODES.size // 2]
             rough = [sum(col) for col in ((b - a)[:, None] * np.abs(mids)).T.tolist()]
-            tol = (rel_target * np.maximum(rough, 1.0)
+            tol = (_REL_TARGET * np.maximum(rough, 1.0)
                    * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)[:, None])
         sums = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)) @ _GL_WEIGHTS  # (cells, C, 3)
         fine = qh[:, None] * sums[..., 1] + qh[:, None] * sums[..., 2]

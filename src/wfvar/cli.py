@@ -82,11 +82,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# formatters of the exact types most cells have; any other type, bool and
-# numpy scalars included, goes through `_fmt`
-_FORMATS = {float: lambda v: format(v, ".17g"), int: str, str: str}
-
-
 def emit_report(report, path) -> None:
     """Write a report as CSV; floats round-trip at 17 significant digits."""
     if isinstance(report, MinimizerReport):
@@ -113,7 +108,7 @@ def emit_report(report, path) -> None:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         lines = (line % tuple(row) for row in rows.tolist())
     else:
-        lines = (",".join([_FORMATS.get(type(v), _fmt)(v) for v in row]) + "\n" for row in rows)
+        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
     # line by line, so no copy of the whole text is held
     with Path(path).open("w") as out:
         out.write(",".join(table.header) + "\n")
@@ -329,9 +324,11 @@ def _cmd_gah_scan(scen: Scenario, out: Path) -> tuple:
     lane_n = np.tile(dirs, (len(times), 1))
     res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n,
                                  **_given(scen.options, guard=json_number))
-    # an undefined lane writes zero residuals; `defined` as 1.0 and 0.0
-    # prints as 1 and 0
-    rows = np.column_stack((lane_t, lane_n, np.where(defined[:, None], res, 0.0), defined))
+    # an undefined lane writes 0, and so does an exact zero of either sign,
+    # whose sign tells only how its cancelling terms were ordered; `defined`
+    # as 1.0 and 0.0 prints as 1 and 0
+    written = np.where(defined[:, None] & (res != 0.0), res, 0.0)
+    rows = np.column_stack((lane_t, lane_n, written, defined))
     header = ("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined")
     return "gah_scan.csv", ReportTable(header, rows), f"gah scan: {len(rows)} samples"
 

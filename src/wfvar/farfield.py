@@ -39,26 +39,14 @@ def _dot(a, b):
     return (a * b).sum(axis=-1)
 
 
-def _far_kinematics(traj, t, n, R, branch):
-    """Far cone time with the right-sided velocity and acceleration there."""
-    t_k = far_cone_time(traj, t, n, R, branch)
-    return t_k, traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
-
-
-def _second_derivative(n, v, a, branch):
-    """d^2/dt^2 x(t_k(t)) per (..., 3) row (see `b_via_second_derivative`)."""
-    s = float(branch.sign)
-    g = np.asarray(1.0 - s * _dot(n, v))[..., None]
-    return a / g**2 + s * _dot(n, a)[..., None] * v / g**3
-
-
 def lw_far(traj: PiecewiseTrajectory, t: float, n, R: float,
            branch: Branch = Branch.RETARDED) -> tuple:
-    """Far electric and magnetic field of one charge at (t, R n)."""
+    """Far electric and magnetic field of one charge at (t, R n): the one
+    lane of `_branch_totals` for that charge, branch and direction."""
     n = unit_directions(n)
     _radius(R)
-    _, v, a = _far_kinematics(traj, t, n, R, branch)
-    e = lw_radiation(traj.particle.charge, n, R, v, a, branch)
+    totals, _ = _branch_totals((traj,), float(t), n[None], R, R, GUARD_BAND, (branch,))
+    e = totals[branch][0]
     return e, float(branch.sign) * cross(n, e)
 
 
@@ -76,9 +64,12 @@ def b_via_second_derivative(traj: PiecewiseTrajectory, t: float, n, R: float,
     """
     n = unit_directions(n)
     _radius(R)
-    _, v, a = _far_kinematics(traj, t, n, R, branch)
+    t_k = far_cone_time(traj, t, n, R, branch)
+    v, a = traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
     s = float(branch.sign)
-    return -s * (traj.particle.charge / R) * cross(n, _second_derivative(n, v, a, branch))
+    g = 1.0 - s * _dot(n, v)
+    second = a / g**2 + s * _dot(n, a) * v / g**3
+    return -s * (traj.particle.charge / R) * cross(n, second)
 
 
 @dataclass(frozen=True)
@@ -101,12 +92,12 @@ class FarFieldSample:
     defined: bool
 
 
-def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=lw_radiation):
-    """Per-lane sums of `field` over the given charges, one (M, 3) array per
-    branch, and the lanes' guard flags.
-
-    Lane i is the event time t (or t[i]) in direction dirs[i]; every charge
-    and branch solves all lanes in one `far_cone_times` pass.
+def _branch_totals(trajs, t, dirs, R, r, guard, branches=_BOTH_BRANCHES):
+    """The one far-field path: per-lane sums of `lw_radiation` at distance r
+    over the given charges, one (M, 3) array per branch, and the lanes' guard
+    flags.  Lane i is the event time t (or t[i]) in direction dirs[i]; every
+    charge and branch solves all lanes in one `far_cone_times` pass at radius
+    R.  Fields and fluxes read r = R, the gah residual r = 1 with R = 0.
     """
     totals = {branch: np.zeros(dirs.shape) for branch in branches}
     defined = np.ones(dirs.shape[0], dtype=bool)
@@ -115,13 +106,8 @@ def _branch_totals(trajs, t, dirs, R, guard, branches=_BOTH_BRANCHES, field=lw_r
             t_k = far_cone_times(traj, t, dirs, R, branch)
             defined &= ~traj.nearest_junctions(t_k, guard)[1]
             v, a = traj.evaluate(t_k, 1), traj.evaluate(t_k, 2)
-            totals[branch] += field(traj.particle.charge, dirs, R, v, a, branch)
+            totals[branch] += lw_radiation(traj.particle.charge, dirs, r, v, a, branch)
     return totals, defined
-
-
-def _gah_field(q, n, R, v, a, branch):
-    """One charge's share of the gah residual: q d^2/dt^2 x(t_k)."""
-    return q * _second_derivative(n, v, a, branch)
 
 
 def _samples(t, dirs, R, totals, defined) -> list:
@@ -140,7 +126,7 @@ def wf_far(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
     """Half-advanced plus half-retarded fields of both charges at (t, R n)."""
     dirs = unit_directions(n)[None]
     _radius(R)
-    totals, defined = _branch_totals((traj1, traj2), t, dirs, R, guard)
+    totals, defined = _branch_totals((traj1, traj2), t, dirs, R, R, guard)
     return _samples(t, dirs, R, totals, defined)[0]
 
 
@@ -154,9 +140,9 @@ def gah_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     undefined lane is a one-sided value and carries no meaning.
     """
     dirs = unit_directions(dirs)
-    totals, defined = _branch_totals((traj1, traj2), t, dirs, 0.0, guard,
-                                     (Branch.RETARDED,), field=_gah_field)
-    return -cross(dirs, totals[Branch.RETARDED]), defined
+    totals, defined = _branch_totals((traj1, traj2), t, dirs, 0.0, 1.0, guard,
+                                     (Branch.RETARDED,))
+    return cross(dirs, totals[Branch.RETARDED]), defined
 
 
 def gah_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
@@ -181,14 +167,15 @@ def poynting_flux(E_adv, E_ret):
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """Direction set with mean-one quadrature weights (sum(w) = 1).
+    """Direction set with positive quadrature weights; `sphere_flux` divides
+    by the covered weight, so only the weights' ratios matter.
 
     Raises DomainError unless there is at least one direction, every
     direction is a unit vector and every weight is finite and positive.
     """
 
     directions: np.ndarray  # (M, 3) unit rows
-    weights: np.ndarray  # (M,), positive, summing to 1
+    weights: np.ndarray  # (M,), positive
 
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=float)
@@ -227,7 +214,7 @@ def field_map(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, t: float,
     sphere of radius R centred at the origin (see `sphere_flux`)."""
     mesh = latlong_mesh() if mesh is None else mesh
     _radius(R)
-    totals, defined = _branch_totals((traj1, traj2), t, mesh.directions, R, guard)
+    totals, defined = _branch_totals((traj1, traj2), t, mesh.directions, R, R, guard)
     return _samples(t, mesh.directions, R, totals, defined)
 
 
@@ -269,7 +256,7 @@ def sphere_flux(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory | None,
         lane_times, dirs = times, mesh.directions
     else:
         lane_times, dirs = np.repeat(times, len(mesh)), np.tile(mesh.directions, (times.size, 1))
-    totals, defined = _branch_totals(trajs, lane_times, dirs, R, guard, branches)
+    totals, defined = _branch_totals(trajs, lane_times, dirs, R, R, guard, branches)
     e_ret = totals[Branch.RETARDED]
     if retarded_only:
         values = -_dot(e_ret, e_ret)

@@ -24,7 +24,14 @@ from wfvar.errors import (
     DomainError,
     InsufficientHistoryError,
 )
-from wfvar.lightcone import COLLISION_R, Branch, cone_time, cone_times, far_cone_times
+from wfvar.lightcone import (
+    COLLISION_R,
+    Branch,
+    cone_time,
+    cone_times,
+    far_cone_times,
+    lw_radiation,
+)
 from wfvar.shortrange import _separation
 
 DEFAULT = ParticleParams(mass=1.0, charge=1.0)
@@ -143,6 +150,16 @@ def scalar_far_cone_time(traj, t, n, R, branch=Branch.RETARDED):
     if t_k < lo - slack or t_k > hi + slack:
         raise InsufficientHistoryError(f"far cone time {t_k} outside [{lo}, {hi}]")
     return min(max(t_k, lo), hi)
+
+
+def scalar_far_field(traj, t, n, R, branch=Branch.RETARDED):
+    """Reference far electric field of one charge at (t, R n): the scalar
+    far cone time, the velocity and acceleration of its cell there by
+    `Segment.at`, then `lw_radiation` at r = R."""
+    t_k = scalar_far_cone_time(traj, t, n, R, branch)
+    seg = traj.segment_at(t_k)
+    v, a = np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
+    return lw_radiation(traj.particle.charge, vec3(n), R, v, a, branch)
 
 
 # -- scalar references for the per-point partials -------------------------------

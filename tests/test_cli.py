@@ -170,8 +170,8 @@ class TestEmitReport:
 
 
     def test_cells_print_as_the_generic_formatter_prints_them(self, tmp_path):
-        # exact floats, ints and strings take their own formatter, every
-        # other type `_fmt`; the file is the `_fmt` join byte for byte
+        # Python and numpy floats, ints, bools and strings: the file is the
+        # `_fmt` join byte for byte
         rows = (
             (0.1 + 0.2, np.float64(0.1 + 0.2), -0.0, np.float64(-0.0), 5e-324, 2.5e-310),
             (1e300, -1e300, np.float32(0.1), math.nan, math.inf, -math.inf),
@@ -422,6 +422,28 @@ class TestExitCodes:
                                                   "window2": [-2.0, 2.0, 77]}}),
         ("minimize", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
                       "options": {"nodes_per_segment": 3, "break_times": [[], [], [5]]}}),
+        # the shapes of the scenario, its records and its options
+        ("action", [base_scenario(**static_pair())]),
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0},
+                    "options": [1]}),
+        ("action", {"trajectory1": [[-50.0, 0, 0, 0], [50.0, 0, 0, 0]],
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "spline", "vertices": [[-50.0, 0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("action", {"trajectory1": {"kind": "polygonal",
+                                    "vertices": [[-50.0, 0, 0], [50.0, 0, 0]]},
+                    "trajectory2": static_record(2.0, 0.0, 0.0),
+                    "boundary": {"start_time": -1.0, "end_time": 1.0}}),
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0],
+                                                   "time_range": [0.0, 1.0, 2]}}),
+        ("gah-scan", {**static_pair(), "options": {}}),
+        ("gah-scan", {**static_pair(), "options": {"times": [0.0],
+                                                   "directions": [[1, 0], [0, 1]]}}),
+        ("construct-partner", {**partner_scenario(linear_family()),
+                               "options": {"directions": 8}}),
+        ("build-polygonal", {"options": {}}),
     ], ids=["segment-list", "boundary-list", "times-number", "times-text", "time-range-text",
             "directions-text", "radius-text", "n-points-text", "count-null",
             "n-points-fraction", "n-points-zero", "directions-true", "time-range-fraction",
@@ -435,9 +457,13 @@ class TestExitCodes:
             "node-row-bool", "vertex-row-bool", "gah-times-empty", "gah-time-range-empty",
             "flux-times-empty", "flux-time-range-empty", "trajectory-file-number",
             "family-file-list", "seed-three-entries", "window2-three-entries",
-            "break-times-three-lists"])
+            "break-times-three-lists", "scenario-list", "options-list", "trajectory-list",
+            "trajectory-kind-unknown", "vertex-rows-short", "times-and-time-range",
+            "no-scan-times", "directions-two-vectors", "t1-grid-missing", "no-vertices"])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, command, fields):
-        path = write_scenario(tmp_path, base_scenario(**fields))
+        # `fields` extend the base scenario, or replace it when not an object
+        data = base_scenario(**fields) if isinstance(fields, dict) else fields
+        path = write_scenario(tmp_path, data)
         assert run(command, path, out_dir=tmp_path / "out") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config"), err
@@ -447,7 +473,13 @@ class TestExitCodes:
         ("construct-partner", partner_scenario(harmonic_family())),
         ("construct-partner", partner_scenario(harmonic_family(4, 25))),
         ("construct-partner", partner_scenario(linear_family())),
-    ], ids=["segments", "harmonic", "harmonic-lmax-4", "linear"])
+        ("action", {**static_pair(), "boundary": {"start_time": -1.0, "end_time": 1.0,
+                                                  "window2": [-2.0, 2.0]}}),
+        ("construct-partner", {**partner_scenario(linear_family()),
+                               "options": {"directions": 8, "t1_grid": [-3.0, 0.0, 1.5, 3.0]}}),
+        ("build-polygonal", {"options": {"vertices2": [[-5.0, 0, 0, 0], [5.0, 1, 0, 0]]}}),
+    ], ids=["segments", "harmonic", "harmonic-lmax-4", "linear", "window2", "t1-grid-list",
+            "vertices2-only"])
     def test_well_formed_records_run(self, tmp_path, command, fields):
         # the records that the malformed cases above break
         path = write_scenario(tmp_path, base_scenario(**fields))
@@ -541,6 +573,9 @@ class TestGahScan:
         for row in rows:
             assert row[-1] == "1"
             assert max(abs(float(v)) for v in row[4:7]) < 1e-12
+            # a static pair's residuals cancel exactly, and print as 0
+            # whatever the sign of the cancelled zero
+            assert row[4:7] == ["0", "0", "0"]
 
     def test_time_range_and_direction_list(self, tmp_path):
         data = base_scenario(

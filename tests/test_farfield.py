@@ -9,6 +9,7 @@ from helpers_geometry import (
     bits,
     reference_latlong_mesh,
     scalar_far_cone_time,
+    scalar_far_field,
     segment_from_global,
     static_traj,
 )
@@ -440,8 +441,9 @@ class TestSphereFlux:
 
 
 class TestBatchedAgainstPerDirectionLoops:
-    """The array kernel against the per-direction scalar routes it replaced,
-    with their far cone times from the scalar reference solve."""
+    """The array kernel against per-direction scalar routes: `scalar_far_field`
+    and `b_via_second_derivative`, with their far cone times from the scalar
+    reference solve."""
 
     @pytest.fixture(autouse=True)
     def scalar_far_cones(self, monkeypatch):
@@ -455,7 +457,7 @@ class TestBatchedAgainstPerDirectionLoops:
         for sample, n in zip(samples, mesh.directions):
             assert sample.defined
             for branch, got in ((Branch.RETARDED, sample.E_ret), (Branch.ADVANCED, sample.E_adv)):
-                want = sum(lw_far(traj, 0.3, n, 6.0, branch)[0] for traj in (traj1, traj2))
+                want = sum(scalar_far_field(traj, 0.3, n, 6.0, branch) for traj in (traj1, traj2))
                 assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
     def test_sphere_flux_matches_a_per_direction_loop(self):
@@ -464,7 +466,7 @@ class TestBatchedAgainstPerDirectionLoops:
         R, t = 0.3, 0.05
         total = 0.0
         for n, w in zip(mesh.directions, mesh.weights):
-            e = {b: sum(lw_far(tr, t, n, R, b)[0] for tr in (traj1, traj2)) for b in Branch}
+            e = {b: sum(scalar_far_field(tr, t, n, R, b) for tr in (traj1, traj2)) for b in Branch}
             total += w * poynting_flux(e[Branch.ADVANCED], e[Branch.RETARDED])
         want = R * R * total / mesh.weights.sum()
         got = sphere_flux(traj1, traj2, t, R, mesh=mesh)

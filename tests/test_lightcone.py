@@ -732,6 +732,37 @@ class TestBatchedConeTimes:
                 cone_time(traj, (ts[1], xs[1]), branch)
 
 
+@pytest.mark.parametrize("budget", [0, 1])
+def test_a_spent_root_budget_raises_with_its_event(monkeypatch, budget):
+    # every cone solver stops after _MAX_ITER Newton steps with a
+    # ConeSolveError that names the event and branch; the float and lane
+    # forms stop at the same iterate, so they report the same residual
+    partner = circle(0.4, 0.5, math.pi, dt=0.5)
+    mover = circle(0.4, 0.5, 0.0, dt=0.5)
+    monkeypatch.setattr(lightcone, "_MAX_ITER", budget)
+    t, n, R = 0.3, unit_directions([0.6, 0.0, 0.8]), 6.0
+    x = mover.position(t)
+
+    def residual(err) -> str:
+        return str(err.value).split("residual ")[1].split(" after")[0]
+
+    for branch in Branch:
+        with pytest.raises(ConeSolveError) as one:
+            cone_time(partner, (t, x), branch)
+        with pytest.raises(ConeSolveError) as lanes:
+            cone_times(partner, np.array([t]), x[None], branch)
+        for err in (one, lanes):
+            assert err.value.branch is branch
+            assert err.value.event[0] == t and np.array_equal(err.value.event[1], x)
+        assert residual(one) == residual(lanes)
+        assert f"after {budget} iterations" in str(one.value)
+        with pytest.raises(ConeSolveError) as far:
+            far_cone_times(partner, t, n[None], R, branch)
+        assert far.value.branch is branch
+        assert far.value.event[0] == t and far.value.event[2] == R
+        assert np.array_equal(far.value.event[1], n)
+
+
 # -- both branches of a pair in one lane solve -----------------------------------
 
 class TestLongCellRoundingFloor:

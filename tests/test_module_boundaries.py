@@ -363,7 +363,10 @@ def test_only_direct_calls_solve_a_float_cone():
 def test_one_lienard_wiechert_field():
     # the EL residual is the Lorentz force of `lightcone.lw_fields`, and the
     # far field reads that field's radiation term, `lw_radiation`, instead
-    # of a formula of its own
+    # of a formula of its own, through one kernel: `_branch_totals` is the
+    # only far-field function that solves far cones in lanes or reads
+    # `lw_radiation`, and it takes no field callable; the only other
+    # far-cone solve is the independent route `b_via_second_derivative`
     def functions(name) -> dict:
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -375,9 +378,20 @@ def test_one_lienard_wiechert_field():
     el = names(functions("action")["el_residual"])
     assert "lw_fields" in el and "_branch_partials" not in el
     far = functions("farfield")
-    assert "_lw_field" not in far
-    for name in ("lw_far", "_branch_totals"):
-        assert "lw_radiation" in names(far[name]), name
+    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "farfield.py").read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_lw_field", "_gah_field", "_second_derivative", "_far_kinematics"}
+    readers = {name for name, func in far.items()
+               if names(func) & {"far_cone_times", "lw_radiation"}}
+    assert readers == {"_branch_totals"}
+    solvers = {name for name, func in far.items() if "far_cone_time" in names(func)}
+    assert solvers == {"b_via_second_derivative"}
+    kernel = far["_branch_totals"]
+    params = {arg.arg for arg in kernel.args.args}
+    called = {node.func.id for node in ast.walk(kernel)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not params & called
+    assert [ast.unparse(node) for node in kernel.args.defaults] == ["_BOTH_BRANCHES"]
     nested_cross = [node.lineno for func in far.values() for node in ast.walk(func)
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cross"
                     and any(getattr(getattr(arg, "func", None), "id", None) == "cross"
