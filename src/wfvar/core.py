@@ -164,12 +164,11 @@ def _order(order) -> int:
 def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> "PackedChain":
     """Check the cells with knots ``ts`` (n+1 times) and coefficients
     (n, 3, K) once per chain, give each of the n ``segments`` its read-only
-    coefficients, and judge their speeds; returns the cells' `PackedChain`.
+    coefficients, and return the cells' `PackedChain`.
 
-    The one validation rule of every segment.  The speed rule: |v(u)| <=
-    sum_k |v_k| u^k on [0, h] (`PackedChain.bounds`), so a segment whose
-    bound stays 1e-9 below 1 passes, and the exact `Segment.max_speed`
-    judges the rest alone.
+    The one validation rule of every cell: finite knots in increasing order
+    and finite coefficients.  Speed is a world-line rule, judged by
+    `PiecewiseTrajectory`.
     """
     if not all(map(math.isfinite, ts)):
         raise DomainError("segment times must be finite")
@@ -179,18 +178,9 @@ def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> "PackedChain":
     if not np.isfinite(coeffs).all():
         raise DomainError("segment coefficients must be finite")
     coeffs.setflags(write=False)
-    packed = PackedChain(np.array(ts, dtype=float), _cell_rows(coeffs))
     for seg, c in zip(segments, coeffs):
         seg.__dict__["coeffs"] = c
-    if segments[0].check_speed:
-        passed = packed.bounds(slice(None), 1) < 1.0 - 1e-9
-        if not passed.all():
-            for seg in (segments[i] for i in np.flatnonzero(~passed).tolist()):
-                speed = seg.max_speed()
-                if speed >= 1.0:
-                    raise SuperluminalError(
-                        f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1")
-    return packed
+    return PackedChain(np.array(ts, dtype=float), _cell_rows(coeffs))
 
 
 @dataclass(frozen=True)
@@ -198,15 +188,13 @@ class Segment:
     """One smooth polynomial piece of a trajectory.
 
     The position on [t_start, t_end] is ``sum_k coeffs[:, k] * (t - t_start)**k``.
-    Speed must stay below 1 on the whole closed interval unless
-    ``check_speed=False`` (used internally for perturbations, which are
-    displacements rather than world lines).
+    A segment is a plain polynomial cell, of a world line or of a
+    displacement field alike; `PiecewiseTrajectory` judges its speed.
     """
 
     t_start: float
     t_end: float
     coeffs: np.ndarray  # shape (3, K), ascending powers of (t - t_start)
-    check_speed: bool = True
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -217,17 +205,17 @@ class Segment:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def linear(cls, t0: float, t1: float, x0, x1, check_speed: bool = True) -> "Segment":
+    def linear(cls, t0: float, t1: float, x0, x1) -> "Segment":
         x0 = vec3(x0)
         x1 = vec3(x1)
         v = (x1 - x0) / (t1 - t0)
-        return cls(t0, t1, np.column_stack([x0, v]), check_speed=check_speed)
+        return cls(t0, t1, np.column_stack([x0, v]))
 
     @classmethod
-    def hermite(cls, t0: float, t1: float, x0, v0, x1, v1, check_speed: bool = True) -> "Segment":
+    def hermite(cls, t0: float, t1: float, x0, v0, x1, v1) -> "Segment":
         """Cubic interpolating endpoint positions and one-sided velocities."""
         _, c = _hermite_cells([t0, t1], [vec3(x0), vec3(x1)], [vec3(v0), vec3(v1)])
-        return cls(t0, t1, c[0], check_speed=check_speed)
+        return cls(t0, t1, c[0])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -475,13 +463,26 @@ class SegmentChain:
 
 @dataclass(frozen=True)
 class PiecewiseTrajectory(SegmentChain):
-    """A continuous chain of segments plus the particle it describes."""
+    """A world line: a chain of segments plus the particle it describes.
+
+    The one home of both world-line rules.  Speed: |v(u)| <= sum_k |v_k| u^k
+    on [0, h] (`PackedChain.bounds`), so a segment whose bound stays 1e-9
+    below 1 passes, and the exact `Segment.max_speed` judges the rest; a
+    speed of 1 or more raises SuperluminalError.  Continuity: a junction gap
+    above `PackedChain.gap_tol` raises DomainError.
+    """
 
     particle: ParticleParams
 
     def __post_init__(self):
         super().__post_init__()
         packed = self.packed
+        for i in np.flatnonzero(~(packed.bounds(slice(None), 1) < 1.0 - 1e-9)).tolist():
+            seg = self.segments[i]
+            speed = seg.max_speed()
+            if speed >= 1.0:
+                raise SuperluminalError(
+                    f"segment [{seg.t_start}, {seg.t_end}] reaches speed {speed:.6g} >= 1")
         gaps = packed.junction_gaps()
         torn = gaps > packed.gap_tol()
         if torn.any():
@@ -502,7 +503,7 @@ class PiecewiseTrajectory(SegmentChain):
         return tuple(self.evaluate(t, order, side) for order in (0, 1, 2))
 
 
-def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
+def _chain(cls, knots, coeffs, *fields):
     """The chain ``cls(segments, *fields)`` of the segments with knots (n+1,)
     and coefficients (n, 3, K), ascending powers of t - knots[i].
 
@@ -517,7 +518,7 @@ def _chain(cls, knots, coeffs, *fields, check_speed: bool = True):
     ts = knots.tolist()
     segs = [object.__new__(Segment) for _ in ts[1:]]
     for seg, t0, t1 in zip(segs, ts, ts[1:]):
-        seg.__dict__.update(t_start=t0, t_end=t1, check_speed=check_speed)
+        seg.__dict__.update(t_start=t0, t_end=t1)
     packed = _fill_segments(segs, ts, np.ascontiguousarray(coeffs, dtype=float))
     chain = object.__new__(cls)
     object.__setattr__(chain, "_packed", packed)
@@ -549,25 +550,17 @@ def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
 def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTrajectory:
     """Piecewise-constant-velocity trajectory through (time, position) vertices.
 
-    Raises SuperluminalError if any chord speed reaches 1 and DomainError for
-    non-increasing times, for the first vertex pair that breaks either rule.
+    Vertex times that do not increase strictly raise DomainError, by the cell
+    rule, before any chord speed of 1 or more raises SuperluminalError, by the
+    trajectory rule.
     """
     verts = [(float(t), vec3(x)) for t, x in vertices]
     if len(verts) < 2:
         raise DomainError("need at least two vertices")
-    ts = [t for t, _ in verts]
-    knots, xs = np.array(ts), np.array([x for _, x in verts])
-    h = knots[1:] - knots[:-1]
-    chords = xs[1:] - xs[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        speeds = np.linalg.norm(chords, axis=1) / h
-    broken = ~(h > 0) | (speeds >= 1.0)
-    if broken.any():
-        i = int(broken.argmax())
-        if not h[i] > 0:
-            raise DomainError(f"vertex times must increase strictly: {ts[i]} -> {ts[i + 1]}")
-        raise SuperluminalError(f"chord speed {speeds[i]:.6g} >= 1 on [{ts[i]}, {ts[i + 1]}]")
-    coeffs = np.array([xs[:-1], chords / h[:, None]]).transpose(1, 2, 0)
+    knots, xs = np.array([t for t, _ in verts]), np.array([x for _, x in verts])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes = (xs[1:] - xs[:-1]) / (knots[1:] - knots[:-1])[:, None]
+    coeffs = np.array([xs[:-1], slopes]).transpose(1, 2, 0)
     return _chain(PiecewiseTrajectory, knots, coeffs, particle)
 
 
@@ -680,7 +673,7 @@ class Perturbation(SegmentChain):
         zero = np.zeros(3)
         slopes = [(amp - zero) / (t_peak - t0), (zero - amp) / (t1 - t_peak)]
         coeffs = np.array([[zero, slopes[0]], [amp, slopes[1]]]).transpose(0, 2, 1)
-        return _chain(cls, [t0, t_peak, t1], coeffs, check_speed=False)
+        return _chain(cls, [t0, t_peak, t1], coeffs)
 
     @classmethod
     def from_nodes(cls, times, values, velocities=None) -> "Perturbation":
@@ -690,7 +683,7 @@ class Perturbation(SegmentChain):
         if velocities is None:
             velocities = fd_node_velocities(times, vals)
         knots, coeffs = _hermite_cells(times, vals, velocities)
-        return _chain(cls, knots, coeffs, check_speed=False)
+        return _chain(cls, knots, coeffs)
 
 
 def fd_node_velocities(times, values) -> np.ndarray:

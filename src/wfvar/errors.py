@@ -17,7 +17,7 @@ class DomainError(WfvarError):
 
 
 class SuperluminalError(WfvarError):
-    """A trajectory segment, chord, or candidate velocity reaches speed >= 1."""
+    """A trajectory segment or a given velocity reaches speed >= 1."""
 
 
 class InsufficientHistoryError(WfvarError):

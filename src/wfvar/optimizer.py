@@ -36,7 +36,6 @@ from .core import (
     hermite_trajectory,
     json_number,
     merge_history,
-    subluminal,
     vec3,
 )
 from .errors import ConfigError, DomainError, SuperluminalError
@@ -151,7 +150,6 @@ def _decode_particle(layout: ParticleLayout, block: np.ndarray,
                      free_break_times: bool) -> PiecewiseTrajectory:
     times, positions, break_vels = _unpack_block(layout, block, free_break_times)
     vel_l, vel_r = _node_velocities(layout, times, positions, break_vels)
-    subluminal(np.vstack([vel_l, vel_r]))
     return hermite_trajectory(times, positions, vel_r, layout.particle,
                               left_velocities=vel_l)
 

@@ -261,7 +261,8 @@ class SeparationFamilyParams:
         return self._evaluate(self.l_raw, sigma, unit_directions(n))
 
     def validate(self) -> None:
-        """Check transversality (|n.D|, |n.L| <= 1e-12) and boundedness on 32
+        """Check transversality (|n.D| <= 1e-12 max(1, |D|), the same for L:
+        projection leaves rounding of about eps |D|) and boundedness on 32
         Fibonacci directions."""
         ns = fibonacci_sphere(32)
         for sigma in range(self.n_intervals):
@@ -271,8 +272,9 @@ class SeparationFamilyParams:
                 except DomainError as exc:
                     raise ContractError(f"{name}_{sigma} not finite: {exc}") from exc
                 normal = (ns * vals).sum(axis=1)
-                worst = int(np.abs(normal).argmax())
-                if abs(normal[worst]) > 1e-12:
+                slack = 1e-12 * np.maximum(1.0, np.sqrt((vals * vals).sum(axis=1)))
+                worst = int((np.abs(normal) / slack).argmax())
+                if abs(normal[worst]) > slack[worst]:
                     raise ContractError(
                         f"n.{name}_{sigma} = {normal[worst]:.3g} violates "
                         f"transversality at n={ns[worst].tolist()}"

@@ -16,6 +16,7 @@ from wfvar.core import (
     Segment,
     Side,
     cross,
+    hermite_trajectory,
     vec3,
 )
 from wfvar.errors import (
@@ -160,6 +161,66 @@ def scalar_far_field(traj, t, n, R, branch=Branch.RETARDED):
     seg = traj.segment_at(t_k)
     v, a = np.array(seg.at(t_k, 1)), np.array(seg.at(t_k, 2))
     return lw_radiation(traj.particle.charge, vec3(n), R, v, a, branch)
+
+
+# -- Schild's circular orbits ----------------------------------------------------
+#
+# Two charges +1 and -1 of mass 1 (kappa = 1) on diametrically opposite
+# circles x_k(t) = +/- r (cos wt, sin wt, 0) at speed v = r w solve the
+# half-advanced, half-retarded equations exactly (A. Schild, Phys. Rev. 131,
+# 2762, 1963).  Positions and times scale with r, so the unit-radius pair
+# (w = v) fixes everything.
+
+def schild_lag(v: float) -> float:
+    """The cone lag angle theta = w tau of Schild's pair at speed v, the root
+    of theta = 2 v cos(theta / 2) on either branch, by fixed-point iteration:
+    the map's slope v sin(theta / 2) stays below 1 for v < 1."""
+    theta = 0.0
+    for _ in range(200):
+        theta = 2.0 * v * math.cos(0.5 * theta)
+    return theta
+
+
+def schild_force(v: float) -> float:
+    """f(v): the attractive radial Lorentz force on either charge of the
+    unit-radius pair, half advanced plus half retarded, written out in
+    theta = `schild_lag(v)`, c = cos(theta / 2), s = sin(theta / 2), the
+    Doppler factor g = 1 + v s of both branches and the cone distance 2c:
+
+        f = [c A (1 + v^2 + 2 v s) + v^2 g (v s - cos theta) / (2c)] / g^3,
+        A = (1 - v^2) / (4 c^2) + v^2 / 2.
+
+    Both branches give the same radial force, and their tangential forces
+    cancel.  At v = 0 it is the Coulomb force 1/4 at distance 2."""
+    theta = schild_lag(v)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    g = 1.0 + v * s
+    big_a = (1.0 - v * v) / (4.0 * c * c) + 0.5 * v * v
+    return (c * big_a * (1.0 + v * v + 2.0 * v * s)
+            + v * v * g * (v * s - math.cos(theta)) / (2.0 * c)) / g**3
+
+
+def schild_radius(v: float) -> float:
+    """The orbit radius at speed v: m gamma v^2 / r = kappa f(v) / r^2, with
+    m = kappa = 1."""
+    return schild_force(v) * math.sqrt(1.0 - v * v) / (v * v)
+
+
+def schild_pair(v: float, h: float, radius: float | None = None) -> tuple:
+    """Hermite encoding of Schild's pair at speed v: charge +1 on
+    r (cos wt, sin wt, 0) and charge -1 opposite it, w = v / r, with exact
+    node positions and velocities on uniform cells about h r wide over
+    [-(12 r + 4), 12 r + 4].  `radius` replaces r = `schild_radius(v)`, at
+    the same speed, to give a pair that is not a solution."""
+    r = schild_radius(v) if radius is None else radius
+    span = 12.0 * r + 4.0
+    times = np.linspace(-span, span, int(round(2.0 * span / (h * r))) + 1)
+    phase = (v / r) * times
+    e = np.stack([np.cos(phase), np.sin(phase), 0.0 * phase], axis=1)
+    e_perp = np.stack([-np.sin(phase), np.cos(phase), 0.0 * phase], axis=1)
+    return tuple(hermite_trajectory(times, sign * r * e, sign * v * e_perp,
+                                    ParticleParams(mass=1.0, charge=sign))
+                 for sign in (1.0, -1.0))
 
 
 # -- scalar references for the per-point partials -------------------------------
@@ -325,10 +386,9 @@ def reference_fd_velocities(times, values):
 
 # -- per-segment references for the chain splice and perturbation ----------------
 
-def reference_rebased(seg, a, b, check_speed=None):
+def reference_rebased(seg, a, b):
     """One `Segment` holding the polynomial of ``seg`` on [a, b]."""
-    cs = seg.check_speed if check_speed is None else check_speed
-    return Segment(a, b, reference_poly_shift(seg.coeffs, a - seg.t_start), check_speed=cs)
+    return Segment(a, b, reference_poly_shift(seg.coeffs, a - seg.t_start))
 
 
 def reference_add_perturbation(traj, pert, eps):
@@ -340,7 +400,7 @@ def reference_add_perturbation(traj, pert, eps):
     mesh = sorted(p for p in pts if traj.t_start <= p <= traj.t_end)
     segs = []
     for a, b in zip(mesh, mesh[1:]):
-        base = reference_rebased(traj.segment_at(0.5 * (a + b)), a, b, check_speed=False)
+        base = reference_rebased(traj.segment_at(0.5 * (a + b)), a, b)
         c = base.coeffs
         if pert.t_start <= a and b <= pert.t_end:
             ps = pert.segment_at(0.5 * (a + b))

@@ -193,7 +193,6 @@ def test_tent_is_two_linear_segments():
     assert bits(b.packed.knots) == bits([-1.0, 0.25, 2.0])
     assert bits(b.packed.rows[0]) == bits([reference_linear_coeffs(-1.0, 0.25, np.zeros(3), amp),
                                            reference_linear_coeffs(0.25, 2.0, amp, np.zeros(3))])
-    assert all(not s.check_speed for s in b.segments)
     with pytest.raises(DomainError), np.errstate(divide="ignore", invalid="ignore"):
         Perturbation.tent(0.0, 0.0, 1.0, [0.1, 0.0, 0.0])
 

@@ -73,10 +73,10 @@ def dense_max_speed(seg, n=20001) -> float:
 
 
 def builder_verdict(seg) -> str | None:
-    """The array builder's speed verdict on one segment: its error message,
-    or None when it passes."""
+    """The trajectory rule's speed verdict on one segment, built by the
+    array builder: its error message, or None when it passes."""
     try:
-        core._chain(Perturbation, [seg.t_start, seg.t_end], seg.coeffs[None])
+        core._chain(PiecewiseTrajectory, [seg.t_start, seg.t_end], seg.coeffs[None], ELECTRON)
     except SuperluminalError as exc:
         return str(exc)
     return None
@@ -98,7 +98,7 @@ class TestClosedFormMaxSpeed:
             coeffs = rng.normal(size=(3, 4))
             # exact, tiny and small cubic terms
             coeffs[:, 3] *= (1.0, 0.0, 1e-9, 1e-17, 1e-5)[trial % 5]
-            seg = Segment(0.0, h, coeffs, check_speed=False)
+            seg = Segment(0.0, h, coeffs)
             ref = polyroots_max_speed(seg)
             assert abs(seg.max_speed() - ref) <= 1e-12 * ref
             if trial < 200:
@@ -108,7 +108,7 @@ class TestClosedFormMaxSpeed:
             factor = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-12, 1.5)[trial // 5 % 5]
             rescaled = coeffs.copy()
             rescaled[:, 1:] *= factor / seg.max_speed()
-            rescaled = Segment(0.0, h, rescaled, check_speed=False)
+            rescaled = Segment(0.0, h, rescaled)
             assert builder_verdict(rescaled) == exact_verdict(rescaled)
 
     def test_degenerate_segments(self):
@@ -134,7 +134,7 @@ class TestClosedFormMaxSpeed:
             for factor in (0.999999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.000001):
                 c = seg.coeffs.copy()
                 c[:, 1:] *= factor / seg.max_speed()
-                scaled = Segment(seg.t_start, seg.t_end, c, check_speed=False)
+                scaled = Segment(seg.t_start, seg.t_end, c)
                 assert builder_verdict(scaled) == exact_verdict(scaled)
         # the interior peak of a symmetric bump, at the double root's partner
         bump = Segment.hermite(0.0, 1.0, [0, 0, 0], [0, 0, 0], [0.6, 0, 0], [0, 0, 0])
@@ -145,8 +145,7 @@ class TestClosedFormMaxSpeed:
         rest = np.zeros((2, 3))
         for x in (0.6, 0.66, 0.67, 0.7):
             nodes = [[0.0, 0.0, 0.0], [x, 0.0, 0.0]]
-            seg = Segment.hermite(0.0, 1.0, nodes[0], rest[0], nodes[1], rest[1],
-                                  check_speed=False)
+            seg = Segment.hermite(0.0, 1.0, nodes[0], rest[0], nodes[1], rest[1])
             want = exact_verdict(seg)
             assert (want is None) == (x < 2.0 / 3.0)
             try:
@@ -224,12 +223,10 @@ class TestArrayBuilder:
                 left = vs
             else:  # a bundle of one field, with left velocities, as a chain
                 packed = PackedChain.hermite(times, xs[:, None], vs[:, None], left[:, None])
-                b = core._chain(Perturbation, packed.knots, packed.rows[0][:, 0],
-                                check_speed=False)
+                b = core._chain(Perturbation, packed.knots, packed.rows[0][:, 0])
             want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
                                              left[i + 1]) for i in range(len(times) - 1)]
             assert_segments_match(b, times.tolist(), want)
-            assert all(not s.check_speed for s in b.segments)
 
     def test_node_rows_must_match_the_times(self):
         times = [0.0, 1.0, 2.0]
@@ -375,12 +372,11 @@ class TestRowsOnFirstScalarRead:
                   [[-2.0, 0.1], [0.5, -0.3], [0.0, -0.0]],
                   [[-1.9, 0.2, -0.01, 0.003], [0.2, 0.0, 0.02, -0.004], [0.0, 0.1, -0.0, 0.0]]]
         knots = [-1.0, 0.0, 1.0, 2.5]
-        segs = tuple(Segment(a, b, c, check_speed=False)
-                     for a, b, c in zip(knots, knots[1:], coeffs))
+        segs = tuple(Segment(a, b, c) for a, b, c in zip(knots, knots[1:], coeffs))
         padded = np.zeros((3, 3, 4))
         for i, c in enumerate(coeffs):
             padded[i, :, : len(c[0])] = c
-        built = core._chain(core.SegmentChain, knots, padded, check_speed=False)
+        built = core._chain(core.SegmentChain, knots, padded)
         packed, of = built.packed, PackedChain.of(segs)
         assert np.array_equal(of.knots, packed.knots)
         for m in range(3):
@@ -404,13 +400,15 @@ class TestSegment:
         assert_allclose(a, [3.0, 0.0, 0.0])
 
     def test_segment_rejects_superluminal(self):
-        with pytest.raises(SuperluminalError):
-            Segment(0.0, 1.0, np.array([[0.0, 1.5], [0, 0], [0, 0]]))
+        # the trajectory judges its segments' speed, a segment alone does not
+        seg = Segment(0.0, 1.0, np.array([[0.0, 1.5], [0, 0], [0, 0]]))
+        with pytest.raises(SuperluminalError, match=r"segment \[0.0, 1.0\] reaches speed 1.5 >= 1"):
+            PiecewiseTrajectory((seg,), ELECTRON)
 
-    def test_check_speed_off_allows_fast_polynomials(self):
-        seg = Segment(0.0, 1.0, np.array([[0.0, 5.0], [0, 0], [0, 0]]),
-                      check_speed=False)
+    def test_fast_polynomials_are_plain_cells(self):
+        seg = Segment(0.0, 1.0, np.array([[0.0, 5.0], [0, 0], [0, 0]]))
         assert seg.max_speed() == 5.0
+        assert core.SegmentChain((seg,)).max_speed() == 5.0
 
     def test_hermite_interpolates_endpoint_data(self):
         x0, v0 = vec3(0.1, -0.2, 0.0), vec3(0.3, 0.0, 0.1)
@@ -434,7 +432,7 @@ class TestSegment:
                 c = rng.normal(size=(3, k)) * rng.choice([1e-3, 1.0, 1e3])
                 c[rng.integers(3), rng.integers(k)] = -0.0
                 t0, h = float(rng.normal(0.0, 10.0)), float(rng.uniform(0.1, 5.0))
-                seg = Segment(t0, t0 + h, c, check_speed=False)
+                seg = Segment(t0, t0 + h, c)
                 ts = [t0, t0 + h, t0 + h * rng.random(), t0 - 1e-12]
                 for order, ev in enumerate((seg.position, seg.velocity, seg.acceleration)):
                     rows = npoly.polyder(c.T, order)
@@ -473,13 +471,18 @@ class TestPolygonal:
         assert_allclose(traj.velocity(1.0), [-0.5, 0, 0])
 
     def test_superluminal_chord_rejected(self):
-        with pytest.raises(SuperluminalError):
+        with pytest.raises(SuperluminalError, match=r"segment \[0.0, 1.0\] reaches speed 1.11803"):
             polygonal_from_vertices([(0.0, [0, 0, 0]), (1.0, [1.0, 0.5, 0])], ELECTRON)
 
     def test_nonmonotonic_times_rejected(self):
         with pytest.raises(DomainError):
             polygonal_from_vertices(
                 [(0.0, [0, 0, 0]), (1.0, [0.1, 0, 0]), (1.0, [0.2, 0, 0])], ELECTRON
+            )
+        # every time-order defect comes before any speed defect
+        with pytest.raises(DomainError, match=r"t_start < t_end, got \[1.0, 1.0\]"):
+            polygonal_from_vertices(
+                [(0.0, [0, 0, 0]), (1.0, [2.0, 0, 0]), (1.0, [2.1, 0, 0])], ELECTRON
             )
 
     def test_outside_domain_raises(self):
@@ -523,7 +526,7 @@ def segment_chains(draw):
     if draw(st.booleans()):
         return polygonal_from_vertices(list(zip(times, points)), ELECTRON)
     return Perturbation(tuple(
-        Segment.linear(t0, t1, x0, x1, check_speed=False)
+        Segment.linear(t0, t1, x0, x1)
         for t0, t1, x0, x1 in zip(times, times[1:], points, points[1:])))
 
 

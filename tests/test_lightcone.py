@@ -27,7 +27,8 @@ from wfvar.core import (
     polygonal_from_vertices,
     vec3,
 )
-from wfvar.errors import CollisionError, ConeSolveError, DomainError, InsufficientHistoryError
+from wfvar.errors import (CollisionError, ConeSolveError, ConvergenceError, DomainError,
+                          InsufficientHistoryError)
 from wfvar.lightcone import (
     Branch,
     cone_crossings,
@@ -761,6 +762,55 @@ def test_a_spent_root_budget_raises_with_its_event(monkeypatch, budget):
         assert far.value.branch is branch
         assert far.value.event[0] == t and far.value.event[2] == R
         assert np.array_equal(far.value.event[1], n)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_an_unspent_root_budget_accepts_the_start_alike(monkeypatch, branch):
+    # with no Newton step allowed, a static partner's secant start is its
+    # root: the float form accepts it in its `for ... else`, the lanes after
+    # their loop, and both give the same root, bit for bit
+    monkeypatch.setattr(lightcone, "_MAX_ITER", 0)
+    traj = static_traj([0.3, -1.2, 0.5])
+    ts = np.array([-7.25, 0.0, 0.1, 42.0])
+    xs = np.array([[2.0, 0.0, 0.0], [0.3, 4.0, -1.0], [-5.0, 1.0, 2.5], [0.3, -1.2, 9.0]])
+    sol = assert_lanes_match_cone_time(traj, ts, xs, branch)
+    r = np.linalg.norm(xs - traj.position(0.0), axis=1)
+    assert_allclose(sol.t_k, ts - branch.sign * r, rtol=0, atol=1e-13)
+    assert not np.isin(sol.t_k, traj.packed.knots).any()
+
+
+class TestConeRoundingFloorStall:
+    # a Hermite partner near x = 1e6 reads its positions to about 1e-10, so
+    # the advanced root of this event sits on a rounding step of the
+    # residual: Newton with bisection stalls between adjacent floats at a
+    # residual above the 1e-12 tolerance and below the cell's rounding floor
+    event = (-2.98, np.array([1e6 + 1.0, 0.5, 0.0]))
+
+    def partner(self):
+        times = np.arange(-10.0, 10.01, 0.5)
+        v = np.array([0.5, 0.1, 0.0])
+        xs = np.array([1e6, 0.0, 0.0]) + times[:, None] * v
+        return hermite_trajectory(times, xs, np.tile(v, (times.size, 1)), P)
+
+    def test_without_the_floor_both_forms_stall_alike(self, monkeypatch):
+        monkeypatch.setattr(lightcone, "_FLOOR", 0.0)
+        traj, (t, x) = self.partner(), self.event
+        with pytest.raises(ConvergenceError) as one:
+            cone_time(traj, (t, x), Branch.ADVANCED)
+        with pytest.raises(ConvergenceError) as lanes:
+            cone_times(traj, np.array([t]), x[None], Branch.ADVANCED)
+        for err in (one, lanes):
+            assert type(err.value) is ConvergenceError
+            assert str(err.value).startswith("cone residual ")
+        assert str(one.value) == str(lanes.value)
+        residual = float(str(one.value).split()[2])
+        assert 1e-12 < abs(residual) < lightcone._EPS * 100.0 * 1e6
+
+    def test_with_the_floor_both_forms_accept_the_same_root(self):
+        traj, (t, x) = self.partner(), self.event
+        sol = assert_lanes_match_cone_time(traj, np.array([t]), x[None], Branch.ADVANCED)
+        r = np.linalg.norm(x - traj.position(sol.t_k[0]))
+        assert abs((t - sol.t_k[0]) + r) < 1e-9
 
 
 # -- both branches of a pair in one lane solve -----------------------------------

@@ -452,3 +452,24 @@ def test_both_sides_of_a_break_take_one_lane_solve():
                 if "Side" in {getattr(node, "id", None) for it in iters for node in ast.walk(it)}:
                     assert not {getattr(node.func, "id", None) for node in ast.walk(loop)
                                 if isinstance(node, ast.Call)} & set(solves), (name, func.name)
+
+
+def test_piecewise_trajectory_alone_judges_speed():
+    # the world-line rules live in `PiecewiseTrajectory.__post_init__`: a
+    # segment, a displacement and a bare chain are plain polynomial cells,
+    # and neither the cell builder nor the optimizer's decode judges speed
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "check_speed" not in path.read_text(), path.name
+    funcs = core_functions()
+    raisers = {name for name, func in funcs.items() for node in ast.walk(func)
+               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "SuperluminalError"}
+    assert raisers == {"subluminal", "PiecewiseTrajectory.__post_init__"}
+    assert not {"SuperluminalError", "max_speed", "bounds"} & {
+        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        for node in ast.walk(funcs["_fill_segments"]) if isinstance(node, ast.Call)}
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    decode = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_decode_particle")
+    assert "subluminal" not in {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                                for node in ast.walk(decode) if isinstance(node, ast.Call)}

@@ -369,6 +369,21 @@ class TestDirectionRows:
         for params in FAMILIES.values():
             params.validate()
 
+    @pytest.mark.parametrize("offset", [1e5, 1e6])
+    def test_far_apart_transverse_families_validate(self, offset):
+        # projection leaves rounding of about eps |D| in n.D, which once
+        # failed an absolute 1e-12 bound (7.28e-12 at 1e5, 5.82e-11 at 1e6)
+        family = SeparationFamilyParams.from_linear_pieces(
+            (-1.0, 1.0), [([0, 0, 0], [0.1, 0, 0], [offset, 0, 0], [-0.1, 0, 0])])
+        ns = fibonacci_sphere(32)
+        assert np.abs((ns * family.d_sigma(0, ns)).sum(axis=1)).max() > 1e-12
+        family.validate()
+        # the bound scales with |D|, so a far-out radial map still fails
+        radial = SeparationFamilyParams.from_callables(
+            (-1.0, 1.0), [lambda n: offset * n], [lambda n: np.zeros(3)], project=False)
+        with pytest.raises(ContractError, match="n.D_0 = .* violates"):
+            radial.validate()
+
     def test_construct_partner_makes_one_family_call_per_candidate_pass(self, monkeypatch):
         # `_separation` is `separation_family` with the L rows it read; the
         # grid times share their candidate passes, one per Newton round and
