@@ -43,11 +43,8 @@ _MAX_CELLS = 10_000
 _REL_TARGET = 1e-11
 
 
-def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-             kappa: float | None = None) -> float:
-    """Interaction strength: -(q1 q2) unless overridden explicitly."""
-    if kappa is not None:
-        return float(kappa)
+def coupling(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory) -> float:
+    """Interaction strength kappa = -(q1 q2), the one place it is formed."""
     return -traj1.particle.charge * traj2.particle.charge
 
 
@@ -120,27 +117,24 @@ def _local_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     return currents
 
 
-def canonical_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                       t, sides, kappa: float | None = None) -> list:
+def canonical_currents(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory, t, sides) -> list:
     """`canonical_current` on each of `sides`, as one (p, e) per side, with
     the cone pairs of all sides from one lane solve."""
-    return [c[2:] for c in _local_currents(traj1, partner, t, sides,
-                                           coupling(traj1, partner, kappa))]
+    return [c[2:] for c in _local_currents(traj1, partner, t, sides, coupling(traj1, partner))]
 
 
 def canonical_current(traj1: PiecewiseTrajectory, partner: PiecewiseTrajectory,
-                      t, side: Side = Side.RIGHT, kappa: float | None = None) -> tuple:
+                      t, side: Side = Side.RIGHT) -> tuple:
     """(p = dL/dv1, e = v1.p - L) at time t of trajectory 1, one-sided by
-    `side`, from one state and one cone pair; `kappa` resolves through
-    `coupling`.  p and e are the momentum and energy currents: (3,) rows and a
-    scalar e at a float time, (M, 3) rows and (M,) values at (M,) times."""
-    return canonical_currents(traj1, partner, t, (side,), kappa)[0]
+    `side`, from one state and one cone pair.  p and e are the momentum and
+    energy currents: (3,) rows and a scalar e at a float time, (M, 3) rows
+    and (M,) values at (M,) times."""
+    return canonical_currents(traj1, partner, t, (side,))[0]
 
 
-def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT,
-                                kappa: float | None = None):
+def lagrangian_position_partial(traj1, partner, t: float, side: Side = Side.RIGHT):
     """dL/dx1 with the implicit cone-time dependence included."""
-    k = coupling(traj1, partner, kappa)
+    k = coupling(traj1, partner)
     v1, pair, _, _ = _local_currents(traj1, partner, t, (side,), k)[0]
     return sum(k * _branch_partials(v1, sol) for sol in pair)
 
@@ -231,7 +225,7 @@ def _integrate(f, mesh):
 
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-           boundary: BoundaryData, kappa: float | None = None) -> float:
+           boundary: BoundaryData) -> float:
     """Boundary constant plus the delayed interaction integral over trajectory
     1's window, ``boundary.window(1)``; a zero-length window gives the
     constant alone."""
@@ -239,7 +233,7 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     if a == b:
         return boundary.k2
     partner = merge_history(traj2, boundary.history2)
-    k = coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2)
     m1 = traj1.particle.mass
 
     def density(ts):
@@ -251,7 +245,7 @@ def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
 
 def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                        boundary: BoundaryData, b, kappa: float | None = None):
+                        boundary: BoundaryData, b):
     """Directional derivative of the action along an admissible displacement
     `b` over trajectory 1's window, ``boundary.window(1)``: a float along a
     `Perturbation`, (C,) values along a bundle of C fields on one knot vector
@@ -269,7 +263,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     if hi <= lo or not count:  # no field, or its support misses the window
         return 0.0 if single else np.zeros(count)
     partner = merge_history(traj2, boundary.history2)
-    k = coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2)
 
     def integrand(ts):
         v1, pair, p, _ = _local_currents(traj1, partner, ts, (Side.RIGHT,), k)[0]
@@ -306,7 +300,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
 
 
 def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                t, side: Side = Side.RIGHT, kappa: float | None = None):
+                t, side: Side = Side.RIGHT):
     """d/dt (dL/dv1) - dL/dx1, one-sided, zero on exact piecewise solutions.
 
     It is the Lorentz residual m d(gamma v1)/dt - q1 (E + v1 x B), with E and B
@@ -315,7 +309,7 @@ def el_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     at breaking points and cone crossings the result is the limit from that
     side.  A float time gives a (3,) row, (M,) times give (M, 3) rows.
     """
-    k = coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2)
     x1, v1, a1 = (traj1.evaluate(t, order, side) for order in range(3))
     g2 = 1.0 / (1.0 - _dot(v1, v1))
     res = traj1.particle.mass * np.sqrt(g2) * (a1 + g2 * _dot(v1, a1) * v1)

@@ -59,7 +59,6 @@ class Scenario:
     traj2: PiecewiseTrajectory | None
     family: SeparationFamilyParams | None
     boundary: BoundaryData | None
-    kappa: float | None
     options: dict
 
 
@@ -169,15 +168,16 @@ def load_scenario(path) -> Scenario:
     raw_particles = data.get("particles")
     if not isinstance(raw_particles, list) or len(raw_particles) != 2:
         raise ConfigError("scenario needs a list of exactly two particles")
+    if "kappa" in data:
+        raise ConfigError("scenario field kappa is not accepted: kappa = -q1 q2 comes "
+                          "from the particles' charges")
     try:
         particles = tuple(
             ParticleParams(json_number(p["mass"]), json_number(p["charge"]))
             for p in raw_particles
         )
-        kappa = data.get("kappa")
-        kappa = None if kappa is None else json_number(kappa)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed particle or kappa entry: {exc}") from exc
+        raise ConfigError(f"malformed particle entry: {exc}") from exc
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("options must be a JSON object")
@@ -211,7 +211,6 @@ def load_scenario(path) -> Scenario:
         traj2=traj2,
         family=_load_record(data, "family", base, params_from_dict),
         boundary=boundary,
-        kappa=kappa,
         options=options,
     )
 
@@ -302,13 +301,13 @@ def _mesh(value):
 # there, and returns (CSV name, report, summary line) for `run` to write
 
 def _cmd_action(scen: Scenario, out: Path) -> tuple:
-    s1, s2 = one_sided_actions(scen.traj1, scen.traj2, scen.boundary, scen.kappa)
+    s1, s2 = one_sided_actions(scen.traj1, scen.traj2, scen.boundary)
     rows = (("action1", s1), ("action2", s2), ("total", s1 + s2))
     return "action.csv", ReportTable(("quantity", "value"), rows), f"total action {s1 + s2:.12g}"
 
 
 def _cmd_verify(scen: Scenario, out: Path) -> tuple:
-    report = verify(scen.traj1, scen.traj2, scen.boundary, kappa=scen.kappa,
+    report = verify(scen.traj1, scen.traj2, scen.boundary,
                     **_given(scen.options, n_points=lambda v: as_count(v, 1),
                              el_tol=json_number, break_tol=json_number))
     return "verify.csv", report, (f"verify: max_el {report.max_el:.3g}, "
@@ -426,7 +425,7 @@ def _cmd_minimize(scen: Scenario, out: Path) -> tuple:
         break_times=break_times,
         **_given(scen.options, free_break_times=_flag),
     )
-    traj1, traj2, report = minimize(scen.boundary, init, opts, kappa=scen.kappa)
+    traj1, traj2, report = minimize(scen.boundary, init, opts)
     save_trajectory(traj1, out / "minimized1.json")
     save_trajectory(traj2, out / "minimized2.json")
     return "minimize.csv", report, (f"minimize: action {report.action:.12g}, "

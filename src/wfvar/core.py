@@ -208,7 +208,8 @@ class Segment:
     def linear(cls, t0: float, t1: float, x0, x1) -> "Segment":
         x0 = vec3(x0)
         x1 = vec3(x1)
-        v = (x1 - x0) / (t1 - t0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = (x1 - x0) / (t1 - t0)
         return cls(t0, t1, np.column_stack([x0, v]))
 
     @classmethod
@@ -542,8 +543,10 @@ def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
     # powers of h on floats: numpy's array power differs in the last bit on some lanes
     powers = [(u, u**2, u**3) for u in (knots[1:] - knots[:-1]).tolist()]
     h1, h2, h3 = np.array(powers, dtype=float).T.reshape((3, -1) + (1,) * (x0.ndim - 1))
-    c2 = 3.0 * (x1 - x0) / h2 - (2.0 * v0 + v1) / h1
-    c3 = 2.0 * (x0 - x1) / h3 + (v0 + v1) / h2
+    # a repeated time divides by zero without a warning; _fill_segments rejects it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c2 = 3.0 * (x1 - x0) / h2 - (2.0 * v0 + v1) / h1
+        c3 = 2.0 * (x0 - x1) / h3 + (v0 + v1) / h2
     return knots, np.moveaxis(np.array([x0, v0, c2, c3]), 0, -1)
 
 
@@ -671,7 +674,8 @@ class Perturbation(SegmentChain):
         """Piecewise-linear bump: 0 at t0 and t1, `amplitude` at t_peak."""
         amp = vec3(amplitude)
         zero = np.zeros(3)
-        slopes = [(amp - zero) / (t_peak - t0), (zero - amp) / (t1 - t_peak)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slopes = [(amp - zero) / (t_peak - t0), (zero - amp) / (t1 - t_peak)]
         coeffs = np.array([[zero, slopes[0]], [amp, slopes[1]]]).transpose(0, 2, 1)
         return _chain(cls, [t0, t_peak, t1], coeffs)
 
@@ -681,7 +685,8 @@ class Perturbation(SegmentChain):
         parabolic finite differences)."""
         vals = np.asarray(values, dtype=float)
         if velocities is None:
-            velocities = fd_node_velocities(times, vals)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                velocities = fd_node_velocities(times, vals)
         knots, coeffs = _hermite_cells(times, vals, velocities)
         return _chain(cls, knots, coeffs)
 

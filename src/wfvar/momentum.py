@@ -45,40 +45,37 @@ class BreakResidual:
 
 
 def momentum_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                     t: float, side: Side = Side.RIGHT,
-                     kappa: float | None = None) -> Vec3:
+                     t: float, side: Side = Side.RIGHT) -> Vec3:
     """Space part of the one-sided current at time t."""
-    return canonical_current(traj1, traj2, t, side, kappa)[0]
+    return canonical_current(traj1, traj2, t, side)[0]
 
 
 def energy_current(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                   t: float, side: Side = Side.RIGHT,
-                   kappa: float | None = None) -> float:
+                   t: float, side: Side = Side.RIGHT) -> float:
     """Time part of the one-sided current at time t."""
-    return canonical_current(traj1, traj2, t, side, kappa)[1]
+    return canonical_current(traj1, traj2, t, side)[1]
 
 
 def break_residual(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                   t: float, kappa: float | None = None) -> BreakResidual:
+                   t: float) -> BreakResidual:
     """Current jumps (Right minus Left) at time t of trajectory 1."""
-    return break_residuals(traj1, traj2, kappa, times=[t])[0]
+    return break_residuals(traj1, traj2, times=[t])[0]
 
 
-def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                    kappa: float | None = None, times=None) -> list:
+def break_residuals(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory, times=None) -> list:
     """Current jumps (Right minus Left) at each of `times` of trajectory 1,
     by default at every junction, from one batched current per side, with
     both sides' cone pairs from one lane solve."""
     ts = np.array(traj1.junction_times() if times is None else times, dtype=float)
     if not ts.size:
         return []
-    (p_r, e_r), (p_l, e_l) = canonical_currents(traj1, traj2, ts, (Side.RIGHT, Side.LEFT), kappa)
+    (p_r, e_r), (p_l, e_l) = canonical_currents(traj1, traj2, ts, (Side.RIGHT, Side.LEFT))
     return [BreakResidual(t=t, dp=dp, de=de)
             for t, dp, de in zip(ts.tolist(), p_r - p_l, (e_r - e_l).tolist())]
 
 
 def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                       t_break: float, v_pre, kappa: float | None = None) -> Vec3:
+                       t_break: float, v_pre) -> Vec3:
     """Velocity after the break that keeps both currents continuous.
 
     Continuity pins m g(v_post) v_post = p* = m g(v_pre) v_pre + kappa (W+ - W-)
@@ -90,7 +87,7 @@ def post_jump_velocity(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     """
     v_pre = subluminal(v_pre)
     pre_sq = float(v_pre @ v_pre)
-    k = coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2)
     m = traj1.particle.mass
     x1 = traj1.position(t_break)
     plus, minus = cone_pairs(traj2, ((t_break, x1, Side.RIGHT), (t_break, x1, Side.LEFT)))

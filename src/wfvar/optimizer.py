@@ -219,11 +219,11 @@ def _primary_view(boundary: BoundaryData, k: int) -> BoundaryData:
 
 
 def one_sided_actions(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
-                      boundary: BoundaryData, kappa: float | None) -> tuple:
+                      boundary: BoundaryData) -> tuple:
     """(action of particle 1, action of particle 2), each with its partner
     frozen; their sum is the total action of the pair."""
     trajs = (traj1, traj2)
-    return tuple(action(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k), kappa=kappa)
+    return tuple(action(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k))
                  for k in (1, 2))
 
 
@@ -278,8 +278,7 @@ def _chebyshev_points(a, b, n: int) -> np.ndarray:
 
 def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
            boundary: BoundaryData, n_points: int = 9,
-           el_tol: float = _EL_TOL, break_tol: float = _BREAK_TOL,
-           kappa: float | None = None) -> MinimizerReport:
+           el_tol: float = _EL_TOL, break_tol: float = _BREAK_TOL) -> MinimizerReport:
     """Residual check of both critical-point conditions over the windows.
 
     Euler-Lagrange residuals are sampled on a Chebyshev grid inside every
@@ -296,11 +295,11 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         lo, hi = np.maximum(traj.packed.knots[:-1], a), np.minimum(traj.packed.knots[1:], b)
         keep = hi - lo > 1e-12 * max(1.0, abs(a), abs(b))
         ts = _chebyshev_points(lo[keep], hi[keep], n_points).reshape(-1)
-        res = np.linalg.norm(el_residual(traj, partner, ts, kappa=kappa), axis=1)
+        res = np.linalg.norm(el_residual(traj, partner, ts), axis=1)
         el_max.append(tuple(res.reshape(-1, n_points).max(axis=1).tolist()))
-        breaks += break_residuals(traj, partner, kappa,
+        breaks += break_residuals(traj, partner,
                                   times=[tau for tau in _true_breaks(traj) if a < tau < b])
-    s1, s2 = one_sided_actions(traj1, traj2, boundary, kappa)
+    s1, s2 = one_sided_actions(traj1, traj2, boundary)
     report = MinimizerReport(
         action=s1 + s2,
         el_max1=el_max[0],
@@ -353,14 +352,14 @@ def _bfgs(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _block_gradient(traj: PiecewiseTrajectory, partner: PiecewiseTrajectory,
                     view: BoundaryData, layout: ParticleLayout, block: np.ndarray,
-                    trial, kappa=None) -> np.ndarray:
+                    trial) -> np.ndarray:
     """Gradient of the one-sided action of `traj`, decoded from `block`:
     one first variation over the basis fields on its node times, and central
     differences of `trial(block)`'s action for freed breaking times."""
     basis = _basis_fields(layout, traj.packed.knots)
     count = basis.rows[0].shape[1]
     g = np.empty(len(block))
-    g[:count] = frechet_directional(traj, partner, view, basis, kappa=kappa)
+    g[:count] = frechet_directional(traj, partner, view, basis)
     for j in range(count, len(block)):  # freed breaking times
         h = 1e-6 * max(1.0, abs(block[j]))
         g[j] = 0.0
@@ -371,8 +370,7 @@ def _block_gradient(traj: PiecewiseTrajectory, partner: PiecewiseTrajectory,
     return g
 
 
-def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
-             kappa: float | None = None):
+def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
     """Alternating per-particle descent to a critical point of the action.
 
     Each outer iteration takes one damped BFGS step per particle on that
@@ -393,7 +391,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
     def trial(i: int, block: np.ndarray) -> tuple:
         """Particle i + 1 at `block`, and its action against the frozen partner."""
         traj = _decode_particle(init.layouts[i], block, init.free_break_times)
-        return traj, action(traj, trajs[1 - i], views[i], kappa=kappa)
+        return traj, action(traj, trajs[1 - i], views[i])
 
     log, converged, iterations = [], False, 0
     for iterations in range(1, options.max_iter + 1):
@@ -402,7 +400,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
             if not block.size:
                 continue
             g = _block_gradient(trajs[i], trajs[1 - i], views[i], init.layouts[i], block,
-                                partial(trial, i), kappa=kappa)
+                                partial(trial, i))
             if last[i] is not None:
                 hs[i] = _bfgs(hs[i], last[i][1], g - last[i][0])
                 last[i] = None
@@ -412,7 +410,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
             p = -hs[i] @ g
             if float(p @ g) >= 0.0:  # lost curvature; fall back to steepest descent
                 hs[i], p = np.eye(block.size), -g
-            f0 = action(trajs[i], trajs[1 - i], views[i], kappa=kappa)
+            f0 = action(trajs[i], trajs[1 - i], views[i])
             slope = float(g @ p)
             alpha = 1.0
             for _ in range(30):
@@ -435,8 +433,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None,
             break
         if not moved:
             break  # both line searches failed; stop with converged=False
-    report = verify(*trajs, boundary, el_tol=options.el_tol,
-                    break_tol=options.break_tol, kappa=kappa)
+    report = verify(*trajs, boundary, el_tol=options.el_tol, break_tol=options.break_tol)
     report = replace(report, iterations=iterations,
                      converged=converged and report.residuals_ok,
                      descent_log=tuple(log))

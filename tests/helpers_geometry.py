@@ -287,10 +287,10 @@ def scalar_canonical_current(traj1, partner, t, side, kappa):
     return d_dx, m_gamma * v1 - kappa * W, m_gamma - kappa * w
 
 
-def scalar_el_residual(traj1, traj2, t, side=Side.RIGHT, kappa=None):
+def scalar_el_residual(traj1, traj2, t, side=Side.RIGHT):
     """d/dt (dL/dv1) - dL/dx1 at one time, by exact algebra in the state and
     a scalar pair (see `wfvar.action.el_residual`)."""
-    k = coupling(traj1, traj2, kappa)
+    k = coupling(traj1, traj2)
     x1, v1, a1 = traj1.state(t, side)
     g2 = 1.0 / (1.0 - float(v1 @ v1))
     res = traj1.particle.mass * math.sqrt(g2) * (a1 + g2 * float(v1 @ a1) * v1)

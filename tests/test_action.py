@@ -181,7 +181,7 @@ class TestAction:
         # is -sqrt(1 - 0.09) + 1/r with kappa = 1
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([0.0, d, 0.0])
-        val = action(t1, t2, BoundaryData(-1.0, 1.0), kappa=1.0)
+        val = action(t1, t2, BoundaryData(-1.0, 1.0))
         exact = -2.0 * np.sqrt(1.0 - 0.09) + (2.0 / 0.3) * np.arcsinh(0.3 / d)
         assert abs(val - exact) <= 1e-10 * abs(exact)
 
@@ -189,7 +189,7 @@ class TestAction:
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([0.0, 1e-10, 0.0])
         with pytest.raises(CollisionError):
-            action(t1, t2, BoundaryData(-1.0, 1.0), kappa=1.0)
+            action(t1, t2, BoundaryData(-1.0, 1.0))
 
     def test_window_end_on_a_partner_with_junctions_raises(self):
         # trajectory 1 leaves the partner's position at the window start:
@@ -373,37 +373,37 @@ def circle_orbit(radius, omega, phase, particle, span=30.0, dt=0.4):
 
 
 def accelerating_pairs():
+    """The circle pair, and a speed-0.78 circle of charge 1 against a
+    polygon of charge -1 and against the same polygon of charge -0.37."""
     heavy = ParticleParams(mass=2.3, charge=1.0)
-    light = ParticleParams(mass=0.6, charge=-1.0)
-    circles = (circle_orbit(0.4, 0.5, 0.0, POS), circle_orbit(0.4, 0.5, np.pi, NEG), None)
+    circles = (circle_orbit(0.4, 0.5, 0.0, POS), circle_orbit(0.4, 0.5, np.pi, NEG))
     ts = np.linspace(-30.0, 30.0, 31)
     offsets = np.random.default_rng(5).uniform(-0.3, 0.3, size=(len(ts), 3))
-    partner = polygonal_from_vertices(
-        [(t, vec3(3.0, 0.1 * t, 0.0) + o) for t, o in zip(ts, offsets)], light)
+    vertices = [(t, vec3(3.0, 0.1 * t, 0.0) + o) for t, o in zip(ts, offsets)]
     fast = circle_orbit(1.2, 0.65, 0.3, heavy)  # speed 0.78
-    return [circles, (fast, partner, None), (fast, partner, 0.37)]
+    return [circles, *((fast, polygonal_from_vertices(vertices, ParticleParams(0.6, q)))
+                       for q in (-1.0, -0.37))]
 
 
 class TestClosedFormElResidual:
     @pytest.mark.parametrize("pair", range(3))
     def test_matches_central_difference_of_the_momentum(self, pair):
-        t1, t2, kappa = accelerating_pairs()[pair]
+        t1, t2 = accelerating_pairs()[pair]
         h = 1e-3
         for t in (-2.3, -0.52, 0.61, 1.77, 2.95):
             # the stencil stays on one smooth piece of the momentum
             assert cone_crossings(t1, t2, t - 2 * h, t + 2 * h) == []
             assert not any(abs(j - t) <= 2 * h for j in t1.junction_times())
-            mom = {k: momentum_current(t1, t2, t + k * h, kappa=kappa)
-                   for k in (-2, -1, 1, 2)}
+            mom = {k: momentum_current(t1, t2, t + k * h) for k in (-2, -1, 1, 2)}
             dmom = (mom[-2] - 8 * mom[-1] + 8 * mom[1] - mom[2]) / (12 * h)
-            ref = dmom - lagrangian_position_partial(t1, t2, t, kappa=kappa)
-            assert_allclose(el_residual(t1, t2, t, kappa=kappa), ref, rtol=0.0, atol=1e-8)
+            ref = dmom - lagrangian_position_partial(t1, t2, t)
+            assert_allclose(el_residual(t1, t2, t), ref, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("pair, min_jump", [(0, 1e-5), (1, 1e-3)])
     def test_one_sided_limits_at_cone_crossings(self, pair, min_jump):
         # the partner's acceleration (circle) or velocity (polygon) jumps
         # where a cone image crosses its junction, and so does the residual
-        t1, t2, _ = accelerating_pairs()[pair]
+        t1, t2 = accelerating_pairs()[pair]
         crossings = cone_crossings(t1, t2, -3.0, 3.0)
         assert crossings
         for tc, _, _ in crossings:
@@ -422,21 +422,21 @@ class TestClosedFormElResidual:
         for t in (0.0, 1e-4, -0.37):
             sep = vec3(0.3 * t, -d, 0.0)
             exact = sep / np.linalg.norm(sep) ** 3
-            res = el_residual(t1, t2, t, kappa=1.0)
+            res = el_residual(t1, t2, t)
             assert np.linalg.norm(res - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_collision_flyby_raises(self):
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         t2 = static_traj([0.0, 1e-10, 0.0])
         with pytest.raises(CollisionError):
-            el_residual(t1, t2, 0.0, kappa=1.0)
+            el_residual(t1, t2, 0.0)
 
 
 class TestLegendreTransform:
     @pytest.mark.parametrize("pair", [1, 2], ids=["default-kappa", "kappa-0.37"])
     def test_energy_current_is_v_dot_p_minus_l(self, pair):
-        t1, t2, kappa = accelerating_pairs()[pair]
-        k = coupling(t1, t2, kappa)
+        t1, t2 = accelerating_pairs()[pair]
+        k = coupling(t1, t2)
         hits = [tc for tc, _, _ in cone_crossings(t1, t2, -3.0, 3.0)]
         assert hits
         for t in (-2.3, -0.52, 0.61, 1.77, 2.95, *hits):
@@ -444,8 +444,8 @@ class TestLegendreTransform:
                 x1, v1, _ = t1.state(t, side)
                 lag = interaction_density((x1, v1), *scalar_cone_pair(t2, t, x1, side),
                                           m1=t1.particle.mass, kappa=k)
-                p = momentum_current(t1, t2, t, side, kappa)
-                e = energy_current(t1, t2, t, side, kappa)
+                p = momentum_current(t1, t2, t, side)
+                e = energy_current(t1, t2, t, side)
                 assert abs(e - (float(v1 @ p) - lag)) <= 1e-14
 
 
@@ -573,7 +573,7 @@ class TestBatchedAction:
 # -- batched per-point partials against the scalar references -----------------
 
 def partial_pairs():
-    """(trajectory 1, partner, kappa) of the circle pair, the polygon pair,
+    """(trajectory 1, partner) of the circle pair, the polygon pair,
     the speed-0.78 Hermite circle against a polygon, a static partner and a
     partner 1e6 away."""
     circles, _fast, fast_vs_polygon = accelerating_pairs()
@@ -581,10 +581,10 @@ def partial_pairs():
         [(-5.0, [-1.5, 0.2, 0.0]), (0.0, [0.0, 0.0, 0.1]), (5.0, [1.5, 0.0, 0.0])], POS)
     return {
         "circle": circles,
-        "polygon": (*bench_polygon_pair(np.random.default_rng(3)), None),
+        "polygon": bench_polygon_pair(np.random.default_rng(3)),
         "hermite-vs-polygon": fast_vs_polygon,
-        "static": (mover, static_traj([0.5, 2.0, 0.0]), None),
-        "far": (mover, static_traj([1e6, 0.0, 0.0], NEG, -3e6, 3e6), None),
+        "static": (mover, static_traj([0.5, 2.0, 0.0])),
+        "far": (mover, static_traj([1e6, 0.0, 0.0], NEG, -3e6, 3e6)),
     }
 
 
@@ -605,29 +605,28 @@ def assert_close(batched, ref):
 class TestBatchedPartials:
     @pytest.mark.parametrize("name", ["circle", "polygon", "hermite-vs-polygon", "static", "far"])
     def test_lanes_match_the_scalar_references(self, name):
-        traj1, partner, kappa = partial_pairs()[name]
+        traj1, partner = partial_pairs()[name]
         ts = partial_times(traj1, partner)
         if name in ("circle", "polygon", "hermite-vs-polygon"):
             assert len(cone_crossings(traj1, partner, -3.0, 3.0)) > 0
-        k = coupling(traj1, partner, kappa)
+        k = coupling(traj1, partner)
         for side in Side:
-            p, e = canonical_current(traj1, partner, ts, side, k)
-            d_dx = lagrangian_position_partial(traj1, partner, ts, side, kappa)
-            res = el_residual(traj1, partner, ts, side, kappa)
+            p, e = canonical_current(traj1, partner, ts, side)
+            d_dx = lagrangian_position_partial(traj1, partner, ts, side)
+            res = el_residual(traj1, partner, ts, side)
             assert d_dx.shape == p.shape == res.shape == (ts.size, 3) and e.shape == ts.shape
             for i, t in enumerate(ts.tolist()):
                 ref = scalar_canonical_current(traj1, partner, t, side, k)
                 for lane, want in zip((d_dx[i], p[i], e[i]), ref):
                     assert_close(lane, want)
-                assert_close(res[i], scalar_el_residual(traj1, partner, t, side, kappa))
+                assert_close(res[i], scalar_el_residual(traj1, partner, t, side))
 
     def test_a_float_time_gives_one_row(self):
-        traj1, partner, kappa = partial_pairs()["polygon"]
-        k = coupling(traj1, partner, kappa)
+        traj1, partner = partial_pairs()["polygon"]
         ts = partial_times(traj1, partner)
-        rows = canonical_current(traj1, partner, ts, Side.LEFT, k)
+        rows = canonical_current(traj1, partner, ts, Side.LEFT)
         for i in (0, ts.size // 2):
-            one = canonical_current(traj1, partner, float(ts[i]), Side.LEFT, k)
+            one = canonical_current(traj1, partner, float(ts[i]), Side.LEFT)
             assert one[0].shape == (3,) and np.ndim(one[1]) == 0
             for lane, row in zip(one, rows):
                 assert np.array_equal(lane, row[i])
@@ -678,25 +677,25 @@ def helix(radius, omega, pitch, phase, particle, span=30.0, dt=0.4):
     return hermite_trajectory(times, xs, vs, particle)
 
 
-def helical_pair():
-    """Two helices about the z axis with charges +1 and -0.6."""
-    weak = ParticleParams(mass=1.7, charge=-0.6)
+def helical_pair(charge2=-0.6):
+    """Two helices about the z axis with charges +1 and `charge2`."""
+    weak = ParticleParams(mass=1.7, charge=charge2)
     return helix(0.5, 0.6, 0.1, 0.0, POS), helix(0.7, -0.4, -0.2, 1.0, weak)
 
 
 class TestLienardWiechertField:
-    @pytest.mark.parametrize("kappa", [None, 0.37])
-    def test_lorentz_residual_matches_the_closed_form(self, kappa):
-        # unequal charges and an explicit kappa tell q1 q2 = -kappa and the
+    @pytest.mark.parametrize("charge2", [-0.6, -0.37])
+    def test_lorentz_residual_matches_the_closed_form(self, charge2):
+        # unequal charges, at two partner charges, tell q1 q2 = -kappa and the
         # half-advanced plus half-retarded weights apart
-        traj1, traj2 = helical_pair()
+        traj1, traj2 = helical_pair(charge2)
         crossings = [t for t, _, _ in cone_crossings(traj1, traj2, -3.0, 3.0)]
         assert crossings
         ts = np.array(sorted({*np.linspace(-3.0, 3.0, 7).tolist(), *crossings}))
-        rows = {side: el_residual(traj1, traj2, ts, side, kappa) for side in Side}
+        rows = {side: el_residual(traj1, traj2, ts, side) for side in Side}
         for side, res in rows.items():
             for i, t in enumerate(ts.tolist()):
-                assert_close(res[i], scalar_el_residual(traj1, traj2, t, side, kappa))
+                assert_close(res[i], scalar_el_residual(traj1, traj2, t, side))
         # the partner's acceleration jumps across each crossing, and so does
         # the residual
         at = np.isin(ts, crossings)
@@ -837,7 +836,7 @@ class TestQuadratureBudget:
         # first variation across partner breaks
         t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
         for d in (1e-3, 1e-6):
-            action(t1, static_traj([0.0, d, 0.0]), BoundaryData(-1.0, 1.0), kappa=1.0)
+            action(t1, static_traj([0.0, d, 0.0]), BoundaryData(-1.0, 1.0))
         t1 = polygonal_from_vertices(
             [(-40.0, [0, -8, 0]), (0.5, [0, 0.1, 0]), (40.0, [0, 7, 0])], POS)
         t2 = polygonal_from_vertices(

@@ -253,6 +253,33 @@ class TestExitCodes:
         assert "row per time" in err[0]
         assert not (tmp_path / "out" / "action.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_hermite_node_time_is_one_domain_line(self, tmp_path, capsys):
+        # the cell builder divides by the zero gap with numpy warnings off,
+        # and the cell rule then reports the two times
+        record = {"kind": "hermite", "times": [-50.0, 0.0, 0.0, 50.0],
+                  "positions": [[0.0, 0.0, 0.0]] * 4, "velocities": [[0.0, 0.0, 0.0]] * 4}
+        data = base_scenario(trajectory1=record, trajectory2=static_record(2.0, 0.0, 0.0),
+                             boundary={"start_time": -1.0, "end_time": 1.0})
+        path = write_scenario(tmp_path, data)
+        assert run("action", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: domain: segment needs t_start < t_end, got [0.0, 0.0]"], err
+
+    @pytest.mark.parametrize("command", ["action", "gah-scan"])
+    def test_a_kappa_field_is_a_config_error(self, tmp_path, capsys, command):
+        # kappa = -q1 q2 = 1 here, so reading the field or ignoring it would
+        # give the same numbers; the coupling comes from the charges alone
+        data = base_scenario(**static_pair(), kappa=1.0,
+                             boundary={"start_time": -1.0, "end_time": 1.0},
+                             options={"times": [0.0], "directions": 4})
+        path = write_scenario(tmp_path, data)
+        assert run(command, path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+        assert "kappa" in err[0] and "charges" in err[0], err
+        assert not (tmp_path / "out").exists()
+
     def test_trajectory_file_that_is_not_json(self, tmp_path, capsys):
         (tmp_path / "t1.json").write_text("{not json")
         data = base_scenario(trajectory1_file="t1.json",

@@ -242,7 +242,6 @@ class TestArrayBuilder:
         with pytest.raises(DomainError, match="positions"):
             Perturbation.from_nodes(times, np.zeros((2, 3)), np.zeros((3, 3)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_times_and_coefficients_are_checked_once_per_chain(self):
         with pytest.raises(DomainError, match=r"t_start < t_end, got \[1.0, 1.0\]"):
             hermite_trajectory([0.0, 1.0, 1.0], np.zeros((3, 3)), np.zeros((3, 3)), ELECTRON)
@@ -389,6 +388,28 @@ class TestRowsOnFirstScalarRead:
             for order in range(3):
                 want = built.evaluate(ts, order, side)
                 assert np.array_equal(chain.evaluate(ts, order, side), want)
+
+
+class TestRepeatedKnots:
+    """A builder given two equal times raises the cell rule's DomainError and
+    lets no numpy warning out first."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda: hermite_trajectory([0.0, 0.0, 1.0], np.zeros((3, 3)), np.zeros((3, 3)),
+                                   ELECTRON),
+        lambda: polygonal_from_vertices([(0.0, [0, 0, 0]), (0.0, [0.1, 0, 0]),
+                                         (1.0, [0.2, 0, 0])], ELECTRON),
+        lambda: Segment.linear(0.0, 0.0, [0, 0, 0], [0.1, 0, 0]),
+        lambda: Segment.hermite(0.0, 0.0, [0, 0, 0], [0, 0, 0], [0.1, 0, 0], [0, 0, 0]),
+        lambda: Perturbation.tent(0.0, 0.0, 1.0, [0.1, 0, 0]),
+        lambda: Perturbation.from_nodes([0.0, 0.0, 1.0], np.ones((3, 3))),
+        lambda: Perturbation.from_nodes([0.0, 0.0, 1.0], np.ones((3, 3)), np.ones((3, 3))),
+    ], ids=["hermite-trajectory", "polygonal", "segment-linear", "segment-hermite", "tent",
+            "from-nodes", "from-nodes-velocities"])
+    def test_builder_raises_without_a_warning(self, build):
+        with pytest.raises(DomainError, match=r"t_start < t_end, got \[0.0, 0.0\]"):
+            build()
 
 
 class TestSegment:

@@ -473,3 +473,31 @@ def test_piecewise_trajectory_alone_judges_speed():
                   if isinstance(node, ast.FunctionDef) and node.name == "_decode_particle")
     assert "subluminal" not in {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                                 for node in ast.walk(decode) if isinstance(node, ast.Call)}
+
+
+def reads_charge(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "charge" for n in ast.walk(node))
+
+
+def test_one_coupling_from_the_charges():
+    # kappa = -q1 q2 is formed in `coupling` alone, from the two trajectories;
+    # only the two routines that see no particles take kappa as a number
+    takers, products, in_coupling = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        products |= {id(node) for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                     and isinstance(node.op, ast.Mult)
+                     and reads_charge(node.left) and reads_charge(node.right)}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      *filter(None, (args.vararg, args.kwarg)))]
+            if "kappa" in params:
+                takers.add(func.name)
+            if func.name == "coupling":
+                assert params == ["traj1", "traj2"], params
+                in_coupling |= {id(node) for node in ast.walk(func)}
+    assert takers == {"interaction_density", "_local_currents"}
+    assert products and products <= in_coupling

@@ -51,7 +51,8 @@ class TestCurrents:
 
     def test_energy_uncoupled_is_rest_energy(self):
         traj1 = static_traj([0, 0, 0], particle=ParticleParams(mass=1.7, charge=1.0))
-        e = energy_current(traj1, static_traj([3, 0, 0], particle=NEG), 0.0, kappa=0.0)
+        neutral = ParticleParams(mass=1.0, charge=0.0)
+        e = energy_current(traj1, static_traj([3, 0, 0], particle=neutral), 0.0)
         assert e == 1.7
 
     def test_break_residual_free_polygonal(self):
@@ -127,8 +128,10 @@ class TestSideConsistency:
         assert len(calls) == 2  # one per cone branch
 
 
-def engineered_jump_instance():
-    """A pair whose continuity system is solvable in closed form.
+def engineered_jump_instance(charge1=1.0):
+    """A pair of charges 1 and -1 whose continuity system is solvable in
+    closed form; `charge1` replaces the first charge and keeps the rest, so
+    the system no longer solves the pair.
 
     The partner has one vertex at (tau, x2_tau) placed so the advanced cone
     of the break event (0, origin) hits it exactly (r = 2, n = (-1, 0, 0)).
@@ -172,7 +175,7 @@ def engineered_jump_instance():
 
     traj1 = polygonal_from_vertices(
         [(-40.0, -40.0 * v_pre), (0.0, [0, 0, 0]), (40.0, 40.0 * v_post)],
-        ParticleParams(mass=mass, charge=1.0),
+        ParticleParams(mass=mass, charge=charge1),
     )
     return traj1, traj2, v_pre, v_post, mass
 
@@ -248,7 +251,8 @@ class TestJumpFeasibility:
             post_jump_velocity(traj1, traj2, 0.0, v_pre)
 
     def test_spacelike_currents_are_infeasible(self):
-        traj1, traj2, v_pre, _v_post, mass = engineered_jump_instance()
+        # charges 3 and -1: kappa = 3
+        traj1, traj2, v_pre, _v_post, mass = engineered_jump_instance(charge1=3.0)
         kappa = 3.0
         x1 = traj1.position(0.0)
         (W_p, w_p), (W_m, w_m) = (scalar_branch_sums(scalar_cone_pair(traj2, 0.0, x1, side))
@@ -258,4 +262,4 @@ class TestJumpFeasibility:
         e_star = mass * gamma_pre + kappa * (w_p - w_m)
         assert 0.0 < e_star and e_star**2 <= p_star @ p_star  # no real mass
         with pytest.raises(InfeasibleJumpError):
-            post_jump_velocity(traj1, traj2, 0.0, v_pre, kappa=kappa)
+            post_jump_velocity(traj1, traj2, 0.0, v_pre)

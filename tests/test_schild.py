@@ -7,6 +7,7 @@ only the cubic cells' discretization error, which falls at second order in
 the cell width h r.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from helpers_geometry import schild_force, schild_lag, schild_pair, schild_radiu
 from wfvar.action import el_residual
 from wfvar.core import BoundaryData
 from wfvar.farfield import gah_residuals, sphere_flux
-from wfvar.optimizer import verify
+from wfvar.optimizer import discretize, minimize, verify
 
 V = 0.3
 R_ORBIT = schild_radius(V)
@@ -132,3 +133,29 @@ def test_gah_residual_is_nonzero(fine_pair):
     residuals, defined = gah_residuals(*fine_pair, 0.0, dirs)
     assert defined.all()
     assert 0.085 < float(np.linalg.norm(residuals, axis=1).max()) < 0.095
+
+
+def test_minimize_approaches_the_circles_at_third_order():
+    # from a start 1e-3 off the encoded pair, on a window whose cones leave
+    # both windows: the largest distance to the exact positions falls from
+    # 2.5e-4 (3 nodes) to 2.3e-5 (5 nodes), near third order, while
+    # `max_el`, 4.5e-3 and 2.5e-3, falls at first order and stays above
+    # `el_tol`, so `converged` is not asserted
+    pair = schild_pair(V, 0.2)
+    boundary = BoundaryData(-1.0, 1.0, history1=pair[0], history2=pair[1])
+    ts = np.linspace(-1.0, 1.0, 201)
+    phase = (V / R_ORBIT) * ts
+    circle = R_ORBIT * np.stack([np.cos(phase), np.sin(phase), 0.0 * phase], axis=1)
+    distances, el = [], []
+    for n in (3, 5):
+        init = discretize(boundary, pair, n)
+        noise = 1e-3 * np.random.default_rng(0).normal(size=init.theta.shape)
+        *trajs, report = minimize(boundary, dataclasses.replace(init, theta=init.theta + noise),
+                                  {"max_iter": 200})
+        distances.append(max(float(np.linalg.norm(traj.evaluate(ts) - sign * circle,
+                                                  axis=1).max())
+                             for traj, sign in zip(trajs, (1.0, -1.0))))
+        el.append(report.max_el)
+    assert distances[1] < 5e-5, distances
+    assert distances[0] / distances[1] > 6.0, distances
+    assert el[0] / el[1] < 2.5, el
