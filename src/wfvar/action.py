@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BoundaryData, PackedChain, Perturbation, PiecewiseTrajectory, Side,
-                   cross, merge_history, subluminal)
+                   cross, subluminal)
 from .errors import CollisionError, ConvergenceError, DomainError
 from .lightcone import COLLISION_R, ConeSolution, cone_crossings, cone_pair, cone_pairs, lw_fields
 
@@ -226,21 +226,21 @@ def _integrate(f, mesh):
 
 def action(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
            boundary: BoundaryData) -> float:
-    """Boundary constant plus the delayed interaction integral over trajectory
-    1's window, ``boundary.window(1)``; a zero-length window gives the
-    constant alone."""
+    """Boundary constant ``boundary.k2`` plus the delayed interaction integral
+    over trajectory 1's window, ``boundary.window(1)``; a zero-length window
+    gives the constant alone.  The partner `traj2` must cover every cone time
+    the window touches, else InsufficientHistoryError."""
     a, b = boundary.window(1)
     if a == b:
         return boundary.k2
-    partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2)
     m1 = traj1.particle.mass
 
     def density(ts):
         state = traj1.evaluate(ts), traj1.evaluate(ts, 1)
-        return interaction_density(state, *cone_pair(partner, ts, state[0]), m1=m1, kappa=k)
+        return interaction_density(state, *cone_pair(traj2, ts, state[0]), m1=m1, kappa=k)
 
-    mesh = pullback_mesh(traj1, partner, a, b)
+    mesh = pullback_mesh(traj1, traj2, a, b)
     return boundary.k2 + _integrate(density, mesh)
 
 
@@ -262,18 +262,17 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     lo, hi = max(lo, start), min(hi, end)
     if hi <= lo or not count:  # no field, or its support misses the window
         return 0.0 if single else np.zeros(count)
-    partner = merge_history(traj2, boundary.history2)
     k = coupling(traj1, traj2)
 
     def integrand(ts):
-        v1, pair, p, _ = _local_currents(traj1, partner, ts, (Side.RIGHT,), k)[0]
+        v1, pair, p, _ = _local_currents(traj1, traj2, ts, (Side.RIGHT,), k)[0]
         d_dx = sum(k * _branch_partials(v1, sol) for sol in pair)
         i = np.searchsorted(field.knots[1:-1], ts, side="right")  # (N,) cells
         return (_dot(d_dx[:, None], field.at(i, ts))
                 + _dot(p[:, None], field.at(i, ts, 1)))[..., 0]
 
-    crossings = cone_crossings(traj1, partner, lo, hi)
-    mesh = pullback_mesh(traj1, partner, lo, hi, crossings=crossings,
+    crossings = cone_crossings(traj1, traj2, lo, hi)
+    mesh = pullback_mesh(traj1, traj2, lo, hi, crossings=crossings,
                          extra=field.knots[1:-1].tolist())
     totals = _integrate(integrand, mesh).tolist()
     if crossings:
@@ -283,7 +282,7 @@ def frechet_directional(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         # of the integrand times the crossing's rate of travel.
         t1 = np.array([t for t, _tau, _branch in crossings])
         x1, v1 = traj1.evaluate(t1), traj1.evaluate(t1, 1)
-        left, right = cone_pairs(partner, ((t1, x1, Side.LEFT), (t1, x1, Side.RIGHT)))
+        left, right = cone_pairs(traj2, ((t1, x1, Side.LEFT), (t1, x1, Side.RIGHT)))
         m1 = traj1.particle.mass
         jump = (interaction_density((x1, v1), *left, m1=m1, kappa=k)
                 - interaction_density((x1, v1), *right, m1=m1, kappa=k))

@@ -48,6 +48,18 @@ from .shortrange import (
 )
 
 SCENARIO_VERSION = 1
+# the keys a scenario may hold, at its top level, in its boundary block and
+# in its options; the options are those of every command, so one file can
+# serve several commands
+_SCENARIO_KEYS = frozenset({
+    "version", "units", "particles", "trajectory1", "trajectory1_file", "trajectory2",
+    "trajectory2_file", "family", "family_file", "boundary", "options"})
+_BOUNDARY_KEYS = frozenset({"start_time", "end_time", "k2", "window2"})
+_OPTION_KEYS = frozenset({
+    "n_points", "el_tol", "break_tol", "times", "time_range", "directions", "guard",
+    "radius", "mesh", "retarded_only", "vertices1", "vertices2", "t1_grid", "spread_tol",
+    "seed", "direction", "count", "gtol", "max_iter", "break_times", "nodes_per_segment",
+    "free_break_times"})
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,13 @@ def _load_record(data: dict, key: str, base: Path, parse, *args):
     return None if inline is None else parse(inline, *args)
 
 
+def _check_keys(data: dict, known: frozenset, where: str) -> None:
+    """ConfigError naming the keys of `data` outside `known`."""
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     data = read_json(path, "scenario")
@@ -171,6 +190,7 @@ def load_scenario(path) -> Scenario:
     if "kappa" in data:
         raise ConfigError("scenario field kappa is not accepted: kappa = -q1 q2 comes "
                           "from the particles' charges")
+    _check_keys(data, _SCENARIO_KEYS, "scenario")
     try:
         particles = tuple(
             ParticleParams(json_number(p["mass"]), json_number(p["charge"]))
@@ -181,6 +201,7 @@ def load_scenario(path) -> Scenario:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("options must be a JSON object")
+    _check_keys(options, _OPTION_KEYS, "option")
     base = path.resolve().parent
     traj1 = _load_record(data, "trajectory1", base, _traj_from_record, particles[0])
     traj2 = _load_record(data, "trajectory2", base, _traj_from_record, particles[1])
@@ -190,6 +211,7 @@ def load_scenario(path) -> Scenario:
     if raw_b is not None:
         if not isinstance(raw_b, dict):
             raise ConfigError("boundary must be a JSON object")
+        _check_keys(raw_b, _BOUNDARY_KEYS, "boundary")
         try:
             window2 = raw_b.get("window2")
             if window2 is not None:

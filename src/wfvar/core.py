@@ -38,7 +38,6 @@ __all__ = [
     "validate",
     "fd_node_velocities",
     "add_perturbation",
-    "replace_window",
     "merge_history",
     "json_number",
     "json_numbers",
@@ -623,9 +622,11 @@ class BoundaryData:
     ``window2`` is the (possibly cone-staggered) variable window of particle 2
     and defaults to the same interval.  ``history1``/``history2`` optionally
     carry the frozen continuation of each trajectory outside its window; they
-    may be omitted when the trajectories passed around already cover every
-    cone time touched by the windows.  ``k2`` is the additive action constant
-    contributed by the frozen partner arc.
+    are read only by the problem-level functions of `wfvar.optimizer`, which
+    merge each partner with its history once, and may be omitted when the
+    trajectories already cover every cone time touched by the windows.
+    ``k2`` is the additive action constant contributed by the frozen partner
+    arc.
     """
 
     start_time: float
@@ -728,21 +729,16 @@ def add_perturbation(traj: PiecewiseTrajectory, pert: Perturbation,
     return _chain(PiecewiseTrajectory, knots, coeffs, traj.particle)
 
 
-def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory,
-            particle: ParticleParams) -> PiecewiseTrajectory:
-    """``full`` outside [part.t_start, part.t_end] and ``part`` inside: the
-    cells of ``full`` that reach past either end, cut there, around the
-    cells of ``part``.  A seam where the cells do not meet raises
-    DomainError."""
+def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory) -> PiecewiseTrajectory:
+    """``full`` outside [part.t_start, part.t_end] and ``part`` inside, under
+    part's particle: the cells of ``full`` that reach past either end, cut
+    there, around the cells of ``part``.  ``full`` contains or abuts ``part``;
+    a seam where the cells do not meet raises DomainError."""
     a, b = part.t_start, part.t_end
     knots, rows = full.packed.knots, full.packed.rows[0]
     inner_knots, inner_rows = part.packed.knots, part.packed.rows[0]
     i = int(np.searchsorted(knots[:-1], a))  # cells [0, i) start before a
     j = int(np.searchsorted(knots[1:], b, side="right"))  # cells [j, n) end after b
-    if i and knots[i] < a:
-        raise DomainError(f"segments must abut exactly: {float(knots[i])} != {a}")
-    if j < knots.size - 1 and knots[j] > b:
-        raise DomainError(f"segments must abut exactly: {b} != {float(knots[j])}")
     m, k, kp = inner_knots.size - 1, rows.shape[-1], inner_rows.shape[-1]
     coeffs = np.zeros((i + m + knots.size - 1 - j, 3, max(k, kp)))
     coeffs[:i, :, :k] = rows[:i]
@@ -750,21 +746,7 @@ def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory,
     starts = knots[j:-1]
     coeffs[i + m :, :, :k] = _shift_cells(rows[j:], np.maximum(starts, b) - starts)
     return _chain(PiecewiseTrajectory, np.concatenate([knots[:i], inner_knots, knots[j + 1 :]]),
-                  coeffs, particle)
-
-
-def replace_window(full: PiecewiseTrajectory, window_part: PiecewiseTrajectory,
-                   window: tuple) -> PiecewiseTrajectory:
-    """Splice a re-solved window into a frozen trajectory.
-
-    Keeps ``full`` outside [window[0], window[1]] and uses ``window_part``
-    inside; position continuity at the seams is enforced by the trajectory
-    constructor.
-    """
-    a, b = float(window[0]), float(window[1])
-    if window_part.t_start != a or window_part.t_end != b:
-        raise DomainError("window part must span the window exactly")
-    return _splice(full, window_part, full.particle)
+                  coeffs, part.particle)
 
 
 def merge_history(traj: PiecewiseTrajectory,
@@ -779,7 +761,7 @@ def merge_history(traj: PiecewiseTrajectory,
             f"history [{history.t_start}, {history.t_end}] neither contains nor "
             f"abuts the trajectory [{traj.t_start}, {traj.t_end}]"
         )
-    return _splice(history, traj, traj.particle)
+    return _splice(history, traj)
 
 
 # -- JSON exchange format -----------------------------------------------------

@@ -218,13 +218,20 @@ def _primary_view(boundary: BoundaryData, k: int) -> BoundaryData:
                         history2=boundary.history1, k2=0.0)
 
 
+def _problems(trajs, boundary: BoundaryData) -> list:
+    """(view, trajectory, partner) of particle 1, then of particle 2: its
+    one-sided problem, with the partner merged once with its frozen history."""
+    views = [_primary_view(boundary, k) for k in (1, 2)]
+    return [(view, trajs[i], merge_history(trajs[1 - i], view.history2))
+            for i, view in enumerate(views)]
+
+
 def one_sided_actions(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
                       boundary: BoundaryData) -> tuple:
     """(action of particle 1, action of particle 2), each with its partner
     frozen; their sum is the total action of the pair."""
-    trajs = (traj1, traj2)
-    return tuple(action(trajs[k - 1], trajs[2 - k], _primary_view(boundary, k))
-                 for k in (1, 2))
+    return tuple(action(traj, partner, view)
+                 for view, traj, partner in _problems((traj1, traj2), boundary))
 
 
 def _basis_fields(layout: ParticleLayout, times: np.ndarray) -> PackedChain:
@@ -276,6 +283,15 @@ def _chebyshev_points(a, b, n: int) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * j + 1) / (2 * n))
 
 
+def _check_tolerances(**tols) -> None:
+    """ConfigError, naming the tolerance, unless each is a finite number."""
+    for name, value in tols.items():
+        try:
+            json_number(value)
+        except ValueError as exc:
+            raise ConfigError(f"tolerance {name}: {exc}") from exc
+
+
 def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
            boundary: BoundaryData, n_points: int = 9,
            el_tol: float = _EL_TOL, break_tol: float = _BREAK_TOL) -> MinimizerReport:
@@ -284,13 +300,14 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
     Euler-Lagrange residuals are sampled on a Chebyshev grid inside every
     segment overlapping the window; momentum and energy continuity is
     evaluated at every genuine velocity jump.  `converged` reports whether
-    both maxima beat their tolerances.
+    both maxima beat their tolerances, which must be finite numbers, else
+    ConfigError.  Each partner is merged once with its frozen history, and
+    serves its particle's residuals and action.
     """
     n_points = as_count(n_points, 1, "n_points")
-    trajs, el_max, breaks = (traj1, traj2), [], []
-    for k in (1, 2):
-        view, traj = _primary_view(boundary, k), trajs[k - 1]
-        partner = merge_history(trajs[2 - k], view.history2)
+    _check_tolerances(el_tol=el_tol, break_tol=break_tol)
+    actions, el_max, breaks = [], [], []
+    for view, traj, partner in _problems((traj1, traj2), boundary):
         a, b = view.window(1)
         lo, hi = np.maximum(traj.packed.knots[:-1], a), np.minimum(traj.packed.knots[1:], b)
         keep = hi - lo > 1e-12 * max(1.0, abs(a), abs(b))
@@ -299,9 +316,9 @@ def verify(traj1: PiecewiseTrajectory, traj2: PiecewiseTrajectory,
         el_max.append(tuple(res.reshape(-1, n_points).max(axis=1).tolist()))
         breaks += break_residuals(traj, partner,
                                   times=[tau for tau in _true_breaks(traj) if a < tau < b])
-    s1, s2 = one_sided_actions(traj1, traj2, boundary)
+        actions.append(action(traj, partner, view))
     report = MinimizerReport(
-        action=s1 + s2,
+        action=actions[0] + actions[1],
         el_max1=el_max[0],
         el_max2=el_max[1],
         break_residuals=tuple(breaks),
@@ -331,11 +348,7 @@ def _normalize_options(opts) -> MinimizeOptions:
         opts = MinimizeOptions(**opts)
     elif not isinstance(opts, MinimizeOptions):
         raise ConfigError(f"options must be a dict or MinimizeOptions, got {type(opts)}")
-    for name in ("gtol", "el_tol", "break_tol"):
-        try:
-            json_number(getattr(opts, name))
-        except ValueError as exc:
-            raise ConfigError(f"minimizer option {name}: {exc}") from exc
+    _check_tolerances(gtol=opts.gtol, el_tol=opts.el_tol, break_tol=opts.break_tol)
     return replace(opts, max_iter=as_count(opts.max_iter, 0, "max_iter"))
 
 
@@ -375,7 +388,9 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
 
     Each outer iteration takes one damped BFGS step per particle on that
     particle's one-sided action (partner frozen), using the exact first
-    variation for the gradient.  Steps must pass an Armijo decrease test;
+    variation for the gradient.  Each partner is merged with its frozen
+    history at the start, and again only after the partner's own step is
+    accepted.  Steps must pass an Armijo decrease test;
     infeasible trials (superluminal, or freed breaking times out of node
     order) are rejected by shrinking the step.  Convergence requires both
     block gradients below `gtol`; the returned report adds the standard
@@ -383,7 +398,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
     """
     options = _normalize_options(opts)
     trajs = list(decode(init))  # feasibility gate: raises on superluminal encoding
-    views = [_primary_view(boundary, k) for k in (1, 2)]
+    views, _, partners = map(list, zip(*_problems(trajs, boundary)))
     blocks = [init.theta[init.block_slice(k)] for k in (1, 2)]
     hs = [np.eye(block.size) for block in blocks]  # inverse Hessian per block
     last = [None, None]  # (gradient, step) of each block's last accepted step
@@ -391,7 +406,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
     def trial(i: int, block: np.ndarray) -> tuple:
         """Particle i + 1 at `block`, and its action against the frozen partner."""
         traj = _decode_particle(init.layouts[i], block, init.free_break_times)
-        return traj, action(traj, trajs[1 - i], views[i])
+        return traj, action(traj, partners[i], views[i])
 
     log, converged, iterations = [], False, 0
     for iterations in range(1, options.max_iter + 1):
@@ -399,7 +414,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
         for i, block in enumerate(blocks):
             if not block.size:
                 continue
-            g = _block_gradient(trajs[i], trajs[1 - i], views[i], init.layouts[i], block,
+            g = _block_gradient(trajs[i], partners[i], views[i], init.layouts[i], block,
                                 partial(trial, i))
             if last[i] is not None:
                 hs[i] = _bfgs(hs[i], last[i][1], g - last[i][0])
@@ -410,7 +425,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
             p = -hs[i] @ g
             if float(p @ g) >= 0.0:  # lost curvature; fall back to steepest descent
                 hs[i], p = np.eye(block.size), -g
-            f0 = action(trajs[i], trajs[1 - i], views[i])
+            f0 = action(trajs[i], partners[i], views[i])
             slope = float(g @ p)
             alpha = 1.0
             for _ in range(30):
@@ -426,6 +441,7 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
             else:
                 continue  # line-search failure: report non-converged later
             blocks[i], trajs[i], last[i] = block + step, traj, (g, step)
+            partners[1 - i] = merge_history(traj, views[1 - i].history2)
             log.append((i + 1, f0, f_trial))
             moved = True
         if grad_ok:

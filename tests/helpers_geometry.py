@@ -414,36 +414,27 @@ def reference_add_perturbation(traj, pert, eps):
     return PiecewiseTrajectory(tuple(segs), traj.particle)
 
 
-def reference_replace_window(full, window_part, window):
-    """`wfvar.core.replace_window`, one `Segment` at a time."""
-    a, b = float(window[0]), float(window[1])
-    if window_part.t_start != a or window_part.t_end != b:
-        raise DomainError("window part must span the window exactly")
+def reference_merge_history(traj, history):
+    """`wfvar.core.merge_history` on segment tuples, under traj's particle:
+    the cells of `history` outside traj's span, cut at its ends, around
+    traj's cells."""
+    a, b = traj.t_start, traj.t_end
+    if not (history.t_start <= a and b <= history.t_end
+            or history.t_end == a or b == history.t_start):
+        raise DomainError("history neither contains nor abuts the trajectory")
     segs = []
-    for s in full.segments:
+    for s in history.segments:
         if s.t_end <= a:
             segs.append(s)
         elif s.t_start < a:
             segs.append(reference_rebased(s, s.t_start, a))
-    segs.extend(window_part.segments)
-    for s in full.segments:
+    segs.extend(traj.segments)
+    for s in history.segments:
         if s.t_start >= b:
             segs.append(s)
         elif s.t_end > b:
             segs.append(reference_rebased(s, b, s.t_end))
-    return PiecewiseTrajectory(tuple(segs), full.particle)
-
-
-def reference_merge_history(traj, history):
-    """`wfvar.core.merge_history` on segment tuples, under traj's particle."""
-    if history.t_start <= traj.t_start and traj.t_end <= history.t_end:
-        merged = reference_replace_window(history, traj, (traj.t_start, traj.t_end))
-        return PiecewiseTrajectory(merged.segments, traj.particle)
-    if history.t_end == traj.t_start:
-        return PiecewiseTrajectory(history.segments + traj.segments, traj.particle)
-    if traj.t_end == history.t_start:
-        return PiecewiseTrajectory(traj.segments + history.segments, traj.particle)
-    raise DomainError("history neither contains nor abuts the trajectory")
+    return PiecewiseTrajectory(tuple(segs), traj.particle)
 
 
 # -- sequential reference for the partner reconstruction --------------------------

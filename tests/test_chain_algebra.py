@@ -1,6 +1,5 @@
-"""Chain splice and perturbation (`replace_window`, `merge_history`,
-`add_perturbation`, `Perturbation.tent`) against their per-segment
-references in `helpers_geometry`: the same knots, the same values of every
+"""Chain splice and perturbation (`merge_history`, `add_perturbation`,
+`Perturbation.tent`) against their per-segment references in `helpers_geometry`: the same knots, the same values of every
 order on both sides of every knot and at every midpoint, bit for bit, and
 the same exception types."""
 
@@ -12,7 +11,6 @@ from helpers_geometry import (
     reference_add_perturbation,
     reference_linear_coeffs,
     reference_merge_history,
-    reference_replace_window,
 )
 from wfvar.core import (
     PackedChain,
@@ -25,7 +23,6 @@ from wfvar.core import (
     hermite_trajectory,
     merge_history,
     polygonal_from_vertices,
-    replace_window,
 )
 from wfvar.errors import DomainError, SuperluminalError
 
@@ -107,8 +104,6 @@ SPLICES = {
 @pytest.mark.parametrize("name", SPLICES)
 def test_splice_matches_reference(name):
     history, window = SPLICES[name]
-    span = (window.t_start, window.t_end)
-    assert_matches_reference(replace_window, reference_replace_window, history, window, span)
     assert_matches_reference(merge_history, reference_merge_history, window, history)
 
 
@@ -134,25 +129,23 @@ def test_splice_keeps_negative_zero_coefficients_of_unshifted_cells():
     history = PiecewiseTrajectory((Segment(-4.0, -1.0, before), Segment(-1.0, 3.0, after)), P)
     # the cell left of the window keeps its rows; the one right of it shifts
     window = PiecewiseTrajectory((Segment(-1.0, 1.0, after),), P)
-    assert_matches_reference(replace_window, reference_replace_window,
-                             history, window, (-1.0, 1.0))
-    spliced = replace_window(history, window, (-1.0, 1.0))
+    assert_matches_reference(merge_history, reference_merge_history, window, history)
+    spliced = merge_history(window, history)
     assert bits(spliced.segments[0].coeffs) == bits(before)
 
 
 def test_torn_and_misplaced_splices_raise_like_the_reference():
     history = polygonal([-5.0, 5.0])
     cases = [
-        (history, polygonal([-1.0, 1.0], bend=0.5), (-1.0, 1.0)),  # position gap
-        (history, hermite([-1.0, 1.0]), (-1.0, 2.0)),  # window part too short
+        (history, polygonal([-1.0, 1.0], bend=0.5)),  # position gap
         # a left part that ends early, a right part that starts late, with no
         # position gap to give them away
-        (polygonal([0.0, 1.0], w=0), polygonal([2.0, 3.0], w=0), (2.0, 3.0)),
-        (polygonal([2.5, 9.0], w=0), polygonal([0.0, 2.0], w=0), (0.0, 2.0)),
+        (polygonal([0.0, 1.0], w=0), polygonal([2.0, 3.0], w=0)),
+        (polygonal([2.5, 9.0], w=0), polygonal([0.0, 2.0], w=0)),
     ]
-    for full, part, window in cases:
-        assert outcome(reference_replace_window, full, part, window) is DomainError
-        assert outcome(replace_window, full, part, window) is DomainError
+    for full, part in cases:
+        assert outcome(reference_merge_history, part, full) is DomainError
+        assert outcome(merge_history, part, full) is DomainError
     for history in (polygonal([-7.0, 0.0]), polygonal([-9.0, -2.0])):  # overlaps, apart
         assert outcome(merge_history, hermite([-1.0, 1.0]), history) is DomainError
     assert merge_history(full, None) is full

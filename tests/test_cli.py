@@ -280,6 +280,25 @@ class TestExitCodes:
         assert "kappa" in err[0] and "charges" in err[0], err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, changes", [
+        ("window_2", {"boundary": {"start_time": -1.0, "end_time": 1.0,
+                                   "window_2": [-0.5, 0.5]}}),
+        ("optoins", {"optoins": {"n_points": 3}}),
+        ("coupling", {"options": {"coupling": 3.0}}),
+    ], ids=["boundary", "top-level", "options"])
+    def test_an_unknown_key_is_a_config_error(self, tmp_path, capsys, key, changes):
+        # a misspelt key would leave its value at the default: here a
+        # boundary with "window_2" for "window2" reads total action -2
+        # instead of -1.5
+        data = base_scenario(**{**static_pair(),
+                                "boundary": {"start_time": -1.0, "end_time": 1.0}, **changes})
+        path = write_scenario(tmp_path, data)
+        assert run("action", path, out_dir=tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config"), err
+        assert repr(key) in err[0], err
+        assert not (tmp_path / "out").exists()
+
     def test_trajectory_file_that_is_not_json(self, tmp_path, capsys):
         (tmp_path / "t1.json").write_text("{not json")
         data = base_scenario(trajectory1_file="t1.json",

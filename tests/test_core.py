@@ -30,8 +30,8 @@ from wfvar.core import (
     cross,
     hermite_trajectory,
     load_trajectory,
+    merge_history,
     polygonal_from_vertices,
-    replace_window,
     save_trajectory,
     subluminal,
     trajectory_from_dict,
@@ -800,7 +800,7 @@ class TestPerturbation:
 
 
 class TestWindowSplice:
-    def test_replace_window_round_trip(self):
+    def test_merge_history_round_trip(self):
         traj = hermite_trajectory(
             [0.0, 1.0, 2.0, 3.0],
             [vec3(0, 0, 0), vec3(0.2, 0, 0), vec3(0.1, 0.1, 0), vec3(0, 0.2, 0)],
@@ -811,15 +811,15 @@ class TestWindowSplice:
             tuple(s for s in traj.segments if 1.0 <= s.t_start and s.t_end <= 2.0),
             ELECTRON,
         )
-        back = replace_window(traj, inner, (1.0, 2.0))
+        back = merge_history(inner, traj)
         for t in np.linspace(0.0, 3.0, 17):
             assert_allclose(back.position(t), traj.position(t), atol=1e-14)
 
-    def test_replace_window_rejects_discontinuous_splice(self):
+    def test_merge_history_rejects_discontinuous_splice(self):
         traj = polygonal_from_vertices([(0.0, [0, 0, 0]), (4.0, [0.4, 0, 0])], ELECTRON)
         bad = polygonal_from_vertices([(1.0, [1, 0, 0]), (2.0, [1.1, 0, 0])], ELECTRON)
         with pytest.raises(DomainError):
-            replace_window(traj, bad, (1.0, 2.0))
+            merge_history(bad, traj)
 
 
 class TestJsonExchange:

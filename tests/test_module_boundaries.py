@@ -145,7 +145,7 @@ def test_chain_algebra_builds_through_the_array_builder():
     # one `_chain` call, never a `Segment` (or a chain of them) at a time
     constructors = {"Segment", "PiecewiseTrajectory", "Perturbation", "cls"}
     funcs = core_functions()
-    for name in ("replace_window", "merge_history", "add_perturbation", "Perturbation.tent"):
+    for name in ("merge_history", "add_perturbation", "Perturbation.tent"):
         calls = reached_calls(funcs, name)
         owners = [getattr(call.func, "id", None)
                   or getattr(getattr(call.func, "value", None), "id", None) for call in calls]
@@ -331,6 +331,30 @@ def test_action_reads_its_window_from_the_boundary_set():
               and "BoundaryData" in {getattr(call.func, "id", None) for call in ast.walk(node)
                                      if isinstance(call, ast.Call)}]
     assert makers == ["_primary_view"]
+
+
+def calls_of(node, name: str) -> list:
+    """The calls of `name`, as a plain name or an attribute, under `node`."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+
+
+def test_only_the_optimizer_merges_a_partner_with_its_history():
+    # the frozen histories are boundary data of the problem: the optimizer
+    # merges each partner once, `merge_history` is the one entry to the
+    # splice, and `action` and `momentum` take the partner as it stands
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [stem for stem, tree in trees.items() if calls_of(tree, "merge_history")] == [
+        "optimizer"]
+    assert [stem for stem, tree in trees.items() if calls_of(tree, "_splice")] == ["core"]
+    merge = core_functions()["merge_history"]
+    assert len(calls_of(merge, "_splice")) == len(calls_of(trees["core"], "_splice")) == 1
+    for name in ("action", "momentum"):
+        assert not {"history1", "history2"} & attributes_read(PACKAGE / f"{name}.py"), name
+    boundary_reads = {node.attr for node in ast.walk(trees["action"])
+                      if isinstance(node, ast.Attribute)
+                      and getattr(node.value, "id", None) == "boundary"}
+    assert boundary_reads == {"window", "k2"}
 
 
 def test_one_lookup_rule_under_every_chain_read():

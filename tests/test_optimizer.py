@@ -16,6 +16,7 @@ from wfvar.core import (
     ParticleParams,
     Side,
     hermite_trajectory,
+    merge_history,
     polygonal_from_vertices,
     vec3,
 )
@@ -203,6 +204,15 @@ class TestVerify:
         report = verify(traj1, traj2, BoundaryData(-2.0, 2.0, history2=history2))
         assert abs(report.max_el - 0.25) < 1e-9
 
+    @pytest.mark.parametrize("tols", [{"el_tol": math.nan}, {"break_tol": -math.inf}],
+                             ids=["el-tol-nan", "break-tol-infinite"])
+    def test_non_finite_tolerance_is_a_config_error(self, tols):
+        # the same check as `minimize`'s options: a NaN tolerance would
+        # fail every comparison and report an unconverged pair
+        traj1, traj2 = static_traj([0, 0, 0]), static_traj([2.0, 0, 0], particle=NEG)
+        with pytest.raises(ConfigError):
+            verify(traj1, traj2, BoundaryData(-2.0, 2.0), **tols)
+
     def test_smooth_orbit_has_no_breaks(self):
         traj1, traj2 = circle_pair()
         report = verify(traj1, traj2, BoundaryData(-1.0, 1.0))
@@ -278,18 +288,19 @@ class TestMinimize:
         dv = init.with_theta(theta)
         bd = _primary_view(boundary, 1)
 
-        def objective(vec, k):
-            trajs = decode(vec)
-            return action(trajs[k - 1], trajs[2 - k], bd)
+        def objective(vec):
+            traj, partner = decode(vec)
+            return action(traj, merge_history(partner, bd.history2), bd)
 
-        g = _block_gradient(*decode(dv), bd, dv.layouts[0], dv.theta[sl], None)
+        traj, partner = decode(dv)
+        g = _block_gradient(traj, merge_history(partner, bd.history2), bd, dv.layouts[0],
+                            dv.theta[sl], None)
         h = 1e-4
         for j in coordinates:
             tp, tm = dv.theta.copy(), dv.theta.copy()
             tp[sl.start + j] += h
             tm[sl.start + j] -= h
-            fd = (objective(dv.with_theta(tp), 1)
-                  - objective(dv.with_theta(tm), 1)) / (2 * h)
+            fd = (objective(dv.with_theta(tp)) - objective(dv.with_theta(tm))) / (2 * h)
             assert abs(g[j] - fd) < 1e-5 * max(1.0, abs(g[j]))
 
     def test_infeasible_init_rejected(self):
@@ -434,11 +445,39 @@ class TestOnePassGradient:
         monkeypatch.setattr(lightcone, "cone_time", counted_cone_time)
         boundary, traj1, traj2 = coupled_boundary()
         dv = discretize(boundary, (traj1, traj2), n_nodes)
-        trajs = decode(dv)
-        action(*trajs, _primary_view(boundary, 1))
+        traj, partner = decode(dv)
+        partner = merge_history(partner, boundary.history2)
+        action(traj, partner, _primary_view(boundary, 1))
         one_action = sum(lanes)
         lanes.clear()
-        g = _block_gradient(*trajs, _primary_view(boundary, 1), dv.layouts[0],
+        g = _block_gradient(traj, partner, _primary_view(boundary, 1), dv.layouts[0],
                             dv.theta[dv.block_slice(1)], None)
         assert g.shape == (3 * (n_nodes - 2),)
         assert 0 < sum(lanes) <= 2 * one_action
+
+
+def test_each_partner_is_merged_once_per_accepted_step(monkeypatch):
+    # a partner is merged with its frozen history at the start and again
+    # only after its own accepted step, and the gradient, f0 and every
+    # line-search trial share it; `verify` merges each partner once more
+    import importlib
+
+    from wfvar import core
+
+    merges, merge = [], core.merge_history
+
+    def counted_merge(traj, history):
+        merges.append(history is not traj)
+        return merge(traj, history)
+
+    # wherever a module of the stack could bind the name, so any merge counts
+    for name in ("action", "momentum", "optimizer"):
+        monkeypatch.setattr(importlib.import_module(f"wfvar.{name}"), "merge_history",
+                            counted_merge, raising=False)
+    boundary, traj1, traj2 = coupled_boundary()
+    init = discretize(boundary, (traj1, traj2), 3)
+    theta = init.theta.copy()
+    theta[:3] += [0.02, -0.01, 0.01]
+    _, _, report = minimize(boundary, init.with_theta(theta), {"max_iter": 3})
+    assert report.descent_log and all(merges)
+    assert len(merges) <= len(report.descent_log) + 4, (len(merges), report.descent_log)
