@@ -30,7 +30,6 @@ from .core import (
     save_trajectory,
     trajectory_from_dict,
     trajectory_to_dict,
-    validate,
     vec3,
 )
 from .errors import (

@@ -381,7 +381,7 @@ def _cmd_build_polygonal(scen: Scenario, out: Path) -> tuple:
         traj = polygonal_from_vertices(pairs, scen.particles[idx - 1])
         save_trajectory(traj, out / f"trajectory{idx}.json")
         rows.append((f"max_speed{idx}", traj.max_speed()))
-        rows.append((f"segments{idx}", len(traj.segments)))
+        rows.append((f"segments{idx}", traj.knots.size - 1))
     if not rows:
         raise ConfigError("build-polygonal needs vertices1 or vertices2")
     return ("build.csv", ReportTable(("quantity", "value"), tuple(rows)),

@@ -30,12 +30,10 @@ __all__ = [
     "SegmentChain",
     "PackedChain",
     "PiecewiseTrajectory",
-    "ValidationReport",
     "BoundaryData",
     "Perturbation",
     "polygonal_from_vertices",
     "hermite_trajectory",
-    "validate",
     "fd_node_velocities",
     "add_perturbation",
     "merge_history",
@@ -160,35 +158,33 @@ def _order(order) -> int:
     raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
 
 
-def _fill_segments(segments, ts: list, coeffs: np.ndarray) -> "PackedChain":
-    """Check the cells with knots ``ts`` (n+1 times) and coefficients
-    (n, 3, K) once per chain, give each of the n ``segments`` its read-only
-    coefficients, and return the cells' `PackedChain`.
-
-    The one validation rule of every cell: finite knots in increasing order
-    and finite coefficients.  Speed is a world-line rule, judged by
-    `PiecewiseTrajectory`.
-    """
-    if not all(map(math.isfinite, ts)):
+def _cells(knots, coeffs) -> tuple:
+    """Read-only C-order copies of the knots (n+1,) and coefficients
+    (n, 3, K) of n cells, under the one validation rule of every cell:
+    finite knots in increasing order and finite coefficients.  Speed is a
+    world-line rule, judged by `PiecewiseTrajectory`."""
+    knots, coeffs = np.array(knots, dtype=float), np.array(coeffs, dtype=float, order="C")
+    if not np.isfinite(knots).all():
         raise DomainError("segment times must be finite")
-    for a, b in zip(ts, ts[1:]):
-        if not a < b:
-            raise DomainError(f"segment needs t_start < t_end, got [{a}, {b}]")
+    bad = np.flatnonzero(~(knots[:-1] < knots[1:]))
+    if bad.size:
+        a, b = knots[bad[0] : bad[0] + 2].tolist()
+        raise DomainError(f"segment needs t_start < t_end, got [{a}, {b}]")
     if not np.isfinite(coeffs).all():
         raise DomainError("segment coefficients must be finite")
+    knots.setflags(write=False)
     coeffs.setflags(write=False)
-    for seg, c in zip(segments, coeffs):
-        seg.__dict__["coeffs"] = c
-    return PackedChain(np.array(ts, dtype=float), _cell_rows(coeffs))
+    return knots, coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """One smooth polynomial piece of a trajectory.
 
     The position on [t_start, t_end] is ``sum_k coeffs[:, k] * (t - t_start)**k``.
     A segment is a plain polynomial cell, of a world line or of a
-    displacement field alike; `PiecewiseTrajectory` judges its speed.
+    displacement field alike; `PiecewiseTrajectory` judges its speed.  It
+    compares and hashes by identity.
     """
 
     t_start: float
@@ -199,7 +195,7 @@ class Segment:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if c.shape[0] != 3 or c.shape[1] < 1:
             raise DomainError(f"segment coeffs must have shape (3, K>=1), got {c.shape}")
-        _fill_segments([self], [self.t_start, self.t_end], c[None].copy())
+        object.__setattr__(self, "coeffs", _cells([self.t_start, self.t_end], c[None])[1][0])
 
     # -- construction helpers -------------------------------------------------
 
@@ -275,7 +271,7 @@ class Segment:
         return max(speeds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedChain:
     """A segment chain as arrays, for evaluating many times at once.
 
@@ -308,14 +304,6 @@ class PackedChain:
         centre = 0.5 * (xk.min(axis=0) + xk.max(axis=0))
         d = xk - centre
         return centre, float(np.sqrt((d * d).sum(axis=1)).max())
-
-    @classmethod
-    def of(cls, segments) -> "PackedChain":
-        knots = np.array([s.t_start for s in segments] + [segments[-1].t_end])
-        coeffs = np.zeros((len(segments), 3, max(s.coeffs.shape[1] for s in segments)))
-        for i, s in enumerate(segments):
-            coeffs[i, :, : s.coeffs.shape[1]] = s.coeffs
-        return cls(knots, _cell_rows(coeffs))
 
     @classmethod
     def hermite(cls, times, positions, velocities, left_velocities=None) -> "PackedChain":
@@ -377,46 +365,61 @@ class PackedChain:
             raise ContractError(f"perturbation must vanish at t={ts[i]}, |b|={mags[i]:.3g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentChain:
-    """An ordered chain of exactly abutting segments on [t_start, t_end].
+    """An ordered chain of polynomial cells on [t_start, t_end]: knots (n+1,)
+    and coefficients (n, 3, K), ascending powers of t - knots[i].
 
-    The one place that answers which segment governs a time, and from which
-    side at a junction.
+    The one place that answers which cell governs a time, and from which
+    side at a junction.  A chain compares and hashes by identity.
     """
 
-    segments: tuple
+    knots: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
+        if np.ndim(self.knots) != 1 or np.size(self.knots) < 2:
             raise DomainError(f"{type(self).__name__} needs at least one segment")
+        knots, coeffs = _cells(self.knots, self.coeffs)
+        if coeffs.ndim != 3 or coeffs.shape[:2] != (knots.size - 1, 3) or not coeffs.shape[2]:
+            raise DomainError(f"segment coeffs must have shape ({knots.size - 1}, 3, K>=1), "
+                              f"got {coeffs.shape}")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "packed", PackedChain(knots, _cell_rows(coeffs)))
+        object.__setattr__(self, "t_start", knots[0].item())
+        object.__setattr__(self, "t_end", knots[-1].item())
+
+    @classmethod
+    def from_segments(cls, segments, *fields):
+        """The chain of exactly abutting `Segment` objects, their
+        coefficients padded with zeros to the widest."""
+        segs = tuple(segments)
+        if not segs:
+            raise DomainError(f"{cls.__name__} needs at least one segment")
         for a, b in zip(segs, segs[1:]):
             if b.t_start != a.t_end:
                 raise DomainError(
                     f"segments must abut exactly: {a.t_end} != {b.t_start}"
                 )
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "t_start", segs[0].t_start)
-        object.__setattr__(self, "t_end", segs[-1].t_end)
+        coeffs = np.zeros((len(segs), 3, max(s.coeffs.shape[1] for s in segs)))
+        for i, s in enumerate(segs):
+            coeffs[i, :, : s.coeffs.shape[1]] = s.coeffs
+        return cls([s.t_start for s in segs] + [segs[-1].t_end], coeffs, *fields)
+
+    @cached_property
+    def segments(self) -> tuple:
+        """One `Segment` per cell, made on first read."""
+        ts = self.knots.tolist()
+        return tuple(map(Segment, ts, ts[1:], self.coeffs))
 
     def junction_times(self) -> list:
         """Interior junction times (candidate breaking points)."""
-        return self.packed.knots[1:-1].tolist()
+        return self.knots[1:-1].tolist()
 
     def segment_at(self, t: float, side: Side = Side.RIGHT) -> Segment:
         """The segment governing time t, by `segment_indices`."""
         return self.segments[int(self.segment_indices(t, side))]
-
-    @property
-    def packed(self) -> PackedChain:
-        """The chain's array layout: seeded by the array builder, else built
-        on first use."""
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            packed = PackedChain.of(self.segments)
-            object.__setattr__(self, "_packed", packed)
-        return packed
 
     def segment_indices(self, ts, side: Side = Side.RIGHT) -> np.ndarray:
         """Indices of the segments governing each of the times ``ts``: at a
@@ -431,7 +434,7 @@ class SegmentChain:
             if far.any():
                 raise DomainError(f"time {ts[far][0]} outside domain "
                                   f"[{self.t_start}, {self.t_end}]")
-        junctions = self.packed.knots[1:-1]
+        junctions = self.knots[1:-1]
         return np.searchsorted(junctions, ts, side=side.value)
 
     def nearest_junctions(self, ts, width) -> tuple:
@@ -440,7 +443,7 @@ class SegmentChain:
         at or after t, and near is |j - t| < width; without junctions j is
         ``ts`` and near is all False."""
         ts = np.asarray(ts, dtype=float)
-        junctions = self.packed.knots[1:-1]
+        junctions = self.knots[1:-1]
         if not junctions.size:
             return ts, np.zeros(ts.shape, dtype=bool)
         i = np.searchsorted(junctions, ts)
@@ -461,7 +464,7 @@ class SegmentChain:
         return max(s.max_speed() for s in self.segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseTrajectory(SegmentChain):
     """A world line: a chain of segments plus the particle it describes.
 
@@ -478,7 +481,7 @@ class PiecewiseTrajectory(SegmentChain):
         super().__post_init__()
         packed = self.packed
         for i in np.flatnonzero(~(packed.bounds(slice(None), 1) < 1.0 - 1e-9)).tolist():
-            seg = self.segments[i]
+            seg = Segment(*self.knots[i : i + 2].tolist(), self.coeffs[i])
             speed = seg.max_speed()
             if speed >= 1.0:
                 raise SuperluminalError(
@@ -503,29 +506,6 @@ class PiecewiseTrajectory(SegmentChain):
         return tuple(self.evaluate(t, order, side) for order in (0, 1, 2))
 
 
-def _chain(cls, knots, coeffs, *fields):
-    """The chain ``cls(segments, *fields)`` of the segments with knots (n+1,)
-    and coefficients (n, 3, K), ascending powers of t - knots[i].
-
-    Makes the segments by `_fill_segments`, without running
-    `Segment.__post_init__`, and seeds the chain with the `PackedChain` it
-    returns before the chain's own ``__post_init__`` runs, so neither that
-    nor the first evaluation packs it.
-    """
-    knots = np.asarray(knots, dtype=float)
-    if knots.ndim != 1 or knots.size < 2:
-        raise DomainError(f"{cls.__name__} needs at least one segment")
-    ts = knots.tolist()
-    segs = [object.__new__(Segment) for _ in ts[1:]]
-    for seg, t0, t1 in zip(segs, ts, ts[1:]):
-        seg.__dict__.update(t_start=t0, t_end=t1)
-    packed = _fill_segments(segs, ts, np.ascontiguousarray(coeffs, dtype=float))
-    chain = object.__new__(cls)
-    object.__setattr__(chain, "_packed", packed)
-    chain.__init__(tuple(segs), *fields)
-    return chain
-
-
 def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
     """Knots and (n, ..., 3, 4) coefficients of the cubic-Hermite cells
     through one (..., 3) position and velocity row per time; cell i ends
@@ -542,7 +522,7 @@ def _hermite_cells(times, positions, velocities, left_velocities=None) -> tuple:
     # powers of h on floats: numpy's array power differs in the last bit on some lanes
     powers = [(u, u**2, u**3) for u in (knots[1:] - knots[:-1]).tolist()]
     h1, h2, h3 = np.array(powers, dtype=float).T.reshape((3, -1) + (1,) * (x0.ndim - 1))
-    # a repeated time divides by zero without a warning; _fill_segments rejects it
+    # a repeated time divides by zero without a warning; the cell rule rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c2 = 3.0 * (x1 - x0) / h2 - (2.0 * v0 + v1) / h1
         c3 = 2.0 * (x0 - x1) / h3 + (v0 + v1) / h2
@@ -563,7 +543,7 @@ def polygonal_from_vertices(vertices, particle: ParticleParams) -> PiecewiseTraj
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slopes = (xs[1:] - xs[:-1]) / (knots[1:] - knots[:-1])[:, None]
     coeffs = np.array([xs[:-1], slopes]).transpose(1, 2, 0)
-    return _chain(PiecewiseTrajectory, knots, coeffs, particle)
+    return PiecewiseTrajectory(knots, coeffs, particle)
 
 
 def hermite_trajectory(times, positions, velocities, particle: ParticleParams,
@@ -575,33 +555,8 @@ def hermite_trajectory(times, positions, velocities, particle: ParticleParams,
     with those, so the velocity jumps at a node where they differ from
     ``velocities``, which each cell starts with.
     """
-    knots, coeffs = _hermite_cells(times, positions, velocities, left_velocities)
-    return _chain(PiecewiseTrajectory, knots, coeffs, particle)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of trajectory validation; failures are reported, never raised."""
-
-    max_speed: float
-    continuity_defects: tuple  # of (junction time, |gap|)
-    continuity_tol: float  # `PackedChain.gap_tol`, the trajectory rule
-
-    @property
-    def ok(self) -> bool:
-        return (self.max_speed < 1.0
-                and all(g <= self.continuity_tol for _, g in self.continuity_defects))
-
-
-def validate(traj: SegmentChain) -> ValidationReport:
-    """Report max speed and per-junction continuity defects."""
-    packed = traj.packed
-    return ValidationReport(
-        max_speed=traj.max_speed(),
-        continuity_defects=tuple(zip(packed.knots[1:-1].tolist(),
-                                     packed.junction_gaps().tolist())),
-        continuity_tol=packed.gap_tol(),
-    )
+    return PiecewiseTrajectory(*_hermite_cells(times, positions, velocities, left_velocities),
+                               particle)
 
 
 def time_window(start, end) -> tuple:
@@ -651,7 +606,7 @@ class BoundaryData:
         return self.window2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation(SegmentChain):
     """Piecewise-polynomial displacement field b(t) on a window.
 
@@ -678,7 +633,7 @@ class Perturbation(SegmentChain):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slopes = [(amp - zero) / (t_peak - t0), (zero - amp) / (t1 - t_peak)]
         coeffs = np.array([[zero, slopes[0]], [amp, slopes[1]]]).transpose(0, 2, 1)
-        return _chain(cls, [t0, t_peak, t1], coeffs)
+        return cls([t0, t_peak, t1], coeffs)
 
     @classmethod
     def from_nodes(cls, times, values, velocities=None) -> "Perturbation":
@@ -688,16 +643,19 @@ class Perturbation(SegmentChain):
         if velocities is None:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 velocities = fd_node_velocities(times, vals)
-        knots, coeffs = _hermite_cells(times, vals, velocities)
-        return _chain(cls, knots, coeffs)
+        return cls(*_hermite_cells(times, vals, velocities))
 
 
 def fd_node_velocities(times, values) -> np.ndarray:
     """(n, ..., 3) node derivative estimates of (n, ..., 3) node values,
     exact for quadratic data: the derivative at each node of the parabola
-    through its 3-point stencil (the chord slope for two nodes)."""
+    through its 3-point stencil (the chord slope for two nodes).  Fewer than
+    two times, or other than one row per time, raise DomainError."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.size < 2 or y.ndim < 2 or y.shape[0] != t.size or y.shape[-1] != 3:
+        raise DomainError(f"values need one (3,) row per time, at least two: got shape "
+                          f"{y.shape} for {t.size} times")
     if t.size == 2:
         return np.array([(y[1] - y[0]) / (t[1] - t[0])] * 2)
     j = np.clip(np.arange(t.size) - 1, 0, t.size - 3)
@@ -714,19 +672,19 @@ def add_perturbation(traj: PiecewiseTrajectory, pert: Perturbation,
     domain), on both knot sets; each cell re-bases the segments governing
     its midpoint onto its start."""
     # a set, not np.unique, which imports numpy.ma (about 1.4 MiB)
-    knots = np.array(sorted({*traj.packed.knots.tolist(), *pert.packed.knots.tolist()}))
+    knots = np.array(sorted({*traj.knots.tolist(), *pert.knots.tolist()}))
     knots = knots[(knots >= traj.t_start) & (knots <= traj.t_end)]
     a, b = knots[:-1], knots[1:]
     mid = 0.5 * (a + b)
     i = traj.segment_indices(mid)
-    cells = _shift_cells(traj.packed.rows[0][i], a - traj.packed.knots[i])
+    cells = _shift_cells(traj.coeffs[i], a - traj.knots[i])
     inside = np.flatnonzero((a >= pert.t_start) & (b <= pert.t_end))
     j = pert.segment_indices(mid[inside])
-    shifts = eps * _shift_cells(pert.packed.rows[0][j], a[inside] - pert.packed.knots[j])
+    shifts = eps * _shift_cells(pert.coeffs[j], a[inside] - pert.knots[j])
     coeffs = np.zeros(cells.shape[:-1] + (max(cells.shape[-1], shifts.shape[-1]),))
     coeffs[..., : cells.shape[-1]] = cells
     coeffs[inside, :, : shifts.shape[-1]] += shifts
-    return _chain(PiecewiseTrajectory, knots, coeffs, traj.particle)
+    return PiecewiseTrajectory(knots, coeffs, traj.particle)
 
 
 def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory) -> PiecewiseTrajectory:
@@ -735,8 +693,8 @@ def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory) -> PiecewiseTr
     there, around the cells of ``part``.  ``full`` contains or abuts ``part``;
     a seam where the cells do not meet raises DomainError."""
     a, b = part.t_start, part.t_end
-    knots, rows = full.packed.knots, full.packed.rows[0]
-    inner_knots, inner_rows = part.packed.knots, part.packed.rows[0]
+    knots, rows = full.knots, full.coeffs
+    inner_knots, inner_rows = part.knots, part.coeffs
     i = int(np.searchsorted(knots[:-1], a))  # cells [0, i) start before a
     j = int(np.searchsorted(knots[1:], b, side="right"))  # cells [j, n) end after b
     m, k, kp = inner_knots.size - 1, rows.shape[-1], inner_rows.shape[-1]
@@ -745,8 +703,8 @@ def _splice(full: PiecewiseTrajectory, part: PiecewiseTrajectory) -> PiecewiseTr
     coeffs[i : i + m, :, :kp] = inner_rows
     starts = knots[j:-1]
     coeffs[i + m :, :, :k] = _shift_cells(rows[j:], np.maximum(starts, b) - starts)
-    return _chain(PiecewiseTrajectory, np.concatenate([knots[:i], inner_knots, knots[j + 1 :]]),
-                  coeffs, part.particle)
+    return PiecewiseTrajectory(np.concatenate([knots[:i], inner_knots, knots[j + 1 :]]),
+                               coeffs, part.particle)
 
 
 def merge_history(traj: PiecewiseTrajectory,
@@ -819,16 +777,12 @@ def as_count(value, minimum: int = 0, what: str = "count") -> int:
 
 def trajectory_to_dict(traj: PiecewiseTrajectory) -> dict:
     """Exchange form: coefficients ascending in the segment-local time t - t0."""
+    ts = traj.knots.tolist()
     return {
         "particle": {"mass": traj.particle.mass, "charge": traj.particle.charge},
         "segments": [
-            {
-                "t0": s.t_start,
-                "t1": s.t_end,
-                "kind": "polynomial",
-                "coeffs": [list(map(float, row)) for row in s.coeffs],
-            }
-            for s in traj.segments
+            {"t0": t0, "t1": t1, "kind": "polynomial", "coeffs": coeffs}
+            for t0, t1, coeffs in zip(ts, ts[1:], traj.coeffs.tolist())
         ],
     }
 
@@ -847,7 +801,7 @@ def trajectory_from_dict(d: dict) -> PiecewiseTrajectory:
             segs.append(Segment(json_number(sd["t0"]), json_number(sd["t1"]), coeffs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
-    return PiecewiseTrajectory(tuple(segs), particle)
+    return PiecewiseTrajectory.from_segments(segs, particle)
 
 
 def save_trajectory(traj: PiecewiseTrajectory, path) -> None:

@@ -10,10 +10,10 @@ import numpy as np
 
 from wfvar.action import coupling
 from wfvar.core import (
-    PackedChain,
     ParticleParams,
     PiecewiseTrajectory,
     Segment,
+    SegmentChain,
     Side,
     cross,
     hermite_trajectory,
@@ -84,12 +84,12 @@ def segment_from_global(t0, t1, global_rows, particle=None):
 
 def static_traj(x, t0=-300.0, t1=300.0, particle=DEFAULT):
     coeffs = np.array([[x[0]], [x[1]], [x[2]]], dtype=float)
-    return PiecewiseTrajectory((Segment(t0, t1, coeffs),), particle)
+    return PiecewiseTrajectory.from_segments((Segment(t0, t1, coeffs),), particle)
 
 
 def uniform_traj(x0, v, t0=-300.0, t1=300.0, particle=DEFAULT):
     seg = segment_from_global(t0, t1, [[x0[i], v[i]] for i in range(3)])
-    return PiecewiseTrajectory((seg,), particle)
+    return PiecewiseTrajectory.from_segments((seg,), particle)
 
 
 def uniform_cone_roots(x0, v, event_t, event_x):
@@ -348,7 +348,8 @@ def bits(values) -> bytes:
 def assert_segments_match(chain, knots, coeffs):
     """The chain's segments carry `knots` and the (3, K) blocks `coeffs` bit
     for bit, their float rows are `reference_rows` of those blocks, and the
-    chain's packed rows are those `PackedChain.of` makes from its segments."""
+    chain's packed rows are those `SegmentChain.from_segments` makes from its
+    segments."""
     segs = chain.segments
     assert len(segs) == len(coeffs) == len(knots) - 1
     for seg, t0, t1, c in zip(segs, knots, knots[1:], coeffs):
@@ -359,7 +360,7 @@ def assert_segments_match(chain, knots, coeffs):
         for got_m, want_m in zip(seg._rows, want):
             assert all(isinstance(row, tuple) for row in got_m)
             assert bits(got_m) == bits(want_m)
-    packed, fresh = chain.packed, PackedChain.of(segs)
+    packed, fresh = chain.packed, SegmentChain.from_segments(segs).packed
     assert bits(packed.knots) == bits(fresh.knots) == bits(knots)
     assert bits(packed.knot_positions) == bits(fresh.knot_positions)
     for m in range(3):
@@ -411,7 +412,7 @@ def reference_add_perturbation(traj, pert, eps):
             cc[:, : pc.shape[1]] += eps * pc
             c = cc
         segs.append(Segment(a, b, c))
-    return PiecewiseTrajectory(tuple(segs), traj.particle)
+    return PiecewiseTrajectory.from_segments(tuple(segs), traj.particle)
 
 
 def reference_merge_history(traj, history):
@@ -434,7 +435,7 @@ def reference_merge_history(traj, history):
             segs.append(s)
         elif s.t_end > b:
             segs.append(reference_rebased(s, b, s.t_end))
-    return PiecewiseTrajectory(tuple(segs), traj.particle)
+    return PiecewiseTrajectory.from_segments(tuple(segs), traj.particle)
 
 
 # -- sequential reference for the partner reconstruction --------------------------

@@ -52,7 +52,7 @@ NEG = ParticleParams(mass=1.0, charge=-1.0)
 
 def static_traj(x, particle=NEG, t0=-50.0, t1=50.0):
     coeffs = np.array([[x[0]], [x[1]], [x[2]]], dtype=float)
-    return PiecewiseTrajectory((Segment(t0, t1, coeffs),), particle)
+    return PiecewiseTrajectory.from_segments((Segment(t0, t1, coeffs),), particle)
 
 
 def static_pair(d, span=50.0):
@@ -130,7 +130,7 @@ class TestAction:
 
     def test_spurious_break_does_not_move_the_integral(self):
         t1, t2 = static_pair(2.0)
-        split = PiecewiseTrajectory(
+        split = PiecewiseTrajectory.from_segments(
             (reference_rebased(t1.segments[0], -50.0, 1.7),
              reference_rebased(t1.segments[0], 1.7, 50.0)),
             POS,
@@ -160,7 +160,7 @@ class TestAction:
                                   reference_rebased(s, m, s.t_end)])
                 else:
                     parts.append(s)
-            refined_t1 = PiecewiseTrajectory(tuple(parts), POS)
+            refined_t1 = PiecewiseTrajectory.from_segments(tuple(parts), POS)
         refined = action(refined_t1, t2, bd)
         assert abs(refined - base) < 1e-10 * max(1.0, abs(base))
 

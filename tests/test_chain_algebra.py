@@ -13,7 +13,6 @@ from helpers_geometry import (
     reference_merge_history,
 )
 from wfvar.core import (
-    PackedChain,
     ParticleParams,
     Perturbation,
     PiecewiseTrajectory,
@@ -126,9 +125,10 @@ def test_merged_chain_takes_the_window_trajectorys_particle():
 def test_splice_keeps_negative_zero_coefficients_of_unshifted_cells():
     before = np.array([[-0.0, 0.1], [2.0, -0.0], [-0.0, -0.0]])
     after = np.array([[0.3, -0.0], [2.0, 0.05], [-0.0, -0.0]])
-    history = PiecewiseTrajectory((Segment(-4.0, -1.0, before), Segment(-1.0, 3.0, after)), P)
+    history = PiecewiseTrajectory.from_segments(
+        (Segment(-4.0, -1.0, before), Segment(-1.0, 3.0, after)), P)
     # the cell left of the window keeps its rows; the one right of it shifts
-    window = PiecewiseTrajectory((Segment(-1.0, 1.0, after),), P)
+    window = PiecewiseTrajectory.from_segments((Segment(-1.0, 1.0, after),), P)
     assert_matches_reference(merge_history, reference_merge_history, window, history)
     spliced = merge_history(window, history)
     assert bits(spliced.segments[0].coeffs) == bits(before)
@@ -193,23 +193,19 @@ def test_tent_is_two_linear_segments():
 def test_splice_and_perturbation_build_no_segment_one_at_a_time(monkeypatch):
     history, window = refine_shapes()
     pert = Perturbation.from_nodes([-1.0, 0.0, 1.0], [[0.0] * 3, [0.01, 0.0, 0.0], [0.0] * 3])
-    counts = {"segment": 0, "pack": 0}
-    post_init, pack = Segment.__post_init__, PackedChain.of.__func__
+    segments = 0
+    post_init = Segment.__post_init__
 
     def counted_post_init(self):
-        counts["segment"] += 1
+        nonlocal segments
+        segments += 1
         post_init(self)
 
-    def counted_pack(cls, segments):
-        counts["pack"] += 1
-        return pack(cls, segments)
-
     monkeypatch.setattr(Segment, "__post_init__", counted_post_init)
-    monkeypatch.setattr(PackedChain, "of", classmethod(counted_pack))
     merged = merge_history(window, history)
     moved = add_perturbation(merged, pert, 1e-3)
     moved.evaluate([-0.5, 0.5])
-    assert counts == {"segment": 0, "pack": 0}
-    assert len(merged.segments) == 4 and len(moved.segments) == 4
+    assert segments == 0
+    assert merged.coeffs.shape[0] == 4 and moved.coeffs.shape[0] == 4
     reference_add_perturbation(reference_merge_history(window, history), pert, 1e-3)
-    assert counts["segment"] > 0 and counts["pack"] > 0  # the counters count
+    assert segments > 0  # the counter counts

@@ -36,7 +36,6 @@ from wfvar.core import (
     subluminal,
     trajectory_from_dict,
     trajectory_to_dict,
-    validate,
     vec3,
 )
 from wfvar.errors import ConfigError, ContractError, DomainError, SuperluminalError
@@ -49,7 +48,7 @@ def cubic_x3():
     # x(t) = (t^3, 0, 0) on [0, 0.5]
     coeffs = np.zeros((3, 4))
     coeffs[0, 3] = 1.0
-    return PiecewiseTrajectory((Segment(0.0, 0.5, coeffs),), ELECTRON)
+    return PiecewiseTrajectory.from_segments((Segment(0.0, 0.5, coeffs),), ELECTRON)
 
 
 def polyroots_max_speed(seg) -> float:
@@ -73,10 +72,10 @@ def dense_max_speed(seg, n=20001) -> float:
 
 
 def builder_verdict(seg) -> str | None:
-    """The trajectory rule's speed verdict on one segment, built by the
-    array builder: its error message, or None when it passes."""
+    """The trajectory rule's speed verdict on one segment, built from its
+    knots and coefficients: its error message, or None when it passes."""
     try:
-        core._chain(PiecewiseTrajectory, [seg.t_start, seg.t_end], seg.coeffs[None], ELECTRON)
+        PiecewiseTrajectory([seg.t_start, seg.t_end], seg.coeffs[None], ELECTRON)
     except SuperluminalError as exc:
         return str(exc)
     return None
@@ -223,7 +222,7 @@ class TestArrayBuilder:
                 left = vs
             else:  # a bundle of one field, with left velocities, as a chain
                 packed = PackedChain.hermite(times, xs[:, None], vs[:, None], left[:, None])
-                b = core._chain(Perturbation, packed.knots, packed.rows[0][:, 0])
+                b = Perturbation(packed.knots, packed.rows[0][:, 0])
             want = [reference_hermite_coeffs(times[i], times[i + 1], xs[i], vs[i], xs[i + 1],
                                              left[i + 1]) for i in range(len(times) - 1)]
             assert_segments_match(b, times.tolist(), want)
@@ -258,18 +257,19 @@ class TestArrayBuilder:
         coeffs = core._hermite_cells(times, xs, vs)[1].copy()
         coeffs[7, 1, 0] += 1e-6  # tear the chain at its 8th knot
         with pytest.raises(DomainError, match=f"position gap 1e-06 at junction t={times[7]}"):
-            core._chain(PiecewiseTrajectory, times, coeffs, ELECTRON)
-        torn = core._chain(core.SegmentChain, times, coeffs)  # no gap rule
-        (t1, g1), (t2, g2) = [d for d in validate(torn).continuity_defects if d[1] > 1e-9]
-        assert (t1, t2) == (times[7], times[8])
-        assert abs(g1 - 1e-6) < 1e-15 and abs(g2 - 1e-6) < 1e-15
+            PiecewiseTrajectory(times, coeffs, ELECTRON)
+        torn = core.SegmentChain(times, coeffs)  # no gap rule
+        gaps = torn.packed.junction_gaps()
+        torn_at = np.flatnonzero(gaps > 1e-9)
+        assert torn.knots[torn_at + 1].tolist() == [times[7], times[8]]
+        assert (abs(gaps[torn_at] - 1e-6) < 1e-15).all()
 
 
 class CallCounts:
     """Counts the calls of class attributes that the builder must not make."""
 
     NAMES = ((Segment, "__post_init__"), (Segment, "max_speed"), (Segment, "hermite"),
-             (Segment, "linear"), (PackedChain, "of"))
+             (Segment, "linear"))
 
     def __init__(self, monkeypatch):
         self.counts = {}
@@ -297,8 +297,10 @@ class TestBulkConstructionCounts:
         traj = hermite_trajectory(times, xs, vs, ELECTRON)
         traj.evaluate(np.linspace(-10.0, 10.0, 7))
         traj.evaluate(np.linspace(-10.0, 10.0, 7), 1, Side.LEFT)
-        assert len(traj.segments) == 200
+        assert traj.coeffs.shape == (200, 3, 4) and "segments" not in traj.__dict__
         calls.assert_none()
+        assert len(traj.segments) == 200  # made on this first read
+        assert calls.counts["Segment.__post_init__"] == 200
 
     def test_every_bulk_constructor(self, monkeypatch):
         from wfvar.optimizer import _basis_fields, decode, discretize
@@ -314,9 +316,9 @@ class TestBulkConstructionCounts:
         decoded = decode(dv)
 
         def no_chain(*args, **kwargs):
-            raise AssertionError("the basis bundle builds no chain of segments")
+            raise AssertionError("the basis bundle builds no chain")
 
-        monkeypatch.setattr(core, "_chain", no_chain)
+        monkeypatch.setattr(core.SegmentChain, "__post_init__", no_chain)
         fields = _basis_fields(dv.layouts[0], dv.layouts[0].times)
         assert len(decoded) == 2 and isinstance(fields, PackedChain)
         assert fields.rows[0].shape[:2] == (len(dv.layouts[0].times) - 1,
@@ -346,12 +348,15 @@ class TestRowsOnFirstScalarRead:
         traj = check_circle()
         pert = Perturbation.from_nodes([0.0, 0.5, 1.25, 2.0], -np.ones((4, 3)))
         seg = Segment(0.0, 1.0, [[1.0, 0.5], [-2.0, 0.0], [0.0, 0.1]])
-        chain = PiecewiseTrajectory((seg, Segment(1.0, 2.0, [[1.5], [-2.0], [0.1]])), PROTON)
+        chain = PiecewiseTrajectory.from_segments(
+            (seg, Segment(1.0, 2.0, [[1.5], [-2.0], [0.1]])), PROTON)
         assert len(traj.segments) == 200
         for built in (traj, pert, chain):
             built.evaluate([0.25, 1.0], 1)
             assert filled(built) == []
         assert seg._rows == reference_rows(seg.coeffs)
+        assert filled(chain) == []  # the chain's views are not the given segments
+        assert chain.segments[0]._rows == reference_rows(seg.coeffs)
         assert filled(chain) == [0]
 
     def test_one_cone_time_fills_only_the_cells_it_reads(self):
@@ -375,19 +380,137 @@ class TestRowsOnFirstScalarRead:
         padded = np.zeros((3, 3, 4))
         for i, c in enumerate(coeffs):
             padded[i, :, : len(c[0])] = c
-        built = core._chain(core.SegmentChain, knots, padded)
-        packed, of = built.packed, PackedChain.of(segs)
+        built = core.SegmentChain(knots, padded)
+        chain = core.SegmentChain.from_segments(segs)
+        packed, of = built.packed, chain.packed
         assert np.array_equal(of.knots, packed.knots)
         for m in range(3):
             assert of.rows[m].shape == packed.rows[m].shape
             assert np.array_equal(of.rows[m], packed.rows[m])
         assert np.signbit(segs[0]._rows[1][0][0]) and not np.signbit(of.rows[1][0, 0, 0])
-        chain = core.SegmentChain(segs)
         ts = np.array(knots + [-0.5, 0.25, 1.75])
         for side in Side:
             for order in range(3):
                 want = built.evaluate(ts, order, side)
                 assert np.array_equal(chain.evaluate(ts, order, side), want)
+
+
+def built_chains() -> dict:
+    """A chain from each builder, by the builder's name."""
+    from wfvar.optimizer import decode, discretize
+
+    traj = hermite_trajectory(*circle_nodes(), ELECTRON)
+    partner = polygonal_from_vertices([(-10.0, [2.0, 0.0, 0.0]), (0.0, [2.1, 0.0, 0.0]),
+                                       (10.0, [2.0, 0.1, 0.0])], PROTON)
+    window = polygonal_from_vertices(
+        list(zip([-1.0, 0.5, 1.0], partner.evaluate([-1.0, 0.5, 1.0]))), PROTON)
+    tent = Perturbation.tent(-1.0, 0.5, 1.0, [0.01, 0.0, 0.0])
+    dv = discretize(BoundaryData(-1.0, 1.0), (traj, partner), 4)
+    return {
+        "hermite_trajectory": traj,
+        "polygonal_from_vertices": partner,
+        "merge_history": merge_history(window, partner),
+        "add_perturbation": add_perturbation(partner, tent, 0.5),
+        "Perturbation.tent": tent,
+        "Perturbation.from_nodes": Perturbation.from_nodes([0.0, 0.5, 1.25], np.ones((3, 3))),
+        "decode": decode(dv)[0],
+    }
+
+
+class TestSegmentViews:
+    """A chain stores its knots and coefficients; its `Segment` views are made
+    on their first read."""
+
+    def test_no_builder_makes_the_views(self):
+        for name, chain in built_chains().items():
+            assert "segments" not in chain.__dict__, name
+            assert not chain.knots.flags.writeable and not chain.coeffs.flags.writeable, name
+            assert chain.coeffs.flags.c_contiguous, name  # the layout the cell gathers read
+
+    def test_a_second_read_returns_the_same_tuple(self):
+        traj = mixed_chain()
+        segs = traj.segments
+        assert traj.segments is segs and len(segs) == 3
+        for seg, t0, t1, c in zip(segs, traj.knots, traj.knots[1:], traj.coeffs):
+            assert (seg.t_start, seg.t_end) == (t0, t1) and bits(seg.coeffs) == bits(c)
+
+    def test_segment_at_returns_a_view_of_the_chain(self):
+        traj = mixed_chain()  # junctions at 0.7 and 2.0
+        for t, side, i in ((0.0, Side.RIGHT, 0), (0.7, Side.LEFT, 0), (0.7, Side.RIGHT, 1),
+                           (2.0, Side.RIGHT, 2), (2.5, Side.LEFT, 2)):
+            assert traj.segment_at(t, side) is traj.segments[i]
+
+    def test_the_exact_speed_check_makes_one_segment_per_flagged_cell(self, monkeypatch):
+        made = []
+        post_init = Segment.__post_init__
+
+        def counted(seg):
+            made.append((seg.t_start, seg.t_end))
+            post_init(seg)
+
+        monkeypatch.setattr(Segment, "__post_init__", counted)
+        # the middle cell, a resting bump of peak speed 0.9, has the bound 7.2
+        traj = hermite_trajectory([0.0, 1.0, 2.0, 3.0],
+                                  [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.7, 0.0, 0.0],
+                                   [0.8, 0.0, 0.0]],
+                                  [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                   [0.1, 0.0, 0.0]], ELECTRON,
+                                  left_velocities=[[0.1, 0.0, 0.0], [0.1, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        assert made == [(1.0, 2.0)]
+        assert "segments" not in traj.__dict__
+
+
+class TestFromSegments:
+    def test_segments_must_abut(self):
+        a = Segment.linear(0.0, 1.0, [0, 0, 0], [0.1, 0, 0])
+        b = Segment.linear(1.5, 2.0, [0.1, 0, 0], [0.2, 0, 0])
+        with pytest.raises(DomainError, match="segments must abut exactly: 1.0 != 1.5"):
+            PiecewiseTrajectory.from_segments((a, b), ELECTRON)
+        with pytest.raises(DomainError, match="PiecewiseTrajectory needs at least one segment"):
+            PiecewiseTrajectory.from_segments((), ELECTRON)
+        with pytest.raises(DomainError, match="Perturbation needs at least one segment"):
+            Perturbation.from_segments([])
+
+    def test_mixed_degrees_evaluate_as_the_given_segments(self):
+        segs = (Segment(-1.0, 0.0, [[-2.0], [0.5], [-0.0]]),
+                Segment(0.0, 1.0, [[-2.0, 0.1], [0.5, -0.3], [0.0, -0.0]]),
+                Segment(1.0, 2.5, [[-1.9, 0.2, -0.01, 0.003], [0.2, -0.3, 0.02, -0.004],
+                                   [0.0, 0.1, -0.0, 0.0]]))
+        chain = core.SegmentChain.from_segments(segs)
+        assert chain.coeffs.shape == (3, 3, 4)
+        for seg in segs:
+            ts = [seg.t_start, 0.3 * seg.t_start + 0.7 * seg.t_end, seg.t_end]
+            side = [Side.RIGHT, Side.RIGHT, Side.LEFT]
+            for order in range(3):
+                for t, sd in zip(ts, side):
+                    assert bits(chain.evaluate(t, order, sd)) == bits(seg.at(t, order))
+
+
+class TestIdentity:
+    def test_chains_and_segments_compare_and_hash_by_identity(self):
+        vertices = [(0.0, [0, 0, 0]), (1.0, [0.5, 0, 0]), (2.0, [0, 0, 0])]
+        a = polygonal_from_vertices(vertices, ELECTRON)
+        b = polygonal_from_vertices(vertices, ELECTRON)
+        tent = Perturbation.tent(0.0, 1.0, 2.0, [0.1, 0, 0])
+        pairs = [(a, b), (a.segments[0], b.segments[0]), (a.packed, b.packed),
+                 (core.SegmentChain(a.knots, a.coeffs), core.SegmentChain(a.knots, a.coeffs)),
+                 (tent, Perturbation.tent(0.0, 1.0, 2.0, [0.1, 0, 0])),
+                 (Segment(0.0, 1.0, np.ones((3, 2))), Segment(0.0, 1.0, np.ones((3, 2))))]
+        for x, y in pairs:
+            assert x == x and x != y and not x == y
+            assert len({x, y, x}) == 2 and hash(x) == hash(x)
+
+
+@pytest.mark.parametrize("times, rows", [([0.0], 1), ([0.0, 1.0, 2.0], 2), ([0.0, 1.0], 3)],
+                         ids=["one-node", "fewer-rows", "more-rows"])
+def test_node_velocities_need_two_times_and_one_row_per_time(times, rows):
+    values = np.ones((rows, 3))
+    for call in (lambda: core.fd_node_velocities(times, values),
+                 lambda: Perturbation.from_nodes(times, values)):
+        with pytest.raises(DomainError, match=rf"one \(3,\) row per time, at least two: "
+                                              rf"got shape \({rows}, 3\) for {len(times)} times"):
+            call()
 
 
 class TestRepeatedKnots:
@@ -424,12 +547,12 @@ class TestSegment:
         # the trajectory judges its segments' speed, a segment alone does not
         seg = Segment(0.0, 1.0, np.array([[0.0, 1.5], [0, 0], [0, 0]]))
         with pytest.raises(SuperluminalError, match=r"segment \[0.0, 1.0\] reaches speed 1.5 >= 1"):
-            PiecewiseTrajectory((seg,), ELECTRON)
+            PiecewiseTrajectory.from_segments((seg,), ELECTRON)
 
     def test_fast_polynomials_are_plain_cells(self):
         seg = Segment(0.0, 1.0, np.array([[0.0, 5.0], [0, 0], [0, 0]]))
         assert seg.max_speed() == 5.0
-        assert core.SegmentChain((seg,)).max_speed() == 5.0
+        assert core.SegmentChain.from_segments((seg,)).max_speed() == 5.0
 
     def test_hermite_interpolates_endpoint_data(self):
         x0, v0 = vec3(0.1, -0.2, 0.0), vec3(0.3, 0.0, 0.1)
@@ -529,8 +652,6 @@ class TestPolygonal:
             assert_allclose(traj.position(t, Side.RIGHT), p, atol=1e-15)
         t_last, p_last = vertices[-1]
         assert_allclose(traj.position(t_last, Side.LEFT), p_last, atol=1e-13)
-        report = validate(traj)
-        assert report.ok
 
 
 @st.composite
@@ -546,7 +667,7 @@ def segment_chains(draw):
         points.append(points[-1] + (t1 - t0) * np.array(v))
     if draw(st.booleans()):
         return polygonal_from_vertices(list(zip(times, points)), ELECTRON)
-    return Perturbation(tuple(
+    return Perturbation.from_segments(tuple(
         Segment.linear(t0, t1, x0, x1)
         for t0, t1, x0, x1 in zip(times, times[1:], points, points[1:])))
 
@@ -601,26 +722,23 @@ class TestValidation:
         a = Segment.linear(0.0, 1.0, [0, 0, 0], [0.1, 0, 0])
         b = Segment.linear(1.0, 2.0, [0.1 + 1e-3, 0, 0], [0.2, 0, 0])
         with pytest.raises(DomainError):
-            PiecewiseTrajectory((a, b), ELECTRON)
+            PiecewiseTrajectory.from_segments((a, b), ELECTRON)
 
-    def test_gap_reported_by_validate(self):
+    def test_gap_reported_by_the_junction_gaps(self):
         a = Segment.linear(0.0, 1.0, [0, 0, 0], [0.1, 0, 0])
         b = Segment.linear(1.0, 2.0, [0.1 + 1e-3, 0, 0], [0.2, 0, 0])
-        traj = core.SegmentChain((a, b))  # a chain without the gap rule
-        report = validate(traj)
-        assert not report.ok
-        (t_junction, gap), = report.continuity_defects
-        assert t_junction == 1.0
+        traj = core.SegmentChain.from_segments((a, b))  # a chain without the gap rule
+        (gap,) = traj.packed.junction_gaps()
+        assert traj.junction_times() == [1.0]
         assert abs(gap - 1e-3) < 1e-12
 
-    def test_validate_applies_the_constructor_gap_rule(self):
+    def test_the_constructor_gap_rule_scales_with_the_position(self):
         # 1e-4 is within 1e-9 max(1, max |x|) = 1e-3 of a chain near x = 1e6
         a = Segment.linear(0.0, 1.0, [1e6, 0, 0], [1e6 + 0.1, 0, 0])
         b = Segment.linear(1.0, 2.0, [1e6 + 0.1 + 1e-4, 0, 0], [1e6 + 0.2, 0, 0])
-        traj = PiecewiseTrajectory((a, b), ELECTRON)
-        report = validate(traj)
-        assert report.continuity_defects[0][1] > 9e-5
-        assert report.ok and report.continuity_tol == traj.packed.gap_tol()
+        traj = PiecewiseTrajectory.from_segments((a, b), ELECTRON)
+        (gap,) = traj.packed.junction_gaps()
+        assert 9e-5 < gap <= traj.packed.gap_tol()
 
     def test_max_speed_matches_dense_sampling(self):
         traj = hermite_trajectory(
@@ -635,7 +753,7 @@ class TestValidation:
             u = ts[(ts >= seg.t_start) & (ts <= seg.t_end)] - seg.t_start
             vel = npoly.polyval(u, npoly.polyder(seg.coeffs.T))
             dense = max(dense, float(np.sqrt((vel ** 2).sum(axis=0)).max()))
-        assert abs(validate(traj).max_speed - dense) < 1e-9
+        assert abs(traj.max_speed() - dense) < 1e-9
 
 
 def mixed_chain():
@@ -807,7 +925,7 @@ class TestWindowSplice:
             [vec3(0.2, 0, 0)] * 4,
             ELECTRON,
         )
-        inner = PiecewiseTrajectory(
+        inner = PiecewiseTrajectory.from_segments(
             tuple(s for s in traj.segments if 1.0 <= s.t_start and s.t_end <= 2.0),
             ELECTRON,
         )

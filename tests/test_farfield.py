@@ -39,7 +39,7 @@ NEG = ParticleParams(mass=1.0, charge=-1.0)
 
 def quadratic_charge(half_accel=1.0, span=0.4, particle=POS):
     # x(t) = half_accel * t^2 along x, so a = 2*half_accel and v(0) = 0
-    return PiecewiseTrajectory(
+    return PiecewiseTrajectory.from_segments(
         (segment_from_global(-span, span, [[0, 0, half_accel], [0], [0]]),), particle
     )
 
@@ -52,7 +52,7 @@ def cubic_charge(particle=POS):
             [0.05, -0.25, 0.1, 0.02],
         ]
     )
-    return PiecewiseTrajectory((segment_from_global(-1.0, 1.0, rows),), particle)
+    return PiecewiseTrajectory.from_segments((segment_from_global(-1.0, 1.0, rows),), particle)
 
 
 def circle_pair(omega=0.5, rho=0.4, span=10.0, dt=0.1):
@@ -149,7 +149,7 @@ class TestSecondDerivativeRoute:
                 assert np.linalg.norm(b_lw - b_d2) < 1e-10
 
     def test_uniform_motion_gives_zero(self):
-        traj = PiecewiseTrajectory(
+        traj = PiecewiseTrajectory.from_segments(
             (segment_from_global(-5.0, 5.0, [[0, 0.4], [1, 0], [0, -0.2]]),), POS
         )
         b = b_via_second_derivative(traj, 100.0, [0, 0, 1], 100.0)

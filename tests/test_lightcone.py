@@ -141,7 +141,7 @@ class TestConeTime:
     def test_dilation_matches_numerical_derivative(self):
         # x(t) = (0.05 t^2, 0.1 t, 0) in absolute time
         seg = segment_from_global(-6.0, 6.0, [[0, 0, 0.05], [0, 0.1], [0]])
-        traj = PiecewiseTrajectory((seg,), P)
+        traj = PiecewiseTrajectory.from_segments((seg,), P)
         event_x = vec3(3, 1, 0)
         for branch in Branch:
             sol = cone_time(traj, (1.0, event_x), branch)
@@ -153,7 +153,7 @@ class TestConeTime:
     def test_branch_symmetry_for_even_trajectory(self):
         # even trajectory x(-t) = x(t)
         seg = segment_from_global(-6.0, 6.0, [[0, 0, 0.05], [0], [0]])
-        traj = PiecewiseTrajectory((seg,), P)
+        traj = PiecewiseTrajectory.from_segments((seg,), P)
         y = vec3(3, 1, 0)
         adv = cone_time(traj, (1.0, y), Branch.ADVANCED).t_k
         ret = cone_time(traj, (-1.0, y), Branch.RETARDED).t_k

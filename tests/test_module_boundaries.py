@@ -141,16 +141,29 @@ def reached_calls(funcs: dict, name: str, seen=None) -> list:
 
 
 def test_chain_algebra_builds_through_the_array_builder():
-    # splice and perturbation make their cells as arrays and their chain by
-    # one `_chain` call, never a `Segment` (or a chain of them) at a time
-    constructors = {"Segment", "PiecewiseTrajectory", "Perturbation", "cls"}
+    # every chain builder makes its cells as arrays and its chain by one
+    # constructor call on knots and coefficients, never a `Segment` (or a
+    # chain of them) at a time
     funcs = core_functions()
-    for name in ("merge_history", "add_perturbation", "Perturbation.tent"):
+    for name in ("polygonal_from_vertices", "hermite_trajectory", "merge_history",
+                 "add_perturbation", "Perturbation.tent", "Perturbation.from_nodes"):
         calls = reached_calls(funcs, name)
         owners = [getattr(call.func, "id", None)
                   or getattr(getattr(call.func, "value", None), "id", None) for call in calls]
-        assert constructors.isdisjoint(owners), name
-        assert "_chain" in owners, name
+        assert "Segment" not in owners, name
+        assert "from_segments" not in [getattr(call.func, "attr", None) for call in calls], name
+        assert owners.count("PiecewiseTrajectory") + owners.count("cls") == 1, name
+
+
+def test_a_chain_is_its_knots_and_coefficients():
+    # one stored form per chain: no `_chain` or `_fill_segments` builder, no
+    # `PackedChain.of`, and nothing in the package makes an object without
+    # its constructor or touches an instance `__dict__`
+    assert not {"_chain", "_fill_segments", "PackedChain.of"} & set(core_functions())
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("__new__", "__dict__"), f"{path.name}:{node.lineno}"
 
 
 def row_cache_uses(path: Path) -> list:
@@ -491,7 +504,7 @@ def test_piecewise_trajectory_alone_judges_speed():
     assert raisers == {"subluminal", "PiecewiseTrajectory.__post_init__"}
     assert not {"SuperluminalError", "max_speed", "bounds"} & {
         getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-        for node in ast.walk(funcs["_fill_segments"]) if isinstance(node, ast.Call)}
+        for node in ast.walk(funcs["_cells"]) if isinstance(node, ast.Call)}
     tree = ast.parse((PACKAGE / "optimizer.py").read_text())
     decode = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_decode_particle")
