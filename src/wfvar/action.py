@@ -35,7 +35,15 @@ __all__ = [
     "pullback_mesh",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15), outermost first: Kronrod nodes, K15
+# weights and G7 weights, 0 where only K15 has a node; the 15 _NODES ascend, centre 0.0
+_QK15 = np.array([
+    (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0),
+    (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
+    (0, 0.1294849661688697, 0, 0.27970539148927664, 0, 0.3818300505051189, 0, 0.4179591836734694)])
+_NODES, _K15, _G7 = np.hstack([[[-1.0], [1.0], [1.0]] * _QK15[:, :-1], _QK15[:, ::-1]])
 #: cells one integral may evaluate below its mesh cells, by halving
 _MAX_CELLS = 10_000
 #: an integral's error target per unit of its rough scale, the larger of 1
@@ -166,17 +174,15 @@ def _integrate(f, mesh):
     """Integral over the cells of `mesh` of a vector integrand `f`: (N,)
     times to (N,) values give a float, to (N, C) rows the (C,) column sums.
 
-    Level by level, one call of f evaluates the Gauss-Legendre 15 nodes of
-    every open cell and of its two halves; level 0's centre nodes, at 0.0,
-    are the mesh-cell midpoints and set each column's absolute scale.  A
-    cell is done when its halves agree with it within every column's
-    tolerance; otherwise its halves open on the next level, each with half
-    its tolerances.  A level-30 cell is accepted unless a gap exceeds 1000
-    times its tolerance.
-    Each cell's value is the sum of its halves' values, so the tree sums as
-    a recursive halving would, and each column as its scalar integral would.
-    Stalling at level 30, or halving past _MAX_CELLS cells, raises
-    ConvergenceError.
+    Level by level, one call of f evaluates the 15 Gauss-Kronrod nodes of
+    every open cell; level 0's centre nodes, at 0.0, are the mesh-cell
+    midpoints and set each column's absolute scale.  A cell's value is its
+    K15 sum.  It is done when its gap |K15 - G7|, G7 on its odd nodes, is
+    within every column's tolerance; else its halves open on the next level
+    with half its tolerances each, and their values sum to its own, as in a
+    recursive halving, each column as in its scalar integral.  A level-30
+    cell is accepted unless a gap exceeds 1000 times its tolerance.  Stalling
+    at level 30, or halving past _MAX_CELLS cells, raises ConvergenceError.
     """
     a, b = np.array(mesh[:-1], dtype=float), np.array(mesh[1:], dtype=float)
     levels, cells, budget = [], 0, a.size + _MAX_CELLS
@@ -187,20 +193,15 @@ def _integrate(f, mesh):
                 f"quadrature spent its {_MAX_CELLS}-cell budget: [{a[2 * worst]}, "
                 f"{b[2 * worst + 1]}] still has gap {gap[open_][worst].max():.3g}")
         cells += a.size
-        half, mid, qh = 0.5 * (b - a), 0.5 * (a + b), 0.25 * (b - a)
-        nodes = np.concatenate([mid[:, None] + half[:, None] * _GL_NODES,
-                                (a + qh)[:, None] + qh[:, None] * _GL_NODES,
-                                (mid + qh)[:, None] + qh[:, None] * _GL_NODES], axis=1)
-        out = f(nodes.ravel())
-        rows = out.reshape(a.size, 3, _GL_NODES.size, -1)
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        out = f((mid[:, None] + half[:, None] * _NODES).ravel())
+        rows = np.ascontiguousarray(out.reshape(a.size, 15, -1).transpose(0, 2, 1))
         if not depth:
-            mids = rows[:, 0, _GL_NODES.size // 2]
-            rough = [sum(col) for col in ((b - a)[:, None] * np.abs(mids)).T.tolist()]
+            rough = [sum(col) for col in ((b - a)[:, None] * np.abs(rows[..., 7])).T.tolist()]
             tol = (_REL_TARGET * np.maximum(rough, 1.0)
                    * np.maximum((b - a) / (mesh[-1] - mesh[0]), 1e-3)[:, None])
-        sums = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)) @ _GL_WEIGHTS  # (cells, C, 3)
-        fine = qh[:, None] * sums[..., 1] + qh[:, None] * sums[..., 2]
-        gap = np.abs(fine - half[:, None] * sums[..., 0])
+        value = half[:, None] * (rows * _K15).sum(axis=-1)
+        gap = np.abs(value - half[:, None] * (rows * _G7).sum(axis=-1))
         open_ = ~(gap <= tol).all(axis=1)
         if depth == 30:
             stalled = np.flatnonzero((gap > 1000 * tol).any(axis=1))
@@ -209,18 +210,17 @@ def _integrate(f, mesh):
                 raise ConvergenceError(
                     f"quadrature stalled on [{a[i]}, {b[i]}]: gap {gap[i].max():.3g}")
             open_[:] = False
-        levels.append((fine, open_))
+        levels.append((value, open_))
         if not open_.any():
             break
         a, mid, b = a[open_], mid[open_], b[open_]
         a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
         tol = np.repeat(0.5 * tol[open_], 2, axis=0)
-    value = None
-    for fine, open_ in reversed(levels):
-        if value is not None:
-            fine[open_] = value[0::2] + value[1::2]
-        value = fine
-    totals = [sum(col) for col in value.T.tolist()]
+    total, _ = levels.pop()  # the last level closes every cell
+    for value, open_ in reversed(levels):
+        value[open_] = total[0::2] + total[1::2]
+        total = value
+    totals = [sum(col) for col in total.T.tolist()]
     return totals[0] if out.ndim == 1 else np.array(totals)
 
 

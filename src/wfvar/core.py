@@ -461,7 +461,14 @@ class SegmentChain:
         return self.packed.at(self.segment_indices(ts, side), ts, order)
 
     def max_speed(self) -> float:
-        return max(s.max_speed() for s in self.segments)
+        """Exact max |v| over the chain.  A cell's speed stays within its
+        `PackedChain.bounds`, so the exact `Segment.max_speed` runs only on
+        the cells whose bound reaches the largest knot speed."""
+        n, ts = self.knots.size - 1, self.knots.tolist()
+        v = self.packed.at(np.arange(2 * n) % n, np.r_[self.knots[:-1], self.knots[1:]], 1)
+        floor = (1.0 - 1e-9) * float(np.sqrt((v * v).sum(axis=1)).max())
+        cells = np.flatnonzero(self.packed.bounds(slice(None), 1) >= floor).tolist()
+        return max(Segment(ts[i], ts[i + 1], self.coeffs[i]).max_speed() for i in cells)
 
 
 @dataclass(frozen=True, eq=False)

@@ -390,11 +390,13 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
     particle's one-sided action (partner frozen), using the exact first
     variation for the gradient.  Each partner is merged with its frozen
     history at the start, and again only after the partner's own step is
-    accepted.  Steps must pass an Armijo decrease test;
-    infeasible trials (superluminal, or freed breaking times out of node
-    order) are rejected by shrinking the step.  Convergence requires both
-    block gradients below `gtol`; the returned report adds the standard
-    residual verification of the final pair.
+    accepted.  Steps must pass an Armijo decrease test or, where the
+    decrease is within the action's rounding, the approximate Wolfe test on
+    the exact slope at the trial point; infeasible trials (superluminal, or
+    freed breaking times out of node order) are rejected by shrinking the
+    step.  Convergence requires both block gradients below `gtol`; the
+    returned report adds the standard residual verification of the final
+    pair.
     """
     options = _normalize_options(opts)
     trajs = list(decode(init))  # feasibility gate: raises on superluminal encoding
@@ -437,6 +439,14 @@ def minimize(boundary: BoundaryData, init: DecisionVector, opts=None):
                     continue
                 if f_trial <= f0 + 1e-4 * alpha * slope:
                     break
+                if abs(f_trial - f0) <= 16 * np.finfo(float).eps * max(abs(f0), 1.0):
+                    # the decrease is at the action's rounding: the approximate
+                    # Wolfe test of Hager and Zhang, g(trial).p <= (2 delta - 1)
+                    # g.p with delta = 0.1, on the exact slope at the trial
+                    g_trial = _block_gradient(traj, partners[i], views[i], init.layouts[i],
+                                              block + step, partial(trial, i))
+                    if float(g_trial @ p) <= -0.8 * slope:
+                        break
                 alpha *= 0.5
             else:
                 continue  # line-search failure: report non-converged later

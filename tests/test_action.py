@@ -13,8 +13,11 @@ from helpers_geometry import (
 )
 
 from wfvar.action import (
-    _GL_NODES,
+    _G7,
+    _K15,
     _MAX_CELLS,
+    _NODES,
+    _REL_TARGET,
     _integrate,
     action,
     canonical_current,
@@ -451,25 +454,21 @@ class TestLegendreTransform:
 
 # -- the batched action against a scalar reference -----------------------------
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
 def recursive_quadrature(f, mesh, rel_target=1e-11):
-    """Gauss-Legendre 15 with recursive interval halving on a scalar
-    integrand, one node at a time: (total, cells, deepest level)."""
+    """Gauss-Kronrod 7-15 with recursive interval halving on a scalar
+    integrand, one node at a time: a cell's value is its K15 sum, and it
+    halves while |K15 - G7| exceeds its tolerance.  (total, cells, deepest
+    level)."""
     tree = {"cells": 0, "depth": 0}
-
-    def gl(a, b):
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        return half * float(np.dot(GL_WEIGHTS, [f(mid + half * u) for u in GL_NODES]))
 
     def cell(a, b, tol, depth):
         tree["cells"] += 1
         tree["depth"] = max(tree["depth"], depth)
-        mid = 0.5 * (a + b)
-        coarse, fine = gl(a, b), gl(a, mid) + gl(mid, b)
-        if abs(fine - coarse) <= tol or depth >= 30:
-            return fine
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        values = [f(mid + half * u) for u in _NODES.tolist()]
+        k15, g7 = (half * float(np.dot(w, values)) for w in (_K15, _G7))
+        if abs(k15 - g7) <= tol or depth >= 30:
+            return k15
         return cell(a, mid, 0.5 * tol, depth + 1) + cell(mid, b, 0.5 * tol, depth + 1)
 
     rough = sum((b - a) * abs(f(0.5 * (a + b))) for a, b in zip(mesh, mesh[1:]))
@@ -499,7 +498,7 @@ def batched_density(traj1, partner, kappa):
 
 def cell_tree(f):
     """`f` with a record of its call sizes, and a reader of the cell tree
-    `_integrate` evaluated through it: each call is one level, with 45
+    `_integrate` evaluated through it: each call is one level, with 15
     nodes per cell.  The reader gives (cells, deepest level)."""
     sizes = []
 
@@ -507,7 +506,7 @@ def cell_tree(f):
         sizes.append(ts.size)
         return f(ts)
 
-    return counted, lambda: (sum(sizes) // (3 * GL_NODES.size), len(sizes) - 1)
+    return counted, lambda: (sum(sizes) // _NODES.size, len(sizes) - 1)
 
 
 def bench_polygon_pair(rng):
@@ -558,9 +557,10 @@ class TestBatchedAction:
             assert tree() == (cells, depth)
 
     def test_deep_cell_tree_matches_the_recursion(self):
-        # the near-collision flyby halves its cells 18 levels deep
-        t1 = polygonal_from_vertices([(-5.0, [-1.5, 0, 0]), (5.0, [1.5, 0, 0])], POS)
-        t2 = static_traj([0.0, 1e-6, 0.0])
+        # the near-collision flyby halves its cells 20 levels deep
+        v, gap = 0.3, 1e-6
+        t1 = polygonal_from_vertices([(-5.0, [-5 * v, 0, 0]), (5.0, [5 * v, 0, 0])], POS)
+        t2 = static_traj([0.0, gap, 0.0])
         mesh = pullback_mesh(t1, t2, -1.0, 1.0)
         ref, cells, depth = recursive_quadrature(scalar_density(t1, t2, 1.0), mesh)
         f, tree = cell_tree(batched_density(t1, t2, 1.0))
@@ -568,6 +568,10 @@ class TestBatchedAction:
         assert tree() == (cells, depth)
         assert depth > 10
         assert abs(total - ref) <= 1e-13 * abs(ref)
+        # a static partner at distance r gives 1/r: the integral of
+        # 1 / sqrt((v t)^2 + gap^2) over [-1, 1] is (2/v) asinh(v/gap)
+        exact = -2.0 * np.sqrt(1.0 - v * v) + (2.0 / v) * np.arcsinh(v / gap)
+        assert abs(total - exact) <= _REL_TARGET * abs(exact)
 
 
 # -- batched per-point partials against the scalar references -----------------
@@ -800,8 +804,23 @@ class TestQuadratureBudget:
     def test_the_centre_node_is_the_cell_midpoint(self):
         # level 0's centre nodes are the mesh-cell midpoints bit for bit, so
         # they give each column's rough scale
-        assert _GL_NODES.size % 2 == 1
-        assert _GL_NODES[_GL_NODES.size // 2] == 0.0
+        assert _NODES.size == 15
+        assert _NODES[7] == 0.0 and not np.signbit(_NODES[7])
+
+    @pytest.mark.parametrize("weights, degree", [("K15", 22), ("G7", 13)])
+    def test_the_rules_are_exact_up_to_their_degree(self, weights, degree):
+        w = {"K15": _K15, "G7": _G7}[weights]
+        for d in range(degree + 1):
+            want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(float(w @ _NODES ** d) - want) <= 1e-15
+        # and not beyond it
+        assert abs(float(w @ _NODES ** (degree + 2)) - 2.0 / (degree + 3)) > 1e-12
+
+    def test_g7_is_gauss_legendre_7_on_the_odd_nodes(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert (_G7[0::2] == 0.0).all()
+        assert_allclose(_NODES[1::2], nodes, rtol=0, atol=1e-15)
+        assert_allclose(_G7[1::2], weights, rtol=0, atol=1e-15)
 
     def test_one_integrand_call_per_level(self):
         def f(t):
@@ -818,7 +837,7 @@ class TestQuadratureBudget:
         total = _integrate(counted, mesh)
         assert depth > 0
         assert len(sizes) == depth + 1
-        assert sizes[0] == 3 * _GL_NODES.size * (len(mesh) - 1)
+        assert sizes[0] == 15 * (len(mesh) - 1)
         assert abs(total - ref) <= 1e-13 * abs(ref)
 
     def test_action_and_first_variation_stay_far_inside_the_budget(self, monkeypatch):

@@ -755,6 +755,39 @@ class TestValidation:
             dense = max(dense, float(np.sqrt((vel ** 2).sum(axis=0)).max()))
         assert abs(traj.max_speed() - dense) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["hermite", "polygonal", "fast cells"])
+    def test_max_speed_screen_keeps_the_all_cells_result(self, kind, monkeypatch):
+        # only the cells whose bound reaches the largest knot speed take the
+        # exact solve, and the maximum is the all-cells one bit for bit
+        rng = np.random.default_rng(["hermite", "polygonal", "fast cells"].index(kind))
+        post_init, made, cells = Segment.__post_init__, [], 0
+
+        def counted(seg):
+            made.append(seg)
+            post_init(seg)
+
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            times = np.cumsum(rng.uniform(0.05, 2.0, n))
+            dirs = rng.normal(size=(n, 3))
+            vel = dirs * rng.uniform(0.0, 0.45, (n, 1)) / np.linalg.norm(dirs, axis=1)[:, None]
+            steps = np.r_[np.zeros((1, 3)), 0.5 * (vel[1:] + vel[:-1]) * np.diff(times)[:, None]]
+            if kind == "hermite":
+                chain = hermite_trajectory(times, np.cumsum(steps, axis=0), vel, ELECTRON)
+            elif kind == "polygonal":
+                chain = polygonal_from_vertices(list(zip(times, np.cumsum(steps, axis=0))),
+                                                ELECTRON)
+            else:  # a bare chain of quartic cells, far from subluminal
+                chain = core.SegmentChain(times, rng.normal(size=(n - 1, 3, 5)))
+            want = max(seg.max_speed() for seg in chain.segments)
+            monkeypatch.setattr(Segment, "__post_init__", counted)
+            assert chain.max_speed() == want
+            monkeypatch.undo()
+            cells += n - 1
+        assert len(made) < cells
+        if kind == "polygonal":  # a line's bound is its speed: one cell per chain
+            assert len(made) == 20
+
 
 def mixed_chain():
     """A cubic cell, a line and a resting cell, with junctions at 0.7 and 2."""
