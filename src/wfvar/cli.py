@@ -94,7 +94,11 @@ def _fmt(value) -> str:
 
 
 def emit_report(report, path) -> None:
-    """Write a report as CSV; floats round-trip at 17 significant digits."""
+    """Write a report as CSV; floats round-trip at 17 significant digits.
+
+    An array table formats each column's distinct doubles once, told apart
+    by their bits so that -0.0, 0.0 and every NaN keep their own text, and
+    gathers the texts back: the bytes of its rows as tuples through `_fmt`."""
     if isinstance(report, MinimizerReport):
         table = ReportTable(
             ("quantity", "value"),
@@ -115,12 +119,17 @@ def emit_report(report, path) -> None:
         if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != len(table.header):
             raise ConfigError(f"report array of {rows.dtype} and shape {rows.shape} does not "
                               f"fit {len(table.header)} float columns")
-        # "%.17g" % x is format(x, ".17g") for every double
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        lines = (line % tuple(row) for row in rows.tolist())
+        cells = np.empty(rows.shape, dtype=object)
+        for j, column in enumerate(rows.T):
+            keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            # "%.17g" % x is format(x, ".17g") for every double, and has no ","
+            texts = ("%.17g," * len(keys) % tuple(keys.view(np.float64).tolist())).split(",")
+            cells[:, j] = np.array(texts, dtype=object)[inverse]
+        lines = (",".join(row) + "\n" for row in cells.tolist())
     else:
         lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
-    # line by line, so no copy of the whole text is held
+    # line by line, so no copy of the whole text is held; the cells of an
+    # array table share its distinct texts
     with Path(path).open("w") as out:
         out.write(",".join(table.header) + "\n")
         out.writelines(lines)

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfvar.cli import ReportTable, _fmt, emit_report, load_scenario, main, run
 from wfvar.core import (ParticleParams, Side, load_trajectory, polygonal_from_vertices,
                         save_trajectory)
 from wfvar.errors import ConfigError
-from wfvar.shortrange import SeparationFamilyParams, save_family
+from wfvar.farfield import gah_residuals
+from wfvar.shortrange import SeparationFamilyParams, fibonacci_sphere, save_family
 
 
 def base_scenario(**extra):
@@ -94,6 +97,19 @@ def exact_minimize_scenario(**options):
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def template_csv(header, rows):
+    """The bytes an (N, C) float array table must write: its header, then
+    one "%.17g" row template per row."""
+    line = ",".join(["%.17g"] * len(header))
+    text = [",".join(header)] + [line % tuple(row) for row in rows.tolist()]
+    return ("\n".join(text) + "\n").encode()
+
+
+def bits(*words):
+    """The doubles of the given 64-bit patterns."""
+    return np.array(words, dtype=np.uint64).view(np.float64).tolist()
 
 
 def quantities(path):
@@ -197,6 +213,47 @@ class TestEmitReport:
         path = tmp_path / "empty.csv"
         emit_report(ReportTable(("a", "b", "c"), np.empty((0, 3))), path)
         assert path.read_bytes() == b"a,b,c\n"
+
+    @pytest.mark.parametrize("rows", [
+        # both zeros in one column, and in the same row
+        np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]),
+        # NaNs of four bit patterns, infinities, subnormals and huge values
+        np.array([[math.nan, math.inf, 5e-324, 1e300],
+                  [-math.inf, 2.5e-310, -1e300, -5e-324],
+                  bits(0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0x1),
+                  [1e300, -math.inf, 2.5e-310, math.nan]]),
+        # a constant column beside an all-distinct one
+        np.column_stack((np.full(50, 0.1 + 0.2), np.linspace(-1.0, 1.0, 50) / 3.0)),
+        np.empty((0, 4)),
+        np.array([[-0.0, math.nan, 1.0 / 3.0, 5e-324]]),
+        np.array([[-0.0], [0.0], [math.nan], [math.inf], [-0.0], [1e-300], [1e-300]]),
+        # non-contiguous: a transposed view, a strided slice of a wider array
+        np.arange(24.0).reshape(4, 6).T / 7.0 - 1.0,
+        (np.arange(60.0).reshape(6, 10) % 4.0 - 1.5)[::2, 1:8:2],
+    ], ids=["signed-zeros", "specials", "constant-and-distinct", "no-rows", "one-row",
+            "one-column", "transposed", "strided"])
+    def test_an_array_writes_the_bytes_of_its_row_template(self, tmp_path, rows):
+        header = tuple("abcdef"[:rows.shape[1]])
+        path = tmp_path / "array.csv"
+        emit_report(ReportTable(header, rows), path)
+        assert path.read_bytes() == template_csv(header, rows)
+
+    @given(st.integers(0, 12), st.integers(1, 5), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_array_writes_the_bytes_of_its_row_template(self, tmp_path_factory, n, c,
+                                                             fortran, data):
+        # a small pool makes values repeat within a column; the arbitrary
+        # floats bring NaN, infinities, signed zeros and subnormals
+        pool = [0.0, -0.0, math.nan, math.inf, -1e300, 5e-324, 0.1 + 0.2, 1.0,
+                *bits(0xFFF8000000000000, 0x7FF0000000000001)]
+        cells = data.draw(st.lists(st.one_of(st.sampled_from(pool), st.floats()),
+                                   min_size=n * c, max_size=n * c))
+        rows = np.array(cells, dtype=np.float64).reshape(n, c)
+        rows = np.asfortranarray(rows) if fortran else rows
+        header = tuple("abcde"[:c])
+        path = tmp_path_factory.mktemp("prop") / "array.csv"
+        emit_report(ReportTable(header, rows), path)
+        assert path.read_bytes() == template_csv(header, rows)
 
     @pytest.mark.parametrize("rows", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3),
                                       np.zeros((2, 3), dtype=np.int64)])
@@ -684,6 +741,30 @@ class TestGahScan:
                    quiet=True) == 0
         _, rows = read_csv(out / "gah_scan.csv")
         assert [row[-1] for row in rows] == ["0"] * 4
+
+    def test_a_radiating_scan_writes_the_bytes_of_its_row_template(self, tmp_path):
+        # an antipodal circle pair radiates, so gx..gz are nonzero and vary
+        times = np.arange(-10.0, 10.25, 0.5)
+        xs = 0.4 * np.stack([np.cos(0.5 * times), np.sin(0.5 * times), 0.0 * times], axis=1)
+        vs = 0.2 * np.stack([-np.sin(0.5 * times), np.cos(0.5 * times), 0.0 * times], axis=1)
+        records = [{"kind": "hermite", "times": times.tolist(), "positions": (s * xs).tolist(),
+                    "velocities": (s * vs).tolist()} for s in (1.0, -1.0)]
+        data = base_scenario(trajectory1=records[0], trajectory2=records[1],
+                             options={"times": [-1.0, 0.0, 0.3, 2.5], "directions": 6})
+        path = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        assert run("gah-scan", path, out_dir=out, quiet=True) == 0
+        # the handler's rows, recomputed
+        scen = load_scenario(path)
+        lane_t = np.repeat(data["options"]["times"], 6)
+        lane_n = np.tile(fibonacci_sphere(6), (4, 1))
+        res, defined = gah_residuals(scen.traj1, scen.traj2, lane_t, lane_n)
+        written = np.where(defined[:, None] & (res != 0.0), res, 0.0)
+        rows = np.column_stack((lane_t, lane_n, written, defined))
+        assert defined.all()
+        assert (written != 0.0).all() and len(np.unique(written)) == written.size
+        header = ("t", "nx", "ny", "nz", "gx", "gy", "gz", "defined")
+        assert (out / "gah_scan.csv").read_bytes() == template_csv(header, rows)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         data = base_scenario(**static_pair(),
